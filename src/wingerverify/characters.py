@@ -199,7 +199,6 @@ def restrict_to_a5(chi: ClassFunction) -> ClassFunction:
     if chi.group != "S5":
         raise CharacterError("expected an S5 class function")
     _, a5_reps, _ = _class_data("A5")
-    s5 = symmetric_group_5()
     _, s5_reps, s5_classes = _class_data("S5")
     vals = []
     for g in a5_reps:

@@ -11,9 +11,10 @@ import argparse
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
-from .characters import (A5_IRREP_LABELS, ClassFunction, a5_table, chi_e_s5,
-                         decompose, inner_product, restrict_to_a5, sym_cube)
+from .characters import (A5_IRREP_LABELS, a5_table, chi_e_s5, decompose,
+                         inner_product, restrict_to_a5, sym_cube)
 from .cyclo import rational
 from .invariants import (contains_up_to_scalar, molien_closed_form,
                          molien_series, reynolds_basis)
@@ -22,8 +23,8 @@ from .perms import parse_cycles
 from .polys import Poly3, monomials_of_degree
 from .report import ClaimReport, run_claim
 from .winger import (INFINITY, gram_matrix, irregular_orbits, node_check,
-                     normalize_point, no_three_concurrent, pencil_member,
-                     q_poly, f_poly, reconstruct_group, singular_lambda)
+                     no_three_concurrent, pencil_member, q_poly, f_poly,
+                     reconstruct_group, singular_lambda, six_lines)
 from . import hurwitz
 from . import covers
 
@@ -177,7 +178,8 @@ def check_orbits(report, args, corruption):
 
     run_claim(report, "lines-no-three-concurrent",
               "no three of the six lines meet in a point",
-              lambda: (no_three_concurrent(), {"triples_checked": 20}))
+              lambda: (no_three_concurrent(),
+                       {"triples_checked": comb(len(six_lines()), 3)}))
 
     def orbits():
         orbs = irregular_orbits()
@@ -423,10 +425,11 @@ def check_degenerations(report, args):
         shapes = Counter((r.n, r.nodes, r.components, r.component_genus)
                          for _, r in reports)
         want = Counter({(2, 15, 6, 0): 4, (3, 10, 1, 0): 6, (5, 6, 1, 4): 10})
-        ok = shapes == want and all(r.arithmetic_genus == 10 for _, r in reports)
+        genus10 = all(r.arithmetic_genus == 10 for _, r in reports)
+        ok = shapes == want and genus10
         ok = ok and all(r.nodes * 2 * r.n == 60 for _, r in reports)
         return ok, {"shapes": {str(k): v for k, v in sorted(shapes.items())},
-                    "all_arithmetic_genus_10": True}
+                    "all_arithmetic_genus_10": genus10}
     run_claim(report, "degeneration-reports",
               "all 20 tuple classes give one of the three degeneration shapes, "
               "each of arithmetic genus 10",
@@ -487,11 +490,11 @@ def check_invariants(report, args):
     def degree6():
         basis = reynolds_basis(mats, 6)
         full = len(monomials_of_degree(6))
-        ok = full == 28 and len(basis) == 2
-        ok = ok and contains_up_to_scalar(basis, q_poly() ** 3)
-        ok = ok and contains_up_to_scalar(basis, f_poly())
+        spanned = (contains_up_to_scalar(basis, q_poly() ** 3)
+                   and contains_up_to_scalar(basis, f_poly()))
+        ok = full == 28 and len(basis) == 2 and spanned
         return ok, {"ambient_dim": full, "invariant_dim": len(basis),
-                    "contains_Q3_and_F": True}
+                    "contains_Q3_and_F": spanned}
     run_claim(report, "degree6-invariants",
               "the 28-dimensional sextic space has a 2-dimensional invariant "
               "subspace spanned by Q^3 and F",

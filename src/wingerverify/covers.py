@@ -10,11 +10,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .characters import (ClassFunction, decompose, induced_character,
-                         sign_class_function, sym_cube)
+from .characters import (decompose, induced_character, sign_class_function,
+                         sym_cube)
 from .cyclo import Cyclo, golden, rational
 from .perms import closure, parse_cycles
-from .hurwitz import TupleClass, enumerate_tuple_classes
+from .hurwitz import enumerate_tuple_classes
 
 CYCLIC_STABILIZER_ORDERS = (1, 2, 3, 5)
 
@@ -128,7 +128,7 @@ def homology_character_check():
 
 
 class Quaternion:
-    """Quaternion with cyclotomic-field coefficients (1, i, j, k)."""
+    """Quaternion with coefficients in Q(zeta_5) on (1, i, j, k)."""
 
     __slots__ = ("a", "b", "c", "d")
 

@@ -1,8 +1,8 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n).
+"""Exact arithmetic in the cyclotomic field Q(zeta_5).
 
-Elements live on the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced
-modulo the n-th cyclotomic polynomial, and are stored as an integer
-coefficient vector with a single positive integer denominator.  The
+Elements live on the power basis 1, zeta, zeta^2, zeta^3, reduced with
+zeta^4 = -1 - zeta - zeta^2 - zeta^3, and are stored as four integer
+coefficients over a single positive integer denominator.  The
 representation is canonical: two elements are equal iff their stored
 data are equal.  All values are immutable.
 """
@@ -10,92 +10,52 @@ data are equal.  All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import mpmath
 
 
-class ConductorMismatch(ValueError):
-    """Combining elements of different cyclotomic fields."""
+def _mul(a, b):
+    """Product of integer coefficient 4-tuples: convolve, then fold
+    zeta^4 = -1-zeta-zeta^2-zeta^3, zeta^5 = 1 and zeta^6 = zeta."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    return (a0 * b0 - c4 + a2 * b3 + a3 * b2,
+            a0 * b1 + a1 * b0 - c4 + a3 * b3,
+            a0 * b2 + a1 * b1 + a2 * b0 - c4,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4)
 
 
-def _poly_div_exact(num, den):
-    # Exact division of integer polynomials, lowest degree first.
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        q[k] = c // den[-1]
-        for j, d in enumerate(den):
-            num[k + j] -= q[k] * d
-    assert all(c == 0 for c in num)
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, lowest degree first (monic)."""
-    if n < 1:
-        raise ValueError("conductor must be >= 1")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is the power-basis expansion of zeta^k, 0 <= k < max(2*phi-1, n)."""
-    phi_poly = cyclotomic_polynomial(n)
-    phi = len(phi_poly) - 1
-    top = [-c for c in phi_poly[:-1]]  # zeta^phi, since Phi_n is monic
-    count = max(2 * phi - 1, n)
-    rows = []
-    cur = [1] + [0] * (phi - 1)
-    rows.append(tuple(cur))
-    for _ in range(count - 1):
-        over = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if over:
-            cur = [c + over * t for c, t in zip(cur, top)]
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _galois(a, k):
+    """zeta -> zeta^k on an integer coefficient 4-tuple: the coefficient of
+    zeta^i moves to zeta^(i*k mod 5), then zeta^4 is folded back."""
+    spread = [0] * 5
+    for i, c in enumerate(a):
+        spread[i * k % 5] = c
+    top = spread[4]
+    return (spread[0] - top, spread[1] - top, spread[2] - top, spread[3] - top)
 
 
 class Cyclo:
-    """A canonical element of Q(zeta_n)."""
+    """A canonical element of Q(zeta_5): (nums[0] + ... + nums[3]*zeta^3) / den."""
 
-    __slots__ = ("n", "nums", "den")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, n: int, nums, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        phi = euler_phi(n)
-        nums = list(nums)
-        if len(nums) != phi:
-            raise ValueError(f"expected {phi} coefficients for conductor {n}")
-        if den < 0:
-            nums = [-c for c in nums]
-            den = -den
-        g = den
-        for c in nums:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
-            nums = [c // g for c in nums]
-            den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "nums", tuple(nums))
+    def __init__(self, nums, den: int = 1):
+        try:
+            a, b, c, d = nums
+        except ValueError:
+            raise ValueError("expected 4 coefficients on 1, zeta, zeta^2, zeta^3") from None
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("zero denominator")
+            if den < 0:
+                a, b, c, d, den = -a, -b, -c, -d, -den
+            g = gcd(den, a, b, c, d)
+            if g > 1:
+                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+        object.__setattr__(self, "nums", (a, b, c, d))
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
@@ -104,18 +64,16 @@ class Cyclo:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def rational(q, n: int = 5) -> "Cyclo":
+    def rational(q) -> "Cyclo":
         q = Fraction(q)
-        phi = euler_phi(n)
-        return Cyclo(n, [q.numerator] + [0] * (phi - 1), q.denominator)
+        return Cyclo((q.numerator, 0, 0, 0), q.denominator)
 
-    def _coerce(self, other):
+    @staticmethod
+    def _coerce(other):
         if isinstance(other, Cyclo):
-            if other.n != self.n:
-                raise ConductorMismatch(f"conductors {self.n} and {other.n}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclo.rational(other, self.n)
+            return Cyclo.rational(other)
         return None
 
     # -- ring / field operations --------------------------------------------
@@ -125,19 +83,19 @@ class Cyclo:
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        return Cyclo(self.n, [a * db + b * da for a, b in zip(self.nums, o.nums)], da * db)
+        return Cyclo([a * db + b * da for a, b in zip(self.nums, o.nums)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, [-c for c in self.nums], self.den)
+        return Cyclo([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         da, db = self.den, o.den
-        return Cyclo(self.n, [a * db - b * da for a, b in zip(self.nums, o.nums)], da * db)
+        return Cyclo([a * db - b * da for a, b in zip(self.nums, o.nums)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -146,55 +104,19 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.nums, o.nums
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:phi]
-        table = _power_table(self.n)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                row = table[k]
-                out = [x + c * r for x, r in zip(out, row)]
-        return Cyclo(self.n, out, self.den * o.den)
+        return Cyclo(_mul(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
-        """Multiplicative inverse; solves a*x = 1 on the power basis."""
+        """Multiplicative inverse: a^-1 = sigma2(a) sigma3(a) sigma4(a) / N(a),
+        where the norm N(a) = a sigma2(a) sigma3(a) sigma4(a) is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        phi = euler_phi(self.n)
-        # columns of the multiplication-by-self matrix
-        cols = []
-        pw = Cyclo.rational(1, self.n)
-        z = zeta(self.n)
-        for _ in range(phi):
-            prod = self * pw
-            cols.append([Fraction(c, prod.den) for c in prod.nums])
-            pw = pw * z
-        # solve sum_j x_j * cols[j] = e0 by Gaussian elimination over Q
-        aug = [[cols[j][i] for j in range(phi)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(phi)]
-        for col in range(phi):
-            piv = next(r for r in range(col, phi) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [e / pv for e in aug[col]]
-            for r in range(phi):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [e - f * p for e, p in zip(aug[r], aug[col])]
-        xs = [aug[i][phi] for i in range(phi)]
-        den = 1
-        for x in xs:
-            den = den * x.denominator // gcd(den, x.denominator)
-        return Cyclo(self.n, [int(x * den) for x in xs], den)
+        a = self.nums
+        rest = _mul(_mul(_galois(a, 2), _galois(a, 3)), _galois(a, 4))
+        norm = _mul(a, rest)[0]
+        return Cyclo([c * self.den for c in rest], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -208,7 +130,7 @@ class Cyclo:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = Cyclo.rational(1, self.n)
+        result = Cyclo.rational(1)
         base = self
         while k:
             if k & 1:
@@ -220,28 +142,19 @@ class Cyclo:
     # -- structure -----------------------------------------------------------
 
     def galois(self, k: int) -> "Cyclo":
-        """Apply the field automorphism zeta -> zeta^k (gcd(k, n) = 1)."""
-        if gcd(k, self.n) != 1:
-            raise ValueError("not a unit mod the conductor")
-        phi = euler_phi(self.n)
-        table = _power_table(self.n)
-        out = [0] * phi
-        for i, c in enumerate(self.nums):
-            if c:
-                row = table[(i * k) % self.n]
-                out = [x + c * r for x, r in zip(out, row)]
-        return Cyclo(self.n, out, self.den)
+        """Apply the field automorphism zeta -> zeta^k (k prime to 5)."""
+        if k % 5 == 0:
+            raise ValueError("not a unit mod 5")
+        return Cyclo(_galois(self.nums, k), self.den)
 
     def conjugate(self) -> "Cyclo":
-        if self.n == 1:
-            return self
-        return self.galois(self.n - 1)
+        return self.galois(4)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.nums)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.nums[1:])
+        return not any(self.nums[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -255,14 +168,14 @@ class Cyclo:
         return (self.nums, self.den)
 
     def embed(self, digits: int = 15):
-        """Complex floating approximation, zeta -> exp(2*pi*i/n).
+        """Complex floating approximation, zeta -> exp(2*pi*i/5).
 
         Diagnostics only; never used in exactness-bearing checks.
         """
         if digits < 1:
             raise ValueError("digits must be >= 1")
         with mpmath.workdps(digits + 15):
-            z = mpmath.exp(2j * mpmath.pi / self.n)
+            z = mpmath.exp(2j * mpmath.pi / 5)
             acc = mpmath.mpc(0)
             for c in reversed(self.nums):
                 acc = acc * z + c
@@ -272,13 +185,13 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other, self.n)
+            other = Cyclo.rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return self.n == other.n and self.nums == other.nums and self.den == other.den
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.n, self.nums, self.den))
+        return hash((self.nums, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -287,7 +200,7 @@ class Cyclo:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.nums) - 1, -1, -1):
+        for i in range(3, -1, -1):
             c = Fraction(self.nums[i], self.den)
             if c == 0:
                 continue
@@ -313,44 +226,38 @@ class Cyclo:
         return "".join(parts)
 
     def __repr__(self):
-        return f"Cyclo({self.n}, {str(self)!r})"
+        return f"Cyclo({str(self)!r})"
 
 
-def make(n: int, raw) -> Cyclo:
+def make(raw) -> Cyclo:
     """Build an element from rational coefficients of 1, zeta, zeta^2, ...
 
-    `raw` may have any length; indices are folded with zeta^n = 1 and the
-    result is reduced modulo Phi_n.  Total: never raises for valid rationals.
+    `raw` may have any length; indices are folded with zeta^5 = 1 and
+    zeta^4 = -1 - zeta - zeta^2 - zeta^3.  Total: never raises for valid
+    rationals.
     """
-    phi = euler_phi(n)
     qs = [Fraction(x) for x in raw]
     den = 1
     for q in qs:
         den = den * q.denominator // gcd(den, q.denominator)
-    ints = [int(q * den) for q in qs]
-    table = _power_table(n)
-    out = [0] * phi
-    for i, c in enumerate(ints):
-        if c:
-            row = table[i % n]
-            out = [x + c * r for x, r in zip(out, row)]
-    return Cyclo(n, out, den)
+    spread = [0] * 5
+    for i, q in enumerate(qs):
+        spread[i % 5] += int(q * den)
+    top = spread[4]
+    return Cyclo([c - top for c in spread[:4]], den)
 
 
-def zeta(n: int = 5) -> Cyclo:
-    phi = euler_phi(n)
-    if phi == 1:
-        return make(n, [0, 1])
-    return Cyclo(n, [0, 1] + [0] * (phi - 2))
+def zeta() -> Cyclo:
+    return Cyclo((0, 1, 0, 0))
 
 
-def rational(q, n: int = 5) -> Cyclo:
-    return Cyclo.rational(q, n)
+def rational(q) -> Cyclo:
+    return Cyclo.rational(q)
 
 
 def sqrt5() -> Cyclo:
     """The canonical square root of 5 in Q(zeta_5): zeta - zeta^2 - zeta^3 + zeta^4."""
-    return make(5, [0, 1, -1, -1, 1])
+    return make([0, 1, -1, -1, 1])
 
 
 def golden() -> Cyclo:

@@ -103,7 +103,6 @@ def _eval_determinants(int_fs, degrees):
         for (a, b, c), coef in int_fs[which].items():
             row[col_of[(a + shift[0], b + shift[1], c + shift[2])]] = coef
         full.append(row)
-    minor_set = set(minor_index)
     minor = [[full[i][j] for j in minor_index] for i in minor_index]
     return full, minor
 

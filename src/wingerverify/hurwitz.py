@@ -70,10 +70,6 @@ def pair_orbits():
     return orbits
 
 
-def pair_orbit_is_free(orbit) -> bool:
-    return len(orbit) == 60
-
-
 def involution_factorizations(h: Perm):
     """All ordered pairs (h1, h2) of involutions in A5 with h1*h2 = h."""
     r = h.order()

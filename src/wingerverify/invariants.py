@@ -11,13 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import Cyclo, rational
+from .cyclo import rational
 from .linalg import Matrix
 from .polys import Poly3, monomials_of_degree
-
-
-def act_on_poly(m: Matrix, f: Poly3) -> Poly3:
-    return f.act(m)
 
 
 def _series_reciprocal(den, nterms: int):
@@ -25,7 +21,7 @@ def _series_reciprocal(den, nterms: int):
     inv0 = den[0].inv()
     out = [inv0]
     for k in range(1, nterms):
-        acc = rational(0, den[0].n)
+        acc = rational(0)
         for j in range(1, min(k, len(den) - 1) + 1):
             acc = acc + den[j] * out[k - j]
         out.append(-(acc * inv0))
@@ -110,9 +106,9 @@ class ReynoldsAverager:
             # weight of a monomial under diag(e0, e1, e2): the scalar is
             # e0^a e1^b e2^c; record each diagonal entry as a power of the
             # order-5 root by matching against the subgroup powers
-            self.weights = self._diagonal_weights(sub)
+            self.weights = self._diagonal_weights()
 
-    def _diagonal_weights(self, sub):
+    def _diagonal_weights(self):
         d = self.diag
         entries = [d[0, 0], d[1, 1], d[2, 2]]
         root = None
@@ -128,7 +124,6 @@ class ReynoldsAverager:
             p = p * root
             k += 1
         return tuple(powers[e] for e in entries)
-
 
     def average(self, expo) -> Poly3:
         """Reynolds projection of a single monomial."""

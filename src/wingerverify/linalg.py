@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a cyclotomic field.
+"""Exact dense linear algebra over Q(zeta_5).
 
 Determinants use fraction-free (Bareiss) elimination, kernels come from
 reduced row echelon form, and characteristic polynomials are computed
@@ -13,46 +13,41 @@ from .cyclo import Cyclo, rational
 
 
 class Matrix:
-    """Immutable dense matrix with entries sharing one conductor."""
+    """Immutable dense matrix over Q(zeta_5)."""
 
-    __slots__ = ("rows", "cols", "entries", "n")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries, n: int = 5):
+    def __init__(self, rows: int, cols: int, entries):
         entries = tuple(
-            e if isinstance(e, Cyclo) else rational(e, n) for e in entries
+            e if isinstance(e, Cyclo) else rational(e) for e in entries
         )
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        if entries:
-            n = entries[0].n
-            if any(e.n != n for e in entries):
-                raise ValueError("entries must share one conductor")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
-    def from_rows(rows, n: int = 5) -> "Matrix":
+    def from_rows(rows) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return Matrix(r, c, [e for row in rows for e in row], n)
+        return Matrix(r, c, [e for row in rows for e in row])
 
     @staticmethod
-    def identity(k: int, n: int = 5) -> "Matrix":
-        one, zero = rational(1, n), rational(0, n)
-        return Matrix(k, k, [one if i == j else zero for i in range(k) for j in range(k)], n)
+    def identity(k: int) -> "Matrix":
+        one, zero = rational(1), rational(0)
+        return Matrix(k, k, [one if i == j else zero for i in range(k) for j in range(k)])
 
     @staticmethod
-    def diagonal(diag, n: int = 5) -> "Matrix":
+    def diagonal(diag) -> "Matrix":
         k = len(diag)
-        zero = rational(0, n)
-        return Matrix(k, k, [diag[i] if i == j else zero for i in range(k) for j in range(k)], n)
+        zero = rational(0)
+        return Matrix(k, k, [diag[i] if i == j else zero for i in range(k) for j in range(k)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -81,10 +76,10 @@ class Matrix:
                             continue
                         term = av * b[t * p + j]
                         acc = term if acc is None else acc + term
-                    out.append(acc if acc is not None else rational(0, self.n))
-            return Matrix(m, p, out, self.n)
+                    out.append(acc if acc is not None else rational(0))
+            return Matrix(m, p, out)
         if isinstance(other, (int, Fraction, Cyclo)):
-            return Matrix(self.rows, self.cols, [e * other for e in self.entries], self.n)
+            return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -98,7 +93,7 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
         return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)], self.n)
+                      [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -110,12 +105,12 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)], self.n)
+                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def trace(self) -> Cyclo:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = rational(0, self.n)
+        acc = rational(0)
         for i in range(self.rows):
             acc = acc + self[i, i]
         return acc
@@ -126,7 +121,7 @@ class Matrix:
             raise ValueError("shape mismatch")
         out = []
         for i in range(self.rows):
-            acc = rational(0, self.n)
+            acc = rational(0)
             for j, v in enumerate(vec):
                 if not v.is_zero():
                     acc = acc + self[i, j] * v
@@ -142,10 +137,10 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         k = self.rows
         if k == 0:
-            return rational(1, self.n)
+            return rational(1)
         m = self.to_rows()
         sign = 1
-        prev = rational(1, self.n)
+        prev = rational(1)
         for col in range(k - 1):
             piv = None
             for r in range(col, k):
@@ -153,7 +148,7 @@ class Matrix:
                     piv = r
                     break
             if piv is None:
-                return rational(0, self.n)
+                return rational(0)
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
                 sign = -sign
@@ -161,7 +156,7 @@ class Matrix:
             for r in range(col + 1, k):
                 for c in range(col + 1, k):
                     m[r][c] = (pivval * m[r][c] - m[r][col] * m[col][c]) / prev
-                m[r][col] = rational(0, self.n)
+                m[r][col] = rational(0)
             prev = pivval
         d = m[k - 1][k - 1]
         return d if sign == 1 else -d
@@ -200,20 +195,20 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         k = self.rows
-        ident = Matrix.identity(k, self.n)
+        ident = Matrix.identity(k)
         aug = Matrix(k, 2 * k,
-                     [x for i in range(k) for x in (*self.row(i), *ident.row(i))], self.n)
+                     [x for i in range(k) for x in (*self.row(i), *ident.row(i))])
         m, pivots = aug.rref()
         if pivots != list(range(k)):
             raise ValueError("singular matrix")
-        return Matrix(k, k, [e for row in m for e in row[k:]], self.n)
+        return Matrix(k, k, [e for row in m for e in row[k:]])
 
     def kernel(self):
         """Exact basis of the right null space, as column tuples."""
         m, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
-        zero, one = rational(0, self.n), rational(1, self.n)
+        zero, one = rational(0), rational(1)
         for f in free:
             vec = [zero] * self.cols
             vec[f] = one
@@ -227,8 +222,8 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("charpoly of a non-square matrix")
         k = self.rows
-        ident = Matrix.identity(k, self.n)
-        coeffs = [rational(1, self.n)]  # of T^k, then T^(k-1), ...
+        ident = Matrix.identity(k)
+        coeffs = [rational(1)]  # of T^k, then T^(k-1), ...
         a = self
         c = -a.trace()
         coeffs.append(c)
@@ -240,7 +235,7 @@ class Matrix:
 
     def order(self, limit: int = 1000) -> int:
         """Multiplicative order; raises if it exceeds `limit`."""
-        ident = Matrix.identity(self.rows, self.n)
+        ident = Matrix.identity(self.rows)
         p = self
         for k in range(1, limit + 1):
             if p == ident:
@@ -264,18 +259,15 @@ class Matrix:
 
 
 class UniPoly:
-    """Univariate polynomial over a cyclotomic field, lowest degree first."""
+    """Univariate polynomial over Q(zeta_5), lowest degree first."""
 
-    __slots__ = ("coeffs", "n")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, n: int = 5):
-        coeffs = [c if isinstance(c, Cyclo) else rational(c, n) for c in coeffs]
+    def __init__(self, coeffs):
+        coeffs = [c if isinstance(c, Cyclo) else rational(c) for c in coeffs]
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
-        if coeffs:
-            n = coeffs[0].n
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
@@ -286,9 +278,9 @@ class UniPoly:
     def __call__(self, x):
         """Evaluate at a scalar or a square matrix (Horner)."""
         if isinstance(x, Matrix):
-            acc = Matrix.identity(x.rows, x.n) * self.coeffs[-1]
+            acc = Matrix.identity(x.rows) * self.coeffs[-1]
             for c in reversed(self.coeffs[:-1]):
-                acc = acc * x + Matrix.identity(x.rows, x.n) * c
+                acc = acc * x + Matrix.identity(x.rows) * c
             return acc
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
@@ -298,13 +290,13 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = [rational(0, self.n)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UniPoly(out, self.n)
+        return UniPoly(out)
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):

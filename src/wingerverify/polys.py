@@ -1,4 +1,4 @@
-"""Sparse polynomials in three variables over a cyclotomic field.
+"""Sparse polynomials in three variables over Q(zeta_5).
 
 Exponent triples (a, b, c) map to nonzero coefficients.  Substitution by
 a 3x3 matrix acts on the variables (precomposition), which is what a
@@ -16,19 +16,16 @@ VARS = ("z0", "z1", "z2")
 class Poly3:
     """Immutable sparse trivariate polynomial; keys are exponent triples."""
 
-    __slots__ = ("terms", "n")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, n: int = 5):
+    def __init__(self, terms=None):
         clean = {}
         for expo, coef in (terms or {}).items():
             if not isinstance(coef, Cyclo):
-                coef = rational(coef, n)
+                coef = rational(coef)
             if not coef.is_zero():
                 clean[tuple(expo)] = coef
-        if clean:
-            n = next(iter(clean.values())).n
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly3 is immutable")
@@ -36,23 +33,23 @@ class Poly3:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero(n: int = 5) -> "Poly3":
-        return Poly3({}, n)
+    def zero() -> "Poly3":
+        return Poly3({})
 
     @staticmethod
-    def monomial(expo, coef=1, n: int = 5) -> "Poly3":
-        return Poly3({tuple(expo): coef}, n)
+    def monomial(expo, coef=1) -> "Poly3":
+        return Poly3({tuple(expo): coef})
 
     @staticmethod
-    def variable(i: int, n: int = 5) -> "Poly3":
+    def variable(i: int) -> "Poly3":
         expo = [0, 0, 0]
         expo[i] = 1
-        return Poly3({tuple(expo): 1}, n)
+        return Poly3({tuple(expo): 1})
 
     @staticmethod
-    def linear(coeffs, n: int = 5) -> "Poly3":
+    def linear(coeffs) -> "Poly3":
         """c0*z0 + c1*z1 + c2*z2."""
-        return Poly3({(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]}, n)
+        return Poly3({(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
 
     # -- ring operations -------------------------------------------------------
 
@@ -63,7 +60,7 @@ class Poly3:
         for expo, coef in other.terms.items():
             cur = out.get(expo)
             out[expo] = coef if cur is None else cur + coef
-        return Poly3(out, self.n)
+        return Poly3(out)
 
     def __sub__(self, other):
         return self + (other * -1)
@@ -80,15 +77,15 @@ class Poly3:
                     cur = out.get(key)
                     prod = x * y
                     out[key] = prod if cur is None else cur + prod
-            return Poly3(out, self.n)
-        return Poly3({e: c * other for e, c in self.terms.items()}, self.n)
+            return Poly3(out)
+        return Poly3({e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly3":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly3.monomial((0, 0, 0), 1, self.n)
+        result = Poly3.monomial((0, 0, 0), 1)
         base = self
         while k:
             if k & 1:
@@ -103,7 +100,7 @@ class Poly3:
         return not self.terms
 
     def coefficient(self, expo) -> Cyclo:
-        return self.terms.get(tuple(expo), rational(0, self.n))
+        return self.terms.get(tuple(expo), rational(0))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -126,14 +123,14 @@ class Poly3:
             new = list(expo)
             new[i] -= 1
             out[tuple(new)] = coef * expo[i]
-        return Poly3(out, self.n)
+        return Poly3(out)
 
     def gradient(self):
         return (self.partial(0), self.partial(1), self.partial(2))
 
     def evaluate(self, point) -> Cyclo:
         """Exact value at a triple of field elements."""
-        acc = rational(0, self.n)
+        acc = rational(0)
         # cache powers of each coordinate
         maxes = [0, 0, 0]
         for expo in self.terms:
@@ -141,8 +138,8 @@ class Poly3:
                 maxes[i] = max(maxes[i], expo[i])
         pows = []
         for i in range(3):
-            p = [rational(1, self.n)]
-            v = point[i] if isinstance(point[i], Cyclo) else rational(point[i], self.n)
+            p = [rational(1)]
+            v = point[i] if isinstance(point[i], Cyclo) else rational(point[i])
             for _ in range(maxes[i]):
                 p.append(p[-1] * v)
             pows.append(p)
@@ -154,7 +151,7 @@ class Poly3:
         """Substitute z_i -> sum_j m[i][j] z_j (precomposition with m)."""
         if (m.rows, m.cols) != (3, 3):
             raise ValueError("need a 3x3 matrix")
-        images = [Poly3.linear(m.row(i), self.n) for i in range(3)]
+        images = [Poly3.linear(m.row(i)) for i in range(3)]
         # cache powers of the three images
         maxes = [0, 0, 0]
         for expo in self.terms:
@@ -162,11 +159,11 @@ class Poly3:
                 maxes[i] = max(maxes[i], expo[i])
         pows = []
         for i in range(3):
-            p = [Poly3.monomial((0, 0, 0), 1, self.n)]
+            p = [Poly3.monomial((0, 0, 0), 1)]
             for _ in range(maxes[i]):
                 p.append(p[-1] * images[i])
             pows.append(p)
-        acc = Poly3.zero(self.n)
+        acc = Poly3.zero()
         for (a, b, c), coef in self.terms.items():
             acc = acc + pows[0][a] * pows[1][b] * pows[2][c] * coef
         return acc

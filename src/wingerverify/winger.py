@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from .cyclo import Cyclo, rational, zeta
 from .linalg import Matrix
-from .perms import Perm, alternating_group_5, parse_cycles
+from .perms import Perm, parse_cycles
 from .polys import Poly3
 
 
@@ -55,7 +55,7 @@ def six_lines():
     Order: z2, then the five lines eta^i z0 + eta^(4i) z1 + z2 for
     i = 1..5 (the last being z0 + z1 + z2).
     """
-    eta = zeta(5)
+    eta = zeta()
     lines = [Poly3.linear((0, 0, 1))]
     for i in range(1, 6):
         lines.append(Poly3.linear((eta ** i, eta ** (4 * i), rational(1))))
@@ -88,7 +88,7 @@ def _matrix_key(m: Matrix):
     return tuple(e.sort_key() for e in m.entries)
 
 
-def _solve_line_permutation(sigma, rows, c_inv, u_rows, gram):
+def _solve_line_permutation(sigma, rows, u_rows, gram):
     """The unique form-preserving det-1 matrix realizing one line permutation.
 
     Solves L_{sigma(i)} * M = c_i * L_i (rows) for M; returns None when
@@ -218,7 +218,7 @@ def reconstruct_group() -> IcosaGroup:
     u_rows = {i: c_inv.transpose().apply(rows[i]) for i in range(3, 6)}
     found = {}
     for sigma in permutations(range(6)):
-        m = _solve_line_permutation(sigma, rows, c_inv, u_rows, gram)
+        m = _solve_line_permutation(sigma, rows, u_rows, gram)
         if m is not None:
             found[m] = sigma
     if len(found) != 60:
@@ -243,11 +243,8 @@ def reconstruct_group() -> IcosaGroup:
 
 def no_three_concurrent() -> bool:
     """No three of the six lines pass through a common point."""
-    rows = _line_rows()
-    for i, j, k in combinations(range(6), 3):
-        if Matrix.from_rows([rows[i], rows[j], rows[k]]).det().is_zero():
-            return False
-    return True
+    return not any(Matrix.from_rows(triple).det().is_zero()
+                   for triple in combinations(_line_rows(), 3))
 
 
 # -- projective points and irregular orbits ------------------------------------
@@ -307,7 +304,7 @@ def irregular_orbits() -> dict:
               if x != Matrix.identity(3) and x.order(limit=6) == 5)
     # the two non-unit eigenvalues are primitive fifth roots; both
     # eigenvectors lie on the conic and sweep the same orbit of size 12
-    eta = zeta(5)
+    eta = zeta()
     point = None
     for k in range(1, 5):
         try:

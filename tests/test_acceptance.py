@@ -158,9 +158,12 @@ def test_criterion_10_degenerations():
 
 def test_criterion_11_binary_icosahedral():
     rep = covers.binary_icosahedral_checks()
-    ok = (rep["order"] == 120 and rep["closed"] and rep["center_order"] == 2
-          and rep["abelianization_order"] == 1)
-    verdict(11, ok, "120 unit quaternions: closed, perfect, center of order 2")
+    ok = (rep["order"] == 120 and rep["closed"] and rep["norm_one"]
+          and rep["center_order"] == 2 and rep["center_is_pm1"]
+          and rep["abelianization_order"] == 1
+          and rep["quotient_class_sizes"] == [1, 12, 12, 15, 20])
+    verdict(11, ok, "120 unit quaternions: closed, perfect, center {+1, -1}, "
+                    "quotient has the icosahedral class sizes")
 
 
 def test_criterion_12_fault_injection(capsys):
