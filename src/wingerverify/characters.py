@@ -6,7 +6,8 @@ The irreducible table of A5 is assembled from scratch: the two
 3-dimensional characters carry (1 +- sqrt5)/2, the 4-dimensional one is
 the natural permutation character minus the trivial one, and the
 5-dimensional one comes from the 6-point coset action of a dihedral
-subgroup of order 10, so every row has brute-force provenance.
+subgroup of order 10, read from the Cayley table of A5.
+Subgroups of A5 are frozensets of A5 element indices (see perms).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import Cyclo, golden, rational, sqrt5
-from .perms import GroupTable, Perm, alternating_group_5, closure, parse_cycles, symmetric_group_5
+from .perms import Perm, alternating_group_5, parse_cycles, symmetric_group_5
 
 A5_CLASS_REPS = ("()", "(12)(34)", "(123)", "(12345)", "(12354)")
 S5_CLASS_REPS = ("()", "(12)", "(12)(34)", "(123)", "(123)(45)", "(1234)", "(12345)")
@@ -56,21 +57,20 @@ class ClassFunction:
 
 @lru_cache(maxsize=None)
 def _class_data(group: str):
-    """Ordered class representatives, class element lists and sizes."""
+    """The group, its ordered class representatives and their classes
+    (tuples of element indices)."""
     table = alternating_group_5() if group == "A5" else symmetric_group_5()
     reps = [parse_cycles(s, 5) for s in (A5_CLASS_REPS if group == "A5" else S5_CLASS_REPS)]
-    classes = [table.class_of(r) for r in reps]
-    covered = sum(len(c) for c in classes)
-    assert covered == table.order, "class representatives do not cover the group"
-    return table, tuple(reps), tuple(tuple(c) for c in classes)
+    classes = [table.class_of[table.index[r]] for r in reps]
+    assert len(set(classes)) == len(table.classes), "class representatives do not cover the group"
+    return table, tuple(reps), tuple(classes)
 
 
 def class_index(group: str, g: Perm) -> int:
-    _, _, classes = _class_data(group)
-    for i, cls in enumerate(classes):
-        if g in cls:
-            return i
-    raise CharacterError(f"element {g} not in {group}")
+    table, _, classes = _class_data(group)
+    if g not in table.index:
+        raise CharacterError(f"element {g} not in {group}")
+    return classes.index(table.class_of[table.index[g]])
 
 
 def class_sizes(group: str) -> tuple:
@@ -85,7 +85,7 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     acc = rational(0)
     for size, a, b in zip(class_sizes(chi.group), chi.values, psi.values):
         acc = acc + a * b.conjugate() * size
-    return acc / table.order
+    return acc / len(table)
 
 
 @lru_cache(maxsize=None)
@@ -100,10 +100,12 @@ def a5_table() -> tuple:
     _, reps, _ = _class_data("A5")
     chi_v = ClassFunction("A5", tuple(len(r.fixed_points()) - 1 for r in reps))
     # W: 6-point coset action of a dihedral subgroup of order 10, minus trivial
-    d10 = closure([parse_cycles("(12345)", 5), parse_cycles("(25)(34)", 5)])
-    assert d10.order == 10
-    _, action = alternating_group_5().coset_action(d10)
-    chi_w = ClassFunction("A5", tuple(len(action[r].fixed_points()) - 1 for r in reps))
+    a5 = alternating_group_5()
+    d10 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(25)(34)"))
+    assert len(d10) == 10
+    action = a5.coset_action(d10)
+    chi_w = ClassFunction("A5", tuple(len(action[a5.index[r]].fixed_points()) - 1
+                                      for r in reps))
     table = (trivial, chi_i, chi_ip, chi_v, chi_w)
     for i, a in enumerate(table):
         for j, b in enumerate(table):
@@ -148,43 +150,41 @@ def decompose(chi: ClassFunction) -> dict:
     return out
 
 
-def induced_character(sub: GroupTable, chi_sub) -> ClassFunction:
+def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
     """Induce a class function on a subgroup of A5 up to A5.
 
-    `chi_sub` maps each element of `sub` to a value (dict or callable);
-    it must be constant on `sub`-classes.
+    `chi_sub` maps each element index of `sub` to a value (dict or
+    callable); it must be constant on `sub`-classes.  The value at g is
+    |A5| / (|H| |g^A5|) times the sum of chi_sub over H meeting g^A5.
     """
     a5 = alternating_group_5()
-    if not sub.is_subgroup_of(a5):
-        raise CharacterError("not a subgroup of A5")
     val = chi_sub.__getitem__ if isinstance(chi_sub, dict) else chi_sub
-    for h in sub.elements:  # class-function sanity on the subgroup
-        for x in sub.elements:
-            if val(x * h * x.inverse()) != val(h):
+    for h in sub:  # class-function sanity on the subgroup
+        for x in sub:
+            if val(a5.conjugate(h, x)) != val(h):
                 raise CharacterError("not a class function on the subgroup")
-    _, reps, _ = _class_data("A5")
+    _, _, classes = _class_data("A5")
     vals = []
-    for g in reps:
+    for cls in classes:
         acc = rational(0)
-        for x in a5.elements:
-            y = x.inverse() * g * x
-            if y in sub:
-                v = val(y)
-                acc = acc + (v if isinstance(v, Cyclo) else rational(v))
-        vals.append(acc / sub.order)
+        for h in sub.intersection(cls):
+            v = val(h)
+            acc = acc + (v if isinstance(v, Cyclo) else rational(v))
+        vals.append(acc * len(a5) / (len(sub) * len(cls)))
     return ClassFunction("A5", tuple(vals))
 
 
-def sign_class_function(sub: GroupTable) -> dict:
+def sign_class_function(sub: frozenset) -> dict:
     """The order-parity sign character: -1 on elements of even order.
 
-    Valid for the subgroups used here (dihedral and symmetric-3 types);
-    multiplicativity is asserted.
+    Valid for the subgroups of A5 used here (dihedral and symmetric-3
+    types); multiplicativity is asserted.
     """
-    sign = {h: rational(-1 if h.order() % 2 == 0 else 1) for h in sub.elements}
-    for a in sub.elements:
-        for b in sub.elements:
-            if sign[a * b] != sign[a] * sign[b]:
+    a5 = alternating_group_5()
+    sign = {h: rational(-1 if a5.orders[h] % 2 == 0 else 1) for h in sub}
+    for a in sub:
+        for b in sub:
+            if sign[a5.table[a][b]] != sign[a] * sign[b]:
                 raise CharacterError("order parity is not a character of this subgroup")
     return sign
 
@@ -199,9 +199,4 @@ def restrict_to_a5(chi: ClassFunction) -> ClassFunction:
     if chi.group != "S5":
         raise CharacterError("expected an S5 class function")
     _, a5_reps, _ = _class_data("A5")
-    _, s5_reps, s5_classes = _class_data("S5")
-    vals = []
-    for g in a5_reps:
-        idx = next(i for i, cls in enumerate(s5_classes) if g in cls)
-        vals.append(chi.values[idx])
-    return ClassFunction("A5", tuple(vals))
+    return ClassFunction("A5", tuple(chi.values[class_index("S5", g)] for g in a5_reps))

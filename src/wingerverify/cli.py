@@ -2,13 +2,16 @@
 
 Subcommands map to the checking modules; `all` runs every default-speed
 suite.  Exit codes: 0 all claims pass, 1 at least one claim failed,
-2 usage error, 3 internal error.
+2 usage error, 3 internal error (a claim with status "error", or a suite
+that crashed outside its claims); the report is printed and written in
+every case but a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -69,14 +72,6 @@ class Corruption:
             bumped = Matrix(3, 3, (m.entries[0] + rational(1),) + m.entries[1:])
             mats[k] = bumped
         return mats
-
-
-def _fmt(v) -> str:
-    if v is INFINITY:
-        return "infinity"
-    if isinstance(v, Fraction):
-        return str(v)
-    return str(v)
 
 
 # -- claim suites -----------------------------------------------------------------
@@ -546,19 +541,24 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits 2
     report = ClaimReport(convention=args.convention)
     names = ALL_ORDER if args.subcommand == "all" else (args.subcommand,)
-    try:
-        for name in names:
+    crashed = False
+    for name in names:
+        try:
             SUITES[name](report, args, corruption)
-    except Exception as exc:  # noqa: BLE001 - contract: internal errors exit 3
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        except Exception as exc:  # noqa: BLE001 - the other suites still run
+            traceback.print_exc(file=sys.stderr)
+            print(f"internal error in suite {name}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            crashed = True
     for claim in report.claims:
-        marker = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[claim.status]
+        marker = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP",
+                  "error": "ERROR"}[claim.status]
         print(f"{marker} {claim.id}: {claim.description}")
-        if claim.status == "fail" and claim.witness is not None:
+        if claim.status in ("fail", "error") and claim.witness is not None:
             print(f"     witness: {claim.witness}")
     failed = len(report.failed)
-    print(f"{len(report.claims)} claims, {failed} failed")
+    errors = f", {len(report.errors)} errors" if report.errors else ""
+    print(f"{len(report.claims)} claims, {failed} failed{errors}")
     if args.json:
         text = report.to_json()
         if args.json == "-":
@@ -566,6 +566,8 @@ def main(argv=None) -> int:
         else:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")
+    if crashed or report.errors:
+        return 3
     return 1 if failed else 0
 
 

@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from .characters import (decompose, induced_character, sign_class_function,
                          sym_cube)
 from .cyclo import Cyclo, golden, rational
-from .perms import closure, parse_cycles
+from .perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
 from .hurwitz import enumerate_tuple_classes
 
 CYCLIC_STABILIZER_ORDERS = (1, 2, 3, 5)
@@ -89,9 +89,10 @@ def degeneration_report(t) -> DegenerationReport:
     if n not in (2, 3, 5):
         raise ValueError(f"coalesced monodromy has order {n}")
     e = 60 // (2 * n)
-    sub = closure([g1, g2, h])
-    v = 60 // sub.order
-    genus = regular_cover_genus(sub.order, (g1.order(), g2.order(), n), 0)
+    a5 = alternating_group_5()
+    order = len(a5.generated(a5.index[g] for g in (g1, g2, h)))
+    v = 60 // order
+    genus = regular_cover_genus(order, (g1.order(), g2.order(), n), 0)
     p_a = v * genus + 1 - v + e
     return DegenerationReport(n=n, nodes=e, components=v,
                               component_genus=genus, arithmetic_genus=p_a)
@@ -110,8 +111,9 @@ def homology_character_check():
     of the 3-dimensional character, and double to the full degree-one
     cohomology decomposition V^2 + I^2 + I'^2.
     """
-    s3 = closure([parse_cycles("(123)", 5), parse_cycles("(12)(45)", 5)])
-    assert s3.order == 6
+    a5 = alternating_group_5()
+    s3 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(123)", "(12)(45)"))
+    assert len(s3) == 6
     chi_l = induced_character(s3, sign_class_function(s3))
     from .characters import a5_table
     expected = (rational(10), rational(-2), rational(1), rational(0), rational(0))
@@ -176,14 +178,7 @@ class Quaternion:
 
 
 def _even_permutations4():
-    perms = []
-    idx = list(range(4))
-    from itertools import permutations as _p
-    for p in _p(idx):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j])
-        if inv % 2 == 0:
-            perms.append(p)
-    return perms
+    return [p for p in permutations(range(4)) if Perm(i + 1 for i in p).is_even()]
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +217,12 @@ def binary_icosahedral_group():
     return units
 
 
+@lru_cache(maxsize=None)
+def _unit_group(units: frozenset) -> FiniteGroup:
+    """The Cayley table of a unit set; ValueError when it is not closed."""
+    return FiniteGroup(units)
+
+
 def binary_icosahedral_checks():
     """Closure, norms, center, perfectness and the quotient class sizes."""
     units = binary_icosahedral_group()
@@ -229,36 +230,20 @@ def binary_icosahedral_checks():
     report = {}
     report["order"] = len(units)
     report["norm_one"] = all(q.norm() == rational(1) for q in units)
-    report["closed"] = all((p * q) in units for p in units for q in units)
-    center = [q for q in units if all(q * p == p * q for p in units)]
+    try:
+        group = _unit_group(units)
+    except ValueError:
+        report["closed"] = False
+        return report
+    report["closed"] = True
+    center = group.centre()
     report["center_order"] = len(center)
-    report["center_is_pm1"] = set(center) == {one, -one}
-    # commutator closure: perfect iff it regenerates the whole group
-    comms = {p * q * p.conjugate() * q.conjugate() for p in units for q in units}
-    derived = set(comms) | {one}
-    grew = True
-    while grew:
-        grew = False
-        for p in list(derived):
-            for q in comms:
-                r = p * q
-                if r not in derived:
-                    derived.add(r)
-                    grew = True
-    report["abelianization_order"] = len(units) // len(derived)
-    # class sizes of the central quotient
-    cosets = {frozenset({q.key(), (-q).key()}) for q in units}
-    quotient_classes = []
-    remaining = set(cosets)
-    by_key = {q.key(): q for q in units}
-    while remaining:
-        rep_key = min(min(c) for c in remaining)
-        rep = by_key[rep_key]
-        orbit = set()
-        for x in units:
-            y = x * rep * x.conjugate()  # x^-1 = conj for norm-1 quaternions
-            orbit.add(frozenset({y.key(), (-y).key()}))
-        quotient_classes.append(len(orbit))
-        remaining -= orbit
-    report["quotient_class_sizes"] = sorted(quotient_classes)
+    report["center_is_pm1"] = {group.elements[i] for i in center} == {one, -one}
+    # perfect iff the commutators regenerate the whole group
+    report["abelianization_order"] = len(group) // len(group.derived())
+    # a class of the central quotient is the image of a class C of the
+    # group, whose preimage is Z*C
+    images = {frozenset(group.table[z][g] for z in center for g in cls)
+              for cls in group.classes}
+    report["quotient_class_sizes"] = sorted(len(c) // len(center) for c in images)
     return report

@@ -191,6 +191,11 @@ class Cyclo:
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
+        # equal to the hash of the int or Fraction a rational element
+        # compares equal to
+        a, b, c, d = self.nums
+        if b == c == d == 0:
+            return hash(a) if self.den == 1 else hash(Fraction(a, self.den))
         return hash((self.nums, self.den))
 
     def __bool__(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, alternating_group_5, closure, parse_cycles
+from .perms import Perm, alternating_group_5, parse_cycles
 
 CONVENTIONS = ("rtl", "ltr")
 
@@ -33,9 +33,10 @@ def tuple_product(t, convention: str = "rtl") -> Perm:
 
 @lru_cache(maxsize=None)
 def order_sets():
-    """Elements of each order r in {2, 3, 5}, by brute-force scan."""
+    """Elements of each order r in {2, 3, 5}, in A5's element order."""
     a5 = alternating_group_5()
-    out = {r: tuple(a5.elements_of_order(r)) for r in (2, 3, 5)}
+    out = {r: tuple(g for g, k in zip(a5.elements, a5.orders) if k == r)
+           for r in (2, 3, 5)}
     assert len(out[2]) == 15 and len(out[3]) == 20 and len(out[5]) == 24
     return out
 
@@ -59,13 +60,11 @@ def pair_orbits():
     """
     a5 = alternating_group_5()
     sets = order_sets()
-    remaining = {(g1, g2) for g1 in sets[5] for g2 in sets[2]}
+    remaining = {(a5.index[g1], a5.index[g2]) for g1 in sets[5] for g2 in sets[2]}
     orbits = []
     while remaining:
-        g1, g2 = min(remaining)
-        orbit = frozenset((x * g1 * x.inverse(), x * g2 * x.inverse())
-                          for x in a5.elements)
-        orbits.append(orbit)
+        orbit = a5.conjugates(min(remaining))
+        orbits.append(frozenset((a5.elements[i], a5.elements[j]) for i, j in orbit))
         remaining -= orbit
     return orbits
 
@@ -100,21 +99,20 @@ class TupleClass:
     def g1_class(self) -> str:
         """Cycle string of the lexicographically least A5-conjugate of g1."""
         a5 = alternating_group_5()
-        return min(a5.class_of(self.rep[0])).cycle_string()
-
-
-def conjugate_tuple(t, x: Perm):
-    xi = x.inverse()
-    return tuple(x * g * xi for g in t)
+        return a5.elements[a5.class_of[a5.index[self.rep[0]]][0]].cycle_string()
 
 
 def canonical_class(t) -> TupleClass:
+    # indices follow the element order, so the least index tuple is the
+    # least conjugate
     a5 = alternating_group_5()
-    return TupleClass(min(conjugate_tuple(t, x) for x in a5.elements))
+    least = min(a5.conjugates(tuple(a5.index[g] for g in t)))
+    return TupleClass(tuple(a5.elements[i] for i in least))
 
 
 def is_generating(t) -> bool:
-    return closure(list(t)).order == 60
+    """Do the A5 elements with these indices generate A5?"""
+    return len(alternating_group_5().generated(t)) == 60
 
 
 @lru_cache(maxsize=None)
@@ -125,29 +123,25 @@ def enumerate_tuple_classes(convention: str = "rtl"):
     product condition and kept when it is an involution and the four
     elements generate.  Exactly 20 classes.
     """
-    sets = order_sets()
-    ident = Perm.identity(5)
-    seen_tuples = set()
+    a5 = alternating_group_5()
+    table, inverse = a5.table, a5.inverse
+    sets = {r: [a5.index[g] for g in order_sets()[r]] for r in (2, 5)}
+    seen = set()
     classes = set()
     for g1 in sets[5]:
         for g2 in sets[2]:
             for g3 in sets[2]:
                 if convention == "rtl":
                     # g1*g2*g3*g4 = e  =>  g4 = (g1*g2*g3)^-1
-                    g4 = (g1 * g2 * g3).inverse()
+                    g4 = inverse[table[table[g1][g2]][g3]]
                 else:
-                    g4 = (g3 * g2 * g1).inverse()
-                if g4.order() != 2:
-                    continue
+                    g4 = inverse[table[table[g3][g2]][g1]]
                 t = (g1, g2, g3, g4)
-                if t in seen_tuples:
+                if a5.orders[g4] != 2 or t in seen or not is_generating(t):
                     continue
-                if not is_generating(t):
-                    continue
-                cls = canonical_class(t)
-                classes.add(cls)
-                seen_tuples |= {conjugate_tuple(t, x)
-                                for x in alternating_group_5().elements}
+                orbit = a5.conjugates(t)
+                seen |= orbit
+                classes.add(TupleClass(tuple(a5.elements[i] for i in min(orbit))))
     return tuple(sorted(classes))
 
 

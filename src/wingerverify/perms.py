@@ -1,4 +1,5 @@
-"""Permutations of {1..k}, brute-force subgroup machinery and coset actions.
+"""Permutations and the finite-group layer (Cayley tables, classes,
+subgroups, coset actions).
 
 Composition convention is fixed once and for all: (g * h)(x) = g(h(x)),
 i.e. the right factor acts first.  Every product of group elements in
@@ -8,6 +9,7 @@ this package uses this convention.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 
 class Perm:
@@ -63,6 +65,9 @@ class Perm:
             p = p * self
             k += 1
         return k
+
+    def is_even(self) -> bool:
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def is_identity(self) -> bool:
         return all(im == i + 1 for i, im in enumerate(self.images))
@@ -131,126 +136,138 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return Perm.from_cycles(cycles, degree)
 
 
-class GroupTable:
-    """A finite permutation group given by its full element list."""
+class FiniteGroup:
+    """A finite group given by its full element list, indexed once.
+
+    `table[i][j]` is the index of elements[i] * elements[j]; the identity,
+    inverses, element orders and conjugacy classes are read from it, and
+    every method below speaks element indices, translated by `index` and
+    `elements`.  Elements are hashable and multiply with `*`; a list that
+    is empty, repeats an element or is not closed under `*` raises
+    ValueError.
+    """
 
     def __init__(self, elements):
-        elements = sorted(set(elements))
+        elements = tuple(elements)
         if not elements:
             raise ValueError("empty element list")
-        degree = elements[0].degree
-        if any(e.degree != degree for e in elements):
-            raise ValueError("mixed degrees")
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        ident = Perm.identity(degree)
-        if ident not in self.index:
-            raise ValueError("identity missing")
+        index = {g: i for i, g in enumerate(elements)}
+        if len(index) != len(elements):
+            raise ValueError("repeated element")
+        table = []
         for g in elements:
-            if g.inverse() not in self.index:
-                raise ValueError("not closed under inversion")
+            row = [index.get(g * h) for h in elements]
+            if None in row:
+                raise ValueError("element list is not closed under the product")
+            table.append(row)
+        n = len(elements)
+        fixing = list(range(n))
+        identity = next((i for i, row in enumerate(table) if row == fixing), None)
+        if identity is None:
+            raise ValueError("no identity element")
+        self.elements, self.index, self.table = elements, index, table
+        self.identity = identity
+        self.inverse = [row.index(identity) for row in table]
+        self.orders = []
+        for g in range(n):
+            k, p = 1, g
+            while p != identity:
+                p, k = table[p][g], k + 1
+            self.orders.append(k)
+        # classes ordered by least member, each a sorted index tuple
+        self.classes, self.class_of = [], [None] * n
+        for g in range(n):
+            if self.class_of[g] is None:
+                cls = tuple(sorted(c for (c,) in self.conjugates((g,))))
+                self.classes.append(cls)
+                for c in cls:
+                    self.class_of[c] = cls
 
-    @property
-    def order(self) -> int:
+    def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def degree(self) -> int:
-        return self.elements[0].degree
+    def conjugate(self, g: int, x: int) -> int:
+        """x * g * x^-1."""
+        return self.table[self.table[x][g]][self.inverse[x]]
 
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.index
+    def conjugates(self, t) -> set:
+        """The orbit of an index tuple under simultaneous conjugation."""
+        return {tuple(self.conjugate(g, x) for g in t) for x in range(len(self))}
 
-    def __iter__(self):
-        return iter(self.elements)
+    def centre(self) -> list:
+        return [cls[0] for cls in self.classes if len(cls) == 1]
 
-    def is_subgroup_of(self, other: "GroupTable") -> bool:
-        return all(g in other for g in self.elements)
-
-    def elements_of_order(self, r: int):
-        return [g for g in self.elements if g.order() == r]
-
-    def conjugacy_classes(self):
-        """Exact partition into conjugation orbits (list of sorted lists)."""
-        remaining = set(self.elements)
-        classes = []
-        for g in self.elements:
-            if g not in remaining:
-                continue
-            orbit = {x * g * x.inverse() for x in self.elements}
-            classes.append(sorted(orbit))
-            remaining -= orbit
-        return classes
-
-    def class_of(self, g: Perm):
-        return sorted({x * g * x.inverse() for x in self.elements})
-
-    def are_conjugate(self, g: Perm, h: Perm) -> bool:
-        return any(x * g * x.inverse() == h for x in self.elements)
-
-    def centralizer_order(self, g: Perm) -> int:
-        return sum(1 for x in self.elements if x * g == g * x)
-
-    def coset_action(self, sub: "GroupTable"):
-        """Left-multiplication action on left cosets of `sub`.
-
-        Returns (cosets, action) where cosets is a list of frozensets and
-        action maps each group element to a Perm of degree [G:H].
-        """
-        if not sub.is_subgroup_of(self):
-            raise ValueError("not a subgroup")
-        cosets = []
-        seen = set()
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = frozenset(g * h for h in sub.elements)
-            cosets.append(coset)
-            seen |= coset
-        pos = {}
-        for i, coset in enumerate(cosets):
-            for e in coset:
-                pos[e] = i
-        action = {}
-        for g in self.elements:
-            images = [0] * len(cosets)
-            for i, coset in enumerate(cosets):
-                rep = next(iter(coset))
-                images[i] = pos[g * rep] + 1
-            action[g] = Perm(images)
-        return cosets, action
-
-
-def closure(gens) -> GroupTable:
-    """Breadth-first closure of a nonempty generator list."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    degree = gens[0].degree
-    elements = {Perm.identity(degree)}
-    frontier = list(elements)
-    while frontier:
-        new = []
-        for g in gens:
+    def generated(self, gens) -> frozenset:
+        """The subgroup generated by the given element indices."""
+        table, gens = self.table, list(gens)
+        members = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            new = []
             for b in frontier:
-                c = g * b
-                if c not in elements:
-                    elements.add(c)
-                    new.append(c)
-        frontier = new
-    return GroupTable(elements)
+                for g in gens:
+                    c = table[g][b]
+                    if c not in members:
+                        members.add(c)
+                        new.append(c)
+            frontier = new
+        return frozenset(members)
+
+    def derived(self) -> frozenset:
+        """The subgroup generated by all commutators a b a^-1 b^-1."""
+        table, inverse = self.table, self.inverse
+        n = len(table)
+        return self.generated({table[table[table[a][b]][inverse[a]]][inverse[b]]
+                               for a in range(n) for b in range(n)})
+
+    def coset_action(self, sub) -> list:
+        """Left multiplication on the left cosets of the subgroup `sub`.
+
+        Returns, for each element index, the permutation of degree [G:H]
+        it induces on the cosets, numbered by their least representative.
+        """
+        table = self.table
+        pos, reps = {}, []
+        for g in range(len(table)):
+            if g not in pos:
+                for h in sub:
+                    pos[table[g][h]] = len(reps)
+                reps.append(g)
+        return [Perm(pos[table[g][r]] + 1 for r in reps) for g in range(len(table))]
+
+    def homomorphism(self, target: "FiniteGroup", images: dict):
+        """The homomorphism into `target` sending each generator index
+        (a key of `images`) to its image index, as a list over this
+        group's indices, or None when the assignment does not extend to
+        a homomorphism."""
+        phi = [None] * len(self)
+        phi[self.identity] = target.identity
+        frontier = [self.identity]
+        while frontier:
+            new = []
+            for p in frontier:
+                for g, image in images.items():
+                    q = self.table[g][p]
+                    if phi[q] is None:
+                        phi[q] = target.table[image][phi[p]]
+                        new.append(q)
+            frontier = new
+        if None in phi:
+            raise ValueError("the generators do not generate the group")
+        n = len(self)
+        if all(phi[self.table[a][b]] == target.table[phi[a]][phi[b]]
+               for a in range(n) for b in range(n)):
+            return phi
+        return None
 
 
 @lru_cache(maxsize=None)
-def alternating_group_5() -> GroupTable:
-    """A5 as degree-5 permutations, generated by (12345) and (12)(34)."""
-    g = closure([parse_cycles("(12345)", 5), parse_cycles("(12)(34)", 5)])
-    assert g.order == 60
-    return g
+def symmetric_group_5() -> FiniteGroup:
+    """S5 as degree-5 permutations, in lexicographic order."""
+    return FiniteGroup(Perm(p) for p in permutations(range(1, 6)))
 
 
 @lru_cache(maxsize=None)
-def symmetric_group_5() -> GroupTable:
-    g = closure([parse_cycles("(12345)", 5), parse_cycles("(12)", 5)])
-    assert g.order == 120
-    return g
+def alternating_group_5() -> FiniteGroup:
+    """A5: the even degree-5 permutations, in lexicographic order."""
+    return FiniteGroup(p for p in map(Perm, permutations(range(1, 6))) if p.is_even())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -13,7 +15,7 @@ from . import __version__
 class Claim:
     id: str
     description: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail" | "skipped" | "error"
     witness: object = None
     millis: int = 0
 
@@ -44,6 +46,10 @@ class ClaimReport:
     def failed(self):
         return [c for c in self.claims if c.status == "fail"]
 
+    @property
+    def errors(self):
+        return [c for c in self.claims if c.status == "error"]
+
     def to_dict(self):
         return {
             "version": self.version,
@@ -56,12 +62,23 @@ class ClaimReport:
 
 
 def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
-    """Execute one check; fn returns (ok, witness) or raises for internal errors."""
+    """Execute one check; fn returns (ok, witness).
+
+    An exception inside fn is an internal error, not a verdict: the claim
+    is recorded with status "error" and the exception's type and message
+    as its witness, the traceback goes to stderr, and the caller goes on
+    with the remaining claims.
+    """
     start = time.monotonic()
-    ok, witness = fn()
+    try:
+        ok, witness = fn()
+    except Exception as exc:  # noqa: BLE001 - one crashed claim must not lose the report
+        traceback.print_exc(file=sys.stderr)
+        ok, status, witness = False, "error", {"type": type(exc).__name__, "message": str(exc)}
+    else:
+        status = "pass" if ok else "fail"
+        witness = witness if witness else ("checked" if ok else None)
     elapsed = int((time.monotonic() - start) * 1000)
-    report.add(Claim(id=claim_id, description=description,
-                     status="pass" if ok else "fail",
-                     witness=witness if witness else ("checked" if ok else None),
-                     millis=elapsed))
+    report.add(Claim(id=claim_id, description=description, status=status,
+                     witness=witness, millis=elapsed))
     return ok

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 from .cyclo import Cyclo, rational, zeta
 from .linalg import Matrix
-from .perms import Perm, parse_cycles
+from .perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
 from .polys import Poly3
 
 
@@ -140,72 +140,48 @@ def _solve_line_permutation(sigma, rows, u_rows, gram):
 class IcosaGroup:
     """The 60 reconstructed matrices with their A5 dictionary.
 
-    `iso` maps degree-5 permutations to matrices and respects products;
+    `group` holds the matrices, sorted, with their Cayley table; `iso`
+    maps degree-5 permutations to matrices and respects products;
     `label` records which of the two mirror character rows (I or I')
     the trace function of this particular identification matches.
     """
 
-    matrices: tuple
+    group: FiniteGroup
     iso: dict
     label: str
 
     @property
+    def matrices(self) -> tuple:
+        return self.group.elements
+
+    @property
     def order(self) -> int:
-        return len(self.matrices)
+        return len(self.group)
 
     def class_sizes(self):
-        elems = set(self.matrices)
-        sizes = []
-        while elems:
-            g = next(iter(elems))
-            orbit = {x * g * x.inverse() for x in self.matrices}
-            sizes.append(len(orbit))
-            elems -= orbit
-        return sorted(sizes)
+        return sorted(len(c) for c in self.group.classes)
 
     def trace_of_class(self, rep: Perm) -> Cyclo:
         return self.iso[rep].trace()
 
 
-def _build_isomorphism(matrices):
+def _build_isomorphism(group: FiniteGroup):
     """Map A5 onto the matrix group by matching generator relations.
 
-    Sends (12345) to a fixed order-5 matrix m5 and (12)(34) to an
-    involution m2 with ord(m5*m2) = 3; consistency of every revisited
-    word certifies the map is a homomorphism.
+    Sends (12345) to the first order-5 matrix m5 and (12)(34) to the
+    first involution m2 with ord(m5*m2) = 3 for which the assignment
+    extends to a bijective homomorphism, checked on all index pairs.
     """
-    by_order = {}
-    for m in matrices:
-        by_order.setdefault(m.order(limit=6), []).append(m)
-    for k in by_order:
-        by_order[k].sort(key=_matrix_key)
-    m5 = by_order[5][0]
-    p5 = parse_cycles("(12345)", 5)
-    p2 = parse_cycles("(12)(34)", 5)
-    for m2 in by_order[2]:
-        if (m5 * m2).order(limit=6) != 3:
+    a5 = alternating_group_5()
+    p5 = a5.index[parse_cycles("(12345)", 5)]
+    p2 = a5.index[parse_cycles("(12)(34)", 5)]
+    m5 = group.orders.index(5)
+    for m2, k in enumerate(group.orders):
+        if k != 2 or group.orders[group.table[m5][m2]] != 3:
             continue
-        iso = {Perm.identity(5): Matrix.identity(3)}
-        frontier = [Perm.identity(5)]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for p in frontier:
-                for pg, mg in ((p5, m5), (p2, m2)):
-                    q = pg * p
-                    mq = mg * iso[p]
-                    if q in iso:
-                        if iso[q] != mq:
-                            ok = False
-                            break
-                    else:
-                        iso[q] = mq
-                        nxt.append(q)
-                if not ok:
-                    break
-            frontier = nxt
-        if ok and len(iso) == 60 and len(set(iso.values())) == 60:
-            return iso
+        phi = a5.homomorphism(group, {p5: m5, p2: m2})
+        if phi is not None and len(set(phi)) == 60:
+            return {a5.elements[a]: group.elements[m] for a, m in enumerate(phi)}
     raise ReconstructionError("no generator pair realizes the A5 relations")
 
 
@@ -223,11 +199,11 @@ def reconstruct_group() -> IcosaGroup:
             found[m] = sigma
     if len(found) != 60:
         raise ReconstructionError(f"expected 60 survivors, got {len(found)}")
-    matrices = tuple(sorted(found, key=_matrix_key))
-    prods = {a * b for a in matrices for b in matrices}
-    if prods != set(matrices):
-        raise ReconstructionError("survivors are not closed under products")
-    iso = _build_isomorphism(matrices)
+    try:
+        group = FiniteGroup(sorted(found, key=_matrix_key))
+    except ValueError as exc:
+        raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
+    iso = _build_isomorphism(group)
     # label the identification by the trace of the class of (12345):
     # the golden ratio for I, its conjugate (1-sqrt5)/2 = 1-phi for I'
     phi = (rational(1) + (zeta() - zeta() ** 2 - zeta() ** 3 + zeta() ** 4)) / 2
@@ -238,7 +214,7 @@ def reconstruct_group() -> IcosaGroup:
         label = "I'"
     else:
         raise ReconstructionError(f"order-5 trace {tr} is not a golden ratio value")
-    return IcosaGroup(matrices=matrices, iso=iso, label=label)
+    return IcosaGroup(group=group, iso=iso, label=label)
 
 
 def no_three_concurrent() -> bool:
@@ -292,16 +268,15 @@ def irregular_orbits() -> dict:
     rational eigenvector of an order-5 element and lies on the conic.
     """
     group = reconstruct_group()
+    elements, orders = group.group.elements, group.group.orders
     out = {}
     for order, size in ((5, 6), (3, 10), (2, 15)):
-        m = next(x for x in group.matrices
-                 if x != Matrix.identity(3) and x.order(limit=6) == order)
+        m = elements[orders.index(order)]
         orb = orbit_of(_unit_eigenvector(m), group)
         if len(orb) != size:
             raise ReconstructionError(f"orbit of order-{order} fixed point has size {len(orb)}")
         out[size] = orb
-    m5 = next(x for x in group.matrices
-              if x != Matrix.identity(3) and x.order(limit=6) == 5)
+    m5 = elements[orders.index(5)]
     # the two non-unit eigenvalues are primitive fifth roots; both
     # eigenvectors lie on the conic and sweep the same orbit of size 12
     eta = zeta()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wingerverify import cli, covers
 from wingerverify.cli import Corruption, main
 
 
@@ -81,3 +82,31 @@ def test_report_content_deterministic(tmp_path, capsys):
     for c in d1["claims"] + d2["claims"]:
         c.pop("millis")  # wall-clock field; everything else must be identical
     assert d1 == d2
+
+
+def test_claim_error_keeps_report(tmp_path, monkeypatch, capsys):
+    def boom():
+        raise RuntimeError("injected")
+    monkeypatch.setattr(covers, "signature_solutions", boom)
+    path = tmp_path / "report.json"
+    assert run(["covers", "--json", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "ERROR signature-unique" in out and "3 claims, 0 failed, 1 errors" in out
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert claims["signature-unique"]["status"] == "error"
+    assert claims["signature-unique"]["witness"] == {"type": "RuntimeError",
+                                                     "message": "injected"}
+    assert claims["alpha-values"]["status"] == "pass"
+    assert claims["riemann-hurwitz-genera"]["status"] == "pass"
+
+
+def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
+    def crash(report, args, corruption):
+        raise KeyError("setup")
+    monkeypatch.setattr(cli, "ALL_ORDER", ("homology", "covers"))
+    monkeypatch.setitem(cli.SUITES, "homology", crash)
+    path = tmp_path / "report.json"
+    assert run(["all", "--json", str(path)]) == 3
+    assert "internal error in suite homology" in capsys.readouterr().err
+    ids = [c["id"] for c in json.loads(path.read_text())["claims"]]
+    assert ids == ["alpha-values", "signature-unique", "riemann-hurwitz-genera"]

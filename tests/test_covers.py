@@ -72,3 +72,10 @@ def test_binary_icosahedral_group():
     assert rep["center_order"] == 2 and rep["center_is_pm1"]
     assert rep["abelianization_order"] == 1
     assert rep["quotient_class_sizes"] == [1, 12, 12, 15, 20]
+
+
+def test_binary_checks_report_non_closed_units(monkeypatch):
+    units = binary_icosahedral_group() - {Quaternion(-1, 0, 0, 0)}
+    monkeypatch.setattr(covers, "binary_icosahedral_group", lambda: units)
+    rep = binary_icosahedral_checks()
+    assert rep["order"] == 119 and rep["closed"] is False

@@ -134,3 +134,7 @@ def test_rational_elements_match_sympy(ra):
     q = sum(ra, Fraction(0))
     assert as_oracle(rational(q)) == oracle([q])
     assert rational(q) == q and make([q]) == rational(q)
+    # equal values hash alike, so plain numbers and Cyclo mix in sets and dicts
+    assert hash(rational(q)) == hash(q) and q in {rational(q)}
+    if q.denominator == 1:
+        assert hash(rational(q)) == hash(int(q)) and int(q) in {rational(q)}

@@ -1,7 +1,11 @@
 import pytest
 
-from wingerverify.perms import (GroupTable, Perm, alternating_group_5, closure,
+from wingerverify.perms import (FiniteGroup, Perm, alternating_group_5,
                                 parse_cycles, symmetric_group_5)
+
+
+def idx(group, *cycles):
+    return [group.index[parse_cycles(c, 5)] for c in cycles]
 
 
 def test_parse_and_cycle_string():
@@ -27,55 +31,88 @@ def test_inverse_and_order():
     assert (g * g.inverse()).is_identity()
     assert g.order() == 5
     assert parse_cycles("(12)(34)", 5).order() == 2
+    a5 = alternating_group_5()
+    assert a5.elements[a5.identity].is_identity()
+    for i, g in enumerate(a5.elements):
+        assert a5.elements[a5.inverse[i]] == g.inverse()
+        assert a5.orders[i] == g.order()
 
 
 def test_group_sizes():
-    assert alternating_group_5().order == 60
-    assert symmetric_group_5().order == 120
+    assert len(alternating_group_5()) == 60
+    assert len(symmetric_group_5()) == 120
 
 
 def test_a5_class_sizes():
-    sizes = sorted(len(c) for c in alternating_group_5().conjugacy_classes())
+    sizes = sorted(len(c) for c in alternating_group_5().classes)
     assert sizes == [1, 12, 12, 15, 20]
+    assert sorted(len(c) for c in symmetric_group_5().classes) == [
+        1, 10, 15, 20, 20, 24, 30]
+    assert alternating_group_5().centre() == [alternating_group_5().identity]
 
 
 def test_five_cycle_classes_split_in_a5_not_s5():
     a5, s5 = alternating_group_5(), symmetric_group_5()
-    g = parse_cycles("(12345)", 5)
-    h = parse_cycles("(12354)", 5)
-    assert not a5.are_conjugate(g, h)
-    assert s5.are_conjugate(g, h)
-    # inverses stay in the same A5 class
-    assert a5.are_conjugate(g, g.inverse())
+    g, h, g_inv = idx(a5, "(12345)", "(12354)", "(15432)")
+    assert a5.class_of[g] != a5.class_of[h]
+    assert a5.class_of[g] == a5.class_of[g_inv]  # inverses stay in one A5 class
+    g, h = idx(s5, "(12345)", "(12354)")
+    assert s5.class_of[g] == s5.class_of[h]
 
 
 def test_closure_subgroups():
-    d10 = closure([parse_cycles("(12345)", 5), parse_cycles("(25)(34)", 5)])
-    assert d10.order == 10
-    s3 = closure([parse_cycles("(123)", 5), parse_cycles("(12)(45)", 5)])
-    assert s3.order == 6
-    assert d10.is_subgroup_of(alternating_group_5())
+    a5 = alternating_group_5()
+    d10 = a5.generated(idx(a5, "(12345)", "(25)(34)"))
+    assert len(d10) == 10
+    s3 = a5.generated(idx(a5, "(123)", "(12)(45)"))
+    assert len(s3) == 6
+    assert a5.generated(idx(a5, "(12345)", "(12)(34)")) == frozenset(range(60))
+    assert a5.derived() == frozenset(range(60))  # A5 is perfect
 
 
 def test_coset_action_degrees():
     a5 = alternating_group_5()
-    d10 = closure([parse_cycles("(12345)", 5), parse_cycles("(25)(34)", 5)])
-    cosets, action = a5.coset_action(d10)
-    assert len(cosets) == 6
-    assert all(p.degree == 6 for p in action.values())
-    # the action is a homomorphism on a sample
-    g = parse_cycles("(12345)", 5)
-    h = parse_cycles("(12)(34)", 5)
-    assert action[g * h] == action[g] * action[h]
+    action = a5.coset_action(a5.generated(idx(a5, "(12345)", "(25)(34)")))
+    assert all(p.degree == 6 for p in action)
+    assert len(set(action)) == 60  # faithful
+    # the action is a homomorphism
+    assert all(action[a5.table[a][b]] == action[a] * action[b]
+               for a in range(60) for b in range(60))
 
 
 def test_group_table_validation():
+    e = Perm.identity(5)
     with pytest.raises(ValueError):
-        GroupTable([parse_cycles("(12)", 5)])  # identity missing
+        FiniteGroup([])
+    with pytest.raises(ValueError):
+        FiniteGroup([e, parse_cycles("(12)", 5), e])  # repeated element
+    with pytest.raises(ValueError):
+        FiniteGroup([e, Perm.identity(4)])  # mixed degrees
+
+
+def test_non_closed_list_rejected():
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup([Perm.identity(5), parse_cycles("(12)", 5),
+                     parse_cycles("(23)", 5)])
+
+
+def test_a5_table_matches_perm_product():
+    a5 = alternating_group_5()
+    els = a5.elements
+    assert all(els[a5.table[a][b]] == els[a] * els[b]
+               for a in range(60) for b in range(60))
+
+
+def test_homomorphism_on_generators():
+    a5 = alternating_group_5()
+    p5, p2 = idx(a5, "(12345)", "(12)(34)")
+    assert a5.homomorphism(a5, {p5: p5, p2: p2}) == list(range(60))
+    # (12345) -> (12)(34) respects no relation of A5
+    assert a5.homomorphism(a5, {p5: p2, p2: p2}) is None
 
 
 def test_centralizer_orders():
+    # |C(g)| = |G| / |class of g|
     a5 = alternating_group_5()
-    assert a5.centralizer_order(parse_cycles("(12345)", 5)) == 5
-    assert a5.centralizer_order(parse_cycles("(12)(34)", 5)) == 4
-    assert a5.centralizer_order(parse_cycles("(123)", 5)) == 3
+    orders = [60 // len(a5.class_of[g]) for g in idx(a5, "(12345)", "(12)(34)", "(123)")]
+    assert orders == [5, 4, 3]

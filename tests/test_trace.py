@@ -1,0 +1,19 @@
+"""The benchmark's tracer wraps functions by name, and raises LookupError
+when one of them is gone; a traced run of one suite catches that here
+instead of in a full benchmark run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_characters_run():
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "trace.py"),
+                           str(ROOT / "src"), "characters"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0
