@@ -5,7 +5,7 @@ vanishes exactly when the curve is singular.  For the pencil the
 partials are quintics whose coefficients are linear in the parameter,
 so the resultant is a polynomial of degree at most 75 in the parameter;
 it is recovered by exact evaluation (quotients of a 105x105 and a 30x30
-integer determinant) and Lagrange interpolation, then certified to
+integer determinant) and Newton interpolation, then certified to
 vanish only at 0, -1 and 27/5, with the degree drop below 75 witnessing
 the singular member at infinity.
 
@@ -142,25 +142,25 @@ def _pencil_partial_tables():
     return tables
 
 
-def _lagrange_interpolate(points):
-    """Coefficients (lowest first) of the polynomial through (x, y) pairs."""
-    coeffs = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        # basis polynomial prod (x - xj)/(xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        w = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += w * c
+def _newton_interpolate(points):
+    """Coefficients (lowest first) of the polynomial through (x, y) pairs.
+
+    Newton divided differences over the nodes, then the Newton form is
+    expanded to the monomial basis by Horner's rule: O(n^2) operations.
+    """
+    xs = [x for x, _ in points]
+    dd = [Fraction(y) for _, y in points]
+    n = len(dd)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - k])
+    # p = dd[n-1]; then p <- p * (x - xs[k]) + dd[k] for k = n-2 .. 0
+    coeffs = dd[n - 1:]
+    for k in range(n - 2, -1, -1):
+        xk = xs[k]
+        coeffs = ([dd[k] - xk * coeffs[0]]
+                  + [coeffs[j - 1] - xk * coeffs[j] for j in range(1, len(coeffs))]
+                  + [coeffs[-1]])
     return coeffs
 
 
@@ -215,7 +215,7 @@ def pencil_discriminant(progress=None):
         if progress is not None:
             progress(len(samples), needed + 2)
         lam += 1
-    coeffs = _lagrange_interpolate(samples[:needed])
+    coeffs = _newton_interpolate(samples[:needed])
     # control: the interpolated polynomial must reproduce the extra samples
     for x, y in samples[needed:]:
         if _poly_eval(coeffs, x) != y:

@@ -2,9 +2,12 @@
 
 Two independent computations of the invariant dimensions: the Molien
 average of 1/det(I - T*g) as an exact power series, and explicit bases
-obtained by averaging monomials over the group.  The averaging has a
-fast path through a diagonal subgroup: a diagonal matrix acts on a
-monomial by a scalar, so the inner sum collapses to a weight filter.
+obtained by averaging monomials over the group.  The averaging goes
+through the monomial subgroup N (for the icosahedral group a D10): an
+element of N sends a monomial to a scalar times a monomial, so the
+average over N is read off directly, only one representative per right
+coset N*r needs a polynomial substitution, and only one monomial per
+N-orbit needs averaging.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from fractions import Fraction
 
 from .cyclo import rational
 from .linalg import Matrix
-from .polys import Poly3, monomials_of_degree
+from .perms import FiniteGroup
+from .polys import Poly3, Substitution, monomials_of_degree
 
 
 def _series_reciprocal(den, nterms: int):
@@ -69,91 +73,115 @@ def molien_closed_form(nterms: int = 31):
     return out
 
 
-class ReynoldsAverager:
-    """Group average of monomials, factored through a diagonal subgroup.
+def _monomial_action(m: Matrix):
+    """(columns, scalars) if m has one nonzero entry per row and column,
+    so that z_i -> scalars[i] * z_columns[i]; None otherwise."""
+    nonzero = [(i, j) for i in range(3) for j in range(3) if m[i, j]]
+    cols = tuple(j for _, j in nonzero)
+    if [i for i, _ in nonzero] != [0, 1, 2] or sorted(cols) != [0, 1, 2]:
+        return None
+    return cols, tuple(m[i, j] for i, j in nonzero)
 
-    If the group contains a diagonal element d of order 5, each left
-    coset rep r contributes avg over j of (m o d^j o r); the inner
-    average is the monomial itself when its diagonal weight is 0 mod 5
-    and zero otherwise, so only |G|/5 polynomial substitutions remain.
+
+class ReynoldsAverager:
+    """Average of monomials over a matrix list, factored through the
+    monomial subgroup N.
+
+    N is the set of monomial matrices of the list, taken when it is closed
+    under products and its right cosets N*r tile the list; otherwise N is
+    the identity alone.  Then the average of f o g over the list equals
+    the average over the coset representatives r of (sum over N of f o n)
+    o r, divided by |N|.  An element of N sends a monomial to a scalar
+    times a monomial, so the inner sum needs no substitution (and is 0
+    for a monomial of nonzero weight under the diagonal part of N); each
+    representative substitutes through one `Substitution`, shared by all
+    the monomials of an `averages` call.
     """
 
     def __init__(self, mats):
-        self.mats = list(mats)
-        self.diag = None
-        for m in self.mats:
-            if (m[0, 1].is_zero() and m[0, 2].is_zero() and m[1, 0].is_zero()
-                    and m[1, 2].is_zero() and m[2, 0].is_zero() and m[2, 1].is_zero()
-                    and m.order(limit=6) == 5):
-                self.diag = m
-                break
-        if self.diag is not None:
-            sub = {Matrix.identity(3)}
-            p = self.diag
-            while p not in sub:
-                sub.add(p)
-                p = p * self.diag
-            # right cosets H*g, so that m o (h*g) = (m o h) o g and the
-            # diagonal action hits the bare monomial
-            reps = []
-            seen = set()
-            for g in self.mats:
-                if g in seen:
-                    continue
-                reps.append(g)
-                seen |= {h * g for h in sub}
-            self.reps = reps
-            # weight of a monomial under diag(e0, e1, e2): the scalar is
-            # e0^a e1^b e2^c; record each diagonal entry as a power of the
-            # order-5 root by matching against the subgroup powers
-            self.weights = self._diagonal_weights()
+        mats = list(mats)
+        self.count = len(mats)
+        sub = [m for m in mats if _monomial_action(m) is not None]
+        reps = self._coset_reps(mats, sub)
+        if reps is None:
+            sub, reps = [Matrix.identity(3)], mats
+        self.subgroup = [_monomial_action(n) for n in sub]
+        self.reps = reps
 
-    def _diagonal_weights(self):
-        d = self.diag
-        entries = [d[0, 0], d[1, 1], d[2, 2]]
-        root = None
-        for e in entries:
-            if e != rational(1):
-                root = e
-                break
-        powers = {rational(1): 0}
-        p = root
-        k = 1
-        while p != rational(1):
-            powers[p] = k
-            p = p * root
-            k += 1
-        return tuple(powers[e] for e in entries)
+    @staticmethod
+    def _coset_reps(mats, sub):
+        """Representatives of the right cosets N*r, or None unless N is a
+        group and its cosets tile the list."""
+        members = set(mats)
+        if len(members) != len(mats):
+            return None
+        try:
+            FiniteGroup(sub)
+        except ValueError:  # empty, or not closed under products
+            return None
+        reps, seen = [], set()
+        for g in mats:
+            if g in seen:
+                continue
+            coset = {n * g for n in sub}
+            if not coset <= members:
+                return None
+            reps.append(g)
+            seen |= coset
+        return reps
+
+    def _subgroup_images(self, expo):
+        """(exponent, scalar) of z^expo o n for each n in N."""
+        for cols, scalars in self.subgroup:
+            img = [0, 0, 0]
+            coef = rational(1)
+            for i, k in enumerate(expo):
+                img[cols[i]] = k
+                coef = coef * scalars[i] ** k
+            yield tuple(img), coef
+
+    def orbit_representatives(self, monos):
+        """One exponent triple of `monos` per N-orbit.  z^e o n is a nonzero
+        multiple of another monomial z^e', and averaging over the list
+        absorbs n, so e and e' have proportional averages."""
+        reps, seen = [], set()
+        for expo in monos:
+            if expo not in seen:
+                reps.append(expo)
+                seen.update(img for img, _ in self._subgroup_images(expo))
+        return reps
+
+    def averages(self, expos):
+        """Reynolds projections of several monomials: the list averages of
+        z^e o g.  The representatives are taken one at a time, each
+        through one `Substitution` that every monomial shares, so only
+        one set of power tables is alive at once."""
+        inners = [sum((Poly3.monomial(img, c) for img, c in self._subgroup_images(e)),
+                      Poly3.zero()) for e in expos]
+        sums = [Poly3.zero()] * len(inners)
+        for r in self.reps:
+            sub = Substitution(r)
+            sums = [acc + sub.apply(inner) if inner.terms else acc
+                    for acc, inner in zip(sums, inners)]
+        return [acc * Fraction(1, self.count) for acc in sums]
 
     def average(self, expo) -> Poly3:
         """Reynolds projection of a single monomial."""
-        mono = Poly3.monomial(expo, 1)
-        if self.diag is not None:
-            a, b, c = expo
-            w = (self.weights[0] * a + self.weights[1] * b + self.weights[2] * c) % 5
-            if w != 0:
-                return Poly3.zero()
-            acc = Poly3.zero()
-            for r in self.reps:
-                acc = acc + mono.act(r)
-            return acc * Fraction(1, len(self.reps))
-        acc = Poly3.zero()
-        for m in self.mats:
-            acc = acc + mono.act(m)
-        return acc * Fraction(1, len(self.mats))
+        return self.averages([expo])[0]
 
 
 def reynolds_basis(mats, d: int):
     """Exact basis of the degree-d invariants, as a list of Poly3.
 
-    Averages every degree-d monomial over the group and row-reduces the
-    resulting coefficient vectors.
+    Averages one degree-d monomial per orbit of the monomial subgroup and
+    row-reduces the resulting coefficient vectors; the reduced echelon
+    form depends only on their span, which the other monomials of each
+    orbit do not enlarge.
     """
     monos = monomials_of_degree(d)
     avg = ReynoldsAverager(mats)
     vectors = []
-    for expo in monos:
-        p = avg.average(expo)
+    for p in avg.averages(avg.orbit_representatives(monos)):
         if not p.is_zero():
             vectors.append([p.coefficient(e) for e in monos])
     if not vectors:

@@ -2,7 +2,9 @@
 
 Exponent triples (a, b, c) map to nonzero coefficients.  Substitution by
 a 3x3 matrix acts on the variables (precomposition), which is what a
-linear change of coordinates does to a form.
+linear change of coordinates does to a form; a `Substitution` keeps the
+power tables of the three image lines, so many monomials substituted by
+one matrix share them.
 """
 
 from __future__ import annotations
@@ -149,24 +151,7 @@ class Poly3:
 
     def act(self, m: Matrix) -> "Poly3":
         """Substitute z_i -> sum_j m[i][j] z_j (precomposition with m)."""
-        if (m.rows, m.cols) != (3, 3):
-            raise ValueError("need a 3x3 matrix")
-        images = [Poly3.linear(m.row(i)) for i in range(3)]
-        # cache powers of the three images
-        maxes = [0, 0, 0]
-        for expo in self.terms:
-            for i in range(3):
-                maxes[i] = max(maxes[i], expo[i])
-        pows = []
-        for i in range(3):
-            p = [Poly3.monomial((0, 0, 0), 1)]
-            for _ in range(maxes[i]):
-                p.append(p[-1] * images[i])
-            pows.append(p)
-        acc = Poly3.zero()
-        for (a, b, c), coef in self.terms.items():
-            acc = acc + pows[0][a] * pows[1][b] * pows[2][c] * coef
-        return acc
+        return Substitution(m).apply(self)
 
     def __eq__(self, other):
         if not isinstance(other, Poly3):
@@ -205,6 +190,44 @@ class Poly3:
         return "".join(parts)
 
     __repr__ = __str__
+
+
+class Substitution:
+    """The substitution z_i -> sum_j m[i][j] z_j of one 3x3 matrix.
+
+    Holds the three image lines and extends their power tables on demand,
+    so every monomial substituted through the same object shares them:
+    the image of z0^a z1^b z2^c is pow0[a] * pow1[b] * pow2[c].
+    """
+
+    __slots__ = ("pows",)
+
+    def __init__(self, m: Matrix):
+        if (m.rows, m.cols) != (3, 3):
+            raise ValueError("need a 3x3 matrix")
+        one = Poly3.monomial((0, 0, 0), 1)
+        self.pows = [[one, Poly3.linear(m.row(i))] for i in range(3)]
+
+    def image(self, expo) -> Poly3:
+        """The image of the monomial with exponent triple `expo`."""
+        out = None
+        for table, k in zip(self.pows, expo):
+            if not k:
+                continue
+            while len(table) <= k:
+                table.append(table[-1] * table[1])
+            out = table[k] if out is None else out * table[k]
+        return self.pows[0][0] if out is None else out
+
+    def apply(self, f: Poly3) -> Poly3:
+        """f o m: the sum of coef * image(e) over the terms of f."""
+        out = {}
+        for expo, coef in f.terms.items():
+            for e, c in self.image(expo).terms.items():
+                term = c * coef
+                cur = out.get(e)
+                out[e] = term if cur is None else cur + term
+        return Poly3(out)
 
 
 def monomials_of_degree(d: int):

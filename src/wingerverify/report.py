@@ -61,6 +61,11 @@ class ClaimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
+def error_witness(exc: Exception) -> dict:
+    """The witness of an internal error: the exception's type and message."""
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
     """Execute one check; fn returns (ok, witness).
 
@@ -74,7 +79,7 @@ def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
         ok, witness = fn()
     except Exception as exc:  # noqa: BLE001 - one crashed claim must not lose the report
         traceback.print_exc(file=sys.stderr)
-        ok, status, witness = False, "error", {"type": type(exc).__name__, "message": str(exc)}
+        ok, status, witness = False, "error", error_witness(exc)
     else:
         status = "pass" if ok else "fail"
         witness = witness if witness else ("checked" if ok else None)

@@ -67,6 +67,13 @@ def test_corrupted_sextic_fails(capsys):
     assert "FAIL" in out
 
 
+def test_corrupted_sextic_fails_degree6_invariants(capsys):
+    assert run(["invariants", "--corrupt", "f:6,0,0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL degree6-invariants" in out
+    assert "PASS reynolds-dimensions" in out
+
+
 def test_corrupted_matrix_fails(capsys):
     assert run(["orbits", "--corrupt", "matrix:3"]) == 1
     out = capsys.readouterr().out
@@ -107,6 +114,13 @@ def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "homology", crash)
     path = tmp_path / "report.json"
     assert run(["all", "--json", str(path)]) == 3
-    assert "internal error in suite homology" in capsys.readouterr().err
-    ids = [c["id"] for c in json.loads(path.read_text())["claims"]]
-    assert ids == ["alpha-values", "signature-unique", "riemann-hurwitz-genera"]
+    captured = capsys.readouterr()
+    assert "internal error in suite homology" in captured.err
+    assert "ERROR suite-homology" in captured.out
+    assert "4 claims, 0 failed, 1 errors" in captured.out
+    claims = json.loads(path.read_text())["claims"]
+    assert [c["id"] for c in claims] == ["suite-homology", "alpha-values",
+                                         "signature-unique", "riemann-hurwitz-genera"]
+    assert claims[0]["status"] == "error"
+    assert claims[0]["witness"] == {"type": "KeyError", "message": "'setup'"}
+    assert all(c["status"] == "pass" for c in claims[1:])

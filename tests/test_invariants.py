@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wingerverify.invariants import (ReynoldsAverager, contains_up_to_scalar,
                                      molien_closed_form, molien_series,
                                      reynolds_basis)
 from wingerverify.linalg import Matrix
+from wingerverify.polys import Poly3
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
 
 
@@ -67,10 +70,64 @@ def test_degree_2_and_6_spaces():
     assert not contains_up_to_scalar(b6, q_poly() * q_poly())
 
 
+def plain_average(mat_list, expo):
+    """Oracle: (1/len) * sum of mono o g over the list, one act per element."""
+    mono = Poly3.monomial(expo, 1)
+    acc = Poly3.zero()
+    for m in mat_list:
+        acc = acc + mono.act(m)
+    return acc * Fraction(1, len(mat_list))
+
+
 def test_fast_path_agrees_with_full_average():
     avg = ReynoldsAverager(mats())
-    assert avg.diag is not None
-    slow = ReynoldsAverager(mats())
-    slow.diag = None  # force the generic 60-element path
-    for expo in ((2, 0, 0), (1, 1, 0), (2, 2, 2), (3, 1, 2)):
-        assert avg.average(expo) == slow.average(expo)
+    # the monomial subgroup is a D10 with six right cosets
+    assert len(avg.subgroup) == 10 and len(avg.reps) == 6
+    for expo in ((2, 0, 0), (1, 1, 0), (2, 2, 2), (3, 1, 2), (5, 0, 0), (0, 5, 1)):
+        assert avg.average(expo) == plain_average(mats(), expo)
+
+
+exponents = st.tuples(*[st.integers(0, 10)] * 3).filter(lambda e: sum(e) <= 10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(exponents)
+def test_average_matches_plain_group_average(expo):
+    assert ReynoldsAverager(mats()).average(expo) == plain_average(mats(), expo)
+
+
+def monomial_elements():
+    # an invertible 3x3 matrix with three nonzero entries is monomial
+    return [m for m in mats() if sum(not e.is_zero() for e in m.entries) == 3]
+
+
+def test_non_group_lists_give_plain_average():
+    group = list(mats())
+    n_elems = monomial_elements()
+    r = next(g for g in group if g not in n_elems)
+    cases = [
+        n_elems + [r],                                      # N closed, cosets do not tile
+        [Matrix.identity(3), Matrix.diagonal([1, 1, 2])],  # monomial, not closed
+        group[:17],                                         # no full cosets
+        group + [Matrix.identity(3)],                       # a repeated element
+        group[:5] + [Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])],
+    ]
+    for mat_list in cases:
+        avg = ReynoldsAverager(mat_list)
+        assert len(avg.subgroup) == 1 and len(avg.reps) == len(mat_list)
+        for expo in ((2, 0, 0), (1, 1, 1), (0, 3, 1)):
+            assert avg.average(expo) == plain_average(mat_list, expo)
+
+
+def test_two_cosets_of_the_monomial_subgroup():
+    # N u N*r is no group, but N is closed and its cosets tile the list,
+    # so the averager takes the monomial-subgroup path
+    group = list(mats())
+    n_elems = monomial_elements()
+    assert len(n_elems) == 10
+    r = next(g for g in group if g not in n_elems)
+    mat_list = n_elems + [n * r for n in n_elems]
+    avg = ReynoldsAverager(mat_list)
+    assert len(avg.subgroup) == 10 and len(avg.reps) == 2
+    for expo in ((2, 0, 0), (1, 1, 1), (3, 2, 0), (5, 0, 0)):
+        assert avg.average(expo) == plain_average(mat_list, expo)

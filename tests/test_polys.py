@@ -1,8 +1,11 @@
 from fractions import Fraction
 
-from wingerverify.cyclo import rational, zeta
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wingerverify.cyclo import make, rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3, monomials_of_degree
+from wingerverify.polys import Poly3, Substitution, monomials_of_degree
 
 
 def test_ring_ops():
@@ -46,6 +49,27 @@ def test_act_is_precomposition():
     f = x * y + z ** 2
     m2 = Matrix.from_rows([[1, 0, 0], [0, 1, 2], [0, 0, 1]])
     assert f.act(m).act(m2) == f.act(m * m2)
+
+
+# field elements with small coefficients on 1, zeta, zeta^2, zeta^3
+elements = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                     st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+                     st.integers(1, 3))
+polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), elements,
+                        max_size=6).map(Poly3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys, st.lists(elements, min_size=9, max_size=9),
+       st.lists(elements, min_size=3, max_size=3))
+def test_act_agrees_with_evaluation(f, entries, point):
+    # (f o m)(p) = f(m p), for any matrix (singular ones included)
+    m = Matrix(3, 3, entries)
+    assert f.act(m).evaluate(point) == f.evaluate(m.apply(point))
+    # one Substitution shared by two forms gives the same images as act
+    sub = Substitution(m)
+    for g in (f, f + Poly3.monomial((0, 3, 1), point[0])):
+        assert sub.apply(g) == g.act(m)
 
 
 def test_monomials_of_degree():

@@ -10,10 +10,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_characters_run():
+def traced(subcommand):
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "trace.py"),
-                           str(ROOT / "src"), "characters"],
+                           str(ROOT / "src"), subcommand],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_characters_run():
+    assert traced("characters")["exit"] == 0
+
+
+def test_traced_invariants_run():
+    result = traced("invariants")
     assert result["exit"] == 0
+    assert "invariants.reynolds@15" in result["spans"]
