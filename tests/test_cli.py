@@ -80,6 +80,13 @@ def test_corrupted_matrix_fails(capsys):
     assert "FAIL invariance-conic-sextic-form" in out
 
 
+def test_corrupted_matrix_fails_invariants(capsys):
+    assert run(["invariants", "--corrupt", "matrix:3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL molien-closed-form" in out
+    assert "FAIL reynolds-dimensions" in out
+
+
 def test_report_content_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["homology", "--json", str(p1)]) == 0

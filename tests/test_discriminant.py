@@ -1,16 +1,17 @@
-import os
+from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wingerverify.discriminant import (_int_bareiss_det, _newton_interpolate,
-                                       _poly_eval, _divide_out_root,
+from wingerverify.discriminant import (_divide_out_root, _exact_quotient,
+                                       _hessenberg_charpoly_mod,
+                                       _int_bareiss_det, _is_prime,
+                                       _pencil_bound, _pencil_det,
+                                       _pencil_det_mod, _poly_eval,
                                        macaulay_resultant_value,
                                        macaulay_system)
-from wingerverify.polys import Poly3
-from fractions import Fraction
 
 
 def test_int_bareiss_det():
@@ -44,9 +45,7 @@ def test_resultant_nonzero_without_common_zero():
 
 def test_interpolation_and_root_division():
     # p(x) = x^2 (x+1) = x^3 + x^2
-    pts = [(Fraction(k), Fraction(k) ** 3 + Fraction(k) ** 2) for k in (1, 2, 3, 5)]
-    coeffs = _newton_interpolate(pts)
-    assert coeffs == [Fraction(0), Fraction(0), Fraction(1), Fraction(1)]
+    coeffs = [Fraction(0), Fraction(0), Fraction(1), Fraction(1)]
     m0, rest = _divide_out_root(coeffs, Fraction(0))
     assert m0 == 2
     m1, rest = _divide_out_root(rest, Fraction(-1))
@@ -54,60 +53,100 @@ def test_interpolation_and_root_division():
     assert _poly_eval(coeffs, Fraction(2)) == 12
 
 
-def lagrange_interpolate(points):
-    """Oracle: the O(n^3) Lagrange formula over Fraction."""
-    coeffs = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        # basis polynomial prod (x - xj)/(xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xj
-                new[k + 1] += c
-            basis = new
-            denom *= xi - xj
-        w = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += w * c
-    return coeffs
+# -- the multi-modular det(A + lam*B) against integer Bareiss --------------------
+
+def pencil_at(a, b, lam):
+    return [[x + lam * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+@st.composite
+def pencils(draw, max_n=8, max_digits=7):
+    """Small integer pencils (A, B), some with singular A and some
+    identically singular (a zero row or a repeated row pair)."""
+    n = draw(st.integers(1, max_n))
+    size = 10 ** draw(st.integers(0, max_digits))
+    entry = st.integers(-size, size)
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "singular_a", "zero_row", "repeated_row")))
+    if n >= 2 and shape == "singular_a":
+        a[1] = list(a[0])
+    elif shape == "zero_row":
+        a[-1] = [0] * n
+        b[-1] = [0] * n
+    elif n >= 2 and shape == "repeated_row":
+        a[1], b[1] = list(a[0]), list(b[0])
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+def test_pencil_det_matches_bareiss(pencil):
+    a, b = pencil
+    n = len(a)
+    coeffs = _pencil_det(a, b)
+    assert len(coeffs) == n + 1
+    # n + 4 distinct points pin down a polynomial of degree <= n
+    for lam in range(-2, n + 2):
+        assert _poly_eval(coeffs, lam) == _int_bareiss_det(pencil_at(a, b, lam))
+    # the Chinese-remainder result lies inside the coefficient bound
+    bound = _pencil_bound(a, b)
+    assert all(abs(c) <= bound for c in coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils(max_n=4, max_digits=2), st.sampled_from((5, 7, 10007)), st.booleans())
+def test_pencil_det_mod_small_primes(pencil, p, b_vanishes_mod_p):
+    a, b = pencil
+    if b_vanishes_mod_p:
+        # det(A + lam*B) = det A mod p for every lam: when det A = 0 mod p
+        # every shift is singular and the residue is the zero polynomial
+        b = [[p * x for x in row] for row in b]
+    res = _pencil_det_mod(a, b, p)
+    assert len(res) == len(a) + 1 and all(0 <= r < p for r in res)
+    for lam in range(-1, len(a) + 3):
+        assert (_poly_eval(res, lam) - _int_bareiss_det(pencil_at(a, b, lam))) % p == 0
+
+
+def test_all_shifts_singular_gives_zero():
+    # row 2 - 2 * row 1 = (0, 0, 5): det A = 0 mod 5, and B = 0 mod 5
+    a = [[1, 2, 3], [2, 4, 11], [0, 1, 1]]
+    b = [[5, -10, 0], [15, 5, 5], [0, 0, 20]]
+    assert _int_bareiss_det(a) != 0
+    assert _pencil_det_mod(a, b, 5) == [0, 0, 0, 0]
+    assert _pencil_det(a, b)[0] == _int_bareiss_det(a)
+    with pytest.raises(ValueError):
+        _pencil_det_mod(a, b, 3)  # a modulus <= n cannot certify a zero residue
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-40, 120), min_size=0, max_size=12, unique=True),
-       st.lists(st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
-                min_size=12, max_size=12))
-def test_newton_matches_lagrange(nodes, values):
-    points = [(Fraction(x), y) for x, y in zip(nodes, values)]
-    coeffs = _newton_interpolate(points)
-    assert coeffs == lagrange_interpolate(points)
-    assert all(type(c) is Fraction for c in coeffs)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)),
+       st.sampled_from((2, 5, 10007, 2 ** 61 - 1)))
+def test_hessenberg_charpoly_matches_sympy(rows, p):
+    x = sympy.Symbol("x")
+    expect = sympy.Matrix(rows).charpoly(x).all_coeffs()  # highest first
+    got = _hessenberg_charpoly_mod(rows, p)
+    assert got == [int(c) % p for c in reversed(expect)]
 
 
-def test_newton_matches_sympy_on_degree_60():
-    # a degree-60 polynomial with large rational coefficients, sampled at
-    # 76 integer nodes with two gaps, as pencil_discriminant samples it
-    coeffs = [Fraction((-1) ** k * (7 ** k + 3 * k), k + 1) for k in range(61)]
-    nodes = [x for x in range(1, 79) if x not in (9, 40)]
-    points = [(Fraction(x), _poly_eval(coeffs, Fraction(x))) for x in nodes]
-    got = _newton_interpolate(points)
-    assert got == coeffs + [Fraction(0)] * 15
-    t = sympy.Symbol("t")
-    expect = sympy.Poly(sympy.interpolate([(x, sympy.Rational(y.numerator, y.denominator))
-                                           for x, y in points[:12]], t), t)
-    low = _newton_interpolate(points[:12])
-    assert [sympy.Rational(c.numerator, c.denominator) for c in low] == \
-        list(reversed(expect.all_coeffs()))
+def test_is_prime_matches_sympy():
+    for n in range(0, 5000):
+        assert _is_prime(n) == sympy.isprime(n), n
+    top = 2 ** 81
+    for n in range(top - 3000, top):
+        assert _is_prime(n) == sympy.isprime(n), n
+    # strong pseudoprimes to every base up to 7 and up to 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n) and not sympy.isprime(n)
 
 
-@pytest.mark.skipif(os.environ.get("WINGER_DEEP") != "1",
-                    reason="slow full-pencil discriminant; set WINGER_DEEP=1")
-def test_pencil_discriminant_root_set():
-    from wingerverify.discriminant import pencil_discriminant
-    _, mults = pencil_discriminant()
-    assert mults["residual_is_nonzero_constant"]
-    assert mults["0"] > 0 and mults["-1"] > 0 and mults["27/5"] > 0
-    assert mults["degree"] < 75  # the degree drop is the member at infinity
+def test_exact_quotient():
+    # (x + 1)(2x - 3) / (x + 1)
+    assert _exact_quotient([-3, -1, 2], [1, 1]) == [Fraction(-3), Fraction(2)]
+    assert _exact_quotient([6], [3, 0]) == [Fraction(2)]
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        _exact_quotient([1, 2], [0, 0])
