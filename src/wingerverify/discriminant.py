@@ -283,15 +283,17 @@ def _hessenberg_charpoly_mod(c, p):
 def _pencil_det_mod(a, b, p):
     """Coefficients (lowest first, n + 1 of them) of det(A + lam*B) mod p.
 
-    At the first shift lam0 in 0..n with M0 = A + lam0*B invertible mod p,
-    det(A + lam*B) = det M0 * det(I + (lam - lam0) C) with C = M0^-1 B, and
-    det(I + mu C) = sum_k (-1)^k chi_{n-k} mu^k for chi = charpoly(C).  If
-    all n + 1 shifts are singular the polynomial, of degree <= n < p, is 0.
+    At the first shift lam0 in 1, ..., n, 0 with M0 = A + lam0*B invertible
+    mod p, det(A + lam*B) = det M0 * det(I + (lam - lam0) C) with
+    C = M0^-1 B, and det(I + mu C) = sum_k (-1)^k chi_{n-k} mu^k for
+    chi = charpoly(C).  Any invertible shift gives the same polynomial;
+    lam0 = 0 comes last because the pencil's A is singular there.  If all
+    n + 1 shifts are singular the polynomial, of degree <= n < p, is 0.
     """
     n = len(a)
     if p <= n:
         raise ValueError("the modulus must exceed the matrix size")
-    for lam0 in range(n + 1):
+    for lam0 in (*range(1, n + 1), 0):
         m0 = [[x + lam0 * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
         det0, c = _det_and_solve_mod(m0, b, p)
         if det0:

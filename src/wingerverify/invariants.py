@@ -32,6 +32,15 @@ def _series_reciprocal(den, nterms: int):
     return out
 
 
+def _molien_denominator(m: Matrix):
+    """Coefficients of det(I - T*m) for a 3x3 m, lowest first:
+    1 - tr(m) T + e2(m) T^2 - det(m) T^3, e2 the sum of principal 2x2 minors."""
+    e2 = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+          + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
+          + m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+    return [rational(1), -m.trace(), e2, -m.det()]
+
+
 def molien_series(mats, nterms: int = 31):
     """Rational coefficients of (1/|G|) sum over g of 1/det(I - T*g).
 
@@ -41,11 +50,7 @@ def molien_series(mats, nterms: int = 31):
     mats = list(mats)
     total = [rational(0)] * nterms
     for m in mats:
-        # det(I - T*m) read off the characteristic polynomial:
-        # charpoly T^3 + a2 T^2 + a1 T + a0 gives 1 + a2 T + a1 T^2 + a0 T^3
-        cp = m.charpoly().coeffs  # lowest first: (a0, a1, a2, 1)
-        den = [rational(1), cp[2], cp[1], cp[0]]
-        rec = _series_reciprocal(den, nterms)
+        rec = _series_reciprocal(_molien_denominator(m), nterms)
         total = [t + r for t, r in zip(total, rec)]
     out = []
     for c in total:

@@ -1,8 +1,7 @@
 """Exact dense linear algebra over Q(zeta_5).
 
-Determinants use fraction-free (Bareiss) elimination, kernels come from
-reduced row echelon form, and characteristic polynomials are computed
-with the Faddeev-LeVerrier recursion (divisions by small integers only).
+Determinants use fraction-free (Bareiss) elimination; inverses and
+kernels come from reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -217,32 +216,6 @@ class Matrix:
             basis.append(tuple(vec))
         return basis
 
-    def charpoly(self) -> "UniPoly":
-        """det(T*I - M) by the Faddeev-LeVerrier recursion."""
-        if self.rows != self.cols:
-            raise ValueError("charpoly of a non-square matrix")
-        k = self.rows
-        ident = Matrix.identity(k)
-        coeffs = [rational(1)]  # of T^k, then T^(k-1), ...
-        a = self
-        c = -a.trace()
-        coeffs.append(c)
-        for step in range(2, k + 1):
-            a = self * (a + ident * c)
-            c = -(a.trace() / step)
-            coeffs.append(c)
-        return UniPoly(list(reversed(coeffs)))
-
-    def order(self, limit: int = 1000) -> int:
-        """Multiplicative order; raises if it exceeds `limit`."""
-        ident = Matrix.identity(self.rows)
-        p = self
-        for k in range(1, limit + 1):
-            if p == ident:
-                return k
-            p = p * self
-        raise ValueError("order exceeds limit")
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -254,72 +227,5 @@ class Matrix:
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in self.row(i)) + "]"
                          for i in range(self.rows))
-
-    __repr__ = __str__
-
-
-class UniPoly:
-    """Univariate polynomial over Q(zeta_5), lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, Cyclo) else rational(c) for c in coeffs]
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Evaluate at a scalar or a square matrix (Horner)."""
-        if isinstance(x, Matrix):
-            acc = Matrix.identity(x.rows) * self.coeffs[-1]
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * x + Matrix.identity(x.rows) * c
-            return acc
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        out = [rational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero() and len(self.coeffs) > 1:
-                continue
-            mono = "" if i == 0 else ("T" if i == 1 else f"T^{i}")
-            cs = str(c)
-            if mono and cs == "1":
-                terms.append(mono)
-            elif mono and cs == "-1":
-                terms.append(f"-{mono}")
-            else:
-                terms.append(f"({cs}){mono}" if mono else cs)
-        return " + ".join(terms) if terms else "0"
 
     __repr__ = __str__

@@ -69,9 +69,6 @@ class Perm:
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
-    def is_identity(self) -> bool:
-        return all(im == i + 1 for i, im in enumerate(self.images))
-
     def fixed_points(self):
         return [i + 1 for i, im in enumerate(self.images) if im == i + 1]
 

@@ -43,12 +43,6 @@ class Poly3:
         return Poly3({tuple(expo): coef})
 
     @staticmethod
-    def variable(i: int) -> "Poly3":
-        expo = [0, 0, 0]
-        expo[i] = 1
-        return Poly3({tuple(expo): 1})
-
-    @staticmethod
     def linear(coeffs) -> "Poly3":
         """c0*z0 + c1*z1 + c2*z2."""
         return Poly3({(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
@@ -103,19 +97,6 @@ class Poly3:
 
     def coefficient(self, expo) -> Cyclo:
         return self.terms.get(tuple(expo), rational(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self, d: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) != 1:
-            return False
-        return d is None or degs == {d}
 
     def partial(self, i: int) -> "Poly3":
         out = {}

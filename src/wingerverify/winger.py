@@ -306,16 +306,17 @@ def pencil_member(lam) -> Poly3:
     return q_poly() ** 3 + f_poly() * lam
 
 
-def singular_lambda(p):
-    """The unique parameter whose member is singular at p, if any.
+def singular_lambda(p, f: Poly3):
+    """The unique parameter whose member of Q^3 + lam*f is singular at p.
 
-    Solves grad(Q^3)(p) + lam * grad(F)(p) = 0.  Returns a field
-    element, INFINITY when grad F vanishes but grad Q^3 does not, or
-    None when no single parameter works.
+    Solves grad(Q^3)(p) + lam * grad(f)(p) = 0, for the sextic f (F
+    itself, or a perturbed copy).  Returns a field element, INFINITY
+    when grad f vanishes but grad Q^3 does not, or None when no single
+    parameter works.
     """
     p = normalize_point(p)
     gq = tuple(d.evaluate(p) for d in (q_poly() ** 3).gradient())
-    gf = tuple(d.evaluate(p) for d in f_poly().gradient())
+    gf = tuple(d.evaluate(p) for d in f.gradient())
     if all(c.is_zero() for c in gf):
         if all(c.is_zero() for c in gq):
             return None  # singular for every parameter; not a pencil datum

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from wingerverify.invariants import (ReynoldsAverager, contains_up_to_scalar,
-                                     molien_closed_form, molien_series,
-                                     reynolds_basis)
+from wingerverify.cyclo import make
+from wingerverify.invariants import (ReynoldsAverager, _molien_denominator,
+                                     contains_up_to_scalar, molien_closed_form,
+                                     molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Poly3
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
@@ -35,6 +38,33 @@ def test_molien_rejects_non_groups():
     bad = [Matrix.identity(3), Matrix.diagonal([1, 1, 2])]
     with pytest.raises(ValueError):
         molien_series(bad, 10)
+
+
+# Q[x, t] with x standing for zeta; Phi5 is monic in x, so the remainder
+# by it is the canonical form modulo Phi5
+RING, X, T = sympy.ring("x, t", sympy.QQ)
+PHI5 = X**4 + X**3 + X**2 + X + 1
+
+
+def in_ring(c):
+    return sum((sympy.QQ(q.numerator, q.denominator) * X**i
+                for i, q in enumerate(c.coefficients())), RING.zero)
+
+
+field_elements = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                           st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+                           st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(field_elements, min_size=9, max_size=9))
+def test_molien_denominator_matches_sympy(entries):
+    # oracle: sympy's determinant of I - t*M over Q[x, t], reduced mod Phi5
+    rows = [[int(i == j) - T * in_ring(entries[3 * i + j]) for j in range(3)]
+            for i in range(3)]
+    want = DomainMatrix(rows, (3, 3), RING.to_domain()).det().rem(PHI5)
+    got = _molien_denominator(Matrix(3, 3, entries))
+    assert sum((in_ring(c) * T**k for k, c in enumerate(got)), RING.zero) == want
 
 
 def test_reynolds_dims_match_molien():

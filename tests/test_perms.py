@@ -13,7 +13,7 @@ def test_parse_and_cycle_string():
     assert g(1) == 2 and g(5) == 1
     assert g.cycle_string() == "(12345)"
     assert parse_cycles("(12)(34)", 5).cycle_string() == "(12)(34)"
-    assert parse_cycles("()", 5).is_identity()
+    assert parse_cycles("()", 5) == Perm.identity(5)
     assert parse_cycles("(1 2 3)", 5) == parse_cycles("(123)", 5)
 
 
@@ -28,11 +28,11 @@ def test_composition_convention_right_first():
 
 def test_inverse_and_order():
     g = parse_cycles("(12345)", 5)
-    assert (g * g.inverse()).is_identity()
+    assert g * g.inverse() == parse_cycles("()", 5)
     assert g.order() == 5
     assert parse_cycles("(12)(34)", 5).order() == 2
     a5 = alternating_group_5()
-    assert a5.elements[a5.identity].is_identity()
+    assert a5.elements[a5.identity] == parse_cycles("()", 5)
     for i, g in enumerate(a5.elements):
         assert a5.elements[a5.inverse[i]] == g.inverse()
         assert a5.orders[i] == g.order()

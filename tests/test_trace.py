@@ -1,6 +1,8 @@
 """The benchmark's tracer wraps functions by name, and raises LookupError
 when one of them is gone; a traced run of one suite catches that here
-instead of in a full benchmark run."""
+instead of in a full benchmark run.  It also wraps the suites in
+`cli.SUITES`, which the benchmark reads as the `cli.suite.*` spans (0 s
+when absent), so a suite the CLI calls past that dict is caught too."""
 
 import json
 import subprocess
@@ -19,10 +21,13 @@ def traced(subcommand):
 
 
 def test_traced_characters_run():
-    assert traced("characters")["exit"] == 0
+    result = traced("characters")
+    assert result["exit"] == 0
+    assert "cli.suite.characters" in result["spans"]
 
 
 def test_traced_invariants_run():
     result = traced("invariants")
     assert result["exit"] == 0
+    assert "cli.suite.invariants" in result["spans"]
     assert "invariants.reynolds@15" in result["spans"]
