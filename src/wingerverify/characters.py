@@ -45,12 +45,6 @@ class ClassFunction:
             raise CharacterError("group tag mismatch")
         return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
 
-    def __mul__(self, k):
-        return ClassFunction(self.group, tuple(v * k for v in self.values))
-
-    def conjugate(self):
-        return ClassFunction(self.group, tuple(v.conjugate() for v in self.values))
-
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 

@@ -26,20 +26,19 @@ def alpha_value(stabilizer_order: int) -> int:
     return 60 - 60 // stabilizer_order
 
 
-def signature_solutions(max_points: int = 5, max_genus: int = 1):
+def signature_solutions():
     """All orbifold signatures solving 138 = 120*g + sum of alpha values.
 
     Exhaustive over base genus and multisets of ramified-orbit weights;
     the bounds cover everything (a single weight is at least 30, so at
-    most 4 points fit in 138, and genus 1 already overshoots).
+    most 4 points fit in 138; genus 1 leaves 18, less than one weight,
+    and genus 2 overshoots).
     """
     weight_of = {alpha_value(k): k for k in (2, 3, 5)}
     solutions = []
-    for g in range(max_genus + 1):
+    for g in (0, 1):
         rest = 138 - 120 * g
-        if rest < 0:
-            continue
-        for npts in range(max_points + 1):
+        for npts in range(5):
             for combo in combinations_with_replacement(sorted(weight_of), npts):
                 if sum(combo) == rest:
                     orders = tuple(sorted((weight_of[w] for w in combo), reverse=True))
@@ -47,13 +46,13 @@ def signature_solutions(max_points: int = 5, max_genus: int = 1):
     return solutions
 
 
-def regular_cover_genus(group_order: int, branch_orders, base_genus: int = 0) -> int:
-    """Genus of a regular cover from the Riemann-Hurwitz count.
+def regular_cover_genus(group_order: int, branch_orders) -> int:
+    """Genus of a regular cover of P^1 from the Riemann-Hurwitz count.
 
-    2g - 2 = N(2b - 2) + sum over branch points of N(1 - 1/o).
+    2g - 2 = -2N + sum over branch points of N(1 - 1/o).
     """
     n = group_order
-    total = Fraction(n * (2 * base_genus - 2))
+    total = Fraction(-2 * n)
     for o in branch_orders:
         if n % o:
             raise ValueError(f"branch order {o} does not divide the group order {n}")
@@ -92,7 +91,7 @@ def degeneration_report(t) -> DegenerationReport:
     a5 = alternating_group_5()
     order = len(a5.generated(a5.index[g] for g in (g1, g2, h)))
     v = 60 // order
-    genus = regular_cover_genus(order, (g1.order(), g2.order(), n), 0)
+    genus = regular_cover_genus(order, (g1.order(), g2.order(), n))
     p_a = v * genus + 1 - v + e
     return DegenerationReport(n=n, nodes=e, components=v,
                               component_genus=genus, arithmetic_genus=p_a)
@@ -160,10 +159,6 @@ class Quaternion:
     def norm(self) -> Cyclo:
         return (self.a * self.a + self.b * self.b
                 + self.c * self.c + self.d * self.d)
-
-    def key(self):
-        return (self.a.sort_key(), self.b.sort_key(),
-                self.c.sort_key(), self.d.sort_key())
 
     def __eq__(self, o):
         if not isinstance(o, Quaternion):

@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-import mpmath
-
 
 def _mul(a, b):
     """Product of integer coefficient 4-tuples: convolve, then fold
@@ -166,20 +164,6 @@ class Cyclo:
 
     def sort_key(self):
         return (self.nums, self.den)
-
-    def embed(self, digits: int = 15):
-        """Complex floating approximation, zeta -> exp(2*pi*i/5).
-
-        Diagnostics only; never used in exactness-bearing checks.
-        """
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        with mpmath.workdps(digits + 15):
-            z = mpmath.exp(2j * mpmath.pi / 5)
-            acc = mpmath.mpc(0)
-            for c in reversed(self.nums):
-                acc = acc * z + c
-            return acc / self.den
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -69,7 +69,7 @@ def _to_int_poly(f: Poly3):
     return {e: int(q * denlcm) for e, q in terms.items()}
 
 
-def macaulay_system(fs, degrees):
+def macaulay_system(degrees):
     """Row recipes of the Macaulay matrix for three ternary forms.
 
     Returns (monomials, rows, minor_index) where rows[i] pairs a shift
@@ -100,7 +100,7 @@ def macaulay_system(fs, degrees):
 
 def _eval_determinants(int_fs, degrees):
     """The full matrix and its minor, as integer row lists."""
-    monos, rows, minor_index = macaulay_system(int_fs, degrees)
+    monos, rows, minor_index = macaulay_system(degrees)
     col_of = {m: i for i, m in enumerate(monos)}
     full = []
     for shift, which in rows:
@@ -343,18 +343,9 @@ def _divide_out_root(coeffs, root: Fraction):
     mult = 0
     cur = list(coeffs)
     while len(cur) > 1 and _poly_eval(cur, root) == 0:
-        # synthetic division by (x - root), coefficients lowest first
-        n = len(cur) - 1
-        quot = [Fraction(0)] * n
-        quot[n - 1] = cur[n]
-        for k in range(n - 1, 0, -1):
-            quot[k - 1] = cur[k] + root * quot[k]
-        assert cur[0] + root * quot[0] == 0
-        cur = quot
+        cur = _exact_quotient(cur, [-root, 1])
         mult += 1
     return mult, cur
-
-
 
 
 def _exact_quotient(num, den):
@@ -373,7 +364,7 @@ def _exact_quotient(num, den):
         for j, d in enumerate(den):
             num[k + j] -= q * d
     if any(num):
-        raise ArithmeticError("the Macaulay minor does not divide the full determinant")
+        raise ArithmeticError("the polynomial division leaves a remainder")
     return quot
 
 

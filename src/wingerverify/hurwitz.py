@@ -232,7 +232,7 @@ def _parsed_table():
     return [tuple(parse_cycles(s, 5) for s in row) for row in TUPLE_TABLE_ROWS]
 
 
-def validate_tuple_table(classes=None, convention: str = "rtl"):
+def validate_tuple_table(classes):
     """Match the ten published rows against the enumerated classes.
 
     A row validates if, after simultaneous conjugation and possibly
@@ -241,8 +241,6 @@ def validate_tuple_table(classes=None, convention: str = "rtl"):
     slot is a 5-cycle conjugate to (12345).  Returns the list of matched
     classes; raises on any failure or double match.
     """
-    if classes is None:
-        classes = enumerate_tuple_classes(convention)
     by_rep = set(classes)
     matched = []
     for row in _parsed_table():

@@ -127,9 +127,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
     def det(self) -> Cyclo:
         """Exact determinant by fraction-free elimination, pivot = first nonzero."""
         if self.rows != self.cols:

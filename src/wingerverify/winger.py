@@ -245,13 +245,6 @@ def orbit_of(point, group: IcosaGroup):
     return frozenset(normalize_point(m.apply(p)) for m in group.matrices)
 
 
-def _unit_eigenvector(m: Matrix):
-    kern = (m - Matrix.identity(3)).kernel()
-    if len(kern) != 1:
-        raise ValueError("unit eigenspace is not a line")
-    return normalize_point(kern[0])
-
-
 def _eigenvector(m: Matrix, lam) -> tuple:
     kern = (m - Matrix.identity(3) * lam).kernel()
     if len(kern) != 1:
@@ -272,7 +265,7 @@ def irregular_orbits() -> dict:
     out = {}
     for order, size in ((5, 6), (3, 10), (2, 15)):
         m = elements[orders.index(order)]
-        orb = orbit_of(_unit_eigenvector(m), group)
+        orb = orbit_of(_eigenvector(m, rational(1)), group)
         if len(orb) != size:
             raise ReconstructionError(f"orbit of order-{order} fixed point has size {len(orb)}")
         out[size] = orb
@@ -299,11 +292,11 @@ def irregular_orbits() -> dict:
 # -- the pencil -----------------------------------------------------------------
 
 
-def pencil_member(lam) -> Poly3:
-    """Q^3 + lam*F for finite lam; F itself at infinity."""
+def pencil_member(lam, f: Poly3) -> Poly3:
+    """Q^3 + lam*f for finite lam; the sextic f itself at infinity."""
     if lam is INFINITY:
-        return f_poly()
-    return q_poly() ** 3 + f_poly() * lam
+        return f
+    return q_poly() ** 3 + f * lam
 
 
 def singular_lambda(p, f: Poly3):
@@ -329,14 +322,14 @@ def singular_lambda(p, f: Poly3):
     return lam
 
 
-def node_check(lam, p) -> bool:
-    """Is the singular point an ordinary double point of that member?
+def node_check(lam, p, f: Poly3) -> bool:
+    """Is the singular point an ordinary double point of Q^3 + lam*f?
 
     Tests that the quadratic part of the member in an affine chart at p
     is a nondegenerate binary form (nonzero discriminant).
     """
     p = normalize_point(p)
-    member = pencil_member(lam)
+    member = pencil_member(lam, f)
     if member.evaluate(p) != rational(0):
         raise ValueError("point is not on the member")
     grad = tuple(d.evaluate(p) for d in member.gradient())

@@ -57,7 +57,8 @@ FAULTS = {
     ("orbits", "f:6,0,0"): {"invariance-conic-sextic-form"},
     ("orbits", "f:3,2,1"): {"invariance-conic-sextic-form"},
     ("pencil", "f:0,0,6"): {"lambda-six-orbit", "lambda-ten-orbit",
-                            "lambda-fifteen-orbit", "base-locus-twelve-points"},
+                            "lambda-fifteen-orbit", "node-nondegeneracy",
+                            "base-locus-twelve-points"},
     ("orbits", "matrix:0"): {"invariance-conic-sextic-form"},
     ("orbits", "matrix:17"): {"invariance-conic-sextic-form"},
     ("invariants", "matrix:3"): {"molien-closed-form", "reynolds-dimensions",

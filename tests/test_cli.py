@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wingerverify import cli, covers
 from wingerverify.cli import Corruption, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -47,9 +52,20 @@ def test_pencil_skips_deep_by_default(capsys):
 
 
 def test_usage_error_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["bogus"])
-    assert exc.value.code == 2
+    for argv in (["bogus"], ["all", "--digits", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_float_library():
+    # sympy loads mpmath into the test process, so only a fresh one can tell
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wingerverify.cli; "
+            "print('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_corruption_specs():

@@ -58,14 +58,6 @@ def test_division_and_powers():
     assert z ** -3 == z ** 2
 
 
-def test_embed():
-    import mpmath
-    v = golden().embed(30)
-    with mpmath.workdps(40):
-        assert abs(v - (1 + mpmath.sqrt(5)) / 2) < mpmath.mpf(10) ** -25
-    assert abs(zeta().embed(20) ** 5 - 1) < 1e-15
-
-
 def test_str_roundtrip_style():
     x = rational(Fraction(1, 2)) * zeta() ** 3 - 1
     assert str(x) == "1/2*z^3-1"

@@ -23,7 +23,7 @@ def test_int_bareiss_det():
 
 
 def test_macaulay_dimensions_for_quintics():
-    monos, rows, minor = macaulay_system(None, (5, 5, 5))
+    monos, rows, minor = macaulay_system((5, 5, 5))
     assert len(monos) == 105
     assert len(rows) == 105
     assert len(minor) == 30

@@ -83,10 +83,11 @@ def test_orbit_sizes_and_positions():
 
 
 def test_pencil_members():
-    assert pencil_member(rational(0)) == q_poly() ** 3
-    assert pencil_member(INFINITY) == f_poly()
+    f = f_poly()
+    assert pencil_member(rational(0), f) == q_poly() ** 3
+    assert pencil_member(INFINITY, f) == f
     lam = rational(Fraction(7, 3))
-    member = pencil_member(lam)
+    member = pencil_member(lam, f)
     m = list(reconstruct_group().matrices)[11]
     assert member.act(m) == member
 
@@ -108,17 +109,17 @@ def test_hand_oracle_gradients_at_vertex():
 
 
 def test_node_checks():
-    orbs = irregular_orbits()
-    assert all(node_check(rational(-1), p) for p in orbs[6])
-    assert all(node_check(rational(Fraction(27, 5)), p) for p in orbs[10])
-    assert all(node_check(INFINITY, p) for p in orbs[15])
+    orbs, f = irregular_orbits(), f_poly()
+    assert all(node_check(rational(-1), p, f) for p in orbs[6])
+    assert all(node_check(rational(Fraction(27, 5)), p, f) for p in orbs[10])
+    assert all(node_check(INFINITY, p, f) for p in orbs[15])
     # triple conic: singular but not nodal at base points
-    assert not node_check(rational(0), next(iter(orbs[12])))
+    assert not node_check(rational(0), next(iter(orbs[12])), f)
 
 
 def test_node_check_rejects_smooth_points():
     with pytest.raises(ValueError):
-        node_check(rational(-1), (rational(1), rational(1), rational(1)))
+        node_check(rational(-1), (rational(1), rational(1), rational(1)), f_poly())
 
 
 def test_normalize_point():
