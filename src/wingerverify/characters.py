@@ -56,7 +56,8 @@ def _class_data(group: str):
     table = alternating_group_5() if group == "A5" else symmetric_group_5()
     reps = [parse_cycles(s, 5) for s in (A5_CLASS_REPS if group == "A5" else S5_CLASS_REPS)]
     classes = [table.class_of[table.index[r]] for r in reps]
-    assert len(set(classes)) == len(table.classes), "class representatives do not cover the group"
+    if len(set(classes)) != len(table.classes):
+        raise CharacterError("class representatives do not cover the group")
     return table, tuple(reps), tuple(classes)
 
 
@@ -96,7 +97,8 @@ def a5_table() -> tuple:
     # W: 6-point coset action of a dihedral subgroup of order 10, minus trivial
     a5 = alternating_group_5()
     d10 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(25)(34)"))
-    assert len(d10) == 10
+    if len(d10) != 10:
+        raise CharacterError(f"dihedral subgroup has order {len(d10)}, not 10")
     action = a5.coset_action(d10)
     chi_w = ClassFunction("A5", tuple(len(action[a5.index[r]].fixed_points()) - 1
                                       for r in reps))

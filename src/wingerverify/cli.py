@@ -212,14 +212,17 @@ def check_pencil(report, args, corruption):
         # perturbed f can cause, so singularity is asked first
         def nodal(lam, p):
             return singular_lambda(p, f) == lam and node_check(lam, p, f)
-        ok = all(nodal(rational(-1), p) for p in orbs[6])
-        ok = ok and all(nodal(rational(Fraction(27, 5)), p) for p in orbs[10])
-        ok = ok and all(nodal(INFINITY, p) for p in orbs[15])
+        nodal_points = sum(nodal(lam, p)
+                           for size, lam in ((6, rational(-1)),
+                                             (10, rational(Fraction(27, 5))),
+                                             (15, INFINITY))
+                           for p in orbs[size])
         # every conic point is singular on the triple conic, never a node
         degenerate = all(singular_lambda(p, f) == rational(0)
                          and not node_check(rational(0), p, f) for p in orbs[12])
-        return ok and degenerate, {"nodal_points": 6 + 10 + 15,
-                                   "triple_conic_degenerate": degenerate}
+        return (nodal_points == 6 + 10 + 15 and degenerate,
+                {"nodal_points": nodal_points,
+                 "triple_conic_degenerate": degenerate})
     run_claim(report, "node-nondegeneracy",
               "all singular points of the -1, 27/5 and infinity members are nodes",
               nodes)

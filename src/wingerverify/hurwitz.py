@@ -37,7 +37,6 @@ def order_sets():
     a5 = alternating_group_5()
     out = {r: tuple(g for g, k in zip(a5.elements, a5.orders) if k == r)
            for r in (2, 3, 5)}
-    assert len(out[2]) == 15 and len(out[3]) == 20 and len(out[5]) == 24
     return out
 
 
@@ -77,7 +76,8 @@ def involution_factorizations(h: Perm):
     invs = order_sets()[2]
     out = {(h1, h1.inverse() * h) for h1 in invs
            if (h1.inverse() * h).order() == 2}
-    assert all(h1 * h2 == h for h1, h2 in out)
+    if any(h1 * h2 != h for h1, h2 in out):
+        raise ValueError(f"a factorization of {h} does not multiply back to it")
     return out
 
 

@@ -142,6 +142,14 @@ class FiniteGroup:
     `elements`.  Elements are hashable and multiply with `*`; a list that
     is empty, repeats an element or is not closed under `*` raises
     ValueError.
+
+    Only generator rows cost element products.  Scanning the list in
+    order, an element whose row is still unknown becomes a generator s,
+    its row is multiplied out (every product must land in the list), and
+    the known rows are closed under left multiplication by the
+    generators: the row of k = s*h is row(s) composed with row(h), since
+    k*x = s*(h*x).  Every element ends up a word in the generators, so the
+    list is a finite semigroup inside a group: closed, hence a group.
     """
 
     def __init__(self, elements):
@@ -151,13 +159,27 @@ class FiniteGroup:
         index = {g: i for i, g in enumerate(elements)}
         if len(index) != len(elements):
             raise ValueError("repeated element")
-        table = []
-        for g in elements:
+        n = len(elements)
+        table, gens = [None] * n, []
+        for i, g in enumerate(elements):
+            if table[i] is not None:
+                continue
             row = [index.get(g * h) for h in elements]
             if None in row:
                 raise ValueError("element list is not closed under the product")
-            table.append(row)
-        n = len(elements)
+            table[i] = row
+            gens.append(i)
+            frontier = [h for h, r in enumerate(table) if r is not None]
+            while frontier:
+                new = []
+                for h in frontier:
+                    for s in gens:
+                        row_s = table[s]
+                        k = row_s[h]
+                        if table[k] is None:
+                            table[k] = [row_s[x] for x in table[h]]
+                            new.append(k)
+                frontier = new
         fixing = list(range(n))
         identity = next((i for i, row in enumerate(table) if row == fixing), None)
         if identity is None:
@@ -251,9 +273,10 @@ class FiniteGroup:
             frontier = new
         if None in phi:
             raise ValueError("the generators do not generate the group")
-        n = len(self)
-        if all(phi[self.table[a][b]] == target.table[phi[a]][phi[b]]
-               for a in range(n) for b in range(n)):
+        # phi(s*h) = phi(s)*phi(h) for the generators s and every h gives
+        # phi(a*h) = phi(a)*phi(h) for every a, by induction on word length
+        if all(phi[self.table[s][h]] == target.table[phi[s]][phi[h]]
+               for s in images for h in range(len(self))):
             return phi
         return None
 

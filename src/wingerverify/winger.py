@@ -88,24 +88,21 @@ def _matrix_key(m: Matrix):
     return tuple(e.sort_key() for e in m.entries)
 
 
-def _solve_line_permutation(sigma, rows, u_rows, gram):
+def _solve_line_permutation(b_inv, w_rest, c_mat, u_rest, gram):
     """The unique form-preserving det-1 matrix realizing one line permutation.
 
-    Solves L_{sigma(i)} * M = c_i * L_i (rows) for M; returns None when
-    the permutation is not realized by any projective map.
+    Solves L_{sigma(i)} * M = c_i * L_i (rows) for M, given B^-1 for
+    B = the rows of L_{sigma(0)}, L_{sigma(1)}, L_{sigma(2)}, the vectors
+    w = B^-T L_{sigma(i)} and u = C^-T L_i (C = the rows of L_0, L_1, L_2)
+    for i = 3, 4, 5; returns None when the permutation is not realized by
+    any projective map.
     """
     zero = rational(0)
-    b = Matrix.from_rows([rows[sigma[0]], rows[sigma[1]], rows[sigma[2]]])
-    if b.det().is_zero():
-        return None
-    b_inv = b.inverse()
     # cross conditions from the remaining three lines:
     # with M = B^-1 diag(c) C, line i+3 maps correctly iff
     # (w ⊙ c) is proportional to u, where w = L_{sigma(i)} B^-1, u = L_i C^-1
     eq_rows = []
-    for i in range(3, 6):
-        w = b_inv.transpose().apply(rows[sigma[i]])
-        u = u_rows[i]
+    for w, u in zip(w_rest, u_rest):
         for j, k in ((0, 1), (0, 2), (1, 2)):
             row = [zero, zero, zero]
             row[j] = w[j] * u[k]
@@ -117,8 +114,7 @@ def _solve_line_permutation(sigma, rows, u_rows, gram):
     c = kern[0]
     if any(x.is_zero() for x in c):
         return None
-    m = b_inv * Matrix.diagonal(list(c)) * Matrix.from_rows(
-        [rows[0], rows[1], rows[2]])
+    m = b_inv * Matrix.diagonal(list(c)) * c_mat
     # rescale: M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
     # satisfies t^2 = 1/s and makes the form exactly preserved with det 1
     s_mat = m.transpose() * gram * m
@@ -170,7 +166,8 @@ def _build_isomorphism(group: FiniteGroup):
 
     Sends (12345) to the first order-5 matrix m5 and (12)(34) to the
     first involution m2 with ord(m5*m2) = 3 for which the assignment
-    extends to a bijective homomorphism, checked on all index pairs.
+    extends to a bijective homomorphism, checked on every (generator,
+    element) pair.
     """
     a5 = alternating_group_5()
     p5 = a5.index[parse_cycles("(12345)", 5)]
@@ -191,12 +188,22 @@ def reconstruct_group() -> IcosaGroup:
     gram = gram_matrix()
     c_mat = Matrix.from_rows([rows[0], rows[1], rows[2]])
     c_inv = c_mat.inverse()
-    u_rows = {i: c_inv.transpose().apply(rows[i]) for i in range(3, 6)}
-    found = {}
-    for sigma in permutations(range(6)):
-        m = _solve_line_permutation(sigma, rows, u_rows, gram)
-        if m is not None:
-            found[m] = sigma
+    u_rest = [c_inv.transpose().apply(rows[i]) for i in range(3, 6)]
+    found = set()
+    # the 720 permutations share 120 ordered triples sigma(0..2), and B,
+    # B^-1 and the vectors B^-T L_j depend on the triple alone
+    for triple in permutations(range(6), 3):
+        b = Matrix.from_rows([rows[k] for k in triple])
+        if b.det().is_zero():
+            continue
+        b_inv = b.inverse()
+        b_inv_t = b_inv.transpose()
+        w = {j: b_inv_t.apply(rows[j]) for j in range(6) if j not in triple}
+        for rest in permutations(w):
+            m = _solve_line_permutation(b_inv, [w[j] for j in rest], c_mat,
+                                        u_rest, gram)
+            if m is not None:
+                found.add(m)
     if len(found) != 60:
         raise ReconstructionError(f"expected 60 survivors, got {len(found)}")
     try:
@@ -299,6 +306,11 @@ def pencil_member(lam, f: Poly3) -> Poly3:
     return q_poly() ** 3 + f * lam
 
 
+@lru_cache(maxsize=None)
+def _q_cubed_gradient() -> tuple:
+    return (q_poly() ** 3).gradient()
+
+
 def singular_lambda(p, f: Poly3):
     """The unique parameter whose member of Q^3 + lam*f is singular at p.
 
@@ -308,7 +320,7 @@ def singular_lambda(p, f: Poly3):
     parameter works.
     """
     p = normalize_point(p)
-    gq = tuple(d.evaluate(p) for d in (q_poly() ** 3).gradient())
+    gq = tuple(d.evaluate(p) for d in _q_cubed_gradient())
     gf = tuple(d.evaluate(p) for d in f.gradient())
     if all(c.is_zero() for c in gf):
         if all(c.is_zero() for c in gq):

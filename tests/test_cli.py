@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -88,6 +89,27 @@ def test_corrupted_sextic_fails_degree6_invariants(capsys):
     out = capsys.readouterr().out
     assert "FAIL degree6-invariants" in out
     assert "PASS reynolds-dimensions" in out
+
+
+def test_node_witness_counts_nodal_points(tmp_path, capsys):
+    def node_claim(argv, code):
+        path = tmp_path / "report.json"
+        assert run(["pencil", *argv, "--json", str(path)]) == code
+        claims = json.loads(path.read_text())["claims"]
+        return next(c for c in claims if c["id"] == "node-nondegeneracy")
+    claim = node_claim([], 0)
+    assert claim["witness"] == {"nodal_points": 31, "triple_conic_degenerate": True}
+    claim = node_claim(["--corrupt", "f:0,0,6"], 1)
+    assert claim["status"] == "fail" and claim["witness"]["nodal_points"] < 31
+    capsys.readouterr()
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no correctness check may rest on one
+    for path in sorted((SRC / "wingerverify").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_corrupted_matrix_fails(capsys):

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wingerverify.covers import Quaternion, binary_icosahedral_group
+from wingerverify.linalg import Matrix
 from wingerverify.perms import (FiniteGroup, Perm, alternating_group_5,
                                 parse_cycles, symmetric_group_5)
+from wingerverify.winger import reconstruct_group
 
 
 def idx(group, *cycles):
@@ -116,3 +121,135 @@ def test_centralizer_orders():
     a5 = alternating_group_5()
     orders = [60 // len(a5.class_of[g]) for g in idx(a5, "(12345)", "(12)(34)", "(123)")]
     assert orders == [5, 4, 3]
+
+
+# -- the generator-row Cayley table against the all-pairs oracle ----------------
+
+
+def all_pairs_data(elements):
+    """Table, inverses, orders and classes from all |G|^2 element products:
+    the construction the generator-row table replaced, kept as its oracle."""
+    index = {g: i for i, g in enumerate(elements)}
+    table = [[index[g * h] for h in elements] for g in elements]
+    n = len(elements)
+    identity = table.index(list(range(n)))
+    inverse = [row.index(identity) for row in table]
+    orders = []
+    for g in range(n):
+        k, p = 1, g
+        while p != identity:
+            p, k = table[p][g], k + 1
+        orders.append(k)
+    classes = []
+    for g in range(n):
+        if not any(g in c for c in classes):
+            classes.append(tuple(sorted({table[table[x][g]][inverse[x]]
+                                         for x in range(n)})))
+    return table, inverse, orders, classes
+
+
+def assert_matches_all_pairs(group):
+    table, inverse, orders, classes = all_pairs_data(group.elements)
+    assert group.table == table
+    assert group.inverse == inverse
+    assert group.orders == orders
+    assert group.classes == classes
+
+
+def test_a5_s5_tables_match_all_pairs():
+    assert_matches_all_pairs(alternating_group_5())
+    assert_matches_all_pairs(symmetric_group_5())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 119), min_size=1, max_size=3), st.randoms())
+def test_shuffled_s5_subgroups_match_all_pairs(gens, rnd):
+    s5 = symmetric_group_5()
+    elements = [s5.elements[i] for i in sorted(s5.generated(gens))]
+    rnd.shuffle(elements)
+    group = FiniteGroup(elements)
+    assert group.elements == tuple(elements)
+    assert_matches_all_pairs(group)
+
+
+def test_matrix_and_unit_tables_match_all_pairs():
+    assert_matches_all_pairs(reconstruct_group().group)
+    assert_matches_all_pairs(FiniteGroup(binary_icosahedral_group()))
+
+
+def count_products(monkeypatch, cls):
+    calls = []
+    mul = cls.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return calls
+
+
+def test_only_generator_rows_cost_products(monkeypatch):
+    # three generators each for the 120 units and the 60 matrices, in the
+    # order the package lists them
+    units, matrices = binary_icosahedral_group(), reconstruct_group().matrices
+    calls = count_products(monkeypatch, Quaternion)
+    FiniteGroup(units)
+    assert len(calls) == 3 * 120
+    calls = count_products(monkeypatch, Matrix)
+    FiniteGroup(matrices)
+    assert len(calls) == 3 * 60
+
+
+def all_pairs_homomorphism(group, target, images):
+    """Extend the generator images along breadth-first words and check
+    every pair of elements: the check the generator-only one replaced."""
+    phi = {group.identity: target.identity}
+    frontier = [group.identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g, image in images.items():
+                q = group.table[g][p]
+                if q not in phi:
+                    phi[q] = target.table[image][phi[p]]
+                    new.append(q)
+        frontier = new
+    phi = [phi[g] for g in range(len(group))]
+    n = len(group)
+    if all(phi[group.table[a][b]] == target.table[phi[a]][phi[b]]
+           for a in range(n) for b in range(n)):
+        return phi
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 119), st.integers(0, 59), st.integers(0, 59), st.booleans())
+def test_homomorphism_matches_all_pairs(x, m5, m2, conjugate):
+    # conjugating both generators by x in S5 is an automorphism of A5;
+    # arbitrary images m5, m2 mostly extend to nothing
+    a5, s5 = alternating_group_5(), symmetric_group_5()
+    p5, p2 = idx(a5, "(12345)", "(12)(34)")
+    if conjugate:
+        g = s5.elements[x]
+        m5, m2 = (a5.index[g * a5.elements[p] * g.inverse()] for p in (p5, p2))
+    images = {p5: m5, p2: m2}
+    phi = a5.homomorphism(a5, images)
+    assert phi == all_pairs_homomorphism(a5, a5, images)
+    if conjugate:
+        assert phi is not None and len(set(phi)) == 60
+
+
+def test_sign_map_and_wrong_generator_images():
+    s5 = symmetric_group_5()
+    c2 = FiniteGroup([Perm.identity(2), Perm((2, 1))])
+    e, t = c2.index[Perm.identity(2)], c2.index[Perm((2, 1))]
+    p5, p2 = idx(s5, "(12345)", "(12)")
+    sign = s5.homomorphism(c2, {p5: e, p2: t})
+    assert sign == [e if g.is_even() else t for g in s5.elements]
+    # an odd image for the even 5-cycle breaks (12345)^5 = 1
+    assert s5.homomorphism(c2, {p5: t, p2: t}) is None
+    # the sign map followed by a wrong image of (12)(34) in A5
+    a5 = alternating_group_5()
+    q5, q2 = idx(a5, "(12345)", "(12)(34)")
+    assert a5.homomorphism(c2, {q5: e, q2: e}) == [e] * 60
+    assert a5.homomorphism(c2, {q5: e, q2: t}) is None
