@@ -128,14 +128,14 @@ class Cyclo:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = Cyclo.rational(1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Cyclo((1, 0, 0, 0)) if result is None else result
 
     # -- structure -----------------------------------------------------------
 

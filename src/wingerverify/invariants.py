@@ -13,6 +13,7 @@ N-orbit needs averaging.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclo import rational
 from .linalg import Matrix
@@ -181,8 +182,14 @@ def reynolds_basis(mats, d: int):
     Averages one degree-d monomial per orbit of the monomial subgroup and
     row-reduces the resulting coefficient vectors; the reduced echelon
     form depends only on their span, which the other monomials of each
-    orbit do not enlarge.
+    orbit do not enlarge.  Bases are cached per (matrix tuple, d); each
+    call returns a new list.
     """
+    return list(_reynolds_basis(tuple(mats), d))
+
+
+@lru_cache(maxsize=128)
+def _reynolds_basis(mats: tuple, d: int) -> tuple:
     monos = monomials_of_degree(d)
     avg = ReynoldsAverager(mats)
     vectors = []
@@ -190,13 +197,11 @@ def reynolds_basis(mats, d: int):
         if not p.is_zero():
             vectors.append([p.coefficient(e) for e in monos])
     if not vectors:
-        return []
+        return ()
     reduced, pivots = Matrix.from_rows(vectors).rref()
-    basis = []
-    for r in range(len(pivots)):
-        basis.append(Poly3({monos[j]: reduced[r][j] for j in range(len(monos))
-                            if not reduced[r][j].is_zero()}))
-    return basis
+    return tuple(Poly3({monos[j]: reduced[r][j] for j in range(len(monos))
+                        if not reduced[r][j].is_zero()})
+                 for r in range(len(pivots)))
 
 
 def contains_up_to_scalar(basis, f: Poly3) -> bool:

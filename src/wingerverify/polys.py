@@ -5,14 +5,65 @@ a 3x3 matrix acts on the variables (precomposition), which is what a
 linear change of coordinates does to a form; a `Substitution` keeps the
 power tables of the three image lines, so many monomials substituted by
 one matrix share them.
+
+Products and substitutions run on integer numerators: each operand is
+written over the lcm of its coefficient denominators as a dict of
+4-integer tuples on 1, zeta, zeta^2, zeta^3 (`_numerators`), the loops
+multiply and add those tuples in Z[zeta_5] (`_convolve`), and a `Cyclo`,
+with its one gcd normalisation, is built only for each output
+coefficient (`_from_numerators`).
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .cyclo import Cyclo, rational
 from .linalg import Matrix
 
 VARS = ("z0", "z1", "z2")
+
+
+def _numerators(terms):
+    """(den, {expo: nums}): the coefficients of `terms` as integer
+    4-tuples over the lcm `den` of their denominators."""
+    den = lcm(*(c.den for c in terms.values()))
+    out = {}
+    for expo, c in terms.items():
+        s = den // c.den
+        out[expo] = c.nums if s == 1 else tuple(x * s for x in c.nums)
+    return den, out
+
+
+def _convolve(p, q, out=None):
+    """Add the product of the numerator dicts p and q into `out` (a new
+    dict by default) and return it: exponents add, and numerators
+    multiply in Z[zeta_5] with the fold of `cyclo._mul` inlined."""
+    if out is None:
+        out = {}
+    get = out.get
+    for (e0, e1, e2), (a0, a1, a2, a3) in p.items():
+        for (f0, f1, f2), (b0, b1, b2, b3) in q.items():
+            c4 = a1 * b3 + a2 * b2 + a3 * b1
+            p0 = a0 * b0 - c4 + a2 * b3 + a3 * b2
+            p1 = a0 * b1 + a1 * b0 - c4 + a3 * b3
+            p2 = a0 * b2 + a1 * b1 + a2 * b0 - c4
+            p3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4
+            key = (e0 + f0, e1 + f1, e2 + f2)
+            cur = get(key)
+            if cur is None:
+                out[key] = (p0, p1, p2, p3)
+            else:
+                c0, c1, c2, c3 = cur
+                out[key] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
+    return out
+
+
+def _from_numerators(den, nums) -> "Poly3":
+    """The Poly3 with coefficients nums[expo] / den, zero ones dropped."""
+    p = object.__new__(Poly3)
+    object.__setattr__(p, "terms", {e: Cyclo(n, den) for e, n in nums.items() if any(n)})
+    return p
 
 
 class Poly3:
@@ -66,14 +117,9 @@ class Poly3:
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
-            out = {}
-            for (a1, b1, c1), x in self.terms.items():
-                for (a2, b2, c2), y in other.terms.items():
-                    key = (a1 + a2, b1 + b2, c1 + c2)
-                    cur = out.get(key)
-                    prod = x * y
-                    out[key] = prod if cur is None else cur + prod
-            return Poly3(out)
+            dp, p = _numerators(self.terms)
+            dq, q = _numerators(other.terms)
+            return _from_numerators(dp * dq, _convolve(p, q))
         return Poly3({e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -81,14 +127,14 @@ class Poly3:
     def __pow__(self, k: int) -> "Poly3":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly3.monomial((0, 0, 0), 1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Poly3.monomial((0, 0, 0), 1) if result is None else result
 
     # -- structure -------------------------------------------------------------
 
@@ -178,7 +224,8 @@ class Substitution:
 
     Holds the three image lines and extends their power tables on demand,
     so every monomial substituted through the same object shares them:
-    the image of z0^a z1^b z2^c is pow0[a] * pow1[b] * pow2[c].
+    the image of z0^a z1^b z2^c is pow0[a] * pow1[b] * pow2[c].  Each
+    table entry is (den, {expo: nums}), in the form of `_numerators`.
     """
 
     __slots__ = ("pows",)
@@ -186,29 +233,39 @@ class Substitution:
     def __init__(self, m: Matrix):
         if (m.rows, m.cols) != (3, 3):
             raise ValueError("need a 3x3 matrix")
-        one = Poly3.monomial((0, 0, 0), 1)
-        self.pows = [[one, Poly3.linear(m.row(i))] for i in range(3)]
+        one = (1, {(0, 0, 0): (1, 0, 0, 0)})
+        self.pows = [[one, _numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
 
-    def image(self, expo) -> Poly3:
-        """The image of the monomial with exponent triple `expo`."""
-        out = None
+    def _image(self, expo):
+        """(den, nums) of the image of the monomial z^expo."""
+        den, out = 1, None
         for table, k in zip(self.pows, expo):
             if not k:
                 continue
             while len(table) <= k:
-                table.append(table[-1] * table[1])
-            out = table[k] if out is None else out * table[k]
-        return self.pows[0][0] if out is None else out
+                (d0, p), (d1, q) = table[-1], table[1]
+                table.append((d0 * d1, _convolve(p, q)))
+            d, p = table[k]
+            den, out = (d, p) if out is None else (den * d, _convolve(out, p))
+        return self.pows[0][0] if out is None else (den, out)
+
+    def image(self, expo) -> Poly3:
+        """The image of the monomial with exponent triple `expo`."""
+        return _from_numerators(*self._image(expo))
 
     def apply(self, f: Poly3) -> Poly3:
-        """f o m: the sum of coef * image(e) over the terms of f."""
-        out = {}
+        """f o m: the sum of coef * image(e) over the terms of f, each
+        scaled to the lcm of the term denominators and added on integers."""
+        terms = []
         for expo, coef in f.terms.items():
-            for e, c in self.image(expo).terms.items():
-                term = c * coef
-                cur = out.get(e)
-                out[e] = term if cur is None else cur + term
-        return Poly3(out)
+            d, img = self._image(expo)
+            terms.append((d * coef.den, coef.nums, img))
+        den = lcm(*(d for d, _, _ in terms))
+        out = {}
+        for d, nums, img in terms:
+            s = den // d
+            _convolve({(0, 0, 0): tuple(x * s for x in nums)}, img, out)
+        return _from_numerators(den, out)
 
 
 def monomials_of_degree(d: int):

@@ -311,6 +311,19 @@ def _q_cubed_gradient() -> tuple:
     return (q_poly() ** 3).gradient()
 
 
+@lru_cache(maxsize=64)
+def _gradient(f: Poly3) -> tuple:
+    return f.gradient()
+
+
+@lru_cache(maxsize=64)
+def _member_derivatives(lam, f: Poly3):
+    """The member Q^3 + lam*f, its gradient and its second partials."""
+    member = pencil_member(lam, f)
+    grad = member.gradient()
+    return member, grad, tuple(g.gradient() for g in grad)
+
+
 def singular_lambda(p, f: Poly3):
     """The unique parameter whose member of Q^3 + lam*f is singular at p.
 
@@ -321,7 +334,7 @@ def singular_lambda(p, f: Poly3):
     """
     p = normalize_point(p)
     gq = tuple(d.evaluate(p) for d in _q_cubed_gradient())
-    gf = tuple(d.evaluate(p) for d in f.gradient())
+    gf = tuple(d.evaluate(p) for d in _gradient(f))
     if all(c.is_zero() for c in gf):
         if all(c.is_zero() for c in gq):
             return None  # singular for every parameter; not a pencil datum
@@ -341,15 +354,12 @@ def node_check(lam, p, f: Poly3) -> bool:
     is a nondegenerate binary form (nonzero discriminant).
     """
     p = normalize_point(p)
-    member = pencil_member(lam, f)
+    member, grad, hess = _member_derivatives(lam, f)
     if member.evaluate(p) != rational(0):
         raise ValueError("point is not on the member")
-    grad = tuple(d.evaluate(p) for d in member.gradient())
-    if any(c for c in grad):
+    if any(d.evaluate(p) for d in grad):
         raise ValueError("point is not singular on the member")
     chart = max(i for i in range(3) if not p[i].is_zero())
     u, v = [i for i in range(3) if i != chart]
-    hess = [[member.partial(i).partial(j).evaluate(p) for j in range(3)]
-            for i in range(3)]
-    a, b, c = hess[u][u], hess[u][v], hess[v][v]
+    a, b, c = (hess[i][j].evaluate(p) for i, j in ((u, u), (u, v), (v, v)))
     return b * b - a * c != rational(0)

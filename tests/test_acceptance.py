@@ -6,6 +6,7 @@ one in-process run of `winger-verify all --deep`.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,26 @@ def gate(claims, num):
     text, ids = CRITERIA[num]
     failing = [i for i in ids if claims.get(i, {}).get("status") != "pass"]
     verdict(num, not failing, text + (f" [not passing: {failing}]" if failing else ""))
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def test_report_matches_benchmark_references(claims):
+    # the benchmark's stored reports of `all` and `pencil --deep` (read
+    # only): same claims in the same order, and each status and witness
+    # unchanged, except that a claim skipped there may pass here
+    for name in ("report-all", "pencil-deep"):
+        ref = json.loads((REFERENCE / f"{name}.json").read_text())["claims"]
+        if name == "report-all":
+            assert [c["id"] for c in ref] == list(claims)
+        for want in ref:
+            got = claims[want["id"]]
+            if want["status"] == "skipped":
+                assert got["status"] in ("skipped", "pass"), want["id"]
+                continue
+            assert (got["status"], got["witness"]) == (want["status"], want["witness"]), \
+                want["id"]
 
 
 def test_every_claim_is_gated(claims):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wingerverify.cyclo import make, rational, zeta
@@ -65,6 +65,96 @@ def test_act_agrees_with_evaluation(f, entries, point):
     sub = Substitution(m)
     for g in (f, f + Poly3.monomial((0, 3, 1), point[0])):
         assert sub.apply(g) == g.act(m)
+
+
+# Oracle for the integer kernels: the Cyclo-level loops they replaced, one
+# field multiply and add per pair of terms.
+def cyclo_mul(f, g):
+    out = {}
+    for (a1, b1, c1), x in f.terms.items():
+        for (a2, b2, c2), y in g.terms.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            cur = out.get(key)
+            prod = x * y
+            out[key] = prod if cur is None else cur + prod
+    return Poly3(out)
+
+
+def cyclo_pow(f, k):
+    out = Poly3.monomial((0, 0, 0), 1)
+    for _ in range(k):
+        out = cyclo_mul(out, f)
+    return out
+
+
+def cyclo_image(m, expo):
+    out = Poly3.monomial((0, 0, 0), 1)
+    for i, k in enumerate(expo):
+        out = cyclo_mul(out, cyclo_pow(Poly3.linear(m.row(i)), k))
+    return out
+
+
+def cyclo_apply(m, f):
+    out = {}
+    for expo, coef in f.terms.items():
+        for e, c in cyclo_image(m, expo).terms.items():
+            term = c * coef
+            cur = out.get(e)
+            out[e] = term if cur is None else cur + term
+    return Poly3(out)
+
+
+# coprime denominators side by side, and numerators past 2^64
+wide = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                 st.lists(st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70)),
+                          min_size=1, max_size=4),
+                 st.sampled_from([1, 2, 3, 5, 6, 15, 2**65 + 1]))
+wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), wide,
+                             max_size=5).map(Poly3)
+X, Y, Z = variables()
+HALF_THIRD = Poly3({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3),
+                    (0, 0, 1): Fraction(1, 5)})
+EQUAL_ROWS = Matrix.from_rows([[1, 2, 3], [1, 2, 3], [0, 0, Fraction(1, 7)]])
+# every power of zeta in every coefficient, so each fold term counts
+ZETA_FORM = Poly3({(1, 0, 0): make([1, 2, 3, 4]), (0, 2, 0): make([0, Fraction(1, 2), -1, 3])})
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys)
+@example(X + Y, X - Y)  # the cross terms cancel
+@example(ZETA_FORM, ZETA_FORM + X)
+@example(Poly3.zero(), HALF_THIRD)
+@example(Poly3.monomial((0, 0, 0), Fraction(2**70, 3)), HALF_THIRD)
+def test_products_match_cyclo_loop(f, g):
+    assert f * g == cyclo_mul(f, g)
+    assert (f + g) * (f - g) == cyclo_mul(f + g, f - g) == f * f - g * g
+    for k in (0, 1, 2, 3):
+        assert f ** k == cyclo_pow(f, k)
+
+
+def test_power_fifteen_matches_cyclo_loop():
+    f = HALF_THIRD + Poly3.monomial((0, 1, 0), zeta())
+    assert f ** 15 == cyclo_pow(f, 15)
+    assert f ** 1 == f and f ** 0 == Poly3.monomial((0, 0, 0), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, st.lists(wide, min_size=9, max_size=9))
+@example(X - Y, list(EQUAL_ROWS.entries))  # the image cancels to zero
+@example(Poly3.zero(), list(EQUAL_ROWS.entries))
+@example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), list(EQUAL_ROWS.entries))
+@example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1),
+         [Fraction(1, 2), 0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 5)])
+def test_substitution_matches_cyclo_loop(f, entries):
+    m = Matrix(3, 3, entries)
+    want = cyclo_apply(m, f)
+    sub = Substitution(m)
+    assert sub.apply(f) == want
+    assert f.act(m) == want
+    for expo in list(f.terms) + [(0, 0, 0), (3, 0, 2)]:
+        assert sub.image(expo) == cyclo_image(m, expo)
+    # the power tables the images extended serve the next form unchanged
+    assert sub.apply(f + HALF_THIRD) == cyclo_apply(m, f + HALF_THIRD)
 
 
 def test_monomials_of_degree():
