@@ -473,7 +473,10 @@ def check_invariants(report, args, corruption):
               reynolds)
 
     def degree6():
-        basis = reynolds_basis(mats, 6)
+        try:
+            basis = reynolds_basis(mats, 6)
+        except ValueError as exc:  # a non-group list has no Reynolds operator
+            return False, {"reynolds": str(exc)}
         full = len(monomials_of_degree(6))
         spanned = (contains_up_to_scalar(basis, q_poly() ** 3)
                    and contains_up_to_scalar(basis, corruption.sextic()))

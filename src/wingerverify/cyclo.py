@@ -10,7 +10,7 @@ data are equal.  All values are immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _mul(a, b):
@@ -226,9 +226,7 @@ def make(raw) -> Cyclo:
     rationals.
     """
     qs = [Fraction(x) for x in raw]
-    den = 1
-    for q in qs:
-        den = den * q.denominator // gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in qs))
     spread = [0] * 5
     for i, q in enumerate(qs):
         spread[i % 5] += int(q * den)

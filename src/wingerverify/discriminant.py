@@ -5,12 +5,13 @@ vanishes exactly when the curve is singular.  For the pencil the
 partials are quintics whose coefficients are linear in the parameter,
 so the Macaulay matrix is A + lam*B (105x105) and so is its
 denominator minor (30x30).  Both determinants are computed as exact
-integer polynomials in lam: per proven prime below 2^81, one inversion
-and one Hessenberg characteristic polynomial mod p, then the Chinese
-remainder theorem past a Hadamard bound.  Their exact quotient is the
-resultant, checked against one integer Bareiss evaluation and certified
-to vanish only at 0, -1 and 27/5, with the degree drop below 75
-witnessing the singular member at infinity.
+integer polynomials in lam: per Proth prime below 2^240, proven by
+Proth's theorem, one inversion and one Hessenberg characteristic
+polynomial mod p, then the Chinese remainder theorem past a Hadamard
+bound.  Their exact quotient is the resultant, checked against one
+integer Bareiss evaluation and certified to vanish only at 0, -1 and
+27/5, with the degree drop below 75 witnessing the singular member at
+infinity.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .linalg import Matrix
@@ -60,13 +61,9 @@ def _int_bareiss_det(m) -> int:
 
 def _to_int_poly(f: Poly3):
     """Exponent->int dict after clearing denominators (rational input only)."""
-    terms = {}
-    denlcm = 1
-    for e, c in f.terms.items():
-        q = c.to_fraction()
-        denlcm = denlcm * q.denominator // gcd(denlcm, q.denominator)
-        terms[e] = q
-    return {e: int(q * denlcm) for e, q in terms.items()}
+    terms = {e: c.to_fraction() for e, c in f.terms.items()}
+    den = lcm(*(q.denominator for q in terms.values()))
+    return {e: int(q * den) for e, q in terms.items()}
 
 
 def macaulay_system(degrees):
@@ -113,13 +110,9 @@ def _eval_determinants(int_fs, degrees):
 
 
 def macaulay_resultant_value(fs, degrees) -> Fraction:
-    """Exact Macaulay resultant of three rational ternary forms.
-
-    Normalized only up to the constant factor introduced by clearing
-    denominators, which does not move the zero locus.
-    """
-    int_fs = [_to_int_poly(f) if isinstance(f, Poly3) else dict(f) for f in fs]
-    full, minor = _eval_determinants(int_fs, degrees)
+    """Exact Macaulay resultant of three integer ternary forms, each an
+    exponent->int dict: the full Macaulay determinant over its minor."""
+    full, minor = _eval_determinants(fs, degrees)
     det_minor = _int_bareiss_det(minor)
     if det_minor == 0:
         raise ZeroDivisionError("degenerate minor; change coordinates first")
@@ -149,34 +142,24 @@ def _pencil_partial_tables():
 
 # -- det(A + lam*B) as an integer polynomial, multi-modular --------------------
 
-# Miller-Rabin with these bases is a proof of primality below
-# 3.3 * 10^24 (Sorenson-Webster), so every modulus below 2^81 is a proven prime.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MODULUS_TOP = 2 ** 81
+def _proth_primes():
+    """Proven primes k*2^120 + 1 (k odd, k < 2^120) below 2^240, descending.
 
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 0 <= n < 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+    By Proth's theorem (Crandall-Pomerance, Prime Numbers, ch. 4),
+    p = k*2^m + 1 with k odd and k < 2^m is prime iff some a has
+    a^((p-1)/2) = -1 mod p.  A prime p gives +-1 for every a (Euler's
+    criterion), so any other value proves p composite; a candidate whose
+    small bases all give 1 is skipped.
+    """
+    step = 1 << 120
+    for k in range(step - 1, 0, -2):
+        p = k * step + 1
+        for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            x = pow(a, p >> 1, p)
+            if x != 1:
                 break
-        else:
-            return False
-    return True
+        if x == p - 1:
+            yield p
 
 
 def _pencil_bound(a, b) -> int:
@@ -312,18 +295,16 @@ def _pencil_det_mod(a, b, p):
 def _pencil_det(a, b):
     """Exact integer coefficients (lowest first) of det(A + lam*B).
 
-    Residues modulo proven primes taken downward from 2^81 are combined
-    by the Chinese remainder theorem until the modulus exceeds twice the
+    Residues modulo the Proth primes below 2^240 are combined by the
+    Chinese remainder theorem until the modulus exceeds twice the
     coefficient bound, so the symmetric residues are the coefficients.
     """
     half = _pencil_bound(a, b)
     coeffs = [0] * (len(a) + 1)
     modulus = 1
-    p = _MODULUS_TOP
+    primes = _proth_primes()
     while modulus <= 2 * half:
-        p -= 1
-        while not _is_prime(p):
-            p -= 1
+        p = next(primes)
         res = _pencil_det_mod(a, b, p)
         lift = pow(modulus, -1, p)
         coeffs = [x + modulus * ((r - x) * lift % p) for x, r in zip(coeffs, res)]

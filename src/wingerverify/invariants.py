@@ -90,51 +90,32 @@ def _monomial_action(m: Matrix):
 
 
 class ReynoldsAverager:
-    """Average of monomials over a matrix list, factored through the
-    monomial subgroup N.
+    """Average of monomials over a finite matrix group, factored through
+    its monomial subgroup N.
 
-    N is the set of monomial matrices of the list, taken when it is closed
-    under products and its right cosets N*r tile the list; otherwise N is
-    the identity alone.  Then the average of f o g over the list equals
-    the average over the coset representatives r of (sum over N of f o n)
-    o r, divided by |N|.  An element of N sends a monomial to a scalar
-    times a monomial, so the inner sum needs no substitution (and is 0
-    for a monomial of nonzero weight under the diagonal part of N); each
-    representative substitutes through one `Substitution`, shared by all
-    the monomials of an `averages` call.
+    The list must be a group: `FiniteGroup` raises ValueError otherwise.
+    The monomial matrices of a matrix group form a subgroup N, and one
+    representative r per right coset N*r is read from the Cayley table.
+    Then the average of f o g over the group equals the average over the
+    representatives r of (sum over N of f o n) o r, divided by |N|.  An
+    element of N sends a monomial to a scalar times a monomial, so the
+    inner sum needs no substitution (and is 0 for a monomial of nonzero
+    weight under the diagonal part of N); each representative
+    substitutes through one `Substitution`, shared by all the monomials
+    of an `averages` call.
     """
 
     def __init__(self, mats):
-        mats = list(mats)
-        self.count = len(mats)
-        sub = [m for m in mats if _monomial_action(m) is not None]
-        reps = self._coset_reps(mats, sub)
-        if reps is None:
-            sub, reps = [Matrix.identity(3)], mats
-        self.subgroup = [_monomial_action(n) for n in sub]
-        self.reps = reps
-
-    @staticmethod
-    def _coset_reps(mats, sub):
-        """Representatives of the right cosets N*r, or None unless N is a
-        group and its cosets tile the list."""
-        members = set(mats)
-        if len(members) != len(mats):
-            return None
-        try:
-            FiniteGroup(sub)
-        except ValueError:  # empty, or not closed under products
-            return None
-        reps, seen = [], set()
-        for g in mats:
-            if g in seen:
-                continue
-            coset = {n * g for n in sub}
-            if not coset <= members:
-                return None
-            reps.append(g)
-            seen |= coset
-        return reps
+        group = FiniteGroup(mats)
+        self.count = len(group)
+        actions = [_monomial_action(m) for m in group.elements]
+        sub = [n for n, action in enumerate(actions) if action is not None]
+        self.subgroup = [actions[n] for n in sub]
+        self.reps, seen = [], set()
+        for g, m in enumerate(group.elements):
+            if g not in seen:
+                self.reps.append(m)
+                seen.update(group.table[n][g] for n in sub)
 
     def _subgroup_images(self, expo):
         """(exponent, scalar) of z^expo o n for each n in N."""
@@ -182,16 +163,22 @@ def reynolds_basis(mats, d: int):
     Averages one degree-d monomial per orbit of the monomial subgroup and
     row-reduces the resulting coefficient vectors; the reduced echelon
     form depends only on their span, which the other monomials of each
-    orbit do not enlarge.  Bases are cached per (matrix tuple, d); each
-    call returns a new list.
+    orbit do not enlarge.  Raises ValueError unless the matrices form a
+    group.  Bases are cached per (matrix tuple, d), and the averager per
+    matrix tuple; each call returns a new list.
     """
     return list(_reynolds_basis(tuple(mats), d))
+
+
+@lru_cache(maxsize=8)
+def _averager(mats: tuple) -> ReynoldsAverager:
+    return ReynoldsAverager(mats)
 
 
 @lru_cache(maxsize=128)
 def _reynolds_basis(mats: tuple, d: int) -> tuple:
     monos = monomials_of_degree(d)
-    avg = ReynoldsAverager(mats)
+    avg = _averager(mats)
     vectors = []
     for p in avg.averages(avg.orbit_representatives(monos)):
         if not p.is_zero():

@@ -2,10 +2,11 @@
 
 Everything is reconstructed from two published inputs: the invariant
 conic Q = z0*z1 + z2^2 and the six-line sextic F.  The 60 matrices of
-the group are NOT hardcoded; they are recovered by solving, for each of
-the 720 ways the six lines could be permuted, the exact linear system a
-line-permuting projective map must satisfy, then rescaling so that the
-bilinear form of Q is preserved on the nose with determinant 1.
+the group are NOT hardcoded; they are recovered from the 720 ways the
+six lines could be permuted: since no three lines meet, a permutation is
+realized by a projective map iff three projective points computed from
+the lines agree, and the map is then rescaled so that the bilinear form
+of Q is preserved on the nose with determinant 1.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .cyclo import Cyclo, rational, zeta
+from .cyclo import Cyclo, golden, rational, zeta
 from .linalg import Matrix
 from .perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
 from .polys import Poly3
@@ -88,34 +89,37 @@ def _matrix_key(m: Matrix):
     return tuple(e.sort_key() for e in m.entries)
 
 
-def _solve_line_permutation(b_inv, w_rest, c_mat, u_rest, gram):
-    """The unique form-preserving det-1 matrix realizing one line permutation.
+def _triple_scalings(b_inv, rows, triple, u_rest):
+    """The realized permutations sigma with sigma(0..2) = `triple`, as a
+    dict from (sigma(3), sigma(4), sigma(5)) to the scaling c.
 
-    Solves L_{sigma(i)} * M = c_i * L_i (rows) for M, given B^-1 for
-    B = the rows of L_{sigma(0)}, L_{sigma(1)}, L_{sigma(2)}, the vectors
-    w = B^-T L_{sigma(i)} and u = C^-T L_i (C = the rows of L_0, L_1, L_2)
-    for i = 3, 4, 5; returns None when the permutation is not realized by
-    any projective map.
+    M = B^-1 diag(c) C sends L_{sigma(i)} to c_i L_i for i < 3, where B
+    holds the rows L_{sigma(0..2)} and C the rows L_{0..2}.  For i >= 3
+    it sends L_{sigma(i)} to a multiple of L_i iff w ⊙ c is proportional
+    to u, with w = B^-T L_{sigma(i)} and u = C^-T L_i the entry of
+    `u_rest`.  When no three lines meet, neither vector has a zero entry
+    and c is the point u / w, taken entry by entry: sigma is realized iff
+    its three points agree.  The nine points are computed once per triple.
     """
-    zero = rational(0)
-    # cross conditions from the remaining three lines:
-    # with M = B^-1 diag(c) C, line i+3 maps correctly iff
-    # (w ⊙ c) is proportional to u, where w = L_{sigma(i)} B^-1, u = L_i C^-1
-    eq_rows = []
-    for w, u in zip(w_rest, u_rest):
-        for j, k in ((0, 1), (0, 2), (1, 2)):
-            row = [zero, zero, zero]
-            row[j] = w[j] * u[k]
-            row[k] = -(w[k] * u[j])
-            eq_rows.append(row)
-    kern = Matrix.from_rows(eq_rows).kernel()
-    if len(kern) != 1:
-        return None
-    c = kern[0]
-    if any(x.is_zero() for x in c):
-        return None
-    m = b_inv * Matrix.diagonal(list(c)) * c_mat
-    # rescale: M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
+    b_inv_t = b_inv.transpose()
+    points = {}
+    for j in range(6):
+        if j not in triple:
+            w = b_inv_t.apply(rows[j])
+            points[j] = [normalize_point(tuple(a / b for a, b in zip(u, w)))
+                         for u in u_rest]
+    out = {}
+    for rest in permutations(points):
+        c = points[rest[0]][0]
+        if points[rest[1]][1] == c and points[rest[2]][2] == c:
+            out[rest] = c
+    return out
+
+
+def _rescale(m, gram):
+    """The multiple of m that preserves the form exactly with det 1, or
+    None when m does not preserve the form up to a scalar."""
+    # M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
     # satisfies t^2 = 1/s and makes the form exactly preserved with det 1
     s_mat = m.transpose() * gram * m
     s = s_mat[0, 1] * 2
@@ -184,24 +188,20 @@ def _build_isomorphism(group: FiniteGroup):
 
 @lru_cache(maxsize=None)
 def reconstruct_group() -> IcosaGroup:
+    if not no_three_concurrent():
+        raise ReconstructionError("three of the six lines are concurrent")
     rows = _line_rows()
     gram = gram_matrix()
-    c_mat = Matrix.from_rows([rows[0], rows[1], rows[2]])
-    c_inv = c_mat.inverse()
-    u_rest = [c_inv.transpose().apply(rows[i]) for i in range(3, 6)]
+    c_mat = Matrix.from_rows(rows[:3])
+    c_inv_t = c_mat.inverse().transpose()
+    u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
     found = set()
-    # the 720 permutations share 120 ordered triples sigma(0..2), and B,
-    # B^-1 and the vectors B^-T L_j depend on the triple alone
+    # the 720 permutations share 120 ordered triples sigma(0..2), and B^-1
+    # and the points u / w depend on the triple alone
     for triple in permutations(range(6), 3):
-        b = Matrix.from_rows([rows[k] for k in triple])
-        if b.det().is_zero():
-            continue
-        b_inv = b.inverse()
-        b_inv_t = b_inv.transpose()
-        w = {j: b_inv_t.apply(rows[j]) for j in range(6) if j not in triple}
-        for rest in permutations(w):
-            m = _solve_line_permutation(b_inv, [w[j] for j in rest], c_mat,
-                                        u_rest, gram)
+        b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
+        for c in _triple_scalings(b_inv, rows, triple, u_rest).values():
+            m = _rescale(b_inv * Matrix.diagonal(list(c)) * c_mat, gram)
             if m is not None:
                 found.add(m)
     if len(found) != 60:
@@ -213,7 +213,7 @@ def reconstruct_group() -> IcosaGroup:
     iso = _build_isomorphism(group)
     # label the identification by the trace of the class of (12345):
     # the golden ratio for I, its conjugate (1-sqrt5)/2 = 1-phi for I'
-    phi = (rational(1) + (zeta() - zeta() ** 2 - zeta() ** 3 + zeta() ** 4)) / 2
+    phi = golden()
     tr = iso[parse_cycles("(12345)", 5)].trace()
     if tr == phi:
         label = "I"

@@ -123,6 +123,7 @@ def test_corrupted_matrix_fails_invariants(capsys):
     out = capsys.readouterr().out
     assert "FAIL molien-closed-form" in out
     assert "FAIL reynolds-dimensions" in out
+    assert "FAIL degree6-invariants" in out
 
 
 def test_report_content_deterministic(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 import sympy
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from wingerverify.discriminant import (_divide_out_root, _exact_quotient,
                                        _hessenberg_charpoly_mod,
-                                       _int_bareiss_det, _is_prime,
-                                       _pencil_bound, _pencil_det,
-                                       _pencil_det_mod, _poly_eval,
+                                       _int_bareiss_det, _pencil_bound,
+                                       _pencil_det, _pencil_det_mod,
+                                       _poly_eval, _proth_primes,
                                        macaulay_resultant_value,
                                        macaulay_system)
 
@@ -60,9 +61,10 @@ def pencil_at(a, b, lam):
 
 
 @st.composite
-def pencils(draw, max_n=8, max_digits=7):
+def pencils(draw, max_n=8, max_digits=40):
     """Small integer pencils (A, B), some with singular A and some
-    identically singular (a zero row or a repeated row pair)."""
+    identically singular (a zero row or a repeated row pair).  With the
+    default digits, the larger ones need two or more 240-bit primes."""
     n = draw(st.integers(1, max_n))
     size = 10 ** draw(st.integers(0, max_digits))
     entry = st.integers(-size, size)
@@ -131,15 +133,15 @@ def test_hessenberg_charpoly_matches_sympy(rows, p):
     assert got == [int(c) % p for c in reversed(expect)]
 
 
-def test_is_prime_matches_sympy():
-    for n in range(0, 5000):
-        assert _is_prime(n) == sympy.isprime(n), n
-    top = 2 ** 81
-    for n in range(top - 3000, top):
-        assert _is_prime(n) == sympy.isprime(n), n
-    # strong pseudoprimes to every base up to 7 and up to 37
-    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not _is_prime(n) and not sympy.isprime(n)
+def test_proth_primes_are_proven_and_descending():
+    primes = list(islice(_proth_primes(), 12))
+    assert primes[0] < 2 ** 240
+    assert all(p > q for p, q in zip(primes, primes[1:]))
+    for p in primes:
+        assert sympy.isprime(p), p
+        m = ((p - 1) & -(p - 1)).bit_length() - 1  # 2^m exactly divides p - 1
+        k = (p - 1) >> m
+        assert k % 2 == 1 and k < 2 ** m, p
 
 
 def test_exact_quotient():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -6,8 +7,9 @@ from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.perms import parse_cycles
 from wingerverify.polys import Poly3
-from wingerverify.winger import (INFINITY, f_poly, gram_matrix,
-                                 irregular_orbits, node_check, normalize_point,
+from wingerverify.winger import (INFINITY, _line_rows, _triple_scalings,
+                                 f_poly, gram_matrix, irregular_orbits,
+                                 node_check, normalize_point,
                                  no_three_concurrent, pencil_member, q_poly,
                                  reconstruct_group, singular_lambda, six_lines)
 
@@ -45,6 +47,46 @@ def test_group_reconstruction():
     eta = zeta()
     diag = Matrix.diagonal([eta, eta ** 4, rational(1)])
     assert diag in set(g.matrices)
+
+
+def kernel_scaling(w_rest, u_rest):
+    """Oracle: the scaling c with (w ⊙ c) proportional to u for each pair,
+    as the kernel of a 9x3 linear system, or None when there is none."""
+    zero = rational(0)
+    eq_rows = []
+    for w, u in zip(w_rest, u_rest):
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            row = [zero, zero, zero]
+            row[j] = w[j] * u[k]
+            row[k] = -(w[k] * u[j])
+            eq_rows.append(row)
+    kern = Matrix.from_rows(eq_rows).kernel()
+    if len(kern) != 1 or any(x.is_zero() for x in kern[0]):
+        return None
+    return kern[0]
+
+
+@pytest.mark.parametrize("replaced", [None, 3, 4, 5])
+def test_closed_form_scalings_match_kernel_solve(replaced):
+    # with one of the lines 3..5 swapped for a line in general position,
+    # maps that match five of the lines need not match the sixth
+    rows = _line_rows()
+    if replaced is not None:
+        rows[replaced] = tuple(rational(x) for x in (1, 2, 3))
+    assert not any(Matrix.from_rows(t).det().is_zero() for t in combinations(rows, 3))
+    c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
+    u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    realized = 0
+    for triple in permutations(range(6), 3):
+        b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
+        oracle = {}
+        for rest in permutations(j for j in range(6) if j not in triple):
+            c = kernel_scaling([b_inv.transpose().apply(rows[j]) for j in rest], u_rest)
+            if c is not None:
+                oracle[rest] = normalize_point(c)
+        assert _triple_scalings(b_inv, rows, triple, u_rest) == oracle, triple
+        realized += len(oracle)
+    assert realized == (60 if replaced is None else 1)
 
 
 def test_group_preserves_everything():
