@@ -21,6 +21,7 @@ import sys
 import traceback
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .characters import (A5_IRREP_LABELS, a5_table, chi_e_s5, decompose,
@@ -442,11 +443,17 @@ def check_binary(report, args, corruption):
 def check_invariants(report, args, corruption):
     mats = corruption.matrices()
 
-    def molien():
+    @cache
+    def molien_or_witness():  # computed once; reynolds-dimensions reads 16 terms
         try:
-            series = molien_series(mats, 31)
+            return molien_series(mats, 31), None
         except ValueError as exc:  # a non-group list has no integral series
-            return False, {"molien": str(exc)}
+            return None, {"molien": str(exc)}
+
+    def molien():
+        series, witness = molien_or_witness()
+        if witness:
+            return False, witness
         closed = molien_closed_form(31)
         ok = series == closed and series[2] == 1 and series[6] == 2
         ok = ok and all(series[k] == 0 for k in range(1, 15, 2))
@@ -457,10 +464,9 @@ def check_invariants(report, args, corruption):
               molien)
 
     def reynolds():
-        try:
-            series = molien_series(mats, 16)
-        except ValueError as exc:
-            return False, {"molien": str(exc)}
+        series, witness = molien_or_witness()
+        if witness:
+            return False, witness
         dims = {}
         for d in list(range(13)) + [15]:
             dims[d] = len(reynolds_basis(mats, d))

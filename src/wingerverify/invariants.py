@@ -1,23 +1,22 @@
-"""Molien series and Reynolds-operator invariant spaces for a matrix group.
+"""Molien series and explicit invariant bases for a matrix group.
 
 Two independent computations of the invariant dimensions: the Molien
 average of 1/det(I - T*g) as an exact power series, and explicit bases
-obtained by averaging monomials over the group.  The averaging goes
-through the monomial subgroup N (for the icosahedral group a D10): an
-element of N sends a monomial to a scalar times a monomial, so the
-average over N is read off directly, only one representative per right
-coset N*r needs a polynomial substitution, and only one monomial per
-N-orbit needs averaging.
+by the linear algebra method.  An element of the monomial subgroup N
+(for the icosahedral group a D10) sends a monomial to a scalar times a
+monomial, so the N-invariants are spanned by N-orbit sums read off
+without substitution; the invariants of the group are the N-invariants
+fixed by a few extra generators, found by a generation check, each
+substituted once per orbit sum.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import rational
 from .linalg import Matrix
-from .perms import FiniteGroup
+from .perms import FiniteGroup, finite_group
 from .polys import Poly3, Substitution, monomials_of_degree
 
 
@@ -89,102 +88,74 @@ def _monomial_action(m: Matrix):
     return cols, tuple(m[i, j] for i, j in nonzero)
 
 
-class ReynoldsAverager:
-    """Average of monomials over a finite matrix group, factored through
-    its monomial subgroup N.
+def reynolds_basis(mats, d: int):
+    """Exact basis of the degree-d invariants, as a list of Poly3.
 
-    The list must be a group: `FiniteGroup` raises ValueError otherwise.
-    The monomial matrices of a matrix group form a subgroup N, and one
-    representative r per right coset N*r is read from the Cayley table.
-    Then the average of f o g over the group equals the average over the
-    representatives r of (sum over N of f o n) o r, divided by |N|.  An
-    element of N sends a monomial to a scalar times a monomial, so the
-    inner sum needs no substitution (and is 0 for a monomial of nonzero
-    weight under the diagonal part of N); each representative
-    substitutes through one `Substitution`, shared by all the monomials
-    of an `averages` call.
+    The invariants are the N-invariants fixed by generators of the group
+    outside N (Derksen-Kemper, Computational Invariant Theory, 3.1).  The
+    nonzero N-orbit sums of the degree-d monomials have disjoint supports,
+    so they are a basis of the N-invariants; each extra generator is
+    substituted once into each of them, and the kernel of g - 1 in that
+    basis is row-reduced over the monomials, so the result depends only
+    on the invariant space.  Raises ValueError unless the matrices form a
+    group.  Bases are cached per (matrix tuple, d); each call returns a
+    new list.
     """
+    return list(_reynolds_basis(tuple(mats), d))
 
-    def __init__(self, mats):
-        group = FiniteGroup(mats)
-        self.count = len(group)
-        actions = [_monomial_action(m) for m in group.elements]
-        sub = [n for n, action in enumerate(actions) if action is not None]
-        self.subgroup = [actions[n] for n in sub]
-        self.reps, seen = [], set()
-        for g, m in enumerate(group.elements):
-            if g not in seen:
-                self.reps.append(m)
-                seen.update(group.table[n][g] for n in sub)
 
-    def _subgroup_images(self, expo):
-        """(exponent, scalar) of z^expo o n for each n in N."""
-        for cols, scalars in self.subgroup:
+def _extra_generators(group: FiniteGroup, sub) -> list:
+    """Elements that generate the group together with `sub`: each element
+    not yet in the generated subgroup is added, so the loop proves
+    generation instead of assuming it."""
+    extra, generated = [], group.generated(sub)
+    for g in range(len(group)):
+        if g not in generated:
+            extra.append(g)
+            generated = group.generated(sub + extra)
+    return extra
+
+
+def _orbit_sums(actions, monos) -> list:
+    """The nonzero sums of z^e o n over n in N, one per N-orbit of `monos`;
+    `actions` are the (columns, scalars) of the elements of N."""
+    sums, seen = [], set()
+    for expo in monos:
+        if expo in seen:
+            continue
+        terms = {}
+        for cols, scalars in actions:
             img = [0, 0, 0]
             coef = rational(1)
             for i, k in enumerate(expo):
                 img[cols[i]] = k
                 coef = coef * scalars[i] ** k
-            yield tuple(img), coef
-
-    def orbit_representatives(self, monos):
-        """One exponent triple of `monos` per N-orbit.  z^e o n is a nonzero
-        multiple of another monomial z^e', and averaging over the list
-        absorbs n, so e and e' have proportional averages."""
-        reps, seen = [], set()
-        for expo in monos:
-            if expo not in seen:
-                reps.append(expo)
-                seen.update(img for img, _ in self._subgroup_images(expo))
-        return reps
-
-    def averages(self, expos):
-        """Reynolds projections of several monomials: the list averages of
-        z^e o g.  The representatives are taken one at a time, each
-        through one `Substitution` that every monomial shares, so only
-        one set of power tables is alive at once."""
-        inners = [sum((Poly3.monomial(img, c) for img, c in self._subgroup_images(e)),
-                      Poly3.zero()) for e in expos]
-        sums = [Poly3.zero()] * len(inners)
-        for r in self.reps:
-            sub = Substitution(r)
-            sums = [acc + sub.apply(inner) if inner.terms else acc
-                    for acc, inner in zip(sums, inners)]
-        return [acc * Fraction(1, self.count) for acc in sums]
-
-    def average(self, expo) -> Poly3:
-        """Reynolds projection of a single monomial."""
-        return self.averages([expo])[0]
-
-
-def reynolds_basis(mats, d: int):
-    """Exact basis of the degree-d invariants, as a list of Poly3.
-
-    Averages one degree-d monomial per orbit of the monomial subgroup and
-    row-reduces the resulting coefficient vectors; the reduced echelon
-    form depends only on their span, which the other monomials of each
-    orbit do not enlarge.  Raises ValueError unless the matrices form a
-    group.  Bases are cached per (matrix tuple, d), and the averager per
-    matrix tuple; each call returns a new list.
-    """
-    return list(_reynolds_basis(tuple(mats), d))
-
-
-@lru_cache(maxsize=8)
-def _averager(mats: tuple) -> ReynoldsAverager:
-    return ReynoldsAverager(mats)
+            img = tuple(img)
+            terms[img] = terms[img] + coef if img in terms else coef
+        seen.update(terms)
+        orbit_sum = Poly3(terms)
+        if not orbit_sum.is_zero():
+            sums.append(orbit_sum)
+    return sums
 
 
 @lru_cache(maxsize=128)
 def _reynolds_basis(mats: tuple, d: int) -> tuple:
+    group = finite_group(mats)
+    actions = [_monomial_action(m) for m in group.elements]
+    sub = [n for n, action in enumerate(actions) if action is not None]
     monos = monomials_of_degree(d)
-    avg = _averager(mats)
-    vectors = []
-    for p in avg.averages(avg.orbit_representatives(monos)):
-        if not p.is_zero():
-            vectors.append([p.coefficient(e) for e in monos])
-    if not vectors:
+    sums = _orbit_sums([actions[n] for n in sub], monos)
+    rows = []
+    for g in _extra_generators(group, sub):
+        subst = Substitution(group.elements[g])
+        moved = [subst.apply(p) - p for p in sums]
+        rows.extend([q.coefficient(e) for q in moved] for e in monos)
+    kernel = Matrix(len(rows), len(sums), [c for row in rows for c in row]).kernel()
+    if not kernel:
         return ()
+    fixed = [sum((p * c for c, p in zip(vec, sums)), Poly3.zero()) for vec in kernel]
+    vectors = [[f.coefficient(e) for e in monos] for f in fixed]
     reduced, pivots = Matrix.from_rows(vectors).rref()
     return tuple(Poly3({monos[j]: reduced[r][j] for j in range(len(monos))
                         if not reduced[r][j].is_zero()})

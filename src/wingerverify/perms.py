@@ -281,6 +281,12 @@ class FiniteGroup:
         return None
 
 
+@lru_cache(maxsize=8)
+def finite_group(elements: tuple) -> FiniteGroup:
+    """`FiniteGroup(elements)`, built once per element tuple."""
+    return FiniteGroup(elements)
+
+
 @lru_cache(maxsize=None)
 def symmetric_group_5() -> FiniteGroup:
     """S5 as degree-5 permutations, in lexicographic order."""

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 from .cyclo import Cyclo, golden, rational, zeta
 from .linalg import Matrix
-from .perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
+from .perms import FiniteGroup, Perm, alternating_group_5, finite_group, parse_cycles
 from .polys import Poly3
 
 
@@ -207,7 +207,7 @@ def reconstruct_group() -> IcosaGroup:
     if len(found) != 60:
         raise ReconstructionError(f"expected 60 survivors, got {len(found)}")
     try:
-        group = FiniteGroup(sorted(found, key=_matrix_key))
+        group = finite_group(tuple(sorted(found, key=_matrix_key)))
     except ValueError as exc:
         raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
     iso = _build_isomorphism(group)

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wingerverify import cli, covers
+from wingerverify import cli, covers, invariants, perms, winger
 from wingerverify.cli import Corruption, main
+from wingerverify.linalg import Matrix
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -124,6 +125,33 @@ def test_corrupted_matrix_fails_invariants(capsys):
     assert "FAIL molien-closed-form" in out
     assert "FAIL reynolds-dimensions" in out
     assert "FAIL degree6-invariants" in out
+
+
+def test_corrupted_matrix_invariant_witnesses(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["invariants", "--corrupt", "matrix:3", "--json", str(path)]) == 1
+    capsys.readouterr()
+    witnesses = {c["id"]: c["witness"] for c in json.loads(path.read_text())["claims"]}
+    molien = {"molien": "non-integer Molien coefficient 1/60"}
+    assert witnesses == {
+        "molien-closed-form": molien, "reynolds-dimensions": molien,
+        "degree6-invariants": {"reynolds": "element list is not closed under the product"}}
+
+
+def test_all_builds_the_matrix_group_once(monkeypatch, capsys):
+    builds = []
+    init = perms.FiniteGroup.__init__
+
+    def logged(self, elements):
+        elements = tuple(elements)
+        builds.append((type(elements[0]), len(elements)))
+        init(self, elements)
+    monkeypatch.setattr(perms.FiniteGroup, "__init__", logged)
+    for cached in (winger.reconstruct_group, perms.finite_group, invariants._reynolds_basis):
+        cached.cache_clear()
+    assert run(["all"]) == 0
+    capsys.readouterr()
+    assert builds.count((Matrix, 60)) == 1
 
 
 def test_report_content_deterministic(tmp_path, capsys):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from wingerverify.cyclo import make
-from wingerverify.invariants import (ReynoldsAverager, _molien_denominator,
+from wingerverify.invariants import (_molien_denominator, _monomial_action,
                                      contains_up_to_scalar, molien_closed_form,
                                      molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3
+from wingerverify.polys import Poly3, monomials_of_degree
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
 
 
@@ -40,8 +40,6 @@ def test_molien_rejects_non_groups():
         molien_series(bad, 10)
     with pytest.raises(ValueError):
         reynolds_basis(bad, 2)
-    with pytest.raises(ValueError):
-        ReynoldsAverager(bad)
 
 
 # Q[x, t] with x standing for zeta; Phi5 is monic in x, so the remainder
@@ -77,21 +75,6 @@ def test_reynolds_dims_match_molien():
         assert len(reynolds_basis(mats(), d)) == series[d], d
 
 
-def test_reynolds_idempotent_and_invariant():
-    avg = ReynoldsAverager(mats())
-    p = avg.average((2, 2, 2))
-    # invariant under every element, and averaging a second time fixes it
-    for m in list(mats())[::9]:
-        assert p.act(m) == p
-    total = None
-    for e, c in p.terms.items():
-        img = avg.average(e) * c.to_fraction()
-        total = img if total is None else total + img
-    if total is None:
-        total = p  # zero projection trivially fixed
-    assert total == p
-
-
 def test_degree_2_and_6_spaces():
     b2 = reynolds_basis(mats(), 2)
     assert len(b2) == 1
@@ -113,20 +96,50 @@ def plain_average(mat_list, expo):
     return acc * Fraction(1, len(mat_list))
 
 
-def test_fast_path_agrees_with_full_average():
-    avg = ReynoldsAverager(mats())
-    # the monomial subgroup is a D10 with six right cosets
-    assert len(avg.subgroup) == 10 and len(avg.reps) == 6
-    for expo in ((2, 0, 0), (1, 1, 0), (2, 2, 2), (3, 1, 2), (5, 0, 0), (0, 5, 1)):
-        assert avg.average(expo) == plain_average(mats(), expo)
+def plain_basis(mat_list, d):
+    """Oracle: the RREF of the plain averages of every degree-d monomial."""
+    monos = monomials_of_degree(d)
+    rows = [[p.coefficient(e) for e in monos]
+            for p in (plain_average(mat_list, expo) for expo in monos)]
+    reduced, pivots = Matrix.from_rows(rows).rref()
+    return [Poly3(dict(zip(monos, reduced[r]))) for r in range(len(pivots))]
 
 
-exponents = st.tuples(*[st.integers(0, 10)] * 3).filter(lambda e: sum(e) <= 10)
+def test_low_degree_bases_match_plain_average():
+    for d in range(7):
+        assert reynolds_basis(mats(), d) == plain_basis(mats(), d), d
+
+
+def test_bases_match_molien_and_a_generating_pair():
+    # a generating pair found by search, not the monomial subgroup plus one
+    group = reconstruct_group().group
+    pair = next((a, b) for a in range(len(group)) for b in range(a)
+                if len(group.generated((a, b))) == len(group))
+    series = molien_series(mats(), 16)
+    for d in list(range(13)) + [15]:
+        basis = reynolds_basis(mats(), d)
+        assert len(basis) == series[d], d
+        for p in basis:
+            assert all(p.act(group.elements[g]) == p for g in pair), d
 
 
 @settings(max_examples=10, deadline=None)
-@given(exponents, st.permutations(range(60)))
-def test_average_matches_plain_group_average(expo, order):
-    # the element order picks the coset representatives
+@given(st.integers(0, 10), st.permutations(range(60)))
+def test_shuffled_order_gives_same_basis(d, order):
+    # the element order picks N's orbit representatives and the extra generators
     shuffled = [mats()[i] for i in order]
-    assert ReynoldsAverager(shuffled).average(expo) == plain_average(mats(), expo)
+    assert reynolds_basis(shuffled, d) == reynolds_basis(mats(), d)
+
+
+def test_klein_group_without_monomial_elements():
+    # conjugated diagonal sign changes: N = {I}, so two extra generators
+    p = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    klein = [p * Matrix.diagonal(signs) * p.inverse()
+             for signs in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+    assert sum(_monomial_action(m) is not None for m in klein) == 1
+    dims = []
+    for d in range(5):
+        basis = reynolds_basis(klein, d)
+        assert basis == plain_basis(klein, d), d
+        dims.append(len(basis))
+    assert dims == [1, 0, 3, 1, 6]
