@@ -51,14 +51,15 @@ class ClassFunction:
 
 @lru_cache(maxsize=None)
 def _class_data(group: str):
-    """The group, its ordered class representatives and their classes
-    (tuples of element indices)."""
+    """The group, the element indices of its ordered class representatives
+    and their classes (tuples of element indices)."""
     table = alternating_group_5() if group == "A5" else symmetric_group_5()
-    reps = [parse_cycles(s, 5) for s in (A5_CLASS_REPS if group == "A5" else S5_CLASS_REPS)]
-    classes = [table.class_of[table.index[r]] for r in reps]
+    reps = tuple(table.index[parse_cycles(s, 5)]
+                 for s in (A5_CLASS_REPS if group == "A5" else S5_CLASS_REPS))
+    classes = tuple(table.class_of[r] for r in reps)
     if len(set(classes)) != len(table.classes):
         raise CharacterError("class representatives do not cover the group")
-    return table, tuple(reps), tuple(classes)
+    return table, reps, classes
 
 
 def class_index(group: str, g: Perm) -> int:
@@ -92,16 +93,15 @@ def a5_table() -> tuple:
     chi_i = ClassFunction("A5", (rational(3), rational(-1), rational(0), phi, phibar))
     chi_ip = ClassFunction("A5", (rational(3), rational(-1), rational(0), phibar, phi))
     # V: natural 5-point permutation character minus trivial
-    _, reps, _ = _class_data("A5")
-    chi_v = ClassFunction("A5", tuple(len(r.fixed_points()) - 1 for r in reps))
+    a5, reps, _ = _class_data("A5")
+    chi_v = ClassFunction("A5", tuple(len(a5.elements[r].fixed_points()) - 1
+                                      for r in reps))
     # W: 6-point coset action of a dihedral subgroup of order 10, minus trivial
-    a5 = alternating_group_5()
     d10 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(25)(34)"))
     if len(d10) != 10:
         raise CharacterError(f"dihedral subgroup has order {len(d10)}, not 10")
     action = a5.coset_action(d10)
-    chi_w = ClassFunction("A5", tuple(len(action[a5.index[r]].fixed_points()) - 1
-                                      for r in reps))
+    chi_w = ClassFunction("A5", tuple(len(action[r].fixed_points()) - 1 for r in reps))
     table = (trivial, chi_i, chi_ip, chi_v, chi_w)
     for i, a in enumerate(table):
         for j, b in enumerate(table):
@@ -114,9 +114,11 @@ def a5_table() -> tuple:
 @lru_cache(maxsize=None)
 def power_maps(group: str = "A5"):
     """For each class index, the class indices of g^2 and g^3."""
-    _, reps, _ = _class_data(group)
-    sq = tuple(class_index(group, r * r) for r in reps)
-    cu = tuple(class_index(group, r * r * r) for r in reps)
+    table, reps, classes = _class_data(group)
+    mul = table.table
+    squares = [mul[r][r] for r in reps]
+    sq = tuple(classes.index(table.class_of[s]) for s in squares)
+    cu = tuple(classes.index(table.class_of[mul[s][r]]) for s, r in zip(squares, reps))
     return sq, cu
 
 
@@ -194,5 +196,6 @@ def restrict_to_a5(chi: ClassFunction) -> ClassFunction:
     """Restriction of an S5 class function along the inclusion A5 < S5."""
     if chi.group != "S5":
         raise CharacterError("expected an S5 class function")
-    _, a5_reps, _ = _class_data("A5")
-    return ClassFunction("A5", tuple(chi.values[class_index("S5", g)] for g in a5_reps))
+    a5, a5_reps, _ = _class_data("A5")
+    return ClassFunction("A5", tuple(chi.values[class_index("S5", a5.elements[r])]
+                                     for r in a5_reps))

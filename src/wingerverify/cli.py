@@ -30,7 +30,7 @@ from .cyclo import rational
 from .invariants import (contains_up_to_scalar, molien_closed_form,
                          molien_series, reynolds_basis)
 from .linalg import Matrix
-from .perms import parse_cycles
+from .perms import alternating_group_5, parse_cycles
 from .polys import Poly3, monomials_of_degree
 from .report import Claim, ClaimReport, error_witness, run_claim
 from .winger import (INFINITY, gram_matrix, irregular_orbits, node_check,
@@ -282,18 +282,20 @@ def check_tuples(report, args, corruption):
               "element counts by order: 15 involutions, 20 of order 3, 24 of order 5",
               orders)
 
+    a5 = alternating_group_5()
+
     def pairs():
         orbits = hurwitz.pair_orbits()
         ok = len(orbits) == 6 and all(len(o) == 60 for o in orbits)
         matched = set()
         for r, a, b in hurwitz.PAIR_REPRESENTATIVES:
-            g1, g2 = parse_cycles(a, 5), parse_cycles(b, 5)
-            ok = ok and (g1 * g2).order() == r
+            g1, g2 = a5.index[parse_cycles(a, 5)], a5.index[parse_cycles(b, 5)]
+            ok = ok and a5.orders[a5.table[g1][g2]] == r
             hits = [i for i, o in enumerate(orbits) if (g1, g2) in o]
             ok = ok and len(hits) == 1
             matched.update(hits)
         ok = ok and len(matched) == 6
-        rvals = sorted((t[0] * t[1]).order() for t in map(min, orbits))
+        rvals = sorted(a5.orders[a5.table[g1][g2]] for g1, g2 in map(min, orbits))
         ok = ok and rvals == [2, 2, 3, 3, 5, 5]
         return ok, {"orbits": len(orbits), "sizes": [len(o) for o in orbits],
                     "r_values": rvals}
@@ -310,15 +312,12 @@ def check_tuples(report, args, corruption):
             fac = hurwitz.involution_factorizations(h)
             if len(fac) != r:
                 return False, {"r": r, "count": len(fac)}
-            if r == 2 and not all(a * b == b * a for a, b in fac):
+            if r == 2 and not all(a5.table[a][b] == a5.table[b][a] for a, b in fac):
                 return False, {"r": 2, "noncommuting": True}
             if r in (3, 5):
                 a, b = min(fac)
-                orbit = set()
-                xk = h
-                for _ in range(r):
-                    orbit.add((xk * a * xk.inverse(), xk * b * xk.inverse()))
-                    xk = xk * h
+                orbit = {(a5.conjugate(a, x), a5.conjugate(b, x))
+                         for x in a5.generated((h,))}
                 if orbit != fac or len(orbit) != r:
                     return False, {"r": r, "orbit_size": len(orbit)}
             wit[r] = len(fac)
@@ -345,9 +344,14 @@ def check_tuples(report, args, corruption):
                   class_count)
 
         def table_rows(classes=classes):
-            matched = hurwitz.validate_tuple_table(classes)
+            matched, unmatched = hurwitz.validate_tuple_table(classes)
             want = {c for c in classes if c.g1_class == "(12345)"}
-            return set(matched) == want, {"rows_matched": len(matched)}
+            witness = {"rows_matched": len(matched)}
+            if unmatched:
+                witness["unmatched"] = unmatched
+            if len(set(matched)) != len(matched):
+                witness["distinct_classes"] = len(set(matched))
+            return set(matched) == want, witness
         run_claim(report, f"tuple-table-rows{tag}",
                   f"the ten published rows match the ten classes with g1 ~ (12345) "
                   f"[{conv}]",

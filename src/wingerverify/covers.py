@@ -80,18 +80,19 @@ def degeneration_report(t) -> DegenerationReport:
     The coalesced monodromy is h = g3*g4 of order n in {2,3,5}; the
     normalization has one component per coset of H = <g1, g2, h>, each a
     regular H-cover of the line branched over (ord g1, ord g2, n), and
-    the nodes form one orbit with stabilizer of order 2n.
+    the nodes form one orbit with stabilizer of order 2n.  The tuple
+    holds A5 element indices.
     """
+    a5 = alternating_group_5()
     g1, g2, g3, g4 = t
-    h = g3 * g4
-    n = h.order()
+    h = a5.table[g3][g4]
+    n = a5.orders[h]
     if n not in (2, 3, 5):
         raise ValueError(f"coalesced monodromy has order {n}")
     e = 60 // (2 * n)
-    a5 = alternating_group_5()
-    order = len(a5.generated(a5.index[g] for g in (g1, g2, h)))
+    order = len(a5.generated((g1, g2, h)))
     v = 60 // order
-    genus = regular_cover_genus(order, (g1.order(), g2.order(), n))
+    genus = regular_cover_genus(order, (a5.orders[g1], a5.orders[g2], n))
     p_a = v * genus + 1 - v + e
     return DegenerationReport(n=n, nodes=e, components=v,
                               component_genus=genus, arithmetic_genus=p_a)

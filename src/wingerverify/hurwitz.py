@@ -1,8 +1,10 @@
 """Generating 4-tuples of A5 with order profile (5,2,2,2) and braid orbits.
 
-The composition convention is inherited from perms: (g*h)(x) = g(h(x)),
-the right factor acting first.  A left-to-right reading of a tuple
-product is available for cross-checking convention-sensitive tables.
+An element of A5 is its index into `alternating_group_5()`, whose
+element list is lexicographic, so the least index tuple is the least
+permutation tuple.  The composition convention is inherited from perms:
+(g*h)(x) = g(h(x)).  `tuple_product` alone knows how a tuple is read; its
+left-to-right reading is for cross-checking convention-sensitive tables.
 """
 
 from __future__ import annotations
@@ -10,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perms import Perm, alternating_group_5, parse_cycles
+from .perms import alternating_group_5, parse_cycles
 
 CONVENTIONS = ("rtl", "ltr")
 
 
-def tuple_product(t, convention: str = "rtl") -> Perm:
-    """Product of a tuple of permutations.
+def tuple_product(t, convention: str = "rtl") -> int:
+    """Product of a tuple of A5 element indices.
 
     "rtl": g1*g2*...*gk under the package convention (rightmost acts
     first on points).  "ltr": the same symbols composed in the opposite
@@ -24,20 +26,18 @@ def tuple_product(t, convention: str = "rtl") -> Perm:
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    seq = t if convention == "rtl" else tuple(reversed(t))
-    acc = seq[0]
-    for g in seq[1:]:
-        acc = acc * g
+    table = alternating_group_5().table
+    acc, *rest = t if convention == "rtl" else reversed(t)
+    for g in rest:
+        acc = table[acc][g]
     return acc
 
 
 @lru_cache(maxsize=None)
 def order_sets():
-    """Elements of each order r in {2, 3, 5}, in A5's element order."""
-    a5 = alternating_group_5()
-    out = {r: tuple(g for g, k in zip(a5.elements, a5.orders) if k == r)
-           for r in (2, 3, 5)}
-    return out
+    """Element indices of each order r in {2, 3, 5}, ascending."""
+    orders = alternating_group_5().orders
+    return {r: tuple(g for g, k in enumerate(orders) if k == r) for r in (2, 3, 5)}
 
 
 # one representative pair per orbit, tagged by the order of g1*g2
@@ -54,29 +54,29 @@ PAIR_REPRESENTATIVES = (
 def pair_orbits():
     """Orbits of simultaneous conjugation on (order 5) x (order 2) pairs.
 
-    Returns a list of orbits, each a frozenset of pairs.  There are six,
-    all free (size 60), with ord(g1*g2) hitting 2, 3 and 5 twice each.
+    Returns a list of orbits, each a frozenset of index pairs.  There are
+    six, all free (size 60), with ord(g1*g2) hitting 2, 3 and 5 twice each.
     """
     a5 = alternating_group_5()
     sets = order_sets()
-    remaining = {(a5.index[g1], a5.index[g2]) for g1 in sets[5] for g2 in sets[2]}
+    remaining = {(g1, g2) for g1 in sets[5] for g2 in sets[2]}
     orbits = []
     while remaining:
         orbit = a5.conjugates(min(remaining))
-        orbits.append(frozenset((a5.elements[i], a5.elements[j]) for i, j in orbit))
+        orbits.append(frozenset(orbit))
         remaining -= orbit
     return orbits
 
 
-def involution_factorizations(h: Perm):
+def involution_factorizations(h: int):
     """All ordered pairs (h1, h2) of involutions in A5 with h1*h2 = h."""
-    r = h.order()
-    if r not in (2, 3, 5):
-        raise ValueError(f"order {r} not in {{2, 3, 5}}")
-    invs = order_sets()[2]
-    out = {(h1, h1.inverse() * h) for h1 in invs
-           if (h1.inverse() * h).order() == 2}
-    if any(h1 * h2 != h for h1, h2 in out):
+    a5 = alternating_group_5()
+    table, inverse, orders = a5.table, a5.inverse, a5.orders
+    if orders[h] not in (2, 3, 5):
+        raise ValueError(f"order {orders[h]} not in {{2, 3, 5}}")
+    out = {(h1, table[inverse[h1]][h]) for h1 in order_sets()[2]
+           if orders[table[inverse[h1]][h]] == 2}
+    if any(table[h1][h2] != h for h1, h2 in out):
         raise ValueError(f"a factorization of {h} does not multiply back to it")
     return out
 
@@ -86,28 +86,26 @@ def involution_factorizations(h: Perm):
 
 @dataclass(frozen=True, order=True)
 class TupleClass:
-    """Canonical representative of a simultaneous-conjugation class."""
+    """Canonical representative of a simultaneous-conjugation class: the
+    least index tuple in it."""
 
     rep: tuple
 
     @property
     def r_value(self) -> int:
         """Order of g1*g2 (equivalently of (g3*g4)^-1)."""
-        return (self.rep[0] * self.rep[1]).order()
+        a5 = alternating_group_5()
+        return a5.orders[a5.table[self.rep[0]][self.rep[1]]]
 
     @property
     def g1_class(self) -> str:
         """Cycle string of the lexicographically least A5-conjugate of g1."""
         a5 = alternating_group_5()
-        return a5.elements[a5.class_of[a5.index[self.rep[0]]][0]].cycle_string()
+        return a5.elements[a5.class_of[self.rep[0]][0]].cycle_string()
 
 
 def canonical_class(t) -> TupleClass:
-    # indices follow the element order, so the least index tuple is the
-    # least conjugate
-    a5 = alternating_group_5()
-    least = min(a5.conjugates(tuple(a5.index[g] for g in t)))
-    return TupleClass(tuple(a5.elements[i] for i in least))
+    return TupleClass(min(alternating_group_5().conjugates(tuple(t))))
 
 
 def is_generating(t) -> bool:
@@ -124,24 +122,20 @@ def enumerate_tuple_classes(convention: str = "rtl"):
     elements generate.  Exactly 20 classes.
     """
     a5 = alternating_group_5()
-    table, inverse = a5.table, a5.inverse
-    sets = {r: [a5.index[g] for g in order_sets()[r]] for r in (2, 5)}
+    sets = order_sets()
     seen = set()
     classes = set()
     for g1 in sets[5]:
         for g2 in sets[2]:
             for g3 in sets[2]:
-                if convention == "rtl":
-                    # g1*g2*g3*g4 = e  =>  g4 = (g1*g2*g3)^-1
-                    g4 = inverse[table[table[g1][g2]][g3]]
-                else:
-                    g4 = inverse[table[table[g3][g2]][g1]]
+                # the product of (g1, g2, g3, g4) is e in the chosen reading
+                g4 = a5.inverse[tuple_product((g1, g2, g3), convention)]
                 t = (g1, g2, g3, g4)
                 if a5.orders[g4] != 2 or t in seen or not is_generating(t):
                     continue
                 orbit = a5.conjugates(t)
                 seen |= orbit
-                classes.add(TupleClass(tuple(a5.elements[i] for i in min(orbit))))
+                classes.add(TupleClass(min(orbit)))
     return tuple(sorted(classes))
 
 
@@ -158,14 +152,11 @@ def hurwitz_move(k: int, t, inverse: bool = False, convention: str = "rtl"):
     if not 1 <= k <= len(t) - 1:
         raise ValueError("slot out of range")
     a, b = t[k - 1], t[k]
-    if convention == "rtl":
-        conj = (lambda x, y: x * y * x.inverse())
-    else:
-        conj = (lambda x, y: x.inverse() * y * x)
+    inv = alternating_group_5().inverse
     if inverse:
-        new = (b, conj(b.inverse(), a))
+        new = (b, tuple_product((inv[b], a, b), convention))
     else:
-        new = (conj(a, b), a)
+        new = (tuple_product((a, b, inv[a]), convention), a)
     return t[:k - 1] + new + t[k + 1:]
 
 
@@ -228,28 +219,25 @@ TUPLE_TABLE_ROWS = (
 )
 
 
-def _parsed_table():
-    return [tuple(parse_cycles(s, 5) for s in row) for row in TUPLE_TABLE_ROWS]
-
-
 def validate_tuple_table(classes):
-    """Match the ten published rows against the enumerated classes.
+    """Match the published rows against the enumerated classes.
 
-    A row validates if, after simultaneous conjugation and possibly
+    A row matches if, after simultaneous conjugation and possibly
     slotwise inversion (which absorbs the reading direction of the
-    published products), it lands on an enumerated class whose first
-    slot is a 5-cycle conjugate to (12345).  Returns the list of matched
-    classes; raises on any failure or double match.
+    published products), it lands on one of `classes`.  Returns the
+    matched classes, one per matching row, and the rows (as published)
+    that match none.
     """
+    a5 = alternating_group_5()
     by_rep = set(classes)
-    matched = []
-    for row in _parsed_table():
-        candidates = {canonical_class(row),
-                      canonical_class(tuple(g.inverse() for g in row))}
-        hits = [c for c in candidates if c in by_rep]
-        if not hits:
-            raise ValueError(f"published row {row} matches no enumerated class")
-        matched.append(hits[0])
-    if len(set(matched)) != 10:
-        raise ValueError("published rows do not hit 10 distinct classes")
-    return matched
+    matched, unmatched = [], []
+    for row in TUPLE_TABLE_ROWS:
+        t = tuple(a5.index[parse_cycles(s, 5)] for s in row)
+        hits = [c for c in (canonical_class(t),
+                            canonical_class(a5.inverse[g] for g in t))
+                if c in by_rep]
+        if hits:
+            matched.append(hits[0])
+        else:
+            unmatched.append(row)
+    return matched, unmatched

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wingerverify import cli, covers, invariants, perms, winger
+from wingerverify import cli, covers, hurwitz, invariants, perms, winger
 from wingerverify.cli import Corruption, main
 from wingerverify.linalg import Matrix
 
@@ -152,6 +152,40 @@ def test_all_builds_the_matrix_group_once(monkeypatch, capsys):
     assert run(["all"]) == 0
     capsys.readouterr()
     assert builds.count((Matrix, 60)) == 1
+
+
+def test_tuples_make_no_permutation_products(monkeypatch, capsys):
+    # with the A5 Cayley table built, the tuple claims read every product
+    # from it
+    perms.alternating_group_5()
+    for cached in (hurwitz.order_sets, hurwitz.enumerate_tuple_classes):
+        cached.cache_clear()
+    calls = []
+    mul = perms.Perm.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+    monkeypatch.setattr(perms.Perm, "__mul__", counted)
+    assert run(["tuples", "--convention", "ltr"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_bad_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):
+    rows = list(hurwitz.TUPLE_TABLE_ROWS)
+    rows[0] = rows[0][:3] + ("(12)(34)",)
+    monkeypatch.setattr(hurwitz, "TUPLE_TABLE_ROWS", tuple(rows))
+    path = tmp_path / "report.json"
+    assert run(["tuples", "--json", str(path)]) == 1
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert claims["tuple-table-rows"]["status"] == "fail"
+    assert claims["tuple-table-rows"]["witness"] == {
+        "rows_matched": 9,
+        "unmatched": [["(12345)", "(12)(35)", "(15)(34)", "(12)(34)"]]}
+    assert [c["id"] for c in claims.values() if c["status"] != "pass"] == [
+        "tuple-table-rows"]
 
 
 def test_report_content_deterministic(tmp_path, capsys):

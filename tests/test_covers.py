@@ -10,6 +10,7 @@ from wingerverify.covers import (DegenerationReport, Quaternion, alpha_value,
                                  homology_character_check, regular_cover_genus,
                                  signature_solutions)
 from wingerverify.cyclo import rational
+from wingerverify.perms import Perm, alternating_group_5
 
 
 def test_alpha_values():
@@ -41,9 +42,23 @@ def test_degeneration_shapes():
     for _, r in reports:
         assert r.arithmetic_genus == 10
         assert r.nodes * 2 * r.n == 60
-    # the r-value of the class matches the coalesced order
+    # the coalesced order and the component count, recomputed with Perm
+    # arithmetic on the class's elements
+    elements = alternating_group_5().elements
     for cls, r in reports:
-        assert r.n == (cls.rep[2] * cls.rep[3]).order()
+        g1, g2, g3, g4 = (elements[g] for g in cls.rep)
+        assert r.n == (g3 * g4).order() == cls.r_value
+        assert r.components == 60 // len(perm_closure((g1, g2, g3 * g4)))
+
+
+def perm_closure(gens):
+    """The subgroup generated by some permutations, by repeated products."""
+    members = {Perm.identity(gens[0].degree)}
+    frontier = list(members)
+    while frontier:
+        frontier = list({g * p for p in frontier for g in gens} - members)
+        members.update(frontier)
+    return members
 
 
 def test_homology_character():

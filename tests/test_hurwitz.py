@@ -1,27 +1,55 @@
+"""Tuple classes and braid moves on A5 element indices.
+
+Every product, order and conjugate the module reads from the Cayley table is
+recomputed here with `Perm` arithmetic on `a5.elements[i]`, as an oracle
+independent of the table.
+"""
+
 from collections import Counter
 
 import pytest
 
-from wingerverify import hurwitz
-from wingerverify.hurwitz import (PAIR_REPRESENTATIVES, TUPLE_TABLE_ROWS,
-                                  braid_orbits, canonical_class,
-                                  enumerate_tuple_classes, hurwitz_move,
-                                  involution_factorizations, order_sets,
-                                  pair_orbits, tuple_product,
+from wingerverify.hurwitz import (CONVENTIONS, PAIR_REPRESENTATIVES,
+                                  TUPLE_TABLE_ROWS, braid_orbits,
+                                  canonical_class, enumerate_tuple_classes,
+                                  hurwitz_move, involution_factorizations,
+                                  order_sets, pair_orbits, tuple_product,
                                   validate_tuple_table)
 from wingerverify.perms import Perm, alternating_group_5, parse_cycles
+
+A5 = alternating_group_5()
+E = A5.elements
+IDENTITY = Perm.identity(5)
+
+
+def index(text):
+    return A5.index[parse_cycles(text, 5)]
+
+
+def perm_product(t, convention="rtl"):
+    """The oracle: the product of the permutations behind an index tuple."""
+    seq = [E[g] for g in (t if convention == "rtl" else reversed(t))]
+    acc = seq[0]
+    for p in seq[1:]:
+        acc = acc * p
+    return acc
 
 
 def test_order_sets():
     sets = order_sets()
     assert {r: len(sets[r]) for r in sets} == {2: 15, 3: 20, 5: 24}
+    for r, members in sets.items():
+        assert list(members) == sorted(members)
+        assert all(E[g].order() == r for g in members)
 
 
 def test_tuple_product_conventions():
-    a = parse_cycles("(12)", 5)
-    b = parse_cycles("(23)", 5)
-    assert tuple_product((a, b), "rtl") == a * b
-    assert tuple_product((a, b), "ltr") == b * a
+    a, b, c = index("(123)"), index("(12)(45)"), index("(12345)")
+    assert E[a] * E[b] != E[b] * E[a]
+    assert E[tuple_product((a, b), "rtl")] == E[a] * E[b]
+    assert E[tuple_product((a, b), "ltr")] == E[b] * E[a]
+    assert E[tuple_product((a, b, c), "rtl")] == E[a] * E[b] * E[c]
+    assert E[tuple_product((a, b, c), "ltr")] == E[c] * E[b] * E[a]
     with pytest.raises(ValueError):
         tuple_product((a, b), "sideways")
 
@@ -30,16 +58,20 @@ def test_pair_orbits_free_and_typed():
     orbits = pair_orbits()
     assert len(orbits) == 6
     assert all(len(o) == 60 for o in orbits)
-    rvals = sorted((min(o)[0] * min(o)[1]).order() for o in orbits)
+    rvals = sorted((E[min(o)[0]] * E[min(o)[1]]).order() for o in orbits)
     assert rvals == [2, 2, 3, 3, 5, 5]
+    for o in orbits:
+        g1, g2 = min(o)
+        assert {(E[h1], E[h2]) for h1, h2 in o} == {
+            (x * E[g1] * x.inverse(), x * E[g2] * x.inverse()) for x in E}
 
 
 def test_published_pair_representatives():
     orbits = pair_orbits()
     hit = set()
     for r, a, b in PAIR_REPRESENTATIVES:
-        g1, g2 = parse_cycles(a, 5), parse_cycles(b, 5)
-        assert (g1 * g2).order() == r
+        g1, g2 = index(a), index(b)
+        assert (E[g1] * E[g2]).order() == r
         idx = [i for i, o in enumerate(orbits) if (g1, g2) in o]
         assert len(idx) == 1
         hit.update(idx)
@@ -52,11 +84,12 @@ def test_involution_factorizations():
         h = min(sets[r])
         fac = involution_factorizations(h)
         assert len(fac) == r
-        assert all(a * b == h for a, b in fac)
+        assert all(E[a] * E[b] == E[h] for a, b in fac)
+        assert all(E[a].order() == E[b].order() == 2 for a, b in fac)
     h2 = min(sets[2])
-    assert all(a * b == b * a for a, b in involution_factorizations(h2))
+    assert all(E[a] * E[b] == E[b] * E[a] for a, b in involution_factorizations(h2))
     with pytest.raises(ValueError):
-        involution_factorizations(Perm.identity(5))
+        involution_factorizations(A5.identity)
 
 
 def test_twenty_classes_and_splits():
@@ -66,17 +99,17 @@ def test_twenty_classes_and_splits():
     assert Counter(c.g1_class for c in classes) == Counter(
         {"(12345)": 10, "(12354)": 10})
     for c in classes:
-        g1, g2, g3, g4 = c.rep
+        g1, g2, g3, g4 = (E[g] for g in c.rep)
         assert (g1.order(), g2.order(), g3.order(), g4.order()) == (5, 2, 2, 2)
-        assert g1 * g2 * g3 * g4 == parse_cycles("()", 5)
+        assert g1 * g2 * g3 * g4 == IDENTITY
+        assert c.r_value == (g1 * g2).order()
 
 
 def test_classes_stable_under_iteration_order():
     classes = enumerate_tuple_classes()
-    a5 = alternating_group_5()
     x = parse_cycles("(253)", 5)
     for c in classes[::5]:
-        t = tuple(x * g * x.inverse() for g in c.rep)
+        t = tuple(A5.index[x * E[g] * x.inverse()] for g in c.rep)
         assert canonical_class(t) == c
 
 
@@ -85,8 +118,32 @@ def test_hurwitz_move_roundtrip_and_product():
     t = classes[0].rep
     for k in (1, 2, 3):
         moved = hurwitz_move(k, t)
-        assert tuple_product(moved) == parse_cycles("()", 5)
+        assert perm_product(moved) == IDENTITY
+        assert tuple_product(moved) == A5.identity
         assert hurwitz_move(k, moved, inverse=True) == t
+
+
+def test_hurwitz_move_matches_perm_formula():
+    # forward (a, b) -> (a b a^-1, a) and inverse (a, b) -> (b, b^-1 a b),
+    # each conjugation written in the tuple product's reading
+    for conv in CONVENTIONS:
+        classes = enumerate_tuple_classes(conv)
+        assert len(classes) == 20
+        for cls in classes:
+            t = cls.rep
+            for k in (1, 2, 3):
+                a, b = E[t[k - 1]], E[t[k]]
+                if conv == "rtl":
+                    forward = (a * b * a.inverse(), a)
+                    backward = (b, b.inverse() * a * b)
+                else:
+                    forward = (a.inverse() * b * a, a)
+                    backward = (b, b * a * b.inverse())
+                for inverse, pair in ((False, forward), (True, backward)):
+                    moved = hurwitz_move(k, t, inverse=inverse, convention=conv)
+                    assert tuple(E[g] for g in moved[k - 1:k + 1]) == pair
+                    assert moved[:k - 1] + moved[k + 1:] == t[:k - 1] + t[k + 1:]
+                    assert perm_product(moved, conv) == IDENTITY
 
 
 def test_first_displayed_map_is_braid_square_mod_conjugation():
@@ -96,11 +153,12 @@ def test_first_displayed_map_is_braid_square_mod_conjugation():
     # trivially on classes
     for cls in enumerate_tuple_classes()[::4]:
         t = cls.rep
-        a1, a2, a3, a4 = t
+        a1, a2, a3, a4 = (E[g] for g in t)
         c = a1 * a2
-        displayed = (a1, a2, c * a3 * c.inverse(), c * a4 * c.inverse())
+        displayed = tuple(A5.index[g] for g in
+                          (a1, a2, c * a3 * c.inverse(), c * a4 * c.inverse()))
         square = hurwitz_move(1, hurwitz_move(1, t, inverse=True), inverse=True)
-        assert tuple(c * g * c.inverse() for g in square) == displayed
+        assert tuple(A5.index[c * E[g] * c.inverse()] for g in square) == displayed
         assert canonical_class(displayed) == canonical_class(square)
 
 
@@ -121,22 +179,26 @@ def test_second_displayed_map_preserves_weighted_orbits():
     parts = braid_orbits(classes, "weighted")
     whereis = {c: i for i, p in enumerate(parts) for c in p}
     for c in classes:
-        a1, a2, a3, a4 = c.rep
+        a1, a2, a3, a4 = (E[g] for g in c.rep)
         image = (a2.inverse() * a1 * a2, a3 * a2 * a3.inverse(), a3,
                  a2.inverse() * a4 * a2)
-        assert tuple_product(image) == parse_cycles("()", 5)
-        assert whereis[canonical_class(image)] == whereis[c]
+        assert image[0] * image[1] * image[2] * image[3] == IDENTITY
+        assert whereis[canonical_class(A5.index[g] for g in image)] == whereis[c]
 
 
 def test_table_rows_validate():
     assert len(TUPLE_TABLE_ROWS) == 10
     classes = enumerate_tuple_classes()
-    matched = validate_tuple_table(classes)
+    matched, unmatched = validate_tuple_table(classes)
+    assert unmatched == []
+    assert len(matched) == 10
     assert set(matched) == {c for c in classes if c.g1_class == "(12345)"}
 
 
 def test_ltr_enumeration_matches_counts():
     classes = enumerate_tuple_classes("ltr")
     assert len(classes) == 20
+    for c in classes:
+        assert perm_product(c.rep, "ltr") == IDENTITY
     parts = braid_orbits(classes, "pure", "ltr")
     assert sorted(len(p) for p in parts) == [10, 10]
