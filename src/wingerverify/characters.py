@@ -1,12 +1,14 @@
-"""Class functions on A5 and S5 with exact cyclotomic values.
+"""Class functions on A5 with exact cyclotomic values, and the one S5
+character that is restricted to A5.
 
 The A5 class ordering is fixed as (1), (12)(34), (123), (12345), (12354);
 for S5 it is (1), (12), (12)(34), (123), (123)(45), (1234), (12345).
 The irreducible table of A5 is assembled from scratch: the two
-3-dimensional characters carry (1 +- sqrt5)/2, the 4-dimensional one is
-the natural permutation character minus the trivial one, and the
-5-dimensional one comes from the 6-point coset action of a dihedral
-subgroup of order 10, read from the Cayley table of A5.
+3-dimensional characters carry (1 +- sqrt5)/2, and the 4- and
+5-dimensional ones are the permutation characters of the point
+stabilizer A4 and of a dihedral subgroup of order 10, each induced from
+the trivial character, minus the trivial character.  Conjugacy in S5 is
+cycle type, so an S5 class function restricts by cycle type.
 Subgroups of A5 are frozensets of A5 element indices (see perms).
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import Cyclo, golden, rational, sqrt5
-from .perms import Perm, alternating_group_5, parse_cycles, symmetric_group_5
+from .perms import Perm, alternating_group_5, parse_cycles
 
 A5_CLASS_REPS = ("()", "(12)(34)", "(123)", "(12345)", "(12354)")
 S5_CLASS_REPS = ("()", "(12)", "(12)(34)", "(123)", "(123)(45)", "(1234)", "(12345)")
@@ -50,38 +52,40 @@ class ClassFunction:
 
 
 @lru_cache(maxsize=None)
-def _class_data(group: str):
-    """The group, the element indices of its ordered class representatives
-    and their classes (tuples of element indices)."""
-    table = alternating_group_5() if group == "A5" else symmetric_group_5()
-    reps = tuple(table.index[parse_cycles(s, 5)]
-                 for s in (A5_CLASS_REPS if group == "A5" else S5_CLASS_REPS))
-    classes = tuple(table.class_of[r] for r in reps)
-    if len(set(classes)) != len(table.classes):
+def _class_data():
+    """The element indices of the ordered A5 class representatives and
+    their classes (tuples of element indices)."""
+    a5 = alternating_group_5()
+    reps = tuple(a5.index[parse_cycles(s, 5)] for s in A5_CLASS_REPS)
+    classes = tuple(a5.class_of[r] for r in reps)
+    if len(set(classes)) != len(a5.classes):
         raise CharacterError("class representatives do not cover the group")
-    return table, reps, classes
+    return reps, classes
 
 
-def class_index(group: str, g: Perm) -> int:
-    table, _, classes = _class_data(group)
-    if g not in table.index:
-        raise CharacterError(f"element {g} not in {group}")
-    return classes.index(table.class_of[table.index[g]])
-
-
-def class_sizes(group: str) -> tuple:
-    return tuple(len(c) for c in _class_data(group)[2])
+def class_sizes() -> tuple:
+    return tuple(len(c) for c in _class_data()[1])
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     """(1/|G|) sum over classes of size * chi * conj(psi); exact."""
-    if chi.group != psi.group:
-        raise CharacterError("group tag mismatch")
-    table, _, classes = _class_data(chi.group)
+    if chi.group != "A5" or psi.group != "A5":
+        raise CharacterError("inner products implemented for A5 only")
     acc = rational(0)
-    for size, a, b in zip(class_sizes(chi.group), chi.values, psi.values):
+    for size, a, b in zip(class_sizes(), chi.values, psi.values):
         acc = acc + a * b.conjugate() * size
-    return acc / len(table)
+    return acc / len(alternating_group_5())
+
+
+def _permutation_character(gens, order: int) -> ClassFunction:
+    """Ind_H^A5 of the trivial character minus the trivial character, for
+    H generated by the given cycle strings, which must have `order`."""
+    a5 = alternating_group_5()
+    sub = a5.generated(a5.index[parse_cycles(s, 5)] for s in gens)
+    if len(sub) != order:
+        raise CharacterError(f"subgroup has order {len(sub)}, not {order}")
+    return ClassFunction("A5", tuple(v - 1 for v in
+                                     induced_character(sub, lambda _: 1).values))
 
 
 @lru_cache(maxsize=None)
@@ -92,16 +96,8 @@ def a5_table() -> tuple:
     trivial = ClassFunction("A5", (1, 1, 1, 1, 1))
     chi_i = ClassFunction("A5", (rational(3), rational(-1), rational(0), phi, phibar))
     chi_ip = ClassFunction("A5", (rational(3), rational(-1), rational(0), phibar, phi))
-    # V: natural 5-point permutation character minus trivial
-    a5, reps, _ = _class_data("A5")
-    chi_v = ClassFunction("A5", tuple(len(a5.elements[r].fixed_points()) - 1
-                                      for r in reps))
-    # W: 6-point coset action of a dihedral subgroup of order 10, minus trivial
-    d10 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(25)(34)"))
-    if len(d10) != 10:
-        raise CharacterError(f"dihedral subgroup has order {len(d10)}, not 10")
-    action = a5.coset_action(d10)
-    chi_w = ClassFunction("A5", tuple(len(action[r].fixed_points()) - 1 for r in reps))
+    chi_v = _permutation_character(("(123)", "(12)(34)"), 12)  # point stabilizer A4
+    chi_w = _permutation_character(("(12345)", "(25)(34)"), 10)  # dihedral D10
     table = (trivial, chi_i, chi_ip, chi_v, chi_w)
     for i, a in enumerate(table):
         for j, b in enumerate(table):
@@ -112,19 +108,21 @@ def a5_table() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def power_maps(group: str = "A5"):
-    """For each class index, the class indices of g^2 and g^3."""
-    table, reps, classes = _class_data(group)
-    mul = table.table
-    squares = [mul[r][r] for r in reps]
-    sq = tuple(classes.index(table.class_of[s]) for s in squares)
-    cu = tuple(classes.index(table.class_of[mul[s][r]]) for s, r in zip(squares, reps))
+def power_maps():
+    """For each A5 class index, the class indices of g^2 and g^3."""
+    a5 = alternating_group_5()
+    reps, classes = _class_data()
+    squares = [a5.table[r][r] for r in reps]
+    sq = tuple(classes.index(a5.class_of[s]) for s in squares)
+    cu = tuple(classes.index(a5.class_of[a5.table[s][r]]) for s, r in zip(squares, reps))
     return sq, cu
 
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:
     """Character of the symmetric cube: (x(g)^3 + 3 x(g^2) x(g) + 2 x(g^3)) / 6."""
-    sq, cu = power_maps(chi.group)
+    if chi.group != "A5":
+        raise CharacterError("power maps implemented for A5 only")
+    sq, cu = power_maps()
     vals = []
     for i, v in enumerate(chi.values):
         vals.append((v * v * v + chi.values[sq[i]] * v * 3 + chi.values[cu[i]] * 2) / 6)
@@ -133,8 +131,6 @@ def sym_cube(chi: ClassFunction) -> ClassFunction:
 
 def decompose(chi: ClassFunction) -> dict:
     """Multiplicities of the A5 irreducibles; errors on non-characters."""
-    if chi.group != "A5":
-        raise CharacterError("decomposition implemented for A5 only")
     out = {}
     for label, irr in zip(A5_IRREP_LABELS, a5_table()):
         m = inner_product(chi, irr)
@@ -161,7 +157,7 @@ def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
         for x in sub:
             if val(a5.conjugate(h, x)) != val(h):
                 raise CharacterError("not a class function on the subgroup")
-    _, _, classes = _class_data("A5")
+    _, classes = _class_data()
     vals = []
     for cls in classes:
         acc = rational(0)
@@ -192,10 +188,17 @@ def chi_e_s5() -> ClassFunction:
     return ClassFunction("S5", (6, 0, -2, 0, 0, 0, 1))
 
 
+def _cycle_type(g: Perm) -> tuple:
+    return tuple(sorted(len(c) for c in g.cycles()))
+
+
 def restrict_to_a5(chi: ClassFunction) -> ClassFunction:
     """Restriction of an S5 class function along the inclusion A5 < S5."""
     if chi.group != "S5":
         raise CharacterError("expected an S5 class function")
-    a5, a5_reps, _ = _class_data("A5")
-    return ClassFunction("A5", tuple(chi.values[class_index("S5", a5.elements[r])]
-                                     for r in a5_reps))
+    types = [_cycle_type(parse_cycles(s, 5)) for s in S5_CLASS_REPS]
+    if len(set(types)) != len(types):
+        raise CharacterError("two S5 class representatives share a cycle type")
+    a5 = alternating_group_5()
+    return ClassFunction("A5", tuple(chi.values[types.index(_cycle_type(a5.elements[r]))]
+                                     for r in _class_data()[0]))

@@ -133,9 +133,10 @@ def check_orbits(report, args, corruption):
                        {"sizes": group.class_sizes()}))
 
     def traces():
+        a5 = alternating_group_5()
         by_class = {}
         for rep in ("()", "(12)(34)", "(123)", "(12345)", "(12354)"):
-            by_class[rep] = str(group.trace_of_class(parse_cycles(rep, 5)))
+            by_class[rep] = str(group.trace_of_class(a5.index[parse_cycles(rep, 5)]))
         row = a5_table()[1 if group.label == "I" else 2]
         ok = all(str(v) == by_class[r] for v, r in
                  zip(row.values, ("()", "(12)(34)", "(123)", "(12345)", "(12354)")))
@@ -253,7 +254,7 @@ def check_pencil(report, args, corruption):
     if args.deep:
         def deep():
             from .discriminant import pencil_discriminant
-            _, mults = pencil_discriminant()
+            _, mults = pencil_discriminant(f)
             return mults == {"degree": 60, "0": 44, "-1": 6, "27/5": 10,
                              "residual_degree": 0,
                              "residual_is_nonzero_constant": True}, mults

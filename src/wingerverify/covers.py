@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, permutations
 from .characters import (a5_table, decompose, induced_character,
                          sign_class_function, sym_cube)
 from .cyclo import Cyclo, golden, rational
-from .perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
+from .perms import Perm, alternating_group_5, finite_group, parse_cycles
 from .hurwitz import enumerate_tuple_classes
 
 CYCLIC_STABILIZER_ORDERS = (1, 2, 3, 5)
@@ -99,7 +99,7 @@ def degeneration_report(t) -> DegenerationReport:
 
 
 def all_degeneration_reports():
-    return [(cls, degeneration_report(cls.rep)) for cls in enumerate_tuple_classes()]
+    return [(cls, degeneration_report(cls.rep)) for cls in enumerate_tuple_classes("rtl")]
 
 
 def homology_character_check():
@@ -209,12 +209,6 @@ def binary_icosahedral_group():
     return frozenset(units)
 
 
-@lru_cache(maxsize=None)
-def _unit_group(units: frozenset) -> FiniteGroup:
-    """The Cayley table of a unit set; ValueError when it is not closed."""
-    return FiniteGroup(units)
-
-
 def binary_icosahedral_checks():
     """Closure, norms, center, perfectness and the quotient class sizes."""
     units = binary_icosahedral_group()
@@ -223,7 +217,7 @@ def binary_icosahedral_checks():
     report["order"] = len(units)
     report["norm_one"] = all(q.norm() == rational(1) for q in units)
     try:
-        group = _unit_group(units)
+        group = finite_group(tuple(units))
     except ValueError:
         report["closed"] = False
         return report

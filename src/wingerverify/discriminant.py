@@ -26,7 +26,7 @@ from operator import mul
 
 from .linalg import Matrix
 from .polys import Poly3, monomials_of_degree
-from .winger import f_poly, q_poly
+from .winger import q_poly
 
 
 def _int_bareiss_det(m) -> int:
@@ -119,9 +119,10 @@ def macaulay_resultant_value(fs, degrees) -> Fraction:
     return Fraction(_int_bareiss_det(full), det_minor)
 
 
-def _pencil_partial_tables():
+def _pencil_partial_tables(f):
     """For each variable, integer coefficient tables (A, B) with
-    d((Q^3 + lam*F) o T)/dz_i = A + lam*B.
+    d((Q^3 + lam*f) o T)/dz_i = A + lam*B, for the sextic f (F itself,
+    or a perturbed copy).
 
     A fixed unimodular-ish change of coordinates T is applied first: in
     the symmetric original coordinates the Macaulay denominator minor
@@ -131,7 +132,7 @@ def _pencil_partial_tables():
     """
     t = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     q3 = (q_poly() ** 3).act(t)
-    f = f_poly().act(t)
+    f = f.act(t)
     tables = []
     for i in range(3):
         a = _to_int_poly(q3.partial(i))
@@ -349,8 +350,8 @@ def _exact_quotient(num, den):
     return quot
 
 
-def pencil_discriminant():
-    """The resultant of the pencil's partials as a polynomial in lambda.
+def pencil_discriminant(f):
+    """The resultant of the partials of Q^3 + lam*f as a polynomial in lambda.
 
     Returns (coefficients lowest-first, multiplicities dict).  The
     multiplicities dict maps the roots 0, -1 and 27/5 to their orders
@@ -358,7 +359,7 @@ def pencil_discriminant():
     roots out, the remaining factor must be a nonzero constant, which
     certifies that no other finite singular parameter exists.
     """
-    tables = _pencil_partial_tables()
+    tables = _pencil_partial_tables(f)
     degrees = (5, 5, 5)
     full_a, minor_a = _eval_determinants([a for a, _ in tables], degrees)
     full_b, minor_b = _eval_determinants([b for _, b in tables], degrees)

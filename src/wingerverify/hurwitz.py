@@ -114,12 +114,13 @@ def is_generating(t) -> bool:
 
 
 @lru_cache(maxsize=None)
-def enumerate_tuple_classes(convention: str = "rtl"):
+def enumerate_tuple_classes(convention: str):
     """All classes of generating (5,2,2,2)-tuples with product identity.
 
     Brute force over g1 in A5(5), g2, g3 in A5(2); g4 is forced by the
-    product condition and kept when it is an involution and the four
-    elements generate.  Exactly 20 classes.
+    product condition, read in `convention` as by `tuple_product`, and
+    kept when it is an involution and the four elements generate.
+    Exactly 20 classes.
     """
     a5 = alternating_group_5()
     sets = order_sets()

@@ -34,11 +34,8 @@ def _series_reciprocal(den, nterms: int):
 
 def _molien_denominator(m: Matrix):
     """Coefficients of det(I - T*m) for a 3x3 m, lowest first:
-    1 - tr(m) T + e2(m) T^2 - det(m) T^3, e2 the sum of principal 2x2 minors."""
-    e2 = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-          + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-          + m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-    return [rational(1), -m.trace(), e2, -m.det()]
+    1 - tr(m) T + tr(adj m) T^2 - det(m) T^3."""
+    return [rational(1), -m.trace(), m.adjugate().trace(), -m.det()]
 
 
 def molien_series(mats, nterms: int = 31):

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over Q(zeta_5).
 
-Determinants use fraction-free (Bareiss) elimination; inverses and
-kernels come from reduced row echelon form.
+Determinants and inverses are those of 3x3 matrices, the only shape
+they meet, and come from the adjugate; kernels and ranks come from
+reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -127,35 +128,21 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
+    def adjugate(self) -> "Matrix":
+        """The 3x3 adjugate (transposed cofactors): m * adj(m) = det(m) * I."""
+        if (self.rows, self.cols) != (3, 3):
+            raise ValueError("adjugate of a non-3x3 matrix")
+        a, b, c, d, e, f, g, h, i = self.entries
+        return Matrix(3, 3, (e * i - f * h, c * h - b * i, b * f - c * e,
+                             f * g - d * i, a * i - c * g, c * d - a * f,
+                             d * h - e * g, b * g - a * h, a * e - b * d))
+
+    def _det_from(self, adj: "Matrix") -> Cyclo:
+        """The first row of a 3x3 matrix times the first column of its adjugate."""
+        return self[0, 0] * adj[0, 0] + self[0, 1] * adj[1, 0] + self[0, 2] * adj[2, 0]
+
     def det(self) -> Cyclo:
-        """Exact determinant by fraction-free elimination, pivot = first nonzero."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        k = self.rows
-        if k == 0:
-            return rational(1)
-        m = self.to_rows()
-        sign = 1
-        prev = rational(1)
-        for col in range(k - 1):
-            piv = None
-            for r in range(col, k):
-                if not m[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return rational(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                sign = -sign
-            pivval = m[col][col]
-            for r in range(col + 1, k):
-                for c in range(col + 1, k):
-                    m[r][c] = (pivval * m[r][c] - m[r][col] * m[col][c]) / prev
-                m[r][col] = rational(0)
-            prev = pivval
-        d = m[k - 1][k - 1]
-        return d if sign == 1 else -d
+        return self._det_from(self.adjugate())
 
     def rref(self):
         """Reduced row echelon form; returns (rows as lists, pivot column list)."""
@@ -188,16 +175,11 @@ class Matrix:
         return len(self.rref()[1])
 
     def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        k = self.rows
-        ident = Matrix.identity(k)
-        aug = Matrix(k, 2 * k,
-                     [x for i in range(k) for x in (*self.row(i), *ident.row(i))])
-        m, pivots = aug.rref()
-        if pivots != list(range(k)):
+        adj = self.adjugate()
+        d = self._det_from(adj)
+        if d.is_zero():
             raise ValueError("singular matrix")
-        return Matrix(k, k, [e for row in m for e in row[k:]])
+        return adj * d.inv()
 
     def kernel(self):
         """Exact basis of the right null space, as column tuples."""

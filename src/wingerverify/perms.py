@@ -1,5 +1,5 @@
 """Permutations and the finite-group layer (Cayley tables, classes,
-subgroups, coset actions).
+subgroups, homomorphisms); A5 is the one permutation group built here.
 
 Composition convention is fixed once and for all: (g * h)(x) = g(h(x)),
 i.e. the right factor acts first.  Every product of group elements in
@@ -68,9 +68,6 @@ class Perm:
 
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
-
-    def fixed_points(self):
-        return [i + 1 for i, im in enumerate(self.images) if im == i + 1]
 
     def cycles(self):
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -239,21 +236,6 @@ class FiniteGroup:
         return self.generated({table[table[table[a][b]][inverse[a]]][inverse[b]]
                                for a in range(n) for b in range(n)})
 
-    def coset_action(self, sub) -> list:
-        """Left multiplication on the left cosets of the subgroup `sub`.
-
-        Returns, for each element index, the permutation of degree [G:H]
-        it induces on the cosets, numbered by their least representative.
-        """
-        table = self.table
-        pos, reps = {}, []
-        for g in range(len(table)):
-            if g not in pos:
-                for h in sub:
-                    pos[table[g][h]] = len(reps)
-                reps.append(g)
-        return [Perm(pos[table[g][r]] + 1 for r in reps) for g in range(len(table))]
-
     def homomorphism(self, target: "FiniteGroup", images: dict):
         """The homomorphism into `target` sending each generator index
         (a key of `images`) to its image index, as a list over this
@@ -285,12 +267,6 @@ class FiniteGroup:
 def finite_group(elements: tuple) -> FiniteGroup:
     """`FiniteGroup(elements)`, built once per element tuple."""
     return FiniteGroup(elements)
-
-
-@lru_cache(maxsize=None)
-def symmetric_group_5() -> FiniteGroup:
-    """S5 as degree-5 permutations, in lexicographic order."""
-    return FiniteGroup(Perm(p) for p in permutations(range(1, 6)))
 
 
 @lru_cache(maxsize=None)

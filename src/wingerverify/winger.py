@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 
 from .cyclo import Cyclo, golden, rational, zeta
 from .linalg import Matrix
-from .perms import FiniteGroup, Perm, alternating_group_5, finite_group, parse_cycles
+from .perms import FiniteGroup, alternating_group_5, finite_group, parse_cycles
 from .polys import Poly3
 
 
@@ -140,14 +140,15 @@ def _rescale(m, gram):
 class IcosaGroup:
     """The 60 reconstructed matrices with their A5 dictionary.
 
-    `group` holds the matrices, sorted, with their Cayley table; `iso`
-    maps degree-5 permutations to matrices and respects products;
+    `group` holds the matrices, sorted, with their Cayley table; `iso[a]`
+    is the index in `group` of the matrix of the A5 element index a, and
+    respects products;
     `label` records which of the two mirror character rows (I or I')
     the trace function of this particular identification matches.
     """
 
     group: FiniteGroup
-    iso: dict
+    iso: list
     label: str
 
     @property
@@ -161,8 +162,9 @@ class IcosaGroup:
     def class_sizes(self):
         return sorted(len(c) for c in self.group.classes)
 
-    def trace_of_class(self, rep: Perm) -> Cyclo:
-        return self.iso[rep].trace()
+    def trace_of_class(self, rep: int) -> Cyclo:
+        """Trace of the matrix of the A5 element index `rep`."""
+        return self.matrices[self.iso[rep]].trace()
 
 
 def _build_isomorphism(group: FiniteGroup):
@@ -171,7 +173,7 @@ def _build_isomorphism(group: FiniteGroup):
     Sends (12345) to the first order-5 matrix m5 and (12)(34) to the
     first involution m2 with ord(m5*m2) = 3 for which the assignment
     extends to a bijective homomorphism, checked on every (generator,
-    element) pair.
+    element) pair.  Returns the matrix index of each A5 element index.
     """
     a5 = alternating_group_5()
     p5 = a5.index[parse_cycles("(12345)", 5)]
@@ -182,7 +184,7 @@ def _build_isomorphism(group: FiniteGroup):
             continue
         phi = a5.homomorphism(group, {p5: m5, p2: m2})
         if phi is not None and len(set(phi)) == 60:
-            return {a5.elements[a]: group.elements[m] for a, m in enumerate(phi)}
+            return phi
     raise ReconstructionError("no generator pair realizes the A5 relations")
 
 
@@ -214,7 +216,8 @@ def reconstruct_group() -> IcosaGroup:
     # label the identification by the trace of the class of (12345):
     # the golden ratio for I, its conjugate (1-sqrt5)/2 = 1-phi for I'
     phi = golden()
-    tr = iso[parse_cycles("(12345)", 5)].trace()
+    p5 = alternating_group_5().index[parse_cycles("(12345)", 5)]
+    tr = group.elements[iso[p5]].trace()
     if tr == phi:
         label = "I"
     elif tr == rational(1) - phi:

@@ -1,12 +1,15 @@
+from itertools import permutations
+
 import pytest
 
-from wingerverify.characters import (A5_IRREP_LABELS, CharacterError,
+from wingerverify.characters import (A5_CLASS_REPS, A5_IRREP_LABELS,
+                                     S5_CLASS_REPS, CharacterError,
                                      ClassFunction, a5_table, chi_e_s5,
                                      class_sizes, decompose, induced_character,
                                      inner_product, restrict_to_a5,
                                      sign_class_function, sym_cube)
 from wingerverify.cyclo import golden, rational, sqrt5
-from wingerverify.perms import alternating_group_5, parse_cycles
+from wingerverify.perms import Perm, alternating_group_5, parse_cycles
 
 
 def s3_subgroup():
@@ -15,8 +18,7 @@ def s3_subgroup():
 
 
 def test_class_sizes():
-    assert class_sizes("A5") == (1, 15, 20, 12, 12)
-    assert class_sizes("S5") == (1, 10, 15, 20, 20, 30, 24)
+    assert class_sizes() == (1, 15, 20, 12, 12)
 
 
 def test_table_dimensions_and_orthogonality():
@@ -70,3 +72,60 @@ def test_restriction_of_E():
     res = restrict_to_a5(chi_e_s5())
     assert res.values == tuple(rational(v) for v in (6, -2, 0, 1, 1))
     assert decompose(res) == {"I": 1, "I'": 1}
+
+
+def test_restriction_matches_s5_conjugacy():
+    # oracle: the S5 class of each A5 representative found by conjugating
+    # with all 120 permutations, instead of by cycle type
+    s5 = [Perm(p) for p in permutations(range(1, 6))]
+    s5_reps = [parse_cycles(s, 5) for s in S5_CLASS_REPS]
+
+    def s5_class(g):
+        conjugates = {x * g * x.inverse() for x in s5}
+        return next(i for i, r in enumerate(s5_reps) if r in conjugates)
+    chi = ClassFunction("S5", tuple(range(10, 17)))  # distinct on every class
+    want = tuple(rational(10 + s5_class(parse_cycles(s, 5))) for s in A5_CLASS_REPS)
+    assert restrict_to_a5(chi).values == want
+    with pytest.raises(CharacterError):
+        restrict_to_a5(a5_table()[0])
+    with pytest.raises(CharacterError):
+        inner_product(chi, chi)  # the inner product is A5's
+
+
+# -- V and W against the coset actions they were read from ------------------------
+
+
+def coset_action(group, sub):
+    """Left multiplication on the left cosets of `sub`, as one permutation
+    of degree [G:H] per element index, the cosets numbered by their least
+    representative: the construction induction replaced, kept as its
+    oracle."""
+    pos, reps = {}, []
+    for g in range(len(group)):
+        if g not in pos:
+            for h in sub:
+                pos[group.table[g][h]] = len(reps)
+            reps.append(g)
+    return [Perm(pos[group.table[g][r]] + 1 for r in reps) for g in range(len(group))]
+
+
+def fixed_points(p):
+    return sum(p(x) == x for x in range(1, p.degree + 1))
+
+
+def test_permutation_characters_match_coset_actions():
+    a5 = alternating_group_5()
+    reps = [a5.index[parse_cycles(s, 5)] for s in A5_CLASS_REPS]
+    d10 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(25)(34)"))
+    action = coset_action(a5, d10)
+    assert all(p.degree == 6 for p in action)
+    assert len(set(action)) == 60  # faithful
+    # the action is a homomorphism
+    assert all(action[a5.table[a][b]] == action[a] * action[b]
+               for a in range(60) for b in range(60))
+    table = dict(zip(A5_IRREP_LABELS, a5_table()))
+    # V: the natural 5-point action minus trivial; W: the 6-point one
+    assert table["V"].values == tuple(rational(fixed_points(a5.elements[r]) - 1)
+                                      for r in reps)
+    assert table["W"].values == tuple(rational(fixed_points(action[r]) - 1)
+                                      for r in reps)

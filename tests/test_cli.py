@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wingerverify import cli, covers, hurwitz, invariants, perms, winger
+from wingerverify import characters, cli, covers, hurwitz, invariants, perms, winger
 from wingerverify.cli import Corruption, main
 from wingerverify.linalg import Matrix
 
@@ -170,6 +170,44 @@ def test_tuples_make_no_permutation_products(monkeypatch, capsys):
     assert run(["tuples", "--convention", "ltr"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_characters_and_homology_make_no_permutation_products(monkeypatch, capsys):
+    # with the A5 Cayley table built, characters are read from it and S5
+    # classes from cycle types
+    perms.alternating_group_5()
+    for cached in (characters._class_data, characters.a5_table, characters.power_maps):
+        cached.cache_clear()
+    calls = []
+    mul = perms.Perm.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+    monkeypatch.setattr(perms.Perm, "__mul__", counted)
+    assert run(["characters"]) == 0
+    assert run(["homology"]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_all_enumerates_tuple_classes_once(capsys):
+    enumerate_classes = hurwitz.enumerate_tuple_classes
+    enumerate_classes.cache_clear()
+    assert run(["all"]) == 0
+    capsys.readouterr()
+    info = enumerate_classes.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    enumerate_classes("rtl")  # the one entry is the "rtl" reading
+    assert enumerate_classes.cache_info().misses == 1
+
+
+def test_corrupted_sextic_fails_discriminant(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["pencil", "--deep", "--corrupt", "f:0,0,6", "--json", str(path)]) == 1
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert claims["discriminant-root-set"]["status"] == "fail"
 
 
 def test_bad_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):

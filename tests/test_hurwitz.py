@@ -93,7 +93,7 @@ def test_involution_factorizations():
 
 
 def test_twenty_classes_and_splits():
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     assert len(classes) == 20
     assert Counter(c.r_value for c in classes) == Counter({2: 4, 3: 6, 5: 10})
     assert Counter(c.g1_class for c in classes) == Counter(
@@ -106,7 +106,7 @@ def test_twenty_classes_and_splits():
 
 
 def test_classes_stable_under_iteration_order():
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     x = parse_cycles("(253)", 5)
     for c in classes[::5]:
         t = tuple(A5.index[x * E[g] * x.inverse()] for g in c.rep)
@@ -114,7 +114,7 @@ def test_classes_stable_under_iteration_order():
 
 
 def test_hurwitz_move_roundtrip_and_product():
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     t = classes[0].rep
     for k in (1, 2, 3):
         moved = hurwitz_move(k, t)
@@ -151,7 +151,7 @@ def test_first_displayed_map_is_braid_square_mod_conjugation():
     # square of an elementary braid (inverse direction in this package's
     # orientation) composed with global conjugation by c, which acts
     # trivially on classes
-    for cls in enumerate_tuple_classes()[::4]:
+    for cls in enumerate_tuple_classes("rtl")[::4]:
         t = cls.rep
         a1, a2, a3, a4 = (E[g] for g in t)
         c = a1 * a2
@@ -163,7 +163,7 @@ def test_first_displayed_map_is_braid_square_mod_conjugation():
 
 
 def test_braid_orbits_pure_and_weighted():
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     for gen_set in ("pure", "weighted"):
         parts = braid_orbits(classes, gen_set)
         assert sorted(len(p) for p in parts) == [10, 10]
@@ -175,7 +175,7 @@ def test_braid_orbits_pure_and_weighted():
 def test_second_displayed_map_preserves_weighted_orbits():
     # (a1,a2,a3,a4) -> (a2^-1 a1 a2, a3 a2 a3^-1, a3, a2^-1 a4 a2): stated
     # without a generator word; checked here only at the orbit level
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     parts = braid_orbits(classes, "weighted")
     whereis = {c: i for i, p in enumerate(parts) for c in p}
     for c in classes:
@@ -188,7 +188,7 @@ def test_second_displayed_map_preserves_weighted_orbits():
 
 def test_table_rows_validate():
     assert len(TUPLE_TABLE_ROWS) == 10
-    classes = enumerate_tuple_classes()
+    classes = enumerate_tuple_classes("rtl")
     matched, unmatched = validate_tuple_table(classes)
     assert unmatched == []
     assert len(matched) == 10

@@ -1,16 +1,25 @@
+from functools import cache
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wingerverify.characters import S5_CLASS_REPS
 from wingerverify.covers import Quaternion, binary_icosahedral_group
 from wingerverify.linalg import Matrix
-from wingerverify.perms import (FiniteGroup, Perm, alternating_group_5,
-                                parse_cycles, symmetric_group_5)
+from wingerverify.perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
 from wingerverify.winger import reconstruct_group
 
 
 def idx(group, *cycles):
     return [group.index[parse_cycles(c, 5)] for c in cycles]
+
+
+@cache
+def symmetric_group_5():
+    """S5 as degree-5 permutations, in lexicographic order."""
+    return FiniteGroup(Perm(p) for p in permutations(range(1, 6)))
 
 
 def test_parse_and_cycle_string():
@@ -56,6 +65,19 @@ def test_a5_class_sizes():
     assert alternating_group_5().centre() == [alternating_group_5().identity]
 
 
+def test_s5_classes_are_cycle_types():
+    # restricting an S5 class function to A5 rests on this
+    s5 = symmetric_group_5()
+
+    def cycle_type(g):
+        return sorted(len(c) for c in g.cycles())
+    reps = idx(s5, *S5_CLASS_REPS)
+    assert [len(s5.class_of[r]) for r in reps] == [1, 10, 15, 20, 20, 30, 24]
+    for r in reps:
+        assert set(s5.class_of[r]) == {g for g, p in enumerate(s5.elements)
+                                       if cycle_type(p) == cycle_type(s5.elements[r])}
+
+
 def test_five_cycle_classes_split_in_a5_not_s5():
     a5, s5 = alternating_group_5(), symmetric_group_5()
     g, h, g_inv = idx(a5, "(12345)", "(12354)", "(15432)")
@@ -73,16 +95,6 @@ def test_closure_subgroups():
     assert len(s3) == 6
     assert a5.generated(idx(a5, "(12345)", "(12)(34)")) == frozenset(range(60))
     assert a5.derived() == frozenset(range(60))  # A5 is perfect
-
-
-def test_coset_action_degrees():
-    a5 = alternating_group_5()
-    action = a5.coset_action(a5.generated(idx(a5, "(12345)", "(25)(34)")))
-    assert all(p.degree == 6 for p in action)
-    assert len(set(action)) == 60  # faithful
-    # the action is a homomorphism
-    assert all(action[a5.table[a][b]] == action[a] * action[b]
-               for a in range(60) for b in range(60))
 
 
 def test_group_table_validation():

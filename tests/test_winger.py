@@ -5,7 +5,7 @@ import pytest
 
 from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.perms import parse_cycles
+from wingerverify.perms import alternating_group_5, parse_cycles
 from wingerverify.polys import Poly3
 from wingerverify.winger import (INFINITY, _line_rows, _triple_scalings,
                                  f_poly, gram_matrix, irregular_orbits,
@@ -103,13 +103,18 @@ def test_group_preserves_everything():
 
 def test_isomorphism_respects_products():
     g = reconstruct_group()
-    a = parse_cycles("(12345)", 5)
-    b = parse_cycles("(12)(34)", 5)
-    assert g.iso[a * b] == g.iso[a] * g.iso[b]
-    ma, mb, ident = g.iso[a], g.iso[b], Matrix.identity(3)
+    a5 = alternating_group_5()
+    pa, pb = parse_cycles("(12345)", 5), parse_cycles("(12)(34)", 5)
+    a, b, ab = (a5.index[p] for p in (pa, pb, pa * pb))
+
+    def mat(x):
+        return g.matrices[g.iso[x]]
+    assert mat(ab) == mat(a) * mat(b)
+    ma, mb, ident = mat(a), mat(b), Matrix.identity(3)
     assert ma != ident and ma * ma * ma * ma * ma == ident  # order 5, a prime
     assert mb != ident and mb * mb == ident
     assert g.label in ("I", "I'")
+    assert g.trace_of_class(a) == ma.trace()
 
 
 def test_orbit_sizes_and_positions():
