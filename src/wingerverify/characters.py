@@ -1,8 +1,10 @@
 """Class functions on A5 with exact cyclotomic values, and the one S5
 character that is restricted to A5.
 
-The A5 class ordering is fixed as (1), (12)(34), (123), (12345), (12354);
-for S5 it is (1), (12), (12)(34), (123), (123)(45), (1234), (12345).
+A `ClassFunction` holds one value per A5 class, ordered (1), (12)(34),
+(123), (12345), (12354).  The S5 character is a plain tuple of values on
+(1), (12), (12)(34), (123), (123)(45), (1234), (12345), which only
+`restrict_to_a5` reads.
 The irreducible table of A5 is assembled from scratch: the two
 3-dimensional characters carry (1 +- sqrt5)/2, and the 4- and
 5-dimensional ones are the permutation characters of the point
@@ -32,20 +34,16 @@ class CharacterError(ValueError):
 
 @dataclass(frozen=True)
 class ClassFunction:
-    group: str  # "A5" or "S5"
-    values: tuple
+    values: tuple  # one value per class of A5_CLASS_REPS
 
     def __post_init__(self):
-        reps = A5_CLASS_REPS if self.group == "A5" else S5_CLASS_REPS
-        if len(self.values) != len(reps):
-            raise CharacterError(f"expected {len(reps)} values for {self.group}")
+        if len(self.values) != len(A5_CLASS_REPS):
+            raise CharacterError(f"expected {len(A5_CLASS_REPS)} values")
         object.__setattr__(self, "values",
                            tuple(v if isinstance(v, Cyclo) else rational(v) for v in self.values))
 
     def __add__(self, other):
-        if self.group != other.group:
-            raise CharacterError("group tag mismatch")
-        return ClassFunction(self.group, tuple(a + b for a, b in zip(self.values, other.values)))
+        return ClassFunction(tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
@@ -69,8 +67,6 @@ def class_sizes() -> tuple:
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     """(1/|G|) sum over classes of size * chi * conj(psi); exact."""
-    if chi.group != "A5" or psi.group != "A5":
-        raise CharacterError("inner products implemented for A5 only")
     acc = rational(0)
     for size, a, b in zip(class_sizes(), chi.values, psi.values):
         acc = acc + a * b.conjugate() * size
@@ -84,8 +80,8 @@ def _permutation_character(gens, order: int) -> ClassFunction:
     sub = a5.generated(a5.index[parse_cycles(s, 5)] for s in gens)
     if len(sub) != order:
         raise CharacterError(f"subgroup has order {len(sub)}, not {order}")
-    return ClassFunction("A5", tuple(v - 1 for v in
-                                     induced_character(sub, lambda _: 1).values))
+    return ClassFunction(tuple(v - 1 for v in
+                               induced_character(sub, lambda _: 1).values))
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +89,9 @@ def a5_table() -> tuple:
     """The five irreducible characters of A5, in the label order 1, I, I', V, W."""
     phi = golden()                        # (1+sqrt5)/2
     phibar = (rational(1) - sqrt5()) / 2  # its Galois conjugate
-    trivial = ClassFunction("A5", (1, 1, 1, 1, 1))
-    chi_i = ClassFunction("A5", (rational(3), rational(-1), rational(0), phi, phibar))
-    chi_ip = ClassFunction("A5", (rational(3), rational(-1), rational(0), phibar, phi))
+    trivial = ClassFunction((1, 1, 1, 1, 1))
+    chi_i = ClassFunction((rational(3), rational(-1), rational(0), phi, phibar))
+    chi_ip = ClassFunction((rational(3), rational(-1), rational(0), phibar, phi))
     chi_v = _permutation_character(("(123)", "(12)(34)"), 12)  # point stabilizer A4
     chi_w = _permutation_character(("(12345)", "(25)(34)"), 10)  # dihedral D10
     table = (trivial, chi_i, chi_ip, chi_v, chi_w)
@@ -120,13 +116,11 @@ def power_maps():
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:
     """Character of the symmetric cube: (x(g)^3 + 3 x(g^2) x(g) + 2 x(g^3)) / 6."""
-    if chi.group != "A5":
-        raise CharacterError("power maps implemented for A5 only")
     sq, cu = power_maps()
     vals = []
     for i, v in enumerate(chi.values):
         vals.append((v * v * v + chi.values[sq[i]] * v * 3 + chi.values[cu[i]] * 2) / 6)
-    return ClassFunction(chi.group, tuple(vals))
+    return ClassFunction(tuple(vals))
 
 
 def decompose(chi: ClassFunction) -> dict:
@@ -165,7 +159,7 @@ def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
             v = val(h)
             acc = acc + (v if isinstance(v, Cyclo) else rational(v))
         vals.append(acc * len(a5) / (len(sub) * len(cls)))
-    return ClassFunction("A5", tuple(vals))
+    return ClassFunction(tuple(vals))
 
 
 def sign_class_function(sub: frozenset) -> dict:
@@ -183,22 +177,23 @@ def sign_class_function(sub: frozenset) -> dict:
     return sign
 
 
-def chi_e_s5() -> ClassFunction:
-    """The 6-dimensional irreducible character of S5."""
-    return ClassFunction("S5", (6, 0, -2, 0, 0, 0, 1))
+def chi_e_s5() -> tuple:
+    """The 6-dimensional irreducible character of S5, on S5_CLASS_REPS."""
+    return (6, 0, -2, 0, 0, 0, 1)
 
 
 def _cycle_type(g: Perm) -> tuple:
     return tuple(sorted(len(c) for c in g.cycles()))
 
 
-def restrict_to_a5(chi: ClassFunction) -> ClassFunction:
-    """Restriction of an S5 class function along the inclusion A5 < S5."""
-    if chi.group != "S5":
-        raise CharacterError("expected an S5 class function")
+def restrict_to_a5(values) -> ClassFunction:
+    """Restriction along A5 < S5 of the S5 class function with `values`
+    on S5_CLASS_REPS."""
+    if len(values) != len(S5_CLASS_REPS):
+        raise CharacterError(f"expected {len(S5_CLASS_REPS)} values")
     types = [_cycle_type(parse_cycles(s, 5)) for s in S5_CLASS_REPS]
     if len(set(types)) != len(types):
         raise CharacterError("two S5 class representatives share a cycle type")
     a5 = alternating_group_5()
-    return ClassFunction("A5", tuple(chi.values[types.index(_cycle_type(a5.elements[r]))]
-                                     for r in _class_data()[0]))
+    return ClassFunction(tuple(values[types.index(_cycle_type(a5.elements[r]))]
+                               for r in _class_data()[0]))

@@ -24,8 +24,9 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .characters import (A5_IRREP_LABELS, a5_table, chi_e_s5, decompose,
-                         inner_product, restrict_to_a5, sym_cube)
+from .characters import (A5_CLASS_REPS, A5_IRREP_LABELS, a5_table, chi_e_s5,
+                         class_sizes, decompose, inner_product, restrict_to_a5,
+                         sym_cube)
 from .cyclo import rational
 from .invariants import (contains_up_to_scalar, molien_closed_form,
                          molien_series, reynolds_basis)
@@ -33,9 +34,10 @@ from .linalg import Matrix
 from .perms import alternating_group_5, parse_cycles
 from .polys import Poly3, monomials_of_degree
 from .report import Claim, ClaimReport, error_witness, run_claim
-from .winger import (INFINITY, gram_matrix, irregular_orbits, node_check,
-                     no_three_concurrent, pencil_member, q_poly, f_poly,
-                     reconstruct_group, singular_lambda, six_lines)
+from .winger import (INFINITY, ReconstructionError, gram_matrix,
+                     irregular_orbits, node_check, no_three_concurrent,
+                     pencil_member, q_poly, f_poly, reconstruct_group,
+                     singular_lambda, six_lines)
 from . import hurwitz
 from . import covers
 
@@ -118,31 +120,37 @@ def check_characters(report, args, corruption):
 
 
 def check_orbits(report, args, corruption):
+    def reconstruction():
+        try:
+            group = reconstruct_group()
+        except ReconstructionError as exc:  # a fault in the search is a verdict
+            return False, str(exc)
+        return len(group.matrices) == 60, {"survivors": len(group.matrices)}
+    if not run_claim(report, "group-reconstruction-60",
+                     "line-permutation search returns exactly 60 solvable cases "
+                     "forming a group",
+                     reconstruction):
+        return  # the other claims of this suite read the group
     group = reconstruct_group()
     mats = corruption.matrices()
     f = corruption.sextic()
     gram = gram_matrix()
 
-    run_claim(report, "group-reconstruction-60",
-              "line-permutation search returns exactly 60 solvable cases forming a group",
-              lambda: (group.order == 60, {"survivors": group.order}))
-
+    sizes = sorted(len(c) for c in group.group.classes)
     run_claim(report, "group-class-sizes",
               "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
-              lambda: (group.class_sizes() == [1, 12, 12, 15, 20],
-                       {"sizes": group.class_sizes()}))
+              lambda: (sizes == [1, 12, 12, 15, 20], {"sizes": sizes}))
 
     def traces():
         a5 = alternating_group_5()
         by_class = {}
-        for rep in ("()", "(12)(34)", "(123)", "(12345)", "(12354)"):
+        for rep in A5_CLASS_REPS:
             by_class[rep] = str(group.trace_of_class(a5.index[parse_cycles(rep, 5)]))
         row = a5_table()[1 if group.label == "I" else 2]
-        ok = all(str(v) == by_class[r] for v, r in
-                 zip(row.values, ("()", "(12)(34)", "(123)", "(12345)", "(12354)")))
+        ok = all(str(v) == by_class[r] for v, r in zip(row.values, A5_CLASS_REPS))
         counts = Counter(str(m.trace()) for m in group.matrices)
         expected = Counter()
-        for v, size in zip(row.values, (1, 15, 20, 12, 12)):
+        for v, size in zip(row.values, class_sizes()):
             expected[str(v)] += size
         ok = ok and counts == expected
         return ok, {"matched_row": group.label, "traces": by_class}

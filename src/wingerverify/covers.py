@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from .characters import (a5_table, decompose, induced_character,
@@ -152,9 +151,6 @@ class Quaternion:
     def __neg__(self):
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
-    def conjugate(self):
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
     def norm(self) -> Cyclo:
         return (self.a * self.a + self.b * self.b
                 + self.c * self.c + self.d * self.d)
@@ -175,7 +171,6 @@ def _even_permutations4():
     return [p for p in permutations(range(4)) if Perm(i + 1 for i in p).is_even()]
 
 
-@lru_cache(maxsize=None)
 def binary_icosahedral_group():
     """The 120 icosian unit quaternions, all of norm 1.
 

@@ -62,16 +62,11 @@ class Cyclo:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def rational(q) -> "Cyclo":
-        q = Fraction(q)
-        return Cyclo((q.numerator, 0, 0, 0), q.denominator)
-
-    @staticmethod
     def _coerce(other):
         if isinstance(other, Cyclo):
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclo.rational(other)
+            return rational(other)
         return None
 
     # -- ring / field operations --------------------------------------------
@@ -169,7 +164,7 @@ class Cyclo:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
+            other = rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
@@ -239,7 +234,8 @@ def zeta() -> Cyclo:
 
 
 def rational(q) -> Cyclo:
-    return Cyclo.rational(q)
+    q = Fraction(q)
+    return Cyclo((q.numerator, 0, 0, 0), q.denominator)
 
 
 def sqrt5() -> Cyclo:

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from .linalg import Matrix
-from .polys import Poly3, monomials_of_degree
+from .polys import Poly3, _numerators, monomials_of_degree
 from .winger import q_poly
 
 
@@ -61,9 +61,10 @@ def _int_bareiss_det(m) -> int:
 
 def _to_int_poly(f: Poly3):
     """Exponent->int dict after clearing denominators (rational input only)."""
-    terms = {e: c.to_fraction() for e, c in f.terms.items()}
-    den = lcm(*(q.denominator for q in terms.values()))
-    return {e: int(q * den) for e, q in terms.items()}
+    _, nums = _numerators(f.terms)
+    if any(any(n[1:]) for n in nums.values()):
+        raise ValueError(f"{f} has an irrational coefficient")
+    return {e: n[0] for e, n in nums.items()}
 
 
 def macaulay_system(degrees):

@@ -91,9 +91,7 @@ class Perm:
         cycs = self.cycles()
         if not cycs:
             return "()"
-        if self.degree < 10:
-            return "".join("(" + "".join(str(x) for x in c) + ")" for c in cycs)
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
+        return "".join("(" + "".join(str(x) for x in c) + ")" for c in cycs)
 
     def __eq__(self, other):
         if not isinstance(other, Perm):
@@ -113,7 +111,7 @@ class Perm:
 def parse_cycles(text: str, degree: int) -> Perm:
     """Parse cycle notation like "(1 2 3 4 5)", "(12)(35)" or "()"."""
     text = text.strip()
-    if text in ("()", "", "e", "id"):
+    if text == "()":
         return Perm.identity(degree)
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"bad cycle notation: {text!r}")

@@ -249,10 +249,6 @@ class Substitution:
             den, out = (d, p) if out is None else (den * d, _convolve(out, p))
         return self.pows[0][0] if out is None else (den, out)
 
-    def image(self, expo) -> Poly3:
-        """The image of the monomial with exponent triple `expo`."""
-        return _from_numerators(*self._image(expo))
-
     def apply(self, f: Poly3) -> Poly3:
         """f o m: the sum of coef * image(e) over the terms of f, each
         scaled to the lcm of the term denominators and added on integers."""

@@ -6,7 +6,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 
@@ -18,15 +18,6 @@ class Claim:
     status: str  # "pass" | "fail" | "skipped" | "error"
     witness: object = None
     millis: int = 0
-
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "description": self.description,
-            "status": self.status,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
 
 
 @dataclass
@@ -54,7 +45,7 @@ class ClaimReport:
         return {
             "version": self.version,
             "convention": self.convention,
-            "claims": [c.to_dict() for c in self.claims],
+            "claims": [asdict(c) for c in self.claims],
         }
 
     def to_json(self) -> str:
@@ -67,7 +58,8 @@ def error_witness(exc: Exception) -> dict:
 
 
 def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
-    """Execute one check; fn returns (ok, witness).
+    """Execute one check; fn returns (ok, witness), and a pass must carry a
+    computed witness (`ClaimReport.add` refuses an empty one).
 
     An exception inside fn is an internal error, not a verdict: the claim
     is recorded with status "error" and the exception's type and message
@@ -82,7 +74,6 @@ def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
         ok, status, witness = False, "error", error_witness(exc)
     else:
         status = "pass" if ok else "fail"
-        witness = witness if witness else ("checked" if ok else None)
     elapsed = int((time.monotonic() - start) * 1000)
     report.add(Claim(id=claim_id, description=description, status=status,
                      witness=witness, millis=elapsed))

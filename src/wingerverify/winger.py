@@ -1,7 +1,8 @@
 """The icosahedral plane representation and its pencil of invariant sextics.
 
 Everything is reconstructed from two published inputs: the invariant
-conic Q = z0*z1 + z2^2 and the six-line sextic F.  The 60 matrices of
+conic Q = z0*z1 + z2^2 and the six lines, kept as coefficient rows,
+whose product is the sextic F.  The 60 matrices of
 the group are NOT hardcoded; they are recovered from the 720 ways the
 six lines could be permuted: since no three lines meet, a permutation is
 realized by a projective map iff three projective points computed from
@@ -22,14 +23,8 @@ from .polys import Poly3
 
 
 class _Infinity:
-    """Projective parameter value at infinity (the fiber F itself)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Projective parameter value at infinity (the fiber F itself); only
+    the module constant INFINITY is built."""
 
     def __repr__(self):
         return "infinity"
@@ -50,35 +45,26 @@ def q_poly() -> Poly3:
 
 
 @lru_cache(maxsize=None)
-def six_lines():
-    """The six invariant lines, first nonzero coefficient normalized to 1.
+def six_lines() -> tuple:
+    """The coefficient rows (on z0, z1, z2) of the six invariant lines,
+    each with z2-coefficient 1.
 
     Order: z2, then the five lines eta^i z0 + eta^(4i) z1 + z2 for
     i = 1..5 (the last being z0 + z1 + z2).
     """
     eta = zeta()
-    lines = [Poly3.linear((0, 0, 1))]
-    for i in range(1, 6):
-        lines.append(Poly3.linear((eta ** i, eta ** (4 * i), rational(1))))
-    return tuple(lines)
+    one, zero = rational(1), rational(0)
+    return ((zero, zero, one),
+            *((eta ** i, eta ** (4 * i), one) for i in range(1, 6)))
 
 
 @lru_cache(maxsize=None)
 def f_poly() -> Poly3:
     """The sextic F: exact expanded product of the six lines."""
     prod = Poly3.monomial((0, 0, 0), 1)
-    for ln in six_lines():
-        prod = prod * ln
+    for row in six_lines():
+        prod = prod * Poly3.linear(row)
     return prod
-
-
-def _line_rows():
-    """Coefficient row vectors (on z0, z1, z2) of the six lines."""
-    rows = []
-    for ln in six_lines():
-        rows.append((ln.coefficient((1, 0, 0)), ln.coefficient((0, 1, 0)),
-                     ln.coefficient((0, 0, 1))))
-    return rows
 
 
 class ReconstructionError(RuntimeError):
@@ -140,7 +126,8 @@ def _rescale(m, gram):
 class IcosaGroup:
     """The 60 reconstructed matrices with their A5 dictionary.
 
-    `group` holds the matrices, sorted, with their Cayley table; `iso[a]`
+    `group` holds the matrices, sorted, with their Cayley table, order
+    and classes; `iso[a]`
     is the index in `group` of the matrix of the A5 element index a, and
     respects products;
     `label` records which of the two mirror character rows (I or I')
@@ -154,13 +141,6 @@ class IcosaGroup:
     @property
     def matrices(self) -> tuple:
         return self.group.elements
-
-    @property
-    def order(self) -> int:
-        return len(self.group)
-
-    def class_sizes(self):
-        return sorted(len(c) for c in self.group.classes)
 
     def trace_of_class(self, rep: int) -> Cyclo:
         """Trace of the matrix of the A5 element index `rep`."""
@@ -192,7 +172,7 @@ def _build_isomorphism(group: FiniteGroup):
 def reconstruct_group() -> IcosaGroup:
     if not no_three_concurrent():
         raise ReconstructionError("three of the six lines are concurrent")
-    rows = _line_rows()
+    rows = six_lines()
     gram = gram_matrix()
     c_mat = Matrix.from_rows(rows[:3])
     c_inv_t = c_mat.inverse().transpose()
@@ -230,7 +210,7 @@ def reconstruct_group() -> IcosaGroup:
 def no_three_concurrent() -> bool:
     """No three of the six lines pass through a common point."""
     return not any(Matrix.from_rows(triple).det().is_zero()
-                   for triple in combinations(_line_rows(), 3))
+                   for triple in combinations(six_lines(), 3))
 
 
 # -- projective points and irregular orbits ------------------------------------

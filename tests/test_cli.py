@@ -1,5 +1,7 @@
 import ast
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from wingerverify import characters, cli, covers, hurwitz, invariants, perms, winger
 from wingerverify.cli import Corruption, main
 from wingerverify.linalg import Matrix
+from wingerverify.report import ClaimReport, run_claim
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -202,6 +205,29 @@ def test_all_enumerates_tuple_classes_once(capsys):
     assert enumerate_classes.cache_info().misses == 1
 
 
+def package_caches():
+    """Every module-level lru_cache of the package, once each."""
+    caches = {}
+    for info in pkgutil.iter_modules([str(SRC / "wingerverify")]):
+        module = importlib.import_module(f"wingerverify.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj
+    return caches
+
+
+def test_every_cache_is_hit_by_all(capsys):
+    # a cache that `all` never hits only costs its memory
+    caches = package_caches()
+    assert "winger.reconstruct_group" in caches
+    for cached in caches.values():
+        cached.cache_clear()
+    assert run(["all"]) == 0
+    capsys.readouterr()
+    unhit = [name for name, cached in caches.items() if cached.cache_info().hits < 1]
+    assert unhit == []
+
+
 def test_corrupted_sextic_fails_discriminant(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert run(["pencil", "--deep", "--corrupt", "f:0,0,6", "--json", str(path)]) == 1
@@ -270,3 +296,22 @@ def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
     assert claims[0]["status"] == "error"
     assert claims[0]["witness"] == {"type": "KeyError", "message": "'setup'"}
     assert all(c["status"] == "pass" for c in claims[1:])
+
+
+def test_reconstruction_fault_fails_its_claim(tmp_path, monkeypatch, capsys):
+    def fault():
+        raise winger.ReconstructionError("expected 60 survivors, got 59")
+    monkeypatch.setattr(cli, "reconstruct_group", fault)
+    path = tmp_path / "report.json"
+    assert run(["orbits", "--json", str(path)]) == 1
+    capsys.readouterr()
+    claims = json.loads(path.read_text())["claims"]
+    assert [(c["id"], c["status"], c["witness"]) for c in claims] == [
+        ("group-reconstruction-60", "fail", "expected 60 survivors, got 59")]
+
+
+def test_pass_without_witness_is_refused():
+    report = ClaimReport(convention="rtl")
+    with pytest.raises(ValueError, match="no witness"):
+        run_claim(report, "bare-pass", "a pass with an empty witness", lambda: (True, {}))
+    assert report.claims == []

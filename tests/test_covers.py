@@ -76,7 +76,7 @@ def test_quaternion_arithmetic():
     assert j * i == -k
     assert (i * i).a == rational(-1)
     assert i.norm() == rational(1)
-    assert i * i.conjugate() == Quaternion(1, 0, 0, 0)
+    assert i * Quaternion(0, -1, 0, 0) == Quaternion(1, 0, 0, 0)
 
 
 def test_binary_icosahedral_group():

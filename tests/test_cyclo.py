@@ -71,9 +71,8 @@ PHI5 = sympy.Poly(X**4 + X**3 + X**2 + X + 1, X, domain=sympy.QQ)
 
 def oracle(raw):
     """The element sum raw[i] * x^i, reduced by sympy."""
-    return sympy.Poly(sum((sympy.Rational(q.numerator, q.denominator) * X**i
-                           for i, q in enumerate(raw)), sympy.Integer(0)),
-                      X, domain=sympy.QQ).rem(PHI5)
+    coeffs = [sympy.Rational(q.numerator, q.denominator) for q in reversed(raw)]
+    return sympy.Poly.from_list(coeffs, X, domain=sympy.QQ).rem(PHI5)
 
 
 def as_oracle(a):

@@ -7,7 +7,7 @@ from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.perms import alternating_group_5, parse_cycles
 from wingerverify.polys import Poly3
-from wingerverify.winger import (INFINITY, _line_rows, _triple_scalings,
+from wingerverify.winger import (INFINITY, _triple_scalings,
                                  f_poly, gram_matrix, irregular_orbits,
                                  node_check, normalize_point,
                                  no_three_concurrent, pencil_member, q_poly,
@@ -17,9 +17,10 @@ from wingerverify.winger import (INFINITY, _line_rows, _triple_scalings,
 def test_six_lines_product_is_f():
     lines = six_lines()
     assert len(lines) == 6
+    assert all(row[2] == rational(1) for row in lines)
     prod = Poly3.monomial((0, 0, 0), 1)
-    for ln in lines:
-        prod = prod * ln
+    for row in lines:
+        prod = prod * Poly3.linear(row)
     assert prod == f_poly()
 
 
@@ -41,8 +42,8 @@ def test_no_three_concurrent():
 
 def test_group_reconstruction():
     g = reconstruct_group()
-    assert g.order == 60
-    assert g.class_sizes() == [1, 12, 12, 15, 20]
+    assert len(g.matrices) == 60
+    assert sorted(len(c) for c in g.group.classes) == [1, 12, 12, 15, 20]
     # closure sample and a distinguished element
     eta = zeta()
     diag = Matrix.diagonal([eta, eta ** 4, rational(1)])
@@ -70,7 +71,7 @@ def kernel_scaling(w_rest, u_rest):
 def test_closed_form_scalings_match_kernel_solve(replaced):
     # with one of the lines 3..5 swapped for a line in general position,
     # maps that match five of the lines need not match the sixth
-    rows = _line_rows()
+    rows = list(six_lines())
     if replaced is not None:
         rows[replaced] = tuple(rational(x) for x in (1, 2, 3))
     assert not any(Matrix.from_rows(t).det().is_zero() for t in combinations(rows, 3))
