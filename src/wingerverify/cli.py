@@ -3,7 +3,9 @@
 Each claim is defined once, by its `run_claim` call inside a `check_*`
 suite; every suite takes `(report, args, corruption)`, and `SUITES` lists
 them in the order `all` runs them (the subcommands are its keys and
-`all`).  The acceptance tests map each criterion to claim ids of this
+`all`).  A claim is the only place where its verdict is reached: helpers
+compute values, and each suite reads its inputs inside its claims.  The
+acceptance tests map each criterion to claim ids of this
 report instead of checking the mathematics again.  Witnesses hold exact
 values only (rationals and Q(zeta_5) elements, serialized as strings).
 
@@ -25,8 +27,8 @@ from functools import cache
 from math import comb
 
 from .characters import (A5_CLASS_REPS, A5_IRREP_LABELS, a5_table, chi_e_s5,
-                         class_sizes, decompose, inner_product, restrict_to_a5,
-                         sym_cube)
+                         class_sizes, decompose, induced_character, inner_product,
+                         restrict_to_a5, sign_class_function, sym_cube)
 from .cyclo import rational
 from .invariants import (contains_up_to_scalar, molien_closed_form,
                          molien_series, reynolds_basis)
@@ -84,9 +86,8 @@ class Corruption:
 
 
 def check_characters(report, args, corruption):
-    table = dict(zip(A5_IRREP_LABELS, a5_table()))
-
     def orthonormal():
+        table = dict(zip(A5_IRREP_LABELS, a5_table()))
         labels = list(table)
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
@@ -100,8 +101,8 @@ def check_characters(report, args, corruption):
 
     def symcube():
         expect = tuple(rational(v) for v in (10, -2, 1, 0, 0))
-        s_i = sym_cube(table["I"])
-        s_ip = sym_cube(table["I'"])
+        chi_i, chi_ip = a5_table()[1:3]
+        s_i, s_ip = sym_cube(chi_i), sym_cube(chi_ip)
         ok = s_i.values == expect and s_ip.values == expect
         dec = decompose(s_i)
         ok = ok and dec == {"I": 1, "I'": 1, "V": 1}
@@ -201,9 +202,6 @@ def check_orbits(report, args, corruption):
 
 
 def check_pencil(report, args, corruption):
-    orbs = irregular_orbits()
-    f = corruption.sextic()
-
     for size, expected, claim_id, description in (
             (6, "-1", "lambda-six-orbit",
              "the member singular on the 6-point orbit is lambda = -1"),
@@ -212,17 +210,15 @@ def check_pencil(report, args, corruption):
             (15, "infinity", "lambda-fifteen-orbit",
              "the 15-point orbit is singular only on the six-line member (infinity)")):
         def on_orbit(size=size, expected=expected):
-            lams = (singular_lambda(p, f) for p in orbs[size])
+            orbit, f = irregular_orbits()[size], corruption.sextic()
+            lams = (singular_lambda(p, f) for p in orbit)
             vals = {"none" if lam is None else str(lam) for lam in lams}
-            return vals == {expected}, {"orbit": size, "values": sorted(vals)}
+            return vals == {expected}, {"orbit": len(orbit), "values": sorted(vals)}
         run_claim(report, claim_id, description, on_orbit)
 
     def nodes():
-        # node_check raises where the member is not singular, which a
-        # perturbed f can cause, so singularity is asked first
-        def nodal(lam, p):
-            return singular_lambda(p, f) == lam and node_check(lam, p, f)
-        nodal_points = sum(nodal(lam, p)
+        orbs, f = irregular_orbits(), corruption.sextic()
+        nodal_points = sum(node_check(lam, p, f)
                            for size, lam in ((6, rational(-1)),
                                              (10, rational(Fraction(27, 5))),
                                              (15, INFINITY))
@@ -238,6 +234,7 @@ def check_pencil(report, args, corruption):
               nodes)
 
     def base_locus():
+        orbs, f = irregular_orbits(), corruption.sextic()
         members = [pencil_member(rational(Fraction(n, d)), f)
                    for n, d in ((0, 1), (1, 1), (7, 3), (-5, 2), (11, 1))]
         members.append(pencil_member(INFINITY, f))
@@ -245,12 +242,14 @@ def check_pencil(report, args, corruption):
         # the 12 points are exactly the conic's intersection with the lines
         on_both = all(q_poly().evaluate(p) == rational(0)
                       and f.evaluate(p) == rational(0) for p in orbs[12])
-        return ok and on_both, {"points": 12, "members_checked": len(members)}
+        return ok and on_both, {"points": len(orbs[12]),
+                                "members_checked": len(members)}
     run_claim(report, "base-locus-twelve-points",
               "the 12-point orbit lies on the conic, the lines and every member",
               base_locus)
 
     def smooth_evidence():
+        orbs, f = irregular_orbits(), corruption.sextic()
         tested = (2, 3, 5, 7, -2, -3, 9, 13, -7, 4)
         singular = {singular_lambda(p, f) for s in (6, 10, 15, 12) for p in orbs[s]}
         ok = not any(rational(k) in singular for k in tested)
@@ -262,7 +261,7 @@ def check_pencil(report, args, corruption):
     if args.deep:
         def deep():
             from .discriminant import pencil_discriminant
-            _, mults = pencil_discriminant(f)
+            _, mults = pencil_discriminant(corruption.sextic())
             return mults == {"degree": 60, "0": 44, "-1": 6, "27/5": 10,
                              "residual_degree": 0,
                              "residual_is_nonzero_constant": True}, mults
@@ -431,7 +430,16 @@ def check_degenerations(report, args, corruption):
 
 def check_homology(report, args, corruption):
     def hom():
-        ok, chi, doubled = covers.homology_character_check()
+        # the order-parity sign character of S3 = <(123), (12)(45)>, induced
+        a5 = alternating_group_5()
+        s3 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(123)", "(12)(45)"))
+        chi = induced_character(s3, sign_class_function(s3))
+        dec, doubled = decompose(chi), decompose(chi + chi)
+        ok = (len(s3) == 6
+              and chi.values == tuple(rational(v) for v in (10, -2, 1, 0, 0))
+              and dec == {"V": 1, "I": 1, "I'": 1}
+              and chi.values == sym_cube(a5_table()[1]).values
+              and doubled == {"V": 2, "I": 2, "I'": 2})
         return ok, {"induced": str(chi), "doubled_decomposition": doubled}
     run_claim(report, "homology-lattice-character",
               "the induced sign character is (10,-2,1,0,0) and doubles to "
@@ -454,12 +462,10 @@ def check_binary(report, args, corruption):
 
 
 def check_invariants(report, args, corruption):
-    mats = corruption.matrices()
-
     @cache
     def molien_or_witness():  # computed once; reynolds-dimensions reads 16 terms
         try:
-            return molien_series(mats, 31), None
+            return molien_series(corruption.matrices(), 31), None
         except ValueError as exc:  # a non-group list has no integral series
             return None, {"molien": str(exc)}
 
@@ -480,7 +486,7 @@ def check_invariants(report, args, corruption):
         series, witness = molien_or_witness()
         if witness:
             return False, witness
-        dims = {}
+        mats, dims = corruption.matrices(), {}
         for d in list(range(13)) + [15]:
             dims[d] = len(reynolds_basis(mats, d))
             if dims[d] != series[d]:
@@ -493,7 +499,7 @@ def check_invariants(report, args, corruption):
 
     def degree6():
         try:
-            basis = reynolds_basis(mats, 6)
+            basis = reynolds_basis(corruption.matrices(), 6)
         except ValueError as exc:  # a non-group list has no Reynolds operator
             return False, {"reynolds": str(exc)}
         full = len(monomials_of_degree(6))

@@ -1,6 +1,6 @@
 """Branched-cover arithmetic: orbifold signatures, genera of regular covers,
-degeneration combinatorics for the 20 tuple classes, the homology-lattice
-character identity, and the binary icosahedral group as unit quaternions.
+degeneration combinatorics for the 20 tuple classes, and the binary
+icosahedral group as unit quaternions.
 """
 
 from __future__ import annotations
@@ -9,10 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
-from .characters import (a5_table, decompose, induced_character,
-                         sign_class_function, sym_cube)
 from .cyclo import Cyclo, golden, rational
-from .perms import Perm, alternating_group_5, finite_group, parse_cycles
+from .perms import Perm, alternating_group_5, finite_group
 from .hurwitz import enumerate_tuple_classes
 
 CYCLIC_STABILIZER_ORDERS = (1, 2, 3, 5)
@@ -99,28 +97,6 @@ def degeneration_report(t) -> DegenerationReport:
 
 def all_degeneration_reports():
     return [(cls, degeneration_report(cls.rep)) for cls in enumerate_tuple_classes("rtl")]
-
-
-def homology_character_check():
-    """The rank-10 lattice character and its doubled decomposition.
-
-    Induces the order-parity sign character from a 6-element subgroup
-    generated by a 3-cycle and a commuting involution; the result must
-    be (10,-2,1,0,0), decompose as V + I + I', equal the symmetric cube
-    of the 3-dimensional character, and double to the full degree-one
-    cohomology decomposition V^2 + I^2 + I'^2.
-    """
-    a5 = alternating_group_5()
-    s3 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(123)", "(12)(45)"))
-    chi_l = induced_character(s3, sign_class_function(s3))
-    expected = (rational(10), rational(-2), rational(1), rational(0), rational(0))
-    ok = len(s3) == 6 and chi_l.values == expected
-    dec = decompose(chi_l)
-    ok = ok and dec == {"V": 1, "I": 1, "I'": 1}
-    ok = ok and chi_l.values == sym_cube(a5_table()[1]).values
-    doubled = decompose(chi_l + chi_l)
-    ok = ok and doubled == {"V": 2, "I": 2, "I'": 2}
-    return ok, chi_l, doubled
 
 
 # -- binary icosahedral group as unit quaternions -------------------------------

@@ -74,11 +74,8 @@ def involution_factorizations(h: int):
     table, inverse, orders = a5.table, a5.inverse, a5.orders
     if orders[h] not in (2, 3, 5):
         raise ValueError(f"order {orders[h]} not in {{2, 3, 5}}")
-    out = {(h1, table[inverse[h1]][h]) for h1 in order_sets()[2]
-           if orders[table[inverse[h1]][h]] == 2}
-    if any(table[h1][h2] != h for h1, h2 in out):
-        raise ValueError(f"a factorization of {h} does not multiply back to it")
-    return out
+    return {(h1, table[inverse[h1]][h]) for h1 in order_sets()[2]
+            if orders[table[inverse[h1]][h]] == 2}
 
 
 # -- tuple classes ---------------------------------------------------------------

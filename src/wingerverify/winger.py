@@ -244,10 +244,11 @@ def _eigenvector(m: Matrix, lam) -> tuple:
 
 @lru_cache(maxsize=None)
 def irregular_orbits() -> dict:
-    """The four special orbits, keyed by size (6, 10, 15 off K; 12 on K).
+    """The four special orbits, keyed by their published sizes (6, 10, 15
+    off K; 12 on K); the sizes themselves are counted by the caller.
 
-    Each of 6/10/15 is the orbit of the unit-eigenvalue fixed point of
-    an element of order 5/3/2; the 12-orbit is the orbit of the other
+    The 6/10/15 entries are the orbits of the unit-eigenvalue fixed point
+    of an element of order 5/3/2; the 12 entry is the orbit of the other
     rational eigenvector of an order-5 element and lies on the conic.
     """
     group = reconstruct_group()
@@ -255,10 +256,7 @@ def irregular_orbits() -> dict:
     out = {}
     for order, size in ((5, 6), (3, 10), (2, 15)):
         m = elements[orders.index(order)]
-        orb = orbit_of(_eigenvector(m, rational(1)), group)
-        if len(orb) != size:
-            raise ReconstructionError(f"orbit of order-{order} fixed point has size {len(orb)}")
-        out[size] = orb
+        out[size] = orbit_of(_eigenvector(m, rational(1)), group)
     m5 = elements[orders.index(5)]
     # the two non-unit eigenvalues are primitive fifth roots; both
     # eigenvectors lie on the conic and sweep the same orbit of size 12
@@ -272,10 +270,7 @@ def irregular_orbits() -> dict:
             continue
     if point is None:
         raise ReconstructionError("order-5 element has no rational non-unit eigenvector")
-    orb = orbit_of(point, group)
-    if len(orb) != 12:
-        raise ReconstructionError(f"conic orbit has size {len(orb)}")
-    out[12] = orb
+    out[12] = orbit_of(point, group)
     return out
 
 
@@ -289,22 +284,14 @@ def pencil_member(lam, f: Poly3) -> Poly3:
     return q_poly() ** 3 + f * lam
 
 
-@lru_cache(maxsize=None)
-def _q_cubed_gradient() -> tuple:
-    return (q_poly() ** 3).gradient()
-
-
 @lru_cache(maxsize=64)
-def _gradient(f: Poly3) -> tuple:
-    return f.gradient()
-
-
-@lru_cache(maxsize=64)
-def _member_derivatives(lam, f: Poly3):
-    """The member Q^3 + lam*f, its gradient and its second partials."""
-    member = pencil_member(lam, f)
-    grad = member.gradient()
-    return member, grad, tuple(g.gradient() for g in grad)
+def _derivatives(f: Poly3) -> tuple:
+    """The gradients and second partials of Q^3 and of the sextic f."""
+    out = []
+    for g in (q_poly() ** 3, f):
+        grad = g.gradient()
+        out += [grad, tuple(d.gradient() for d in grad)]
+    return tuple(out)
 
 
 def singular_lambda(p, f: Poly3):
@@ -316,8 +303,9 @@ def singular_lambda(p, f: Poly3):
     parameter works.
     """
     p = normalize_point(p)
-    gq = tuple(d.evaluate(p) for d in _q_cubed_gradient())
-    gf = tuple(d.evaluate(p) for d in _gradient(f))
+    grad_q, _, grad_f, _ = _derivatives(f)
+    gq = tuple(d.evaluate(p) for d in grad_q)
+    gf = tuple(d.evaluate(p) for d in grad_f)
     if all(c.is_zero() for c in gf):
         if all(c.is_zero() for c in gq):
             return None  # singular for every parameter; not a pencil datum
@@ -331,18 +319,23 @@ def singular_lambda(p, f: Poly3):
 
 
 def node_check(lam, p, f: Poly3) -> bool:
-    """Is the singular point an ordinary double point of Q^3 + lam*f?
+    """Is p an ordinary double point of the member Q^3 + lam*f?
 
-    Tests that the quadratic part of the member in an affine chart at p
-    is a nondegenerate binary form (nonzero discriminant).
+    False unless lam is the one parameter whose member is singular at p
+    (`singular_lambda`); otherwise tests that the quadratic part of the
+    member in an affine chart at p, read from HQ^3(p) + lam*Hf(p) (Hf(p)
+    at infinity), is a nondegenerate binary form.
     """
     p = normalize_point(p)
-    member, grad, hess = _member_derivatives(lam, f)
-    if member.evaluate(p) != rational(0):
-        raise ValueError("point is not on the member")
-    if any(d.evaluate(p) for d in grad):
-        raise ValueError("point is not singular on the member")
+    if singular_lambda(p, f) != lam:
+        return False
+    _, hess_q, _, hess_f = _derivatives(f)
     chart = max(i for i in range(3) if not p[i].is_zero())
     u, v = [i for i in range(3) if i != chart]
-    a, b, c = (hess[i][j].evaluate(p) for i, j in ((u, u), (u, v), (v, v)))
+
+    def entry(i, j):
+        if lam is INFINITY:
+            return hess_f[i][j].evaluate(p)
+        return hess_q[i][j].evaluate(p) + lam * hess_f[i][j].evaluate(p)
+    a, b, c = (entry(i, j) for i, j in ((u, u), (u, v), (v, v)))
     return b * b - a * c != rational(0)

@@ -10,6 +10,7 @@ import pytest
 
 from wingerverify import characters, cli, covers, hurwitz, invariants, perms, winger
 from wingerverify.cli import Corruption, main
+from wingerverify.cyclo import rational
 from wingerverify.linalg import Matrix
 from wingerverify.report import ClaimReport, run_claim
 
@@ -315,3 +316,72 @@ def test_pass_without_witness_is_refused():
     with pytest.raises(ValueError, match="no witness"):
         run_claim(report, "bare-pass", "a pass with an empty witness", lambda: (True, {}))
     assert report.claims == []
+
+
+def test_reconstruction_fault_keeps_every_suite(tmp_path, monkeypatch, capsys):
+    # the invariants and pencil suites read the group inside their claims,
+    # so the fault is judged claim by claim and no suite is lost
+    def fault():
+        raise winger.ReconstructionError("expected 60 survivors, got 59")
+    monkeypatch.setattr(winger, "reconstruct_group", fault)
+    monkeypatch.setattr(cli, "reconstruct_group", fault)
+    winger.irregular_orbits.cache_clear()
+    path = tmp_path / "report.json"
+    assert run(["all", "--json", str(path)]) == 3
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert [i for i in claims if i.startswith("suite-")] == []
+    assert claims["group-reconstruction-60"]["status"] == "fail"
+    reading_the_group = ("molien-closed-form", "reynolds-dimensions",
+                         "degree6-invariants", "lambda-six-orbit", "lambda-ten-orbit",
+                         "lambda-fifteen-orbit", "node-nondegeneracy",
+                         "base-locus-twelve-points", "no-extra-singular-orbits")
+    for claim_id in reading_the_group:
+        assert claims[claim_id]["status"] == "error"
+        assert claims[claim_id]["witness"]["type"] == "ReconstructionError"
+    assert claims["discriminant-root-set"]["status"] == "skipped"
+
+
+def test_bad_character_table_fails_its_claims(tmp_path, monkeypatch, capsys):
+    # the claims that read the table judge it; a5_table itself only builds it
+    monkeypatch.setattr(characters, "golden", lambda: rational(2))
+    characters.a5_table.cache_clear()
+    claims = {}
+    try:
+        for suite in ("characters", "orbits", "homology"):
+            path = tmp_path / f"{suite}.json"
+            run([suite, "--json", str(path)])
+            claims.update((c["id"], c) for c in json.loads(path.read_text())["claims"])
+    finally:
+        characters.a5_table.cache_clear()
+    capsys.readouterr()
+    for claim_id in ("characters-table-orthonormal", "group-trace-character",
+                     "homology-lattice-character"):
+        assert claims[claim_id]["status"] == "fail"
+    assert [i for i in claims if i.startswith("suite-")] == []
+
+
+def test_orbit_fault_fails_only_the_orbit_claims(tmp_path, monkeypatch, capsys):
+    # irregular-orbit-sizes alone judges the sizes, and the witnesses count
+    # the points that were checked
+    orbit_of = winger.orbit_of
+
+    def short(point, group):  # drops one point of every orbit
+        points = set(orbit_of(point, group))
+        points.pop()
+        return frozenset(points)
+    monkeypatch.setattr(winger, "orbit_of", short)
+    winger.irregular_orbits.cache_clear()
+    path = tmp_path / "report.json"
+    try:
+        assert run(["all", "--json", str(path)]) == 1
+    finally:
+        winger.irregular_orbits.cache_clear()
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert len(claims) == 32
+    assert [i for i, c in claims.items() if c["status"] in ("fail", "error")] == [
+        "irregular-orbit-sizes", "node-nondegeneracy"]
+    assert [claims[f"lambda-{n}-orbit"]["witness"]["orbit"]
+            for n in ("six", "ten", "fifteen")] == [5, 9, 14]
+    assert claims["base-locus-twelve-points"]["witness"]["points"] == 11

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -7,8 +8,8 @@ from wingerverify.covers import (DegenerationReport, Quaternion, alpha_value,
                                  all_degeneration_reports,
                                  binary_icosahedral_checks,
                                  binary_icosahedral_group, degeneration_report,
-                                 homology_character_check, regular_cover_genus,
-                                 signature_solutions)
+                                 regular_cover_genus, signature_solutions)
+from wingerverify.cli import main
 from wingerverify.cyclo import rational
 from wingerverify.perms import Perm, alternating_group_5
 
@@ -61,11 +62,15 @@ def perm_closure(gens):
     return members
 
 
-def test_homology_character():
-    ok, chi, doubled = homology_character_check()
-    assert ok
-    assert str(chi) == "(10, -2, 1, 0, 0)"
-    assert doubled == {"V": 2, "I": 2, "I'": 2}
+def test_homology_character(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["homology", "--json", str(path)]) == 0
+    capsys.readouterr()
+    [claim] = json.loads(path.read_text())["claims"]
+    assert claim["id"] == "homology-lattice-character"
+    assert claim["status"] == "pass"
+    assert claim["witness"] == {"induced": "(10, -2, 1, 0, 0)",
+                                "doubled_decomposition": {"V": 2, "I": 2, "I'": 2}}
 
 
 def test_quaternion_arithmetic():
