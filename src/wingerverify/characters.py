@@ -118,17 +118,14 @@ def sym_cube(chi: ClassFunction) -> ClassFunction:
 
 
 def decompose(chi: ClassFunction) -> dict:
-    """Multiplicities of the A5 irreducibles; errors on non-characters."""
+    """The nonzero inner products with the A5 irreducibles, by label: an
+    int where it is an integer, else its exact value as a string, which
+    marks chi as no character; the callers judge that."""
     out = {}
     for label, irr in zip(A5_IRREP_LABELS, a5_table()):
         m = inner_product(chi, irr)
-        if not m.is_rational():
-            raise CharacterError(f"non-rational multiplicity for {label}: {m}")
-        mq = m.to_fraction()
-        if mq.denominator != 1 or mq < 0:
-            raise CharacterError(f"non-integral or negative multiplicity for {label}: {mq}")
-        if mq:
-            out[label] = int(mq)
+        if m:
+            out[label] = m.nums[0] if m.is_rational() and m.den == 1 else str(m)
     return out
 
 

@@ -9,9 +9,9 @@ integer polynomials in lam: per Proth prime below 2^240, proven by
 Proth's theorem, one inversion and one Hessenberg characteristic
 polynomial mod p, then the Chinese remainder theorem past a Hadamard
 bound.  Their exact quotient is the resultant, checked against one
-integer Bareiss evaluation and certified to vanish only at 0, -1 and
-27/5, with the degree drop below 75 witnessing the singular member at
-infinity.
+evaluation by the integer elimination `linalg.echelon` and certified
+to vanish only at 0, -1 and 27/5, with the degree drop below 75
+witnessing the singular member at infinity.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -24,39 +24,9 @@ from itertools import count
 from math import isqrt
 from operator import mul
 
-from .linalg import Matrix
+from .linalg import Matrix, integer_det
 from .polys import Poly3, _numerators, monomials_of_degree
 from .winger import q_poly
-
-
-def _int_bareiss_det(m) -> int:
-    """Determinant of a square integer matrix, fraction-free elimination."""
-    k = len(m)
-    if k == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        piv = None
-        for r in range(col, k):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        pivval = m[col][col]
-        for r in range(col + 1, k):
-            row_r, row_c = m[r], m[col]
-            factor = row_r[col]
-            for c in range(col + 1, k):
-                row_r[c] = (pivval * row_r[c] - factor * row_c[c]) // prev
-            row_r[col] = 0
-        prev = pivval
-    return sign * m[k - 1][k - 1]
 
 
 def _to_int_poly(f: Poly3):
@@ -114,10 +84,10 @@ def macaulay_resultant_value(fs, degrees) -> Fraction:
     """Exact Macaulay resultant of three integer ternary forms, each an
     exponent->int dict: the full Macaulay determinant over its minor."""
     full, minor = _eval_determinants(fs, degrees)
-    det_minor = _int_bareiss_det(minor)
+    det_minor = integer_det(minor)
     if det_minor == 0:
         raise ZeroDivisionError("degenerate minor; change coordinates first")
-    return Fraction(_int_bareiss_det(full), det_minor)
+    return Fraction(integer_det(full), det_minor)
 
 
 def _pencil_partial_tables(f):
@@ -366,7 +336,7 @@ def pencil_discriminant(f):
     full_b, minor_b = _eval_determinants([b for _, b in tables], degrees)
     p_minor = _pencil_det(minor_a, minor_b)
     coeffs = _exact_quotient(_pencil_det(full_a, full_b), p_minor)
-    # control: one exact Bareiss evaluation at the first lambda >= 1 where
+    # control: one exact integer evaluation at the first lambda >= 1 where
     # the minor does not vanish
     lam = next(x for x in count(1) if _poly_eval(p_minor, x))
     int_fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in set(a) | set(b)}

@@ -7,7 +7,9 @@ by the linear algebra method.  An element of the monomial subgroup N
 monomial, so the N-invariants are spanned by N-orbit sums read off
 without substitution; the invariants of the group are the N-invariants
 fixed by a few extra generators, found by a generation check, each
-substituted once per orbit sum.
+substituted once per orbit sum.  Gal(Q(zeta_5)/Q) permutes the six
+lines, so the invariant spaces are defined over Q and are solved for
+over Q, on the rational coordinates of each Q(zeta_5) row.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclo import rational
-from .linalg import Matrix
+from .linalg import Matrix, echelon, null_space, rref
 from .perms import FiniteGroup, finite_group
-from .polys import Poly3, Substitution, monomials_of_degree
+from .polys import Poly3, Substitution, _numerators, monomials_of_degree
 
 
 def _series_reciprocal(den, nterms: int):
@@ -92,11 +94,15 @@ def reynolds_basis(mats, d: int):
     outside N (Derksen-Kemper, Computational Invariant Theory, 3.1).  The
     nonzero N-orbit sums of the degree-d monomials have disjoint supports,
     so they are a basis of the N-invariants; each extra generator is
-    substituted once into each of them, and the kernel of g - 1 in that
-    basis is row-reduced over the monomials, so the result depends only
-    on the invariant space.  Raises ValueError unless the matrices form a
-    group.  Bases are cached per (matrix tuple, d); each call returns a
-    new list.
+    substituted once into each of them, the kernel of g - 1 in that basis
+    is taken over Q, and the invariants it gives are row-reduced over the
+    monomials, so the result depends only on the invariant space.
+
+    Precondition: a Galois-stable group with rational N-orbit sums; then
+    the Q-kernel has full dimension.  Outside it the Q-kernel can only
+    shrink, so a dimension claim fails and never passes wrongly (an
+    irrational invariant raises ValueError, as does a non-group).  Bases
+    are cached per (matrix tuple, d); each call returns a new list.
     """
     return list(_reynolds_basis(tuple(mats), d))
 
@@ -148,21 +154,29 @@ def _reynolds_basis(mats: tuple, d: int) -> tuple:
         subst = Substitution(group.elements[g])
         moved = [subst.apply(p) - p for p in sums]
         rows.extend([q.coefficient(e) for q in moved] for e in monos)
-    kernel = Matrix(len(rows), len(sums), [c for row in rows for c in row]).kernel()
-    if not kernel:
-        return ()
-    fixed = [sum((p * c for c, p in zip(vec, sums)), Poly3.zero()) for vec in kernel]
-    vectors = [[f.coefficient(e) for e in monos] for f in fixed]
-    reduced, pivots = Matrix.from_rows(vectors).rref()
-    return tuple(Poly3({monos[j]: reduced[r][j] for j in range(len(monos))
-                        if not reduced[r][j].is_zero()})
-                 for r in range(len(pivots)))
+    kernel = null_space(_rational_rows(rows), len(sums))
+    fixed = [sum((p * rational(c) for c, p in zip(vec, sums)), Poly3.zero())
+             for vec in kernel]
+    reduced, _ = rref([[f.coefficient(e).to_fraction() for e in monos] for f in fixed])
+    return tuple(Poly3({e: rational(c) for e, c in zip(monos, row) if c})
+                 for row in reduced)
+
+
+def _rational_rows(rows) -> list:
+    """The four integer coordinate rows, on 1, zeta, zeta^2, zeta^3, of
+    each Q(zeta_5) row cleared of its denominators, zero rows dropped."""
+    out = []
+    for row in rows:
+        _, nums = _numerators(dict(enumerate(row)))
+        out.extend(r for r in zip(*nums.values()) if any(r))
+    return out
 
 
 def contains_up_to_scalar(basis, f: Poly3) -> bool:
-    """Is f in the span of the basis polynomials?"""
+    """Is f in the Q(zeta_5)-span of the basis polynomials?  For a rational
+    basis, iff every rational coordinate of f is in its Q-span."""
     monos = sorted({e for p in list(basis) + [f] for e in p.terms})
     rows = [[p.coefficient(e) for e in monos] for p in basis]
-    rank0 = Matrix.from_rows(rows).rank() if rows else 0
+    rank0 = len(echelon(_rational_rows(rows))[1])
     rows.append([f.coefficient(e) for e in monos])
-    return Matrix.from_rows(rows).rank() == rank0
+    return len(echelon(_rational_rows(rows))[1]) == rank0

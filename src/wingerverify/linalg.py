@@ -1,13 +1,14 @@
-"""Exact dense linear algebra over Q(zeta_5).
-
-Determinants and inverses are those of 3x3 matrices, the only shape
-they meet, and come from the adjugate; kernels and ranks come from
-reduced row echelon form.
+"""Exact linear algebra: 3x3 matrices over Q(zeta_5), whose determinant,
+inverse and kernel come from the adjugate, and one elimination for every
+larger system, `echelon`, fraction-free over Z.  Its callers pass
+rational rows, or split Q(zeta_5) rows into their rational coordinates;
+back-substitution over Q gives reduced row echelon forms and null spaces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclo import Cyclo, rational
 
@@ -40,8 +41,7 @@ class Matrix:
 
     @staticmethod
     def identity(k: int) -> "Matrix":
-        one, zero = rational(1), rational(0)
-        return Matrix(k, k, [one if i == j else zero for i in range(k) for j in range(k)])
+        return Matrix.diagonal([1] * k)
 
     @staticmethod
     def diagonal(diag) -> "Matrix":
@@ -55,9 +55,6 @@ class Matrix:
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -82,11 +79,6 @@ class Matrix:
             return Matrix(self.rows, self.cols, [e * other for e in self.entries])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self * other
-        return NotImplemented
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -100,9 +92,6 @@ class Matrix:
             return NotImplemented
         return self + (other * -1)
 
-    def __neg__(self):
-        return self * -1
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       [self[i, j] for j in range(self.cols) for i in range(self.rows)])
@@ -115,18 +104,9 @@ class Matrix:
             acc = acc + self[i, i]
         return acc
 
-    def apply(self, vec):
+    def apply(self, vec) -> tuple:
         """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = rational(0)
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    acc = acc + self[i, j] * v
-            out.append(acc)
-        return tuple(out)
+        return (self * Matrix(len(vec), 1, vec)).entries
 
     def adjugate(self) -> "Matrix":
         """The 3x3 adjugate (transposed cofactors): m * adj(m) = det(m) * I."""
@@ -144,36 +124,6 @@ class Matrix:
     def det(self) -> Cyclo:
         return self._det_from(self.adjugate())
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows as lists, pivot column list)."""
-        m = self.to_rows()
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            piv = None
-            for i in range(r, nrows):
-                if not m[i][c].is_zero():
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = m[r][c].inv()
-            m[r] = [e * inv for e in m[r]]
-            for i in range(nrows):
-                if i != r and not m[i][c].is_zero():
-                    f = m[i][c]
-                    m[i] = [e - f * p for e, p in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return m, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def inverse(self) -> "Matrix":
         adj = self.adjugate()
         d = self._det_from(adj)
@@ -182,18 +132,16 @@ class Matrix:
         return adj * d.inv()
 
     def kernel(self):
-        """Exact basis of the right null space, as column tuples."""
-        m, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        zero, one = rational(0), rational(1)
-        for f in free:
-            vec = [zero] * self.cols
-            vec[f] = one
-            for r, p in enumerate(pivots):
-                vec[p] = -m[r][f]
-            basis.append(tuple(vec))
-        return basis
+        """Right null space of a 3x3 matrix of rank at least 2: [] if it is
+        invertible, else one nonzero column of adj(m), as m adj(m) =
+        det(m) I = 0.  Raises ValueError below rank 2, where adj(m) = 0."""
+        adj = self.adjugate()
+        if not self._det_from(adj).is_zero():
+            return []
+        columns = [col for col in zip(*(adj.row(i) for i in range(3))) if any(col)]
+        if not columns:
+            raise ValueError("3x3 matrix of rank below 2")
+        return columns[:1]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -208,3 +156,71 @@ class Matrix:
                          for i in range(self.rows))
 
     __repr__ = __str__
+
+
+def echelon(rows):
+    """Fraction-free (Bareiss) forward elimination of integer rows: the
+    nonzero rows of an echelon form, their pivot columns and the sign of
+    the row swaps.  Each step updates only the columns right of its pivot,
+    and every entry stays a minor of the input, so the division by the
+    previous pivot is exact (Bareiss, Math. Comp. 22, 1968)."""
+    m = [list(row) for row in rows]
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top, lead = m[r], m[r][c]
+        for row in m[r + 1:]:
+            factor, row[c] = row[c], 0
+            for j in range(c + 1, len(top)):
+                row[j] = (lead * row[j] - factor * top[j]) // prev
+        prev = lead
+        pivots.append(c)
+    return m[:len(pivots)], pivots, sign
+
+
+def integer_det(rows) -> int:
+    """Determinant of a nonempty square integer matrix: at full rank, the
+    sign of the row swaps times the last pivot."""
+    ech, pivots, sign = echelon(rows)
+    return sign * ech[-1][-1] if len(pivots) == len(rows) else 0
+
+
+def rref(rows):
+    """Reduced row echelon form over Q of rows of ints or Fractions, as
+    (rows of Fractions, pivot columns): `echelon` on the rows cleared of
+    their denominators, then back-substitution from the bottom row up."""
+    ints = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (s // x.denominator) for x in row])
+    ech, pivots, _ = echelon(ints)
+    reduced = []  # bottom row first
+    for row, c in zip(ech[::-1], pivots[::-1]):
+        lead = row[c]
+        row = [Fraction(x, lead) for x in row]
+        for below, p in zip(reduced, pivots[::-1]):
+            f = row[p]
+            if f:
+                row = [x - f * y for x, y in zip(row, below)]
+        reduced.append(row)
+    return reduced[::-1], pivots
+
+
+def null_space(rows, ncols: int) -> list:
+    """Basis over Q of the v with row . v = 0 for every row: one vector
+    per non-pivot column f, with 1 at f and 0 at the other ones."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in [f for f in range(ncols) if f not in pivots]:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis

@@ -361,6 +361,23 @@ def test_bad_character_table_fails_its_claims(tmp_path, monkeypatch, capsys):
     assert [i for i in claims if i.startswith("suite-")] == []
 
 
+def test_bad_character_table_fails_the_decompositions(tmp_path, monkeypatch, capsys):
+    # non-integral multiplicities are a verdict of the claims that decompose
+    monkeypatch.setattr(characters, "golden", lambda: rational(2))
+    characters.a5_table.cache_clear()
+    path = tmp_path / "characters.json"
+    try:
+        assert run(["characters", "--json", str(path)]) == 1
+    finally:
+        characters.a5_table.cache_clear()
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    for claim_id in ("characters-symcube-rank10", "characters-restrict-E"):
+        assert claims[claim_id]["status"] == "fail"
+        multiplicities = claims[claim_id]["witness"]["decomposition"].values()
+        assert not all(isinstance(m, int) for m in multiplicities)
+
+
 def test_orbit_fault_fails_only_the_orbit_claims(tmp_path, monkeypatch, capsys):
     # irregular-orbit-sizes alone judges the sizes, and the witnesses count
     # the points that were checked

@@ -7,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wingerverify.discriminant import (_divide_out_root, _exact_quotient,
-                                       _hessenberg_charpoly_mod,
-                                       _int_bareiss_det, _pencil_bound,
+                                       _hessenberg_charpoly_mod, _pencil_bound,
                                        _pencil_det, _pencil_det_mod,
                                        _poly_eval, _proth_primes,
                                        macaulay_resultant_value,
                                        macaulay_system)
+from wingerverify.linalg import integer_det
 
 
 def test_int_bareiss_det():
-    assert _int_bareiss_det([[2, 1], [1, 2]]) == 3
-    assert _int_bareiss_det([[1, 2], [2, 4]]) == 0
-    assert _int_bareiss_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[2, 1], [1, 2]]) == 3
+    assert integer_det([[1, 2], [2, 4]]) == 0
+    assert integer_det([[0, 1], [1, 0]]) == -1
     m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    assert _int_bareiss_det(m) == 3 * (25 - 54) - 1 * (5 - 18) + 4 * (6 - 10)
+    assert integer_det(m) == 3 * (25 - 54) - 1 * (5 - 18) + 4 * (6 - 10)
 
 
 def test_macaulay_dimensions_for_quintics():
@@ -54,7 +54,7 @@ def test_interpolation_and_root_division():
     assert _poly_eval(coeffs, Fraction(2)) == 12
 
 
-# -- the multi-modular det(A + lam*B) against integer Bareiss --------------------
+# -- the multi-modular det(A + lam*B) against the integer determinant ------------
 
 def pencil_at(a, b, lam):
     return [[x + lam * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -90,7 +90,7 @@ def test_pencil_det_matches_bareiss(pencil):
     assert len(coeffs) == n + 1
     # n + 4 distinct points pin down a polynomial of degree <= n
     for lam in range(-2, n + 2):
-        assert _poly_eval(coeffs, lam) == _int_bareiss_det(pencil_at(a, b, lam))
+        assert _poly_eval(coeffs, lam) == integer_det(pencil_at(a, b, lam))
     # the Chinese-remainder result lies inside the coefficient bound
     bound = _pencil_bound(a, b)
     assert all(abs(c) <= bound for c in coeffs)
@@ -107,16 +107,16 @@ def test_pencil_det_mod_small_primes(pencil, p, b_vanishes_mod_p):
     res = _pencil_det_mod(a, b, p)
     assert len(res) == len(a) + 1 and all(0 <= r < p for r in res)
     for lam in range(-1, len(a) + 3):
-        assert (_poly_eval(res, lam) - _int_bareiss_det(pencil_at(a, b, lam))) % p == 0
+        assert (_poly_eval(res, lam) - integer_det(pencil_at(a, b, lam))) % p == 0
 
 
 def test_all_shifts_singular_gives_zero():
     # row 2 - 2 * row 1 = (0, 0, 5): det A = 0 mod 5, and B = 0 mod 5
     a = [[1, 2, 3], [2, 4, 11], [0, 1, 1]]
     b = [[5, -10, 0], [15, 5, 5], [0, 0, 20]]
-    assert _int_bareiss_det(a) != 0
+    assert integer_det(a) != 0
     assert _pencil_det_mod(a, b, 5) == [0, 0, 0, 0]
-    assert _pencil_det(a, b)[0] == _int_bareiss_det(a)
+    assert _pencil_det(a, b)[0] == integer_det(a)
     with pytest.raises(ValueError):
         _pencil_det_mod(a, b, 3)  # a modulus <= n cannot certify a zero residue
 

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from wingerverify.cyclo import make
-from wingerverify.invariants import (_molien_denominator, _monomial_action,
+from cyclo_rref import cyclo_kernel, cyclo_rref
+from wingerverify.cyclo import make, zeta
+from wingerverify.invariants import (_extra_generators, _molien_denominator,
+                                     _monomial_action, _orbit_sums,
                                      contains_up_to_scalar, molien_closed_form,
                                      molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3, monomials_of_degree
+from wingerverify.perms import finite_group
+from wingerverify.polys import Poly3, Substitution, monomials_of_degree
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
 
 
@@ -87,6 +90,17 @@ def test_degree_2_and_6_spaces():
     assert not contains_up_to_scalar(b6, q_poly() * q_poly())
 
 
+def test_span_is_over_the_cyclotomic_field():
+    # the basis is rational, but its span is taken over Q(zeta_5)
+    b6 = reynolds_basis(mats(), 6)
+    assert contains_up_to_scalar(b6, zeta() * q_poly() ** 3)
+    assert contains_up_to_scalar(b6, q_poly() ** 3 + zeta() ** 2 * f_poly())
+    for k in range(4):  # every coordinate on 1, zeta, zeta^2, zeta^3 counts
+        outside = q_poly() ** 3 + zeta() ** k * q_poly() * q_poly()
+        assert not contains_up_to_scalar(b6, outside)
+    assert not contains_up_to_scalar([], zeta() * q_poly() ** 3)
+
+
 def plain_average(mat_list, expo):
     """Oracle: (1/len) * sum of mono o g over the list, one act per element."""
     mono = Poly3.monomial(expo, 1)
@@ -97,17 +111,43 @@ def plain_average(mat_list, expo):
 
 
 def plain_basis(mat_list, d):
-    """Oracle: the RREF of the plain averages of every degree-d monomial."""
+    """Oracle: the Q(zeta_5) RREF of the plain averages of every degree-d
+    monomial."""
     monos = monomials_of_degree(d)
     rows = [[p.coefficient(e) for e in monos]
             for p in (plain_average(mat_list, expo) for expo in monos)]
-    reduced, pivots = Matrix.from_rows(rows).rref()
+    reduced, pivots = cyclo_rref(rows)
     return [Poly3(dict(zip(monos, reduced[r]))) for r in range(len(pivots))]
 
 
 def test_low_degree_bases_match_plain_average():
     for d in range(7):
         assert reynolds_basis(mats(), d) == plain_basis(mats(), d), d
+
+
+def cyclo_kernel_basis(mat_list, d):
+    """Oracle: the invariants from the kernel of g - 1 taken over
+    Q(zeta_5), not over Q, canonicalised by the Q(zeta_5) RREF."""
+    group = finite_group(mat_list)
+    actions = [_monomial_action(m) for m in group.elements]
+    sub = [n for n, action in enumerate(actions) if action is not None]
+    monos = monomials_of_degree(d)
+    sums = _orbit_sums([actions[n] for n in sub], monos)
+    rows = []
+    for g in _extra_generators(group, sub):
+        subst = Substitution(group.elements[g])
+        moved = [subst.apply(p) - p for p in sums]
+        rows.extend([q.coefficient(e) for q in moved] for e in monos)
+    fixed = [sum((p * c for c, p in zip(vec, sums)), Poly3.zero())
+             for vec in cyclo_kernel(rows, len(sums))]
+    reduced, pivots = cyclo_rref([[f.coefficient(e) for e in monos] for f in fixed])
+    return [Poly3(dict(zip(monos, reduced[r]))) for r in range(len(pivots))]
+
+
+def test_rational_kernels_match_cyclotomic_kernels():
+    # the group is Galois-stable, so the kernels over Q lose no dimension
+    for d in list(range(13)) + [15]:
+        assert reynolds_basis(mats(), d) == cyclo_kernel_basis(mats(), d), d
 
 
 def test_bases_match_molien_and_a_generating_pair():

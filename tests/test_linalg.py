@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_rref import cyclo_kernel, cyclo_rref
 from wingerverify.cyclo import rational, zeta
-from wingerverify.linalg import Matrix
+from wingerverify.linalg import Matrix, echelon, integer_det, null_space, rref
 
 
 def gram():
@@ -45,16 +47,31 @@ def test_kernel():
     assert all(c.is_zero() for c in m.apply(ker[0]))
 
 
+def test_kernel_by_rank():
+    # rank 3: no kernel; rank 2: one vector v with m v = 0, on the line of
+    # the Q(zeta_5) reference kernel; rank 1 and 0: ValueError
+    assert Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]]).kernel() == []
+    eta = zeta()
+    rank2 = Matrix.from_rows([[1, eta, 0], [eta, eta ** 2, 0], [0, 1, eta ** 3]])
+    (v,) = rank2.kernel()
+    assert all(c.is_zero() for c in rank2.apply(v))
+    assert any(not c.is_zero() for c in v)
+    (ref,) = cyclo_kernel([rank2.row(i) for i in range(3)], 3)
+    assert len(cyclo_rref([v, ref])[1]) == 1  # proportional
+    for low_rank in ([[1, 2, 3], [2, 4, 6], [eta, 2 * eta, 3 * eta]], [[0] * 3] * 3):
+        with pytest.raises(ValueError, match="rank below 2"):
+            Matrix.from_rows(low_rank).kernel()
+
+
 # -- the adjugate against the augmented-RREF inverse ----------------------------
 
 
 def rref_inverse(m):
-    """The inverse from the RREF of [m | I], or None when m is singular:
-    the construction the adjugate replaced, kept as its oracle."""
+    """The inverse from the Q(zeta_5) RREF of [m | I], or None when m is
+    singular: the construction the adjugate replaced, kept as its oracle."""
     k = m.rows
     ident = Matrix.identity(k)
-    aug = Matrix(k, 2 * k, [x for i in range(k) for x in (*m.row(i), *ident.row(i))])
-    rows, pivots = aug.rref()
+    rows, pivots = cyclo_rref([[*m.row(i), *ident.row(i)] for i in range(k)])
     if pivots != list(range(k)):
         return None
     return Matrix(k, k, [e for row in rows for e in row[k:]])
@@ -83,3 +100,70 @@ def test_adjugate_and_inverse_match_rref_oracle(entries, c, dependent):
             m.inverse()
     else:
         assert m.inverse() == oracle
+
+
+# -- the integer elimination against sympy ----------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer n x n matrices, some singular (a repeated or combined row)
+    and some with a zero leading entry, so that the first pivot needs a
+    row swap."""
+    n = draw(st.integers(1, 6))
+    m = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "swap", "repeated", "combined")))
+    if shape == "swap":
+        m[0][0] = 0
+    elif n >= 2 and shape == "repeated":
+        m[-1] = list(m[0])
+    elif n >= 3 and shape == "combined":
+        m[2] = [2 * a - 3 * b for a, b in zip(m[0], m[1])]
+    return m
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Integer r x c matrices of rank at most k: a product of r x k and
+    k x c factors, with some rows and columns then set to zero."""
+    r, c, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    entry = st.integers(-4, 4)
+    left = [[draw(entry) for _ in range(k)] for _ in range(r)]
+    right = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * c
+         for row in left]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        m[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_integer_det_matches_sympy(m):
+    # the sign of a row swap included, and 0 at any rank below n
+    assert integer_det(m) == sympy.Matrix(m).det()
+    assert len(echelon(m)[1]) == sympy.Matrix(m).rank()
+
+
+def as_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient_matrices())
+def test_rank_rref_and_null_space_match_sympy(m):
+    oracle = sympy.Matrix(m)
+    ref, ref_pivots = oracle.rref()
+    ech, pivots, _ = echelon(m)
+    assert len(pivots) == oracle.rank()
+    assert all(row[p] for row, p in zip(ech, pivots))
+    assert all(not any(row[:p]) for row, p in zip(ech, pivots))
+    reduced, pivots = rref(m)
+    assert tuple(pivots) == ref_pivots
+    assert reduced == [[as_fraction(x) for x in ref.row(i)] for i in range(len(pivots))]
+    kernel = null_space(m, len(m[0]))
+    assert kernel == [[as_fraction(x) for x in v] for v in oracle.nullspace()]
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)

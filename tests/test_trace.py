@@ -31,3 +31,10 @@ def test_traced_invariants_run():
     assert result["exit"] == 0
     assert "cli.suite.invariants" in result["spans"]
     assert "invariants.reynolds@15" in result["spans"]
+
+
+def test_traced_orbits_run():
+    # the eigenvectors of the irregular orbits go through Matrix.kernel
+    result = traced("orbits")
+    assert result["exit"] == 0
+    assert result["counts"].get("linalg.kernel_calls", 0) > 0

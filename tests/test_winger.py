@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from cyclo_rref import cyclo_kernel
 from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.perms import alternating_group_5, parse_cycles
@@ -52,7 +53,8 @@ def test_group_reconstruction():
 
 def kernel_scaling(w_rest, u_rest):
     """Oracle: the scaling c with (w ⊙ c) proportional to u for each pair,
-    as the kernel of a 9x3 linear system, or None when there is none."""
+    as the Q(zeta_5) kernel of a 9x3 linear system, or None when there is
+    none."""
     zero = rational(0)
     eq_rows = []
     for w, u in zip(w_rest, u_rest):
@@ -61,7 +63,7 @@ def kernel_scaling(w_rest, u_rest):
             row[j] = w[j] * u[k]
             row[k] = -(w[k] * u[j])
             eq_rows.append(row)
-    kern = Matrix.from_rows(eq_rows).kernel()
+    kern = cyclo_kernel(eq_rows, 3)
     if len(kern) != 1 or any(x.is_zero() for x in kern[0]):
         return None
     return kern[0]
