@@ -261,10 +261,11 @@ def check_pencil(report, args, corruption):
     if args.deep:
         def deep():
             from .discriminant import pencil_discriminant
-            _, mults = pencil_discriminant(corruption.sextic())
-            return mults == {"degree": 60, "0": 44, "-1": 6, "27/5": 10,
-                             "residual_degree": 0,
-                             "residual_is_nonzero_constant": True}, mults
+            _, mults, control = pencil_discriminant(corruption.sextic())
+            ok = control["holds"] and mults == {"degree": 60, "0": 44, "-1": 6,
+                                                "27/5": 10, "residual_degree": 0,
+                                                "residual_is_nonzero_constant": True}
+            return ok, mults if control["holds"] else {**mults, "control": control}
         run_claim(report, "discriminant-root-set",
                   "Macaulay-resultant discriminant vanishes only at 0, -1, 27/5 "
                   "and at infinity (degree drop)",

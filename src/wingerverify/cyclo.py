@@ -90,9 +90,6 @@ class Cyclo:
         da, db = self.den, o.den
         return Cyclo([a * db - b * da for a, b in zip(self.nums, o.nums)], da * db)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -116,9 +113,6 @@ class Cyclo:
         if o is None:
             return NotImplemented
         return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int):
         if k < 0:

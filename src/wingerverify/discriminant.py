@@ -1,17 +1,24 @@
-"""Macaulay-resultant certification of the pencil's singular parameter set.
+"""Resultant certification of the pencil's singular parameter set.
 
 The resultant of the three partial derivatives of a plane sextic
 vanishes exactly when the curve is singular.  For the pencil the
-partials are quintics whose coefficients are linear in the parameter,
-so the Macaulay matrix is A + lam*B (105x105) and so is its
-denominator minor (30x30).  Both determinants are computed as exact
-integer polynomials in lam: per Proth prime below 2^240, proven by
-Proth's theorem, one inversion and one Hessenberg characteristic
-polynomial mod p, then the Chinese remainder theorem past a Hadamard
-bound.  Their exact quotient is the resultant, checked against one
-evaluation by the integer elimination `linalg.echelon` and certified
-to vanish only at 0, -1 and 27/5, with the degree drop below 75
-witnessing the singular member at infinity.
+partials are quintics whose coefficients are linear in the parameter.
+Their hybrid Sylvester-Bezout matrix H(lam) is 45x45, with 30 Sylvester
+rows linear in lam and 15 Bezout rows, from the Morley form, cubic in
+lam; its determinant is the resultant with no extraneous factor.  Two
+auxiliary unknowns per Bezout row make it the 75x75 linear pencil
+A + lam*B with the same determinant, computed as an exact integer
+polynomial in lam: per Proth prime below 2^240, proven by Proth's
+theorem, one inversion and one Hessenberg characteristic polynomial
+mod p, then the Chinese remainder theorem past a Hadamard bound (two
+primes).  The resultant is certified to vanish only at 0, -1 and 27/5,
+with the degree drop below 75 witnessing the singular member at
+infinity.
+
+Every run also controls it at one parameter against an independent
+formula: the Macaulay resultant, the 105x105 Macaulay determinant over
+its 30x30 minor by the integer elimination `linalg.echelon`, in
+coordinates where that minor does not vanish.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -20,9 +27,8 @@ winger reaches the same list without it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import isqrt
-from operator import mul
+from operator import add, mul
 
 from .linalg import Matrix, integer_det
 from .polys import Poly3, _numerators, monomials_of_degree
@@ -90,26 +96,123 @@ def macaulay_resultant_value(fs, degrees) -> Fraction:
     return Fraction(integer_det(full), det_minor)
 
 
-def _pencil_partial_tables(f):
-    """For each variable, integer coefficient tables (A, B) with
-    d((Q^3 + lam*f) o T)/dz_i = A + lam*B, for the sextic f (F itself,
-    or a perturbed copy).
+# The coordinates of the Macaulay control.  In the symmetric original
+# coordinates the Macaulay denominator minor vanishes identically (a 0/0
+# evaluation); after T it does not.  With det T = 3, mixing the three
+# quintic partials by T^t scales the resultant by 3^(5*5), and the
+# substitution by 3^(5*5*5).
+CONTROL_T = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
+CONTROL_SCALE = 3 ** 150
 
-    A fixed unimodular-ish change of coordinates T is applied first: in
-    the symmetric original coordinates the Macaulay denominator minor
-    vanishes identically (a 0/0 evaluation), while the resultant itself
-    only changes by a nonzero constant under T, so the root set in the
-    parameter is untouched.
+
+def _pencil_partials(f, t=None):
+    """For each variable, integer coefficient tables [A, B] with
+    d(Q^3 + lam*f)/dz_i = A + lam*B, for the sextic f (F itself or a
+    perturbed copy), after the change of coordinates t if one is given."""
+    q3 = q_poly() ** 3
+    if t is not None:
+        m = Matrix.from_rows(t)
+        q3, f = q3.act(m), f.act(m)
+    return [[_to_int_poly(q3.partial(i)), _to_int_poly(f.partial(i))]
+            for i in range(3)]
+
+
+# -- the hybrid Sylvester-Bezout matrix ------------------------------------------
+
+def _divided_difference(form, j):
+    """(f(y_<j, x_>=j) - f(y_<=j, x_>j)) / (x_j - y_j) for a form given as
+    an {(a0, a1, a2, k): coefficient of lam^k x^a} dict, as a dict on the
+    exponents (x0, x1, x2, y0, y1, y2, k)."""
+    out = {}
+    for (*a, k), c in form.items():
+        y_low, x_high = a[:j], a[j + 1:]
+        for e in range(a[j]):
+            key = (*[0] * j, e, *x_high, *y_low, a[j] - 1 - e, *[0] * (2 - j), k)
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _product(p, q):
+    """Product of two polynomials in the dict form of `_divided_difference`."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = tuple(map(add, k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def hybrid_rows(forms, d):
+    """Rows of the hybrid Sylvester-Bezout matrix H of three ternary forms
+    of degree d at degree nu = 2d - 2, whose determinant is their
+    resultant with no extraneous factor (Jouanolou, "Formes d'inertie et
+    resultant: un formulaire", Adv. Math. 126, 1997; D'Andrea-Dickenstein,
+    "Explicit formulas for the multivariate resultant", JPAA 164, 2001).
+
+    Each form is a list of exponent->int dicts, the coefficients of
+    lam^0, lam^1, ...; each row is the list of its coefficient rows in lam,
+    lowest first, over the monomials of degree nu in `monomials_of_degree`
+    order.  The Sylvester rows are x^g * f_i for |g| = nu - d.  The Bezout
+    rows are the bidegree-(nu, 3d - 3 - nu) part of the Morley form
+    det[(f_i(y_<j, x_>=j) - f_i(y_<=j, x_>j)) / (x_j - y_j)]_ij, one row
+    per y-monomial.
     """
-    t = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
-    q3 = (q_poly() ** 3).act(t)
-    f = f.act(t)
-    tables = []
-    for i in range(3):
-        a = _to_int_poly(q3.partial(i))
-        b = _to_int_poly(f.partial(i))
-        tables.append((a, b))
-    return tables
+    nu = 2 * d - 2
+    col = {m: i for i, m in enumerate(monomials_of_degree(nu))}
+    rows = []
+    for form in forms:
+        for g in monomials_of_degree(nu - d):
+            row = [[0] * len(col) for _ in form]
+            for part, coeffs in zip(row, form):
+                for a, c in coeffs.items():
+                    part[col[tuple(map(add, a, g))]] = c
+            rows.append(row)
+    lam_forms = [{(*a, k): c for k, coeffs in enumerate(form) for a, c in coeffs.items()}
+                 for form in forms]
+    m = [[_divided_difference(form, j) for j in range(3)] for form in lam_forms]
+    morley = {}
+    for (i0, i1, i2), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        for key, c in _product(_product(m[i0][0], m[i1][1]), m[i2][2]).items():
+            morley[key] = morley.get(key, 0) + sign * c
+    # a Morley coefficient has lam-degree at most 3 * (len(form) - 1)
+    bezout = {b: [[0] * len(col) for _ in range(3 * max(map(len, forms)) - 2)]
+              for b in monomials_of_degree(3 * d - 3 - nu)}
+    for key, c in morley.items():
+        if key[3:6] in bezout:
+            bezout[key[3:6]][key[6]][col[key[:3]]] += c
+    return rows + list(bezout.values())
+
+
+def _linearize(rows):
+    """(A, B) with det(A + lam*B) = det H(lam), for rows of H of degree 1
+    or 3 in lam as `hybrid_rows` gives them.
+
+    A cubic row (r0 + lam r1 + lam^2 r2 + lam^3 r3).v gets two unknowns
+    u = (r2 + lam r3).v and t = lam u, and becomes (r0 + lam r1).v + lam t
+    beside the rows u - (r2 + lam r3).v and t - lam u.  On the new columns
+    (u, then t) the new rows (all u-rows, then all t-rows) form the block
+    [[I, 0], [-lam I, I]] of determinant 1, whose Schur complement is H.
+    """
+    n = len(rows)
+    cubic = [i for i, row in enumerate(rows) if len(row) == 4]
+    pad = [0] * (2 * len(cubic))
+
+    def unit(pos, sign):
+        vec = [0] * (n + len(pad))
+        vec[pos] = sign
+        return vec
+    a, b = [r[0] + pad for r in rows], [r[1] + pad for r in rows]
+    u_a, u_b, t_a, t_b = [], [], [], []
+    for j, i in enumerate(cubic):
+        u, t = n + j, n + len(cubic) + j
+        b[i][t] = 1
+        u_a.append([-x for x in rows[i][2]] + pad)
+        u_a[-1][u] = 1
+        u_b.append([-x for x in rows[i][3]] + pad)
+        t_a.append(unit(t, 1))
+        t_b.append(unit(u, -1))
+    return a + u_a + t_a, b + u_b + t_b
 
 
 # -- det(A + lam*B) as an integer polynomial, multi-modular --------------------
@@ -292,59 +395,51 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
 
 
 def _divide_out_root(coeffs, root: Fraction):
-    """How many times (x - root) divides; returns (multiplicity, quotient)."""
+    """How many times (x - root) divides; returns (multiplicity, quotient).
+    Each division is synthetic (Horner), and exact since root is a root."""
     mult = 0
     cur = list(coeffs)
     while len(cur) > 1 and _poly_eval(cur, root) == 0:
-        cur = _exact_quotient(cur, [-root, 1])
+        quot = [Fraction(cur[-1])]
+        for c in reversed(cur[1:-1]):
+            quot.append(quot[-1] * root + c)
+        cur = quot[::-1]
         mult += 1
     return mult, cur
 
 
-def _exact_quotient(num, den):
-    """num / den in Q[lam] (coefficients lowest first); raises
-    ArithmeticError unless the division leaves no remainder."""
-    num = [Fraction(x) for x in num]
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ArithmeticError("zero denominator polynomial")
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    for k in range(len(num) - len(den), -1, -1):
-        q = num[k + len(den) - 1] / den[-1]
-        quot[k] = q
-        for j, d in enumerate(den):
-            num[k + j] -= q * d
-    if any(num):
-        raise ArithmeticError("the polynomial division leaves a remainder")
-    return quot
+def _macaulay_control(f, coeffs):
+    """Check CONTROL_SCALE * det H(lam) against the Macaulay resultant of
+    the partials in the coordinates CONTROL_T, at the first lam in 1..31
+    where its denominator minor is nonzero.  The minor's determinant has
+    degree at most 30 in lam, so if it vanishes at all 31 it vanishes
+    identically, and the control does not hold."""
+    tables = _pencil_partials(f, CONTROL_T)
+    for lam in range(1, 32):
+        fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
+              for a, b in tables]
+        try:
+            value = macaulay_resultant_value(fs, (5, 5, 5))
+        except ZeroDivisionError:
+            continue
+        return {"lambda": lam, "holds": value == CONTROL_SCALE * _poly_eval(coeffs, lam)}
+    return {"lambda": None, "holds": False}
 
 
 def pencil_discriminant(f):
     """The resultant of the partials of Q^3 + lam*f as a polynomial in lambda.
 
-    Returns (coefficients lowest-first, multiplicities dict).  The
-    multiplicities dict maps the roots 0, -1 and 27/5 to their orders
-    and "degree" to the resultant's degree; after dividing the three
-    roots out, the remaining factor must be a nonzero constant, which
-    certifies that no other finite singular parameter exists.
+    Returns (integer coefficients lowest-first, multiplicities dict,
+    control).  The multiplicities dict maps the roots 0, -1 and 27/5 to
+    their orders and "degree" to the resultant's degree; after dividing
+    the three roots out, the remaining factor must be a nonzero constant,
+    which certifies that no other finite singular parameter exists.  The
+    control is `_macaulay_control`'s outcome.
     """
-    tables = _pencil_partial_tables(f)
-    degrees = (5, 5, 5)
-    full_a, minor_a = _eval_determinants([a for a, _ in tables], degrees)
-    full_b, minor_b = _eval_determinants([b for _, b in tables], degrees)
-    p_minor = _pencil_det(minor_a, minor_b)
-    coeffs = _exact_quotient(_pencil_det(full_a, full_b), p_minor)
-    # control: one exact integer evaluation at the first lambda >= 1 where
-    # the minor does not vanish
-    lam = next(x for x in count(1) if _poly_eval(p_minor, x))
-    int_fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in set(a) | set(b)}
-              for a, b in tables]
-    if _poly_eval(coeffs, Fraction(lam)) != macaulay_resultant_value(int_fs, degrees):
-        raise ArithmeticError("the modular resultant fails the exact control")
+    coeffs = _pencil_det(*_linearize(hybrid_rows(_pencil_partials(f), 5)))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
+    control = _macaulay_control(f, coeffs)
     mults = {"degree": len(coeffs) - 1}
     cur = coeffs
     for root in (Fraction(0), Fraction(-1), Fraction(27, 5)):
@@ -352,4 +447,4 @@ def pencil_discriminant(f):
         mults[str(root)] = m
     mults["residual_degree"] = len(cur) - 1
     mults["residual_is_nonzero_constant"] = (len(cur) == 1 and cur[0] != 0)
-    return coeffs, mults
+    return coeffs, mults, control

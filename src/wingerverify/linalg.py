@@ -151,12 +151,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
-    def __str__(self):
-        return "\n".join("[" + ", ".join(str(e) for e in self.row(i)) + "]"
-                         for i in range(self.rows))
-
-    __repr__ = __str__
-
 
 def echelon(rows):
     """Fraction-free (Bareiss) forward elimination of integer rows: the

@@ -98,14 +98,8 @@ class Perm:
             return NotImplemented
         return self.images == other.images
 
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __hash__(self):
         return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm[{self.cycle_string()}]"
 
 
 def parse_cycles(text: str, degree: int) -> Perm:

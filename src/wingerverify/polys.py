@@ -112,9 +112,6 @@ class Poly3:
     def __sub__(self, other):
         return self + (other * -1)
 
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
         if isinstance(other, Poly3):
             dp, p = _numerators(self.terms)

@@ -1,0 +1,46 @@
+"""Reference route to the pencil's discriminant for the test oracles.
+
+The Macaulay quotient: the determinant of the 105x105 Macaulay pencil of
+the partials of (Q^3 + lam*f) o T over that of its 30x30 extraneous
+minor, both by the multi-modular `_pencil_det`, in the control
+coordinates T where the minor does not vanish.  `discriminant` replaced
+it by the hybrid Sylvester-Bezout matrix; it is kept here as that
+matrix's independent reference.
+"""
+
+from fractions import Fraction
+
+from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
+                                       _pencil_det, _pencil_partials)
+
+
+def exact_quotient(num, den):
+    """num / den in Q[lam] (coefficients lowest first); raises
+    ArithmeticError unless the division leaves no remainder."""
+    num = [Fraction(x) for x in num]
+    den = list(den)
+    while den and den[-1] == 0:
+        den.pop()
+    if not den:
+        raise ArithmeticError("zero denominator polynomial")
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    for k in range(len(num) - len(den), -1, -1):
+        q = num[k + len(den) - 1] / den[-1]
+        quot[k] = q
+        for j, d in enumerate(den):
+            num[k + j] -= q * d
+    if any(num):
+        raise ArithmeticError("the polynomial division leaves a remainder")
+    return quot
+
+
+def macaulay_quotient(f):
+    """Coefficients (lowest first, trailing zeros dropped) of the
+    resultant of the partials of (Q^3 + lam*f) o CONTROL_T."""
+    tables = _pencil_partials(f, CONTROL_T)
+    full_a, minor_a = _eval_determinants([a for a, _ in tables], (5, 5, 5))
+    full_b, minor_b = _eval_determinants([b for _, b in tables], (5, 5, 5))
+    coeffs = exact_quotient(_pencil_det(full_a, full_b), _pencil_det(minor_a, minor_b))
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from wingerverify import characters, cli, covers, hurwitz, invariants, perms, winger
+from wingerverify import (characters, cli, covers, discriminant, hurwitz, invariants,
+                          perms, winger)
 from wingerverify.cli import Corruption, main
 from wingerverify.cyclo import rational
 from wingerverify.linalg import Matrix
@@ -64,14 +65,28 @@ def test_usage_error_exit_2():
         assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_float_library():
-    # sympy loads mpmath into the test process, so only a fresh one can tell
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules that `import wingerverify.cli` loads into a fresh
+    process: sympy loads mpmath into the test process, and the tests
+    import every wingerverify module, so only a fresh one can tell."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import wingerverify.cli; "
-            "print('mpmath' in sys.modules)")
+            "print(' '.join(sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_float_library(cli_import_modules):
+    assert "wingerverify.cli" in cli_import_modules
+    assert "mpmath" not in cli_import_modules
+
+
+def test_cli_import_defers_the_discriminant(cli_import_modules):
+    # `deep()` imports it, so commands without --deep never pay for it
+    assert "wingerverify.cli" in cli_import_modules
+    assert "wingerverify.discriminant" not in cli_import_modules
 
 
 def test_corruption_specs():
@@ -235,6 +250,25 @@ def test_corrupted_sextic_fails_discriminant(tmp_path, capsys):
     capsys.readouterr()
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
     assert claims["discriminant-root-set"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("fault", ["mismatch", "minor_vanishes"])
+def test_failed_macaulay_control_fails_discriminant(fault, tmp_path, monkeypatch, capsys):
+    resultant = discriminant.macaulay_resultant_value
+
+    def faulty(fs, degrees):
+        if fault == "minor_vanishes":
+            raise ZeroDivisionError("degenerate minor")
+        return resultant(fs, degrees) + 1
+    monkeypatch.setattr(discriminant, "macaulay_resultant_value", faulty)
+    path = tmp_path / "report.json"
+    assert run(["pencil", "--deep", "--json", str(path)]) == 1
+    capsys.readouterr()
+    claim = {c["id"]: c for c in json.loads(path.read_text())["claims"]}["discriminant-root-set"]
+    assert claim["status"] == "fail"
+    assert claim["witness"]["degree"] == 60
+    expect = {"lambda": 1, "holds": False} if fault == "mismatch" else {"lambda": None, "holds": False}
+    assert claim["witness"]["control"] == expect
 
 
 def test_bad_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):

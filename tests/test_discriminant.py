@@ -3,16 +3,22 @@ from itertools import islice
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wingerverify.discriminant import (_divide_out_root, _exact_quotient,
-                                       _hessenberg_charpoly_mod, _pencil_bound,
-                                       _pencil_det, _pencil_det_mod,
-                                       _poly_eval, _proth_primes,
+from macaulay_quotient import exact_quotient, macaulay_quotient
+from wingerverify import discriminant
+from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T,
+                                       _divide_out_root,
+                                       _hessenberg_charpoly_mod, _linearize,
+                                       _pencil_bound, _pencil_det,
+                                       _pencil_det_mod, _pencil_partials,
+                                       _poly_eval, _proth_primes, hybrid_rows,
                                        macaulay_resultant_value,
-                                       macaulay_system)
+                                       macaulay_system, pencil_discriminant)
 from wingerverify.linalg import integer_det
+from wingerverify.polys import Poly3, monomials_of_degree
+from wingerverify.winger import f_poly
 
 
 def test_int_bareiss_det():
@@ -146,9 +152,96 @@ def test_proth_primes_are_proven_and_descending():
 
 def test_exact_quotient():
     # (x + 1)(2x - 3) / (x + 1)
-    assert _exact_quotient([-3, -1, 2], [1, 1]) == [Fraction(-3), Fraction(2)]
-    assert _exact_quotient([6], [3, 0]) == [Fraction(2)]
+    assert exact_quotient([-3, -1, 2], [1, 1]) == [Fraction(-3), Fraction(2)]
+    assert exact_quotient([6], [3, 0]) == [Fraction(2)]
     with pytest.raises(ArithmeticError):
-        _exact_quotient([1, 0, 1], [1, 1])
+        exact_quotient([1, 0, 1], [1, 1])
     with pytest.raises(ArithmeticError):
-        _exact_quotient([1, 2], [0, 0])
+        exact_quotient([1, 2], [0, 0])
+
+
+# -- the hybrid Sylvester-Bezout matrix against the Macaulay resultant -----------
+
+@st.composite
+def ternary_forms(draw, parts):
+    """(d, three integer ternary forms of degree d in {2, 3}), each a list
+    of `parts` coefficient dicts (lam^0, lam^1, ...), some coefficients 0."""
+    d = draw(st.sampled_from((2, 3)))
+    coef = st.integers(-4, 4)
+    return d, [[{m: draw(coef) for m in monomials_of_degree(d)} for _ in range(parts)]
+               for _ in range(3)]
+
+
+def h_at(rows, lam):
+    """The integer matrix H(lam) from its rows' coefficient rows in lam."""
+    return [[sum(x * lam ** k for k, x in enumerate(col)) for col in zip(*row)]
+            for row in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ternary_forms(parts=1))
+def test_hybrid_det_is_the_macaulay_resultant(case):
+    d, forms = case
+    try:
+        expect = macaulay_resultant_value([form[0] for form in forms], (d, d, d))
+    except ZeroDivisionError:
+        assume(False)  # the Macaulay minor vanishes: no oracle value
+    rows = hybrid_rows(forms, d)
+    assert (len(rows), len(rows[0][0])) == {2: (6, 6), 3: (15, 15)}[d]
+    # Macaulay's normalisation: the resultant of x0^d, x1^d, x2^d is 1
+    units = [[{tuple(d * (j == i) for j in range(3)): 1}] for i in range(3)]
+    sign = integer_det(h_at(hybrid_rows(units, d), 0))
+    assert sign in (1, -1)
+    assert integer_det(h_at(rows, 0)) == sign * expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(ternary_forms(parts=2))
+def test_linearized_pencil_matches_cubic_rows(case):
+    d, forms = case
+    rows = hybrid_rows(forms, d)
+    assert sorted({len(row) for row in rows}) == [2, 4]
+    a, b = _linearize(rows)
+    coeffs = _pencil_det(a, b)
+    # len(a) + 1 points pin down a polynomial of degree <= len(a)
+    for lam in range(-2, len(a) - 1):
+        assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
+
+
+# -- the pencil's discriminant against the Macaulay quotient ---------------------
+
+def test_discriminant_times_control_scale_is_the_macaulay_quotient():
+    coeffs, mults, control = pencil_discriminant(f_poly())
+    assert control == {"lambda": 1, "holds": True}
+    assert [CONTROL_SCALE * c for c in coeffs] == macaulay_quotient(f_poly())
+
+
+def test_corrupted_discriminant_matches_macaulay_values():
+    f = f_poly() + Poly3.monomial((0, 0, 6), 1)
+    coeffs, mults, control = pencil_discriminant(f)
+    assert control == {"lambda": 1, "holds": True}
+    assert mults["degree"] == 65
+    tables = _pencil_partials(f, CONTROL_T)
+    for lam in (2, -3, 7):
+        fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
+              for a, b in tables]
+        assert (macaulay_resultant_value(fs, (5, 5, 5))
+                == CONTROL_SCALE * _poly_eval(coeffs, lam))
+
+
+def test_discriminant_is_two_passes_of_size_75(monkeypatch):
+    sizes, controls = [], []
+    det_mod, resultant = _pencil_det_mod, macaulay_resultant_value
+
+    def counted_det_mod(a, b, p):
+        sizes.append(len(a))
+        return det_mod(a, b, p)
+
+    def counted_resultant(fs, degrees):
+        controls.append(degrees)
+        return resultant(fs, degrees)
+    monkeypatch.setattr(discriminant, "_pencil_det_mod", counted_det_mod)
+    monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
+    pencil_discriminant(f_poly())
+    assert sizes == [75, 75]
+    assert controls == [(5, 5, 5)]
