@@ -10,10 +10,10 @@ report instead of checking the mathematics again.  Witnesses hold exact
 values only (rationals and Q(zeta_5) elements, serialized as strings).
 
 Exit codes: 0 all claims pass, 1 at least one claim failed, 2 usage
-error, 3 internal error (a claim with status "error"; a suite that
-crashes outside its claims is recorded as the error claim
-`suite-<name>`); the report is printed and written in every case but a
-usage error.
+error (an unwritable --json path too, once the report is printed), 3
+internal error (a claim with status "error"; a suite that crashes
+outside its claims is recorded as the error claim `suite-<name>`); the
+report is printed and written in every case but a usage error.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ class Corruption:
         mats = list(reconstruct_group().matrices)
         if self.matrix_index is not None:
             k = self.matrix_index % len(mats)
-            m = mats[k]
-            bumped = Matrix(3, 3, (m.entries[0] + rational(1),) + m.entries[1:])
-            mats[k] = bumped
+            e = mats[k].entries
+            mats[k] = Matrix((e[0] + rational(1),) + e[1:])
         return mats
 
 
@@ -539,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", metavar="PATH",
                         help="write the claim report as JSON to PATH ('-' for stdout)")
     parser.add_argument("--deep", action="store_true",
-                        help="include the Macaulay-discriminant certification")
+                        help="include the Sylvester-Bezout discriminant certification")
     parser.add_argument("--convention", choices=("rtl", "ltr"), default="rtl",
                         help="tuple product reading; 'ltr' recomputes "
                              "convention-sensitive tables both ways")
@@ -582,8 +581,13 @@ def main(argv=None) -> int:
         if args.json == "-":
             print(text)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.json, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:  # the claims ran; only the path is at fault
+                print(f"winger-verify: cannot write the JSON report to {args.json}: "
+                      f"{exc.strerror}", file=sys.stderr)
+                return 2
     if report.errors:
         return 3
     return 1 if failed else 0

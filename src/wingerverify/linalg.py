@@ -13,19 +13,22 @@ from math import lcm
 from .cyclo import Cyclo, rational
 
 
+def _dot(row, col) -> Cyclo:
+    """The sum of row[k] * col[k] over the nonzero entries of `row`, for a
+    row and a column of one length (ValueError otherwise)."""
+    terms = [a * b for a, b in zip(row, col, strict=True) if not a.is_zero()]
+    return sum(terms[1:], terms[0]) if terms else rational(0)
+
+
 class Matrix:
-    """Immutable dense matrix over Q(zeta_5)."""
+    """Immutable 3x3 matrix over Q(zeta_5): its nine entries, row by row."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(
-            e if isinstance(e, Cyclo) else rational(e) for e in entries
-        )
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def __init__(self, entries):
+        entries = tuple(e if isinstance(e, Cyclo) else rational(e) for e in entries)
+        if len(entries) != 9:
+            raise ValueError("a 3x3 matrix has nine entries")
         object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, *a):
@@ -33,93 +36,61 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return Matrix(r, c, [e for row in rows for e in row])
+        """The matrix of three rows of three entries (ValueError otherwise)."""
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return Matrix((a, b, c, d, e, f, g, h, i))
 
     @staticmethod
     def identity(k: int) -> "Matrix":
+        """The identity; its size k can only be 3."""
         return Matrix.diagonal([1] * k)
 
     @staticmethod
     def diagonal(diag) -> "Matrix":
-        k = len(diag)
-        zero = rational(0)
-        return Matrix(k, k, [diag[i] if i == j else zero for i in range(k) for j in range(k)])
+        a, b, c = diag
+        return Matrix((a, 0, 0, 0, b, 0, 0, 0, c))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.entries[3 * i + j]
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return self.entries[3 * i:3 * i + 3]
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            a, b = self.entries, other.entries
-            m, k, p = self.rows, self.cols, other.cols
-            out = []
-            for i in range(m):
-                arow = a[i * k:(i + 1) * k]
-                for j in range(p):
-                    acc = None
-                    for t in range(k):
-                        av = arow[t]
-                        if av.is_zero():
-                            continue
-                        term = av * b[t * p + j]
-                        acc = term if acc is None else acc + term
-                    out.append(acc if acc is not None else rational(0))
-            return Matrix(m, p, out)
+            cols = [other.entries[j::3] for j in range(3)]
+            return Matrix([_dot(self.row(i), c) for i in range(3) for c in cols])
         if isinstance(other, (int, Fraction, Cyclo)):
-            return Matrix(self.rows, self.cols, [e * other for e in self.entries])
+            return Matrix([e * other for e in self.entries])
         return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (other * -1)
+        return Matrix([a - b for a, b in zip(self.entries, other.entries)])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        e = self.entries
+        return Matrix(e[0::3] + e[1::3] + e[2::3])
 
     def trace(self) -> Cyclo:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        acc = rational(0)
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
+        return self.entries[0] + self.entries[4] + self.entries[8]
 
     def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
-        return (self * Matrix(len(vec), 1, vec)).entries
+        """Matrix times a column vector of three entries."""
+        return tuple(_dot(self.row(i), vec) for i in range(3))
 
     def adjugate(self) -> "Matrix":
-        """The 3x3 adjugate (transposed cofactors): m * adj(m) = det(m) * I."""
-        if (self.rows, self.cols) != (3, 3):
-            raise ValueError("adjugate of a non-3x3 matrix")
+        """The adjugate (transposed cofactors): m * adj(m) = det(m) * I, so
+        det(m) is the first row of m times the first column of adj(m)."""
         a, b, c, d, e, f, g, h, i = self.entries
-        return Matrix(3, 3, (e * i - f * h, c * h - b * i, b * f - c * e,
-                             f * g - d * i, a * i - c * g, c * d - a * f,
-                             d * h - e * g, b * g - a * h, a * e - b * d))
+        return Matrix((e * i - f * h, c * h - b * i, b * f - c * e,
+                       f * g - d * i, a * i - c * g, c * d - a * f,
+                       d * h - e * g, b * g - a * h, a * e - b * d))
 
     def _det_from(self, adj: "Matrix") -> Cyclo:
-        """The first row of a 3x3 matrix times the first column of its adjugate."""
-        return self[0, 0] * adj[0, 0] + self[0, 1] * adj[1, 0] + self[0, 2] * adj[2, 0]
+        return _dot(self.row(0), adj.entries[0::3])
 
     def det(self) -> Cyclo:
         return self._det_from(self.adjugate())
@@ -132,13 +103,13 @@ class Matrix:
         return adj * d.inv()
 
     def kernel(self):
-        """Right null space of a 3x3 matrix of rank at least 2: [] if it is
+        """Right null space of a matrix of rank at least 2: [] if it is
         invertible, else one nonzero column of adj(m), as m adj(m) =
         det(m) I = 0.  Raises ValueError below rank 2, where adj(m) = 0."""
         adj = self.adjugate()
         if not self._det_from(adj).is_zero():
             return []
-        columns = [col for col in zip(*(adj.row(i) for i in range(3))) if any(col)]
+        columns = [col for col in (adj.entries[j::3] for j in range(3)) if any(col)]
         if not columns:
             raise ValueError("3x3 matrix of rank below 2")
         return columns[:1]
@@ -146,10 +117,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash(self.entries)
 
 
 def echelon(rows):

@@ -228,8 +228,6 @@ class Substitution:
     __slots__ = ("pows",)
 
     def __init__(self, m: Matrix):
-        if (m.rows, m.cols) != (3, 3):
-            raise ValueError("need a 3x3 matrix")
         one = (1, {(0, 0, 0): (1, 0, 0, 0)})
         self.pows = [[one, _numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
 

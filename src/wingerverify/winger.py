@@ -183,7 +183,7 @@ def reconstruct_group() -> IcosaGroup:
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
         for c in _triple_scalings(b_inv, rows, triple, u_rest).values():
-            m = _rescale(b_inv * Matrix.diagonal(list(c)) * c_mat, gram)
+            m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram)
             if m is not None:
                 found.add(m)
     if len(found) != 60:

@@ -45,6 +45,19 @@ def test_json_report_schema(tmp_path, capsys):
             assert claim["witness"]
 
 
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    # every claim passes, so exit 1 ("a claim failed") would mislead
+    assert run(["covers"]) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "missing" / "r.json"
+    assert run(["covers", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert captured.err.count("\n") == 1 and str(path) in captured.err
+    assert "Traceback" not in captured.err
+    assert not path.exists()
+
+
 def test_tuples_subcommand_and_ltr(capsys):
     assert run(["tuples", "--convention", "ltr"]) == 0
     out = capsys.readouterr().out

@@ -4,9 +4,10 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from cyclo_rref import cyclo_kernel, cyclo_rref
-from wingerverify.cyclo import rational, zeta
+from wingerverify.cyclo import Cyclo, rational, zeta
 from wingerverify.linalg import Matrix, echelon, integer_det, null_space, rref
 
 
@@ -69,12 +70,11 @@ def test_kernel_by_rank():
 def rref_inverse(m):
     """The inverse from the Q(zeta_5) RREF of [m | I], or None when m is
     singular: the construction the adjugate replaced, kept as its oracle."""
-    k = m.rows
-    ident = Matrix.identity(k)
-    rows, pivots = cyclo_rref([[*m.row(i), *ident.row(i)] for i in range(k)])
-    if pivots != list(range(k)):
+    ident = Matrix.identity(3)
+    rows, pivots = cyclo_rref([[*m.row(i), *ident.row(i)] for i in range(3)])
+    if pivots != [0, 1, 2]:
         return None
-    return Matrix(k, k, [e for row in rows for e in row[k:]])
+    return Matrix.from_rows([row[3:] for row in rows])
 
 
 ZETA_POWERS = [zeta() ** k for k in range(4)]
@@ -89,7 +89,7 @@ ELEMENTS = st.builds(
 def test_adjugate_and_inverse_match_rref_oracle(entries, c, dependent):
     if dependent:  # third row = first + c * second, so that det = 0
         entries[6:] = [a + c * b for a, b in zip(entries[:3], entries[3:6])]
-    m = Matrix(3, 3, entries)
+    m = Matrix(entries)
     d, adj = m.det(), m.adjugate()
     scalar = Matrix.identity(3) * d
     assert m * adj == scalar and adj * m == scalar
@@ -100,6 +100,75 @@ def test_adjugate_and_inverse_match_rref_oracle(entries, c, dependent):
             m.inverse()
     else:
         assert m.inverse() == oracle
+
+
+# -- the 3x3 closed forms against sympy ----------------------------------------
+
+# Q[x] with x standing for zeta; Phi5 is monic in x, so the remainder by it
+# is the canonical form modulo Phi5
+QX, X = sympy.ring("x", sympy.QQ)
+PHI5 = X**4 + X**3 + X**2 + X + 1
+
+
+def in_qx(c):
+    c = c if isinstance(c, Cyclo) else rational(c)
+    return sum((sympy.QQ(q.numerator, q.denominator) * X**i
+                for i, q in enumerate(c.coefficients())), QX.zero)
+
+
+def oracle(rows):
+    return DomainMatrix([[in_qx(e) for e in row] for row in rows],
+                        (len(rows), len(rows[0])), QX.to_domain())
+
+
+def as_oracle(m):
+    return oracle([m.row(i) for i in range(3)])
+
+
+def reduced(dm):
+    return [[e.rem(PHI5) for e in row] for row in dm.to_list()]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices with zero entries and sometimes a zero row, so that the
+    product and `apply` skip zero entries and sum no term at all."""
+    entries = draw(st.lists(st.one_of(st.just(0), ELEMENTS), min_size=9, max_size=9))
+    zero_row = draw(st.sampled_from((None, 0, 1, 2)))
+    if zero_row is not None:
+        entries[3 * zero_row:3 * zero_row + 3] = [0, 0, 0]
+    return Matrix(entries)
+
+
+VECTOR_ENTRIES = st.one_of(st.integers(-9, 9),
+                           st.fractions(-5, 5, max_denominator=9), ELEMENTS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), sparse_matrices(),
+       st.lists(VECTOR_ENTRIES, min_size=3, max_size=3))
+def test_closed_forms_match_sympy(a, b, vec):
+    ref_a, ref_b = as_oracle(a), as_oracle(b)
+    assert reduced(as_oracle(a * b)) == reduced(ref_a * ref_b)
+    assert reduced(as_oracle(a.transpose())) == reduced(ref_a.transpose())
+    assert in_qx(a.trace()) == sum(ref_a.diagonal(), QX.zero).rem(PHI5)
+    assert in_qx(a.det()) == ref_a.det().rem(PHI5)
+    image = a.apply(vec)
+    assert all(isinstance(x, Cyclo) for x in image)
+    want = reduced(ref_a * oracle([[v] for v in vec]))
+    assert [[in_qx(x)] for x in image] == want
+
+
+def test_shape_is_checked_on_input():
+    for entries in ([1] * 8, [1] * 10):
+        with pytest.raises(ValueError):
+            Matrix(entries)
+    for rows in ([[1, 2, 3]] * 2, [[1, 2, 3]] * 4, [[1, 2, 3], [4, 5], [6, 7, 8, 9]]):
+        with pytest.raises(ValueError):
+            Matrix.from_rows(rows)
+    for vec in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            Matrix.identity(3).apply(vec)
 
 
 # -- the integer elimination against sympy ----------------------------------------

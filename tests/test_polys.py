@@ -59,7 +59,7 @@ polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), elements,
        st.lists(elements, min_size=3, max_size=3))
 def test_act_agrees_with_evaluation(f, entries, point):
     # (f o m)(p) = f(m p), for any matrix (singular ones included)
-    m = Matrix(3, 3, entries)
+    m = Matrix(entries)
     assert f.act(m).evaluate(point) == f.evaluate(m.apply(point))
     # one Substitution shared by two forms gives the same images as act
     sub = Substitution(m)
@@ -146,7 +146,7 @@ def test_power_fifteen_matches_cyclo_loop():
 @example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1),
          [Fraction(1, 2), 0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 5)])
 def test_substitution_matches_cyclo_loop(f, entries):
-    m = Matrix(3, 3, entries)
+    m = Matrix(entries)
     want = cyclo_apply(m, f)
     sub = Substitution(m)
     assert sub.apply(f) == want

@@ -34,7 +34,9 @@ def test_traced_invariants_run():
 
 
 def test_traced_orbits_run():
-    # the eigenvectors of the irregular orbits go through Matrix.kernel
+    # the reconstruction goes through Matrix.det and Matrix.inverse, and the
+    # eigenvectors of the irregular orbits through Matrix.kernel
     result = traced("orbits")
     assert result["exit"] == 0
-    assert result["counts"].get("linalg.kernel_calls", 0) > 0
+    for counter in ("linalg.det_calls", "linalg.inverse_calls", "linalg.kernel_calls"):
+        assert result["counts"].get(counter, 0) > 0, counter
