@@ -55,10 +55,7 @@ def _class_data():
     their classes (tuples of element indices)."""
     a5 = alternating_group_5()
     reps = tuple(a5.index[parse_cycles(s, 5)] for s in A5_CLASS_REPS)
-    classes = tuple(a5.class_of[r] for r in reps)
-    if len(set(classes)) != len(a5.classes):
-        raise CharacterError("class representatives do not cover the group")
-    return reps, classes
+    return reps, tuple(a5.class_of[r] for r in reps)
 
 
 def class_sizes() -> tuple:
@@ -73,13 +70,12 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     return acc / len(alternating_group_5())
 
 
-def _permutation_character(gens, order: int) -> ClassFunction:
+def _permutation_character(gens) -> ClassFunction:
     """Ind_H^A5 of the trivial character minus the trivial character, for
-    H generated by the given cycle strings, which must have `order`."""
+    H generated by the given cycle strings; the characters-table-orthonormal
+    claim judges the result."""
     a5 = alternating_group_5()
     sub = a5.generated(a5.index[parse_cycles(s, 5)] for s in gens)
-    if len(sub) != order:
-        raise CharacterError(f"subgroup has order {len(sub)}, not {order}")
     return ClassFunction(tuple(v - 1 for v in
                                induced_character(sub, lambda _: 1).values))
 
@@ -92,8 +88,8 @@ def a5_table() -> tuple:
     trivial = ClassFunction((1, 1, 1, 1, 1))
     chi_i = ClassFunction((rational(3), rational(-1), rational(0), phi, phibar))
     chi_ip = ClassFunction((rational(3), rational(-1), rational(0), phibar, phi))
-    chi_v = _permutation_character(("(123)", "(12)(34)"), 12)  # point stabilizer A4
-    chi_w = _permutation_character(("(12345)", "(25)(34)"), 10)  # dihedral D10
+    chi_v = _permutation_character(("(123)", "(12)(34)"))  # point stabilizer A4
+    chi_w = _permutation_character(("(12345)", "(25)(34)"))  # dihedral D10
     return (trivial, chi_i, chi_ip, chi_v, chi_w)
 
 
@@ -133,15 +129,12 @@ def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
     """Induce a class function on a subgroup of A5 up to A5.
 
     `chi_sub` maps each element index of `sub` to a value (dict or
-    callable); it must be constant on `sub`-classes.  The value at g is
-    |A5| / (|H| |g^A5|) times the sum of chi_sub over H meeting g^A5.
+    callable).  The value at g is |A5| / (|H| |g^A5|) times the sum of
+    chi_sub over H meeting g^A5; that is the induced class function only
+    when chi_sub is constant on `sub`-classes, which the caller judges.
     """
     a5 = alternating_group_5()
     val = chi_sub.__getitem__ if isinstance(chi_sub, dict) else chi_sub
-    for h in sub:  # class-function sanity on the subgroup
-        for x in sub:
-            if val(a5.conjugate(h, x)) != val(h):
-                raise CharacterError("not a class function on the subgroup")
     _, classes = _class_data()
     vals = []
     for cls in classes:
@@ -154,18 +147,15 @@ def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
 
 
 def sign_class_function(sub: frozenset) -> dict:
-    """The order-parity sign character: -1 on elements of even order.
+    """The order-parity sign: -1 on elements of even order, by element
+    index of `sub`.
 
-    Valid for the subgroups of A5 used here (dihedral and symmetric-3
-    types); multiplicativity is asserted.
+    A character on the dihedral and symmetric-3 subgroups of A5; the
+    homology-lattice-character claim checks that it is multiplicative on
+    the subgroup it induces from.
     """
     a5 = alternating_group_5()
-    sign = {h: rational(-1 if a5.orders[h] % 2 == 0 else 1) for h in sub}
-    for a in sub:
-        for b in sub:
-            if sign[a5.table[a][b]] != sign[a] * sign[b]:
-                raise CharacterError("order parity is not a character of this subgroup")
-    return sign
+    return {h: rational(-1 if a5.orders[h] % 2 == 0 else 1) for h in sub}
 
 
 def chi_e_s5() -> tuple:

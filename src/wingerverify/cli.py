@@ -266,12 +266,13 @@ def check_pencil(report, args, corruption):
                                                 "residual_is_nonzero_constant": True}
             return ok, mults if control["holds"] else {**mults, "control": control}
         run_claim(report, "discriminant-root-set",
-                  "Macaulay-resultant discriminant vanishes only at 0, -1, 27/5 "
-                  "and at infinity (degree drop)",
+                  "Sylvester-Bezout resultant discriminant vanishes only at 0, -1, "
+                  "27/5 and at infinity (degree drop), controlled by one Macaulay "
+                  "resultant value",
                   deep)
     else:
         report.add(Claim(id="discriminant-root-set",
-                         description="Macaulay-resultant discriminant root set "
+                         description="Sylvester-Bezout resultant discriminant root set "
                                      "(enable with --deep)",
                          status="skipped"))
 
@@ -430,17 +431,25 @@ def check_degenerations(report, args, corruption):
 
 def check_homology(report, args, corruption):
     def hom():
-        # the order-parity sign character of S3 = <(123), (12)(45)>, induced
+        # the order-parity sign of S3 = <(123), (12)(45)>, induced; the
+        # induced values are a character only if the sign is one of S3:
+        # multiplicative and constant on the classes of S3
         a5 = alternating_group_5()
         s3 = a5.generated(a5.index[parse_cycles(s, 5)] for s in ("(123)", "(12)(45)"))
-        chi = induced_character(s3, sign_class_function(s3))
+        sign = sign_class_function(s3)
+        character = all(sign[a5.table[a][b]] == sign[a] * sign[b]
+                        and sign[a5.conjugate(a, b)] == sign[a] for a in s3 for b in s3)
+        chi = induced_character(s3, sign)
         dec, doubled = decompose(chi), decompose(chi + chi)
-        ok = (len(s3) == 6
+        ok = (len(s3) == 6 and character
               and chi.values == tuple(rational(v) for v in (10, -2, 1, 0, 0))
               and dec == {"V": 1, "I": 1, "I'": 1}
               and chi.values == sym_cube(a5_table()[1]).values
               and doubled == {"V": 2, "I": 2, "I'": 2})
-        return ok, {"induced": str(chi), "doubled_decomposition": doubled}
+        witness = {"induced": str(chi), "doubled_decomposition": doubled}
+        if not character:
+            witness["sign_is_a_character"] = False
+        return ok, witness
     run_claim(report, "homology-lattice-character",
               "the induced sign character is (10,-2,1,0,0) and doubles to "
               "V^2 + I^2 + I'^2",
@@ -463,16 +472,11 @@ def check_binary(report, args, corruption):
 
 def check_invariants(report, args, corruption):
     @cache
-    def molien_or_witness():  # computed once; reynolds-dimensions reads 16 terms
-        try:
-            return molien_series(corruption.matrices(), 31), None
-        except ValueError as exc:  # a non-group list has no integral series
-            return None, {"molien": str(exc)}
+    def molien_terms():  # computed once; reynolds-dimensions reads 16 terms
+        return molien_series(corruption.matrices(), 31)
 
     def molien():
-        series, witness = molien_or_witness()
-        if witness:
-            return False, witness
+        series = molien_terms()
         closed = molien_closed_form(31)
         ok = series == closed and series[2] == 1 and series[6] == 2
         ok = ok and all(series[k] == 0 for k in range(1, 15, 2))
@@ -483,12 +487,12 @@ def check_invariants(report, args, corruption):
               molien)
 
     def reynolds():
-        series, witness = molien_or_witness()
-        if witness:
-            return False, witness
-        mats, dims = corruption.matrices(), {}
+        series, mats, dims = molien_terms(), corruption.matrices(), {}
         for d in list(range(13)) + [15]:
-            dims[d] = len(reynolds_basis(mats, d))
+            try:
+                dims[d] = len(reynolds_basis(mats, d))
+            except ValueError as exc:  # a non-group list has no Reynolds operator
+                return False, {"reynolds": str(exc)}
             if dims[d] != series[d]:
                 return False, {"degree": d, "reynolds": dims[d],
                                "molien": str(series[d])}

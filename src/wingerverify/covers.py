@@ -74,7 +74,8 @@ class DegenerationReport:
 def degeneration_report(t) -> DegenerationReport:
     """Combinatorics of the degenerate cover where slots 3 and 4 coalesce.
 
-    The coalesced monodromy is h = g3*g4 of order n in {2,3,5}; the
+    The coalesced monodromy is h = g3*g4 of order n (2, 3 or 5 for the
+    tuple classes; the degeneration-reports claim judges the shapes); the
     normalization has one component per coset of H = <g1, g2, h>, each a
     regular H-cover of the line branched over (ord g1, ord g2, n), and
     the nodes form one orbit with stabilizer of order 2n.  The tuple
@@ -84,8 +85,6 @@ def degeneration_report(t) -> DegenerationReport:
     g1, g2, g3, g4 = t
     h = a5.table[g3][g4]
     n = a5.orders[h]
-    if n not in (2, 3, 5):
-        raise ValueError(f"coalesced monodromy has order {n}")
     e = 60 // (2 * n)
     order = len(a5.generated((g1, g2, h)))
     v = 60 // order

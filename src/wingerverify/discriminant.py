@@ -18,7 +18,8 @@ infinity.
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
 its 30x30 minor by the integer elimination `linalg.echelon`, in
-coordinates where that minor does not vanish.
+coordinates of determinant 1 where that minor does not vanish, so that
+both values are the same resultant.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -98,11 +99,10 @@ def macaulay_resultant_value(fs, degrees) -> Fraction:
 
 # The coordinates of the Macaulay control.  In the symmetric original
 # coordinates the Macaulay denominator minor vanishes identically (a 0/0
-# evaluation); after T it does not.  With det T = 3, mixing the three
-# quintic partials by T^t scales the resultant by 3^(5*5), and the
-# substitution by 3^(5*5*5).
-CONTROL_T = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
-CONTROL_SCALE = 3 ** 150
+# evaluation); after T it does not.  Mixing the three quintic partials by
+# T^t scales the resultant by det(T)^(5*5), and the substitution by
+# det(T)^(5*5*5); with det T = 1 the resultant is unchanged.
+CONTROL_T = ((1, 0, 0), (0, 1, 0), (1, 1, 1))
 
 
 def _pencil_partials(f, t=None):
@@ -409,9 +409,9 @@ def _divide_out_root(coeffs, root: Fraction):
 
 
 def _macaulay_control(f, coeffs):
-    """Check CONTROL_SCALE * det H(lam) against the Macaulay resultant of
-    the partials in the coordinates CONTROL_T, at the first lam in 1..31
-    where its denominator minor is nonzero.  The minor's determinant has
+    """Check det H(lam) against the Macaulay resultant of the partials in
+    the coordinates CONTROL_T, at the first lam in 1..31 where its
+    denominator minor is nonzero.  The minor's determinant has
     degree at most 30 in lam, so if it vanishes at all 31 it vanishes
     identically, and the control does not hold."""
     tables = _pencil_partials(f, CONTROL_T)
@@ -422,7 +422,7 @@ def _macaulay_control(f, coeffs):
             value = macaulay_resultant_value(fs, (5, 5, 5))
         except ZeroDivisionError:
             continue
-        return {"lambda": lam, "holds": value == CONTROL_SCALE * _poly_eval(coeffs, lam)}
+        return {"lambda": lam, "holds": value == _poly_eval(coeffs, lam)}
     return {"lambda": None, "holds": False}
 
 

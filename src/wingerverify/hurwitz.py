@@ -174,7 +174,10 @@ GENERATOR_SETS = {
 
 
 def braid_orbits(classes, generator_set: str, convention: str = "rtl"):
-    """Partition of tuple classes under a named set of braid words."""
+    """Partition of tuple classes under a named set of braid words.
+
+    An orbit holds every class its words reach, in `classes` or not; the
+    braid claims judge the orbits."""
     words = GENERATOR_SETS[generator_set]
     pool = set(classes)
     orbits = []
@@ -194,8 +197,6 @@ def braid_orbits(classes, generator_set: str, convention: str = "rtl"):
                             members.add(cls)
                             nxt.append(cls.rep)
             frontier = nxt
-        if not members <= pool:
-            raise ValueError("braid move left the class set")
         orbits.append(frozenset(members))
         pool -= members
     return orbits

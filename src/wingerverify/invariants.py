@@ -41,26 +41,19 @@ def _molien_denominator(m: Matrix):
 
 
 def molien_series(mats, nterms: int = 31):
-    """Rational coefficients of (1/|G|) sum over g of 1/det(I - T*g).
+    """The first `nterms` coefficients of (1/|G|) sum over g of
+    1/det(I - T*g), as Q(zeta_5) elements.
 
-    Returns the first `nterms` coefficients.  Raises if any coefficient
-    fails to be a nonnegative integer (a non-group input).
+    For a group they are the nonnegative integer invariant dimensions; a
+    list that is no group gives whatever the average is, and the caller
+    compares it with the closed form.
     """
     mats = list(mats)
     total = [rational(0)] * nterms
     for m in mats:
         rec = _series_reciprocal(_molien_denominator(m), nterms)
         total = [t + r for t, r in zip(total, rec)]
-    out = []
-    for c in total:
-        v = c / len(mats)
-        if not v.is_rational():
-            raise ValueError(f"non-rational Molien coefficient {v}")
-        q = v.to_fraction()
-        if q.denominator != 1 or q < 0:
-            raise ValueError(f"non-integer Molien coefficient {q}")
-        out.append(q)
-    return out
+    return [c / len(mats) for c in total]
 
 
 def molien_closed_form(nterms: int = 31):

@@ -103,7 +103,8 @@ class Perm:
 
 
 def parse_cycles(text: str, degree: int) -> Perm:
-    """Parse cycle notation like "(1 2 3 4 5)", "(12)(35)" or "()"."""
+    """Parse compact cycle notation, one digit per point, like "(12345)",
+    "(12)(35)" or "()"."""
     text = text.strip()
     if text == "()":
         return Perm.identity(degree)
@@ -111,11 +112,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
     for chunk in text[1:-1].split(")("):
-        chunk = chunk.strip()
-        if " " in chunk or "," in chunk:
-            pts = [int(t) for t in chunk.replace(",", " ").split()]
-        else:
-            pts = [int(ch) for ch in chunk]
+        pts = [int(ch) for ch in chunk]
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle: {chunk!r}")
         cycles.append(tuple(pts))

@@ -1,0 +1,181 @@
+"""Each fact has one judge: the claim that reports it.
+
+The helpers compute and return values; a fault inside one of them must
+end as a `fail` of the claim that judges its result, with that claim's
+own computed witness, never as an `error` or a crashed suite.  Each test
+injects one fault where a helper used to raise on its own result.
+"""
+
+import json
+
+import pytest
+
+from wingerverify import characters, cli, covers, hurwitz, invariants, winger
+from wingerverify.cli import main
+from wingerverify.cyclo import rational
+from wingerverify.hurwitz import TupleClass
+from wingerverify.perms import alternating_group_5, parse_cycles
+
+def cleared(*caches):
+    """Clears the caches before and after a test, so that a fault reaches
+    the cached builders and does not outlive the test."""
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_group():
+    yield from cleared(winger.reconstruct_group, winger.irregular_orbits)
+
+
+@pytest.fixture
+def fresh_characters():
+    yield from cleared(characters._class_data, characters.a5_table, characters.power_maps)
+
+
+def report(argv, tmp_path, capsys):
+    """Exit code and claims (by id) of one CLI run."""
+    path = tmp_path / "report.json"
+    code = main([*argv, "--json", str(path)])
+    capsys.readouterr()
+    return code, {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+
+
+def failing(code, claims):
+    """The failing claim ids, after checking that the run has no error."""
+    assert code == 1
+    assert [i for i, c in claims.items() if c["status"] == "error"] == []
+    assert [i for i in claims if i.startswith("suite-")] == []
+    return {i for i, c in claims.items() if c["status"] == "fail"}
+
+
+def test_wrong_rescaling_scalar_fails_reconstruction(fresh_group, tmp_path, monkeypatch,
+                                                     capsys):
+    # -M keeps the form but has det -1; only +1 is a homomorphism from A5,
+    # so the 60 rescaled matrices are no group and the search claim fails
+    rescale = winger._rescale
+
+    def negated(m, gram):
+        m = rescale(m, gram)
+        return None if m is None else m * rational(-1)
+    monkeypatch.setattr(winger, "_rescale", negated)
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-reconstruction-60"}
+    assert claims["group-reconstruction-60"]["witness"].startswith(
+        "survivors do not form a group")
+
+
+def test_det_minus_one_fails_invariance(tmp_path, monkeypatch, capsys):
+    # the same sign on the 60 final matrices keeps Q, F and the form, and
+    # invariance-conic-sextic-form alone sees that det 1 is lost
+    matrices = cli.Corruption.matrices
+    monkeypatch.setattr(cli.Corruption, "matrices",
+                        lambda self: [m * rational(-1) for m in matrices(self)])
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"invariance-conic-sextic-form"}
+    witness = claims["invariance-conic-sextic-form"]["witness"]
+    assert witness["count"] == 60
+    assert {kind for kind, _ in witness["violations"]} == {"det"}
+
+
+def test_non_golden_trace_fails_the_trace_claim(fresh_group, tmp_path, monkeypatch, capsys):
+    # (12345) sent to an order-3 matrix, of trace 0: the label falls to I'
+    # and the trace claim compares the row with the traces read
+    build = winger._build_isomorphism
+    a5 = alternating_group_5()
+    p5, p3 = (a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(123)"))
+
+    def swapped(group):
+        iso = list(build(group))
+        iso[p5], iso[p3] = iso[p3], iso[p5]
+        return iso
+    monkeypatch.setattr(winger, "_build_isomorphism", swapped)
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-trace-character"}
+    witness = claims["group-trace-character"]["witness"]
+    assert witness["matched_row"] == "I'" and witness["traces"]["(12345)"] == "0"
+
+
+def test_wrong_molien_average_fails_both_dimension_claims(tmp_path, monkeypatch, capsys):
+    # a denominator without its T^3 term: the series is no longer the
+    # closed form, and the Reynolds bases, computed correctly, disagree
+    # with it at their first degree
+    denominator = invariants._molien_denominator
+    monkeypatch.setattr(invariants, "_molien_denominator",
+                        lambda m: denominator(m)[:3] + [rational(0)])
+    code, claims = report(["invariants"], tmp_path, capsys)
+    assert failing(code, claims) == {"molien-closed-form", "reynolds-dimensions"}
+    assert claims["molien-closed-form"]["witness"]["matches_closed_form"] is False
+    assert set(claims["reynolds-dimensions"]["witness"]) == {"degree", "reynolds", "molien"}
+
+
+def test_braid_word_leaving_the_classes_fails_its_claim(tmp_path, monkeypatch, capsys):
+    # one elementary braid on slot 1 moves the order-5 element to slot 2,
+    # out of the (5,2,2,2) classes; the orbit keeps what it reaches
+    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "weighted", (((1, False),),))
+    code, claims = report(["tuples"], tmp_path, capsys)
+    assert failing(code, claims) == {"braid-weighted-orbits"}
+    sizes = claims["braid-weighted-orbits"]["witness"]["orbit_sizes"]
+    assert sum(sizes) > 20
+
+
+def test_trivial_coalesced_monodromy_fails_degenerations(tmp_path, monkeypatch, capsys):
+    # a class (g1, g1^-1, h, h) coalesces to the identity: n = 1, a shape
+    # that degeneration-reports does not list
+    classes = hurwitz.enumerate_tuple_classes("rtl")
+    a5 = alternating_group_5()
+    g1, _, h, _ = classes[0].rep
+    faulty = (TupleClass((g1, a5.inverse[g1], h, h)),) + classes[1:]
+    monkeypatch.setattr(covers, "enumerate_tuple_classes", lambda convention: faulty)
+    code, claims = report(["degenerations"], tmp_path, capsys)
+    assert failing(code, claims) == {"degeneration-reports"}
+    assert "(1, 30, 12, 0)" in claims["degeneration-reports"]["witness"]["shapes"]
+
+
+def test_wrong_subgroup_generator_fails_the_table(fresh_characters, tmp_path, monkeypatch,
+                                                  capsys):
+    # W induced from the cyclic group of order 5 instead of D10
+    permutation_character = characters._permutation_character
+
+    def cyclic(gens):
+        return permutation_character(gens[:1] if "(25)(34)" in gens else gens)
+    monkeypatch.setattr(characters, "_permutation_character", cyclic)
+    code, claims = report(["characters"], tmp_path, capsys)
+    assert "characters-table-orthonormal" in failing(code, claims)
+    assert claims["characters-table-orthonormal"]["witness"].startswith("<")
+
+
+def test_representatives_missing_a_class_fail_the_table(fresh_characters, tmp_path, monkeypatch,
+                                                        capsys):
+    # the identity twice: the five classes miss the involutions
+    monkeypatch.setattr(characters, "A5_CLASS_REPS",
+                        ("()", "()", "(123)", "(12345)", "(12354)"))
+    code, claims = report(["characters"], tmp_path, capsys)
+    assert "characters-table-orthonormal" in failing(code, claims)
+
+
+@pytest.mark.parametrize("fault", ["non_multiplicative", "not_a_class_function"])
+def test_sign_that_is_no_character_fails_homology(fault, tmp_path, monkeypatch, capsys):
+    # a class function off by one sign on the 3-cycles, or a function that
+    # puts the involutions' sum -3 on one involution: the latter induces
+    # the same values, so only the claim's character check sees it
+    a5 = alternating_group_5()
+
+    def faulty(sub):
+        sign = characters.sign_class_function(sub)
+        if fault == "non_multiplicative":
+            return {h: -v if a5.orders[h] == 3 else v for h, v in sign.items()}
+        first, *rest = sorted(h for h in sub if a5.orders[h] == 2)
+        return {**sign, first: rational(-3), **{h: rational(0) for h in rest}}
+    code, claims = report(["homology"], tmp_path, capsys)
+    passing = claims["homology-lattice-character"]["witness"]
+    monkeypatch.setattr(cli, "sign_class_function", faulty)
+    code, claims = report(["homology"], tmp_path, capsys)
+    assert failing(code, claims) == {"homology-lattice-character"}
+    witness = claims["homology-lattice-character"]["witness"]
+    assert witness["sign_is_a_character"] is False
+    if fault == "not_a_class_function":
+        assert witness == {**passing, "sign_is_a_character": False}

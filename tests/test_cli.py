@@ -163,11 +163,15 @@ def test_corrupted_matrix_invariant_witnesses(tmp_path, capsys):
     path = tmp_path / "report.json"
     assert run(["invariants", "--corrupt", "matrix:3", "--json", str(path)]) == 1
     capsys.readouterr()
+    # each claim shows what it computed: the Molien average, whose T
+    # coefficient is the trace sum over 60, here 1/60 (the corrupted entry
+    # adds 1 to one trace), and the refusal of the Reynolds bases
     witnesses = {c["id"]: c["witness"] for c in json.loads(path.read_text())["claims"]}
-    molien = {"molien": "non-integer Molien coefficient 1/60"}
-    assert witnesses == {
-        "molien-closed-form": molien, "reynolds-dimensions": molien,
-        "degree6-invariants": {"reynolds": "element list is not closed under the product"}}
+    molien = witnesses.pop("molien-closed-form")
+    assert molien["matches_closed_form"] is False
+    assert len(molien["series"]) == 31 and molien["series"][:2] == ["1", "1/60"]
+    not_closed = {"reynolds": "element list is not closed under the product"}
+    assert witnesses == {"reynolds-dimensions": not_closed, "degree6-invariants": not_closed}
 
 
 def test_all_builds_the_matrix_group_once(monkeypatch, capsys):

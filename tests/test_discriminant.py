@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from macaulay_quotient import exact_quotient, macaulay_quotient
 from wingerverify import discriminant
-from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T,
-                                       _divide_out_root,
+from wingerverify.discriminant import (CONTROL_T, _divide_out_root,
                                        _hessenberg_charpoly_mod, _linearize,
                                        _pencil_bound, _pencil_det,
                                        _pencil_det_mod, _pencil_partials,
@@ -210,10 +209,11 @@ def test_linearized_pencil_matches_cubic_rows(case):
 
 # -- the pencil's discriminant against the Macaulay quotient ---------------------
 
-def test_discriminant_times_control_scale_is_the_macaulay_quotient():
+def test_discriminant_is_the_macaulay_quotient():
+    # det CONTROL_T = 1, so the change of coordinates keeps the resultant
     coeffs, mults, control = pencil_discriminant(f_poly())
     assert control == {"lambda": 1, "holds": True}
-    assert [CONTROL_SCALE * c for c in coeffs] == macaulay_quotient(f_poly())
+    assert coeffs == macaulay_quotient(f_poly())
 
 
 def test_corrupted_discriminant_matches_macaulay_values():
@@ -225,8 +225,7 @@ def test_corrupted_discriminant_matches_macaulay_values():
     for lam in (2, -3, 7):
         fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
               for a, b in tables]
-        assert (macaulay_resultant_value(fs, (5, 5, 5))
-                == CONTROL_SCALE * _poly_eval(coeffs, lam))
+        assert macaulay_resultant_value(fs, (5, 5, 5)) == _poly_eval(coeffs, lam)
 
 
 def test_discriminant_is_two_passes_of_size_75(monkeypatch):

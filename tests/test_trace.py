@@ -12,9 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def traced(subcommand):
+def traced(*cli_args):
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "trace.py"),
-                           str(ROOT / "src"), subcommand],
+                           str(ROOT / "src"), *cli_args],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -40,3 +40,12 @@ def test_traced_orbits_run():
     assert result["exit"] == 0
     for counter in ("linalg.det_calls", "linalg.inverse_calls", "linalg.kernel_calls"):
         assert result["counts"].get(counter, 0) > 0, counter
+
+
+def test_traced_pencil_deep_run():
+    # the benchmark's per-layer discriminant metrics read these two spans:
+    # one resultant polynomial and its one Macaulay control value
+    result = traced("pencil", "--deep")
+    assert result["exit"] == 0
+    for span in ("discriminant.interp", "discriminant.resultant"):
+        assert result["spans"][span]["calls"] == 1, span
