@@ -62,6 +62,11 @@ def class_sizes() -> tuple:
     return tuple(len(c) for c in _class_data()[1])
 
 
+def class_count() -> int:
+    """The number of distinct A5 classes that the representatives meet."""
+    return len(set(_class_data()[1]))
+
+
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     """(1/|G|) sum over classes of size * chi * conj(psi); exact."""
     acc = rational(0)

@@ -27,8 +27,8 @@ from functools import cache
 from math import comb
 
 from .characters import (A5_CLASS_REPS, A5_IRREP_LABELS, a5_table, chi_e_s5,
-                         class_sizes, decompose, induced_character, inner_product,
-                         restrict_to_a5, sign_class_function, sym_cube)
+                         class_count, class_sizes, decompose, induced_character,
+                         inner_product, restrict_to_a5, sign_class_function, sym_cube)
 from .cyclo import rational
 from .invariants import (contains_up_to_scalar, molien_closed_form,
                          molien_series, reynolds_basis)
@@ -88,6 +88,9 @@ def check_characters(report, args, corruption):
     def orthonormal():
         table = dict(zip(A5_IRREP_LABELS, a5_table()))
         labels = list(table)
+        met = class_count()  # a square table: one class per irreducible
+        if met != len(labels):
+            return False, f"the class representatives meet {met} of {len(labels)} classes"
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
                 expect = rational(1 if i == j else 0)
@@ -101,7 +104,10 @@ def check_characters(report, args, corruption):
     def symcube():
         expect = tuple(rational(v) for v in (10, -2, 1, 0, 0))
         chi_i, chi_ip = a5_table()[1:3]
-        s_i, s_ip = sym_cube(chi_i), sym_cube(chi_ip)
+        try:
+            s_i, s_ip = sym_cube(chi_i), sym_cube(chi_ip)
+        except ValueError as exc:  # a power of a representative in no listed class
+            return False, {"power_maps": str(exc)}
         ok = s_i.values == expect and s_ip.values == expect
         dec = decompose(s_i)
         ok = ok and dec == {"I": 1, "I'": 1, "V": 1}

@@ -43,23 +43,25 @@ def signature_solutions():
     return solutions
 
 
-def regular_cover_genus(group_order: int, branch_orders) -> int:
-    """Genus of a regular cover of P^1 from the Riemann-Hurwitz count.
-
-    2g - 2 = -2N + sum over branch points of N(1 - 1/o).
-    """
+def riemann_hurwitz_genus(group_order: int, branch_orders):
+    """The g of 2g - 2 = -2N + sum over branch points of N(1 - 1/o), as an
+    int when it is integral and a Fraction otherwise; it may be negative."""
     n = group_order
-    total = Fraction(-2 * n)
+    g = 1 - n + sum((n * (1 - Fraction(1, o)) for o in branch_orders), Fraction(0)) / 2
+    return int(g) if g.denominator == 1 else g
+
+
+def regular_cover_genus(group_order: int, branch_orders) -> int:
+    """Genus of a regular cover of P^1 from the Riemann-Hurwitz count;
+    ValueError for data that no such cover has."""
     for o in branch_orders:
-        if n % o:
-            raise ValueError(f"branch order {o} does not divide the group order {n}")
-        total += Fraction(n) * (1 - Fraction(1, o))
-    if total % 2:
-        raise ValueError("odd Riemann-Hurwitz total; inconsistent data")
-    g = (total + 2) / 2
-    if g.denominator != 1 or g < 0:
+        if group_order % o:
+            raise ValueError(f"branch order {o} does not divide the group order "
+                             f"{group_order}")
+    g = riemann_hurwitz_genus(group_order, branch_orders)
+    if not isinstance(g, int) or g < 0:
         raise ValueError(f"non-integral or negative genus {g}")
-    return int(g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class DegenerationReport:
     n: int            # order of g3*g4 (node-stabilizer generator)
     nodes: int        # e = 30/n
     components: int   # v = 60 / |<g1, g2, g3*g4>|
-    component_genus: int
+    component_genus: int  # a Fraction or negative only for a faulty tuple
     arithmetic_genus: int
 
 
@@ -78,8 +80,9 @@ def degeneration_report(t) -> DegenerationReport:
     tuple classes; the degeneration-reports claim judges the shapes); the
     normalization has one component per coset of H = <g1, g2, h>, each a
     regular H-cover of the line branched over (ord g1, ord g2, n), and
-    the nodes form one orbit with stabilizer of order 2n.  The tuple
-    holds A5 element indices.
+    the nodes form one orbit with stabilizer of order 2n.  The genus is
+    not checked: a negative or non-integral one is a shape that the claim
+    rejects.  The tuple holds A5 element indices.
     """
     a5 = alternating_group_5()
     g1, g2, g3, g4 = t
@@ -88,7 +91,7 @@ def degeneration_report(t) -> DegenerationReport:
     e = 60 // (2 * n)
     order = len(a5.generated((g1, g2, h)))
     v = 60 // order
-    genus = regular_cover_genus(order, (a5.orders[g1], a5.orders[g2], n))
+    genus = riemann_hurwitz_genus(order, (a5.orders[g1], a5.orders[g2], n))
     p_a = v * genus + 1 - v + e
     return DegenerationReport(n=n, nodes=e, components=v,
                               component_genus=genus, arithmetic_genus=p_a)

@@ -40,79 +40,78 @@ class Cyclo:
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, nums, den: int = 1):
+    def __new__(cls, nums, den: int = 1):
         try:
             a, b, c, d = nums
         except ValueError:
             raise ValueError("expected 4 coefficients on 1, zeta, zeta^2, zeta^3") from None
-        if den != 1:
-            if den == 0:
-                raise ZeroDivisionError("zero denominator")
-            if den < 0:
-                a, b, c, d, den = -a, -b, -c, -d, -den
-            g = gcd(den, a, b, c, d)
-            if g > 1:
-                a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-        object.__setattr__(self, "nums", (a, b, c, d))
-        object.__setattr__(self, "den", den)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        return _make(a, b, c, d, den)
 
     def __setattr__(self, *a):
         raise AttributeError("Cyclo is immutable")
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Cyclo):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return rational(other)
-        return None
-
-    # -- ring / field operations --------------------------------------------
+    # -- ring / field operations: the exact-type operand first, then int
+    # and Fraction through rational()
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
-        da, db = self.den, o.den
-        return Cyclo([a * db + b * da for a, b in zip(self.nums, o.nums)], da * db)
+        a0, a1, a2, a3 = self.nums
+        b0, b1, b2, b3 = other.nums
+        da, db = self.den, other.den
+        if da == db:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo([-c for c in self.nums], self.den)
+        a, b, c, d = self.nums
+        return _raw((-a, -b, -c, -d), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
-        da, db = self.den, o.den
-        return Cyclo([a * db - b * da for a, b in zip(self.nums, o.nums)], da * db)
+        a0, a1, a2, a3 = self.nums
+        b0, b1, b2, b3 = other.nums
+        da, db = self.den, other.den
+        if da == db:
+            return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, da)
+        return _make(a0 * db - b0 * da, a1 * db - b1 * da,
+                     a2 * db - b2 * da, a3 * db - b3 * da, da * db)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """The product, with the fold of `_mul` inlined."""
+        if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
-        return Cyclo(_mul(self.nums, o.nums), self.den * o.den)
+        a0, a1, a2, a3 = self.nums
+        b0, b1, b2, b3 = other.nums
+        c4 = a1 * b3 + a2 * b2 + a3 * b1
+        return _make(a0 * b0 - c4 + a2 * b3 + a3 * b2,
+                     a0 * b1 + a1 * b0 - c4 + a3 * b3,
+                     a0 * b2 + a1 * b1 + a2 * b0 - c4,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4,
+                     self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyclo":
         """Multiplicative inverse: a^-1 = sigma2(a) sigma3(a) sigma4(a) / N(a),
         where the norm N(a) = a sigma2(a) sigma3(a) sigma4(a) is rational."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
         a = self.nums
-        rest = _mul(_mul(_galois(a, 2), _galois(a, 3)), _galois(a, 4))
-        norm = _mul(a, rest)[0]
-        return Cyclo([c * self.den for c in rest], norm)
+        if a == _ZERO:
+            raise ZeroDivisionError("inverse of zero")
+        r0, r1, r2, r3 = rest = _mul(_mul(_galois(a, 2), _galois(a, 3)), _galois(a, 4))
+        d = self.den
+        return _make(r0 * d, r1 * d, r2 * d, r3 * d, _mul(a, rest)[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
-        return self * o.inv()
+        return self * other.inv()
 
     def __pow__(self, k: int):
         if k < 0:
@@ -124,7 +123,7 @@ class Cyclo:
             k >>= 1
             if k:
                 base = base * base
-        return Cyclo((1, 0, 0, 0)) if result is None else result
+        return _raw((1, 0, 0, 0), 1) if result is None else result
 
     # -- structure -----------------------------------------------------------
 
@@ -132,16 +131,16 @@ class Cyclo:
         """Apply the field automorphism zeta -> zeta^k (k prime to 5)."""
         if k % 5 == 0:
             raise ValueError("not a unit mod 5")
-        return Cyclo(_galois(self.nums, k), self.den)
+        return _make(*_galois(self.nums, k), self.den)
 
     def conjugate(self) -> "Cyclo":
         return self.galois(4)
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return self.nums == _ZERO
 
     def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+        return self.nums[1:] == (0, 0, 0)
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -157,9 +156,7 @@ class Cyclo:
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = rational(other)
-        if not isinstance(other, Cyclo):
+        if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
@@ -172,7 +169,7 @@ class Cyclo:
         return hash((self.nums, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.nums != _ZERO
 
     def __str__(self):
         if self.is_zero():
@@ -207,6 +204,40 @@ class Cyclo:
         return f"Cyclo({str(self)!r})"
 
 
+_ZERO = (0, 0, 0, 0)
+_new = object.__new__
+_set_nums = Cyclo.nums.__set__
+_set_den = Cyclo.den.__set__
+
+
+def _make(a, b, c, d, den) -> Cyclo:
+    """The canonical (a + b*zeta + c*zeta^2 + d*zeta^3) / den, den != 0;
+    the slots are written through their descriptors."""
+    if den != 1:
+        if den < 0:
+            a, b, c, d, den = -a, -b, -c, -d, -den
+        g = gcd(den, a, b, c, d)
+        if g > 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    x = _new(Cyclo)
+    _set_nums(x, (a, b, c, d))
+    _set_den(x, den)
+    return x
+
+
+def _raw(nums, den) -> Cyclo:
+    """An element from data that is already canonical."""
+    x = _new(Cyclo)
+    _set_nums(x, nums)
+    _set_den(x, den)
+    return x
+
+
+def _coerce(other):
+    """An int or Fraction operand as an element; None for any other type."""
+    return rational(other) if isinstance(other, (int, Fraction)) else None
+
+
 def make(raw) -> Cyclo:
     """Build an element from rational coefficients of 1, zeta, zeta^2, ...
 
@@ -224,12 +255,14 @@ def make(raw) -> Cyclo:
 
 
 def zeta() -> Cyclo:
-    return Cyclo((0, 1, 0, 0))
+    return _raw((0, 1, 0, 0), 1)
 
 
 def rational(q) -> Cyclo:
-    q = Fraction(q)
-    return Cyclo((q.numerator, 0, 0, 0), q.denominator)
+    if q.__class__ is int:
+        return _raw((q, 0, 0, 0), 1)
+    q = Fraction(q)  # in lowest terms with a positive denominator
+    return _raw((q.numerator, 0, 0, 0), q.denominator)
 
 
 def sqrt5() -> Cyclo:

@@ -15,6 +15,8 @@ over Q, on the rational coordinates of each Q(zeta_5) row.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, repeat
+from operator import mul
 
 from .cyclo import rational
 from .linalg import Matrix, echelon, null_space, rref
@@ -115,18 +117,21 @@ def _extra_generators(group: FiniteGroup, sub) -> list:
 def _orbit_sums(actions, monos) -> list:
     """The nonzero sums of z^e o n over n in N, one per N-orbit of `monos`;
     `actions` are the (columns, scalars) of the elements of N."""
+    d = sum(monos[0])
+    # per element: its columns and the powers 0..d of each of its scalars
+    tables = [(cols, [list(accumulate(repeat(s, d), mul, initial=rational(1)))
+                      for s in scalars]) for cols, scalars in actions]
     sums, seen = [], set()
     for expo in monos:
         if expo in seen:
             continue
+        e0, e1, e2 = expo
         terms = {}
-        for cols, scalars in actions:
+        for (c0, c1, c2), (p0, p1, p2) in tables:
             img = [0, 0, 0]
-            coef = rational(1)
-            for i, k in enumerate(expo):
-                img[cols[i]] = k
-                coef = coef * scalars[i] ** k
+            img[c0], img[c1], img[c2] = expo
             img = tuple(img)
+            coef = p0[e0] * p1[e1] * p2[e2]
             terms[img] = terms[img] + coef if img in terms else coef
         seen.update(terms)
         orbit_sum = Poly3(terms)

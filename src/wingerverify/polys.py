@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cyclo import Cyclo, rational
+from .cyclo import Cyclo, _make, rational
 from .linalg import Matrix
 
 VARS = ("z0", "z1", "z2")
@@ -62,7 +62,7 @@ def _convolve(p, q, out=None):
 def _from_numerators(den, nums) -> "Poly3":
     """The Poly3 with coefficients nums[expo] / den, zero ones dropped."""
     p = object.__new__(Poly3)
-    object.__setattr__(p, "terms", {e: Cyclo(n, den) for e, n in nums.items() if any(n)})
+    object.__setattr__(p, "terms", {e: _make(*n, den) for e, n in nums.items() if any(n)})
     return p
 
 

@@ -85,15 +85,18 @@ def _triple_scalings(b_inv, rows, triple, u_rest):
     to u, with w = B^-T L_{sigma(i)} and u = C^-T L_i the entry of
     `u_rest`.  When no three lines meet, neither vector has a zero entry
     and c is the point u / w, taken entry by entry: sigma is realized iff
-    its three points agree.  The nine points are computed once per triple.
+    its three points agree.  The nine points are computed once per triple,
+    each as (u0*w1*w2, u1*w0*w2, u2*w0*w1), the same projective point
+    with one inversion, in `normalize_point`.
     """
     b_inv_t = b_inv.transpose()
     points = {}
     for j in range(6):
         if j not in triple:
-            w = b_inv_t.apply(rows[j])
-            points[j] = [normalize_point(tuple(a / b for a, b in zip(u, w)))
-                         for u in u_rest]
+            w0, w1, w2 = b_inv_t.apply(rows[j])
+            w12, w02, w01 = w1 * w2, w0 * w2, w0 * w1
+            points[j] = [normalize_point((u0 * w12, u1 * w02, u2 * w01))
+                         for u0, u1, u2 in u_rest]
     out = {}
     for rest in permutations(points):
         c = points[rest[0]][0]
@@ -213,6 +216,8 @@ def normalize_point(coords):
             break
     if last is None:
         raise ValueError("zero vector is not a projective point")
+    if coords[last] == 1:
+        return coords
     inv = coords[last].inv()
     return tuple(c * inv for c in coords)
 
@@ -287,9 +292,13 @@ def singular_lambda(p, f: Poly3):
     Solves grad(Q^3)(p) + lam * grad(f)(p) = 0, for the sextic f (F
     itself, or a perturbed copy).  Returns a field element, INFINITY
     when grad f vanishes but grad Q^3 does not, or None when no single
-    parameter works.
+    parameter works.  Computed once per (normalized point, sextic).
     """
-    p = normalize_point(p)
+    return _singular_lambda(normalize_point(p), f)
+
+
+@lru_cache(maxsize=None)
+def _singular_lambda(p, f: Poly3):
     grad_q, _, grad_f, _ = _derivatives(f)
     gq = tuple(d.evaluate(p) for d in grad_q)
     gf = tuple(d.evaluate(p) for d in grad_f)
@@ -314,7 +323,7 @@ def node_check(lam, p, f: Poly3) -> bool:
     at infinity), is a nondegenerate binary form.
     """
     p = normalize_point(p)
-    if singular_lambda(p, f) != lam:
+    if _singular_lambda(p, f) != lam:
         return False
     _, hess_q, _, hess_f = _derivatives(f)
     chart = max(i for i in range(3) if not p[i].is_zero())

@@ -28,7 +28,8 @@ def cleared(*caches):
 
 @pytest.fixture
 def fresh_group():
-    yield from cleared(winger.reconstruct_group, winger.irregular_orbits)
+    yield from cleared(winger.reconstruct_group, winger.irregular_orbits,
+                       winger._singular_lambda)
 
 
 @pytest.fixture
@@ -179,3 +180,35 @@ def test_sign_that_is_no_character_fails_homology(fault, tmp_path, monkeypatch, 
     assert witness["sign_is_a_character"] is False
     if fault == "not_a_class_function":
         assert witness == {**passing, "sign_is_a_character": False}
+
+
+def test_representatives_repeating_a_class_fail_the_table(fresh_characters, tmp_path,
+                                                           monkeypatch, capsys):
+    # (12345) twice: both 5-cycle classes have 12 elements, so the sizes
+    # alone do not see the missing class (12354); the symmetric cube needs
+    # the class of the square of (12345), which no representative names
+    monkeypatch.setattr(characters, "A5_CLASS_REPS",
+                        ("()", "(12)(34)", "(123)", "(12345)", "(12345)"))
+    code, claims = report(["characters"], tmp_path, capsys)
+    assert failing(code, claims) == {"characters-table-orthonormal",
+                                     "characters-symcube-rank10"}
+    assert claims["characters-table-orthonormal"]["witness"] == (
+        "the class representatives meet 4 of 5 classes")
+
+
+def test_coalesced_monodromy_of_negative_genus_fails_degenerations(tmp_path, monkeypatch,
+                                                                   capsys):
+    # (g1, g2, h, h) coalesces to the identity while <g1, g2> is all of
+    # A5: Riemann-Hurwitz gives the component genus -20, a shape the
+    # claim rejects
+    classes = hurwitz.enumerate_tuple_classes("rtl")
+    g1, g2, h, _ = classes[0].rep
+    faulty = (TupleClass((g1, g2, h, h)),) + classes[1:]
+    monkeypatch.setattr(covers, "enumerate_tuple_classes", lambda convention: faulty)
+    code, claims = report(["degenerations"], tmp_path, capsys)
+    assert failing(code, claims) == {"degeneration-reports"}
+    assert "(1, 30, 1, -20)" in claims["degeneration-reports"]["witness"]["shapes"]
+    genera = report(["covers"], tmp_path, capsys)[1]["riemann-hurwitz-genera"]
+    assert genera["status"] == "pass"
+    assert genera["witness"]["genera"] == {"60,{5,2,2,2}": 10, "3,12x{3}": 10,
+                                           "10,{5,2,2}": 0, "60,{5,2,5}": 4}

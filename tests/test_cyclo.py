@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wingerverify.cyclo import golden, make, rational, sqrt5, zeta
+from wingerverify.cyclo import Cyclo, golden, make, rational, sqrt5, zeta
 
 
 def test_basic_arithmetic():
@@ -133,3 +134,99 @@ def test_rational_elements_match_sympy(ra):
     assert hash(rational(q)) == hash(q) and q in {rational(q)}
     if q.denominator == 1:
         assert hash(rational(q)) == hash(int(q)) and int(q) in {rational(q)}
+
+
+# -- kernel oracle: Fraction coefficient arithmetic mod Phi5 --------------------
+
+
+def frac_mul(a, b):
+    """Product of Fraction 4-tuples: convolve, then fold zeta^k for k = 6, 5, 4
+    with zeta^4 = -1 - zeta - zeta^2 - zeta^3."""
+    conv = [Fraction(0)] * 7
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(6, 3, -1):
+        c, conv[k] = conv[k], Fraction(0)
+        for i in range(k - 4, k):
+            conv[i] -= c
+    return tuple(conv[:4])
+
+
+def assert_canonical(x):
+    assert isinstance(x, Cyclo)
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1, (x.nums, x.den)
+
+
+dens = st.sampled_from([1, 2, 3, 5, 6, 12, 35])
+ints = st.integers(min_value=-50, max_value=50)
+scalars = st.one_of(ints, st.fractions(min_value=-9, max_value=9, max_denominator=10))
+
+
+@st.composite
+def elements(draw, den=None):
+    """An element whose canonical denominator is `den` (drawn when None):
+    its constant numerator is 1 mod den, so no common factor is left."""
+    den = draw(dens) if den is None else den
+    n0, n1, n2, n3 = (draw(ints) for _ in range(4))
+    return Cyclo((1 + den * n0, n1, n2, n3), den)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two elements, over one denominator or over two independent ones."""
+    a = draw(elements())
+    return a, draw(elements(a.den) if draw(st.booleans()) else elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), scalars)
+def test_kernel_matches_fraction_oracle(pair, q):
+    a, b = pair
+    ca, cb = a.coefficients(), b.coefficients()
+    for x in (a, b):
+        assert_canonical(x)
+    cases = [(a + b, tuple(x + y for x, y in zip(ca, cb))),
+             (a - b, tuple(x - y for x, y in zip(ca, cb))),
+             (a * b, frac_mul(ca, cb)),
+             (-a, tuple(-x for x in ca)),
+             (a - a, (0, 0, 0, 0)),
+             (a + q, (ca[0] + q, *ca[1:])), (q + a, (ca[0] + q, *ca[1:])),
+             (a - q, (ca[0] - q, *ca[1:])),
+             (a * q, tuple(x * q for x in ca)), (q * a, tuple(x * q for x in ca))]
+    if q:
+        cases.append((a / q, tuple(x / q for x in ca)))
+    for result, want in cases:
+        assert_canonical(result)
+        assert result.coefficients() == want
+    if not b.is_zero():
+        inv, quotient = b.inv(), a / b
+        assert_canonical(inv)
+        assert_canonical(quotient)
+        assert frac_mul(inv.coefficients(), cb) == (1, 0, 0, 0)
+        assert frac_mul(quotient.coefficients(), cb) == ca
+    assert (a == b) == (ca == cb) and (b == a) == (ca == cb)
+    assert (a == q) == (q == a) == (ca == (q, 0, 0, 0))
+    assert (a - a).is_zero() and not (a - a)
+
+
+def test_kernel_guards():
+    zero = rational(0)
+    assert_canonical(zero)
+    assert zero.nums == (0, 0, 0, 0) and zero.den == 1
+    with pytest.raises(ZeroDivisionError):
+        zero.inv()
+    with pytest.raises(ZeroDivisionError):
+        zeta() / 0
+    with pytest.raises(ZeroDivisionError):
+        Cyclo((1, 0, 0, 0), 0)
+    with pytest.raises(ValueError):
+        Cyclo((1, 2, 3))
+    for x in (zeta(), rational(Fraction(2, 3)), -zeta(), zeta() * zeta()):
+        for attr, value in (("nums", (0, 0, 0, 0)), ("den", 1), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, value)
+    # the public constructor takes any nonzero denominator and normalizes
+    x = Cyclo((-4, 2, 0, 6), -6)
+    assert_canonical(x)
+    assert (x.nums, x.den) == ((2, -1, 0, -3), 3)

@@ -92,6 +92,38 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
     assert realized == (60 if replaced is None else 1)
 
 
+def four_division_scalings(b_inv, rows, triple, u_rest):
+    """Oracle: the realized permutations of `triple` with their scalings,
+    each point formed as the entrywise quotient u / w (three divisions)
+    and then normalized (a fourth)."""
+    b_inv_t = b_inv.transpose()
+    points = {}
+    for j in range(6):
+        if j not in triple:
+            w = b_inv_t.apply(rows[j])
+            points[j] = [normalize_point(tuple(a / b for a, b in zip(u, w)))
+                         for u in u_rest]
+    out = {}
+    for rest in permutations(points):
+        c = points[rest[0]][0]
+        if points[rest[1]][1] == c and points[rest[2]][2] == c:
+            out[rest] = c
+    return out
+
+
+def test_scalings_match_the_four_division_form():
+    rows = six_lines()
+    c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
+    u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    realized = 0
+    for triple in permutations(range(6), 3):
+        b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
+        oracle = four_division_scalings(b_inv, rows, triple, u_rest)
+        assert _triple_scalings(b_inv, rows, triple, u_rest) == oracle, triple
+        realized += len(oracle)
+    assert realized == 60
+
+
 def test_group_preserves_everything():
     g = reconstruct_group()
     q, f, a = q_poly(), f_poly(), gram_matrix()
