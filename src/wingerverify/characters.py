@@ -100,13 +100,18 @@ def a5_table() -> tuple:
 
 @lru_cache(maxsize=None)
 def power_maps():
-    """For each A5 class index, the class indices of g^2 and g^3."""
+    """For each A5 class index, the class indices of g^2 and g^3; a
+    ValueError names a representative with a power in no listed class."""
     a5 = alternating_group_5()
     reps, classes = _class_data()
-    squares = [a5.table[r][r] for r in reps]
-    sq = tuple(classes.index(a5.class_of[s]) for s in squares)
-    cu = tuple(classes.index(a5.class_of[a5.table[s][r]]) for s, r in zip(squares, reps))
-    return sq, cu
+    sq, cu = [], []
+    for name, r in zip(A5_CLASS_REPS, reps):
+        square = a5.table[r][r]
+        for power, g, out in (("square", square, sq), ("cube", a5.table[square][r], cu)):
+            if a5.class_of[g] not in classes:
+                raise ValueError(f"the {power} of {name} lies in no listed class")
+            out.append(classes.index(a5.class_of[g]))
+    return tuple(sq), tuple(cu)
 
 
 def sym_cube(chi: ClassFunction) -> ClassFunction:

@@ -37,9 +37,8 @@ from .perms import alternating_group_5, parse_cycles
 from .polys import Poly3, monomials_of_degree
 from .report import Claim, ClaimReport, error_witness, run_claim
 from .winger import (INFINITY, ReconstructionError, gram_matrix,
-                     irregular_orbits, node_check, no_three_concurrent,
-                     pencil_member, q_poly, f_poly, reconstruct_group,
-                     singular_lambda, six_lines)
+                     irregular_orbits, no_three_concurrent, pencil_member,
+                     q_poly, f_poly, reconstruct_group, singular_point, six_lines)
 from . import hurwitz
 from . import covers
 
@@ -83,6 +82,14 @@ class Corruption:
 
 # -- claim suites -----------------------------------------------------------------
 
+# Published values read by more than one claim: the member of Q^3 + lam*F
+# singular on each orbit off the conic, the symmetric cube of either
+# 3-dimensional character with its decomposition, and the class sizes.
+SINGULAR_MEMBERS = {6: rational(-1), 10: rational(Fraction(27, 5)), 15: INFINITY}
+SYM_CUBE = tuple(rational(v) for v in (10, -2, 1, 0, 0))
+SYM_CUBE_DECOMPOSITION = {"I": 1, "I'": 1, "V": 1}
+CLASS_SIZES = [1, 12, 12, 15, 20]
+
 
 def check_characters(report, args, corruption):
     def orthonormal():
@@ -102,15 +109,13 @@ def check_characters(report, args, corruption):
               orthonormal)
 
     def symcube():
-        expect = tuple(rational(v) for v in (10, -2, 1, 0, 0))
         chi_i, chi_ip = a5_table()[1:3]
         try:
             s_i, s_ip = sym_cube(chi_i), sym_cube(chi_ip)
         except ValueError as exc:  # a power of a representative in no listed class
             return False, {"power_maps": str(exc)}
-        ok = s_i.values == expect and s_ip.values == expect
         dec = decompose(s_i)
-        ok = ok and dec == {"I": 1, "I'": 1, "V": 1}
+        ok = s_i.values == s_ip.values == SYM_CUBE and dec == SYM_CUBE_DECOMPOSITION
         return ok, {"sym_cube": str(s_i), "decomposition": dec}
     run_claim(report, "characters-symcube-rank10",
               "symmetric cube of either 3-dimensional character is (10,-2,1,0,0) = I+I'+V",
@@ -145,21 +150,24 @@ def check_orbits(report, args, corruption):
     sizes = sorted(len(c) for c in group.group.classes)
     run_claim(report, "group-class-sizes",
               "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
-              lambda: (sizes == [1, 12, 12, 15, 20], {"sizes": sizes}))
+              lambda: (sizes == CLASS_SIZES, {"sizes": sizes}))
 
     def traces():
         a5 = alternating_group_5()
         by_class = {}
         for rep in A5_CLASS_REPS:
             by_class[rep] = str(group.trace_of_class(a5.index[parse_cycles(rep, 5)]))
-        row = a5_table()[1 if group.label == "I" else 2]
+        # I and I' differ only by the swap of the two 5-cycle classes
+        p5 = A5_CLASS_REPS.index("(12345)")
+        label = "I" if by_class["(12345)"] == str(a5_table()[1].values[p5]) else "I'"
+        row = a5_table()[A5_IRREP_LABELS.index(label)]
         ok = all(str(v) == by_class[r] for v, r in zip(row.values, A5_CLASS_REPS))
         counts = Counter(str(m.trace()) for m in group.matrices)
         expected = Counter()
         for v, size in zip(row.values, class_sizes()):
             expected[str(v)] += size
         ok = ok and counts == expected
-        return ok, {"matched_row": group.label, "traces": by_class}
+        return ok, {"matched_row": label, "traces": by_class}
     run_claim(report, "group-trace-character",
               "trace multiset matches one 3-dimensional character row exactly",
               traces)
@@ -191,7 +199,7 @@ def check_orbits(report, args, corruption):
     def orbits():
         orbs = irregular_orbits()
         sizes = sorted(len(v) for v in orbs.values())
-        ok = sizes == [6, 10, 12, 15]
+        ok = sizes == [6, 10, 12, 15] and all(len(v) == k for k, v in orbs.items())
         q = q_poly()
         on_k = all(q.evaluate(p) == rational(0) for p in orbs[12])
         off_k = all(q.evaluate(p) != rational(0)
@@ -207,30 +215,27 @@ def check_orbits(report, args, corruption):
 
 
 def check_pencil(report, args, corruption):
-    for size, expected, claim_id, description in (
-            (6, "-1", "lambda-six-orbit",
+    for size, claim_id, description in (
+            (6, "lambda-six-orbit",
              "the member singular on the 6-point orbit is lambda = -1"),
-            (10, "27/5", "lambda-ten-orbit",
+            (10, "lambda-ten-orbit",
              "the member singular on the 10-point orbit is lambda = 27/5"),
-            (15, "infinity", "lambda-fifteen-orbit",
+            (15, "lambda-fifteen-orbit",
              "the 15-point orbit is singular only on the six-line member (infinity)")):
-        def on_orbit(size=size, expected=expected):
+        def on_orbit(size=size):
             orbit, f = irregular_orbits()[size], corruption.sextic()
-            lams = (singular_lambda(p, f) for p in orbit)
+            lams = (singular_point(p, f)[0] for p in orbit)
             vals = {"none" if lam is None else str(lam) for lam in lams}
-            return vals == {expected}, {"orbit": len(orbit), "values": sorted(vals)}
+            return (vals == {str(SINGULAR_MEMBERS[size])},
+                    {"orbit": len(orbit), "values": sorted(vals)})
         run_claim(report, claim_id, description, on_orbit)
 
     def nodes():
         orbs, f = irregular_orbits(), corruption.sextic()
-        nodal_points = sum(node_check(lam, p, f)
-                           for size, lam in ((6, rational(-1)),
-                                             (10, rational(Fraction(27, 5))),
-                                             (15, INFINITY))
-                           for p in orbs[size])
+        nodal_points = sum(singular_point(p, f) == (lam, True)
+                           for size, lam in SINGULAR_MEMBERS.items() for p in orbs[size])
         # every conic point is singular on the triple conic, never a node
-        degenerate = all(singular_lambda(p, f) == rational(0)
-                         and not node_check(rational(0), p, f) for p in orbs[12])
+        degenerate = all(singular_point(p, f) == (rational(0), False) for p in orbs[12])
         return (nodal_points == 6 + 10 + 15 and degenerate,
                 {"nodal_points": nodal_points,
                  "triple_conic_degenerate": degenerate})
@@ -243,12 +248,9 @@ def check_pencil(report, args, corruption):
         members = [pencil_member(rational(Fraction(n, d)), f)
                    for n, d in ((0, 1), (1, 1), (7, 3), (-5, 2), (11, 1))]
         members.append(pencil_member(INFINITY, f))
+        # the members at 0 and infinity are Q^3 and the lines themselves
         ok = all(m.evaluate(p) == rational(0) for m in members for p in orbs[12])
-        # the 12 points are exactly the conic's intersection with the lines
-        on_both = all(q_poly().evaluate(p) == rational(0)
-                      and f.evaluate(p) == rational(0) for p in orbs[12])
-        return ok and on_both, {"points": len(orbs[12]),
-                                "members_checked": len(members)}
+        return ok, {"points": len(orbs[12]), "members_checked": len(members)}
     run_claim(report, "base-locus-twelve-points",
               "the 12-point orbit lies on the conic, the lines and every member",
               base_locus)
@@ -256,7 +258,7 @@ def check_pencil(report, args, corruption):
     def smooth_evidence():
         orbs, f = irregular_orbits(), corruption.sextic()
         tested = (2, 3, 5, 7, -2, -3, 9, 13, -7, 4)
-        singular = {singular_lambda(p, f) for s in (6, 10, 15, 12) for p in orbs[s]}
+        singular = {singular_point(p, f)[0] for s in (6, 10, 15, 12) for p in orbs[s]}
         ok = not any(rational(k) in singular for k in tested)
         return ok, {"lambdas_tested": list(tested)}
     run_claim(report, "no-extra-singular-orbits",
@@ -266,10 +268,13 @@ def check_pencil(report, args, corruption):
     if args.deep:
         def deep():
             from .discriminant import pencil_discriminant
-            _, mults, control = pencil_discriminant(corruption.sextic())
-            ok = control["holds"] and mults == {"degree": 60, "0": 44, "-1": 6,
-                                                "27/5": 10, "residual_degree": 0,
-                                                "residual_is_nonzero_constant": True}
+            # each finite singular member is a root of order its orbit's size
+            finite = {lam.to_fraction(): size for size, lam in SINGULAR_MEMBERS.items()
+                      if lam is not INFINITY}
+            _, mults, control = pencil_discriminant(corruption.sextic(), (0, *finite))
+            ok = control["holds"] and mults == {
+                "degree": 60, "0": 44, **{str(lam): size for lam, size in finite.items()},
+                "residual_degree": 0, "residual_is_nonzero_constant": True}
             return ok, mults if control["holds"] else {**mults, "control": control}
         run_claim(report, "discriminant-root-set",
                   "Sylvester-Bezout resultant discriminant vanishes only at 0, -1, "
@@ -448,8 +453,7 @@ def check_homology(report, args, corruption):
         chi = induced_character(s3, sign)
         dec, doubled = decompose(chi), decompose(chi + chi)
         ok = (len(s3) == 6 and character
-              and chi.values == tuple(rational(v) for v in (10, -2, 1, 0, 0))
-              and dec == {"V": 1, "I": 1, "I'": 1}
+              and chi.values == SYM_CUBE and dec == SYM_CUBE_DECOMPOSITION
               and chi.values == sym_cube(a5_table()[1]).values
               and doubled == {"V": 2, "I": 2, "I'": 2})
         witness = {"induced": str(chi), "doubled_decomposition": doubled}
@@ -468,7 +472,7 @@ def check_binary(report, args, corruption):
         ok = (rep["order"] == 120 and rep["closed"] and rep["norm_one"]
               and rep["center_order"] == 2 and rep["center_is_pm1"]
               and rep["abelianization_order"] == 1
-              and rep["quotient_class_sizes"] == [1, 12, 12, 15, 20])
+              and rep["quotient_class_sizes"] == CLASS_SIZES)
         return ok, rep
     run_claim(report, "binary-icosahedral",
               "120 unit quaternions: closed, perfect, center of order 2, "

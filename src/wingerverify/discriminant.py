@@ -11,9 +11,9 @@ A + lam*B with the same determinant, computed as an exact integer
 polynomial in lam: per Proth prime below 2^240, proven by Proth's
 theorem, one inversion and one Hessenberg characteristic polynomial
 mod p, then the Chinese remainder theorem past a Hadamard bound (two
-primes).  The resultant is certified to vanish only at 0, -1 and 27/5,
-with the degree drop below 75 witnessing the singular member at
-infinity.
+primes).  A nonzero constant left after dividing out the roots that
+the caller expects certifies that no other finite member is singular;
+the degree drop below 75 witnesses the singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
@@ -426,15 +426,15 @@ def _macaulay_control(f, coeffs):
     return {"lambda": None, "holds": False}
 
 
-def pencil_discriminant(f):
+def pencil_discriminant(f, roots):
     """The resultant of the partials of Q^3 + lam*f as a polynomial in lambda.
 
     Returns (integer coefficients lowest-first, multiplicities dict,
-    control).  The multiplicities dict maps the roots 0, -1 and 27/5 to
-    their orders and "degree" to the resultant's degree; after dividing
-    the three roots out, the remaining factor must be a nonzero constant,
-    which certifies that no other finite singular parameter exists.  The
-    control is `_macaulay_control`'s outcome.
+    control).  The multiplicities dict maps "degree" to the resultant's
+    degree and each of the rational `roots`, in order, to its order;
+    after dividing them out, a nonzero constant remainder certifies that
+    the resultant has no other finite root.  The control is
+    `_macaulay_control`'s outcome.
     """
     coeffs = _pencil_det(*_linearize(hybrid_rows(_pencil_partials(f), 5)))
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -442,7 +442,7 @@ def pencil_discriminant(f):
     control = _macaulay_control(f, coeffs)
     mults = {"degree": len(coeffs) - 1}
     cur = coeffs
-    for root in (Fraction(0), Fraction(-1), Fraction(27, 5)):
+    for root in roots:
         m, cur = _divide_out_root(cur, root)
         mults[str(root)] = m
     mults["residual_degree"] = len(cur) - 1

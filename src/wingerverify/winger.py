@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .cyclo import Cyclo, golden, rational, zeta
+from .cyclo import Cyclo, rational, zeta
 from .linalg import Matrix
 from .perms import FiniteGroup, alternating_group_5, finite_group, parse_cycles
 from .polys import Poly3
@@ -123,16 +123,12 @@ class IcosaGroup:
     """The 60 reconstructed matrices with their A5 dictionary.
 
     `group` holds the matrices, sorted, with their Cayley table, order
-    and classes; `iso[a]`
-    is the index in `group` of the matrix of the A5 element index a, and
-    respects products;
-    `label` names the mirror character row (I or I') that the trace of
-    (12345) selects for this particular identification.
+    and classes; `iso[a]` is the index in `group` of the matrix of the A5
+    element index a, and respects products.
     """
 
     group: FiniteGroup
     iso: list
-    label: str
 
     @property
     def matrices(self) -> tuple:
@@ -188,13 +184,7 @@ def reconstruct_group() -> IcosaGroup:
         group = finite_group(tuple(sorted(found, key=_matrix_key)))
     except ValueError as exc:
         raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
-    iso = _build_isomorphism(group)
-    # label the identification by the trace of the class of (12345): I iff
-    # it is the golden ratio (for I' it is the conjugate 1-phi); the
-    # group-trace-character claim compares the whole row
-    p5 = alternating_group_5().index[parse_cycles("(12345)", 5)]
-    label = "I" if group.elements[iso[p5]].trace() == golden() else "I'"
-    return IcosaGroup(group=group, iso=iso, label=label)
+    return IcosaGroup(group=group, iso=_build_isomorphism(group))
 
 
 def no_three_concurrent() -> bool:
@@ -286,46 +276,35 @@ def _derivatives(f: Poly3) -> tuple:
     return tuple(out)
 
 
-def singular_lambda(p, f: Poly3):
-    """The unique parameter whose member of Q^3 + lam*f is singular at p.
+def singular_point(p, f: Poly3) -> tuple:
+    """The parameter lam whose member of Q^3 + lam*f is singular at p, and
+    whether p is an ordinary double point of that member.
 
     Solves grad(Q^3)(p) + lam * grad(f)(p) = 0, for the sextic f (F
-    itself, or a perturbed copy).  Returns a field element, INFINITY
-    when grad f vanishes but grad Q^3 does not, or None when no single
-    parameter works.  Computed once per (normalized point, sextic).
+    itself, or a perturbed copy).  lam is a field element, INFINITY when
+    grad f vanishes but grad Q^3 does not, or None when no single
+    parameter works (and then p is no node).  p is a node iff the
+    quadratic part of the member in an affine chart at p, read from
+    HQ^3(p) + lam*Hf(p) (Hf(p) at infinity), is a nondegenerate binary
+    form.  Computed once per (normalized point, sextic).
     """
-    return _singular_lambda(normalize_point(p), f)
+    return _singular_point(normalize_point(p), f)
 
 
 @lru_cache(maxsize=None)
-def _singular_lambda(p, f: Poly3):
-    grad_q, _, grad_f, _ = _derivatives(f)
+def _singular_point(p, f: Poly3) -> tuple:
+    grad_q, hess_q, grad_f, hess_f = _derivatives(f)
     gq = tuple(d.evaluate(p) for d in grad_q)
     gf = tuple(d.evaluate(p) for d in grad_f)
     if all(c.is_zero() for c in gf):
         if all(c.is_zero() for c in gq):
-            return None  # singular for every parameter; not a pencil datum
-        return INFINITY
-    i = next(i for i, c in enumerate(gf) if not c.is_zero())
-    lam = -(gq[i] / gf[i])
-    for a, b in zip(gq, gf):
-        if a + lam * b != rational(0):
-            return None
-    return lam
-
-
-def node_check(lam, p, f: Poly3) -> bool:
-    """Is p an ordinary double point of the member Q^3 + lam*f?
-
-    False unless lam is the one parameter whose member is singular at p
-    (`singular_lambda`); otherwise tests that the quadratic part of the
-    member in an affine chart at p, read from HQ^3(p) + lam*Hf(p) (Hf(p)
-    at infinity), is a nondegenerate binary form.
-    """
-    p = normalize_point(p)
-    if _singular_lambda(p, f) != lam:
-        return False
-    _, hess_q, _, hess_f = _derivatives(f)
+            return None, False  # singular for every parameter; not a pencil datum
+        lam = INFINITY
+    else:
+        i = next(i for i, c in enumerate(gf) if not c.is_zero())
+        lam = -(gq[i] / gf[i])
+        if any(a + lam * b != rational(0) for a, b in zip(gq, gf)):
+            return None, False
     chart = max(i for i in range(3) if not p[i].is_zero())
     u, v = [i for i in range(3) if i != chart]
 
@@ -334,4 +313,4 @@ def node_check(lam, p, f: Poly3) -> bool:
             return hess_f[i][j].evaluate(p)
         return hess_q[i][j].evaluate(p) + lam * hess_f[i][j].evaluate(p)
     a, b, c = (entry(i, j) for i, j in ((u, u), (u, v), (v, v)))
-    return b * b - a * c != rational(0)
+    return lam, b * b - a * c != rational(0)

@@ -29,7 +29,7 @@ def cleared(*caches):
 @pytest.fixture
 def fresh_group():
     yield from cleared(winger.reconstruct_group, winger.irregular_orbits,
-                       winger._singular_lambda)
+                       winger._singular_point)
 
 
 @pytest.fixture
@@ -98,6 +98,31 @@ def test_non_golden_trace_fails_the_trace_claim(fresh_group, tmp_path, monkeypat
     assert failing(code, claims) == {"group-trace-character"}
     witness = claims["group-trace-character"]["witness"]
     assert witness["matched_row"] == "I'" and witness["traces"]["(12345)"] == "0"
+
+
+def test_swapped_orbit_keys_fail_the_orbit_claim(tmp_path, monkeypatch, capsys):
+    # the 6- and 10-point orbits under each other's keys keep the sorted
+    # sizes; irregular-orbit-sizes also judges which orbit has which size
+    orbs = winger.irregular_orbits()
+    monkeypatch.setattr(cli, "irregular_orbits", lambda: {**orbs, 6: orbs[10], 10: orbs[6]})
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"irregular-orbit-sizes"}
+    assert claims["irregular-orbit-sizes"]["witness"]["sizes"] == [6, 10, 12, 15]
+
+
+def test_extra_singular_parameter_fails_smooth_evidence(fresh_group, tmp_path, monkeypatch,
+                                                        capsys):
+    # one conic point reports lambda = 2, one of the ten tested parameters;
+    # it is then no point of the triple conic either
+    singular_point = winger._singular_point
+    point = next(iter(winger.irregular_orbits()[12]))
+
+    def extra(p, f):
+        return (rational(2), False) if p == point else singular_point(p, f)
+    monkeypatch.setattr(winger, "_singular_point", extra)
+    code, claims = report(["pencil"], tmp_path, capsys)
+    assert failing(code, claims) == {"no-extra-singular-orbits", "node-nondegeneracy"}
+    assert claims["node-nondegeneracy"]["witness"]["triple_conic_degenerate"] is False
 
 
 def test_wrong_molien_average_fails_both_dimension_claims(tmp_path, monkeypatch, capsys):
@@ -194,6 +219,8 @@ def test_representatives_repeating_a_class_fail_the_table(fresh_characters, tmp_
                                      "characters-symcube-rank10"}
     assert claims["characters-table-orthonormal"]["witness"] == (
         "the class representatives meet 4 of 5 classes")
+    assert claims["characters-symcube-rank10"]["witness"] == {
+        "power_maps": "the square of (12345) lies in no listed class"}
 
 
 def test_coalesced_monodromy_of_negative_genus_fails_degenerations(tmp_path, monkeypatch,

@@ -252,7 +252,7 @@ def package_caches():
 def test_every_cache_is_hit_by_all(capsys):
     # a cache that `all` never hits only costs its memory
     caches = package_caches()
-    assert {"winger.reconstruct_group", "winger._singular_lambda"} <= set(caches)
+    assert {"winger.reconstruct_group", "winger._singular_point"} <= set(caches)
     for cached in caches.values():
         cached.cache_clear()
     assert run(["all"]) == 0
@@ -262,13 +262,13 @@ def test_every_cache_is_hit_by_all(capsys):
 
 
 def test_singular_lambda_is_computed_once_per_point_and_sextic(tmp_path, capsys):
-    # the pencil claims ask 129 times about the 43 orbit points; the cache
+    # the pencil claims ask 117 times about the 43 orbit points; the cache
     # is keyed by the sextic as well, so a corrupted pencil after a clean
     # one in the same process reads its own parameters
-    cached = winger._singular_lambda
+    cached = winger._singular_point
     cached.cache_clear()
     assert run(["pencil"]) == 0
-    assert (cached.cache_info().misses, cached.cache_info().hits) == (43, 129 - 43)
+    assert (cached.cache_info().misses, cached.cache_info().hits) == (43, 117 - 43)
     path = tmp_path / "report.json"
     assert run(["pencil", "--corrupt", "f:0,0,6", "--json", str(path)]) == 1
     capsys.readouterr()
@@ -393,7 +393,7 @@ def test_reconstruction_fault_keeps_every_suite(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(winger, "reconstruct_group", fault)
     monkeypatch.setattr(cli, "reconstruct_group", fault)
     winger.irregular_orbits.cache_clear()
-    winger._singular_lambda.cache_clear()
+    winger._singular_point.cache_clear()
     path = tmp_path / "report.json"
     assert run(["all", "--json", str(path)]) == 3
     capsys.readouterr()
@@ -457,13 +457,13 @@ def test_orbit_fault_fails_only_the_orbit_claims(tmp_path, monkeypatch, capsys):
         return frozenset(points)
     monkeypatch.setattr(winger, "orbit_of", short)
     winger.irregular_orbits.cache_clear()
-    winger._singular_lambda.cache_clear()
+    winger._singular_point.cache_clear()
     path = tmp_path / "report.json"
     try:
         assert run(["all", "--json", str(path)]) == 1
     finally:
         winger.irregular_orbits.cache_clear()
-        winger._singular_lambda.cache_clear()
+        winger._singular_point.cache_clear()
     capsys.readouterr()
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
     assert len(claims) == 32

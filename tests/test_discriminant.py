@@ -19,6 +19,9 @@ from wingerverify.linalg import integer_det
 from wingerverify.polys import Poly3, monomials_of_degree
 from wingerverify.winger import f_poly
 
+# the roots that the discriminant-root-set claim divides out
+ROOTS = (Fraction(0), Fraction(-1), Fraction(27, 5))
+
 
 def test_int_bareiss_det():
     assert integer_det([[2, 1], [1, 2]]) == 3
@@ -211,14 +214,14 @@ def test_linearized_pencil_matches_cubic_rows(case):
 
 def test_discriminant_is_the_macaulay_quotient():
     # det CONTROL_T = 1, so the change of coordinates keeps the resultant
-    coeffs, mults, control = pencil_discriminant(f_poly())
+    coeffs, mults, control = pencil_discriminant(f_poly(), ROOTS)
     assert control == {"lambda": 1, "holds": True}
     assert coeffs == macaulay_quotient(f_poly())
 
 
 def test_corrupted_discriminant_matches_macaulay_values():
     f = f_poly() + Poly3.monomial((0, 0, 6), 1)
-    coeffs, mults, control = pencil_discriminant(f)
+    coeffs, mults, control = pencil_discriminant(f, ROOTS)
     assert control == {"lambda": 1, "holds": True}
     assert mults["degree"] == 65
     tables = _pencil_partials(f, CONTROL_T)
@@ -241,6 +244,6 @@ def test_discriminant_is_two_passes_of_size_75(monkeypatch):
         return resultant(fs, degrees)
     monkeypatch.setattr(discriminant, "_pencil_det_mod", counted_det_mod)
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
-    pencil_discriminant(f_poly())
+    pencil_discriminant(f_poly(), ROOTS)
     assert sizes == [75, 75]
     assert controls == [(5, 5, 5)]

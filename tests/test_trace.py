@@ -51,3 +51,13 @@ def test_traced_pencil_deep_run():
     assert result["exit"] == 0
     for span in ("discriminant.interp", "discriminant.resultant"):
         assert result["spans"][span]["calls"] == 1, span
+
+
+def test_traced_tuples_ltr_run():
+    # the tracer rebinds hurwitz.is_generating at each module global that
+    # holds it; the tuples suite is the one that calls it, both conventions
+    result = traced("tuples", "--convention", "ltr")
+    assert result["exit"] == 0
+    assert result["spans"]["hurwitz.enumerate"]["calls"] == 2
+    assert result["spans"]["hurwitz.braid_orbits"]["calls"] == 4
+    assert result["counts"]["hurwitz.is_generating_calls"] > 0

@@ -10,9 +10,9 @@ from wingerverify.perms import alternating_group_5, parse_cycles
 from wingerverify.polys import Poly3
 from wingerverify.winger import (INFINITY, _triple_scalings,
                                  f_poly, gram_matrix, irregular_orbits,
-                                 node_check, normalize_point,
-                                 no_three_concurrent, pencil_member, q_poly,
-                                 reconstruct_group, singular_lambda, six_lines)
+                                 normalize_point, no_three_concurrent,
+                                 pencil_member, q_poly, reconstruct_group,
+                                 singular_point, six_lines)
 
 
 def test_six_lines_product_is_f():
@@ -148,7 +148,6 @@ def test_isomorphism_respects_products():
     ma, mb, ident = mat(a), mat(b), Matrix.identity(3)
     assert ma != ident and ma * ma * ma * ma * ma == ident  # order 5, a prime
     assert mb != ident and mb * mb == ident
-    assert g.label in ("I", "I'")
     assert g.trace_of_class(a) == ma.trace()
 
 
@@ -176,10 +175,10 @@ def test_pencil_members():
 
 def test_singular_lambda_values():
     orbs, f = irregular_orbits(), f_poly()
-    assert {str(singular_lambda(p, f)) for p in orbs[6]} == {"-1"}
-    assert {str(singular_lambda(p, f)) for p in orbs[10]} == {"27/5"}
-    assert all(singular_lambda(p, f) is INFINITY for p in orbs[15])
-    assert {str(singular_lambda(p, f)) for p in orbs[12]} == {"0"}
+    assert {str(singular_point(p, f)[0]) for p in orbs[6]} == {"-1"}
+    assert {str(singular_point(p, f)[0]) for p in orbs[10]} == {"27/5"}
+    assert all(singular_point(p, f)[0] is INFINITY for p in orbs[15])
+    assert {str(singular_point(p, f)[0]) for p in orbs[12]} == {"0"}
 
 
 def test_hand_oracle_gradients_at_vertex():
@@ -192,16 +191,16 @@ def test_hand_oracle_gradients_at_vertex():
 
 def test_node_checks():
     orbs, f = irregular_orbits(), f_poly()
-    assert all(node_check(rational(-1), p, f) for p in orbs[6])
-    assert all(node_check(rational(Fraction(27, 5)), p, f) for p in orbs[10])
-    assert all(node_check(INFINITY, p, f) for p in orbs[15])
+    assert all(singular_point(p, f) == (rational(-1), True) for p in orbs[6])
+    assert all(singular_point(p, f) == (rational(Fraction(27, 5)), True) for p in orbs[10])
+    assert all(singular_point(p, f) == (INFINITY, True) for p in orbs[15])
     # triple conic: singular but not nodal at base points
-    assert not node_check(rational(0), next(iter(orbs[12])), f)
+    assert singular_point(next(iter(orbs[12])), f) == (rational(0), False)
 
 
 def test_node_check_rejects_smooth_points():
-    assert node_check(rational(-1), (rational(1), rational(1), rational(1)),
-                      f_poly()) is False
+    # no member of the pencil is singular at (1:1:1), so it is no node
+    assert singular_point((rational(1), rational(1), rational(1)), f_poly()) == (None, False)
 
 
 def test_normalize_point():
