@@ -258,9 +258,15 @@ def check_pencil(report, args, corruption):
     def smooth_evidence():
         orbs, f = irregular_orbits(), corruption.sextic()
         tested = (2, 3, 5, 7, -2, -3, 9, 13, -7, 4)
-        singular = {singular_point(p, f)[0] for s in (6, 10, 15, 12) for p in orbs[s]}
-        ok = not any(rational(k) in singular for k in tested)
-        return ok, {"lambdas_tested": list(tested)}
+        values = {rational(k) for k in tested}
+        hit = next(((s, p, lam) for s in (6, 10, 15, 12) for p in orbs[s]
+                    if (lam := singular_point(p, f)[0]) in values), None)
+        witness = {"lambdas_tested": list(tested)}
+        if hit is not None:  # the first orbit point singular for a tested lambda
+            size, point, lam = hit
+            witness.update({"orbit": size, "point": [str(c) for c in point],
+                            "lambda": str(lam)})
+        return hit is None, witness
     run_claim(report, "no-extra-singular-orbits",
               "no computed orbit point is singular for ten other rational parameters",
               smooth_evidence)
@@ -371,7 +377,7 @@ def check_tuples(report, args, corruption):
                 witness["unmatched"] = unmatched
             if len(set(matched)) != len(matched):
                 witness["distinct_classes"] = len(set(matched))
-            return set(matched) == want, witness
+            return not unmatched and set(matched) == want, witness
         run_claim(report, f"tuple-table-rows{tag}",
                   f"the ten published rows match the ten classes with g1 ~ (12345) "
                   f"[{conv}]",

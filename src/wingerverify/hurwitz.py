@@ -2,9 +2,11 @@
 
 An element of A5 is its index into `alternating_group_5()`, whose
 element list is lexicographic, so the least index tuple is the least
-permutation tuple.  The composition convention is inherited from perms:
-(g*h)(x) = g(h(x)).  `tuple_product` alone knows how a tuple is read; its
-left-to-right reading is for cross-checking convention-sensitive tables.
+permutation tuple; `canonical_class` reads it from one centralizer coset
+(`FiniteGroup.least_conjugate`), not from the whole conjugation orbit.
+The composition convention is inherited from perms: (g*h)(x) = g(h(x)).
+`tuple_product` alone knows how a tuple is read; its left-to-right reading
+is for cross-checking convention-sensitive tables.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class TupleClass:
 
 
 def canonical_class(t) -> TupleClass:
-    return TupleClass(min(alternating_group_5().conjugates(tuple(t))))
+    return TupleClass(alternating_group_5().least_conjugate(tuple(t)))
 
 
 def is_generating(t) -> bool:
@@ -114,26 +116,27 @@ def is_generating(t) -> bool:
 def enumerate_tuple_classes(convention: str):
     """All classes of generating (5,2,2,2)-tuples with product identity.
 
-    Brute force over g1 in A5(5), g2, g3 in A5(2); g4 is forced by the
-    product condition, read in `convention` as by `tuple_product`, and
-    kept when it is an involution and the four elements generate.
+    Every class holds a tuple whose g1 is the least member of its A5
+    class, so g1 runs over the least members of the two order-5 classes
+    and g2, g3 over A5(2); g4 is forced by the product condition, read in
+    `convention` as by `tuple_product`, and kept when it is an involution.
+    Generation is a class property, checked once on each new class.
     Exactly 20 classes.
     """
     a5 = alternating_group_5()
-    sets = order_sets()
-    seen = set()
+    involutions = order_sets()[2]
     classes = set()
-    for g1 in sets[5]:
-        for g2 in sets[2]:
-            for g3 in sets[2]:
+    for g1 in (cls[0] for cls in a5.classes if a5.orders[cls[0]] == 5):
+        for g2 in involutions:
+            g12 = tuple_product((g1, g2), convention)
+            for g3 in involutions:
                 # the product of (g1, g2, g3, g4) is e in the chosen reading
-                g4 = a5.inverse[tuple_product((g1, g2, g3), convention)]
-                t = (g1, g2, g3, g4)
-                if a5.orders[g4] != 2 or t in seen or not is_generating(t):
+                g4 = a5.inverse[tuple_product((g12, g3), convention)]
+                if a5.orders[g4] != 2:
                     continue
-                orbit = a5.conjugates(t)
-                seen |= orbit
-                classes.add(TupleClass(min(orbit)))
+                cls = canonical_class((g1, g2, g3, g4))
+                if cls not in classes and is_generating(cls.rep):
+                    classes.add(cls)
     return tuple(sorted(classes))
 
 

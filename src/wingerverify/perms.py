@@ -136,6 +136,10 @@ class FiniteGroup:
     generators: the row of k = s*h is row(s) composed with row(h), since
     k*x = s*(h*x).  Every element ends up a word in the generators, so the
     list is a finite semigroup inside a group: closed, hence a group.
+
+    `to_least[c]` lists the conjugators that send c to the least member
+    of its class, `class_of[c][0]`: a coset of that member's centralizer,
+    kept from the conjugations that find the classes.
     """
 
     def __init__(self, elements):
@@ -179,11 +183,16 @@ class FiniteGroup:
             while p != identity:
                 p, k = table[p][g], k + 1
             self.orders.append(k)
-        # classes ordered by least member, each a sorted index tuple
+        # classes ordered by least member g, each a sorted index tuple;
+        # c = x*g*x^-1 goes back to g by x^-1
         self.classes, self.class_of = [], [None] * n
+        self.to_least = [[] for _ in range(n)]
         for g in range(n):
             if self.class_of[g] is None:
-                cls = tuple(sorted(c for (c,) in self.conjugates((g,))))
+                images = [self.conjugate(g, x) for x in range(n)]
+                for x, c in enumerate(images):
+                    self.to_least[c].append(self.inverse[x])
+                cls = tuple(sorted(set(images)))
                 self.classes.append(cls)
                 for c in cls:
                     self.class_of[c] = cls
@@ -198,6 +207,12 @@ class FiniteGroup:
     def conjugates(self, t) -> set:
         """The orbit of an index tuple under simultaneous conjugation."""
         return {tuple(self.conjugate(g, x) for g in t) for x in range(len(self))}
+
+    def least_conjugate(self, t) -> tuple:
+        """min(self.conjugates(t)) for a nonempty t: the least tuple starts
+        with the least member of the class of t[0], and only the coset
+        `to_least[t[0]]` of its centralizer reaches that member."""
+        return min(tuple(self.conjugate(g, x) for g in t) for x in self.to_least[t[0]])
 
     def centre(self) -> list:
         return [cls[0] for cls in self.classes if len(cls) == 1]

@@ -123,6 +123,10 @@ def test_extra_singular_parameter_fails_smooth_evidence(fresh_group, tmp_path, m
     code, claims = report(["pencil"], tmp_path, capsys)
     assert failing(code, claims) == {"no-extra-singular-orbits", "node-nondegeneracy"}
     assert claims["node-nondegeneracy"]["witness"]["triple_conic_degenerate"] is False
+    # the failing witness names the orbit, the point and the lambda it hit
+    witness = claims["no-extra-singular-orbits"]["witness"]
+    assert witness == {"lambdas_tested": [2, 3, 5, 7, -2, -3, 9, 13, -7, 4],
+                       "orbit": 12, "point": [str(c) for c in point], "lambda": "2"}
 
 
 def test_wrong_molien_average_fails_both_dimension_claims(tmp_path, monkeypatch, capsys):
@@ -146,6 +150,34 @@ def test_braid_word_leaving_the_classes_fails_its_claim(tmp_path, monkeypatch, c
     assert failing(code, claims) == {"braid-weighted-orbits"}
     sizes = claims["braid-weighted-orbits"]["witness"]["orbit_sizes"]
     assert sum(sizes) > 20
+
+
+@pytest.fixture
+def fresh_tuples():
+    yield from cleared(hurwitz.order_sets, hurwitz.enumerate_tuple_classes)
+
+
+def test_generation_read_from_two_slots_fails_the_class_count(fresh_tuples, tmp_path,
+                                                              monkeypatch, capsys):
+    # <g1, g2> is a D10 exactly when g1*g2 has order 2, so a generation
+    # test that reads only g1 and g2 drops the four r = 2 classes, and two
+    # published rows match no class
+    is_generating = hurwitz.is_generating
+    monkeypatch.setattr(hurwitz, "is_generating", lambda t: is_generating(t[:2]))
+    code, claims = report(["tuples"], tmp_path, capsys)
+    assert failing(code, claims) == {"tuple-classes-20", "tuple-table-rows"}
+    assert claims["tuple-classes-20"]["witness"]["by_r"] == {"3": 6, "5": 10}
+    assert len(claims["tuple-table-rows"]["witness"]["unmatched"]) == 2
+
+
+def test_pure_braids_without_the_middle_square_fail_their_claim(tmp_path, monkeypatch,
+                                                                capsys):
+    # the squares on slots 1 and 3 alone split each block of ten classes
+    pure = hurwitz.GENERATOR_SETS["pure"]
+    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "pure", (pure[0], pure[2]))
+    code, claims = report(["tuples"], tmp_path, capsys)
+    assert failing(code, claims) == {"braid-pure-orbits"}
+    assert claims["braid-pure-orbits"]["witness"]["orbit_sizes"] == [1, 1, 1, 1, 3, 3, 5, 5]
 
 
 def test_trivial_coalesced_monodromy_fails_degenerations(tmp_path, monkeypatch, capsys):

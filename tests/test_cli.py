@@ -208,6 +208,24 @@ def test_tuples_make_no_permutation_products(monkeypatch, capsys):
     assert calls == []
 
 
+def test_tuple_classes_walk_no_conjugation_orbits(monkeypatch, capsys):
+    # canonical tuple classes search a centralizer coset; whole orbits are
+    # walked only by pair_orbits, once per each of its six orbits
+    perms.alternating_group_5()
+    for cached in (hurwitz.order_sets, hurwitz.enumerate_tuple_classes):
+        cached.cache_clear()
+    callers = []
+    conjugates = perms.FiniteGroup.conjugates
+
+    def counted(self, t):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return conjugates(self, t)
+    monkeypatch.setattr(perms.FiniteGroup, "conjugates", counted)
+    assert run(["tuples", "--convention", "ltr"]) == 0
+    capsys.readouterr()
+    assert callers == ["pair_orbits"] * 6
+
+
 def test_characters_and_homology_make_no_permutation_products(monkeypatch, capsys):
     # with the A5 Cayley table built, characters are read from it and S5
     # classes from cycle types

@@ -10,11 +10,11 @@ from collections import Counter
 import pytest
 
 from wingerverify.hurwitz import (CONVENTIONS, PAIR_REPRESENTATIVES,
-                                  TUPLE_TABLE_ROWS, braid_orbits,
+                                  TUPLE_TABLE_ROWS, TupleClass, braid_orbits,
                                   canonical_class, enumerate_tuple_classes,
                                   hurwitz_move, involution_factorizations,
-                                  order_sets, pair_orbits, tuple_product,
-                                  validate_tuple_table)
+                                  is_generating, order_sets, pair_orbits,
+                                  tuple_product, validate_tuple_table)
 from wingerverify.perms import Perm, alternating_group_5, parse_cycles
 
 A5 = alternating_group_5()
@@ -202,3 +202,27 @@ def test_ltr_enumeration_matches_counts():
         assert perm_product(c.rep, "ltr") == IDENTITY
     parts = braid_orbits(classes, "pure", "ltr")
     assert sorted(len(p) for p in parts) == [10, 10]
+
+
+def brute_force_tuple_classes(convention):
+    """Every g1 of order 5 and every g2, g3 of order 2, each whole orbit
+    walked once: the enumeration that the centralizer cosets replaced,
+    kept as its oracle."""
+    sets = order_sets()
+    seen, classes = set(), set()
+    for g1 in sets[5]:
+        for g2 in sets[2]:
+            for g3 in sets[2]:
+                g4 = A5.inverse[tuple_product((g1, g2, g3), convention)]
+                t = (g1, g2, g3, g4)
+                if A5.orders[g4] != 2 or t in seen or not is_generating(t):
+                    continue
+                orbit = A5.conjugates(t)
+                seen |= orbit
+                classes.add(TupleClass(min(orbit)))
+    return tuple(sorted(classes))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_tuple_classes_match_brute_force(convention):
+    assert enumerate_tuple_classes(convention) == brute_force_tuple_classes(convention)

@@ -264,3 +264,31 @@ def test_sign_map_and_wrong_generator_images():
     q5, q2 = idx(a5, "(12345)", "(12)(34)")
     assert a5.homomorphism(c2, {q5: e, q2: e}) == [e] * 60
     assert a5.homomorphism(c2, {q5: e, q2: t}) is None
+
+
+# -- least conjugates from centralizer cosets, against the whole orbit ---------
+
+
+def test_least_conjugate_matches_orbit_minimum_on_pairs():
+    a5 = alternating_group_5()
+    for t in [(g,) for g in range(60)] + [(g, h) for g in range(60) for h in range(60)]:
+        assert a5.least_conjugate(t) == min(a5.conjugates(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 59), min_size=3, max_size=4))
+def test_least_conjugate_matches_orbit_minimum(t):
+    a5 = alternating_group_5()
+    assert a5.least_conjugate(tuple(t)) == min(a5.conjugates(tuple(t)))
+
+
+@pytest.mark.parametrize("which", ["a5", "matrices", "units"])
+def test_to_least_is_a_centralizer_coset(which):
+    group = {"a5": alternating_group_5,
+             "matrices": lambda: reconstruct_group().group,
+             "units": lambda: FiniteGroup(binary_icosahedral_group())}[which]()
+    for c in range(len(group)):
+        coset, least = group.to_least[c], group.class_of[c][0]
+        assert all(group.conjugate(c, x) == least for x in coset)
+        assert len(set(coset)) == len(coset)
+        assert len(coset) * len(group.class_of[c]) == len(group)
