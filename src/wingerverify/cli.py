@@ -36,8 +36,8 @@ from .linalg import Matrix
 from .perms import alternating_group_5, parse_cycles
 from .polys import Poly3, monomials_of_degree
 from .report import Claim, ClaimReport, error_witness, run_claim
-from .winger import (INFINITY, ReconstructionError, gram_matrix,
-                     irregular_orbits, no_three_concurrent, pencil_member,
+from .winger import (INFINITY, ReconstructionError, concurrent_triple, gram_matrix,
+                     irregular_orbits, pencil_member,
                      q_poly, f_poly, reconstruct_group, singular_point, six_lines)
 from . import hurwitz
 from . import covers
@@ -72,7 +72,7 @@ class Corruption:
         return f
 
     def matrices(self):
-        mats = list(reconstruct_group().matrices)
+        mats = list(reconstruct_group().elements)
         if self.matrix_index is not None:
             k = self.matrix_index % len(mats)
             e = mats[k].entries
@@ -136,7 +136,7 @@ def check_orbits(report, args, corruption):
             group = reconstruct_group()
         except ReconstructionError as exc:  # a fault in the search is a verdict
             return False, str(exc)
-        return len(group.matrices) == 60, {"survivors": len(group.matrices)}
+        return len(group) == 60, {"survivors": len(group)}
     if not run_claim(report, "group-reconstruction-60",
                      "line-permutation search returns exactly 60 solvable cases "
                      "forming a group",
@@ -147,22 +147,24 @@ def check_orbits(report, args, corruption):
     f = corruption.sextic()
     gram = gram_matrix()
 
-    sizes = sorted(len(c) for c in group.group.classes)
+    sizes = sorted(len(c) for c in group.classes)
     run_claim(report, "group-class-sizes",
               "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
               lambda: (sizes == CLASS_SIZES, {"sizes": sizes}))
 
     def traces():
-        a5 = alternating_group_5()
-        by_class = {}
-        for rep in A5_CLASS_REPS:
-            by_class[rep] = str(group.trace_of_class(a5.index[parse_cycles(rep, 5)]))
+        # one element per class of A5_CLASS_REPS, picked by order (Cauchy's
+        # theorem); (12354) is conjugate to the square of (12345)
+        orders, m5 = group.orders, group.orders.index(5)
+        picks = (group.identity, orders.index(2), orders.index(3), m5, group.table[m5][m5])
+        by_class = {rep: str(group.elements[g].trace())
+                    for rep, g in zip(A5_CLASS_REPS, picks)}
         # I and I' differ only by the swap of the two 5-cycle classes
         p5 = A5_CLASS_REPS.index("(12345)")
         label = "I" if by_class["(12345)"] == str(a5_table()[1].values[p5]) else "I'"
         row = a5_table()[A5_IRREP_LABELS.index(label)]
         ok = all(str(v) == by_class[r] for v, r in zip(row.values, A5_CLASS_REPS))
-        counts = Counter(str(m.trace()) for m in group.matrices)
+        counts = Counter(str(m.trace()) for m in group.elements)
         expected = Counter()
         for v, size in zip(row.values, class_sizes()):
             expected[str(v)] += size
@@ -191,10 +193,15 @@ def check_orbits(report, args, corruption):
               "Q, F, the bilinear form and det 1 are preserved by all 60 elements",
               invariance)
 
+    def concurrency():
+        triple = concurrent_triple(six_lines())
+        witness = {"triples_checked": comb(len(six_lines()), 3)}
+        if triple is not None:  # the first three lines through one point
+            witness["triple"] = list(triple)
+        return triple is None, witness
     run_claim(report, "lines-no-three-concurrent",
               "no three of the six lines meet in a point",
-              lambda: (no_three_concurrent(),
-                       {"triples_checked": comb(len(six_lines()), 3)}))
+              concurrency)
 
     def orbits():
         orbs = irregular_orbits()
@@ -232,25 +239,34 @@ def check_pencil(report, args, corruption):
 
     def nodes():
         orbs, f = irregular_orbits(), corruption.sextic()
-        nodal_points = sum(singular_point(p, f) == (lam, True)
-                           for size, lam in SINGULAR_MEMBERS.items() for p in orbs[size])
-        # every conic point is singular on the triple conic, never a node
-        degenerate = all(singular_point(p, f) == (rational(0), False) for p in orbs[12])
-        return (nodal_points == 6 + 10 + 15 and degenerate,
-                {"nodal_points": nodal_points,
-                 "triple_conic_degenerate": degenerate})
+        want = {s: (lam, True) for s, lam in SINGULAR_MEMBERS.items()}
+        want[12] = (rational(0), False)  # singular on the triple conic, never a node
+        bad = [(s, p, pair) for s in want for p in orbs[s]
+               if (pair := singular_point(p, f)) != want[s]]
+        off_conic = [b for b in bad if b[0] != 12]
+        nodal_points = sum(len(orbs[s]) for s in SINGULAR_MEMBERS) - len(off_conic)
+        degenerate = len(off_conic) == len(bad)
+        witness = {"nodal_points": nodal_points, "triple_conic_degenerate": degenerate}
+        if bad:  # the first point whose computed pair is not the wanted one
+            s, p, (lam, node) = bad[0]
+            witness.update({"orbit": s, "point": [str(c) for c in p],
+                            "lambda": "none" if lam is None else str(lam), "node": node})
+        return nodal_points == 6 + 10 + 15 and degenerate, witness
     run_claim(report, "node-nondegeneracy",
               "all singular points of the -1, 27/5 and infinity members are nodes",
               nodes)
 
     def base_locus():
         orbs, f = irregular_orbits(), corruption.sextic()
-        members = [pencil_member(rational(Fraction(n, d)), f)
-                   for n, d in ((0, 1), (1, 1), (7, 3), (-5, 2), (11, 1))]
-        members.append(pencil_member(INFINITY, f))
+        lams = [rational(Fraction(n, d)) for n, d in ((0, 1), (1, 1), (7, 3), (-5, 2), (11, 1))]
         # the members at 0 and infinity are Q^3 and the lines themselves
-        ok = all(m.evaluate(p) == rational(0) for m in members for p in orbs[12])
-        return ok, {"points": len(orbs[12]), "members_checked": len(members)}
+        members = [(lam, pencil_member(lam, f)) for lam in (*lams, INFINITY)]
+        miss = next(((lam, p) for lam, m in members for p in orbs[12]
+                     if m.evaluate(p) != rational(0)), None)
+        witness = {"points": len(orbs[12]), "members_checked": len(members)}
+        if miss is not None:  # the first member and point where it does not vanish
+            witness.update({"lambda": str(miss[0]), "point": [str(c) for c in miss[1]]})
+        return miss is None, witness
     run_claim(report, "base-locus-twelve-points",
               "the 12-point orbit lies on the conic, the lines and every member",
               base_locus)
@@ -357,7 +373,7 @@ def check_tuples(report, args, corruption):
         tag = "" if conv == "rtl" else "-ltr"
         classes = hurwitz.enumerate_tuple_classes(conv)
 
-        def class_count(classes=classes):
+        def tuple_class_count(classes=classes):
             by_r = Counter(c.r_value for c in classes)
             by_g1 = Counter(c.g1_class for c in classes)
             ok = (len(classes) == 20 and by_r == Counter({2: 4, 3: 6, 5: 10})
@@ -367,7 +383,7 @@ def check_tuples(report, args, corruption):
         run_claim(report, f"tuple-classes-20{tag}",
                   f"exactly 20 generating (5,2,2,2)-tuple classes, split 4/6/10 by "
                   f"ord(g1*g2) and 10/10 by the class of g1 [{conv}]",
-                  class_count)
+                  tuple_class_count)
 
         def table_rows(classes=classes):
             matched, unmatched = hurwitz.validate_tuple_table(classes)

@@ -1,5 +1,5 @@
 """Permutations and the finite-group layer (Cayley tables, classes,
-subgroups, homomorphisms); A5 is the one permutation group built here.
+least conjugates, subgroups); A5 is the one permutation group built here.
 
 Composition convention is fixed once and for all: (g * h)(x) = g(h(x)),
 i.e. the right factor acts first.  Every product of group elements in
@@ -239,32 +239,6 @@ class FiniteGroup:
         n = len(table)
         return self.generated({table[table[table[a][b]][inverse[a]]][inverse[b]]
                                for a in range(n) for b in range(n)})
-
-    def homomorphism(self, target: "FiniteGroup", images: dict):
-        """The homomorphism into `target` sending each generator index
-        (a key of `images`) to its image index, as a list over this
-        group's indices, or None when the assignment does not extend to
-        a homomorphism."""
-        phi = [None] * len(self)
-        phi[self.identity] = target.identity
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g, image in images.items():
-                    q = self.table[g][p]
-                    if phi[q] is None:
-                        phi[q] = target.table[image][phi[p]]
-                        new.append(q)
-            frontier = new
-        if None in phi:
-            raise ValueError("the generators do not generate the group")
-        # phi(s*h) = phi(s)*phi(h) for the generators s and every h gives
-        # phi(a*h) = phi(a)*phi(h) for every a, by induction on word length
-        if all(phi[self.table[s][h]] == target.table[phi[s]][phi[h]]
-               for s in images for h in range(len(self))):
-            return phi
-        return None
 
 
 @lru_cache(maxsize=8)

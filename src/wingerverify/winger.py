@@ -7,18 +7,19 @@ the group are NOT hardcoded; they are recovered from the 720 ways the
 six lines could be permuted: since no three lines meet, a permutation is
 realized by a projective map iff three projective points computed from
 the lines agree, and the map is then rescaled so that the bilinear form
-of Q is preserved on the nose with determinant 1.
+of Q is preserved on the nose with determinant 1.  No map from A5 is
+built: the class sizes that `group-class-sizes` judges make the group
+simple of order 60, hence A5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from .cyclo import Cyclo, rational, zeta
 from .linalg import Matrix
-from .perms import FiniteGroup, alternating_group_5, finite_group, parse_cycles
+from .perms import FiniteGroup, finite_group
 from .polys import Poly3
 
 
@@ -118,53 +119,16 @@ def _rescale(m, gram):
     return m * (s / m.det())
 
 
-@dataclass(frozen=True)
-class IcosaGroup:
-    """The 60 reconstructed matrices with their A5 dictionary.
-
-    `group` holds the matrices, sorted, with their Cayley table, order
-    and classes; `iso[a]` is the index in `group` of the matrix of the A5
-    element index a, and respects products.
-    """
-
-    group: FiniteGroup
-    iso: list
-
-    @property
-    def matrices(self) -> tuple:
-        return self.group.elements
-
-    def trace_of_class(self, rep: int) -> Cyclo:
-        """Trace of the matrix of the A5 element index `rep`."""
-        return self.matrices[self.iso[rep]].trace()
-
-
-def _build_isomorphism(group: FiniteGroup):
-    """Map A5 onto the matrix group by matching generator relations.
-
-    Sends (12345) to the first order-5 matrix m5 and (12)(34) to the
-    first involution m2 with ord(m5*m2) = 3 for which the assignment
-    extends to a bijective homomorphism, checked on every (generator,
-    element) pair.  Returns the matrix index of each A5 element index.
-    """
-    a5 = alternating_group_5()
-    p5 = a5.index[parse_cycles("(12345)", 5)]
-    p2 = a5.index[parse_cycles("(12)(34)", 5)]
-    m5 = group.orders.index(5)
-    for m2, k in enumerate(group.orders):
-        if k != 2 or group.orders[group.table[m5][m2]] != 3:
-            continue
-        phi = a5.homomorphism(group, {p5: m5, p2: m2})
-        if phi is not None and len(set(phi)) == 60:
-            return phi
-    raise ReconstructionError("no generator pair realizes the A5 relations")
-
-
 @lru_cache(maxsize=None)
-def reconstruct_group() -> IcosaGroup:
-    if not no_three_concurrent():
-        raise ReconstructionError("three of the six lines are concurrent")
+def reconstruct_group() -> FiniteGroup:
+    """The matrices that permute the six lines and keep the form of Q
+    with det 1, sorted, as a `FiniteGroup`.  Raises ReconstructionError
+    when three lines are concurrent (the search would invert a singular
+    matrix) or when the survivors are not closed (no Cayley table); the
+    claims judge the rest: their number, classes, traces and invariance."""
     rows = six_lines()
+    if concurrent_triple(rows) is not None:
+        raise ReconstructionError("three of the six lines are concurrent")
     gram = gram_matrix()
     c_mat = Matrix.from_rows(rows[:3])
     c_inv_t = c_mat.inverse().transpose()
@@ -178,19 +142,17 @@ def reconstruct_group() -> IcosaGroup:
             m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram)
             if m is not None:
                 found.add(m)
-    if len(found) != 60:
-        raise ReconstructionError(f"expected 60 survivors, got {len(found)}")
     try:
-        group = finite_group(tuple(sorted(found, key=_matrix_key)))
+        return finite_group(tuple(sorted(found, key=_matrix_key)))
     except ValueError as exc:
         raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
-    return IcosaGroup(group=group, iso=_build_isomorphism(group))
 
 
-def no_three_concurrent() -> bool:
-    """No three of the six lines pass through a common point."""
-    return not any(Matrix.from_rows(triple).det().is_zero()
-                   for triple in combinations(six_lines(), 3))
+def concurrent_triple(rows):
+    """The first index triple of three lines (coefficient rows) through a
+    common point, or None when no three of them meet."""
+    return next((t for t in combinations(range(len(rows)), 3)
+                 if Matrix.from_rows([rows[i] for i in t]).det().is_zero()), None)
 
 
 # -- projective points and irregular orbits ------------------------------------
@@ -212,9 +174,9 @@ def normalize_point(coords):
     return tuple(c * inv for c in coords)
 
 
-def orbit_of(point, group: IcosaGroup):
+def orbit_of(point, group: FiniteGroup):
     p = normalize_point(point)
-    return frozenset(normalize_point(m.apply(p)) for m in group.matrices)
+    return frozenset(normalize_point(m.apply(p)) for m in group.elements)
 
 
 def _eigenvector(m: Matrix, lam) -> tuple:
@@ -234,7 +196,7 @@ def irregular_orbits() -> dict:
     rational eigenvector of an order-5 element and lies on the conic.
     """
     group = reconstruct_group()
-    elements, orders = group.group.elements, group.group.orders
+    elements, orders = group.elements, group.orders
     out = {}
     for order, size in ((5, 6), (3, 10), (2, 15)):
         m = elements[orders.index(order)]

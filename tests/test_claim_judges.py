@@ -6,6 +6,7 @@ own computed witness, never as an `error` or a crashed suite.  Each test
 injects one fault where a helper used to raise on its own result.
 """
 
+import copy
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from wingerverify import characters, cli, covers, hurwitz, invariants, winger
 from wingerverify.cli import main
 from wingerverify.cyclo import rational
 from wingerverify.hurwitz import TupleClass
-from wingerverify.perms import alternating_group_5, parse_cycles
+from wingerverify.perms import alternating_group_5
 
 def cleared(*caches):
     """Clears the caches before and after a test, so that a fault reaches
@@ -82,22 +83,68 @@ def test_det_minus_one_fails_invariance(tmp_path, monkeypatch, capsys):
     assert {kind for kind, _ in witness["violations"]} == {"det"}
 
 
-def test_non_golden_trace_fails_the_trace_claim(fresh_group, tmp_path, monkeypatch, capsys):
-    # (12345) sent to an order-3 matrix, of trace 0: the label falls to I'
-    # and the trace claim compares the row with the traces read
-    build = winger._build_isomorphism
-    a5 = alternating_group_5()
-    p5, p3 = (a5.index[parse_cycles(s, 5)] for s in ("(12345)", "(123)"))
+def group_copy(**changes):
+    """A shallow copy of the reconstructed group with some attributes
+    replaced, for a fault that only the claims reading `cli.reconstruct_group`
+    see."""
+    group = copy.copy(winger.reconstruct_group())
+    vars(group).update(changes)
+    return group
 
-    def swapped(group):
-        iso = list(build(group))
-        iso[p5], iso[p3] = iso[p3], iso[p5]
-        return iso
-    monkeypatch.setattr(winger, "_build_isomorphism", swapped)
+
+def test_non_golden_trace_fails_the_trace_claim(tmp_path, monkeypatch, capsys):
+    # the first order-5 and order-3 elements swap their orders: the trace
+    # claim reads an order-3 matrix, of trace 0, for (12345), its label
+    # falls to I', and it compares the row with the traces read
+    orders = list(winger.reconstruct_group().orders)
+    m5, m3 = orders.index(5), orders.index(3)
+    orders[m5], orders[m3] = orders[m3], orders[m5]
+    monkeypatch.setattr(cli, "reconstruct_group", lambda: group_copy(orders=orders))
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"group-trace-character"}
     witness = claims["group-trace-character"]["witness"]
     assert witness["matched_row"] == "I'" and witness["traces"]["(12345)"] == "0"
+
+
+def test_merged_classes_fail_the_class_sizes(tmp_path, monkeypatch, capsys):
+    # the two classes of order-5 elements as one class of 24
+    classes = list(winger.reconstruct_group().classes)
+    twelves = [c for c in classes if len(c) == 12]
+    merged = [c for c in classes if len(c) != 12] + [tuple(sorted(sum(twelves, ())))]
+    monkeypatch.setattr(cli, "reconstruct_group", lambda: group_copy(classes=merged))
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-class-sizes"}
+    assert claims["group-class-sizes"]["witness"] == {"sizes": [1, 15, 20, 24]}
+
+
+def test_five_survivors_fail_the_reconstruction(fresh_group, tmp_path, monkeypatch, capsys):
+    # a rescaling that keeps only the powers of one order-5 matrix: the
+    # five survivors form a group, and only the count is wrong
+    group = winger.reconstruct_group()
+    m5 = group.elements[group.orders.index(5)]
+    powers = {m5, m5 * m5, m5 * m5 * m5, m5 * m5 * m5 * m5, m5 * m5 * m5 * m5 * m5}
+    winger.reconstruct_group.cache_clear()
+    rescale = winger._rescale
+
+    def cyclic(m, gram):
+        m = rescale(m, gram)
+        return m if m in powers else None
+    monkeypatch.setattr(winger, "_rescale", cyclic)
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-reconstruction-60"}
+    assert claims["group-reconstruction-60"]["witness"] == {"survivors": 5}
+
+
+def test_concurrent_lines_fail_their_claim(tmp_path, monkeypatch, capsys):
+    # line 3 through the meet of lines 0 and 1; the reconstruction still
+    # reads the true lines
+    rows = list(winger.six_lines())
+    rows[3] = tuple(a + b for a, b in zip(rows[0], rows[1]))
+    monkeypatch.setattr(cli, "six_lines", lambda: tuple(rows))
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"lines-no-three-concurrent"}
+    assert claims["lines-no-three-concurrent"]["witness"] == {"triples_checked": 20,
+                                                              "triple": [0, 1, 3]}
 
 
 def test_swapped_orbit_keys_fail_the_orbit_claim(tmp_path, monkeypatch, capsys):

@@ -124,17 +124,41 @@ def test_corrupted_sextic_fails_degree6_invariants(capsys):
     assert "PASS reynolds-dimensions" in out
 
 
+def pencil_claims(tmp_path, argv, code):
+    path = tmp_path / "report.json"
+    assert run(["pencil", *argv, "--json", str(path)]) == code
+    return {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+
+
+def orbit_strings(size):
+    return [[str(c) for c in p] for p in winger.irregular_orbits()[size]]
+
+
 def test_node_witness_counts_nodal_points(tmp_path, capsys):
-    def node_claim(argv, code):
-        path = tmp_path / "report.json"
-        assert run(["pencil", *argv, "--json", str(path)]) == code
-        claims = json.loads(path.read_text())["claims"]
-        return next(c for c in claims if c["id"] == "node-nondegeneracy")
-    claim = node_claim([], 0)
+    claim = pencil_claims(tmp_path, [], 0)["node-nondegeneracy"]
     assert claim["witness"] == {"nodal_points": 31, "triple_conic_degenerate": True}
-    claim = node_claim(["--corrupt", "f:0,0,6"], 1)
-    assert claim["status"] == "fail" and claim["witness"]["nodal_points"] < 31
+    claim = pencil_claims(tmp_path, ["--corrupt", "f:0,0,6"], 1)["node-nondegeneracy"]
     capsys.readouterr()
+    witness = claim["witness"]
+    assert claim["status"] == "fail" and witness["nodal_points"] < 31
+    # the first point off its wanted pair: a 6-orbit point that the
+    # perturbed pencil makes singular for no single parameter
+    assert (witness["orbit"], witness["lambda"], witness["node"]) == (6, "none", False)
+    assert witness["point"] in orbit_strings(6)
+
+
+def test_base_locus_witness_names_the_member_and_point(tmp_path, capsys):
+    claim = pencil_claims(tmp_path, [], 0)["base-locus-twelve-points"]
+    assert claim["witness"] == {"points": 12, "members_checked": 6}
+    claim = pencil_claims(tmp_path, ["--corrupt", "f:0,0,6"], 1)["base-locus-twelve-points"]
+    capsys.readouterr()
+    # z2^6 added to F: Q^3 (lambda = 0) still vanishes on the conic points,
+    # Q^3 + F' at lambda = 1 is the first member that does not
+    witness = claim["witness"]
+    assert claim["status"] == "fail"
+    assert {k: witness[k] for k in ("points", "members_checked", "lambda")} == {
+        "points": 12, "members_checked": 6, "lambda": "1"}
+    assert witness["point"] in orbit_strings(12)
 
 
 def test_package_has_no_assert_statements():
@@ -386,14 +410,14 @@ def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
 
 def test_reconstruction_fault_fails_its_claim(tmp_path, monkeypatch, capsys):
     def fault():
-        raise winger.ReconstructionError("expected 60 survivors, got 59")
+        raise winger.ReconstructionError("three of the six lines are concurrent")
     monkeypatch.setattr(cli, "reconstruct_group", fault)
     path = tmp_path / "report.json"
     assert run(["orbits", "--json", str(path)]) == 1
     capsys.readouterr()
     claims = json.loads(path.read_text())["claims"]
     assert [(c["id"], c["status"], c["witness"]) for c in claims] == [
-        ("group-reconstruction-60", "fail", "expected 60 survivors, got 59")]
+        ("group-reconstruction-60", "fail", "three of the six lines are concurrent")]
 
 
 def test_pass_without_witness_is_refused():
@@ -407,7 +431,7 @@ def test_reconstruction_fault_keeps_every_suite(tmp_path, monkeypatch, capsys):
     # the invariants and pencil suites read the group inside their claims,
     # so the fault is judged claim by claim and no suite is lost
     def fault():
-        raise winger.ReconstructionError("expected 60 survivors, got 59")
+        raise winger.ReconstructionError("three of the six lines are concurrent")
     monkeypatch.setattr(winger, "reconstruct_group", fault)
     monkeypatch.setattr(cli, "reconstruct_group", fault)
     winger.irregular_orbits.cache_clear()

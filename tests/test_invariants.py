@@ -19,7 +19,7 @@ from wingerverify.winger import f_poly, q_poly, reconstruct_group
 
 
 def mats():
-    return reconstruct_group().matrices
+    return reconstruct_group().elements
 
 
 def test_molien_matches_closed_form():
@@ -155,7 +155,7 @@ def test_rational_kernels_match_cyclotomic_kernels():
 
 def test_bases_match_molien_and_a_generating_pair():
     # a generating pair found by search, not the monomial subgroup plus one
-    group = reconstruct_group().group
+    group = reconstruct_group()
     pair = next((a, b) for a in range(len(group)) for b in range(a)
                 if len(group.generated((a, b))) == len(group))
     series = molien_series(mats(), 16)

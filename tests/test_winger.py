@@ -4,13 +4,13 @@ from itertools import combinations, permutations
 import pytest
 
 from cyclo_rref import cyclo_kernel
+from wingerverify.characters import A5_CLASS_REPS, power_maps
 from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.perms import alternating_group_5, parse_cycles
 from wingerverify.polys import Poly3
-from wingerverify.winger import (INFINITY, _triple_scalings,
+from wingerverify.winger import (INFINITY, _triple_scalings, concurrent_triple,
                                  f_poly, gram_matrix, irregular_orbits,
-                                 normalize_point, no_three_concurrent,
+                                 normalize_point,
                                  pencil_member, q_poly, reconstruct_group,
                                  singular_point, six_lines)
 
@@ -38,17 +38,21 @@ def test_f_has_integer_coefficients():
 
 
 def test_no_three_concurrent():
-    assert no_three_concurrent()
+    assert concurrent_triple(six_lines()) is None
+    # a line through the meet of lines 0 and 1 is named with them
+    rows = list(six_lines())
+    rows[3] = tuple(a + b for a, b in zip(rows[0], rows[1]))
+    assert concurrent_triple(rows) == (0, 1, 3)
 
 
 def test_group_reconstruction():
     g = reconstruct_group()
-    assert len(g.matrices) == 60
-    assert sorted(len(c) for c in g.group.classes) == [1, 12, 12, 15, 20]
+    assert len(g) == 60
+    assert sorted(len(c) for c in g.classes) == [1, 12, 12, 15, 20]
     # closure sample and a distinguished element
     eta = zeta()
     diag = Matrix.diagonal([eta, eta ** 4, rational(1)])
-    assert diag in set(g.matrices)
+    assert diag in set(g.elements)
 
 
 def kernel_scaling(w_rest, u_rest):
@@ -127,28 +131,24 @@ def test_scalings_match_the_four_division_form():
 def test_group_preserves_everything():
     g = reconstruct_group()
     q, f, a = q_poly(), f_poly(), gram_matrix()
-    for m in g.matrices:
+    for m in g.elements:
         assert m.transpose() * a * m == a
         assert m.det() == rational(1)
     # polynomial invariance spot-checked on non-diagonal elements here;
     # the full 60-element sweep runs in the acceptance gate
-    for m in list(g.matrices)[::7]:
+    for m in g.elements[::7]:
         assert q.act(m) == q and f.act(m) == f
 
 
-def test_isomorphism_respects_products():
+def test_trace_claim_reads_one_element_per_class():
+    # group-trace-character reads (12354) as the square of its (12345)
+    # element: in A5 the square of (12345) is conjugate to (12354)
+    squares, _ = power_maps()
+    assert squares[A5_CLASS_REPS.index("(12345)")] == A5_CLASS_REPS.index("(12354)")
     g = reconstruct_group()
-    a5 = alternating_group_5()
-    pa, pb = parse_cycles("(12345)", 5), parse_cycles("(12)(34)", 5)
-    a, b, ab = (a5.index[p] for p in (pa, pb, pa * pb))
-
-    def mat(x):
-        return g.matrices[g.iso[x]]
-    assert mat(ab) == mat(a) * mat(b)
-    ma, mb, ident = mat(a), mat(b), Matrix.identity(3)
-    assert ma != ident and ma * ma * ma * ma * ma == ident  # order 5, a prime
-    assert mb != ident and mb * mb == ident
-    assert g.trace_of_class(a) == ma.trace()
+    m5 = g.orders.index(5)
+    picks = (g.identity, g.orders.index(2), g.orders.index(3), m5, g.table[m5][m5])
+    assert len({g.class_of[x] for x in picks}) == 5
 
 
 def test_orbit_sizes_and_positions():
@@ -169,7 +169,7 @@ def test_pencil_members():
     assert pencil_member(INFINITY, f) == f
     lam = rational(Fraction(7, 3))
     member = pencil_member(lam, f)
-    m = list(reconstruct_group().matrices)[11]
+    m = reconstruct_group().elements[11]
     assert member.act(m) == member
 
 
