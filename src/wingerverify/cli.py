@@ -9,6 +9,13 @@ acceptance tests map each criterion to claim ids of this
 report instead of checking the mathematics again.  Witnesses hold exact
 values only (rationals and Q(zeta_5) elements, serialized as strings).
 
+Each suite, and each `Corruption` method, imports the layers it runs
+when it runs, so importing this module loads only `report`, and a
+subcommand pays for no layer it does not use: `tuples` loads only
+`hurwitz` and `perms`, and the discriminant is loaded only by `--deep`.
+A name is looked up in its defining module at that moment, so a test or
+tracer patches it there.
+
 Exit codes: 0 all claims pass, 1 at least one claim failed, 2 usage
 error (an unwritable --json path too, once the report is printed), 3
 internal error (a claim with status "error"; a suite that crashes
@@ -22,25 +29,11 @@ import argparse
 import sys
 import traceback
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .characters import (A5_CLASS_REPS, A5_IRREP_LABELS, a5_table, chi_e_s5,
-                         class_count, class_sizes, decompose, induced_character,
-                         inner_product, restrict_to_a5, sign_class_function, sym_cube)
-from .cyclo import rational
-from .invariants import (contains_up_to_scalar, molien_closed_form,
-                         molien_series, reynolds_basis)
-from .linalg import Matrix
-from .perms import alternating_group_5, parse_cycles
-from .polys import Poly3, monomials_of_degree
 from .report import Claim, ClaimReport, error_witness, run_claim
-from .winger import (INFINITY, ReconstructionError, concurrent_triple, gram_matrix,
-                     irregular_orbits, pencil_member,
-                     q_poly, f_poly, reconstruct_group, singular_point, six_lines)
-from . import hurwitz
-from . import covers
+
 
 class Corruption:
     """Optional fault injection for sensitivity testing.
@@ -65,13 +58,18 @@ class Corruption:
         else:
             raise ValueError(f"unknown corruption spec {spec!r}")
 
-    def sextic(self) -> Poly3:
+    def sextic(self):
+        from .polys import Poly3
+        from .winger import f_poly
         f = f_poly()
         if self.f_expo is not None:
             f = f + Poly3.monomial(self.f_expo, 1)
         return f
 
     def matrices(self):
+        from .cyclo import rational
+        from .linalg import Matrix
+        from .winger import reconstruct_group
         mats = list(reconstruct_group().elements)
         if self.matrix_index is not None:
             k = self.matrix_index % len(mats)
@@ -82,16 +80,21 @@ class Corruption:
 
 # -- claim suites -----------------------------------------------------------------
 
-# Published values read by more than one claim: the member of Q^3 + lam*F
-# singular on each orbit off the conic, the symmetric cube of either
-# 3-dimensional character with its decomposition, and the class sizes.
-SINGULAR_MEMBERS = {6: rational(-1), 10: rational(Fraction(27, 5)), 15: INFINITY}
-SYM_CUBE = tuple(rational(v) for v in (10, -2, 1, 0, 0))
+# Published values read by more than one claim, as plain data so that
+# importing the CLI loads no field: the member of Q^3 + lam*F singular on
+# each orbit off the conic, the symmetric cube of either 3-dimensional
+# character with its decomposition, and the class sizes.
+SINGULAR_MEMBERS = {6: "-1", 10: "27/5", 15: "infinity"}
+SYM_CUBE = (10, -2, 1, 0, 0)
 SYM_CUBE_DECOMPOSITION = {"I": 1, "I'": 1, "V": 1}
 CLASS_SIZES = [1, 12, 12, 15, 20]
 
 
 def check_characters(report, args, corruption):
+    from .characters import (A5_IRREP_LABELS, a5_table, chi_e_s5, class_count,
+                             decompose, inner_product, restrict_to_a5, sym_cube)
+    from .cyclo import rational
+
     def orthonormal():
         table = dict(zip(A5_IRREP_LABELS, a5_table()))
         labels = list(table)
@@ -131,6 +134,11 @@ def check_characters(report, args, corruption):
 
 
 def check_orbits(report, args, corruption):
+    from .characters import A5_CLASS_REPS, A5_IRREP_LABELS, a5_table, class_sizes
+    from .cyclo import rational
+    from .winger import (ReconstructionError, concurrent_triple, gram_matrix,
+                         irregular_orbits, q_poly, reconstruct_group, six_lines)
+
     def reconstruction():
         try:
             group = reconstruct_group()
@@ -222,6 +230,12 @@ def check_orbits(report, args, corruption):
 
 
 def check_pencil(report, args, corruption):
+    from fractions import Fraction
+    from .cyclo import rational
+    from .winger import INFINITY, irregular_orbits, pencil_member, singular_point
+    members = {size: INFINITY if lam == "infinity" else rational(Fraction(lam))
+               for size, lam in SINGULAR_MEMBERS.items()}
+
     for size, claim_id, description in (
             (6, "lambda-six-orbit",
              "the member singular on the 6-point orbit is lambda = -1"),
@@ -231,20 +245,25 @@ def check_pencil(report, args, corruption):
              "the 15-point orbit is singular only on the six-line member (infinity)")):
         def on_orbit(size=size):
             orbit, f = irregular_orbits()[size], corruption.sextic()
-            lams = (singular_point(p, f)[0] for p in orbit)
-            vals = {"none" if lam is None else str(lam) for lam in lams}
-            return (vals == {str(SINGULAR_MEMBERS[size])},
-                    {"orbit": len(orbit), "values": sorted(vals)})
+            lams = {p: "none" if (lam := singular_point(p, f)[0]) is None else str(lam)
+                    for p in orbit}
+            vals, want = set(lams.values()), str(members[size])
+            witness = {"orbit": len(orbit), "values": sorted(vals)}
+            culprit = next((p for p, lam in lams.items() if lam != want), None)
+            if culprit is not None:  # the first point singular for another parameter
+                witness.update({"point": [str(c) for c in culprit],
+                                "lambda": lams[culprit]})
+            return vals == {want}, witness
         run_claim(report, claim_id, description, on_orbit)
 
     def nodes():
         orbs, f = irregular_orbits(), corruption.sextic()
-        want = {s: (lam, True) for s, lam in SINGULAR_MEMBERS.items()}
+        want = {s: (lam, True) for s, lam in members.items()}
         want[12] = (rational(0), False)  # singular on the triple conic, never a node
         bad = [(s, p, pair) for s in want for p in orbs[s]
                if (pair := singular_point(p, f)) != want[s]]
         off_conic = [b for b in bad if b[0] != 12]
-        nodal_points = sum(len(orbs[s]) for s in SINGULAR_MEMBERS) - len(off_conic)
+        nodal_points = sum(len(orbs[s]) for s in members) - len(off_conic)
         degenerate = len(off_conic) == len(bad)
         witness = {"nodal_points": nodal_points, "triple_conic_degenerate": degenerate}
         if bad:  # the first point whose computed pair is not the wanted one
@@ -291,7 +310,7 @@ def check_pencil(report, args, corruption):
         def deep():
             from .discriminant import pencil_discriminant
             # each finite singular member is a root of order its orbit's size
-            finite = {lam.to_fraction(): size for size, lam in SINGULAR_MEMBERS.items()
+            finite = {lam.to_fraction(): size for size, lam in members.items()
                       if lam is not INFINITY}
             _, mults, control = pencil_discriminant(corruption.sextic(), (0, *finite))
             ok = control["holds"] and mults == {
@@ -311,6 +330,9 @@ def check_pencil(report, args, corruption):
 
 
 def check_tuples(report, args, corruption):
+    from . import hurwitz
+    from .perms import alternating_group_5, parse_cycles
+
     conventions = [args.convention]
     if args.convention != "rtl":
         conventions.append("rtl")
@@ -416,6 +438,8 @@ def check_tuples(report, args, corruption):
 
 
 def check_covers(report, args, corruption):
+    from . import covers
+
     def alphas():
         vals = {k: covers.alpha_value(k) for k in (1, 2, 3, 5)}
         return vals == {1: 0, 2: 30, 3: 40, 5: 48}, {"alpha": vals}
@@ -446,6 +470,8 @@ def check_covers(report, args, corruption):
 
 
 def check_degenerations(report, args, corruption):
+    from . import covers
+
     def degen():
         reports = covers.all_degeneration_reports()
         shapes = Counter((r.n, r.nodes, r.components, r.component_genus)
@@ -463,6 +489,10 @@ def check_degenerations(report, args, corruption):
 
 
 def check_homology(report, args, corruption):
+    from .characters import (a5_table, decompose, induced_character,
+                             sign_class_function, sym_cube)
+    from .perms import alternating_group_5, parse_cycles
+
     def hom():
         # the order-parity sign of S3 = <(123), (12)(45)>, induced; the
         # induced values are a character only if the sign is one of S3:
@@ -489,6 +519,8 @@ def check_homology(report, args, corruption):
 
 
 def check_binary(report, args, corruption):
+    from . import covers
+
     def binary():
         rep = covers.binary_icosahedral_checks()
         ok = (rep["order"] == 120 and rep["closed"] and rep["norm_one"]
@@ -503,6 +535,11 @@ def check_binary(report, args, corruption):
 
 
 def check_invariants(report, args, corruption):
+    from .invariants import (contains_up_to_scalar, molien_closed_form,
+                             molien_series, reynolds_basis)
+    from .polys import monomials_of_degree
+    from .winger import q_poly
+
     @cache
     def molien_terms():  # computed once; reynolds-dimensions reads 16 terms
         return molien_series(corruption.matrices(), 31)

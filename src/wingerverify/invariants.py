@@ -14,6 +14,7 @@ over Q, on the rational coordinates of each Q(zeta_5) row.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
@@ -48,13 +49,16 @@ def molien_series(mats, nterms: int = 31):
 
     For a group they are the nonnegative integer invariant dimensions; a
     list that is no group gives whatever the average is, and the caller
-    compares it with the closed form.
+    compares it with the closed form.  Each distinct denominator is
+    expanded once and weighted by the number of elements that share it
+    (the 60 icosahedral matrices have 5, one per characteristic polynomial).
     """
     mats = list(mats)
     total = [rational(0)] * nterms
-    for m in mats:
-        rec = _series_reciprocal(_molien_denominator(m), nterms)
-        total = [t + r for t, r in zip(total, rec)]
+    dens = Counter(tuple(_molien_denominator(m)) for m in mats)
+    for den, count in dens.items():
+        rec = _series_reciprocal(den, nterms)
+        total = [t + r * count for t, r in zip(total, rec)]
     return [c / len(mats) for c in total]
 
 

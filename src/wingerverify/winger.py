@@ -186,6 +186,17 @@ def _eigenvector(m: Matrix, lam) -> tuple:
     return normalize_point(kern[0])
 
 
+def _first_of_order(group: FiniteGroup, order: int) -> int:
+    """The index of the first element of `order`.  ReconstructionError when
+    there is none; a group of order 60 has elements of orders 2, 3 and 5
+    (Cauchy's theorem), so only a group of another order can lack one."""
+    try:
+        return group.orders.index(order)
+    except ValueError:
+        raise ReconstructionError(f"the reconstructed group of order {len(group)} has "
+                                  f"no element of order {order}") from None
+
+
 @lru_cache(maxsize=None)
 def irregular_orbits() -> dict:
     """The four special orbits, keyed by their published sizes (6, 10, 15
@@ -196,12 +207,11 @@ def irregular_orbits() -> dict:
     rational eigenvector of an order-5 element and lies on the conic.
     """
     group = reconstruct_group()
-    elements, orders = group.elements, group.orders
     out = {}
     for order, size in ((5, 6), (3, 10), (2, 15)):
-        m = elements[orders.index(order)]
+        m = group.elements[_first_of_order(group, order)]
         out[size] = orbit_of(_eigenvector(m, rational(1)), group)
-    m5 = elements[orders.index(5)]
+    m5 = group.elements[_first_of_order(group, 5)]
     # the two non-unit eigenvalues are primitive fifth roots; both
     # eigenvectors lie on the conic and sweep the same orbit of size 12
     eta = zeta()

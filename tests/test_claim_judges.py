@@ -83,13 +83,15 @@ def test_det_minus_one_fails_invariance(tmp_path, monkeypatch, capsys):
     assert {kind for kind, _ in witness["violations"]} == {"det"}
 
 
-def group_copy(**changes):
-    """A shallow copy of the reconstructed group with some attributes
-    replaced, for a fault that only the claims reading `cli.reconstruct_group`
-    see."""
+def patch_group(monkeypatch, **changes):
+    """Makes `winger.reconstruct_group` return a shallow copy of the group
+    with some attributes replaced.  The irregular orbits are built first,
+    from the true group, so that only the claims reading the group itself
+    see the fault."""
     group = copy.copy(winger.reconstruct_group())
     vars(group).update(changes)
-    return group
+    winger.irregular_orbits()
+    monkeypatch.setattr(winger, "reconstruct_group", lambda: group)
 
 
 def test_non_golden_trace_fails_the_trace_claim(tmp_path, monkeypatch, capsys):
@@ -99,7 +101,7 @@ def test_non_golden_trace_fails_the_trace_claim(tmp_path, monkeypatch, capsys):
     orders = list(winger.reconstruct_group().orders)
     m5, m3 = orders.index(5), orders.index(3)
     orders[m5], orders[m3] = orders[m3], orders[m5]
-    monkeypatch.setattr(cli, "reconstruct_group", lambda: group_copy(orders=orders))
+    patch_group(monkeypatch, orders=orders)
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"group-trace-character"}
     witness = claims["group-trace-character"]["witness"]
@@ -111,15 +113,15 @@ def test_merged_classes_fail_the_class_sizes(tmp_path, monkeypatch, capsys):
     classes = list(winger.reconstruct_group().classes)
     twelves = [c for c in classes if len(c) == 12]
     merged = [c for c in classes if len(c) != 12] + [tuple(sorted(sum(twelves, ())))]
-    monkeypatch.setattr(cli, "reconstruct_group", lambda: group_copy(classes=merged))
+    patch_group(monkeypatch, classes=merged)
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"group-class-sizes"}
     assert claims["group-class-sizes"]["witness"] == {"sizes": [1, 15, 20, 24]}
 
 
-def test_five_survivors_fail_the_reconstruction(fresh_group, tmp_path, monkeypatch, capsys):
-    # a rescaling that keeps only the powers of one order-5 matrix: the
-    # five survivors form a group, and only the count is wrong
+def keep_five_survivors(monkeypatch):
+    """A rescaling that keeps only the powers of one order-5 matrix: the
+    five survivors form a cyclic group."""
     group = winger.reconstruct_group()
     m5 = group.elements[group.orders.index(5)]
     powers = {m5, m5 * m5, m5 * m5 * m5, m5 * m5 * m5 * m5, m5 * m5 * m5 * m5 * m5}
@@ -130,17 +132,39 @@ def test_five_survivors_fail_the_reconstruction(fresh_group, tmp_path, monkeypat
         m = rescale(m, gram)
         return m if m in powers else None
     monkeypatch.setattr(winger, "_rescale", cyclic)
+
+
+def test_five_survivors_fail_the_reconstruction(fresh_group, tmp_path, monkeypatch, capsys):
+    # the five survivors form a group, and only the count is wrong
+    keep_five_survivors(monkeypatch)
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"group-reconstruction-60"}
     assert claims["group-reconstruction-60"]["witness"] == {"survivors": 5}
 
 
+def test_five_survivors_name_the_missing_order(fresh_group, tmp_path, monkeypatch, capsys):
+    # the orbits start from elements of orders 5, 3 and 2; every pencil
+    # claim reads them, and ends in the error that names the first order
+    # the cyclic group lacks
+    keep_five_survivors(monkeypatch)
+    code, claims = report(["pencil"], tmp_path, capsys)
+    assert code == 3
+    missing = {"type": "ReconstructionError",
+               "message": "the reconstructed group of order 5 has no element of order 3"}
+    assert {i: c["witness"] for i, c in claims.items() if c["status"] == "error"} == {
+        i: missing for i in ("lambda-six-orbit", "lambda-ten-orbit", "lambda-fifteen-orbit",
+                             "node-nondegeneracy", "base-locus-twelve-points",
+                             "no-extra-singular-orbits")}
+
+
 def test_concurrent_lines_fail_their_claim(tmp_path, monkeypatch, capsys):
-    # line 3 through the meet of lines 0 and 1; the reconstruction still
-    # reads the true lines
+    # line 3 through the meet of lines 0 and 1; the reconstruction, the
+    # sextic and the orbits are built first, from the true lines
     rows = list(winger.six_lines())
     rows[3] = tuple(a + b for a, b in zip(rows[0], rows[1]))
-    monkeypatch.setattr(cli, "six_lines", lambda: tuple(rows))
+    for build in (winger.reconstruct_group, winger.f_poly, winger.irregular_orbits):
+        build()
+    monkeypatch.setattr(winger, "six_lines", lambda: tuple(rows))
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"lines-no-three-concurrent"}
     assert claims["lines-no-three-concurrent"]["witness"] == {"triples_checked": 20,
@@ -151,7 +175,7 @@ def test_swapped_orbit_keys_fail_the_orbit_claim(tmp_path, monkeypatch, capsys):
     # the 6- and 10-point orbits under each other's keys keep the sorted
     # sizes; irregular-orbit-sizes also judges which orbit has which size
     orbs = winger.irregular_orbits()
-    monkeypatch.setattr(cli, "irregular_orbits", lambda: {**orbs, 6: orbs[10], 10: orbs[6]})
+    monkeypatch.setattr(winger, "irregular_orbits", lambda: {**orbs, 6: orbs[10], 10: orbs[6]})
     code, claims = report(["orbits"], tmp_path, capsys)
     assert failing(code, claims) == {"irregular-orbit-sizes"}
     assert claims["irregular-orbit-sizes"]["witness"]["sizes"] == [6, 10, 12, 15]
@@ -174,6 +198,25 @@ def test_extra_singular_parameter_fails_smooth_evidence(fresh_group, tmp_path, m
     witness = claims["no-extra-singular-orbits"]["witness"]
     assert witness == {"lambdas_tested": [2, 3, 5, 7, -2, -3, 9, 13, -7, 4],
                        "orbit": 12, "point": [str(c) for c in point], "lambda": "2"}
+
+
+@pytest.mark.parametrize("size, claim_id", [(6, "lambda-six-orbit"), (10, "lambda-ten-orbit"),
+                                            (15, "lambda-fifteen-orbit")])
+def test_stray_parameter_fails_its_orbit_claim(size, claim_id, fresh_group, tmp_path,
+                                               monkeypatch, capsys):
+    # one orbit point reports lambda = 1/2, no published member and none of
+    # the ten tested parameters; the failing witness names that point
+    singular_point = winger._singular_point
+    point = next(iter(winger.irregular_orbits()[size]))
+
+    def stray(p, f):
+        return (rational(1) / 2, True) if p == point else singular_point(p, f)
+    monkeypatch.setattr(winger, "_singular_point", stray)
+    code, claims = report(["pencil"], tmp_path, capsys)
+    assert failing(code, claims) == {claim_id, "node-nondegeneracy"}
+    assert claims[claim_id]["witness"] == {
+        "orbit": size, "values": sorted([cli.SINGULAR_MEMBERS[size], "1/2"]),
+        "point": [str(c) for c in point], "lambda": "1/2"}
 
 
 def test_wrong_molien_average_fails_both_dimension_claims(tmp_path, monkeypatch, capsys):
@@ -268,16 +311,17 @@ def test_sign_that_is_no_character_fails_homology(fault, tmp_path, monkeypatch, 
     # puts the involutions' sum -3 on one involution: the latter induces
     # the same values, so only the claim's character check sees it
     a5 = alternating_group_5()
+    sign_class_function = characters.sign_class_function
 
     def faulty(sub):
-        sign = characters.sign_class_function(sub)
+        sign = sign_class_function(sub)
         if fault == "non_multiplicative":
             return {h: -v if a5.orders[h] == 3 else v for h, v in sign.items()}
         first, *rest = sorted(h for h in sub if a5.orders[h] == 2)
         return {**sign, first: rational(-3), **{h: rational(0) for h in rest}}
     code, claims = report(["homology"], tmp_path, capsys)
     passing = claims["homology-lattice-character"]["witness"]
-    monkeypatch.setattr(cli, "sign_class_function", faulty)
+    monkeypatch.setattr(characters, "sign_class_function", faulty)
     code, claims = report(["homology"], tmp_path, capsys)
     assert failing(code, claims) == {"homology-lattice-character"}
     witness = claims["homology-lattice-character"]["witness"]

@@ -78,17 +78,38 @@ def test_usage_error_exit_2():
         assert exc.value.code == 2
 
 
-@pytest.fixture(scope="module")
-def cli_import_modules():
-    """The modules that `import wingerverify.cli` loads into a fresh
-    process: sympy loads mpmath into the test process, and the tests
-    import every wingerverify module, so only a fresh one can tell."""
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wingerverify.cli; "
-            "print(' '.join(sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
+LOADED_MODULES = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import wingerverify.cli
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = wingerverify.cli.main(sys.argv[2:])
+    if code:
+        sys.exit(f"exit {code}")
+print(" ".join(sys.modules))
+"""
+
+
+def loaded_modules(*argv):
+    """The modules that `import wingerverify.cli`, then a run of the CLI
+    on `argv` if one is given, load into a fresh process: sympy loads
+    mpmath into the test process, and the tests import every wingerverify
+    module, so only a fresh one can tell."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, str(SRC), *argv],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
+
+
+def package_modules(modules):
+    return {m.removeprefix("wingerverify.") for m in modules
+            if m.startswith("wingerverify.")}
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    return loaded_modules()
 
 
 def test_cli_import_loads_no_float_library(cli_import_modules):
@@ -97,9 +118,24 @@ def test_cli_import_loads_no_float_library(cli_import_modules):
 
 
 def test_cli_import_defers_the_discriminant(cli_import_modules):
-    # `deep()` imports it, so commands without --deep never pay for it
-    assert "wingerverify.cli" in cli_import_modules
+    # `deep()` imports it, so commands without --deep never pay for it;
+    # likewise each suite imports its layers when it runs
     assert "wingerverify.discriminant" not in cli_import_modules
+    assert package_modules(cli_import_modules) == {"cli", "report"}
+    assert "fractions" not in cli_import_modules
+
+
+def test_tuples_load_only_the_permutation_layers():
+    modules = loaded_modules("tuples", "--convention", "ltr")
+    assert package_modules(modules) == {"cli", "report", "hurwitz", "perms"}
+    assert "fractions" not in modules
+
+
+def test_pencil_loads_no_group_theory_layer():
+    loaded = package_modules(loaded_modules("pencil"))
+    assert {"winger", "cyclo", "polys"} <= loaded
+    assert loaded.isdisjoint({"invariants", "characters", "covers", "hurwitz",
+                              "discriminant"})
 
 
 def test_corruption_specs():
@@ -411,7 +447,7 @@ def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
 def test_reconstruction_fault_fails_its_claim(tmp_path, monkeypatch, capsys):
     def fault():
         raise winger.ReconstructionError("three of the six lines are concurrent")
-    monkeypatch.setattr(cli, "reconstruct_group", fault)
+    monkeypatch.setattr(winger, "reconstruct_group", fault)
     path = tmp_path / "report.json"
     assert run(["orbits", "--json", str(path)]) == 1
     capsys.readouterr()
@@ -433,7 +469,6 @@ def test_reconstruction_fault_keeps_every_suite(tmp_path, monkeypatch, capsys):
     def fault():
         raise winger.ReconstructionError("three of the six lines are concurrent")
     monkeypatch.setattr(winger, "reconstruct_group", fault)
-    monkeypatch.setattr(cli, "reconstruct_group", fault)
     winger.irregular_orbits.cache_clear()
     winger._singular_point.cache_clear()
     path = tmp_path / "report.json"

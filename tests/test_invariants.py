@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cyclo_rref import cyclo_kernel, cyclo_rref
-from wingerverify.cyclo import make, zeta
+from wingerverify.cli import Corruption
+from wingerverify.cyclo import make, rational, zeta
 from wingerverify.invariants import (_extra_generators, _molien_denominator,
-                                     _monomial_action, _orbit_sums,
+                                     _monomial_action, _orbit_sums, _series_reciprocal,
                                      contains_up_to_scalar, molien_closed_form,
                                      molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
@@ -46,6 +47,24 @@ def test_molien_rejects_non_groups():
     assert series != molien_closed_form(3)
     with pytest.raises(ValueError):
         reynolds_basis(bad, 2)
+
+
+def molien_per_element(mats, nterms):
+    """The Molien average with one series reciprocal per matrix."""
+    total = [rational(0)] * nterms
+    for m in mats:
+        rec = _series_reciprocal(_molien_denominator(m), nterms)
+        total = [t + r for t, r in zip(total, rec)]
+    return [c / len(mats) for c in total]
+
+
+@pytest.mark.parametrize("spec", [None, "matrix:3"])
+def test_molien_by_denominator_matches_the_per_element_sum(spec):
+    # the group's 60 matrices share 5 denominators; one corrupted entry
+    # makes a sixth, and the weighted sum must still be the plain average
+    group = Corruption(spec).matrices()
+    assert len({tuple(_molien_denominator(m)) for m in group}) == (5 if spec is None else 6)
+    assert molien_series(group, 31) == molien_per_element(group, 31)
 
 
 # Q[x, t] with x standing for zeta; Phi5 is monic in x, so the remainder
