@@ -19,7 +19,11 @@ Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
 its 30x30 minor by the integer elimination `linalg.echelon`, in
 coordinates of determinant 1 where that minor does not vanish, so that
-both values are the same resultant.
+both values are the same resultant.  Its rows and columns are listed
+form by form (f_2, f_1, then f_0 rows, each in descending lexicographic
+order), a symmetric permutation that keeps both determinants and lets
+the elimination, which updates only the rows it touches, leave most
+rows alone until their own group's pivots.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -51,25 +55,32 @@ def macaulay_system(degrees):
     monomial with the form it multiplies, and minor_index lists the
     positions of the non-reduced monomials (divisible by at least two
     of the x_i^{d_i}), which index the denominator minor.
+
+    Row i and column i both belong to monomials[i], so the order of that
+    list permutes rows and columns together and changes neither
+    determinant.  It is chosen for `linalg.echelon`: the rows are grouped
+    by the form they multiply, f_2 first, then f_1, then f_0, each group
+    in descending lexicographic order.  On the 105x105 control matrix at
+    lam = 1 the elimination then writes about half the bits that
+    lexicographic order makes it write, and it timed among the fastest
+    of the twelve orders by group and direction, at about half the time
+    of lexicographic order.
     """
     d0, d1, d2 = degrees
-    big = d0 + d1 + d2 - 2
-    monos = monomials_of_degree(big)
-    rows = []
-    minor_index = []
-    for pos, (a, b, c) in enumerate(monos):
-        flags = (a >= d0, b >= d1, c >= d2)
-        if flags[0]:
-            which, shift = 0, (a - d0, b, c)
-        elif flags[1]:
-            which, shift = 1, (a, b - d1, c)
-        elif flags[2]:
-            which, shift = 2, (a, b, c - d2)
+    groups = ([], [], [])
+    # a + b + c = d0 + d1 + d2 - 2, so a >= d0, b >= d1 or c >= d2
+    for a, b, c in monomials_of_degree(d0 + d1 + d2 - 2)[::-1]:
+        if a >= d0:
+            groups[0].append(((a, b, c), (a - d0, b, c), 0))
+        elif b >= d1:
+            groups[1].append(((a, b, c), (a, b - d1, c), 1))
         else:
-            raise ValueError("monomial escaped the degree partition")
-        rows.append((shift, which))
-        if sum(flags) >= 2:
-            minor_index.append(pos)
+            groups[2].append(((a, b, c), (a, b, c - d2), 2))
+    ordered = groups[2] + groups[1] + groups[0]
+    monos = [m for m, _, _ in ordered]
+    rows = [(shift, which) for _, shift, which in ordered]
+    minor_index = [pos for pos, (a, b, c) in enumerate(monos)
+                   if (a >= d0) + (b >= d1) + (c >= d2) >= 2]
     return monos, rows, minor_index
 
 

@@ -1,8 +1,12 @@
 """Exact linear algebra: 3x3 matrices over Q(zeta_5), whose determinant,
 inverse and kernel come from the adjugate, and one elimination for every
-larger system, `echelon`, fraction-free over Z.  Its callers pass
-rational rows, or split Q(zeta_5) rows into their rational coordinates;
-back-substitution over Q gives reduced row echelon forms and null spaces.
+larger system, `echelon`, fraction-free over Z.  It is Bareiss's pass
+with lazy rescaling: a row whose pivot-column entry is 0 is left as it
+is, and its scale is caught up, exactly, when it is next touched, since
+the factors L_k / L_{k-1} that the dense pass applies to it telescope.
+Its callers pass rational rows, or split Q(zeta_5) rows into their
+rational coordinates; back-substitution over Q gives reduced row echelon
+forms and null spaces.
 """
 
 from __future__ import annotations
@@ -126,24 +130,44 @@ class Matrix:
 def echelon(rows):
     """Fraction-free (Bareiss) forward elimination of integer rows: the
     nonzero rows of an echelon form, their pivot columns and the sign of
-    the row swaps.  Each step updates only the columns right of its pivot,
-    and every entry stays a minor of the input, so the division by the
-    previous pivot is exact (Bareiss, Math. Comp. 22, 1968)."""
+    the row swaps (Bareiss, Math. Comp. 22, 1968).
+
+    Bareiss's step k replaces every row below the pivot by
+    (L_k * row - factor * top) / L_{k-1}, where L_k is the k-th pivot;
+    for a row whose pivot-column entry is 0 that only multiplies it by
+    L_k / L_{k-1}.  Such factors telescope, so here a row is rescaled
+    lazily: `since[i]` is the pivot at which its stored entries were
+    last brought up to date, and the stored row times prev / since[i] is
+    the Bareiss row.  Only rows with a nonzero entry in the pivot column
+    are updated, as (lead * row - factor * top) / since[i], and a pivot
+    row is brought up to date once when it is chosen.  Both divisions
+    are exact, since every Bareiss entry is a minor of the input, and
+    the rows, pivots and sign are those of the dense pass."""
     m = [list(row) for row in rows]
+    since = [1] * len(m)
     pivots, sign, prev = [], 1, 1
-    for c in range(len(m[0]) if m else 0):
+    ncols = len(m[0]) if m else 0
+    for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            since[r], since[piv] = since[piv], since[r]
             sign = -sign
-        top, lead = m[r], m[r][c]
-        for row in m[r + 1:]:
-            factor, row[c] = row[c], 0
-            for j in range(c + 1, len(top)):
-                row[j] = (lead * row[j] - factor * top[j]) // prev
+        top, old = m[r], since[r]
+        if old != prev:
+            for j in range(c, ncols):
+                top[j] = top[j] * prev // old
+        lead = top[c]
+        for i, row in enumerate(m[r + 1:], r + 1):
+            factor = row[c]
+            if factor:
+                old, row[c] = since[i], 0
+                for j in range(c + 1, ncols):
+                    row[j] = (lead * row[j] - factor * top[j]) // old
+                since[i] = lead
         prev = lead
         pivots.append(c)
     return m[:len(pivots)], pivots, sign
@@ -151,7 +175,10 @@ def echelon(rows):
 
 def integer_det(rows) -> int:
     """Determinant of a nonempty square integer matrix: at full rank, the
-    sign of the row swaps times the last pivot."""
+    sign of the row swaps times the last pivot.  Raises ValueError on an
+    empty or non-square matrix."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("integer_det needs a nonempty square matrix")
     ech, pivots, sign = echelon(rows)
     return sign * ech[-1][-1] if len(pivots) == len(rows) else 0
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import islice
+from operator import add
 
 import pytest
 import sympy
@@ -36,6 +37,44 @@ def test_macaulay_dimensions_for_quintics():
     assert len(monos) == 105
     assert len(rows) == 105
     assert len(minor) == 30
+
+
+def test_macaulay_order_is_a_symmetric_permutation():
+    degrees = (5, 5, 5)
+    monos, rows, minor = macaulay_system(degrees)
+    assert sorted(monos) == sorted(monomials_of_degree(13))
+    for mono, (shift, which) in zip(monos, rows):
+        divisible = [i for i in range(3) if mono[i] >= degrees[i]]
+        assert which == divisible[0]  # the first x_i^{d_i} that divides
+        assert tuple(s + degrees[which] * (i == which) for i, s in enumerate(shift)) == mono
+    assert minor == [pos for pos, mono in enumerate(monos)
+                     if sum(mono[i] >= degrees[i] for i in range(3)) >= 2]
+
+
+def lex_macaulay_value(fs, degrees):
+    """The Macaulay quotient from rows and columns in lexicographic order."""
+    monos = monomials_of_degree(sum(degrees) - 2)
+    col = {m: i for i, m in enumerate(monos)}
+    full = []
+    for mono in monos:
+        which = next(i for i in range(3) if mono[i] >= degrees[i])
+        shift = [x - degrees[which] * (i == which) for i, x in enumerate(mono)]
+        row = [0] * len(monos)
+        for e, c in fs[which].items():
+            row[col[tuple(map(add, e, shift))]] = c
+        full.append(row)
+    minor = [pos for pos, mono in enumerate(monos)
+             if sum(mono[i] >= degrees[i] for i in range(3)) >= 2]
+    return Fraction(integer_det(full),
+                    integer_det([[full[i][j] for j in minor] for i in minor]))
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_macaulay_value_matches_lexicographic_order(lam):
+    tables = _pencil_partials(f_poly(), CONTROL_T)
+    fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
+          for a, b in tables]
+    assert macaulay_resultant_value(fs, (5, 5, 5)) == lex_macaulay_value(fs, (5, 5, 5))
 
 
 def test_resultant_detects_common_zero():

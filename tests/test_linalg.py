@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cyclo_rref import cyclo_kernel, cyclo_rref
+from dense_bareiss import dense_echelon
 from wingerverify.cyclo import Cyclo, rational, zeta
+from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
+                                       _pencil_partials)
 from wingerverify.linalg import Matrix, echelon, integer_det, null_space, rref
+from wingerverify.winger import f_poly
 
 
 def gram():
@@ -236,3 +240,51 @@ def test_rank_rref_and_null_space_match_sympy(m):
     kernel = null_space(m, len(m[0]))
     assert kernel == [[as_fraction(x) for x in v] for v in oracle.nullspace()]
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)
+
+
+def test_integer_det_rejects_non_square_input():
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], []):
+        with pytest.raises(ValueError, match="square"):
+            integer_det(rows)
+
+
+# -- the lazy elimination against the dense Bareiss pass ---------------------------
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Integer r x c matrices, mostly zeros, some of low rank (a row a
+    combination of two others), with zero rows and zero columns, and
+    sometimes a zero leading entry above a nonzero one, so that the
+    first pivot needs a row swap."""
+    r, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+    m = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        m[i] = [2 * a - 3 * b for a, b in zip(m[j], m[k])]
+    for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
+        m[i] = [0] * c
+    for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    if r >= 2 and draw(st.booleans()):
+        m[0][0], m[-1][0] = 0, draw(st.sampled_from((-7, -1, 1, 5)))
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(sparse_integer_matrices(), rank_deficient_matrices(), square_matrices()))
+def test_echelon_matches_the_dense_pass(m):
+    assert echelon(m) == dense_echelon(m)
+
+
+def test_echelon_matches_the_dense_pass_on_the_macaulay_control():
+    tables = _pencil_partials(f_poly(), CONTROL_T)
+    fs = [{e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()} for a, b in tables]
+    full, minor = _eval_determinants(fs, (5, 5, 5))  # at lambda = 1
+    assert (len(full), len(minor)) == (105, 30)
+    for m in (full, minor):
+        ech, pivots, sign = echelon(m)
+        assert (ech, pivots, sign) == dense_echelon(m)
+        assert pivots == list(range(len(m)))
