@@ -39,8 +39,7 @@ class ClassFunction:
     def __post_init__(self):
         if len(self.values) != len(A5_CLASS_REPS):
             raise CharacterError(f"expected {len(A5_CLASS_REPS)} values")
-        object.__setattr__(self, "values",
-                           tuple(v if isinstance(v, Cyclo) else rational(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(rational, self.values)))
 
     def __add__(self, other):
         return ClassFunction(tuple(a + b for a, b in zip(self.values, other.values)))
@@ -82,7 +81,7 @@ def _permutation_character(gens) -> ClassFunction:
     a5 = alternating_group_5()
     sub = a5.generated(a5.index[parse_cycles(s, 5)] for s in gens)
     return ClassFunction(tuple(v - 1 for v in
-                               induced_character(sub, lambda _: 1).values))
+                               induced_character(sub, dict.fromkeys(sub, 1)).values))
 
 
 @lru_cache(maxsize=None)
@@ -91,8 +90,8 @@ def a5_table() -> tuple:
     phi = golden()                        # (1+sqrt5)/2
     phibar = (rational(1) - sqrt5()) / 2  # its Galois conjugate
     trivial = ClassFunction((1, 1, 1, 1, 1))
-    chi_i = ClassFunction((rational(3), rational(-1), rational(0), phi, phibar))
-    chi_ip = ClassFunction((rational(3), rational(-1), rational(0), phibar, phi))
+    chi_i = ClassFunction((3, -1, 0, phi, phibar))
+    chi_ip = ClassFunction((3, -1, 0, phibar, phi))
     chi_v = _permutation_character(("(123)", "(12)(34)"))  # point stabilizer A4
     chi_w = _permutation_character(("(12345)", "(25)(34)"))  # dihedral D10
     return (trivial, chi_i, chi_ip, chi_v, chi_w)
@@ -138,20 +137,18 @@ def decompose(chi: ClassFunction) -> dict:
 def induced_character(sub: frozenset, chi_sub) -> ClassFunction:
     """Induce a class function on a subgroup of A5 up to A5.
 
-    `chi_sub` maps each element index of `sub` to a value (dict or
-    callable).  The value at g is |A5| / (|H| |g^A5|) times the sum of
-    chi_sub over H meeting g^A5; that is the induced class function only
-    when chi_sub is constant on `sub`-classes, which the caller judges.
+    `chi_sub` is a dict from each element index of `sub` to a value.
+    The value at g is |A5| / (|H| |g^A5|) times the sum of chi_sub over H
+    meeting g^A5; that is the induced class function only when chi_sub is
+    constant on `sub`-classes, which the caller judges.
     """
     a5 = alternating_group_5()
-    val = chi_sub.__getitem__ if isinstance(chi_sub, dict) else chi_sub
     _, classes = _class_data()
     vals = []
     for cls in classes:
         acc = rational(0)
         for h in sub.intersection(cls):
-            v = val(h)
-            acc = acc + (v if isinstance(v, Cyclo) else rational(v))
+            acc = acc + rational(chi_sub[h])
         vals.append(acc * len(a5) / (len(sub) * len(cls)))
     return ClassFunction(tuple(vals))
 

@@ -4,9 +4,11 @@ Each claim is defined once, by its `run_claim` call inside a `check_*`
 suite; every suite takes `(report, args, corruption)`, and `SUITES` lists
 them in the order `all` runs them (the subcommands are its keys and
 `all`).  A claim is the only place where its verdict is reached: helpers
-compute values, and each suite reads its inputs inside its claims.  The
-acceptance tests map each criterion to claim ids of this
-report instead of checking the mathematics again.  Witnesses hold exact
+compute values, and each suite reads its inputs inside its claims.  A
+claim that reads what a failed claim builds is recorded, in its place,
+as skipped with the witness {"requires": <the failed claim's id>}.  The
+acceptance tests map each criterion to claim ids of this report instead
+of checking the mathematics again.  Witnesses hold exact
 values only (rationals and Q(zeta_5) elements, serialized as strings).
 
 Each suite, and each `Corruption` method, imports the layers it runs
@@ -29,7 +31,7 @@ import argparse
 import sys
 import traceback
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 from .report import Claim, ClaimReport, error_witness, run_claim
@@ -145,24 +147,29 @@ def check_orbits(report, args, corruption):
         except ReconstructionError as exc:  # a fault in the search is a verdict
             return False, str(exc)
         return len(group) == 60, {"survivors": len(group)}
-    if not run_claim(report, "group-reconstruction-60",
-                     "line-permutation search returns exactly 60 solvable cases "
-                     "forming a group",
-                     reconstruction):
-        return  # the other claims of this suite read the group
-    group = reconstruct_group()
-    mats = corruption.matrices()
-    f = corruption.sextic()
-    gram = gram_matrix()
+    built = run_claim(report, "group-reconstruction-60",
+                      "line-permutation search returns exactly 60 solvable cases "
+                      "forming a group",
+                      reconstruction)
 
-    sizes = sorted(len(c) for c in group.classes)
-    run_claim(report, "group-class-sizes",
-              "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
-              lambda: (sizes == CLASS_SIZES, {"sizes": sizes}))
+    def group_claim(claim_id, description, fn):  # a claim that reads the group
+        if built:
+            run_claim(report, claim_id, description, fn)
+        else:
+            report.add(Claim(id=claim_id, description=description, status="skipped",
+                             witness={"requires": "group-reconstruction-60"}))
+
+    def sizes():
+        got = sorted(len(c) for c in reconstruct_group().classes)
+        return got == CLASS_SIZES, {"sizes": got}
+    group_claim("group-class-sizes",
+                "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
+                sizes)
 
     def traces():
         # one element per class of A5_CLASS_REPS, picked by order (Cauchy's
         # theorem); (12354) is conjugate to the square of (12345)
+        group = reconstruct_group()
         orders, m5 = group.orders, group.orders.index(5)
         picks = (group.identity, orders.index(2), orders.index(3), m5, group.table[m5][m5])
         by_class = {rep: str(group.elements[g].trace())
@@ -178,12 +185,13 @@ def check_orbits(report, args, corruption):
             expected[str(v)] += size
         ok = ok and counts == expected
         return ok, {"matched_row": label, "traces": by_class}
-    run_claim(report, "group-trace-character",
-              "trace multiset matches one 3-dimensional character row exactly",
-              traces)
+    group_claim("group-trace-character",
+                "trace multiset matches one 3-dimensional character row exactly",
+                traces)
 
     def invariance():
-        q = q_poly()
+        q, f, gram = q_poly(), corruption.sextic(), gram_matrix()
+        mats = corruption.matrices()
         bad = []
         for i, m in enumerate(mats):
             if q.act(m) != q:
@@ -197,9 +205,9 @@ def check_orbits(report, args, corruption):
         if bad:
             return False, {"violations": bad[:5], "count": len(bad)}
         return True, {"elements_checked": len(mats)}
-    run_claim(report, "invariance-conic-sextic-form",
-              "Q, F, the bilinear form and det 1 are preserved by all 60 elements",
-              invariance)
+    group_claim("invariance-conic-sextic-form",
+                "Q, F, the bilinear form and det 1 are preserved by all 60 elements",
+                invariance)
 
     def concurrency():
         triple = concurrent_triple(six_lines())
@@ -224,9 +232,9 @@ def check_orbits(report, args, corruption):
         return (ok and on_k and off_k and disjoint,
                 {"sizes": sizes, "12_on_conic": on_k,
                  "others_off_conic": off_k, "pairwise_disjoint": disjoint})
-    run_claim(report, "irregular-orbit-sizes",
-              "fixed-point orbits have sizes 6, 10, 15 off the conic and 12 on it",
-              orbits)
+    group_claim("irregular-orbit-sizes",
+                "fixed-point orbits have sizes 6, 10, 15 off the conic and 12 on it",
+                orbits)
 
 
 def check_pencil(report, args, corruption):
@@ -391,50 +399,54 @@ def check_tuples(report, args, corruption):
               "commuting for r=2, one free cyclic orbit for r=3,5",
               factorizations)
 
+    @cache
+    def tuple_classes(conv):  # enumerated once per reading, inside the claims
+        return hurwitz.enumerate_tuple_classes(conv)
+
+    def tuple_class_count(conv):
+        classes = tuple_classes(conv)
+        by_r = Counter(c.r_value for c in classes)
+        by_g1 = Counter(c.g1_class for c in classes)
+        ok = (len(classes) == 20 and by_r == Counter({2: 4, 3: 6, 5: 10})
+              and sorted(by_g1.values()) == [10, 10])
+        return ok, {"classes": len(classes), "by_r": dict(sorted(by_r.items())),
+                    "by_g1": dict(sorted(by_g1.items()))}
+
+    def table_rows(conv):
+        classes = tuple_classes(conv)
+        matched, unmatched = hurwitz.validate_tuple_table(classes)
+        want = {c for c in classes if c.g1_class == "(12345)"}
+        witness = {"rows_matched": len(matched)}
+        if unmatched:
+            witness["unmatched"] = unmatched
+        if len(set(matched)) != len(matched):
+            witness["distinct_classes"] = len(set(matched))
+        return not unmatched and set(matched) == want, witness
+
+    def braid(gen_set, conv):
+        parts = hurwitz.braid_orbits(tuple_classes(conv), gen_set, conv)
+        ok = len(parts) == 2 and all(len(p) == 10 for p in parts)
+        for p in parts:
+            ok = ok and len({c.g1_class for c in p}) == 1
+            ok = ok and {c.r_value for c in p} == {2, 3, 5}
+        return ok, {"orbit_sizes": sorted(len(p) for p in parts),
+                    "g1_blocks": sorted(min(p).g1_class for p in parts)}
+
     for conv in conventions:
         tag = "" if conv == "rtl" else "-ltr"
-        classes = hurwitz.enumerate_tuple_classes(conv)
-
-        def tuple_class_count(classes=classes):
-            by_r = Counter(c.r_value for c in classes)
-            by_g1 = Counter(c.g1_class for c in classes)
-            ok = (len(classes) == 20 and by_r == Counter({2: 4, 3: 6, 5: 10})
-                  and sorted(by_g1.values()) == [10, 10])
-            return ok, {"classes": len(classes), "by_r": dict(sorted(by_r.items())),
-                        "by_g1": dict(sorted(by_g1.items()))}
         run_claim(report, f"tuple-classes-20{tag}",
                   f"exactly 20 generating (5,2,2,2)-tuple classes, split 4/6/10 by "
                   f"ord(g1*g2) and 10/10 by the class of g1 [{conv}]",
-                  tuple_class_count)
-
-        def table_rows(classes=classes):
-            matched, unmatched = hurwitz.validate_tuple_table(classes)
-            want = {c for c in classes if c.g1_class == "(12345)"}
-            witness = {"rows_matched": len(matched)}
-            if unmatched:
-                witness["unmatched"] = unmatched
-            if len(set(matched)) != len(matched):
-                witness["distinct_classes"] = len(set(matched))
-            return not unmatched and set(matched) == want, witness
+                  partial(tuple_class_count, conv))
         run_claim(report, f"tuple-table-rows{tag}",
                   f"the ten published rows match the ten classes with g1 ~ (12345) "
                   f"[{conv}]",
-                  table_rows)
-
-        for gen_set, claim in (("pure", f"braid-pure-orbits{tag}"),
-                               ("weighted", f"braid-weighted-orbits{tag}")):
-            def braid(classes=classes, gen_set=gen_set, conv=conv):
-                parts = hurwitz.braid_orbits(classes, gen_set, conv)
-                ok = len(parts) == 2 and all(len(p) == 10 for p in parts)
-                for p in parts:
-                    ok = ok and len({c.g1_class for c in p}) == 1
-                    ok = ok and {c.r_value for c in p} == {2, 3, 5}
-                return ok, {"orbit_sizes": sorted(len(p) for p in parts),
-                            "g1_blocks": sorted(min(p).g1_class for p in parts)}
-            run_claim(report, claim,
+                  partial(table_rows, conv))
+        for gen_set in ("pure", "weighted"):
+            run_claim(report, f"braid-{gen_set}-orbits{tag}",
                       f"{gen_set} braid generators give 2 orbits of size 10, "
                       f"split by the class of g1, each containing all r-types [{conv}]",
-                      braid)
+                      partial(braid, gen_set, conv))
 
 
 def check_covers(report, args, corruption):

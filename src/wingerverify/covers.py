@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from .cyclo import Cyclo, golden, rational
 from .perms import Perm, alternating_group_5, finite_group
@@ -111,7 +111,7 @@ class Quaternion:
 
     def __init__(self, a, b, c, d):
         for name, v in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, v if isinstance(v, Cyclo) else rational(v))
+            object.__setattr__(self, name, rational(v))
 
     def __setattr__(self, *args):
         raise AttributeError("Quaternion is immutable")
@@ -159,15 +159,11 @@ def binary_icosahedral_group():
     units = set()
     for i in range(4):
         for s in (1, -1):
-            coords = [rational(0)] * 4
-            coords[i] = rational(s)
+            coords = [0] * 4
+            coords[i] = s
             units.add(Quaternion(*coords))
-    for sa in (half, -half):
-        for sb in (half, -half):
-            for sc in (half, -half):
-                for sd in (half, -half):
-                    units.add(Quaternion(rational(sa), rational(sb),
-                                         rational(sc), rational(sd)))
+    for signs in product((half, -half), repeat=4):
+        units.add(Quaternion(*signs))
     phi = golden()
     base = [rational(0), rational(1), phi, phi.inv()]
     for perm in _even_permutations4():

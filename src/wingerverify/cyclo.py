@@ -5,12 +5,17 @@ zeta^4 = -1 - zeta - zeta^2 - zeta^3, and are stored as four integer
 coefficients over a single positive integer denominator.  The
 representation is canonical: two elements are equal iff their stored
 data are equal.  All values are immutable.
+
+`rational` is the one gate into the field: every layer turns a plain
+value into an element through it, and it takes only an element, an int
+or a Fraction, so no float, string or Decimal becomes a coefficient.
+The arithmetic operators accept the same operand types (`_coerce`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def _mul(a, b):
@@ -41,10 +46,14 @@ class Cyclo:
     __slots__ = ("nums", "den")
 
     def __new__(cls, nums, den: int = 1):
+        """The canonical element from four int coefficients and an int
+        denominator; TypeError for any other type."""
         try:
             a, b, c, d = nums
         except ValueError:
             raise ValueError("expected 4 coefficients on 1, zeta, zeta^2, zeta^3") from None
+        if any(x.__class__ is not int for x in (a, b, c, d, den)):
+            raise TypeError("Cyclo takes int coefficients and an int denominator")
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         return _make(a, b, c, d, den)
@@ -114,16 +123,14 @@ class Cyclo:
         return self * other.inv()
 
     def __pow__(self, k: int):
+        """Repeated products: the exponents are small (at most 20, in
+        `winger.six_lines`)."""
         if k < 0:
             return self.inv() ** (-k)
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return _raw((1, 0, 0, 0), 1) if result is None else result
+        result = _raw((1, 0, 0, 0), 1)
+        for _ in range(k):
+            result = result * self
+        return result
 
     # -- structure -----------------------------------------------------------
 
@@ -239,19 +246,9 @@ def _coerce(other):
 
 
 def make(raw) -> Cyclo:
-    """Build an element from rational coefficients of 1, zeta, zeta^2, ...
-
-    `raw` may have any length; indices are folded with zeta^5 = 1 and
-    zeta^4 = -1 - zeta - zeta^2 - zeta^3.  Total: never raises for valid
-    rationals.
-    """
-    qs = [Fraction(x) for x in raw]
-    den = lcm(*(q.denominator for q in qs))
-    spread = [0] * 5
-    for i, q in enumerate(qs):
-        spread[i % 5] += int(q * den)
-    top = spread[4]
-    return Cyclo([c - top for c in spread[:4]], den)
+    """The element sum raw[i] * zeta^i, for values that `rational` takes;
+    `raw` may have any length (zeta^5 = 1)."""
+    return sum((rational(q) * zeta() ** i for i, q in enumerate(raw)), rational(0))
 
 
 def zeta() -> Cyclo:
@@ -259,10 +256,16 @@ def zeta() -> Cyclo:
 
 
 def rational(q) -> Cyclo:
+    """The one gate into the field: an element unchanged, an int or a
+    Fraction as a rational element; TypeError for any other type (a
+    float, a string, a Decimal)."""
+    if q.__class__ is Cyclo:
+        return q
     if q.__class__ is int:
         return _raw((q, 0, 0, 0), 1)
-    q = Fraction(q)  # in lowest terms with a positive denominator
-    return _raw((q.numerator, 0, 0, 0), q.denominator)
+    if isinstance(q, (int, Fraction)):  # a Fraction is in lowest terms, den > 0
+        return _raw((q.numerator, 0, 0, 0), q.denominator)
+    raise TypeError(f"{q!r} is not an int, a Fraction or a Q(zeta_5) element")
 
 
 def sqrt5() -> Cyclo:

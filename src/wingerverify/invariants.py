@@ -63,17 +63,13 @@ def molien_series(mats, nterms: int = 31):
 
 
 def molien_closed_form(nterms: int = 31):
-    """Expansion of (1 + T^15) / ((1-T^2)(1-T^6)(1-T^10))."""
-    den = [rational(0)] * 19
-    # (1-T^2)(1-T^6)(1-T^10) = 1 - T^2 - T^6 + T^8 - T^10 + T^12 + T^16 - T^18
-    for k, c in ((0, 1), (2, -1), (6, -1), (8, 1), (10, -1), (12, 1), (16, 1), (18, -1)):
-        den[k] = rational(c)
-    rec = _series_reciprocal(den, nterms)
-    out = []
-    for k in range(nterms):
-        v = rec[k] + (rec[k - 15] if k >= 15 else rational(0))
-        out.append(v.to_fraction())
-    return out
+    """Expansion of (1 + T^15) / ((1-T^2)(1-T^6)(1-T^10)), as ints: the
+    coefficient of T^k counts the a, b, c >= 0 with 2a + 6b + 10c = k,
+    plus the same count at k - 15."""
+    def count(k):  # 0 for k < 0, where both ranges are empty
+        return sum((k - 10 * c - 6 * b) % 2 == 0
+                   for c in range(k // 10 + 1) for b in range((k - 10 * c) // 6 + 1))
+    return [count(k) + count(k - 15) for k in range(nterms)]
 
 
 def _monomial_action(m: Matrix):

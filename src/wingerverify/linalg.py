@@ -30,7 +30,7 @@ class Matrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        entries = tuple(e if isinstance(e, Cyclo) else rational(e) for e in entries)
+        entries = tuple(map(rational, entries))
         if len(entries) != 9:
             raise ValueError("a 3x3 matrix has nine entries")
         object.__setattr__(self, "entries", entries)
@@ -65,9 +65,8 @@ class Matrix:
         if isinstance(other, Matrix):
             cols = [other.entries[j::3] for j in range(3)]
             return Matrix([_dot(self.row(i), c) for i in range(3) for c in cols])
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return Matrix([e * other for e in self.entries])
-        return NotImplemented
+        other = rational(other)
+        return Matrix([e * other for e in self.entries])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):

@@ -74,8 +74,7 @@ class Poly3:
     def __init__(self, terms=None):
         clean = {}
         for expo, coef in (terms or {}).items():
-            if not isinstance(coef, Cyclo):
-                coef = rational(coef)
+            coef = rational(coef)
             if not coef.is_zero():
                 clean[tuple(expo)] = coef
         object.__setattr__(self, "terms", clean)
@@ -122,16 +121,13 @@ class Poly3:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly3":
+        """Repeated products: the exponents are small (at most 3, for Q^3)."""
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Poly3.monomial((0, 0, 0), 1) if result is None else result
+        result = Poly3.monomial((0, 0, 0), 1)
+        for _ in range(k):
+            result = result * self
+        return result
 
     # -- structure -------------------------------------------------------------
 
@@ -165,7 +161,7 @@ class Poly3:
         pows = []
         for i in range(3):
             p = [rational(1)]
-            v = point[i] if isinstance(point[i], Cyclo) else rational(point[i])
+            v = rational(point[i])
             for _ in range(maxes[i]):
                 p.append(p[-1] * v)
             pows.append(p)

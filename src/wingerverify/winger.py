@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .cyclo import Cyclo, rational, zeta
+from .cyclo import rational, zeta
 from .linalg import Matrix
 from .perms import FiniteGroup, finite_group
 from .polys import Poly3
@@ -37,8 +37,7 @@ INFINITY = _Infinity()
 def gram_matrix() -> Matrix:
     """Symmetric bilinear form of the conic Q = z0*z1 + z2^2."""
     h = rational(1) / 2
-    z, o = rational(0), rational(1)
-    return Matrix.from_rows([[z, h, z], [h, z, z], [z, z, o]])
+    return Matrix.from_rows([[0, h, 0], [h, 0, 0], [0, 0, 1]])
 
 
 def q_poly() -> Poly3:
@@ -160,7 +159,7 @@ def concurrent_triple(rows):
 
 def normalize_point(coords):
     """Scale so the last nonzero coordinate is 1; canonical representative."""
-    coords = tuple(c if isinstance(c, Cyclo) else rational(c) for c in coords)
+    coords = tuple(map(rational, coords))
     last = None
     for i in range(2, -1, -1):
         if not coords[i].is_zero():

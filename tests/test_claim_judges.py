@@ -171,6 +171,26 @@ def test_concurrent_lines_fail_their_claim(tmp_path, monkeypatch, capsys):
                                                               "triple": [0, 1, 3]}
 
 
+def test_concurrent_lines_are_named_without_the_group(fresh_group, tmp_path, monkeypatch,
+                                                       capsys):
+    # the same lines with no cache built first: the search fails, the
+    # claims that read the group are skipped in their places, and the
+    # concurrency claim, which reads only the lines, names the triple
+    rows = list(winger.six_lines())
+    rows[3] = tuple(a + b for a, b in zip(rows[0], rows[1]))
+    monkeypatch.setattr(winger, "six_lines", lambda: tuple(rows))
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-reconstruction-60", "lines-no-three-concurrent"}
+    assert claims["lines-no-three-concurrent"]["witness"] == {"triples_checked": 20,
+                                                              "triple": [0, 1, 3]}
+    assert [(i, c["status"]) for i, c in claims.items()] == [
+        ("group-reconstruction-60", "fail"), ("group-class-sizes", "skipped"),
+        ("group-trace-character", "skipped"), ("invariance-conic-sextic-form", "skipped"),
+        ("lines-no-three-concurrent", "fail"), ("irregular-orbit-sizes", "skipped")]
+    assert all(c["witness"] == {"requires": "group-reconstruction-60"}
+               for c in claims.values() if c["status"] == "skipped")
+
+
 def test_swapped_orbit_keys_fail_the_orbit_claim(tmp_path, monkeypatch, capsys):
     # the 6- and 10-point orbits under each other's keys keep the sorted
     # sizes; irregular-orbit-sizes also judges which orbit has which size

@@ -452,8 +452,35 @@ def test_reconstruction_fault_fails_its_claim(tmp_path, monkeypatch, capsys):
     assert run(["orbits", "--json", str(path)]) == 1
     capsys.readouterr()
     claims = json.loads(path.read_text())["claims"]
+    # the claims that read the group are skipped in their places; the
+    # concurrency claim reads only the lines and runs
+    skipped = {"requires": "group-reconstruction-60"}
     assert [(c["id"], c["status"], c["witness"]) for c in claims] == [
-        ("group-reconstruction-60", "fail", "three of the six lines are concurrent")]
+        ("group-reconstruction-60", "fail", "three of the six lines are concurrent"),
+        ("group-class-sizes", "skipped", skipped),
+        ("group-trace-character", "skipped", skipped),
+        ("invariance-conic-sextic-form", "skipped", skipped),
+        ("lines-no-three-concurrent", "pass", {"triples_checked": 20}),
+        ("irregular-orbit-sizes", "skipped", skipped)]
+
+
+def test_tuple_enumeration_error_stays_in_its_claims(tmp_path, monkeypatch, capsys):
+    # the classes are read inside each claim that uses them, so a raising
+    # enumeration errors those four claims and loses no other
+    def crash(conv):
+        raise RuntimeError(f"no {conv} classes")
+    monkeypatch.setattr(hurwitz, "enumerate_tuple_classes", crash)
+    path = tmp_path / "report.json"
+    assert run(["tuples", "--json", str(path)]) == 3
+    capsys.readouterr()
+    claims = json.loads(path.read_text())["claims"]
+    assert [(c["id"], c["status"]) for c in claims] == [
+        ("order-sets", "pass"), ("pair-orbits-free-6", "pass"),
+        ("involution-factorizations", "pass"), ("tuple-classes-20", "error"),
+        ("tuple-table-rows", "error"), ("braid-pure-orbits", "error"),
+        ("braid-weighted-orbits", "error")]
+    assert all(c["witness"] == {"type": "RuntimeError", "message": "no rtl classes"}
+               for c in claims[3:])
 
 
 def test_pass_without_witness_is_refused():

@@ -101,7 +101,7 @@ def test_field_ops_match_sympy(ra, rb):
     assert as_oracle(a + b) == pa + pb
     assert as_oracle(a - b) == pa - pb
     assert as_oracle(-a) == -pa
-    powers = [rational(1)]  # square-and-multiply against repeated products
+    powers = [rational(1)]  # a ** k against k explicit products
     for _ in range(15):
         powers.append(powers[-1] * a)
     assert all(a ** k == powers[k] for k in (0, 1, 2, 15))

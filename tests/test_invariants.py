@@ -28,6 +28,14 @@ def test_molien_matches_closed_form():
     assert series == molien_closed_form(31)
 
 
+def test_molien_closed_form_matches_sympy_series():
+    # the counted coefficients against sympy's expansion of the quotient
+    t = sympy.Symbol("t")
+    quotient = (1 + t**15) / ((1 - t**2) * (1 - t**6) * (1 - t**10))
+    expansion = sympy.series(quotient, t, 0, 31).removeO()
+    assert molien_closed_form(31) == [expansion.coeff(t, k) for k in range(31)]
+
+
 def test_molien_low_coefficients():
     series = molien_series(mats(), 16)
     assert series[0] == 1
