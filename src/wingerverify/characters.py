@@ -88,7 +88,7 @@ def _permutation_character(gens) -> ClassFunction:
 def a5_table() -> tuple:
     """The five irreducible characters of A5, in the label order 1, I, I', V, W."""
     phi = golden()                        # (1+sqrt5)/2
-    phibar = (rational(1) - sqrt5()) / 2  # its Galois conjugate
+    phibar = (1 - sqrt5()) / 2            # its Galois conjugate
     trivial = ClassFunction((1, 1, 1, 1, 1))
     chi_i = ClassFunction((3, -1, 0, phi, phibar))
     chi_ip = ClassFunction((3, -1, 0, phibar, phi))

@@ -10,12 +10,18 @@ data are equal.  All values are immutable.
 value into an element through it, and it takes only an element, an int
 or a Fraction, so no float, string or Decimal becomes a coefficient.
 The arithmetic operators accept the same operand types (`_coerce`).
+
+The integer kernels of the other layers share these helpers: elements
+written over the lcm of their denominators (`_numerators`), products and
+sums of products in Z[zeta_5] (`_mul`, `_dot`) and the inverse as a
+cyclotomic integer over its norm (`_inverse_parts`); each kernel builds
+one canonical element per output (`_make`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _mul(a, b):
@@ -30,6 +36,16 @@ def _mul(a, b):
             a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 - c4)
 
 
+def _dot(us, vs):
+    """The sum of _mul(u, v) over the pairs of integer 4-tuples of `us`
+    and `vs`."""
+    s0 = s1 = s2 = s3 = 0
+    for u, v in zip(us, vs):
+        p0, p1, p2, p3 = _mul(u, v)
+        s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
+    return s0, s1, s2, s3
+
+
 def _galois(a, k):
     """zeta -> zeta^k on an integer coefficient 4-tuple: the coefficient of
     zeta^i moves to zeta^(i*k mod 5), then zeta^4 is folded back."""
@@ -38,6 +54,22 @@ def _galois(a, k):
         spread[i * k % 5] = c
     top = spread[4]
     return (spread[0] - top, spread[1] - top, spread[2] - top, spread[3] - top)
+
+
+def _inverse_parts(a):
+    """(rest, norm) for a nonzero integer 4-tuple a: rest = sigma2(a)
+    sigma3(a) sigma4(a) and the rational integer norm = a * rest, so
+    that 1/a = rest / norm."""
+    rest = _mul(_mul(_galois(a, 2), _galois(a, 3)), _galois(a, 4))
+    return rest, _mul(a, rest)[0]
+
+
+def _numerators(values):
+    """(den, nums): the elements `values` (iterated twice) as integer
+    4-tuples over the lcm `den` of their denominators."""
+    den = lcm(*(c.den for c in values))
+    return den, [c.nums if c.den == den else tuple(x * (den // c.den) for x in c.nums)
+                 for c in values]
 
 
 class Cyclo:
@@ -77,6 +109,11 @@ class Cyclo:
 
     __radd__ = __add__
 
+    def __rsub__(self, other):
+        if (other := _coerce(other)) is None:
+            return NotImplemented
+        return other - self
+
     def __neg__(self):
         a, b, c, d = self.nums
         return _raw((-a, -b, -c, -d), self.den)
@@ -113,14 +150,19 @@ class Cyclo:
         a = self.nums
         if a == _ZERO:
             raise ZeroDivisionError("inverse of zero")
-        r0, r1, r2, r3 = rest = _mul(_mul(_galois(a, 2), _galois(a, 3)), _galois(a, 4))
+        (r0, r1, r2, r3), norm = _inverse_parts(a)
         d = self.den
-        return _make(r0 * d, r1 * d, r2 * d, r3 * d, _mul(a, rest)[0])
+        return _make(r0 * d, r1 * d, r2 * d, r3 * d, norm)
 
     def __truediv__(self, other):
         if other.__class__ is not Cyclo and (other := _coerce(other)) is None:
             return NotImplemented
         return self * other.inv()
+
+    def __rtruediv__(self, other):
+        if (other := _coerce(other)) is None:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, k: int):
         """Repeated products: the exponents are small (at most 20, in
@@ -275,4 +317,4 @@ def sqrt5() -> Cyclo:
 
 def golden() -> Cyclo:
     """(1 + sqrt5)/2 = -(zeta^2 + zeta^3)."""
-    return (rational(1) + sqrt5()) / 2
+    return (1 + sqrt5()) / 2

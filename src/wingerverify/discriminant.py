@@ -9,11 +9,12 @@ lam; its determinant is the resultant with no extraneous factor.  Two
 auxiliary unknowns per Bezout row make it the 75x75 linear pencil
 A + lam*B with the same determinant, computed as an exact integer
 polynomial in lam: per Proth prime below 2^240, proven by Proth's
-theorem, one inversion and one Hessenberg characteristic polynomial
-mod p, then the Chinese remainder theorem past a Hadamard bound (two
-primes).  A nonzero constant left after dividing out the roots that
-the caller expects certifies that no other finite member is singular;
-the degree drop below 75 witnesses the singular member at infinity.
+theorem from a stored certificate, one inversion and one Hessenberg
+characteristic polynomial mod p, then the Chinese remainder theorem past
+a Hadamard bound (two primes).  A nonzero constant left after dividing
+out, on integers, the roots that the caller expects certifies that no
+other finite member is singular; the degree drop below 75 witnesses the
+singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
@@ -35,17 +36,18 @@ from fractions import Fraction
 from math import isqrt
 from operator import add, mul
 
+from .cyclo import _numerators
 from .linalg import Matrix, integer_det
-from .polys import Poly3, _numerators, monomials_of_degree
+from .polys import Poly3, monomials_of_degree
 from .winger import q_poly
 
 
 def _to_int_poly(f: Poly3):
     """Exponent->int dict after clearing denominators (rational input only)."""
-    _, nums = _numerators(f.terms)
-    if any(any(n[1:]) for n in nums.values()):
+    _, nums = _numerators(f.terms.values())
+    if any(any(n[1:]) for n in nums):
         raise ValueError(f"{f} has an irrational coefficient")
-    return {e: n[0] for e, n in nums.items()}
+    return {e: n[0] for e, n in zip(f.terms, nums)}
 
 
 def macaulay_system(degrees):
@@ -228,17 +230,31 @@ def _linearize(rows):
 
 # -- det(A + lam*B) as an integer polynomial, multi-modular --------------------
 
+# The first five primes k*2^120 + 1 below 2^240, as (2^120 - 1 - k, a) with
+# a Proth witness a: a^((p-1)/2) = -1 mod p.  Two suffice for the pencil.
+_PROTH_CERTIFICATES = ((0x36, 5), (0x6c, 5), (0x110, 3), (0x25a, 3), (0x462, 7))
+
+
 def _proth_primes():
     """Proven primes k*2^120 + 1 (k odd, k < 2^120) below 2^240, descending.
 
     By Proth's theorem (Crandall-Pomerance, Prime Numbers, ch. 4),
     p = k*2^m + 1 with k odd and k < 2^m is prime iff some a has
-    a^((p-1)/2) = -1 mod p.  A prime p gives +-1 for every a (Euler's
-    criterion), so any other value proves p composite; a candidate whose
-    small bases all give 1 is skipped.
+    a^((p-1)/2) = -1 mod p.  The first primes come from
+    `_PROTH_CERTIFICATES`, each proven at use by its witness a, a
+    certificate checked in one power (Pratt, "Every prime has a succinct
+    certificate", SIAM J. Comput. 4, 1975).  Below them the search
+    resumes: a prime p gives +-1 for every a (Euler's criterion), so any
+    other value proves p composite; a candidate whose small bases all
+    give 1 is skipped.
     """
     step = 1 << 120
-    for k in range(step - 1, 0, -2):
+    for offset, a in _PROTH_CERTIFICATES:
+        p = (step - 1 - offset) * step + 1
+        if pow(a, p >> 1, p) != p - 1:
+            raise ArithmeticError(f"{a} is no Proth witness for {p}")
+        yield p
+    for k in range(step - 3 - _PROTH_CERTIFICATES[-1][0], 0, -2):
         p = k * step + 1
         for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             x = pow(a, p >> 1, p)
@@ -405,15 +421,27 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
     return acc
 
 
-def _divide_out_root(coeffs, root: Fraction):
-    """How many times (x - root) divides; returns (multiplicity, quotient).
-    Each division is synthetic (Horner), and exact since root is a root."""
-    mult = 0
-    cur = list(coeffs)
-    while len(cur) > 1 and _poly_eval(cur, root) == 0:
-        quot = [Fraction(cur[-1])]
-        for c in reversed(cur[1:-1]):
-            quot.append(quot[-1] * root + c)
+def _divide_out_root(coeffs, root):
+    """How many times the primitive q*x - p divides the integer
+    polynomial `coeffs` (lowest first), for the rational root = p/q in
+    lowest terms; returns (multiplicity, quotient).
+
+    Each division is synthetic, from the top coefficient down.  By Gauss's
+    lemma the quotient by a primitive factor of an integer polynomial has
+    integer coefficients, so an inexact step, or a nonzero remainder,
+    means that p/q is not a root of what is left."""
+    root = Fraction(root)
+    p, q = root.numerator, root.denominator
+    mult, cur = 0, list(coeffs)
+    while len(cur) > 1:
+        quot, carry = [], 0
+        for c in reversed(cur[1:]):
+            carry, rem = divmod(c + p * carry, q)
+            if rem:
+                return mult, cur
+            quot.append(carry)
+        if cur[0] + p * carry:
+            return mult, cur
         cur = quot[::-1]
         mult += 1
     return mult, cur

@@ -19,10 +19,10 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul
 
-from .cyclo import rational
+from .cyclo import _numerators, rational
 from .linalg import Matrix, echelon, null_space, rref
 from .perms import FiniteGroup, finite_group
-from .polys import Poly3, Substitution, _numerators, monomials_of_degree
+from .polys import Poly3, Substitution, monomials_of_degree
 
 
 def _series_reciprocal(den, nterms: int):
@@ -165,8 +165,8 @@ def _rational_rows(rows) -> list:
     each Q(zeta_5) row cleared of its denominators, zero rows dropped."""
     out = []
     for row in rows:
-        _, nums = _numerators(dict(enumerate(row)))
-        out.extend(r for r in zip(*nums.values()) if any(r))
+        _, nums = _numerators(row)
+        out.extend(r for r in zip(*nums) if any(r))
     return out
 
 

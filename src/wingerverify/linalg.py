@@ -7,21 +7,25 @@ the factors L_k / L_{k-1} that the dense pass applies to it telescope.
 Its callers pass rational rows, or split Q(zeta_5) rows into their
 rational coordinates; back-substitution over Q gives reduced row echelon
 forms and null spaces.
+
+The 3x3 products, `apply` and the adjugate, determinant and inverse run
+on integers: each operand is written over the lcm of its denominators
+(`cyclo._numerators`), the sums of products are taken in Z[zeta_5]
+(`cyclo._dot`), and one canonical `Cyclo` is built per output entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import sub
 
-from .cyclo import Cyclo, rational
+from .cyclo import _ZERO, Cyclo, _dot, _inverse_parts, _make, _mul, _numerators, rational
 
 
-def _dot(row, col) -> Cyclo:
-    """The sum of row[k] * col[k] over the nonzero entries of `row`, for a
-    row and a column of one length (ValueError otherwise)."""
-    terms = [a * b for a, b in zip(row, col, strict=True) if not a.is_zero()]
-    return sum(terms[1:], terms[0]) if terms else rational(0)
+def _minor(p, q, r, s):
+    """p*q - r*s on integer 4-tuples."""
+    return tuple(map(sub, _mul(p, q), _mul(r, s)))
 
 
 class Matrix:
@@ -63,8 +67,11 @@ class Matrix:
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            cols = [other.entries[j::3] for j in range(3)]
-            return Matrix([_dot(self.row(i), c) for i in range(3) for c in cols])
+            da, a = _numerators(self.entries)
+            db, b = _numerators(other.entries)
+            den, cols = da * db, [b[j::3] for j in range(3)]
+            return Matrix([_make(*_dot(a[i:i + 3], col), den)
+                           for i in (0, 3, 6) for col in cols])
         other = rational(other)
         return Matrix([e * other for e in self.entries])
 
@@ -81,41 +88,58 @@ class Matrix:
         return self.entries[0] + self.entries[4] + self.entries[8]
 
     def apply(self, vec) -> tuple:
-        """Matrix times a column vector of three entries."""
-        return tuple(_dot(self.row(i), vec) for i in range(3))
+        """Matrix times a column vector of three entries (ValueError for
+        any other length)."""
+        x, y, z = vec
+        dm, m = _numerators(self.entries)
+        dv, v = _numerators((rational(x), rational(y), rational(z)))
+        den = dm * dv
+        return tuple(_make(*_dot(m[i:i + 3], v), den) for i in (0, 3, 6))
+
+    def _cofactors(self):
+        """(den, adj, det): the entries are numerators over den, adj the
+        nine numerators of the adjugate (transposed cofactors) over den^2
+        and det that of the determinant over den^3.  As m * adj(m) =
+        det(m) * I, det(m) is the first row of m times the first column
+        of adj(m)."""
+        den, (a, b, c, d, e, f, g, h, i) = _numerators(self.entries)
+        adj = (_minor(e, i, f, h), _minor(c, h, b, i), _minor(b, f, c, e),
+               _minor(f, g, d, i), _minor(a, i, c, g), _minor(c, d, a, f),
+               _minor(d, h, e, g), _minor(b, g, a, h), _minor(a, e, b, d))
+        return den, adj, _dot((a, b, c), adj[0::3])
 
     def adjugate(self) -> "Matrix":
-        """The adjugate (transposed cofactors): m * adj(m) = det(m) * I, so
-        det(m) is the first row of m times the first column of adj(m)."""
-        a, b, c, d, e, f, g, h, i = self.entries
-        return Matrix((e * i - f * h, c * h - b * i, b * f - c * e,
-                       f * g - d * i, a * i - c * g, c * d - a * f,
-                       d * h - e * g, b * g - a * h, a * e - b * d))
-
-    def _det_from(self, adj: "Matrix") -> Cyclo:
-        return _dot(self.row(0), adj.entries[0::3])
+        """The adjugate: m * adj(m) = det(m) * I."""
+        den, adj, _ = self._cofactors()
+        den *= den
+        return Matrix([_make(*n, den) for n in adj])
 
     def det(self) -> Cyclo:
-        return self._det_from(self.adjugate())
+        den, _, det = self._cofactors()
+        return _make(*det, den ** 3)
 
     def inverse(self) -> "Matrix":
-        adj = self.adjugate()
-        d = self._det_from(adj)
-        if d.is_zero():
+        """adj(m) / det(m): with entries over den, the adjugate's
+        numerators times den over the determinant's, whose inverse is
+        rest / norm (`cyclo._inverse_parts`)."""
+        den, adj, det = self._cofactors()
+        if det == _ZERO:
             raise ValueError("singular matrix")
-        return adj * d.inv()
+        rest, norm = _inverse_parts(det)
+        return Matrix([_make(*(x * den for x in _mul(n, rest)), norm) for n in adj])
 
     def kernel(self):
         """Right null space of a matrix of rank at least 2: [] if it is
         invertible, else one nonzero column of adj(m), as m adj(m) =
         det(m) I = 0.  Raises ValueError below rank 2, where adj(m) = 0."""
-        adj = self.adjugate()
-        if not self._det_from(adj).is_zero():
+        den, adj, det = self._cofactors()
+        if det != _ZERO:
             return []
-        columns = [col for col in (adj.entries[j::3] for j in range(3)) if any(col)]
-        if not columns:
+        col = next((col for col in (adj[j::3] for j in range(3)) if any(map(any, col))), None)
+        if col is None:
             raise ValueError("3x3 matrix of rank below 2")
-        return columns[:1]
+        den *= den
+        return [tuple(_make(*n, den) for n in col)]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

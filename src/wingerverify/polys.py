@@ -6,33 +6,30 @@ linear change of coordinates does to a form; a `Substitution` keeps the
 power tables of the three image lines, so many monomials substituted by
 one matrix share them.
 
-Products and substitutions run on integer numerators: each operand is
-written over the lcm of its coefficient denominators as a dict of
-4-integer tuples on 1, zeta, zeta^2, zeta^3 (`_numerators`), the loops
-multiply and add those tuples in Z[zeta_5] (`_convolve`), and a `Cyclo`,
-with its one gcd normalisation, is built only for each output
-coefficient (`_from_numerators`).
+Products, substitutions and evaluation run on integer numerators: each
+operand is written over the lcm of its coefficient denominators as a
+dict of 4-integer tuples on 1, zeta, zeta^2, zeta^3 (`_term_numerators`,
+on `cyclo._numerators`), the loops multiply and add those tuples in
+Z[zeta_5] (`_convolve`, `cyclo._mul`), and a `Cyclo`, with its one gcd
+normalisation, is built only for each output coefficient
+(`_from_numerators`) or value.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .cyclo import Cyclo, _make, rational
+from .cyclo import Cyclo, _dot, _make, _mul, _numerators, rational
 from .linalg import Matrix
 
 VARS = ("z0", "z1", "z2")
 
 
-def _numerators(terms):
+def _term_numerators(terms):
     """(den, {expo: nums}): the coefficients of `terms` as integer
     4-tuples over the lcm `den` of their denominators."""
-    den = lcm(*(c.den for c in terms.values()))
-    out = {}
-    for expo, c in terms.items():
-        s = den // c.den
-        out[expo] = c.nums if s == 1 else tuple(x * s for x in c.nums)
-    return den, out
+    den, nums = _numerators(terms.values())
+    return den, dict(zip(terms, nums))
 
 
 def _convolve(p, q, out=None):
@@ -56,6 +53,14 @@ def _convolve(p, q, out=None):
             else:
                 c0, c1, c2, c3 = cur
                 out[key] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
+    return out
+
+
+def _powers(v, k):
+    """v^0, ..., v^k for an integer 4-tuple v."""
+    out = [(1, 0, 0, 0)]
+    for _ in range(k):
+        out.append(_mul(out[-1], v))
     return out
 
 
@@ -113,8 +118,8 @@ class Poly3:
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
-            dp, p = _numerators(self.terms)
-            dq, q = _numerators(other.terms)
+            dp, p = _term_numerators(self.terms)
+            dq, q = _term_numerators(other.terms)
             return _from_numerators(dp * dq, _convolve(p, q))
         return Poly3({e: c * other for e, c in self.terms.items()})
 
@@ -151,23 +156,23 @@ class Poly3:
         return (self.partial(0), self.partial(1), self.partial(2))
 
     def evaluate(self, point) -> Cyclo:
-        """Exact value at a triple of field elements."""
-        acc = rational(0)
-        # cache powers of each coordinate
-        maxes = [0, 0, 0]
-        for expo in self.terms:
-            for i in range(3):
-                maxes[i] = max(maxes[i], expo[i])
-        pows = []
-        for i in range(3):
-            p = [rational(1)]
-            v = rational(point[i])
-            for _ in range(maxes[i]):
-                p.append(p[-1] * v)
-            pows.append(p)
-        for (a, b, c), coef in self.terms.items():
-            acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
-        return acc
+        """Exact value at a triple of field elements.  With the point over
+        one denominator d and the coefficients over c, a term of degree k
+        is scaled by d^(top - k), so that every term, homogeneous or not,
+        is over c * d^top for the top degree `top`."""
+        x, y, z = point
+        d, coords = _numerators((rational(x), rational(y), rational(z)))
+        c, coefs = _numerators(self.terms.values())
+        p0, p1, p2 = (_powers(v, max((e[i] for e in self.terms), default=0))
+                      for i, v in enumerate(coords))
+        top = max(map(sum, self.terms), default=0)
+        scale = [d ** k for k in range(top + 1)]
+        monos = []
+        for a, b, e in self.terms:
+            s = scale[top - a - b - e]
+            mono = _mul(_mul(p0[a], p1[b]), p2[e])
+            monos.append(mono if s == 1 else tuple(n * s for n in mono))
+        return _make(*_dot(coefs, monos), c * scale[top])
 
     def act(self, m: Matrix) -> "Poly3":
         """Substitute z_i -> sum_j m[i][j] z_j (precomposition with m)."""
@@ -218,14 +223,14 @@ class Substitution:
     Holds the three image lines and extends their power tables on demand,
     so every monomial substituted through the same object shares them:
     the image of z0^a z1^b z2^c is pow0[a] * pow1[b] * pow2[c].  Each
-    table entry is (den, {expo: nums}), in the form of `_numerators`.
+    table entry is (den, {expo: nums}), in the form of `_term_numerators`.
     """
 
     __slots__ = ("pows",)
 
     def __init__(self, m: Matrix):
         one = (1, {(0, 0, 0): (1, 0, 0, 0)})
-        self.pows = [[one, _numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
+        self.pows = [[one, _term_numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
 
     def _image(self, expo):
         """(den, nums) of the image of the monomial z^expo."""

@@ -7,9 +7,12 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_roots
 from macaulay_quotient import exact_quotient, macaulay_quotient
-from wingerverify import discriminant
-from wingerverify.discriminant import (CONTROL_T, _divide_out_root,
+from proth_search import proth_search
+from wingerverify import cli, discriminant
+from wingerverify.discriminant import (_PROTH_CERTIFICATES, CONTROL_T,
+                                       _divide_out_root,
                                        _hessenberg_charpoly_mod, _linearize,
                                        _pencil_bound, _pencil_det,
                                        _pencil_det_mod, _pencil_partials,
@@ -101,6 +104,47 @@ def test_interpolation_and_root_division():
     assert _poly_eval(coeffs, Fraction(2)) == 12
 
 
+# -- the integer root division against the Fraction division it replaced --------
+
+SMALL_ROOTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(SMALL_ROOTS, st.integers(1, 3)), max_size=3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(0, 2),
+       st.lists(SMALL_ROOTS, max_size=3))
+def test_root_division_matches_the_fraction_division(planted, cofactor, pad, probes):
+    # cofactor * prod (q*x - p)^m, with `pad` zero top coefficients
+    coeffs = cofactor
+    for root, m in planted:
+        for _ in range(m):
+            p, q = root.numerator, root.denominator
+            coeffs = [q * a - p * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    coeffs = coeffs + [0] * pad
+    for root in [r for r, _ in planted] + probes + [Fraction(0)]:
+        mult, quot = _divide_out_root(coeffs, root)
+        ref_mult, ref_quot = fraction_roots.divide_out_root(coeffs, root)
+        assert mult == ref_mult
+        # the quotient by (q*x - p)^m is the one by (x - p/q)^m over q^m
+        scale = root.denominator ** mult
+        assert [a * scale for a in quot] == ref_quot
+        if mult == 0:
+            assert quot == coeffs
+
+
+def test_root_division_cases():
+    # 3 (5x - 27)^2 x^3 (x + 1), root 0 of order 3, and int or Fraction roots
+    coeffs = [0, 0, 0, 3 * 729, 3 * (729 - 270), 3 * (25 - 270), 75]
+    assert _divide_out_root(coeffs, 0) == (3, [3 * 729, 3 * (729 - 270), 3 * (25 - 270), 75])
+    assert _divide_out_root(coeffs, Fraction(0)) == _divide_out_root(coeffs, 0)
+    assert _divide_out_root(coeffs, Fraction(27, 5)) == (2, [0, 0, 0, 3, 3])
+    assert _divide_out_root(coeffs, -1) == (1, [0, 0, 0, 3 * 729, 3 * (-270), 75])
+    # non-roots: 27/5's numerator over the wrong denominator, and 1/5
+    for root in (Fraction(27, 4), Fraction(1, 5), Fraction(2)):
+        assert _divide_out_root(coeffs, root) == (0, coeffs)
+    assert fraction_roots.poly_eval(coeffs, Fraction(27, 4)) != 0
+
+
 # -- the multi-modular det(A + lam*B) against the integer determinant ------------
 
 def pencil_at(a, b, lam):
@@ -189,6 +233,26 @@ def test_proth_primes_are_proven_and_descending():
         m = ((p - 1) & -(p - 1)).bit_length() - 1  # 2^m exactly divides p - 1
         k = (p - 1) >> m
         assert k % 2 == 1 and k < 2 ** m, p
+
+
+def test_proth_certificates_are_the_first_primes_of_the_search():
+    # the table holds the first five primes that the search proves, and
+    # the search resumes below them without a gap
+    n = len(_PROTH_CERTIFICATES)
+    assert n == 5
+    assert list(islice(_proth_primes(), n + 2)) == list(islice(proth_search(), n + 2))
+
+
+def test_pencil_deep_takes_its_primes_from_the_certificates(monkeypatch, tmp_path):
+    taken, primes = [], _proth_primes
+
+    def counted():
+        for p in primes():
+            taken.append(p)
+            yield p
+    monkeypatch.setattr(discriminant, "_proth_primes", counted)
+    assert cli.main(["pencil", "--deep", "--json", str(tmp_path / "r.json")]) == 0
+    assert 0 < len(taken) <= len(_PROTH_CERTIFICATES)
 
 
 def test_exact_quotient():

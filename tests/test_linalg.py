@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import cyclo_loops
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from dense_bareiss import dense_echelon
-from wingerverify.cyclo import Cyclo, rational, zeta
+from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
                                        _pencil_partials)
 from wingerverify.linalg import Matrix, echelon, integer_det, null_space, rref
-from wingerverify.winger import f_poly
+from wingerverify.winger import f_poly, reconstruct_group, six_lines
 
 
 def gram():
@@ -161,6 +162,68 @@ def test_closed_forms_match_sympy(a, b, vec):
     assert all(isinstance(x, Cyclo) for x in image)
     want = reduced(ref_a * oracle([[v] for v in vec]))
     assert [[in_qx(x)] for x in image] == want
+
+
+# -- the integer kernels against the Cyclo loops they replaced -------------------
+
+# coprime denominators side by side, and numerators past 2^64
+WIDE = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                 st.lists(st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70)),
+                          min_size=1, max_size=4),
+                 st.sampled_from([1, 2, 3, 5, 6, 15, 2**65 + 1]))
+KERNEL_ENTRIES = st.one_of(st.just(0), ELEMENTS, WIDE)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Matrices with mixed denominators, zero entries, sometimes a zero
+    row, and sometimes a third row dependent on the first two (det 0)."""
+    entries = draw(st.lists(KERNEL_ENTRIES, min_size=9, max_size=9))
+    shape = draw(st.sampled_from(("plain", "zero row", "dependent", "rank 1")))
+    if shape == "zero row":
+        i = draw(st.sampled_from((0, 3, 6)))
+        entries[i:i + 3] = [0, 0, 0]
+    elif shape == "dependent":
+        c = draw(KERNEL_ENTRIES)
+        entries[6:] = [a + c * b for a, b in zip(entries[:3], entries[3:6])]
+    elif shape == "rank 1":
+        entries[3:] = [c * a for c in draw(st.lists(KERNEL_ENTRIES, min_size=2,
+                                                    max_size=2))
+                       for a in entries[:3]]
+    return Matrix(entries)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_matrices(), kernel_matrices(),
+       st.lists(st.one_of(VECTOR_ENTRIES, WIDE), min_size=3, max_size=3))
+def test_integer_kernels_match_the_cyclo_loops(a, b, vec):
+    assert a * b == cyclo_loops.product(a, b)
+    assert b * a == cyclo_loops.product(b, a)
+    assert a.apply(vec) == cyclo_loops.apply(a, vec)
+    assert a.adjugate() == cyclo_loops.adjugate(a)
+    assert a.det() == cyclo_loops.det(a)
+    assert outcome(Matrix.inverse, a) == outcome(cyclo_loops.inverse, a)
+    assert outcome(Matrix.kernel, a) == outcome(cyclo_loops.kernel, a)
+
+
+def test_integer_kernels_match_the_cyclo_loops_on_the_group():
+    # the products, images and inverses that the reconstruction forms
+    group = reconstruct_group().elements
+    rows = six_lines()
+    for g, h in zip(group, group[1:] + group[:1]):
+        assert g * h == cyclo_loops.product(g, h)
+        assert g.inverse() == cyclo_loops.inverse(g)
+        assert g.det() == cyclo_loops.det(g) == rational(1)
+        for row in rows:
+            assert g.apply(row) == cyclo_loops.apply(g, row)
 
 
 def test_shape_is_checked_on_input():

@@ -3,9 +3,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cyclo_loops
 from wingerverify.cyclo import make, rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Poly3, Substitution, monomials_of_degree
+from wingerverify.winger import _derivatives, f_poly, irregular_orbits
 
 
 def variables():
@@ -155,6 +157,33 @@ def test_substitution_matches_cyclo_loop(f, entries):
         assert sub.apply(Poly3.monomial(expo)) == cyclo_image(m, expo)
     # the power tables the images extended serve the next form unchanged
     assert sub.apply(f + HALF_THIRD) == cyclo_apply(m, f + HALF_THIRD)
+
+
+# points with zero coordinates, plain ints and Fractions, and mixed denominators
+coordinates = st.one_of(st.just(0), st.integers(-9, 9),
+                        st.fractions(-5, 5, max_denominator=9), elements, wide)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, st.lists(coordinates, min_size=3, max_size=3))
+@example(Poly3.zero(), [1, Fraction(1, 2), zeta()])
+@example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), [0, 0, 0])
+@example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1) + Poly3.monomial((0, 0, 0), 7),
+         [Fraction(1, 3), 0, make([0, Fraction(1, 4)])])  # degrees 0, 1 and 2
+@example(ZETA_FORM * X + Poly3.monomial((3, 0, 0), zeta()), [zeta() ** 2, 0, 1])
+def test_evaluate_matches_cyclo_loop(f, point):
+    # non-homogeneous polynomials: every degree scaled to the top one
+    assert f.evaluate(point) == cyclo_loops.evaluate(f, point)
+
+
+def test_evaluate_matches_cyclo_loop_on_the_pencil():
+    # the gradients and second partials that singular_point evaluates
+    grad_q, hess_q, grad_f, hess_f = _derivatives(f_poly())
+    polys = [*grad_q, *grad_f, *(d for row in hess_q + hess_f for d in row)]
+    for orbit in irregular_orbits().values():
+        for p in sorted(orbit, key=lambda p: [c.sort_key() for c in p])[:3]:
+            for g in polys:
+                assert g.evaluate(p) == cyclo_loops.evaluate(g, p)
 
 
 def test_monomials_of_degree():
