@@ -16,7 +16,6 @@ Subgroups of A5 are frozensets of A5 element indices (see perms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclo import Cyclo, golden, rational, sqrt5
@@ -32,14 +31,21 @@ class CharacterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    values: tuple  # one value per class of A5_CLASS_REPS
+    """Immutable: `values` holds one field element per class of A5_CLASS_REPS."""
 
-    def __post_init__(self):
-        if len(self.values) != len(A5_CLASS_REPS):
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        if len(values) != len(A5_CLASS_REPS):
             raise CharacterError(f"expected {len(A5_CLASS_REPS)} values")
-        object.__setattr__(self, "values", tuple(map(rational, self.values)))
+        object.__setattr__(self, "values", tuple(map(rational, values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name}: a ClassFunction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name}: a ClassFunction is immutable")
 
     def __add__(self, other):
         return ClassFunction(tuple(a + b for a, b in zip(self.values, other.values)))

@@ -5,7 +5,7 @@ icosahedral group as unit quaternions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
@@ -64,13 +64,11 @@ def regular_cover_genus(group_order: int, branch_orders) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class DegenerationReport:
-    n: int            # order of g3*g4 (node-stabilizer generator)
-    nodes: int        # e = 30/n
-    components: int   # v = 60 / |<g1, g2, g3*g4>|
-    component_genus: int  # a Fraction or negative only for a faulty tuple
-    arithmetic_genus: int
+# n: order of g3*g4 (node-stabilizer generator); nodes: e = 30/n;
+# components: v = 60 / |<g1, g2, g3*g4>|; component_genus: an int, a
+# Fraction or negative only for a faulty tuple; arithmetic_genus
+DegenerationReport = namedtuple(
+    "DegenerationReport", "n nodes components component_genus arithmetic_genus")
 
 
 def degeneration_report(t) -> DegenerationReport:

@@ -11,7 +11,7 @@ is for cross-checking convention-sensitive tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .perms import alternating_group_5, parse_cycles
@@ -83,12 +83,11 @@ def involution_factorizations(h: int):
 # -- tuple classes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class TupleClass:
+class TupleClass(namedtuple("TupleClass", "rep")):
     """Canonical representative of a simultaneous-conjugation class: the
-    least index tuple in it."""
+    least index tuple in it.  Immutable; equal, hashed and ordered by `rep`."""
 
-    rep: tuple
+    __slots__ = ()
 
     @property
     def r_value(self) -> int:

@@ -140,16 +140,24 @@ def _orbit_sums(actions, monos) -> list:
     return sums
 
 
-@lru_cache(maxsize=128)
-def _reynolds_basis(mats: tuple, d: int) -> tuple:
+@lru_cache(maxsize=8)
+def _reynolds_setup(mats: tuple):
+    """What every degree of the group of `mats` reads: the (columns,
+    scalars) of the elements of N, and a substitution per extra generator."""
     group = finite_group(mats)
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
+    return ([actions[n] for n in sub],
+            [Substitution(group.elements[g]) for g in _extra_generators(group, sub)])
+
+
+@lru_cache(maxsize=128)
+def _reynolds_basis(mats: tuple, d: int) -> tuple:
+    actions, substs = _reynolds_setup(mats)
     monos = monomials_of_degree(d)
-    sums = _orbit_sums([actions[n] for n in sub], monos)
+    sums = _orbit_sums(actions, monos)
     rows = []
-    for g in _extra_generators(group, sub):
-        subst = Substitution(group.elements[g])
+    for subst in substs:
         moved = [subst.apply(p) - p for p in sums]
         rows.extend([q.coefficient(e) for q in moved] for e in monos)
     kernel = null_space(_rational_rows(rows), len(sums))

@@ -5,26 +5,36 @@ from __future__ import annotations
 import json
 import sys
 import time
-import traceback
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 
 
-@dataclass
 class Claim:
-    id: str
-    description: str
-    status: str  # "pass" | "fail" | "skipped" | "error"
-    witness: object = None
-    millis: int = 0
+    """One verdict: status is "pass", "fail", "skipped" or "error"."""
+
+    __slots__ = ("id", "description", "status", "witness", "millis")
+
+    def __init__(self, id: str, description: str, status: str, witness=None,
+                 millis: int = 0):
+        self.id = id
+        self.description = description
+        self.status = status
+        self.witness = witness
+        self.millis = millis
+
+    def to_dict(self) -> dict:
+        """The JSON fields, in the report's order."""
+        return {"id": self.id, "description": self.description, "status": self.status,
+                "witness": self.witness, "millis": self.millis}
 
 
-@dataclass
 class ClaimReport:
-    convention: str
-    claims: list = field(default_factory=list)
-    version: str = __version__
+    __slots__ = ("convention", "claims", "version")
+
+    def __init__(self, convention: str):
+        self.convention = convention
+        self.claims = []
+        self.version = __version__
 
     def add(self, claim: Claim):
         if any(c.id == claim.id for c in self.claims):
@@ -45,7 +55,7 @@ class ClaimReport:
         return {
             "version": self.version,
             "convention": self.convention,
-            "claims": [asdict(c) for c in self.claims],
+            "claims": [c.to_dict() for c in self.claims],
         }
 
     def to_json(self) -> str:
@@ -70,6 +80,7 @@ def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
     try:
         ok, witness = fn()
     except Exception as exc:  # noqa: BLE001 - one crashed claim must not lose the report
+        import traceback
         traceback.print_exc(file=sys.stderr)
         ok, status, witness = False, "error", error_witness(exc)
     else:

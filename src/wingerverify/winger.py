@@ -75,23 +75,23 @@ def _matrix_key(m: Matrix):
     return tuple(e.sort_key() for e in m.entries)
 
 
-def _triple_scalings(b_inv, rows, triple, u_rest):
+def _triple_scalings(b_inv, rows, triple, u_ratios):
     """The realized permutations sigma with sigma(0..2) = `triple`, as a
     dict from (sigma(3), sigma(4), sigma(5)) to the scaling c.
 
     M = B^-1 diag(c) C sends L_{sigma(i)} to c_i L_i for i < 3, where B
     holds the rows L_{sigma(0..2)} and C the rows L_{0..2}.  For i >= 3
     it sends L_{sigma(i)} to a multiple of L_i iff w ⊙ c is proportional
-    to u, with w = B^-T L_{sigma(i)} and u = C^-T L_i the entry of
-    `u_rest`.  When no three lines meet, neither vector has a zero entry
-    and c is the point u / w, taken entry by entry: sigma is realized iff
-    its three points agree.  Each of the nine points is normalized as
-    (u0/u2 * w2/w0, u1/u2 * w2/w1, 1), from the ratios of each u (one
-    inversion) and of each w (one inversion of w0*w1): six inversions
-    per triple instead of one per point.
+    to u, with w = B^-T L_{sigma(i)} and u = C^-T L_i.  When no three
+    lines meet, neither vector has a zero entry and c is the point u / w,
+    taken entry by entry: sigma is realized iff its three points agree.
+    Each of the nine points is normalized as (u0/u2 * w2/w0, u1/u2 *
+    w2/w1, 1), from the ratios (u0/u2, u1/u2) of each u, which
+    `u_ratios` holds since they do not depend on the triple, and of each
+    w (one inversion of w0*w1): three inversions per triple instead of
+    one per point.
     """
     b_inv_t, one = b_inv.transpose(), rational(1)
-    u_ratios = [normalize_point(u)[:2] for u in u_rest]
     points = {}
     for j in range(6):
         if j not in triple:
@@ -133,13 +133,13 @@ def reconstruct_group() -> FiniteGroup:
     gram = gram_matrix()
     c_mat = Matrix.from_rows(rows[:3])
     c_inv_t = c_mat.inverse().transpose()
-    u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    u_ratios = [normalize_point(c_inv_t.apply(rows[i]))[:2] for i in range(3, 6)]
     found = set()
     # the 720 permutations share 120 ordered triples sigma(0..2), and B^-1
     # and the points u / w depend on the triple alone
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
-        for c in _triple_scalings(b_inv, rows, triple, u_rest).values():
+        for c in _triple_scalings(b_inv, rows, triple, u_ratios).values():
             m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram)
             if m is not None:
                 found.add(m)

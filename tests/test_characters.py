@@ -133,3 +133,18 @@ def test_permutation_characters_match_coset_actions():
                                       for r in reps)
     assert table["W"].values == tuple(rational(fixed_points(action[r]) - 1)
                                       for r in reps)
+
+
+def test_class_function_is_immutable_and_checks_its_length():
+    chi = ClassFunction((1, 2, 3, 4, 5))
+    assert chi.values == tuple(map(rational, (1, 2, 3, 4, 5)))
+    with pytest.raises(AttributeError):
+        chi.values = (0, 0, 0, 0, 0)
+    with pytest.raises(AttributeError):
+        chi.extra = 1
+    with pytest.raises(AttributeError):
+        del chi.values
+    assert chi.values == tuple(map(rational, (1, 2, 3, 4, 5)))
+    for values in ((), (1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(CharacterError):
+            ClassFunction(values)

@@ -119,16 +119,34 @@ def test_cli_import_loads_no_float_library(cli_import_modules):
 
 def test_cli_import_defers_the_discriminant(cli_import_modules):
     # `deep()` imports it, so commands without --deep never pay for it;
-    # likewise each suite imports its layers when it runs
+    # likewise each suite module is imported on its suite's first call, and
+    # each suite imports its layers when it runs
     assert "wingerverify.discriminant" not in cli_import_modules
     assert package_modules(cli_import_modules) == {"cli", "report"}
     assert "fractions" not in cli_import_modules
 
 
+# standard modules that only an error path or a record decorator would load
+ERROR_PATH_MODULES = {"dataclasses", "inspect", "traceback"}
+
+
+def test_cli_import_loads_no_error_path_module(cli_import_modules):
+    assert ERROR_PATH_MODULES.isdisjoint(cli_import_modules)
+
+
 def test_tuples_load_only_the_permutation_layers():
     modules = loaded_modules("tuples", "--convention", "ltr")
-    assert package_modules(modules) == {"cli", "report", "hurwitz", "perms"}
+    assert package_modules(modules) == {"cli", "report", "suites", "suites.tuples",
+                                        "hurwitz", "perms"}
     assert "fractions" not in modules
+    assert ERROR_PATH_MODULES.isdisjoint(modules)
+
+
+def test_pencil_deep_loads_only_its_suite_and_the_discriminant():
+    loaded = package_modules(loaded_modules("pencil", "--deep"))
+    assert {"suites.pencil", "discriminant", "winger"} <= loaded
+    assert {m for m in loaded if m.startswith("suites.")} == {"suites.pencil"}
+    assert loaded.isdisjoint({"invariants", "characters", "covers", "hurwitz"})
 
 
 def test_pencil_loads_no_group_theory_layer():
@@ -243,7 +261,8 @@ def test_all_builds_the_matrix_group_once(monkeypatch, capsys):
         builds.append((type(elements[0]), len(elements)))
         init(self, elements)
     monkeypatch.setattr(perms.FiniteGroup, "__init__", logged)
-    for cached in (winger.reconstruct_group, perms.finite_group, invariants._reynolds_basis):
+    for cached in (winger.reconstruct_group, perms.finite_group,
+                   invariants._reynolds_setup, invariants._reynolds_basis):
         cached.cache_clear()
     assert run(["all"]) == 0
     capsys.readouterr()
@@ -415,8 +434,11 @@ def test_claim_error_keeps_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(covers, "signature_solutions", boom)
     path = tmp_path / "report.json"
     assert run(["covers", "--json", str(path)]) == 3
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    out = captured.out
     assert "ERROR signature-unique" in out and "3 claims, 0 failed, 1 errors" in out
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert "in boom" in captured.err and "RuntimeError: injected" in captured.err
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
     assert claims["signature-unique"]["status"] == "error"
     assert claims["signature-unique"]["witness"] == {"type": "RuntimeError",
@@ -433,6 +455,8 @@ def test_suite_crash_keeps_other_suites(tmp_path, monkeypatch, capsys):
     path = tmp_path / "report.json"
     assert run(["all", "--json", str(path)]) == 3
     captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert "in crash" in captured.err and "KeyError: 'setup'" in captured.err
     assert "internal error in suite homology" in captured.err
     assert "ERROR suite-homology" in captured.out
     assert "4 claims, 0 failed, 1 errors" in captured.out
@@ -481,6 +505,29 @@ def test_tuple_enumeration_error_stays_in_its_claims(tmp_path, monkeypatch, caps
         ("braid-weighted-orbits", "error")]
     assert all(c["witness"] == {"type": "RuntimeError", "message": "no rtl classes"}
                for c in claims[3:])
+
+
+def test_claim_dict_keys_come_in_json_order():
+    report = ClaimReport(convention="rtl")
+    witness = {"b": [1, 2], "a": {"c": (3,)}}
+    run_claim(report, "some-claim", "a claim", lambda: (True, witness))
+    (claim,) = report.claims
+    data = claim.to_dict()
+    assert list(data) == ["id", "description", "status", "witness", "millis"]
+    assert data["witness"] == witness and list(data["witness"]) == ["b", "a"]
+    assert list(report.to_dict()) == ["version", "convention", "claims"]
+    assert report.to_dict()["claims"] == [data]
+    assert list(json.loads(report.to_json())["claims"][0]) == list(data)
+
+
+def test_suites_ship_as_a_package():
+    # `[tool.setuptools.packages.find]` ships only directories with an
+    # `__init__.py`
+    from setuptools import find_packages
+    assert sorted(find_packages(str(SRC))) == ["wingerverify", "wingerverify.suites"]
+    suites = SRC / "wingerverify" / "suites"
+    shipped = {info.name for info in pkgutil.iter_modules([str(suites)])}
+    assert shipped == set(cli.SUITE_MODULES.values())
 
 
 def test_pass_without_witness_is_refused():

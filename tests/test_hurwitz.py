@@ -226,3 +226,18 @@ def brute_force_tuple_classes(convention):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_tuple_classes_match_brute_force(convention):
     assert enumerate_tuple_classes(convention) == brute_force_tuple_classes(convention)
+
+
+def test_tuple_class_sorts_hashes_and_compares_by_its_rep():
+    classes = enumerate_tuple_classes("rtl")
+    assert sorted(classes) == sorted(classes, key=lambda c: c.rep)
+    a, b = sorted(classes)[:2]
+    assert a < b and a <= b and b > a and not b < a
+    assert min(b, a) is a and max(a, b) is b
+    same = TupleClass(tuple(a.rep))
+    assert same == a and same is not a and a != b
+    assert hash(same) == hash(a)
+    assert {a, b, same} == {a, b} and len({a, b, same}) == 2
+    with pytest.raises(AttributeError):
+        a.rep = b.rep
+    assert a.rep < b.rep

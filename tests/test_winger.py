@@ -83,6 +83,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
     assert not any(Matrix.from_rows(t).det().is_zero() for t in combinations(rows, 3))
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    u_ratios = [normalize_point(u)[:2] for u in u_rest]
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
@@ -91,7 +92,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
             c = kernel_scaling([b_inv.transpose().apply(rows[j]) for j in rest], u_rest)
             if c is not None:
                 oracle[rest] = normalize_point(c)
-        assert _triple_scalings(b_inv, rows, triple, u_rest) == oracle, triple
+        assert _triple_scalings(b_inv, rows, triple, u_ratios) == oracle, triple
         realized += len(oracle)
     assert realized == (60 if replaced is None else 1)
 
@@ -119,11 +120,12 @@ def test_scalings_match_the_four_division_form():
     rows = six_lines()
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    u_ratios = [normalize_point(u)[:2] for u in u_rest]
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
         oracle = four_division_scalings(b_inv, rows, triple, u_rest)
-        assert _triple_scalings(b_inv, rows, triple, u_rest) == oracle, triple
+        assert _triple_scalings(b_inv, rows, triple, u_ratios) == oracle, triple
         realized += len(oracle)
     assert realized == 60
 
