@@ -12,7 +12,8 @@ recorded, in its place, as skipped with the witness {"requires": <the
 failed claim's id>}.  The acceptance tests map each criterion to claim
 ids of this report instead of checking the mathematics again.  Witnesses
 hold exact values only (rationals and Q(zeta_5) elements, serialized as
-strings).
+strings).  The published values that several claims read are constants
+of `report`, which the suites import; `cli` re-exports them.
 
 Each suite, and each `Corruption` method, imports the layers it runs
 when it runs, so importing this module loads only `report` of the
@@ -37,6 +38,9 @@ import sys
 from importlib import import_module
 
 from .report import Claim, ClaimReport, error_witness
+# the published values, defined in `report` so that the suites never import `cli`
+from .report import (CLASS_SIZES, SINGULAR_MEMBERS, SYM_CUBE,  # noqa: F401
+                     SYM_CUBE_DECOMPOSITION)
 
 
 class Corruption:
@@ -83,15 +87,6 @@ class Corruption:
 
 
 # -- claim suites -----------------------------------------------------------------
-
-# Published values read by more than one claim, as plain data so that
-# importing the CLI loads no field: the member of Q^3 + lam*F singular on
-# each orbit off the conic, the symmetric cube of either 3-dimensional
-# character with its decomposition, and the class sizes.
-SINGULAR_MEMBERS = {6: "-1", 10: "27/5", 15: "infinity"}
-SYM_CUBE = (10, -2, 1, 0, 0)
-SYM_CUBE_DECOMPOSITION = {"I": 1, "I'": 1, "V": 1}
-CLASS_SIZES = [1, 12, 12, 15, 20]
 
 # suite -> the module of `suites` that defines check_<suite>, in the order
 # `all` runs them

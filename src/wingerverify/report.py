@@ -5,27 +5,23 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import namedtuple
 
 from . import __version__
 
 
-class Claim:
-    """One verdict: status is "pass", "fail", "skipped" or "error"."""
+# Published values read by more than one claim, as plain data so that
+# importing the CLI loads no field: the member of Q^3 + lam*F singular on
+# each orbit off the conic, the symmetric cube of either 3-dimensional
+# character with its decomposition, and the class sizes.
+SINGULAR_MEMBERS = {6: "-1", 10: "27/5", 15: "infinity"}
+SYM_CUBE = (10, -2, 1, 0, 0)
+SYM_CUBE_DECOMPOSITION = {"I": 1, "I'": 1, "V": 1}
+CLASS_SIZES = [1, 12, 12, 15, 20]
 
-    __slots__ = ("id", "description", "status", "witness", "millis")
-
-    def __init__(self, id: str, description: str, status: str, witness=None,
-                 millis: int = 0):
-        self.id = id
-        self.description = description
-        self.status = status
-        self.witness = witness
-        self.millis = millis
-
-    def to_dict(self) -> dict:
-        """The JSON fields, in the report's order."""
-        return {"id": self.id, "description": self.description, "status": self.status,
-                "witness": self.witness, "millis": self.millis}
+# One verdict: status is "pass", "fail", "skipped" or "error"; `_asdict()`
+# gives the JSON fields in the report's order.
+Claim = namedtuple("Claim", "id description status witness millis", defaults=(None, 0))
 
 
 class ClaimReport:
@@ -55,7 +51,7 @@ class ClaimReport:
         return {
             "version": self.version,
             "convention": self.convention,
-            "claims": [c.to_dict() for c in self.claims],
+            "claims": [c._asdict() for c in self.claims],
         }
 
     def to_json(self) -> str:

@@ -3,7 +3,7 @@ induced sign character, read from the `characters` layer."""
 
 from __future__ import annotations
 
-from ..cli import SYM_CUBE, SYM_CUBE_DECOMPOSITION
+from ..report import SYM_CUBE, SYM_CUBE_DECOMPOSITION
 from ..report import run_claim
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ..cli import CLASS_SIZES
+from ..report import CLASS_SIZES
 from ..report import run_claim
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..cli import SINGULAR_MEMBERS
+from ..report import SINGULAR_MEMBERS
 from ..report import Claim, run_claim
 
 

@@ -217,10 +217,11 @@ def test_base_locus_witness_names_the_member_and_point(tmp_path, capsys):
 
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so no correctness check may rest on one
-    for path in sorted((SRC / "wingerverify").glob("*.py")):
+    package = SRC / "wingerverify"
+    for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-        assert not lines, f"{path.name}: assert on lines {lines}"
+        assert not lines, f"{path.relative_to(package)}: assert on lines {lines}"
 
 
 def test_corrupted_matrix_fails(capsys):
@@ -338,11 +339,11 @@ def test_all_enumerates_tuple_classes_once(capsys):
 def package_caches():
     """Every module-level lru_cache of the package, once each."""
     caches = {}
-    for info in pkgutil.iter_modules([str(SRC / "wingerverify")]):
-        module = importlib.import_module(f"wingerverify.{info.name}")
+    for info in pkgutil.walk_packages([str(SRC / "wingerverify")], "wingerverify."):
+        module = importlib.import_module(info.name)
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                caches[f"{info.name}.{name}"] = obj
+                caches[f"{info.name.removeprefix('wingerverify.')}.{name}"] = obj
     return caches
 
 
@@ -512,7 +513,7 @@ def test_claim_dict_keys_come_in_json_order():
     witness = {"b": [1, 2], "a": {"c": (3,)}}
     run_claim(report, "some-claim", "a claim", lambda: (True, witness))
     (claim,) = report.claims
-    data = claim.to_dict()
+    data = claim._asdict()
     assert list(data) == ["id", "description", "status", "witness", "millis"]
     assert data["witness"] == witness and list(data["witness"]) == ["b", "a"]
     assert list(report.to_dict()) == ["version", "convention", "claims"]
@@ -528,6 +529,16 @@ def test_suites_ship_as_a_package():
     suites = SRC / "wingerverify" / "suites"
     shipped = {info.name for info in pkgutil.iter_modules([str(suites)])}
     assert shipped == set(cli.SUITE_MODULES.values())
+
+
+def test_suites_never_import_the_cli():
+    # run as `python -m wingerverify.cli`, a suite importing `cli` would
+    # execute cli.py a second time under its package name
+    for path in sorted((SRC / "wingerverify" / "suites").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sources = {node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module}
+        assert sources.isdisjoint({"cli", "wingerverify.cli"}), path.name
 
 
 def test_pass_without_witness_is_refused():

@@ -91,7 +91,7 @@ def float_sites(tree):
 
 
 def test_source_has_no_floating_point():
-    found = [f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+    found = [f"{path.relative_to(SRC)}:{line}: {what}" for path in sorted(SRC.rglob("*.py"))
              for line, what in float_sites(ast.parse(path.read_text()))]
     assert found == []
 
