@@ -13,16 +13,17 @@ failed claim's id>}.  The acceptance tests map each criterion to claim
 ids of this report instead of checking the mathematics again.  Witnesses
 hold exact values only (rationals and Q(zeta_5) elements, serialized as
 strings).  The published values that several claims read are constants
-of `report`, which the suites import; `cli` re-exports them.
+of `report`, which the suites import.
 
 Each suite, and each `Corruption` method, imports the layers it runs
 when it runs, so importing this module loads only `report` of the
-package, and of the standard library `argparse` and `json` beyond what
-the interpreter starts with (`traceback` is imported only when a suite or
-a claim raises).  A subcommand pays for no suite or layer it does not
-use: `tuples` loads only `suites.tuples`, `hurwitz` and `perms`, and the
-discriminant is loaded only by `--deep`.  A name is looked up in its
-defining module at that moment, so a test or tracer patches it there.
+package, and of the standard library `argparse` beyond what the
+interpreter starts with (`json` is imported only by `--json`, and
+`traceback` only when a suite or a claim raises).  A subcommand pays
+for no suite or layer it does not use: `tuples` loads only
+`suites.tuples`, `hurwitz` and `perms`, and the discriminant is loaded
+only by `--deep`.  A name is looked up in its defining module at that
+moment, so a test or tracer patches it there.
 
 Exit codes: 0 all claims pass, 1 at least one claim failed, 2 usage
 error (an unwritable --json path too, once the report is printed), 3
@@ -38,9 +39,6 @@ import sys
 from importlib import import_module
 
 from .report import Claim, ClaimReport, error_witness
-# the published values, defined in `report` so that the suites never import `cli`
-from .report import (CLASS_SIZES, SINGULAR_MEMBERS, SYM_CUBE,  # noqa: F401
-                     SYM_CUBE_DECOMPOSITION)
 
 
 class Corruption:

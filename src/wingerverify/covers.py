@@ -1,4 +1,4 @@
-"""Branched-cover arithmetic: orbifold signatures, genera of regular covers,
+"""Branched-cover arithmetic: orbifold signatures, the Riemann-Hurwitz genus,
 degeneration combinatorics for the 20 tuple classes, and the binary
 icosahedral group as unit quaternions.
 """
@@ -51,19 +51,6 @@ def riemann_hurwitz_genus(group_order: int, branch_orders):
     return int(g) if g.denominator == 1 else g
 
 
-def regular_cover_genus(group_order: int, branch_orders) -> int:
-    """Genus of a regular cover of P^1 from the Riemann-Hurwitz count;
-    ValueError for data that no such cover has."""
-    for o in branch_orders:
-        if group_order % o:
-            raise ValueError(f"branch order {o} does not divide the group order "
-                             f"{group_order}")
-    g = riemann_hurwitz_genus(group_order, branch_orders)
-    if not isinstance(g, int) or g < 0:
-        raise ValueError(f"non-integral or negative genus {g}")
-    return g
-
-
 # n: order of g3*g4 (node-stabilizer generator); nodes: e = 30/n;
 # components: v = 60 / |<g1, g2, g3*g4>|; component_genus: an int, a
 # Fraction or negative only for a faulty tuple; arithmetic_genus
@@ -96,7 +83,7 @@ def degeneration_report(t) -> DegenerationReport:
 
 
 def all_degeneration_reports():
-    return [(cls, degeneration_report(cls.rep)) for cls in enumerate_tuple_classes("rtl")]
+    return [(cls, degeneration_report(cls)) for cls in enumerate_tuple_classes("rtl")]
 
 
 # -- binary icosahedral group as unit quaternions -------------------------------

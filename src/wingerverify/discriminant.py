@@ -8,8 +8,8 @@ rows linear in lam and 15 Bezout rows, from the Morley form, cubic in
 lam; its determinant is the resultant with no extraneous factor.  Two
 auxiliary unknowns per Bezout row make it the 75x75 linear pencil
 A + lam*B with the same determinant, computed as an exact integer
-polynomial in lam: per Proth prime below 2^240, proven by Proth's
-theorem from a stored certificate, one inversion and one Hessenberg
+polynomial in lam: per prime of a table of five Proth primes, each
+proven from its stored certificate, one inversion and one Hessenberg
 characteristic polynomial mod p, then the Chinese remainder theorem past
 a Hadamard bound (two primes).  A nonzero constant left after dividing
 out, on integers, the roots that the caller expects certifies that no
@@ -236,17 +236,13 @@ _PROTH_CERTIFICATES = ((0x36, 5), (0x6c, 5), (0x110, 3), (0x25a, 3), (0x462, 7))
 
 
 def _proth_primes():
-    """Proven primes k*2^120 + 1 (k odd, k < 2^120) below 2^240, descending.
+    """The five primes of `_PROTH_CERTIFICATES`, descending, each proven at use.
 
     By Proth's theorem (Crandall-Pomerance, Prime Numbers, ch. 4),
     p = k*2^m + 1 with k odd and k < 2^m is prime iff some a has
-    a^((p-1)/2) = -1 mod p.  The first primes come from
-    `_PROTH_CERTIFICATES`, each proven at use by its witness a, a
-    certificate checked in one power (Pratt, "Every prime has a succinct
-    certificate", SIAM J. Comput. 4, 1975).  Below them the search
-    resumes: a prime p gives +-1 for every a (Euler's criterion), so any
-    other value proves p composite; a candidate whose small bases all
-    give 1 is skipped.
+    a^((p-1)/2) = -1 mod p, so the stored witness a is a certificate
+    checked in one power (Pratt, "Every prime has a succinct
+    certificate", SIAM J. Comput. 4, 1975).
     """
     step = 1 << 120
     for offset, a in _PROTH_CERTIFICATES:
@@ -254,14 +250,6 @@ def _proth_primes():
         if pow(a, p >> 1, p) != p - 1:
             raise ArithmeticError(f"{a} is no Proth witness for {p}")
         yield p
-    for k in range(step - 3 - _PROTH_CERTIFICATES[-1][0], 0, -2):
-        p = k * step + 1
-        for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            x = pow(a, p >> 1, p)
-            if x != 1:
-                break
-        if x == p - 1:
-            yield p
 
 
 def _pencil_bound(a, b) -> int:
@@ -397,16 +385,20 @@ def _pencil_det_mod(a, b, p):
 def _pencil_det(a, b):
     """Exact integer coefficients (lowest first) of det(A + lam*B).
 
-    Residues modulo the Proth primes below 2^240 are combined by the
+    Residues modulo the certified Proth primes are combined by the
     Chinese remainder theorem until the modulus exceeds twice the
-    coefficient bound, so the symmetric residues are the coefficients.
+    coefficient bound, so the symmetric residues are the coefficients;
+    ArithmeticError if the five primes do not reach it.
     """
     half = _pencil_bound(a, b)
     coeffs = [0] * (len(a) + 1)
     modulus = 1
     primes = _proth_primes()
     while modulus <= 2 * half:
-        p = next(primes)
+        p = next(primes, None)
+        if p is None:
+            raise ArithmeticError("the coefficient bound needs more than the five "
+                                  "certified primes")
         res = _pencil_det_mod(a, b, p)
         lift = pow(modulus, -1, p)
         coeffs = [x + modulus * ((r - x) * lift % p) for x, r in zip(coeffs, res)]

@@ -2,7 +2,8 @@
 
 An element of A5 is its index into `alternating_group_5()`, whose
 element list is lexicographic, so the least index tuple is the least
-permutation tuple; `canonical_class` reads it from one centralizer coset
+permutation tuple.  A class under simultaneous conjugation is its least
+tuple, which `canonical_class` reads from one centralizer coset
 (`FiniteGroup.least_conjugate`), not from the whole conjugation orbit.
 The composition convention is inherited from perms: (g*h)(x) = g(h(x)).
 `tuple_product` alone knows how a tuple is read; its left-to-right reading
@@ -11,7 +12,6 @@ is for cross-checking convention-sensitive tables.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 
 from .perms import alternating_group_5, parse_cycles
@@ -83,27 +83,20 @@ def involution_factorizations(h: int):
 # -- tuple classes ---------------------------------------------------------------
 
 
-class TupleClass(namedtuple("TupleClass", "rep")):
-    """Canonical representative of a simultaneous-conjugation class: the
-    least index tuple in it.  Immutable; equal, hashed and ordered by `rep`."""
-
-    __slots__ = ()
-
-    @property
-    def r_value(self) -> int:
-        """Order of g1*g2 (equivalently of (g3*g4)^-1)."""
-        a5 = alternating_group_5()
-        return a5.orders[a5.table[self.rep[0]][self.rep[1]]]
-
-    @property
-    def g1_class(self) -> str:
-        """Cycle string of the lexicographically least A5-conjugate of g1."""
-        a5 = alternating_group_5()
-        return a5.elements[a5.class_of[self.rep[0]][0]].cycle_string()
+def canonical_class(t) -> tuple:
+    return alternating_group_5().least_conjugate(tuple(t))
 
 
-def canonical_class(t) -> TupleClass:
-    return TupleClass(alternating_group_5().least_conjugate(tuple(t)))
+def r_value(t) -> int:
+    """Order of g1*g2 (equivalently of (g3*g4)^-1)."""
+    a5 = alternating_group_5()
+    return a5.orders[a5.table[t[0]][t[1]]]
+
+
+def g1_class(t) -> str:
+    """Cycle string of the lexicographically least A5-conjugate of g1."""
+    a5 = alternating_group_5()
+    return a5.elements[a5.class_of[t[0]][0]].cycle_string()
 
 
 def is_generating(t) -> bool:
@@ -134,7 +127,7 @@ def enumerate_tuple_classes(convention: str):
                 if a5.orders[g4] != 2:
                     continue
                 cls = canonical_class((g1, g2, g3, g4))
-                if cls not in classes and is_generating(cls.rep):
+                if cls not in classes and is_generating(cls):
                     classes.add(cls)
     return tuple(sorted(classes))
 
@@ -185,7 +178,7 @@ def braid_orbits(classes, generator_set: str, convention: str = "rtl"):
     orbits = []
     while pool:
         start = min(pool)
-        frontier = [start.rep]
+        frontier = [start]
         members = {start}
         while frontier:
             nxt = []
@@ -197,7 +190,7 @@ def braid_orbits(classes, generator_set: str, convention: str = "rtl"):
                         cls = canonical_class(image)
                         if cls not in members:
                             members.add(cls)
-                            nxt.append(cls.rep)
+                            nxt.append(cls)
             frontier = nxt
         orbits.append(frozenset(members))
         pool -= members
@@ -230,13 +223,13 @@ def validate_tuple_table(classes):
     that match none.
     """
     a5 = alternating_group_5()
-    by_rep = set(classes)
+    known = set(classes)
     matched, unmatched = [], []
     for row in TUPLE_TABLE_ROWS:
         t = tuple(a5.index[parse_cycles(s, 5)] for s in row)
         hits = [c for c in (canonical_class(t),
                             canonical_class(a5.inverse[g] for g in t))
-                if c in by_rep]
+                if c in known]
         if hits:
             matched.append(hits[0])
         else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from collections import namedtuple
@@ -55,6 +54,7 @@ class ClaimReport:
         }
 
     def to_json(self) -> str:
+        import json  # only a --json run pays for it
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 

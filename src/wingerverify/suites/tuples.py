@@ -34,12 +34,12 @@ def check_tuples(report, args, corruption):
         matched = set()
         for r, a, b in hurwitz.PAIR_REPRESENTATIVES:
             g1, g2 = a5.index[parse_cycles(a, 5)], a5.index[parse_cycles(b, 5)]
-            ok = ok and a5.orders[a5.table[g1][g2]] == r
+            ok = ok and hurwitz.r_value((g1, g2)) == r
             hits = [i for i, o in enumerate(orbits) if (g1, g2) in o]
             ok = ok and len(hits) == 1
             matched.update(hits)
         ok = ok and len(matched) == 6
-        rvals = sorted(a5.orders[a5.table[g1][g2]] for g1, g2 in map(min, orbits))
+        rvals = sorted(hurwitz.r_value(min(o)) for o in orbits)
         ok = ok and rvals == [2, 2, 3, 3, 5, 5]
         return ok, {"orbits": len(orbits), "sizes": [len(o) for o in orbits],
                     "r_values": rvals}
@@ -77,8 +77,8 @@ def check_tuples(report, args, corruption):
 
     def tuple_class_count(conv):
         classes = tuple_classes(conv)
-        by_r = Counter(c.r_value for c in classes)
-        by_g1 = Counter(c.g1_class for c in classes)
+        by_r = Counter(map(hurwitz.r_value, classes))
+        by_g1 = Counter(map(hurwitz.g1_class, classes))
         ok = (len(classes) == 20 and by_r == Counter({2: 4, 3: 6, 5: 10})
               and sorted(by_g1.values()) == [10, 10])
         return ok, {"classes": len(classes), "by_r": dict(sorted(by_r.items())),
@@ -87,7 +87,7 @@ def check_tuples(report, args, corruption):
     def table_rows(conv):
         classes = tuple_classes(conv)
         matched, unmatched = hurwitz.validate_tuple_table(classes)
-        want = {c for c in classes if c.g1_class == "(12345)"}
+        want = {c for c in classes if hurwitz.g1_class(c) == "(12345)"}
         witness = {"rows_matched": len(matched)}
         if unmatched:
             witness["unmatched"] = unmatched
@@ -99,10 +99,10 @@ def check_tuples(report, args, corruption):
         parts = hurwitz.braid_orbits(tuple_classes(conv), gen_set, conv)
         ok = len(parts) == 2 and all(len(p) == 10 for p in parts)
         for p in parts:
-            ok = ok and len({c.g1_class for c in p}) == 1
-            ok = ok and {c.r_value for c in p} == {2, 3, 5}
+            ok = ok and len(set(map(hurwitz.g1_class, p))) == 1
+            ok = ok and set(map(hurwitz.r_value, p)) == {2, 3, 5}
         return ok, {"orbit_sizes": sorted(len(p) for p in parts),
-                    "g1_blocks": sorted(min(p).g1_class for p in parts)}
+                    "g1_blocks": sorted(hurwitz.g1_class(min(p)) for p in parts)}
 
     for conv in conventions:
         tag = "" if conv == "rtl" else "-ltr"

@@ -1,6 +1,6 @@
 """Reference prime search for the test oracles.
 
-`discriminant._proth_primes` now starts from a table of Proth
+`discriminant._proth_primes` yields only the primes of a table of Proth
 certificates; this is the search that found them, kept as the table's
 reference.
 """

@@ -3,19 +3,22 @@
 The helpers compute and return values; a fault inside one of them must
 end as a `fail` of the claim that judges its result, with that claim's
 own computed witness, never as an `error` or a crashed suite.  Each test
-injects one fault where a helper used to raise on its own result.
+injects one fault where a helper used to raise on its own result; the
+last ones give each claim that had no fault one that fails it.
 """
 
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 
+from test_exactness import exact
 from wingerverify import characters, cli, covers, hurwitz, invariants, winger
 from wingerverify.cli import main
 from wingerverify.cyclo import rational
-from wingerverify.hurwitz import TupleClass
 from wingerverify.perms import alternating_group_5
+from wingerverify.report import SINGULAR_MEMBERS
 
 def cleared(*caches):
     """Clears the caches before and after a test, so that a fault reaches
@@ -235,7 +238,7 @@ def test_stray_parameter_fails_its_orbit_claim(size, claim_id, fresh_group, tmp_
     code, claims = report(["pencil"], tmp_path, capsys)
     assert failing(code, claims) == {claim_id, "node-nondegeneracy"}
     assert claims[claim_id]["witness"] == {
-        "orbit": size, "values": sorted([cli.SINGULAR_MEMBERS[size], "1/2"]),
+        "orbit": size, "values": sorted([SINGULAR_MEMBERS[size], "1/2"]),
         "point": [str(c) for c in point], "lambda": "1/2"}
 
 
@@ -295,8 +298,8 @@ def test_trivial_coalesced_monodromy_fails_degenerations(tmp_path, monkeypatch, 
     # that degeneration-reports does not list
     classes = hurwitz.enumerate_tuple_classes("rtl")
     a5 = alternating_group_5()
-    g1, _, h, _ = classes[0].rep
-    faulty = (TupleClass((g1, a5.inverse[g1], h, h)),) + classes[1:]
+    g1, _, h, _ = classes[0]
+    faulty = ((g1, a5.inverse[g1], h, h),) + classes[1:]
     monkeypatch.setattr(covers, "enumerate_tuple_classes", lambda convention: faulty)
     code, claims = report(["degenerations"], tmp_path, capsys)
     assert failing(code, claims) == {"degeneration-reports"}
@@ -372,8 +375,8 @@ def test_coalesced_monodromy_of_negative_genus_fails_degenerations(tmp_path, mon
     # A5: Riemann-Hurwitz gives the component genus -20, a shape the
     # claim rejects
     classes = hurwitz.enumerate_tuple_classes("rtl")
-    g1, g2, h, _ = classes[0].rep
-    faulty = (TupleClass((g1, g2, h, h)),) + classes[1:]
+    g1, g2, h, _ = classes[0]
+    faulty = ((g1, g2, h, h),) + classes[1:]
     monkeypatch.setattr(covers, "enumerate_tuple_classes", lambda convention: faulty)
     code, claims = report(["degenerations"], tmp_path, capsys)
     assert failing(code, claims) == {"degeneration-reports"}
@@ -382,3 +385,73 @@ def test_coalesced_monodromy_of_negative_genus_fails_degenerations(tmp_path, mon
     assert genera["status"] == "pass"
     assert genera["witness"]["genera"] == {"60,{5,2,2,2}": 10, "3,12x{3}": 10,
                                            "10,{5,2,2}": 0, "60,{5,2,5}": 4}
+
+
+# -- a fault for each claim that had none ------------------------------------------
+
+def _merge_first_two(orbits):
+    return [orbits[0] | orbits[1], *orbits[2:]]
+
+
+# claim -> (suite, module, name, the fault as a wrapper of the original, the
+# claims that the fault fails)
+CLAIM_FAULTS = {
+    "order-sets": (
+        "tuples", hurwitz, "order_sets",
+        lambda order_sets: lambda: {**order_sets(), 2: order_sets()[2][1:]},
+        {"order-sets", "involution-factorizations"}),
+    "pair-orbits-free-6": (
+        "tuples", hurwitz, "pair_orbits",
+        lambda pair_orbits: lambda: _merge_first_two(pair_orbits()),
+        {"pair-orbits-free-6"}),
+    "involution-factorizations": (
+        "tuples", hurwitz, "involution_factorizations",
+        lambda factorizations: lambda h: factorizations(h) - {min(factorizations(h))},
+        {"involution-factorizations"}),
+    "alpha-values": (
+        "covers", covers, "alpha_value",
+        lambda alpha_value: lambda k: alpha_value(k) + (k == 3),
+        {"alpha-values"}),
+    "signature-unique": (
+        "covers", covers, "signature_solutions",
+        lambda solutions: lambda: solutions() + [(1, (2,))],
+        {"signature-unique"}),
+    "riemann-hurwitz-genera": (
+        "covers", covers, "riemann_hurwitz_genus",
+        lambda genus: lambda n, orders: genus(n, orders) + (n == 10),
+        {"riemann-hurwitz-genera"}),
+    "binary-icosahedral": (
+        "binary", covers, "binary_icosahedral_group",
+        lambda group: lambda: group() - {covers.Quaternion(-1, 0, 0, 0)},
+        {"binary-icosahedral"}),
+}
+
+
+@pytest.fixture
+def fresh_tuple_classes():
+    # a fault in `order_sets` must neither reach nor outlive the cached classes
+    yield from cleared(hurwitz.enumerate_tuple_classes)
+
+
+@pytest.mark.parametrize("claim_id", CLAIM_FAULTS)
+def test_fault_fails_its_claim(claim_id, fresh_tuple_classes, tmp_path, monkeypatch,
+                               capsys):
+    suite, module, name, fault, want = CLAIM_FAULTS[claim_id]
+    passing = report([suite], tmp_path, capsys)[1][claim_id]
+    assert passing["status"] == "pass"
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, claims = report([suite], tmp_path, capsys)
+    assert failing(code, claims) == want
+    witness = claims[claim_id]["witness"]
+    assert witness != passing["witness"]
+    assert all(exact(claims[i]["witness"]) for i in want)
+
+
+def test_non_integral_genus_fails_with_an_exact_witness(tmp_path, monkeypatch, capsys):
+    # a Fraction genus reaches the JSON report as a string, not as a crash
+    genus = covers.riemann_hurwitz_genus
+    monkeypatch.setattr(covers, "riemann_hurwitz_genus",
+                        lambda n, orders: genus(n, orders) + Fraction(1, 2) * (n == 3))
+    code, claims = report(["covers"], tmp_path, capsys)
+    assert failing(code, claims) == {"riemann-hurwitz-genera"}
+    assert claims["riemann-hurwitz-genera"]["witness"]["genera"]["3,12x{3}"] == "21/2"

@@ -134,6 +134,17 @@ def test_cli_import_loads_no_error_path_module(cli_import_modules):
     assert ERROR_PATH_MODULES.isdisjoint(cli_import_modules)
 
 
+def json_modules(modules):
+    return {m for m in modules if m.split(".")[0] in ("json", "_json")}
+
+
+def test_only_a_json_report_loads_json(cli_import_modules):
+    # `ClaimReport.to_json` imports it, so a run without --json never does
+    assert json_modules(cli_import_modules) == set()
+    assert json_modules(loaded_modules("tuples", "--convention", "ltr")) == set()
+    assert "json" in loaded_modules("tuples", "--json", "-")
+
+
 def test_tuples_load_only_the_permutation_layers():
     modules = loaded_modules("tuples", "--convention", "ltr")
     assert package_modules(modules) == {"cli", "report", "suites", "suites.tuples",

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,9 +9,10 @@ from wingerverify.covers import (DegenerationReport, Quaternion, alpha_value,
                                  all_degeneration_reports,
                                  binary_icosahedral_checks,
                                  binary_icosahedral_group, degeneration_report,
-                                 regular_cover_genus, signature_solutions)
+                                 riemann_hurwitz_genus, signature_solutions)
 from wingerverify.cli import main
 from wingerverify.cyclo import rational
+from wingerverify.hurwitz import r_value
 from wingerverify.perms import Perm, alternating_group_5
 
 
@@ -25,12 +27,13 @@ def test_signature_unique():
 
 
 def test_regular_cover_genera():
-    assert regular_cover_genus(60, (5, 2, 2, 2)) == 10
-    assert regular_cover_genus(3, [3] * 12) == 10
-    assert regular_cover_genus(10, (5, 2, 2)) == 0
-    assert regular_cover_genus(60, (5, 2, 5)) == 4
-    with pytest.raises(ValueError):
-        regular_cover_genus(10, (3,))  # 3 does not divide 10
+    assert riemann_hurwitz_genus(60, (5, 2, 2, 2)) == 10
+    assert riemann_hurwitz_genus(3, [3] * 12) == 10
+    assert riemann_hurwitz_genus(10, (5, 2, 2)) == 0
+    assert riemann_hurwitz_genus(60, (5, 2, 5)) == 4
+    # 3 does not divide 10: no such cover, and the genus says so
+    genus = riemann_hurwitz_genus(10, (3,))
+    assert genus == Fraction(-17, 3) and type(genus) is Fraction
 
 
 def test_degeneration_shapes():
@@ -47,8 +50,8 @@ def test_degeneration_shapes():
     # arithmetic on the class's elements
     elements = alternating_group_5().elements
     for cls, r in reports:
-        g1, g2, g3, g4 = (elements[g] for g in cls.rep)
-        assert r.n == (g3 * g4).order() == cls.r_value
+        g1, g2, g3, g4 = (elements[g] for g in cls)
+        assert r.n == (g3 * g4).order() == r_value(cls)
         assert r.components == 60 // len(perm_closure((g1, g2, g3 * g4)))
 
 

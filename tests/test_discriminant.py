@@ -225,7 +225,7 @@ def test_hessenberg_charpoly_matches_sympy(rows, p):
 
 
 def test_proth_primes_are_proven_and_descending():
-    primes = list(islice(_proth_primes(), 12))
+    primes = list(_proth_primes())
     assert primes[0] < 2 ** 240
     assert all(p > q for p, q in zip(primes, primes[1:]))
     for p in primes:
@@ -237,10 +237,17 @@ def test_proth_primes_are_proven_and_descending():
 
 def test_proth_certificates_are_the_first_primes_of_the_search():
     # the table holds the first five primes that the search proves, and
-    # the search resumes below them without a gap
+    # nothing else
     n = len(_PROTH_CERTIFICATES)
     assert n == 5
-    assert list(islice(_proth_primes(), n + 2)) == list(islice(proth_search(), n + 2))
+    assert list(_proth_primes()) == list(islice(proth_search(), n))
+
+
+def test_pencil_det_past_the_certified_primes_raises():
+    # the bound 2^1300 + 2 needs a modulus past 2^1301; the five primes
+    # of about 2^240 reach only 2^1200
+    with pytest.raises(ArithmeticError, match="certified primes"):
+        _pencil_det([[2 ** 1300]], [[0]])
 
 
 def test_pencil_deep_takes_its_primes_from_the_certificates(monkeypatch, tmp_path):

@@ -10,10 +10,10 @@ from collections import Counter
 import pytest
 
 from wingerverify.hurwitz import (CONVENTIONS, PAIR_REPRESENTATIVES,
-                                  TUPLE_TABLE_ROWS, TupleClass, braid_orbits,
+                                  TUPLE_TABLE_ROWS, braid_orbits,
                                   canonical_class, enumerate_tuple_classes,
-                                  hurwitz_move, involution_factorizations,
-                                  is_generating, order_sets, pair_orbits,
+                                  g1_class, hurwitz_move, involution_factorizations,
+                                  is_generating, order_sets, pair_orbits, r_value,
                                   tuple_product, validate_tuple_table)
 from wingerverify.perms import Perm, alternating_group_5, parse_cycles
 
@@ -95,27 +95,27 @@ def test_involution_factorizations():
 def test_twenty_classes_and_splits():
     classes = enumerate_tuple_classes("rtl")
     assert len(classes) == 20
-    assert Counter(c.r_value for c in classes) == Counter({2: 4, 3: 6, 5: 10})
-    assert Counter(c.g1_class for c in classes) == Counter(
+    assert Counter(r_value(c) for c in classes) == Counter({2: 4, 3: 6, 5: 10})
+    assert Counter(g1_class(c) for c in classes) == Counter(
         {"(12345)": 10, "(12354)": 10})
     for c in classes:
-        g1, g2, g3, g4 = (E[g] for g in c.rep)
+        g1, g2, g3, g4 = (E[g] for g in c)
         assert (g1.order(), g2.order(), g3.order(), g4.order()) == (5, 2, 2, 2)
         assert g1 * g2 * g3 * g4 == IDENTITY
-        assert c.r_value == (g1 * g2).order()
+        assert r_value(c) == (g1 * g2).order()
 
 
 def test_classes_stable_under_iteration_order():
     classes = enumerate_tuple_classes("rtl")
     x = parse_cycles("(253)", 5)
     for c in classes[::5]:
-        t = tuple(A5.index[x * E[g] * x.inverse()] for g in c.rep)
+        t = tuple(A5.index[x * E[g] * x.inverse()] for g in c)
         assert canonical_class(t) == c
 
 
 def test_hurwitz_move_roundtrip_and_product():
     classes = enumerate_tuple_classes("rtl")
-    t = classes[0].rep
+    t = classes[0]
     for k in (1, 2, 3):
         moved = hurwitz_move(k, t)
         assert perm_product(moved) == IDENTITY
@@ -130,7 +130,7 @@ def test_hurwitz_move_matches_perm_formula():
         classes = enumerate_tuple_classes(conv)
         assert len(classes) == 20
         for cls in classes:
-            t = cls.rep
+            t = cls
             for k in (1, 2, 3):
                 a, b = E[t[k - 1]], E[t[k]]
                 if conv == "rtl":
@@ -152,7 +152,7 @@ def test_first_displayed_map_is_braid_square_mod_conjugation():
     # orientation) composed with global conjugation by c, which acts
     # trivially on classes
     for cls in enumerate_tuple_classes("rtl")[::4]:
-        t = cls.rep
+        t = cls
         a1, a2, a3, a4 = (E[g] for g in t)
         c = a1 * a2
         displayed = tuple(A5.index[g] for g in
@@ -168,8 +168,8 @@ def test_braid_orbits_pure_and_weighted():
         parts = braid_orbits(classes, gen_set)
         assert sorted(len(p) for p in parts) == [10, 10]
         for p in parts:
-            assert len({c.g1_class for c in p}) == 1
-            assert {c.r_value for c in p} == {2, 3, 5}
+            assert len({g1_class(c) for c in p}) == 1
+            assert {r_value(c) for c in p} == {2, 3, 5}
 
 
 def test_second_displayed_map_preserves_weighted_orbits():
@@ -179,7 +179,7 @@ def test_second_displayed_map_preserves_weighted_orbits():
     parts = braid_orbits(classes, "weighted")
     whereis = {c: i for i, p in enumerate(parts) for c in p}
     for c in classes:
-        a1, a2, a3, a4 = (E[g] for g in c.rep)
+        a1, a2, a3, a4 = (E[g] for g in c)
         image = (a2.inverse() * a1 * a2, a3 * a2 * a3.inverse(), a3,
                  a2.inverse() * a4 * a2)
         assert image[0] * image[1] * image[2] * image[3] == IDENTITY
@@ -192,14 +192,14 @@ def test_table_rows_validate():
     matched, unmatched = validate_tuple_table(classes)
     assert unmatched == []
     assert len(matched) == 10
-    assert set(matched) == {c for c in classes if c.g1_class == "(12345)"}
+    assert set(matched) == {c for c in classes if g1_class(c) == "(12345)"}
 
 
 def test_ltr_enumeration_matches_counts():
     classes = enumerate_tuple_classes("ltr")
     assert len(classes) == 20
     for c in classes:
-        assert perm_product(c.rep, "ltr") == IDENTITY
+        assert perm_product(c, "ltr") == IDENTITY
     parts = braid_orbits(classes, "pure", "ltr")
     assert sorted(len(p) for p in parts) == [10, 10]
 
@@ -219,7 +219,7 @@ def brute_force_tuple_classes(convention):
                     continue
                 orbit = A5.conjugates(t)
                 seen |= orbit
-                classes.add(TupleClass(min(orbit)))
+                classes.add(min(orbit))
     return tuple(sorted(classes))
 
 
@@ -227,17 +227,3 @@ def brute_force_tuple_classes(convention):
 def test_tuple_classes_match_brute_force(convention):
     assert enumerate_tuple_classes(convention) == brute_force_tuple_classes(convention)
 
-
-def test_tuple_class_sorts_hashes_and_compares_by_its_rep():
-    classes = enumerate_tuple_classes("rtl")
-    assert sorted(classes) == sorted(classes, key=lambda c: c.rep)
-    a, b = sorted(classes)[:2]
-    assert a < b and a <= b and b > a and not b < a
-    assert min(b, a) is a and max(a, b) is b
-    same = TupleClass(tuple(a.rep))
-    assert same == a and same is not a and a != b
-    assert hash(same) == hash(a)
-    assert {a, b, same} == {a, b} and len({a, b, same}) == 2
-    with pytest.raises(AttributeError):
-        a.rep = b.rep
-    assert a.rep < b.rep
