@@ -7,11 +7,14 @@ them in the order `all` runs them (the subcommands are its keys and
 layer that they read (`SUITE_MODULES`), and `SUITES` imports a suite's
 module on its first call.  A claim is the only place where its verdict
 is reached: helpers compute values, and each suite reads its inputs
-inside its claims.  A claim that reads what a failed claim builds is
-recorded, in its place, as skipped with the witness {"requires": <the
-failed claim's id>}.  The acceptance tests map each criterion to claim
-ids of this report instead of checking the mathematics again.  Witnesses
-hold exact values only (rationals and Q(zeta_5) elements, serialized as
+inside its claims.  `run_claim` alone decides skip and error: a claim
+that reads what another claim builds names it (`requires=<id>`) and is
+skipped, with the witness {"requires": <id>}, when that claim is in the
+report without a pass (a suite run alone runs it); a raise or a pass
+with an empty witness is an error of that claim.
+The acceptance tests map each criterion to claim ids of this report
+instead of checking the mathematics again.  Witnesses hold exact values
+only (rationals and Q(zeta_5) elements, which `to_json` writes as
 strings).  The published values that several claims read are constants
 of `report`, which the suites import.
 

@@ -183,14 +183,13 @@ def braid_orbits(classes, generator_set: str, convention: str = "rtl"):
         while frontier:
             nxt = []
             for t in frontier:
+                # a word permutes the finite set of classes, so its inverse
+                # is a power of it and the forward closure is the orbit
                 for word in words:
-                    for image in (_move_word(t, word, convention),
-                                  _move_word(t, [(k, not inv) for k, inv in reversed(word)],
-                                             convention)):
-                        cls = canonical_class(image)
-                        if cls not in members:
-                            members.add(cls)
-                            nxt.append(cls)
+                    cls = canonical_class(_move_word(t, word, convention))
+                    if cls not in members:
+                        members.add(cls)
+                        nxt.append(cls)
             frontier = nxt
         orbits.append(frozenset(members))
         pool -= members

@@ -17,6 +17,8 @@ SINGULAR_MEMBERS = {6: "-1", 10: "27/5", 15: "infinity"}
 SYM_CUBE = (10, -2, 1, 0, 0)
 SYM_CUBE_DECOMPOSITION = {"I": 1, "I'": 1, "V": 1}
 CLASS_SIZES = [1, 12, 12, 15, 20]
+# The claim that builds the group, which the claims that read it require.
+RECONSTRUCTION = "group-reconstruction-60"
 
 # One verdict: status is "pass", "fail", "skipped" or "error"; `_asdict()`
 # gives the JSON fields in the report's order.
@@ -34,8 +36,6 @@ class ClaimReport:
     def add(self, claim: Claim):
         if any(c.id == claim.id for c in self.claims):
             raise ValueError(f"duplicate claim id {claim.id}")
-        if claim.status == "pass" and not claim.witness:
-            raise ValueError(f"passing claim {claim.id} has no witness")
         self.claims.append(claim)
 
     @property
@@ -54,8 +54,10 @@ class ClaimReport:
         }
 
     def to_json(self) -> str:
+        """The report as JSON; a value json cannot write, such as a
+        `Fraction` or a `Cyclo`, is written as its exact string."""
         import json  # only a --json run pays for it
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False, default=str)
 
 
 def error_witness(exc: Exception) -> dict:
@@ -63,25 +65,30 @@ def error_witness(exc: Exception) -> dict:
     return {"type": type(exc).__name__, "message": str(exc)}
 
 
-def run_claim(report: ClaimReport, claim_id: str, description: str, fn):
-    """Execute one check; fn returns (ok, witness), and a pass must carry a
-    computed witness (`ClaimReport.add` refuses an empty one).
+def run_claim(report: ClaimReport, claim_id: str, description: str, fn, requires=None):
+    """Execute one check and record its verdict; fn returns (ok, witness).
 
-    An exception inside fn is an internal error, not a verdict: the claim
-    is recorded with status "error" and the exception's type and message
-    as its witness, the traceback goes to stderr, and the caller goes on
-    with the remaining claims.
+    If the claim `requires` is in the report without a pass, fn is not
+    called and the claim is skipped with the witness {"requires": <its id>}.
+    An exception inside fn, or a pass with an empty witness, is an internal
+    error, not a verdict: the claim is recorded as "error" with the
+    exception's type and message as its witness, the traceback goes to
+    stderr, and the caller goes on with the remaining claims.
     """
+    if any(c.id == requires and c.status != "pass" for c in report.claims):
+        report.add(Claim(claim_id, description, "skipped", {"requires": requires}))
+        return
     start = time.monotonic()
     try:
         ok, witness = fn()
+        if ok and not witness:
+            raise ValueError(f"passing claim {claim_id} has no witness")
     except Exception as exc:  # noqa: BLE001 - one crashed claim must not lose the report
         import traceback
         traceback.print_exc(file=sys.stderr)
-        ok, status, witness = False, "error", error_witness(exc)
+        status, witness = "error", error_witness(exc)
     else:
         status = "pass" if ok else "fail"
     elapsed = int((time.monotonic() - start) * 1000)
     report.add(Claim(id=claim_id, description=description, status=status,
                      witness=witness, millis=elapsed))
-    return ok

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from ..report import run_claim
+from ..report import RECONSTRUCTION, run_claim
 
 
 def check_invariants(report, args, corruption):
@@ -26,7 +26,7 @@ def check_invariants(report, args, corruption):
                     "matches_closed_form": series == closed}
     run_claim(report, "molien-closed-form",
               "Molien series to degree 30 equals (1+T^15)/((1-T^2)(1-T^6)(1-T^10))",
-              molien)
+              molien, requires=RECONSTRUCTION)
 
     def reynolds():
         series, mats, dims = molien_terms(), corruption.matrices(), {}
@@ -41,7 +41,7 @@ def check_invariants(report, args, corruption):
         return True, {"dims": {str(k): v for k, v in dims.items()}}
     run_claim(report, "reynolds-dimensions",
               "explicit invariant bases match the Molien coefficients at d <= 12, 15",
-              reynolds)
+              reynolds, requires=RECONSTRUCTION)
 
     def degree6():
         try:
@@ -57,4 +57,4 @@ def check_invariants(report, args, corruption):
     run_claim(report, "degree6-invariants",
               "the 28-dimensional sextic space has a 2-dimensional invariant "
               "subspace spanned by Q^3 and F",
-              degree6)
+              degree6, requires=RECONSTRUCTION)

@@ -6,8 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb
 
-from ..report import CLASS_SIZES
-from ..report import Claim, run_claim
+from ..report import CLASS_SIZES, RECONSTRUCTION, run_claim
 
 
 def check_orbits(report, args, corruption):
@@ -22,24 +21,16 @@ def check_orbits(report, args, corruption):
         except ReconstructionError as exc:  # a fault in the search is a verdict
             return False, str(exc)
         return len(group) == 60, {"survivors": len(group)}
-    built = run_claim(report, "group-reconstruction-60",
-                      "line-permutation search returns exactly 60 solvable cases "
-                      "forming a group",
-                      reconstruction)
-
-    def group_claim(claim_id, description, fn):  # a claim that reads the group
-        if built:
-            run_claim(report, claim_id, description, fn)
-        else:
-            report.add(Claim(id=claim_id, description=description, status="skipped",
-                             witness={"requires": "group-reconstruction-60"}))
+    run_claim(report, RECONSTRUCTION,
+              "line-permutation search returns exactly 60 solvable cases forming a group",
+              reconstruction)
 
     def sizes():
         got = sorted(len(c) for c in reconstruct_group().classes)
         return got == CLASS_SIZES, {"sizes": got}
-    group_claim("group-class-sizes",
-                "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
-                sizes)
+    run_claim(report, "group-class-sizes",
+              "conjugacy class sizes of the reconstructed group are {1,15,20,12,12}",
+              sizes, requires=RECONSTRUCTION)
 
     def traces():
         # one element per class of A5_CLASS_REPS, picked by order (Cauchy's
@@ -60,9 +51,9 @@ def check_orbits(report, args, corruption):
             expected[str(v)] += size
         ok = ok and counts == expected
         return ok, {"matched_row": label, "traces": by_class}
-    group_claim("group-trace-character",
-                "trace multiset matches one 3-dimensional character row exactly",
-                traces)
+    run_claim(report, "group-trace-character",
+              "trace multiset matches one 3-dimensional character row exactly",
+              traces, requires=RECONSTRUCTION)
 
     def invariance():
         q, f, gram = q_poly(), corruption.sextic(), gram_matrix()
@@ -80,9 +71,9 @@ def check_orbits(report, args, corruption):
         if bad:
             return False, {"violations": bad[:5], "count": len(bad)}
         return True, {"elements_checked": len(mats)}
-    group_claim("invariance-conic-sextic-form",
-                "Q, F, the bilinear form and det 1 are preserved by all 60 elements",
-                invariance)
+    run_claim(report, "invariance-conic-sextic-form",
+              "Q, F, the bilinear form and det 1 are preserved by all 60 elements",
+              invariance, requires=RECONSTRUCTION)
 
     def concurrency():
         triple = concurrent_triple(six_lines())
@@ -107,6 +98,6 @@ def check_orbits(report, args, corruption):
         return (ok and on_k and off_k and disjoint,
                 {"sizes": sizes, "12_on_conic": on_k,
                  "others_off_conic": off_k, "pairwise_disjoint": disjoint})
-    group_claim("irregular-orbit-sizes",
-                "fixed-point orbits have sizes 6, 10, 15 off the conic and 12 on it",
-                orbits)
+    run_claim(report, "irregular-orbit-sizes",
+              "fixed-point orbits have sizes 6, 10, 15 off the conic and 12 on it",
+              orbits, requires=RECONSTRUCTION)

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..report import SINGULAR_MEMBERS
-from ..report import Claim, run_claim
+from ..report import RECONSTRUCTION, SINGULAR_MEMBERS, Claim, run_claim
 
 
 def check_pencil(report, args, corruption):
@@ -33,7 +32,7 @@ def check_pencil(report, args, corruption):
                 witness.update({"point": [str(c) for c in culprit],
                                 "lambda": lams[culprit]})
             return vals == {want}, witness
-        run_claim(report, claim_id, description, on_orbit)
+        run_claim(report, claim_id, description, on_orbit, requires=RECONSTRUCTION)
 
     def nodes():
         orbs, f = irregular_orbits(), corruption.sextic()
@@ -52,7 +51,7 @@ def check_pencil(report, args, corruption):
         return nodal_points == 6 + 10 + 15 and degenerate, witness
     run_claim(report, "node-nondegeneracy",
               "all singular points of the -1, 27/5 and infinity members are nodes",
-              nodes)
+              nodes, requires=RECONSTRUCTION)
 
     def base_locus():
         orbs, f = irregular_orbits(), corruption.sextic()
@@ -67,7 +66,7 @@ def check_pencil(report, args, corruption):
         return miss is None, witness
     run_claim(report, "base-locus-twelve-points",
               "the 12-point orbit lies on the conic, the lines and every member",
-              base_locus)
+              base_locus, requires=RECONSTRUCTION)
 
     def smooth_evidence():
         orbs, f = irregular_orbits(), corruption.sextic()
@@ -83,7 +82,7 @@ def check_pencil(report, args, corruption):
         return hit is None, witness
     run_claim(report, "no-extra-singular-orbits",
               "no computed orbit point is singular for ten other rational parameters",
-              smooth_evidence)
+              smooth_evidence, requires=RECONSTRUCTION)
 
     if args.deep:
         def deep():

@@ -4,6 +4,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from wingerverify import (characters, cli, covers, discriminant, hurwitz, invariants,
                           perms, winger)
 from wingerverify.cli import Corruption, main
-from wingerverify.cyclo import rational
+from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.report import ClaimReport, run_claim
 
@@ -552,35 +553,135 @@ def test_suites_never_import_the_cli():
         assert sources.isdisjoint({"cli", "wingerverify.cli"}), path.name
 
 
-def test_pass_without_witness_is_refused():
+def unused_imports(tree):
+    """(line, name) for each name that an import binds and the module
+    never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault((alias.asname or alias.name).split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    tests = Path(__file__).resolve().parent
+    found = [f"{path.relative_to(SRC.parent)}:{line}: {name}"
+             for path in sorted([*SRC.rglob("*.py"), *tests.glob("*.py")])
+             for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_unused_import_scan_finds_each_kind():
+    code = ("from __future__ import annotations\nimport os.path\nimport sys as system\n"
+            "from json import dumps, loads\nx: system.Type = dumps(loads(os.sep))\n")
+    assert unused_imports(ast.parse(code)) == []
+    code = "import os.path\nimport sys as system\nfrom json import dumps, loads\nsys = 1\n"
+    assert unused_imports(ast.parse(code)) == [
+        (1, "os"), (2, "system"), (3, "dumps"), (3, "loads")]
+
+
+def test_pass_without_witness_is_refused(capsys):
+    # refused as a pass, it is an internal error of its own claim, and the
+    # claims after it still run
     report = ClaimReport(convention="rtl")
-    with pytest.raises(ValueError, match="no witness"):
-        run_claim(report, "bare-pass", "a pass with an empty witness", lambda: (True, {}))
-    assert report.claims == []
+    run_claim(report, "bare-pass", "a pass with an empty witness", lambda: (True, {}))
+    run_claim(report, "next-claim", "a claim after it", lambda: (True, {"ran": True}))
+    assert [(c.id, c.status, c.witness) for c in report.claims] == [
+        ("bare-pass", "error",
+         {"type": "ValueError", "message": "passing claim bare-pass has no witness"}),
+        ("next-claim", "pass", {"ran": True})]
+    assert "ValueError: passing claim bare-pass has no witness" in capsys.readouterr().err
 
 
-def test_reconstruction_fault_keeps_every_suite(tmp_path, monkeypatch, capsys):
-    # the invariants and pencil suites read the group inside their claims,
-    # so the fault is judged claim by claim and no suite is lost
+def test_bare_pass_in_a_suite_keeps_its_later_claims(tmp_path, monkeypatch, capsys):
+    from wingerverify.suites import covers as covers_suite
+    real = covers_suite.run_claim
+
+    def bare_alphas(report, claim_id, description, fn, **kwargs):
+        bare = claim_id == "alpha-values"  # its verdict without its witness
+        real(report, claim_id, description, (lambda: (True, {})) if bare else fn, **kwargs)
+    monkeypatch.setattr(covers_suite, "run_claim", bare_alphas)
+    path = tmp_path / "report.json"
+    assert run(["covers", "--json", str(path)]) == 3
+    capsys.readouterr()
+    claims = json.loads(path.read_text())["claims"]
+    assert [(c["id"], c["status"]) for c in claims] == [
+        ("alpha-values", "error"), ("signature-unique", "pass"),
+        ("riemann-hurwitz-genera", "pass")]
+    assert claims[0]["witness"]["type"] == "ValueError"
+
+
+# the claims that read the reconstructed group, by suite
+READING_THE_GROUP = {
+    "orbits": ("group-class-sizes", "group-trace-character",
+               "invariance-conic-sextic-form", "irregular-orbit-sizes"),
+    "invariants": ("molien-closed-form", "reynolds-dimensions", "degree6-invariants"),
+    "pencil": ("lambda-six-orbit", "lambda-ten-orbit", "lambda-fifteen-orbit",
+               "node-nondegeneracy", "base-locus-twelve-points",
+               "no-extra-singular-orbits"),
+}
+
+
+@pytest.fixture
+def reconstruction_fault(monkeypatch):
     def fault():
         raise winger.ReconstructionError("three of the six lines are concurrent")
     monkeypatch.setattr(winger, "reconstruct_group", fault)
     winger.irregular_orbits.cache_clear()
     winger._singular_point.cache_clear()
+
+
+def test_reconstruction_fault_keeps_every_suite(reconstruction_fault, tmp_path, capsys):
+    # in `all` the 13 claims that read the group find its claim failed and
+    # are skipped in their places: no suite is lost and no claim errs
     path = tmp_path / "report.json"
-    assert run(["all", "--json", str(path)]) == 3
+    assert run(["all", "--json", str(path)]) == 1
     capsys.readouterr()
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
-    assert [i for i in claims if i.startswith("suite-")] == []
-    assert claims["group-reconstruction-60"]["status"] == "fail"
-    reading_the_group = ("molien-closed-form", "reynolds-dimensions",
-                         "degree6-invariants", "lambda-six-orbit", "lambda-ten-orbit",
-                         "lambda-fifteen-orbit", "node-nondegeneracy",
-                         "base-locus-twelve-points", "no-extra-singular-orbits")
-    for claim_id in reading_the_group:
-        assert claims[claim_id]["status"] == "error"
-        assert claims[claim_id]["witness"]["type"] == "ReconstructionError"
-    assert claims["discriminant-root-set"]["status"] == "skipped"
+    assert len(claims) == 32
+    assert [i for i, c in claims.items() if c["status"] in ("fail", "error")] == [
+        "group-reconstruction-60"]
+    requires = {"requires": "group-reconstruction-60"}
+    assert {i: c["witness"] for i, c in claims.items() if c["status"] == "skipped"} == {
+        **{i: requires for ids in READING_THE_GROUP.values() for i in ids},
+        "discriminant-root-set": None}
+
+
+@pytest.mark.parametrize("suite", ["invariants", "pencil"])
+def test_reconstruction_fault_errs_a_suite_run_alone(suite, reconstruction_fault, tmp_path,
+                                                      capsys):
+    # without the reconstruction claim in its report, the suite runs the
+    # claims that read the group, so it never exits 0 with nothing verified
+    path = tmp_path / "report.json"
+    assert run([suite, "--json", str(path)]) == 3
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert [i for i, c in claims.items() if c["status"] == "error"] == list(
+        READING_THE_GROUP[suite])
+    assert all(c["witness"]["type"] == "ReconstructionError"
+               for c in claims.values() if c["status"] == "error")
+
+
+def test_exact_witness_values_reach_the_json_report(tmp_path, monkeypatch, capsys):
+    # a Fraction equals its int, so the claim passes; to_json writes it as
+    # a string instead of losing the report
+    alpha_value = covers.alpha_value
+    monkeypatch.setattr(covers, "alpha_value", lambda k: Fraction(alpha_value(k)))
+    path = tmp_path / "report.json"
+    assert run(["covers", "--json", str(path)]) == 0
+    capsys.readouterr()
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    assert claims["alpha-values"]["witness"] == {
+        "alpha": {"1": "0", "2": "30", "3": "40", "5": "48"}}
+    report = ClaimReport(convention="rtl")
+    half, z = rational(Fraction(1, 2)), zeta()
+    run_claim(report, "field-values", "a claim", lambda: (True, {"values": [half, z]}))
+    assert json.loads(report.to_json())["claims"][0]["witness"] == {
+        "values": [str(half), str(z)]}
 
 
 def test_bad_character_table_fails_its_claims(tmp_path, monkeypatch, capsys):

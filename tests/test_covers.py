@@ -5,10 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wingerverify import covers
-from wingerverify.covers import (DegenerationReport, Quaternion, alpha_value,
-                                 all_degeneration_reports,
-                                 binary_icosahedral_checks,
-                                 binary_icosahedral_group, degeneration_report,
+from wingerverify.covers import (Quaternion, alpha_value, all_degeneration_reports,
+                                 binary_icosahedral_checks, binary_icosahedral_group,
                                  riemann_hurwitz_genus, signature_solutions)
 from wingerverify.cli import main
 from wingerverify.cyclo import rational

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from braid_closure import two_way_braid_orbits
 from wingerverify.hurwitz import (CONVENTIONS, PAIR_REPRESENTATIVES,
                                   TUPLE_TABLE_ROWS, braid_orbits,
                                   canonical_class, enumerate_tuple_classes,
@@ -170,6 +171,16 @@ def test_braid_orbits_pure_and_weighted():
         for p in parts:
             assert len({g1_class(c) for c in p}) == 1
             assert {r_value(c) for c in p} == {2, 3, 5}
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("gen_set", ["pure", "weighted"])
+def test_forward_braid_closure_matches_the_two_way_closure(gen_set, convention):
+    # each word permutes the finite set of classes, so following it
+    # forward only reaches the same orbits as following it both ways
+    classes = enumerate_tuple_classes(convention)
+    assert (sorted(map(sorted, braid_orbits(classes, gen_set, convention)))
+            == sorted(map(sorted, two_way_braid_orbits(classes, gen_set, convention))))
 
 
 def test_second_displayed_map_preserves_weighted_orbits():
