@@ -21,7 +21,8 @@ of `report`, which the suites import.
 Each suite, and each `Corruption` method, imports the layers it runs
 when it runs, so importing this module loads only `report` of the
 package, and of the standard library `argparse` beyond what the
-interpreter starts with (`json` is imported only by `--json`, and
+interpreter starts with (`json` is imported only by `--json` or a
+failing witness, which the text report writes as in the JSON, and
 `traceback` only when a suite or a claim raises).  A subcommand pays
 for no suite or layer it does not use: `tuples` loads only
 `suites.tuples`, `hurwitz` and `perms`, and the discriminant is loaded
@@ -161,7 +162,8 @@ def main(argv=None) -> int:
                   "error": "ERROR"}[claim.status]
         print(f"{marker} {claim.id}: {claim.description}")
         if claim.status in ("fail", "error") and claim.witness is not None:
-            print(f"     witness: {claim.witness}")
+            import json  # the exact strings of to_json; only a failing run pays
+            print(f"     witness: {json.dumps(claim.witness, default=str)}")
     failed = len(report.failed)
     errors = f", {len(report.errors)} errors" if report.errors else ""
     print(f"{len(report.claims)} claims, {failed} failed{errors}")

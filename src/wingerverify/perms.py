@@ -135,7 +135,10 @@ class FiniteGroup:
     the known rows are closed under left multiplication by the
     generators: the row of k = s*h is row(s) composed with row(h), since
     k*x = s*(h*x).  Every element ends up a word in the generators, so the
-    list is a finite semigroup inside a group: closed, hence a group.
+    list is a finite semigroup inside a group: closed, hence a group.  The
+    generators' indices are kept, in that order, as `generators`; a
+    property of the elements that products preserve holds for all of them
+    once it holds for these.
 
     `to_least[c]` lists the conjugators that send c to the least member
     of its class, `class_of[c][0]`: a coset of that member's centralizer,
@@ -175,7 +178,7 @@ class FiniteGroup:
         if identity is None:
             raise ValueError("no identity element")
         self.elements, self.index, self.table = elements, index, table
-        self.identity = identity
+        self.identity, self.generators = identity, tuple(gens)
         self.inverse = [row.index(identity) for row in table]
         self.orders = []
         for g in range(n):

@@ -4,7 +4,8 @@ Exponent triples (a, b, c) map to nonzero coefficients.  Substitution by
 a 3x3 matrix acts on the variables (precomposition), which is what a
 linear change of coordinates does to a form; a `Substitution` keeps the
 power tables of the three image lines, so many monomials substituted by
-one matrix share them.
+one matrix share them, and multiplies by a power of the z2 line once per
+z2 exponent of the form, not once per term.
 
 Products, substitutions and evaluation run on integer numerators: each
 operand is written over the lcm of its coefficient denominators as a
@@ -221,9 +222,11 @@ class Substitution:
     """The substitution z_i -> sum_j m[i][j] z_j of one 3x3 matrix.
 
     Holds the three image lines and extends their power tables on demand,
-    so every monomial substituted through the same object shares them:
-    the image of z0^a z1^b z2^c is pow0[a] * pow1[b] * pow2[c].  Each
+    so every form substituted through the same object shares them.  Each
     table entry is (den, {expo: nums}), in the form of `_term_numerators`.
+    The terms of a form are grouped by their z2 exponent c:
+    f o m = sum over c of line2^c * (sum of coef * line0^a * line1^b), so
+    the terms that share c share the largest product, the one by line2^c.
     """
 
     __slots__ = ("pows",)
@@ -232,31 +235,32 @@ class Substitution:
         one = (1, {(0, 0, 0): (1, 0, 0, 0)})
         self.pows = [[one, _term_numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
 
-    def _image(self, expo):
-        """(den, nums) of the image of the monomial z^expo."""
-        den, out = 1, None
-        for table, k in zip(self.pows, expo):
-            if not k:
-                continue
-            while len(table) <= k:
-                (d0, p), (d1, q) = table[-1], table[1]
-                table.append((d0 * d1, _convolve(p, q)))
-            d, p = table[k]
-            den, out = (d, p) if out is None else (den * d, _convolve(out, p))
-        return self.pows[0][0] if out is None else (den, out)
+    def _power(self, i: int, k: int):
+        """(den, nums) of line_i^k."""
+        table = self.pows[i]
+        while len(table) <= k:
+            (d0, p), (d1, q) = table[-1], table[1]
+            table.append((d0 * d1, _convolve(p, q)))
+        return table[k]
 
     def apply(self, f: Poly3) -> Poly3:
-        """f o m: the sum of coef * image(e) over the terms of f, each
-        scaled to the lcm of the term denominators and added on integers."""
-        terms = []
-        for expo, coef in f.terms.items():
-            d, img = self._image(expo)
-            terms.append((d * coef.den, coef.nums, img))
-        den = lcm(*(d for d, _, _ in terms))
+        """f o m, each term scaled to the lcm of the term denominators and
+        the products added on integers."""
+        groups = {}
+        for (a, b, c), coef in f.terms.items():
+            groups.setdefault(c, []).append((coef, self._power(0, a), self._power(1, b)))
+        line2 = {c: self._power(2, c) for c in groups}
+        den = lcm(*(coef.den * d0 * d1 * line2[c][0]
+                    for c, terms in groups.items() for coef, (d0, _), (d1, _) in terms))
         out = {}
-        for d, nums, img in terms:
-            s = den // d
-            _convolve({(0, 0, 0): tuple(x * s for x in nums)}, img, out)
+        for c, terms in groups.items():
+            d2, p2 = line2[c]
+            inner = {}
+            for coef, (d0, p0), (d1, p1) in terms:
+                s = den // (coef.den * d0 * d1 * d2)
+                scaled = _convolve({(0, 0, 0): tuple(x * s for x in coef.nums)}, p0)
+                _convolve(scaled, p1, inner)
+            _convolve(inner, p2, out)
         return _from_numerators(den, out)
 
 

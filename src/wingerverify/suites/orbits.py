@@ -56,18 +56,24 @@ def check_orbits(report, args, corruption):
               traces, requires=RECONSTRUCTION)
 
     def invariance():
-        q, f, gram = q_poly(), corruption.sextic(), gram_matrix()
+        q, f, gram, one = q_poly(), corruption.sextic(), gram_matrix(), rational(1)
+
+        def violations(m):
+            return [label for label, holds in (
+                ("Q", q.act(m) == q), ("F", f.act(m) == f),
+                ("gram", m.transpose() * gram * m == gram), ("det", m.det() == one))
+                if not holds]
+
+        # Every group element is a word in the generators, and the four
+        # properties pass to products: Q o (s h) = (Q o s) o h, the same for
+        # F, (s h)^T G (s h) = h^T (s^T G s) h and det(s h) = det s det h.
+        # So if every generator passes, every group member passes; any
+        # other matrix, and every matrix when a generator fails, is checked.
+        group = reconstruct_group()
+        proven = not any(violations(group.elements[s]) for s in group.generators)
         mats = corruption.matrices()
-        bad = []
-        for i, m in enumerate(mats):
-            if q.act(m) != q:
-                bad.append(("Q", i))
-            if f.act(m) != f:
-                bad.append(("F", i))
-            if m.transpose() * gram * m != gram:
-                bad.append(("gram", i))
-            if m.det() != rational(1):
-                bad.append(("det", i))
+        bad = [(label, i) for i, m in enumerate(mats)
+               if not (proven and m in group.index) for label in violations(m)]
         if bad:
             return False, {"violations": bad[:5], "count": len(bad)}
         return True, {"elements_checked": len(mats)}

@@ -140,7 +140,8 @@ def json_modules(modules):
 
 
 def test_only_a_json_report_loads_json(cli_import_modules):
-    # `ClaimReport.to_json` imports it, so a run without --json never does
+    # `ClaimReport.to_json` and a failing witness import it, so a passing
+    # run without --json never does
     assert json_modules(cli_import_modules) == set()
     assert json_modules(loaded_modules("tuples", "--convention", "ltr")) == set()
     assert "json" in loaded_modules("tuples", "--json", "-")
@@ -240,6 +241,59 @@ def test_corrupted_matrix_fails(capsys):
     assert run(["orbits", "--corrupt", "matrix:3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL invariance-conic-sextic-form" in out
+
+
+def direct_violations(m, i, f):
+    """The invariance claim's (label, i) violations of matrix i, checked on
+    that matrix alone."""
+    q, gram = winger.q_poly(), winger.gram_matrix()
+    return [(label, i) for label, holds in (
+        ("Q", q.act(m) == q), ("F", f.act(m) == f),
+        ("gram", m.transpose() * gram * m == gram), ("det", m.det() == rational(1)))
+        if not holds]
+
+
+def invariance_report(spec, tmp_path):
+    """Exit code, failing claim ids and the invariance witness of one
+    `orbits --corrupt spec` run."""
+    path = tmp_path / "report.json"
+    code = run(["orbits", "--corrupt", spec, "--json", str(path)])
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    failing = {i for i, c in claims.items() if c["status"] != "pass"}
+    return code, failing, claims["invariance-conic-sextic-form"]["witness"]
+
+
+def as_witness(violations):
+    return {"violations": [list(v) for v in violations[:5]], "count": len(violations)}
+
+
+def test_every_matrix_fault_fails_only_invariance(tmp_path, capsys):
+    # the claim checks the generators of the group and proves the rest;
+    # each corrupted matrix, the three generator indices among them, is no
+    # group member and must show exactly the violations of a check of all
+    # 60 matrices one by one
+    group, f = winger.reconstruct_group(), winger.f_poly()
+    base = [direct_violations(m, i, f) for i, m in enumerate(group.elements)]
+    assert base == [[]] * 60
+    for k in range(60):
+        mats = Corruption(f"matrix:{k}").matrices()
+        want = [v for i, m in enumerate(mats)
+                for v in (direct_violations(m, i, f) if i == k else base[i])]
+        assert want
+        got = invariance_report(f"matrix:{k}", tmp_path)
+        assert got == (1, {"invariance-conic-sextic-form"}, as_witness(want)), k
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["f:6,0,0", "f:3,2,1"])
+def test_sextic_fault_witness_matches_the_direct_check(spec, tmp_path, capsys):
+    # the generators fail, so every matrix is checked
+    f = Corruption(spec).sextic()
+    want = [v for i, m in enumerate(winger.reconstruct_group().elements)
+            for v in direct_violations(m, i, f)]
+    assert invariance_report(spec, tmp_path) == (
+        1, {"invariance-conic-sextic-form"}, as_witness(want))
+    capsys.readouterr()
 
 
 def test_corrupted_matrix_fails_invariants(capsys):
@@ -682,6 +736,23 @@ def test_exact_witness_values_reach_the_json_report(tmp_path, monkeypatch, capsy
     run_claim(report, "field-values", "a claim", lambda: (True, {"values": [half, z]}))
     assert json.loads(report.to_json())["claims"][0]["witness"] == {
         "values": [str(half), str(z)]}
+
+
+def test_text_witness_shows_the_json_strings(tmp_path, monkeypatch, capsys):
+    # a failing witness is printed as the JSON report writes it: "21/2",
+    # not the repr Fraction(21, 2)
+    genus = covers.riemann_hurwitz_genus
+    monkeypatch.setattr(covers, "riemann_hurwitz_genus", lambda n, orders: genus(
+        n, orders) + (Fraction(1, 2) if n == 3 else Fraction(0)))
+    path = tmp_path / "report.json"
+    assert run(["covers", "--json", str(path)]) == 1
+    out = capsys.readouterr().out
+    claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+    witness = claims["riemann-hurwitz-genera"]["witness"]
+    assert witness["genera"]["3,12x{3}"] == "21/2"
+    lines = [line.split("witness: ", 1)[1] for line in out.splitlines() if "witness: " in line]
+    assert lines == [json.dumps(witness)]
+    assert "Fraction" not in out
 
 
 def test_bad_character_table_fails_its_claims(tmp_path, monkeypatch, capsys):

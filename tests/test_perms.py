@@ -196,10 +196,10 @@ def test_only_generator_rows_cost_products(monkeypatch):
     # order the package lists them
     units, matrices = binary_icosahedral_group(), reconstruct_group().elements
     calls = count_products(monkeypatch, Quaternion)
-    FiniteGroup(units)
+    assert len(FiniteGroup(units).generators) == 3
     assert len(calls) == 3 * 120
     calls = count_products(monkeypatch, Matrix)
-    FiniteGroup(matrices)
+    assert len(FiniteGroup(matrices).generators) == 3
     assert len(calls) == 3 * 60
 
 
@@ -219,11 +219,20 @@ def test_least_conjugate_matches_orbit_minimum(t):
     assert a5.least_conjugate(tuple(t)) == min(a5.conjugates(tuple(t)))
 
 
-@pytest.mark.parametrize("which", ["a5", "matrices", "units"])
+GROUPS = {"a5": alternating_group_5,
+          "matrices": reconstruct_group,
+          "units": lambda: FiniteGroup(binary_icosahedral_group())}
+
+
+@pytest.mark.parametrize("which", GROUPS)
+def test_generators_generate_the_group(which):
+    group = GROUPS[which]()
+    assert group.generated(group.generators) == frozenset(range(len(group)))
+
+
+@pytest.mark.parametrize("which", GROUPS)
 def test_to_least_is_a_centralizer_coset(which):
-    group = {"a5": alternating_group_5,
-             "matrices": reconstruct_group,
-             "units": lambda: FiniteGroup(binary_icosahedral_group())}[which]()
+    group = GROUPS[which]()
     for c in range(len(group)):
         coset, least = group.to_least[c], group.class_of[c][0]
         assert all(group.conjugate(c, x) == least for x in coset)

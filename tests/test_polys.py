@@ -119,6 +119,13 @@ HALF_THIRD = Poly3({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3),
 EQUAL_ROWS = Matrix.from_rows([[1, 2, 3], [1, 2, 3], [0, 0, Fraction(1, 7)]])
 # every power of zeta in every coefficient, so each fold term counts
 ZETA_FORM = Poly3({(1, 0, 0): make([1, 2, 3, 4]), (0, 2, 0): make([0, Fraction(1, 2), -1, 3])})
+# terms that share their z2 exponent c (three with c = 1, two with c = 0),
+# and terms with a = 0, b = 0 or both
+SHARED_C = Poly3({(3, 0, 1): make([1, 2, 3, 4]), (0, 3, 1): Fraction(1, 2),
+                  (1, 2, 1): Fraction(2**70, 3), (2, 0, 0): Fraction(-1, 5),
+                  (0, 2, 0): zeta(), (0, 0, 3): 7})
+MIXED = [Fraction(1, 2), zeta(), 3, make([0, Fraction(1, 3)]), 1, Fraction(1, 5),
+         2, 0, make([1, 0, Fraction(1, 7)])]
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,6 +154,9 @@ def test_power_fifteen_matches_cyclo_loop():
 @example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), list(EQUAL_ROWS.entries))
 @example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1),
          [Fraction(1, 2), 0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 5)])
+@example(SHARED_C, MIXED)
+@example(SHARED_C * Z, list(EQUAL_ROWS.entries))
+@example((X - Y) * Z, list(EQUAL_ROWS.entries))  # the sum at c = 1 cancels
 def test_substitution_matches_cyclo_loop(f, entries):
     m = Matrix(entries)
     want = cyclo_apply(m, f)

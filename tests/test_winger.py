@@ -133,12 +133,11 @@ def test_scalings_match_the_four_division_form():
 def test_group_preserves_everything():
     g = reconstruct_group()
     q, f, a = q_poly(), f_poly(), gram_matrix()
+    # every element checked on its own: the oracle of the invariance
+    # claim, which checks only the generators of the group
     for m in g.elements:
         assert m.transpose() * a * m == a
         assert m.det() == rational(1)
-    # polynomial invariance spot-checked on non-diagonal elements here;
-    # the full 60-element sweep runs in the acceptance gate
-    for m in g.elements[::7]:
         assert q.act(m) == q and f.act(m) == f
 
 
