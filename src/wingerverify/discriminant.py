@@ -11,10 +11,10 @@ A + lam*B with the same determinant, computed as an exact integer
 polynomial in lam: per prime of a table of five Proth primes, each
 proven from its stored certificate, one inversion and one Hessenberg
 characteristic polynomial mod p, then the Chinese remainder theorem past
-a Hadamard bound (two primes).  A nonzero constant left after dividing
-out, on integers, the roots that the caller expects certifies that no
-other finite member is singular; the degree drop below 75 witnesses the
-singular member at infinity.
+a Hadamard bound on the rows of H (one prime).  A nonzero constant left
+after dividing out, on integers, the roots that the caller expects
+certifies that no other finite member is singular; the degree drop
+below 75 witnesses the singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
@@ -199,7 +199,8 @@ def hybrid_rows(forms, d):
 
 def _linearize(rows):
     """(A, B) with det(A + lam*B) = det H(lam), for rows of H of degree 1
-    or 3 in lam as `hybrid_rows` gives them.
+    or 3 in lam as `hybrid_rows` gives them; ValueError on a row of any
+    other degree, whose terms past lam^1 a linear row would drop.
 
     A cubic row (r0 + lam r1 + lam^2 r2 + lam^3 r3).v gets two unknowns
     u = (r2 + lam r3).v and t = lam u, and becomes (r0 + lam r1).v + lam t
@@ -207,6 +208,8 @@ def _linearize(rows):
     (u, then t) the new rows (all u-rows, then all t-rows) form the block
     [[I, 0], [-lam I, I]] of determinant 1, whose Schur complement is H.
     """
+    if any(len(row) not in (2, 4) for row in rows):
+        raise ValueError("a row of H must have degree 1 or 3 in lam")
     n = len(rows)
     cubic = [i for i, row in enumerate(rows) if len(row) == 4]
     pad = [0] * (2 * len(cubic))
@@ -230,9 +233,9 @@ def _linearize(rows):
 
 # -- det(A + lam*B) as an integer polynomial, multi-modular --------------------
 
-# The first five primes k*2^120 + 1 below 2^240, as (2^120 - 1 - k, a) with
-# a Proth witness a: a^((p-1)/2) = -1 mod p.  Two suffice for the pencil.
-_PROTH_CERTIFICATES = ((0x36, 5), (0x6c, 5), (0x110, 3), (0x25a, 3), (0x462, 7))
+# The first five primes k*2^170 + 1 below 2^340, as (2^170 - 1 - k, a) with
+# a Proth witness a: a^((p-1)/2) = -1 mod p.  One suffices for the pencil.
+_PROTH_CERTIFICATES = ((0x72, 5), (0x144, 5), (0x572, 3), (0x5dc, 5), (0xa32, 5))
 
 
 def _proth_primes():
@@ -244,7 +247,7 @@ def _proth_primes():
     checked in one power (Pratt, "Every prime has a succinct
     certificate", SIAM J. Comput. 4, 1975).
     """
-    step = 1 << 120
+    step = 1 << 170
     for offset, a in _PROTH_CERTIFICATES:
         p = (step - 1 - offset) * step + 1
         if pow(a, p >> 1, p) != p - 1:
@@ -252,18 +255,20 @@ def _proth_primes():
         yield p
 
 
-def _pencil_bound(a, b) -> int:
-    """Bound on every coefficient of det(A + lam*B).
+def _pencil_bound(rows) -> int:
+    """Bound on every coefficient of det H(lam), for the rows of H as
+    `_pencil_det` takes them.
 
     det is multilinear in the rows, so the coefficient of lam^k is a sum of
-    determinants with k rows from B and the rest from A; by Hadamard their
-    absolute values sum to at most prod_i (|a_i| + |b_i|), and
-    isqrt(s) + 1 >= sqrt(s) rounds each Euclidean row norm up.
+    determinants, each with one coefficient row r_{i,k_i} from every row i,
+    the k_i summing to k; by Hadamard their absolute values sum to at most
+    prod_i sum_k |r_{i,k}|, and isqrt(s) + 1 >= sqrt(s) rounds each
+    Euclidean norm up.  Taken before `_linearize`, whose rows would split a
+    cubic row's norms over three rows and multiply them instead.
     """
     bound = 1
-    for ra, rb in zip(a, b):
-        bound *= (isqrt(sum(x * x for x in ra)) + 1
-                  + isqrt(sum(x * x for x in rb)) + 1)
+    for row in rows:
+        bound *= sum(isqrt(sum(x * x for x in part)) + 1 for part in row)
     return bound
 
 
@@ -307,7 +312,9 @@ def _hessenberg_charpoly_mod(c, p):
 
     C is brought to upper Hessenberg form by similarity (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2.9), whose characteristic
-    polynomial follows from the recurrence along the subdiagonal.
+    polynomial follows from the recurrence along the subdiagonal.  No
+    step reads an entry below the subdiagonal once its column is reduced,
+    so those entries are left as they are instead of set to 0.
     """
     n = len(c)
     h = [[x % p for x in row] for row in c]
@@ -326,7 +333,6 @@ def _hessenberg_charpoly_mod(c, p):
             row = h[j]
             u = row[m - 1] * inv % p
             if u:
-                row[m - 1] = 0
                 row[m:] = [(x - u * y) % p for x, y in zip(row[m:], top[m:])]
                 us[j - m - 1] = u
         if any(us):
@@ -382,15 +388,20 @@ def _pencil_det_mod(a, b, p):
     return [det0 * x % p for x in out]
 
 
-def _pencil_det(a, b):
-    """Exact integer coefficients (lowest first) of det(A + lam*B).
+def _pencil_det(rows):
+    """Exact integer coefficients (lowest first) of det H(lam), for the
+    rows of H, each the list of its coefficient rows in lam, lowest first,
+    of degree 1 or 3: the rows of `hybrid_rows`, or pairs [a_i, b_i] for
+    det(A + lam*B).
 
-    Residues modulo the certified Proth primes are combined by the
-    Chinese remainder theorem until the modulus exceeds twice the
-    coefficient bound, so the symmetric residues are the coefficients;
-    ArithmeticError if the five primes do not reach it.
+    The rows are bounded by `_pencil_bound`, then linearized to A + lam*B
+    of the same determinant.  Its residues modulo the certified Proth
+    primes are combined by the Chinese remainder theorem until the modulus
+    exceeds twice the bound, so the symmetric residues are the
+    coefficients; ArithmeticError if the five primes do not reach it.
     """
-    half = _pencil_bound(a, b)
+    half = _pencil_bound(rows)
+    a, b = _linearize(rows)
     coeffs = [0] * (len(a) + 1)
     modulus = 1
     primes = _proth_primes()
@@ -467,7 +478,7 @@ def pencil_discriminant(f, roots):
     the resultant has no other finite root.  The control is
     `_macaulay_control`'s outcome.
     """
-    coeffs = _pencil_det(*_linearize(hybrid_rows(_pencil_partials(f), 5)))
+    coeffs = _pencil_det(hybrid_rows(_pencil_partials(f), 5))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     control = _macaulay_control(f, coeffs)

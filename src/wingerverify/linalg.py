@@ -121,7 +121,8 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """adj(m) / det(m): with entries over den, the adjugate's
         numerators times den over the determinant's, whose inverse is
-        rest / norm (`cyclo._inverse_parts`)."""
+        rest / norm (`cyclo._inverse_parts`).  Nothing in the package
+        calls it; `perfbench/probes.py` times it."""
         den, adj, det = self._cofactors()
         if det == _ZERO:
             raise ValueError("singular matrix")

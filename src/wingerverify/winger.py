@@ -75,7 +75,7 @@ def _matrix_key(m: Matrix):
     return tuple(e.sort_key() for e in m.entries)
 
 
-def _triple_scalings(b_inv, rows, triple, u_ratios):
+def _triple_scalings(brackets, triple, u_ratios):
     """The realized permutations sigma with sigma(0..2) = `triple`, as a
     dict from (sigma(3), sigma(4), sigma(5)) to the scaling c.
 
@@ -85,17 +85,20 @@ def _triple_scalings(b_inv, rows, triple, u_ratios):
     to u, with w = B^-T L_{sigma(i)} and u = C^-T L_i.  When no three
     lines meet, neither vector has a zero entry and c is the point u / w,
     taken entry by entry: sigma is realized iff its three points agree.
-    Each of the nine points is normalized as (u0/u2 * w2/w0, u1/u2 *
-    w2/w1, 1), from the ratios (u0/u2, u1/u2) of each u, which
-    `u_ratios` holds since they do not depend on the triple, and of each
-    w (one inversion of w0*w1): three inversions per triple instead of
-    one per point.
+    By Cramer's rule w is proportional to ([j s1 s2], [s0 j s2], [s0 s1 j])
+    for j = sigma(i) and (s0, s1, s2) = `triple`, read from `brackets`
+    (`line_brackets`), and only its ratios matter.  Each of the nine
+    points is normalized as (u0/u2 * w2/w0, u1/u2 * w2/w1, 1), from the
+    ratios (u0/u2, u1/u2) of each u, which `u_ratios` holds since they do
+    not depend on the triple, and of each w (one inversion of w0*w1):
+    three inversions per triple instead of one per point.
     """
-    b_inv_t, one = b_inv.transpose(), rational(1)
+    s0, s1, s2 = triple
+    one = rational(1)
     points = {}
     for j in range(6):
         if j not in triple:
-            w0, w1, w2 = b_inv_t.apply(rows[j])
+            w0, w1, w2 = brackets[j, s1, s2], brackets[s0, j, s2], brackets[s0, s1, j]
             t = w2 / (w0 * w1)
             r0, r1 = w1 * t, w0 * t
             points[j] = [(a * r0, b * r1, one) for a, b in u_ratios]
@@ -124,23 +127,30 @@ def _rescale(m, gram):
 def reconstruct_group() -> FiniteGroup:
     """The matrices that permute the six lines and keep the form of Q
     with det 1, sorted, as a `FiniteGroup`.  Raises ReconstructionError
-    when three lines are concurrent (the search would invert a singular
-    matrix) or when the survivors are not closed (no Cayley table); the
-    claims judge the rest: their number, classes, traces and invariance."""
+    when three lines are concurrent (a bracket of the search is 0) or when
+    the survivors are not closed (no Cayley table); the claims judge the
+    rest: their number, classes, traces and invariance.
+
+    The search inverts no matrix.  Every point is read from the 20
+    brackets of the lines, u = C^-T L_i as ([i 1 2], [0 i 2], [0 1 i]) by
+    Cramer's rule, and each survivor is built as adj(B) diag(c) C, which
+    is det(B) times B^-1 diag(c) C: `_rescale` removes the scalar, since k*M
+    scales s by k^2 and det by k^3."""
     rows = six_lines()
-    if concurrent_triple(rows) is not None:
+    brackets = line_brackets(rows)
+    if any(d.is_zero() for d in brackets.values()):
         raise ReconstructionError("three of the six lines are concurrent")
     gram = gram_matrix()
-    c_mat = Matrix.from_rows(rows[:3])
-    c_inv_t = c_mat.inverse().transpose()
-    u_ratios = [normalize_point(c_inv_t.apply(rows[i]))[:2] for i in range(3, 6)]
+    u_ratios = [normalize_point((brackets[i, 1, 2], brackets[0, i, 2],
+                                 brackets[0, 1, i]))[:2] for i in range(3, 6)]
     found = set()
-    # the 720 permutations share 120 ordered triples sigma(0..2), and B^-1
+    # the 720 permutations share 120 ordered triples sigma(0..2), and adj(B)
     # and the points u / w depend on the triple alone
     for triple in permutations(range(6), 3):
-        b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
-        for c in _triple_scalings(b_inv, rows, triple, u_ratios).values():
-            m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram)
+        b_adj = Matrix.from_rows([rows[k] for k in triple]).adjugate()
+        for c in _triple_scalings(brackets, triple, u_ratios).values():
+            scaled = Matrix.from_rows([[x * ci for x in rows[i]] for i, ci in enumerate(c)])
+            m = _rescale(b_adj * scaled, gram)
             if m is not None:
                 found.add(m)
     try:
@@ -149,11 +159,24 @@ def reconstruct_group() -> FiniteGroup:
         raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
 
 
+def line_brackets(rows) -> dict:
+    """[a b c] = det(L_a, L_b, L_c) for every ordered triple of distinct
+    lines (coefficient rows): one determinant per set of three, signed by
+    the parity of each order."""
+    out = {}
+    for t in combinations(range(len(rows)), 3):
+        d = Matrix.from_rows([rows[i] for i in t]).det()
+        for order, sign in zip(permutations(t), (1, -1, -1, 1, 1, -1)):
+            out[order] = d if sign > 0 else -d
+    return out
+
+
 def concurrent_triple(rows):
     """The first index triple of three lines (coefficient rows) through a
     common point, or None when no three of them meet."""
-    return next((t for t in combinations(range(len(rows)), 3)
-                 if Matrix.from_rows([rows[i] for i in t]).det().is_zero()), None)
+    brackets = line_brackets(rows)
+    return next((t for t in combinations(range(len(rows)), 3) if brackets[t].is_zero()),
+                None)
 
 
 # -- projective points and irregular orbits ------------------------------------
@@ -176,8 +199,32 @@ def normalize_point(coords):
 
 
 def orbit_of(point, group: FiniteGroup):
-    p = normalize_point(point)
-    return frozenset(normalize_point(m.apply(p)) for m in group.elements)
+    """The orbit of a projective point, as the breadth-first closure of
+    its normalized form p under the group's generators: every element of
+    a finite group is a word in its generators.
+
+    Each new point q keeps reach[q], the index of an element that sends p
+    to q, read from the Cayley table.  A generator s that sends a point q'
+    to a point q already found gives reach[q]^-1 * s * reach[q'], which
+    fixes p, and these generate the stabilizer of p (Schreier's lemma).
+    The elements sending p to q are then the coset reach[q] * stabilizer,
+    and the points are inserted in the order in which the images of p
+    under the elements, in their order, first list them: the frozenset,
+    whose iteration order picks the first failing point of a claim's
+    witness, is laid out as the one those images build."""
+    table, inverse, elements = group.table, group.inverse, group.elements
+    start = normalize_point(point)
+    reach, schreier, queue = {start: group.identity}, set(), [start]
+    for p in queue:
+        for s in group.generators:
+            q, k = normalize_point(elements[s].apply(p)), table[s][reach[p]]
+            if q in reach:
+                schreier.add(table[inverse[reach[q]]][k])
+            else:
+                reach[q] = k
+                queue.append(q)
+    stabilizer = group.generated(schreier)
+    return frozenset(sorted(reach, key=lambda q: min(table[reach[q]][x] for x in stabilizer)))
 
 
 def _eigenvector(m: Matrix, lam) -> tuple:

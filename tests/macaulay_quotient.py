@@ -40,7 +40,9 @@ def macaulay_quotient(f):
     tables = _pencil_partials(f, CONTROL_T)
     full_a, minor_a = _eval_determinants([a for a, _ in tables], (5, 5, 5))
     full_b, minor_b = _eval_determinants([b for _, b in tables], (5, 5, 5))
-    coeffs = exact_quotient(_pencil_det(full_a, full_b), _pencil_det(minor_a, minor_b))
+    num = _pencil_det([[ra, rb] for ra, rb in zip(full_a, full_b)])
+    den = _pencil_det([[ra, rb] for ra, rb in zip(minor_a, minor_b)])
+    coeffs = exact_quotient(num, den)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

@@ -7,7 +7,7 @@ reference.
 
 
 def proth_search():
-    """Proven primes k*2^120 + 1 (k odd, k < 2^120) below 2^240, descending.
+    """Proven primes k*2^170 + 1 (k odd, k < 2^170) below 2^340, descending.
 
     By Proth's theorem (Crandall-Pomerance, Prime Numbers, ch. 4),
     p = k*2^m + 1 with k odd and k < 2^m is prime iff some a has
@@ -15,7 +15,7 @@ def proth_search():
     criterion), so any other value proves p composite; a candidate whose
     small bases all give 1 is skipped.
     """
-    step = 1 << 120
+    step = 1 << 170
     for k in range(step - 1, 0, -2):
         p = k * step + 1
         for a in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):

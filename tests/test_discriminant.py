@@ -4,7 +4,7 @@ from operator import add
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_roots
@@ -151,11 +151,16 @@ def pencil_at(a, b, lam):
     return [[x + lam * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def pair_rows(a, b):
+    """The rows [a_i, b_i] of A + lam*B, as `_pencil_det` takes them."""
+    return [[ra, rb] for ra, rb in zip(a, b)]
+
+
 @st.composite
 def pencils(draw, max_n=8, max_digits=40):
     """Small integer pencils (A, B), some with singular A and some
     identically singular (a zero row or a repeated row pair).  With the
-    default digits, the larger ones need two or more 240-bit primes."""
+    default digits, the larger ones need two or more 340-bit primes."""
     n = draw(st.integers(1, max_n))
     size = 10 ** draw(st.integers(0, max_digits))
     entry = st.integers(-size, size)
@@ -172,19 +177,32 @@ def pencils(draw, max_n=8, max_digits=40):
     return a, b
 
 
+# n = 8 with entries near 10^40: a bound of 1,084 bits, so every run
+# combines at least three of the 340-bit primes
+LARGE_PENCIL = ([[10 ** 40 - (3 * i + j) ** 2 for j in range(8)] for i in range(8)],
+                [[10 ** 40 + (i - 2 * j) ** 3 for j in range(8)] for i in range(8)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(pencils())
+@example(LARGE_PENCIL)
 def test_pencil_det_matches_bareiss(pencil):
     a, b = pencil
     n = len(a)
-    coeffs = _pencil_det(a, b)
+    rows = pair_rows(a, b)
+    coeffs = _pencil_det(rows)
     assert len(coeffs) == n + 1
     # n + 4 distinct points pin down a polynomial of degree <= n
     for lam in range(-2, n + 2):
         assert _poly_eval(coeffs, lam) == integer_det(pencil_at(a, b, lam))
     # the Chinese-remainder result lies inside the coefficient bound
-    bound = _pencil_bound(a, b)
+    bound = _pencil_bound(rows)
     assert all(abs(c) <= bound for c in coeffs)
+
+
+def test_large_pencil_takes_three_primes():
+    primes = list(_proth_primes())
+    assert 2 * _pencil_bound(pair_rows(*LARGE_PENCIL)) > primes[0] * primes[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -207,7 +225,7 @@ def test_all_shifts_singular_gives_zero():
     b = [[5, -10, 0], [15, 5, 5], [0, 0, 20]]
     assert integer_det(a) != 0
     assert _pencil_det_mod(a, b, 5) == [0, 0, 0, 0]
-    assert _pencil_det(a, b)[0] == integer_det(a)
+    assert _pencil_det(pair_rows(a, b))[0] == integer_det(a)
     with pytest.raises(ValueError):
         _pencil_det_mod(a, b, 3)  # a modulus <= n cannot certify a zero residue
 
@@ -226,7 +244,7 @@ def test_hessenberg_charpoly_matches_sympy(rows, p):
 
 def test_proth_primes_are_proven_and_descending():
     primes = list(_proth_primes())
-    assert primes[0] < 2 ** 240
+    assert primes[0] < 2 ** 340
     assert all(p > q for p, q in zip(primes, primes[1:]))
     for p in primes:
         assert sympy.isprime(p), p
@@ -244,10 +262,10 @@ def test_proth_certificates_are_the_first_primes_of_the_search():
 
 
 def test_pencil_det_past_the_certified_primes_raises():
-    # the bound 2^1300 + 2 needs a modulus past 2^1301; the five primes
-    # of about 2^240 reach only 2^1200
+    # the bound 2^1800 + 2 needs a modulus past 2^1801; the five primes
+    # below 2^340 reach only 2^1700
     with pytest.raises(ArithmeticError, match="certified primes"):
-        _pencil_det([[2 ** 1300]], [[0]])
+        _pencil_det([[[2 ** 1800], [0]]])
 
 
 def test_pencil_deep_takes_its_primes_from_the_certificates(monkeypatch, tmp_path):
@@ -313,11 +331,24 @@ def test_linearized_pencil_matches_cubic_rows(case):
     d, forms = case
     rows = hybrid_rows(forms, d)
     assert sorted({len(row) for row in rows}) == [2, 4]
-    a, b = _linearize(rows)
-    coeffs = _pencil_det(a, b)
-    # len(a) + 1 points pin down a polynomial of degree <= len(a)
-    for lam in range(-2, len(a) - 1):
+    coeffs = _pencil_det(rows)
+    # len(coeffs) points pin down a polynomial of degree < len(coeffs)
+    assert len(coeffs) == len(_linearize(rows)[0]) + 1
+    for lam in range(-2, len(coeffs) - 2):
         assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
+    # the bound on the cubic rows covers every coefficient
+    bound = _pencil_bound(rows)
+    assert all(abs(c) <= bound for c in coeffs)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_linearize_refuses_other_degrees(degree):
+    # a quadratic row's lam^2 part, for one, would be dropped silently
+    rows = [[[1, 0], [0, 1]], [[0, 1]] + [[1, 1]] * degree]
+    with pytest.raises(ValueError, match="degree 1 or 3"):
+        _linearize(rows)
+    with pytest.raises(ValueError, match="degree 1 or 3"):
+        _pencil_det(rows)
 
 
 # -- the pencil's discriminant against the Macaulay quotient ---------------------
@@ -341,7 +372,7 @@ def test_corrupted_discriminant_matches_macaulay_values():
         assert macaulay_resultant_value(fs, (5, 5, 5)) == _poly_eval(coeffs, lam)
 
 
-def test_discriminant_is_two_passes_of_size_75(monkeypatch):
+def test_discriminant_is_one_pass_of_size_75(monkeypatch):
     sizes, controls = [], []
     det_mod, resultant = _pencil_det_mod, macaulay_resultant_value
 
@@ -355,5 +386,8 @@ def test_discriminant_is_two_passes_of_size_75(monkeypatch):
     monkeypatch.setattr(discriminant, "_pencil_det_mod", counted_det_mod)
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
     pencil_discriminant(f_poly(), ROOTS)
-    assert sizes == [75, 75]
+    assert sizes == [75]
     assert controls == [(5, 5, 5)]
+    # the bound on the rows of H fits under the least certified prime
+    rows = hybrid_rows(_pencil_partials(f_poly()), 5)
+    assert 2 * _pencil_bound(rows) < min(_proth_primes())

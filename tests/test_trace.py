@@ -34,14 +34,16 @@ def test_traced_invariants_run():
 
 
 def test_traced_orbits_run():
-    # the reconstruction goes through Matrix.det and Matrix.inverse, and the
-    # eigenvectors of the irregular orbits through Matrix.kernel; the field
-    # work goes through the Cyclo methods that the benchmark counts
+    # the reconstruction goes through Matrix.det and inverts no matrix, and
+    # the eigenvectors of the irregular orbits go through Matrix.kernel; the
+    # field work goes through the Cyclo methods that the benchmark counts
     result = traced("orbits")
     assert result["exit"] == 0
-    for counter in ("linalg.det_calls", "linalg.inverse_calls", "linalg.kernel_calls",
+    for counter in ("linalg.det_calls", "linalg.kernel_calls",
                     "cyclo.mul_calls", "cyclo.add_calls", "cyclo.inv_calls"):
         assert result["counts"].get(counter, 0) > 0, counter
+    # Matrix.inverse is still wrapped, for the timing probe of perfbench
+    assert result["counts"].get("linalg.inverse_calls", 0) == 0
 
 
 def test_traced_pencil_deep_run():

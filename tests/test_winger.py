@@ -8,9 +8,9 @@ from wingerverify.characters import A5_CLASS_REPS, power_maps
 from wingerverify.cyclo import rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Poly3
-from wingerverify.winger import (INFINITY, _triple_scalings, concurrent_triple,
+from wingerverify.winger import (INFINITY, _rescale, _triple_scalings, concurrent_triple,
                                  f_poly, gram_matrix, irregular_orbits,
-                                 normalize_point,
+                                 line_brackets, normalize_point, orbit_of,
                                  pencil_member, q_poly, reconstruct_group,
                                  singular_point, six_lines)
 
@@ -84,6 +84,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
     u_ratios = [normalize_point(u)[:2] for u in u_rest]
+    brackets = line_brackets(rows)
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
@@ -92,7 +93,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
             c = kernel_scaling([b_inv.transpose().apply(rows[j]) for j in rest], u_rest)
             if c is not None:
                 oracle[rest] = normalize_point(c)
-        assert _triple_scalings(b_inv, rows, triple, u_ratios) == oracle, triple
+        assert _triple_scalings(brackets, triple, u_ratios) == oracle, triple
         realized += len(oracle)
     assert realized == (60 if replaced is None else 1)
 
@@ -121,11 +122,12 @@ def test_scalings_match_the_four_division_form():
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
     u_ratios = [normalize_point(u)[:2] for u in u_rest]
+    brackets = line_brackets(rows)
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
         oracle = four_division_scalings(b_inv, rows, triple, u_rest)
-        assert _triple_scalings(b_inv, rows, triple, u_ratios) == oracle, triple
+        assert _triple_scalings(brackets, triple, u_ratios) == oracle, triple
         realized += len(oracle)
     assert realized == 60
 
@@ -162,6 +164,43 @@ def test_orbit_sizes_and_positions():
     k_pt = normalize_point((rational(1), rational(0), rational(0)))
     assert k_pt in orbs[12]
     assert all(q_poly().evaluate(x) == rational(0) for x in orbs[12])
+
+
+def test_orbit_from_generators_is_the_full_orbit():
+    # the closure under the generators against the image under all 60
+    g = reconstruct_group()
+    eta = zeta()
+    points = [next(iter(orb)) for orb in irregular_orbits().values()]
+    points += [(rational(1), rational(2), rational(3)), (eta, rational(0), rational(1)),
+               (rational(0), rational(1), rational(0)), (eta ** 2, eta, rational(-1))]
+    for p in points:
+        full = frozenset(normalize_point(m.apply(p)) for m in g.elements)
+        assert orbit_of(p, g) == full, p
+    assert sorted(len(orbit_of(p, g)) for p in points[:4]) == [6, 10, 12, 15]
+
+
+def test_line_brackets_are_the_signed_determinants():
+    rows = six_lines()
+    brackets = line_brackets(rows)
+    assert len(brackets) == 120
+    for t in permutations(range(6), 3):
+        assert brackets[t] == Matrix.from_rows([rows[i] for i in t]).det(), t
+
+
+def test_reconstruction_matches_the_inverse_search():
+    # the survivors built as B^-1 diag(c) C, with B inverted, rescaled
+    rows = six_lines()
+    c_mat = Matrix.from_rows(rows[:3])
+    c_inv_t = c_mat.inverse().transpose()
+    u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
+    found = set()
+    for triple in permutations(range(6), 3):
+        b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
+        for c in four_division_scalings(b_inv, rows, triple, u_rest).values():
+            m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram_matrix())
+            if m is not None:
+                found.add(m)
+    assert found == set(reconstruct_group().elements)
 
 
 def test_pencil_members():
