@@ -127,9 +127,10 @@ def _rescale(m, gram):
 def reconstruct_group() -> FiniteGroup:
     """The matrices that permute the six lines and keep the form of Q
     with det 1, sorted, as a `FiniteGroup`.  Raises ReconstructionError
-    when three lines are concurrent (a bracket of the search is 0) or when
-    the survivors are not closed (no Cayley table); the claims judge the
-    rest: their number, classes, traces and invariance.
+    naming the triple that `concurrent_triple` finds, since every bracket
+    of the search must be nonzero, or when the survivors are not closed
+    (no Cayley table); the claims judge the rest: their number, classes,
+    traces and invariance.
 
     The search inverts no matrix.  Every point is read from the 20
     brackets of the lines, u = C^-T L_i as ([i 1 2], [0 i 2], [0 1 i]) by
@@ -137,9 +138,10 @@ def reconstruct_group() -> FiniteGroup:
     is det(B) times B^-1 diag(c) C: `_rescale` removes the scalar, since k*M
     scales s by k^2 and det by k^3."""
     rows = six_lines()
+    meet = concurrent_triple(rows)
+    if meet is not None:
+        raise ReconstructionError(f"three of the six lines are concurrent: {list(meet)}")
     brackets = line_brackets(rows)
-    if any(d.is_zero() for d in brackets.values()):
-        raise ReconstructionError("three of the six lines are concurrent")
     gram = gram_matrix()
     u_ratios = [normalize_point((brackets[i, 1, 2], brackets[0, i, 2],
                                  brackets[0, 1, i]))[:2] for i in range(3, 6)]
@@ -159,10 +161,11 @@ def reconstruct_group() -> FiniteGroup:
         raise ReconstructionError(f"survivors do not form a group: {exc}") from exc
 
 
-def line_brackets(rows) -> dict:
+@lru_cache(maxsize=None)
+def line_brackets(rows: tuple) -> dict:
     """[a b c] = det(L_a, L_b, L_c) for every ordered triple of distinct
-    lines (coefficient rows): one determinant per set of three, signed by
-    the parity of each order."""
+    lines (a tuple of coefficient rows): one determinant per set of three,
+    signed by the parity of each order, computed once per tuple of rows."""
     out = {}
     for t in combinations(range(len(rows)), 3):
         d = Matrix.from_rows([rows[i] for i in t]).det()
@@ -174,7 +177,7 @@ def line_brackets(rows) -> dict:
 def concurrent_triple(rows):
     """The first index triple of three lines (coefficient rows) through a
     common point, or None when no three of them meet."""
-    brackets = line_brackets(rows)
+    brackets = line_brackets(tuple(rows))
     return next((t for t in combinations(range(len(rows)), 3) if brackets[t].is_zero()),
                 None)
 
@@ -198,33 +201,23 @@ def normalize_point(coords):
     return tuple(c * inv for c in coords)
 
 
-def orbit_of(point, group: FiniteGroup):
-    """The orbit of a projective point, as the breadth-first closure of
-    its normalized form p under the group's generators: every element of
-    a finite group is a word in its generators.
-
-    Each new point q keeps reach[q], the index of an element that sends p
-    to q, read from the Cayley table.  A generator s that sends a point q'
-    to a point q already found gives reach[q]^-1 * s * reach[q'], which
-    fixes p, and these generate the stabilizer of p (Schreier's lemma).
-    The elements sending p to q are then the coset reach[q] * stabilizer,
-    and the points are inserted in the order in which the images of p
-    under the elements, in their order, first list them: the frozenset,
-    whose iteration order picks the first failing point of a claim's
-    witness, is laid out as the one those images build."""
-    table, inverse, elements = group.table, group.inverse, group.elements
-    start = normalize_point(point)
-    reach, schreier, queue = {start: group.identity}, set(), [start]
-    for p in queue:
-        for s in group.generators:
-            q, k = normalize_point(elements[s].apply(p)), table[s][reach[p]]
-            if q in reach:
-                schreier.add(table[inverse[reach[q]]][k])
-            else:
-                reach[q] = k
-                queue.append(q)
-    stabilizer = group.generated(schreier)
-    return frozenset(sorted(reach, key=lambda q: min(table[reach[q]][x] for x in stabilizer)))
+def orbit_of(point, group: FiniteGroup) -> tuple:
+    """The orbit of a projective point, as a tuple of normalized points:
+    the breadth-first closure of its normalized form under the group's
+    generators, since every element of a finite group is a word in its
+    generators.  The points come in the order found: the normalized
+    point first, then the others by their distance from it in generator
+    steps."""
+    generators = [group.elements[s] for s in group.generators]
+    orbit = [normalize_point(point)]
+    seen = set(orbit)
+    for p in orbit:
+        for m in generators:
+            q = normalize_point(m.apply(p))
+            if q not in seen:
+                seen.add(q)
+                orbit.append(q)
+    return tuple(orbit)
 
 
 def _eigenvector(m: Matrix, lam) -> tuple:
@@ -253,6 +246,10 @@ def irregular_orbits() -> dict:
     The 6/10/15 entries are the orbits of the unit-eigenvalue fixed point
     of an element of order 5/3/2; the 12 entry is the orbit of the other
     rational eigenvector of an order-5 element and lies on the conic.
+    Each orbit is the tuple of `orbit_of`: the fixed point that it is
+    built from comes first, then the points by their distance from it in
+    generator steps, so a claim that reads an orbit in order names as its
+    culprit the first failing point in this order.
     """
     group = reconstruct_group()
     out = {}
@@ -296,6 +293,7 @@ def _derivatives(f: Poly3) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def singular_point(p, f: Poly3) -> tuple:
     """The parameter lam whose member of Q^3 + lam*f is singular at p, and
     whether p is an ordinary double point of that member.
@@ -306,13 +304,11 @@ def singular_point(p, f: Poly3) -> tuple:
     parameter works (and then p is no node).  p is a node iff the
     quadratic part of the member in an affine chart at p, read from
     HQ^3(p) + lam*Hf(p) (Hf(p) at infinity), is a nondegenerate binary
-    form.  Computed once per (normalized point, sextic).
+    form.  Computed once per (point, sextic).  The answer does not depend
+    on the representative of p: both gradients have degree 5, so k*p
+    scales them by k^5 and keeps lam, and the Hessian entries have degree
+    4, so b^2 - ac scales by k^8.
     """
-    return _singular_point(normalize_point(p), f)
-
-
-@lru_cache(maxsize=None)
-def _singular_point(p, f: Poly3) -> tuple:
     grad_q, hess_q, grad_f, hess_f = _derivatives(f)
     gq = tuple(d.evaluate(p) for d in grad_q)
     gf = tuple(d.evaluate(p) for d in grad_f)

@@ -3,9 +3,25 @@
 The mathematics lives in the claims of the command line's report; a
 criterion passes when every claim mapped to it in `CRITERIA` passes in
 one in-process run of `winger-verify all --deep`.
+
+The same-output runs (`GOLDEN_RUNS`) keep their exit code, text report
+and JSON report, without `millis`, in `tests/golden/`; every run of the
+program must give them again.  After a change that is meant to alter
+them, rewrite them by hand from the tree's own program with
+
+    PYTHONPATH=src:tests python -c "import test_acceptance as t; t.write_golden()"
+
+and list every changed line in the change's notes.
 """
 
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -67,16 +83,49 @@ FAULTS = {
 }
 
 
-def run_report(argv, path):
-    """Exit code and claims (by id) of one in-process CLI run."""
-    code = cli.main([*argv, "--json", str(path)])
-    return code, {c["id"]: c for c in json.loads(path.read_text())["claims"]}
+GOLDEN_RUNS = (("all",), ("all", "--deep"), ("tuples", "--convention", "ltr"),
+               ("pencil", "--deep"), ("degenerations",),
+               *((suite, "--corrupt", spec) for suite, spec in FAULTS),
+               ("pencil", "--deep", "--corrupt", "f:0,0,6"))
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@lru_cache(maxsize=None)
+def cli_run(argv: tuple):
+    """Exit code, stdout and JSON report of one in-process CLI run, made
+    once per test session for all the tests that read it; they must not
+    change the report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        with redirect_stdout(io.StringIO()) as out:
+            code = cli.main([*argv, "--json", str(path)])
+        return code, out.getvalue(), json.loads(path.read_text())
+
+
+def golden_record(code, stdout, report, argv):
+    """What a golden file holds of one run: all but the `millis`."""
+    claims = [{k: v for k, v in c.items() if k != "millis"} for c in report["claims"]]
+    return {"argv": list(argv), "exit_code": code, "stdout": stdout.splitlines(),
+            "report": {**report, "claims": claims}}
+
+
+def golden_path(argv):
+    name = "_".join(argv).replace("--", "").replace(":", "-").replace(",", "-")
+    return GOLDEN / f"{name}.json"
+
+
+def write_golden():
+    """Rewrites every golden file from the in-process runs of this tree."""
+    GOLDEN.mkdir(exist_ok=True)
+    for argv in GOLDEN_RUNS:
+        record = golden_record(*cli_run(argv), argv)
+        golden_path(argv).write_text(json.dumps(record, indent=1) + "\n")
 
 
 @pytest.fixture(scope="module")
-def claims(tmp_path_factory):
-    path = tmp_path_factory.mktemp("acceptance") / "report.json"
-    return run_report(["all", "--deep"], path)[1]
+def claims():
+    return {c["id"]: c for c in cli_run(("all", "--deep"))[2]["claims"]}
 
 
 def verdict(num, ok, text):
@@ -90,7 +139,7 @@ def gate(claims, num):
     verdict(num, not failing, text + (f" [not passing: {failing}]" if failing else ""))
 
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+REFERENCE = ROOT / "perfbench" / "reference"
 
 
 def test_report_matches_benchmark_references(claims):
@@ -160,12 +209,11 @@ def test_criterion_11_binary_icosahedral(claims):
     gate(claims, 11)
 
 
-def test_criterion_12_fault_injection(tmp_path, capsys):
+def test_criterion_12_fault_injection():
     got = {}
-    for (suite, spec), want in FAULTS.items():
-        code, report = run_report([suite, "--corrupt", spec], tmp_path / "report.json")
-        got[suite, spec] = (code, {i for i, c in report.items() if c["status"] == "fail"})
-    capsys.readouterr()
+    for suite, spec in FAULTS:
+        code, _, report = cli_run((suite, "--corrupt", spec))
+        got[suite, spec] = (code, {c["id"] for c in report["claims"] if c["status"] == "fail"})
     wrong = {run: res for run, res in got.items() if res != (1, FAULTS[run])}
     verdict(12, not wrong, "each injected corruption of F or a group matrix fails "
                            "exactly its expected claims"
@@ -174,3 +222,24 @@ def test_criterion_12_fault_injection(tmp_path, capsys):
 
 def test_criterion_13_discriminant(claims):
     gate(claims, 13)
+
+
+def test_runs_give_the_golden_files():
+    assert sorted(GOLDEN.glob("*.json")) == sorted(map(golden_path, GOLDEN_RUNS))
+    for argv in GOLDEN_RUNS:
+        want = json.loads(golden_path(argv).read_text())
+        assert golden_record(*cli_run(argv), argv) == want, " ".join(argv)
+
+
+def test_witnesses_rest_on_no_hash_layout():
+    # a fresh process under a fixed string-hash seed names the same
+    # culprits as the stored run: no witness depends on a set's layout
+    argv = ("pencil", "--corrupt", "f:0,0,6")
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "wingerverify.cli", *argv, "--json", "-"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    want = json.loads(golden_path(argv).read_text())
+    text = len(want["stdout"])
+    lines = proc.stdout.splitlines()
+    report = json.loads("\n".join(lines[text:]))
+    assert golden_record(proc.returncode, "\n".join(lines[:text]), report, argv) == want

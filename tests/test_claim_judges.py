@@ -33,7 +33,7 @@ def cleared(*caches):
 @pytest.fixture
 def fresh_group():
     yield from cleared(winger.reconstruct_group, winger.irregular_orbits,
-                       winger._singular_point)
+                       winger.singular_point)
 
 
 @pytest.fixture
@@ -186,6 +186,9 @@ def test_concurrent_lines_are_named_without_the_group(fresh_group, tmp_path, mon
     assert failing(code, claims) == {"group-reconstruction-60", "lines-no-three-concurrent"}
     assert claims["lines-no-three-concurrent"]["witness"] == {"triples_checked": 20,
                                                               "triple": [0, 1, 3]}
+    # the search's precondition reads the same triple
+    assert claims["group-reconstruction-60"]["witness"] == (
+        "three of the six lines are concurrent: [0, 1, 3]")
     assert [(i, c["status"]) for i, c in claims.items()] == [
         ("group-reconstruction-60", "fail"), ("group-class-sizes", "skipped"),
         ("group-trace-character", "skipped"), ("invariance-conic-sextic-form", "skipped"),
@@ -208,12 +211,12 @@ def test_extra_singular_parameter_fails_smooth_evidence(fresh_group, tmp_path, m
                                                         capsys):
     # one conic point reports lambda = 2, one of the ten tested parameters;
     # it is then no point of the triple conic either
-    singular_point = winger._singular_point
+    singular_point = winger.singular_point
     point = next(iter(winger.irregular_orbits()[12]))
 
     def extra(p, f):
         return (rational(2), False) if p == point else singular_point(p, f)
-    monkeypatch.setattr(winger, "_singular_point", extra)
+    monkeypatch.setattr(winger, "singular_point", extra)
     code, claims = report(["pencil"], tmp_path, capsys)
     assert failing(code, claims) == {"no-extra-singular-orbits", "node-nondegeneracy"}
     assert claims["node-nondegeneracy"]["witness"]["triple_conic_degenerate"] is False
@@ -229,12 +232,12 @@ def test_stray_parameter_fails_its_orbit_claim(size, claim_id, fresh_group, tmp_
                                                monkeypatch, capsys):
     # one orbit point reports lambda = 1/2, no published member and none of
     # the ten tested parameters; the failing witness names that point
-    singular_point = winger._singular_point
+    singular_point = winger.singular_point
     point = next(iter(winger.irregular_orbits()[size]))
 
     def stray(p, f):
         return (rational(1) / 2, True) if p == point else singular_point(p, f)
-    monkeypatch.setattr(winger, "_singular_point", stray)
+    monkeypatch.setattr(winger, "singular_point", stray)
     code, claims = report(["pencil"], tmp_path, capsys)
     assert failing(code, claims) == {claim_id, "node-nondegeneracy"}
     assert claims[claim_id]["witness"] == {

@@ -208,10 +208,10 @@ def test_node_witness_counts_nodal_points(tmp_path, capsys):
     capsys.readouterr()
     witness = claim["witness"]
     assert claim["status"] == "fail" and witness["nodal_points"] < 31
-    # the first point off its wanted pair: a 6-orbit point that the
-    # perturbed pencil makes singular for no single parameter
-    assert (witness["orbit"], witness["lambda"], witness["node"]) == (6, "none", False)
-    assert witness["point"] in orbit_strings(6)
+    # the first point off its wanted pair is the 6-orbit's own fixed point
+    # (0:0:1), where z2^6 added to F moves the nodal member to lambda = -1/2
+    assert (witness["orbit"], witness["lambda"], witness["node"]) == (6, "-1/2", True)
+    assert witness["point"] == ["0", "0", "1"] == orbit_strings(6)[0]
 
 
 def test_base_locus_witness_names_the_member_and_point(tmp_path, capsys):
@@ -416,7 +416,7 @@ def package_caches():
 def test_every_cache_is_hit_by_all(capsys):
     # a cache that `all` never hits only costs its memory
     caches = package_caches()
-    assert {"winger.reconstruct_group", "winger._singular_point"} <= set(caches)
+    assert {"winger.reconstruct_group", "winger.singular_point"} <= set(caches)
     for cached in caches.values():
         cached.cache_clear()
     assert run(["all"]) == 0
@@ -429,7 +429,7 @@ def test_singular_lambda_is_computed_once_per_point_and_sextic(tmp_path, capsys)
     # the pencil claims ask 117 times about the 43 orbit points; the cache
     # is keyed by the sextic as well, so a corrupted pencil after a clean
     # one in the same process reads its own parameters
-    cached = winger._singular_point
+    cached = winger.singular_point
     cached.cache_clear()
     assert run(["pencil"]) == 0
     assert (cached.cache_info().misses, cached.cache_info().hits) == (43, 117 - 43)
@@ -686,7 +686,7 @@ def reconstruction_fault(monkeypatch):
         raise winger.ReconstructionError("three of the six lines are concurrent")
     monkeypatch.setattr(winger, "reconstruct_group", fault)
     winger.irregular_orbits.cache_clear()
-    winger._singular_point.cache_clear()
+    winger.singular_point.cache_clear()
 
 
 def test_reconstruction_fault_keeps_every_suite(reconstruction_fault, tmp_path, capsys):
@@ -796,19 +796,17 @@ def test_orbit_fault_fails_only_the_orbit_claims(tmp_path, monkeypatch, capsys):
     # the points that were checked
     orbit_of = winger.orbit_of
 
-    def short(point, group):  # drops one point of every orbit
-        points = set(orbit_of(point, group))
-        points.pop()
-        return frozenset(points)
+    def short(point, group):  # drops the last point of every orbit
+        return orbit_of(point, group)[:-1]
     monkeypatch.setattr(winger, "orbit_of", short)
     winger.irregular_orbits.cache_clear()
-    winger._singular_point.cache_clear()
+    winger.singular_point.cache_clear()
     path = tmp_path / "report.json"
     try:
         assert run(["all", "--json", str(path)]) == 1
     finally:
         winger.irregular_orbits.cache_clear()
-        winger._singular_point.cache_clear()
+        winger.singular_point.cache_clear()
     capsys.readouterr()
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
     assert len(claims) == 32

@@ -6,15 +6,13 @@ one into a coefficient would change the element without an error.
 """
 
 import ast
-import json
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from test_acceptance import FAULTS
-from wingerverify import cli
+from test_acceptance import FAULTS, cli_run
 from wingerverify.characters import ClassFunction, induced_character
 from wingerverify.covers import Quaternion
 from wingerverify.cyclo import Cyclo, golden, make, rational, zeta
@@ -122,11 +120,8 @@ RUNS = [("all", "--deep"), ("tuples", "--convention", "ltr"),
 
 
 @pytest.mark.parametrize("argv", RUNS, ids=" ".join)
-def test_witnesses_hold_no_float(argv, tmp_path, capsys):
-    path = tmp_path / "report.json"
-    cli.main([*argv, "--json", str(path)])
-    capsys.readouterr()
-    claims = json.loads(path.read_text())["claims"]
+def test_witnesses_hold_no_float(argv):
+    claims = cli_run(argv)[2]["claims"]
     assert [c["id"] for c in claims if not exact(c["witness"])] == []
 
 

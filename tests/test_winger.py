@@ -84,7 +84,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
     u_ratios = [normalize_point(u)[:2] for u in u_rest]
-    brackets = line_brackets(rows)
+    brackets = line_brackets(tuple(rows))
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
@@ -174,8 +174,10 @@ def test_orbit_from_generators_is_the_full_orbit():
     points += [(rational(1), rational(2), rational(3)), (eta, rational(0), rational(1)),
                (rational(0), rational(1), rational(0)), (eta ** 2, eta, rational(-1))]
     for p in points:
-        full = frozenset(normalize_point(m.apply(p)) for m in g.elements)
-        assert orbit_of(p, g) == full, p
+        orbit = orbit_of(p, g)
+        assert isinstance(orbit, tuple) and len(set(orbit)) == len(orbit), p
+        assert orbit[0] == normalize_point(p)
+        assert set(orbit) == {normalize_point(m.apply(p)) for m in g.elements}, p
     assert sorted(len(orbit_of(p, g)) for p in points[:4]) == [6, 10, 12, 15]
 
 
@@ -236,6 +238,17 @@ def test_node_checks():
     assert all(singular_point(p, f) == (INFINITY, True) for p in orbs[15])
     # triple conic: singular but not nodal at base points
     assert singular_point(next(iter(orbs[12])), f) == (rational(0), False)
+
+
+@pytest.mark.parametrize("sextic", ["F", "f:0,0,6"])
+def test_singular_point_is_projective(sextic):
+    # lam and the node test read the point, not its representative: the
+    # cache may be keyed by the normalized orbit points alone
+    f = f_poly() if sextic == "F" else f_poly() + Poly3.monomial((0, 0, 6), 1)
+    eta = zeta()
+    for p in (p for orbit in irregular_orbits().values() for p in orbit):
+        for k in (rational(2), eta, rational(Fraction(-1, 3))):
+            assert singular_point(tuple(k * c for c in p), f) == singular_point(p, f), (p, k)
 
 
 def test_node_check_rejects_smooth_points():
