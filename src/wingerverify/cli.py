@@ -42,14 +42,15 @@ import argparse
 import sys
 from importlib import import_module
 
-from .report import Claim, ClaimReport, error_witness
+from .report import CLASS_SIZES, Claim, ClaimReport, error_witness
 
 
 class Corruption:
     """Optional fault injection for sensitivity testing.
 
     spec "f:a,b,c" adds 1 to that coefficient of the six-line sextic;
-    spec "matrix:K" adds 1 to the top-left entry of group element K.
+    spec "matrix:K" adds 1 to the top-left entry of group element K, for
+    K in 0..59 (the published order of the group).
     """
 
     def __init__(self, spec: str | None):
@@ -64,7 +65,10 @@ class Corruption:
                 raise ValueError("corruption exponent must be a degree-6 triple")
             self.f_expo = parts
         elif kind == "matrix":
-            self.matrix_index = int(payload)
+            k, order = int(payload), sum(CLASS_SIZES)
+            if not 0 <= k < order:
+                raise ValueError(f"corruption matrix index must be in 0..{order - 1}")
+            self.matrix_index = k
         else:
             raise ValueError(f"unknown corruption spec {spec!r}")
 
@@ -82,7 +86,7 @@ class Corruption:
         from .winger import reconstruct_group
         mats = list(reconstruct_group().elements)
         if self.matrix_index is not None:
-            k = self.matrix_index % len(mats)
+            k = self.matrix_index
             e = mats[k].entries
             mats[k] = Matrix((e[0] + rational(1),) + e[1:])
         return mats

@@ -119,6 +119,23 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return Perm.from_cycles(cycles, degree)
 
 
+def closure(start, moves) -> tuple:
+    """`start` and every element that the one-argument functions `moves`
+    reach from it, each once, in breadth-first order: `start` first, then
+    the others by the number of moves from it, ties in the order found.
+    Every subgroup, point orbit and braid orbit of the package is one.
+    Elements must be hashable, and the reachable set finite."""
+    found = [start]
+    seen = {start}
+    for x in found:  # the list grows while it is read: the queue
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return tuple(found)
+
+
 class FiniteGroup:
     """A finite group given by its full element list, indexed once.
 
@@ -132,8 +149,8 @@ class FiniteGroup:
     Only generator rows cost element products.  Scanning the list in
     order, an element whose row is still unknown becomes a generator s,
     its row is multiplied out (every product must land in the list), and
-    the known rows are closed under left multiplication by the
-    generators: the row of k = s*h is row(s) composed with row(h), since
+    the rows of its `closure` under left multiplication by the generators
+    follow: the row of k = s*h is row(s) composed with row(h), since
     k*x = s*(h*x).  Every element ends up a word in the generators, so the
     list is a finite semigroup inside a group: closed, hence a group.  The
     generators' indices are kept, in that order, as `generators`; a
@@ -162,17 +179,13 @@ class FiniteGroup:
                 raise ValueError("element list is not closed under the product")
             table[i] = row
             gens.append(i)
-            frontier = [h for h, r in enumerate(table) if r is not None]
-            while frontier:
-                new = []
-                for h in frontier:
-                    for s in gens:
-                        row_s = table[s]
-                        k = row_s[h]
-                        if table[k] is None:
-                            table[k] = [row_s[x] for x in table[h]]
-                            new.append(k)
-                frontier = new
+            # the closure of g is the subgroup that gens generate; read in
+            # its order, the row of h is known when h reaches a new element
+            for h in closure(i, [table[s].__getitem__ for s in gens]):
+                for s in gens:
+                    k = table[s][h]
+                    if table[k] is None:
+                        table[k] = [table[s][x] for x in table[h]]
         fixing = list(range(n))
         identity = next((i for i, row in enumerate(table) if row == fixing), None)
         if identity is None:
@@ -221,20 +234,10 @@ class FiniteGroup:
         return [cls[0] for cls in self.classes if len(cls) == 1]
 
     def generated(self, gens) -> frozenset:
-        """The subgroup generated by the given element indices."""
-        table, gens = self.table, list(gens)
-        members = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for b in frontier:
-                for g in gens:
-                    c = table[g][b]
-                    if c not in members:
-                        members.add(c)
-                        new.append(c)
-            frontier = new
-        return frozenset(members)
+        """The subgroup generated by the given element indices: the
+        `closure` of the identity under left multiplication by each of
+        them, which in a finite group reaches every word in them."""
+        return frozenset(closure(self.identity, [self.table[g].__getitem__ for g in gens]))
 
     def derived(self) -> frozenset:
         """The subgroup generated by all commutators a b a^-1 b^-1."""

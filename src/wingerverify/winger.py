@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 from .cyclo import rational, zeta
 from .linalg import Matrix
-from .perms import FiniteGroup, finite_group
+from .perms import FiniteGroup, closure, finite_group
 from .polys import Poly3
 
 
@@ -203,21 +203,14 @@ def normalize_point(coords):
 
 def orbit_of(point, group: FiniteGroup) -> tuple:
     """The orbit of a projective point, as a tuple of normalized points:
-    the breadth-first closure of its normalized form under the group's
-    generators, since every element of a finite group is a word in its
-    generators.  The points come in the order found: the normalized
-    point first, then the others by their distance from it in generator
-    steps."""
-    generators = [group.elements[s] for s in group.generators]
-    orbit = [normalize_point(point)]
-    seen = set(orbit)
-    for p in orbit:
-        for m in generators:
-            q = normalize_point(m.apply(p))
-            if q not in seen:
-                seen.add(q)
-                orbit.append(q)
-    return tuple(orbit)
+    the `closure` of its normalized form under one move per generator of
+    the group, p -> normalize_point(m p), since every element of a finite
+    group is a word in its generators.  The points come in the order
+    found: the normalized point first, then the others by their distance
+    from it in generator steps."""
+    moves = [lambda p, m=group.elements[s]: normalize_point(m.apply(p))
+             for s in group.generators]
+    return closure(normalize_point(point), moves)
 
 
 def _eigenvector(m: Matrix, lam) -> tuple:

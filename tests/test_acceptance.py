@@ -231,6 +231,19 @@ def test_runs_give_the_golden_files():
         assert golden_record(*cli_run(argv), argv) == want, " ".join(argv)
 
 
+def test_stdout_json_follows_the_text_report():
+    # `--json -`, the path every benchmark report takes: the text report,
+    # then one JSON document
+    argv = ("tuples", "--convention", "ltr")
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main([*argv, "--json", "-"])
+    want = json.loads(golden_path(argv).read_text())
+    lines = out.getvalue().splitlines()
+    text = len(want["stdout"])
+    report = json.loads("\n".join(lines[text:]))
+    assert golden_record(code, "\n".join(lines[:text]), report, argv) == want
+
+
 def test_witnesses_rest_on_no_hash_layout():
     # a fresh process under a fixed string-hash seed names the same
     # culprits as the stored run: no witness depends on a set's layout

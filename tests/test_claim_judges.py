@@ -450,6 +450,48 @@ def test_fault_fails_its_claim(claim_id, fresh_tuple_classes, tmp_path, monkeypa
     assert all(exact(claims[i]["witness"]) for i in want)
 
 
+# -- a fault for each failing witness that no other fault reaches -----------------
+
+def _two_of_a_five_cycle(factorizations):
+    """An involution answered by two factorizations of a 5-cycle, whose
+    factors do not commute."""
+    orders, five = alternating_group_5().orders, hurwitz.order_sets()[5][0]
+    return lambda h: (set(sorted(factorizations(five))[:2]) if orders[h] == 2
+                      else factorizations(h))
+
+
+def _last_pair_reversed(factorizations):
+    """An element of order 3 answered with its last factorization reversed,
+    a factorization of its inverse and so outside the cyclic orbit."""
+    orders = alternating_group_5().orders
+
+    def fault(h):
+        fac = factorizations(h)
+        if orders[h] != 3:
+            return fac
+        last = max(fac)
+        return fac - {last} | {last[::-1]}
+    return fault
+
+
+# failing witness key -> (the fault as a wrapper of
+# `hurwitz.involution_factorizations`, the witness)
+FACTORIZATION_FAULTS = {
+    "noncommuting": (_two_of_a_five_cycle, {"r": 2, "noncommuting": True}),
+    "orbit_size": (_last_pair_reversed, {"r": 3, "orbit_size": 3}),
+}
+
+
+@pytest.mark.parametrize("key", FACTORIZATION_FAULTS)
+def test_factorization_fault_gives_its_witness(key, tmp_path, monkeypatch, capsys):
+    fault, witness = FACTORIZATION_FAULTS[key]
+    monkeypatch.setattr(hurwitz, "involution_factorizations",
+                        fault(hurwitz.involution_factorizations))
+    code, claims = report(["tuples"], tmp_path, capsys)
+    assert failing(code, claims) == {"involution-factorizations"}
+    assert claims["involution-factorizations"]["witness"] == witness
+
+
 def test_non_integral_genus_fails_with_an_exact_witness(tmp_path, monkeypatch, capsys):
     # a Fraction genus reaches the JSON report as a string, not as a crash
     genus = covers.riemann_hurwitz_genus

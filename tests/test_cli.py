@@ -178,6 +178,24 @@ def test_corruption_specs():
         Corruption("nonsense:1")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("matrix:60", "corruption matrix index must be in 0..59"),
+    ("matrix:-1", "corruption matrix index must be in 0..59"),
+    ("f:1,2", "corruption exponent must be a degree-6 triple"),
+    ("bogus:1", "unknown corruption spec 'bogus:1'")])
+def test_bad_corruption_spec_is_a_usage_error(spec, message, capsys):
+    # refused before any suite runs: no report, one message on stderr
+    with pytest.raises(SystemExit) as exc:
+        run(["orbits", "--corrupt", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("winger-verify: error:")] == [
+        f"winger-verify: error: {message}"]
+    assert "Traceback" not in captured.err
+
+
 def test_corrupted_sextic_fails(capsys):
     assert run(["orbits", "--corrupt", "f:6,0,0"]) == 1
     out = capsys.readouterr().out
@@ -468,20 +486,34 @@ def test_failed_macaulay_control_fails_discriminant(fault, tmp_path, monkeypatch
     assert claim["witness"]["control"] == expect
 
 
-def test_bad_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):
+def table_rows_witness(k, row, tmp_path, monkeypatch, capsys):
+    """The witness of `tuple-table-rows`, the one claim of a `tuples` run
+    that fails, with published row k replaced by `row`."""
     rows = list(hurwitz.TUPLE_TABLE_ROWS)
-    rows[0] = rows[0][:3] + ("(12)(34)",)
+    rows[k] = row
     monkeypatch.setattr(hurwitz, "TUPLE_TABLE_ROWS", tuple(rows))
     path = tmp_path / "report.json"
     assert run(["tuples", "--json", str(path)]) == 1
     capsys.readouterr()
     claims = {c["id"]: c for c in json.loads(path.read_text())["claims"]}
     assert claims["tuple-table-rows"]["status"] == "fail"
-    assert claims["tuple-table-rows"]["witness"] == {
-        "rows_matched": 9,
-        "unmatched": [["(12345)", "(12)(35)", "(15)(34)", "(12)(34)"]]}
     assert [c["id"] for c in claims.values() if c["status"] != "pass"] == [
         "tuple-table-rows"]
+    return claims["tuple-table-rows"]["witness"]
+
+
+def test_bad_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):
+    row = hurwitz.TUPLE_TABLE_ROWS[0][:3] + ("(12)(34)",)
+    assert table_rows_witness(0, row, tmp_path, monkeypatch, capsys) == {
+        "rows_matched": 9,
+        "unmatched": [["(12345)", "(12)(35)", "(15)(34)", "(12)(34)"]]}
+
+
+def test_duplicated_published_row_fails_its_claim(tmp_path, monkeypatch, capsys):
+    # every row matches, but two of them name the same class
+    row = hurwitz.TUPLE_TABLE_ROWS[0]
+    assert table_rows_witness(1, row, tmp_path, monkeypatch, capsys) == {
+        "rows_matched": 10, "distinct_classes": 9}
 
 
 def test_report_content_deterministic(tmp_path, capsys):

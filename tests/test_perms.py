@@ -4,11 +4,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from wingerverify.characters import S5_CLASS_REPS
 from wingerverify.covers import Quaternion, binary_icosahedral_group
 from wingerverify.linalg import Matrix
-from wingerverify.perms import FiniteGroup, Perm, alternating_group_5, parse_cycles
+from wingerverify.perms import FiniteGroup, Perm, alternating_group_5, closure, parse_cycles
 from wingerverify.winger import reconstruct_group
 
 
@@ -94,6 +95,33 @@ def test_closure_subgroups():
     assert len(s3) == 6
     assert a5.generated(idx(a5, "(12345)", "(12)(34)")) == frozenset(range(60))
     assert a5.derived() == frozenset(range(60))  # A5 is perfect
+
+
+def test_closure_is_breadth_first():
+    # Z/12 under +3 and +4: every residue, each once, nearest first
+    moves = [lambda x: (x + 3) % 12, lambda x: (x + 4) % 12]
+    found = closure(0, moves)
+    assert found == (0, 3, 4, 6, 7, 8, 9, 10, 11, 1, 2, 5)
+    assert len(set(found)) == len(found) == 12
+    level, distance = {0}, {0: 0}
+    for d in range(1, 12):
+        level = {m(x) for x in level for m in moves} - set(distance)
+        distance.update(dict.fromkeys(level, d))
+    steps = [distance[x] for x in found]
+    assert steps == sorted(steps)
+    # a cycle back to the start ends the closure
+    assert closure(0, [lambda x: (x + 1) % 5]) == (0, 1, 2, 3, 4)
+    assert closure("a", [lambda x: x]) == ("a",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 119), min_size=1, max_size=3))
+def test_generated_matches_sympy(gens):
+    s5 = symmetric_group_5()
+    group = PermutationGroup([Permutation([i - 1 for i in s5.elements[g].images])
+                              for g in gens])
+    want = {s5.index[Perm(i + 1 for i in p.array_form)] for p in group.elements}
+    assert s5.generated(gens) == want
 
 
 def test_group_table_validation():

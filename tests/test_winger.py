@@ -205,6 +205,21 @@ def test_reconstruction_matches_the_inverse_search():
     assert found == set(reconstruct_group().elements)
 
 
+def test_rescale_keeps_the_form_exactly_or_refuses():
+    gram = gram_matrix()
+    # diag(1, 2, 1) doubles the z0*z1 part of the form and keeps the z2^2
+    # part, so no multiple of it keeps the form
+    assert _rescale(Matrix.diagonal([1, 2, 1]), gram) is None
+    # diag(4, 1, 2) multiplies the form by 4; half of it keeps it with det 1
+    half = Matrix.diagonal([2, Fraction(1, 2), 1])
+    assert _rescale(Matrix.diagonal([4, 1, 2]), gram) == half
+    for m in [half, *reconstruct_group().elements[:3]]:
+        for k in (3, -1, Fraction(1, 2), zeta()):
+            got = _rescale(m * rational(k), gram)
+            assert got == m, (m, k)
+            assert got.transpose() * gram * got == gram and got.det() == rational(1)
+
+
 def test_pencil_members():
     f = f_poly()
     assert pencil_member(rational(0), f) == q_poly() ** 3
