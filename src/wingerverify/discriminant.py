@@ -5,26 +5,30 @@ vanishes exactly when the curve is singular.  For the pencil the
 partials are quintics whose coefficients are linear in the parameter.
 Their hybrid Sylvester-Bezout matrix H(lam) is 45x45, with 30 Sylvester
 rows linear in lam and 15 Bezout rows, from the Morley form, cubic in
-lam; its determinant is the resultant with no extraneous factor.  Two
-auxiliary unknowns per Bezout row make it the 75x75 linear pencil
-A + lam*B with the same determinant, computed as an exact integer
-polynomial in lam: per prime of a table of five Proth primes, each
-proven from its stored certificate, one inversion and one Hessenberg
-characteristic polynomial mod p, then the Chinese remainder theorem past
-a Hadamard bound on the rows of H (one prime).  A nonzero constant left
-after dividing out, on integers, the roots that the caller expects
-certifies that no other finite member is singular; the degree drop
-below 75 witnesses the singular member at infinity.
+lam; its determinant is the resultant with no extraneous factor.  The
+torus diag(zeta, zeta^-1, 1) of the A5 that keeps the pencil gives each
+row and column of H one weight mod 5, so H is block diagonal: five 9x9
+blocks, each with three Bezout rows.  Two auxiliary unknowns per Bezout
+row make each block a 15x15 linear pencil A + lam*B with the same
+determinant, and det H, their product up to the sign of the block
+order, is computed as an exact integer polynomial in lam: per prime of
+a table of five Proth primes, each proven from its stored certificate,
+one inversion and one Hessenberg characteristic polynomial mod p per
+block, then the Chinese remainder theorem past a Hadamard bound on the
+rows of H (one prime).  A nonzero constant left after dividing out, on
+integers, the roots that the caller expects certifies that no other
+finite member is singular; the degree drop below 75 witnesses the
+singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
 its 30x30 minor by the integer elimination `linalg.echelon`, in
-coordinates of determinant 1 where that minor does not vanish, so that
-both values are the same resultant.  Its rows and columns are listed
-form by form (f_2, f_1, then f_0 rows, each in descending lexicographic
-order), a symmetric permutation that keeps both determinants and lets
-the elimination, which updates only the rows it touches, leave most
-rows alone until their own group's pivots.
+coordinates of determinant 1 where that minor does not vanish and the
+matrix is sparse, so that both values are the same resultant.  Its rows
+and columns are listed form by form (f_2, f_1, then f_0 rows, each in
+descending lexicographic order), a symmetric permutation that keeps both
+determinants and lets the elimination, which updates only the rows it
+touches, leave most rows alone until their own group's pivots.
 
 The command line runs it with `--deep`; the orbitwise computation in
 winger reaches the same list without it.
@@ -38,6 +42,7 @@ from operator import add, mul
 
 from .cyclo import _numerators
 from .linalg import Matrix, integer_det
+from .perms import Perm
 from .polys import Poly3, monomials_of_degree
 from .winger import q_poly
 
@@ -63,10 +68,11 @@ def macaulay_system(degrees):
     determinant.  It is chosen for `linalg.echelon`: the rows are grouped
     by the form they multiply, f_2 first, then f_1, then f_0, each group
     in descending lexicographic order.  On the 105x105 control matrix at
-    lam = 1 the elimination then writes about half the bits that
-    lexicographic order makes it write, and it timed among the fastest
-    of the twelve orders by group and direction, at about half the time
-    of lexicographic order.
+    lam = 1, in the coordinates `CONTROL_T`, the elimination then writes
+    about a third of the bits that lexicographic order makes it write,
+    and it timed among the three fastest of the twelve orders by group
+    and direction (28 ms against 28-45 ms), at about half the time of
+    lexicographic order (55 ms).
     """
     d0, d1, d2 = degrees
     groups = ([], [], [])
@@ -114,8 +120,10 @@ def macaulay_resultant_value(fs, degrees) -> Fraction:
 # coordinates the Macaulay denominator minor vanishes identically (a 0/0
 # evaluation); after T it does not.  Mixing the three quintic partials by
 # T^t scales the resultant by det(T)^(5*5), and the substitution by
-# det(T)^(5*5*5); with det T = 1 the resultant is unchanged.
-CONTROL_T = ((1, 0, 0), (0, 1, 0), (1, 1, 1))
+# det(T)^(5*5*5); with det T = 1 the resultant is unchanged.  This T, a
+# signed permutation up to one shear, keeps the 105x105 Macaulay matrix
+# sparse: 1,225 nonzeros, against 2,205 for ((1, 0, 0), (0, 1, 0), (1, 1, 1)).
+CONTROL_T = ((0, -1, 0), (0, 1, 1), (-1, 0, 0))
 
 
 def _pencil_partials(f, t=None):
@@ -145,13 +153,20 @@ def _divided_difference(form, j):
     return out
 
 
-def _product(p, q):
-    """Product of two polynomials in the dict form of `_divided_difference`."""
+def _product(p, q, ydegs):
+    """The terms of y-degree in `ydegs` of the product of two polynomials
+    in the dict form of `_divided_difference`: q grouped by y-degree, each
+    term of p meets only the terms of q that bring it to one of `ydegs`."""
+    by_ydeg = {}
+    for k2, c2 in q.items():
+        by_ydeg.setdefault(sum(k2[3:6]), []).append((k2, c2))
     out = {}
     for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            key = tuple(map(add, k1, k2))
-            out[key] = out.get(key, 0) + c1 * c2
+        s = sum(k1[3:6])
+        for t in ydegs:
+            for k2, c2 in by_ydeg.get(t - s, ()):
+                key = tuple(map(add, k1, k2))
+                out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
@@ -183,17 +198,17 @@ def hybrid_rows(forms, d):
     lam_forms = [{(*a, k): c for k, coeffs in enumerate(form) for a, c in coeffs.items()}
                  for form in forms]
     m = [[_divided_difference(form, j) for j in range(3)] for form in lam_forms]
-    morley = {}
-    for (i0, i1, i2), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
-        for key, c in _product(_product(m[i0][0], m[i1][1]), m[i2][2]).items():
-            morley[key] = morley.get(key, 0) + sign * c
+    top = 3 * d - 3 - nu  # the y-degree of the Bezout rows
     # a Morley coefficient has lam-degree at most 3 * (len(form) - 1)
     bezout = {b: [[0] * len(col) for _ in range(3 * max(map(len, forms)) - 2)]
-              for b in monomials_of_degree(3 * d - 3 - nu)}
-    for key, c in morley.items():
-        if key[3:6] in bezout:
-            bezout[key[3:6]][key[6]][col[key[:3]]] += c
+              for b in monomials_of_degree(top)}
+    for (i0, i1, i2), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                               ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        # only left terms that a term of the right factor lifts to y-degree top
+        right = m[i2][2]
+        reach = {top - sum(key[3:6]) for key in right}
+        for key, c in _product(_product(m[i0][0], m[i1][1], reach), right, (top,)).items():
+            bezout[key[3:6]][key[6]][col[key[:3]]] += sign * c
     return rows + list(bezout.values())
 
 
@@ -388,21 +403,55 @@ def _pencil_det_mod(a, b, p):
     return [det0 * x % p for x in out]
 
 
+def _blocks(rows):
+    """The connected components of the nonzero pattern of H, for its rows
+    as `_pencil_det` takes them: pairs (row indices, column indices), each
+    ascending, the pairs sorted.  Row i meets column j when any of row i's
+    coefficient rows is nonzero there; a zero row, or a zero column, is a
+    component of its own."""
+    blocks = []  # pairwise disjoint in rows and in columns
+    for i, row in enumerate(rows):
+        rws, cols = [i], {j for part in row for j, x in enumerate(part) if x}
+        rest = []
+        for b in blocks:
+            if b[1] & cols:
+                rws += b[0]
+                cols |= b[1]
+            else:
+                rest.append(b)
+        blocks = rest + [(rws, cols)]
+    met = set().union(*(cols for _, cols in blocks))
+    blocks += [([], {j}) for j in range(len(rows[0][0]) if rows else 0) if j not in met]
+    return sorted((sorted(rws), sorted(cols)) for rws, cols in blocks)
+
+
 def _pencil_det(rows):
     """Exact integer coefficients (lowest first) of det H(lam), for the
     rows of H, each the list of its coefficient rows in lam, lowest first,
     of degree 1 or 3: the rows of `hybrid_rows`, or pairs [a_i, b_i] for
     det(A + lam*B).
 
-    The rows are bounded by `_pencil_bound`, then linearized to A + lam*B
-    of the same determinant.  Its residues modulo the certified Proth
-    primes are combined by the Chinese remainder theorem until the modulus
-    exceeds twice the bound, so the symmetric residues are the
-    coefficients; ArithmeticError if the five primes do not reach it.
+    The rows are bounded by `_pencil_bound` and split into the `_blocks`
+    of H.  If a block is not square, det H is identically 0.  Otherwise
+    ordering the rows, and the columns, block by block makes H block
+    diagonal, so det H is the product of the blocks' determinants times
+    the signs of the two orders.  Each block is linearized to A + lam*B of
+    the same determinant; the product of their residues modulo the
+    certified Proth primes is combined by the Chinese remainder theorem
+    until the modulus exceeds twice the bound, so the symmetric residues
+    are the coefficients; ArithmeticError if the five primes do not reach
+    it.  A connected H is one block, linearized as a whole.
     """
     half = _pencil_bound(rows)
-    a, b = _linearize(rows)
-    coeffs = [0] * (len(a) + 1)
+    blocks = _blocks(rows)
+    if any(len(rws) != len(cols) for rws, cols in blocks):
+        return [0] * (len(_linearize(rows)[0]) + 1)
+    row_order = Perm(i + 1 for rws, _ in blocks for i in rws)
+    col_order = Perm(j + 1 for _, cols in blocks for j in cols)
+    sign = 1 if row_order.is_even() == col_order.is_even() else -1
+    pencils = [_linearize([[[part[j] for j in cols] for part in rows[i]] for i in rws])
+               for rws, cols in blocks]
+    coeffs = [0] * (sum(len(a) for a, _ in pencils) + 1)
     modulus = 1
     primes = _proth_primes()
     while modulus <= 2 * half:
@@ -410,7 +459,14 @@ def _pencil_det(rows):
         if p is None:
             raise ArithmeticError("the coefficient bound needs more than the five "
                                   "certified primes")
-        res = _pencil_det_mod(a, b, p)
+        res = [sign % p]
+        for a, b in pencils:
+            block = _pencil_det_mod(a, b, p)
+            prod = [0] * (len(res) + len(block) - 1)
+            for k, x in enumerate(res):
+                for j, y in enumerate(block):
+                    prod[k + j] += x * y
+            res = [x % p for x in prod]
         lift = pow(modulus, -1, p)
         coeffs = [x + modulus * ((r - x) * lift % p) for x, r in zip(coeffs, res)]
         modulus *= p

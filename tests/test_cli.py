@@ -486,6 +486,18 @@ def test_failed_macaulay_control_fails_discriminant(fault, tmp_path, monkeypatch
     assert claim["witness"]["control"] == expect
 
 
+def test_control_coordinates_of_determinant_2_fail_discriminant(tmp_path, monkeypatch, capsys):
+    # det T = 2 scales the Macaulay value by 2^(25 + 125), so only det T = 1
+    # lets the control hold
+    monkeypatch.setattr(discriminant, "CONTROL_T", ((0, -2, 0), (0, 1, 1), (-1, 0, 0)))
+    path = tmp_path / "report.json"
+    assert run(["pencil", "--deep", "--json", str(path)]) == 1
+    capsys.readouterr()
+    claim = {c["id"]: c for c in json.loads(path.read_text())["claims"]}["discriminant-root-set"]
+    assert claim["status"] == "fail"
+    assert claim["witness"]["control"] == {"lambda": 1, "holds": False}
+
+
 def table_rows_witness(k, row, tmp_path, monkeypatch, capsys):
     """The witness of `tuple-table-rows`, the one claim of a `tuples` run
     that fails, with published row k replaced by `row`."""

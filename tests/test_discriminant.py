@@ -8,10 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_roots
+from full_morley import full_morley_rows
 from macaulay_quotient import exact_quotient, macaulay_quotient
 from proth_search import proth_search
+from unsplit_pencil import unsplit_pencil_det
 from wingerverify import cli, discriminant
-from wingerverify.discriminant import (_PROTH_CERTIFICATES, CONTROL_T,
+from wingerverify.discriminant import (_PROTH_CERTIFICATES, CONTROL_T, _blocks,
                                        _divide_out_root,
                                        _hessenberg_charpoly_mod, _linearize,
                                        _pencil_bound, _pencil_det,
@@ -72,11 +74,20 @@ def lex_macaulay_value(fs, degrees):
                     integer_det([[full[i][j] for j in minor] for i in minor]))
 
 
+def control_forms(f, lam):
+    """The partials of (Q^3 + lam*f) o CONTROL_T at one lam, as int dicts."""
+    return [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
+            for a, b in _pencil_partials(f, CONTROL_T)]
+
+
+def test_control_coordinates_have_determinant_1():
+    # the change of coordinates then keeps the resultant
+    assert integer_det([list(row) for row in CONTROL_T]) == 1
+
+
 @pytest.mark.parametrize("lam", [1, 2])
 def test_macaulay_value_matches_lexicographic_order(lam):
-    tables = _pencil_partials(f_poly(), CONTROL_T)
-    fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
-          for a, b in tables]
+    fs = control_forms(f_poly(), lam)
     assert macaulay_resultant_value(fs, (5, 5, 5)) == lex_macaulay_value(fs, (5, 5, 5))
 
 
@@ -365,14 +376,11 @@ def test_corrupted_discriminant_matches_macaulay_values():
     coeffs, mults, control = pencil_discriminant(f, ROOTS)
     assert control == {"lambda": 1, "holds": True}
     assert mults["degree"] == 65
-    tables = _pencil_partials(f, CONTROL_T)
     for lam in (2, -3, 7):
-        fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
-              for a, b in tables]
-        assert macaulay_resultant_value(fs, (5, 5, 5)) == _poly_eval(coeffs, lam)
+        assert macaulay_resultant_value(control_forms(f, lam), (5, 5, 5)) == _poly_eval(coeffs, lam)
 
 
-def test_discriminant_is_one_pass_of_size_75(monkeypatch):
+def test_discriminant_is_five_passes_of_size_15(monkeypatch):
     sizes, controls = [], []
     det_mod, resultant = _pencil_det_mod, macaulay_resultant_value
 
@@ -386,8 +394,91 @@ def test_discriminant_is_one_pass_of_size_75(monkeypatch):
     monkeypatch.setattr(discriminant, "_pencil_det_mod", counted_det_mod)
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
     pencil_discriminant(f_poly(), ROOTS)
-    assert sizes == [75]
+    # one prime, five blocks of 9 rows, 3 of them cubic: 9 + 2 * 3 = 15
+    assert sizes == [15] * 5
     assert controls == [(5, 5, 5)]
     # the bound on the rows of H fits under the least certified prime
     rows = hybrid_rows(_pencil_partials(f_poly()), 5)
     assert 2 * _pencil_bound(rows) < min(_proth_primes())
+
+
+@pytest.mark.parametrize("f", [f_poly(), f_poly() + Poly3.monomial((0, 0, 6), 1)],
+                         ids=["F", "f:0,0,6"])
+def test_pencil_matrix_splits_by_torus_weight(f):
+    # diag(zeta, zeta^-1, 1) keeps F and z2^6, so each row and column of H
+    # has one weight a - b mod 5: five blocks, one per weight
+    rows = hybrid_rows(_pencil_partials(f), 5)
+    blocks = _blocks(rows)
+    assert [(len(rws), len(cols)) for rws, cols in blocks] == [(9, 9)] * 5
+    assert [sum(len(rows[i]) == 4 for i in rws) for rws, _ in blocks] == [3] * 5
+    monos = monomials_of_degree(8)
+    weights = [tuple({(monos[j][0] - monos[j][1]) % 5 for j in cols}) for _, cols in blocks]
+    assert sorted(weights) == [(w,) for w in range(5)]
+
+
+def test_weight_breaking_sextic_is_one_block():
+    f = f_poly() + Poly3.monomial((1, 0, 5), 1)  # z0 z2^5 has weight 1
+    rows = hybrid_rows(_pencil_partials(f), 5)
+    assert [(len(rws), len(cols)) for rws, cols in _blocks(rows)] == [(45, 45)]
+    coeffs, _, control = pencil_discriminant(f, ROOTS)
+    assert control == {"lambda": 1, "holds": True}
+    for lam in (2, -3, 7):
+        assert macaulay_resultant_value(control_forms(f, lam), (5, 5, 5)) == _poly_eval(coeffs, lam)
+
+
+# -- the pencil by blocks against the unsplit pencil -----------------------------
+
+@st.composite
+def block_rows(draw):
+    """Rows of an H(lam) whose nonzero pattern splits into 1-4 blocks, of
+    rows of degree 1 or 3, with rows and columns shuffled; some with a
+    zero row, some with two blocks that are not square (det H = 0)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    shapes = [[s, s] for s in sizes]
+    shape = draw(st.sampled_from(("square", "zero_row", "non_square")))
+    if shape == "non_square" and len(shapes) >= 2:
+        shapes[0][1] -= 1  # one column moves from the first block to the second
+        shapes[1][1] += 1
+    n = sum(sizes)
+    size = 10 ** draw(st.integers(0, 20))
+    entry = st.integers(-size, size)
+    rows, col0 = [], 0
+    for nrows, ncols in shapes:
+        for _ in range(nrows):
+            parts = [[0] * n for _ in range(draw(st.sampled_from((2, 4))))]
+            for part in parts:
+                part[col0:col0 + ncols] = [draw(entry) for _ in range(ncols)]
+            rows.append(parts)
+        col0 += ncols
+    if shape == "zero_row":
+        rows[draw(st.integers(0, n - 1))] = [[0] * n for _ in range(2)]
+    row_order = draw(st.permutations(range(n)))
+    col_order = draw(st.permutations(range(n)))
+    return [[[part[j] for j in col_order] for part in rows[i]] for i in row_order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_rows())
+@example([[[0, 1], [0, 0]], [[2, 0], [0, 0]]])  # an odd column order: det = -2
+def test_pencil_det_by_blocks_matches_the_unsplit_pencil(rows):
+    coeffs = _pencil_det(rows)
+    assert coeffs == unsplit_pencil_det(rows)
+    # len(coeffs) points pin down a polynomial of degree < len(coeffs)
+    for lam in range(-2, len(coeffs) - 2):
+        assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
+
+
+# -- the Bezout rows against the full Morley form --------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(lambda parts: ternary_forms(parts=parts)))
+def test_hybrid_rows_match_the_full_morley_form(case):
+    d, forms = case
+    assert hybrid_rows(forms, d) == full_morley_rows(forms, d)
+
+
+@pytest.mark.parametrize("f", [f_poly(), f_poly() + Poly3.monomial((1, 0, 5), 1)],
+                         ids=["F", "f:1,0,5"])
+def test_pencil_rows_match_the_full_morley_form(f):
+    forms = _pencil_partials(f)
+    assert hybrid_rows(forms, 5) == full_morley_rows(forms, 5)
