@@ -6,23 +6,26 @@ by the linear algebra method.  An element of the monomial subgroup N
 (for the icosahedral group a D10) sends a monomial to a scalar times a
 monomial, so the N-invariants are spanned by N-orbit sums read off
 without substitution; the invariants of the group are the N-invariants
-fixed by a few extra generators, found by a generation check, each
-substituted once per orbit sum.  Gal(Q(zeta_5)/Q) permutes the six
-lines, so the invariant spaces are defined over Q and are solved for
-over Q, on the rational coordinates of each Q(zeta_5) row.
+fixed by a few extra generators, found by a generation check.  Each
+extra generator g is an involution, taken in its eigenbasis: with
+g P = P D for D = diag(+-1), p o g = p exactly when q = p o P is fixed
+by D, that is when q has no term whose exponents on the -1 columns add
+up to an odd number.  So each orbit sum is substituted once, by P, and
+its odd coefficients are the equations.  Gal(Q(zeta_5)/Q) permutes the
+six lines, so the invariant spaces are defined over Q and are solved
+for over Q, on the rational coordinates of each Q(zeta_5) row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import mul
+from operator import add
 
-from .cyclo import _numerators, rational
+from .cyclo import _mul, _numerators, rational
 from .linalg import Matrix, echelon, null_space, rref
 from .perms import FiniteGroup, finite_group
-from .polys import Poly3, Substitution, monomials_of_degree
+from .polys import Poly3, Substitution, _from_numerators, _powers, monomials_of_degree
 
 
 def _series_reciprocal(den, nterms: int):
@@ -88,39 +91,78 @@ def reynolds_basis(mats, d: int):
     The invariants are the N-invariants fixed by generators of the group
     outside N (Derksen-Kemper, Computational Invariant Theory, 3.1).  The
     nonzero N-orbit sums of the degree-d monomials have disjoint supports,
-    so they are a basis of the N-invariants; each extra generator is
-    substituted once into each of them, the kernel of g - 1 in that basis
-    is taken over Q, and the invariants it gives are row-reduced over the
-    monomials, so the result depends only on the invariant space.
+    so they are a basis of the N-invariants.  Each extra generator g is
+    an involution with eigenbasis P, g P = P D; a combination p of the
+    orbit sums is fixed by g exactly when p o P has no odd term (see the
+    module docstring), so each orbit sum is substituted once by P, the
+    kernel of its odd coefficients is taken over Q (the same subspace as
+    the kernel of g - 1), and the invariants it gives are row-reduced
+    over the monomials, so the result depends only on the invariant space.
 
-    Precondition: a Galois-stable group with rational N-orbit sums; then
-    the Q-kernel has full dimension.  Outside it the Q-kernel can only
+    Precondition: a Galois-stable group generated by N and involutions,
+    with rational N-orbit sums; then the Q-kernel has full dimension.  A
+    group that needs another generator raises ValueError, as does a
+    non-group; outside the rest of the precondition the Q-kernel can only
     shrink, so a dimension claim fails and never passes wrongly (an
-    irrational invariant raises ValueError, as does a non-group).  Bases
-    are cached per (matrix tuple, d); each call returns a new list.
+    irrational invariant raises ValueError).  Bases are cached per
+    (matrix tuple, d); each call returns a new list.
     """
     return list(_reynolds_basis(tuple(mats), d))
 
 
 def _extra_generators(group: FiniteGroup, sub) -> list:
-    """Elements that generate the group together with `sub`: each element
-    not yet in the generated subgroup is added, so the loop proves
-    generation instead of assuming it."""
+    """Elements that generate the group together with `sub`, involutions
+    tried first: each element not yet in the generated subgroup is added,
+    so the loop proves generation instead of assuming it.  For the
+    icosahedral group one involution outside N = D10 suffices, since D10
+    is maximal in A5."""
     extra, generated = [], group.generated(sub)
-    for g in range(len(group)):
+    for g in sorted(range(len(group)), key=lambda g: group.orders[g] != 2):
         if g not in generated:
             extra.append(g)
             generated = group.generated(sub + extra)
     return extra
 
 
+def _kernel(m: Matrix) -> list:
+    """A basis of the right null space of a 3x3 m of any rank: one adjugate
+    column at rank 2 (`Matrix.kernel`); at rank 1, with a nonzero row r
+    whose last nonzero entry is r_k, the r_k e_j - r_j e_k for j != k,
+    each with a zero entry; at rank 0 the unit vectors."""
+    try:
+        return m.kernel()
+    except ValueError:  # rank below 2
+        pass
+    r = next((m.row(i) for i in range(3) if any(m.row(i))), None)
+    if r is None:
+        return [tuple(int(i == j) for i in range(3)) for j in range(3)]
+    k = max(j for j in range(3) if r[j])
+    return [tuple(r[k] if i == j else -r[j] if i == k else 0 for i in range(3))
+            for j in range(3) if j != k]
+
+
+def _eigenbasis(g: Matrix):
+    """(P, first) for an involution g: the columns of P are a basis of
+    ker(g - I), then from column `first` on one of ker(g + I), so that
+    g P = P D for D = diag(+-1).  ValueError when they are not three,
+    which is exactly when g^2 != I."""
+    plus, minus = (_kernel(g - Matrix.diagonal([sign] * 3)) for sign in (1, -1))
+    if len(plus) + len(minus) != 3:
+        raise ValueError("an extra generator is not an involution")
+    return Matrix.from_rows(zip(*plus, *minus)), len(plus)
+
+
 def _orbit_sums(actions, monos) -> list:
     """The nonzero sums of z^e o n over n in N, one per N-orbit of `monos`;
-    `actions` are the (columns, scalars) of the elements of N."""
+    `actions` are the (columns, scalars) of the elements of N.  The
+    scalars are integer 4-tuples over one denominator, so every term of a
+    degree-d sum is over its d-th power and the sums add integers."""
     d = sum(monos[0])
+    den, nums = _numerators([s for _, scalars in actions for s in scalars])
     # per element: its columns and the powers 0..d of each of its scalars
-    tables = [(cols, [list(accumulate(repeat(s, d), mul, initial=rational(1)))
-                      for s in scalars]) for cols, scalars in actions]
+    tables = [(cols, [_powers(v, d) for v in nums[3 * k:3 * k + 3]])
+              for k, (cols, _) in enumerate(actions)]
+    den **= d
     sums, seen = [], set()
     for expo in monos:
         if expo in seen:
@@ -131,10 +173,11 @@ def _orbit_sums(actions, monos) -> list:
             img = [0, 0, 0]
             img[c0], img[c1], img[c2] = expo
             img = tuple(img)
-            coef = p0[e0] * p1[e1] * p2[e2]
-            terms[img] = terms[img] + coef if img in terms else coef
+            coef = _mul(_mul(p0[e0], p1[e1]), p2[e2])
+            cur = terms.get(img)
+            terms[img] = coef if cur is None else tuple(map(add, cur, coef))
         seen.update(terms)
-        orbit_sum = Poly3(terms)
+        orbit_sum = _from_numerators(den, terms)
         if not orbit_sum.is_zero():
             sums.append(orbit_sum)
     return sums
@@ -143,23 +186,26 @@ def _orbit_sums(actions, monos) -> list:
 @lru_cache(maxsize=8)
 def _reynolds_setup(mats: tuple):
     """What every degree of the group of `mats` reads: the (columns,
-    scalars) of the elements of N, and a substitution per extra generator."""
+    scalars) of the elements of N, and per extra generator a substitution
+    by its eigenbasis with the index of its first -1 column."""
     group = finite_group(mats)
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
+    eigen = [_eigenbasis(group.elements[g]) for g in _extra_generators(group, sub)]
     return ([actions[n] for n in sub],
-            [Substitution(group.elements[g]) for g in _extra_generators(group, sub)])
+            [(Substitution(basis), first) for basis, first in eigen])
 
 
 @lru_cache(maxsize=128)
 def _reynolds_basis(mats: tuple, d: int) -> tuple:
-    actions, substs = _reynolds_setup(mats)
+    actions, eigen = _reynolds_setup(mats)
     monos = monomials_of_degree(d)
     sums = _orbit_sums(actions, monos)
     rows = []
-    for subst in substs:
-        moved = [subst.apply(p) - p for p in sums]
-        rows.extend([q.coefficient(e) for q in moved] for e in monos)
+    for subst, first in eigen:
+        # the terms y^e of p o P that D negates: an odd degree on the -1 columns
+        images = [subst.apply(p) for p in sums]
+        rows.extend([q.coefficient(e) for q in images] for e in monos if sum(e[first:]) % 2)
     kernel = null_space(_rational_rows(rows), len(sums))
     fixed = [sum((p * rational(c) for c, p in zip(vec, sums)), Poly3.zero())
              for vec in kernel]

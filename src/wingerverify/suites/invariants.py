@@ -33,7 +33,7 @@ def check_invariants(report, args, corruption):
         for d in list(range(13)) + [15]:
             try:
                 dims[d] = len(reynolds_basis(mats, d))
-            except ValueError as exc:  # a non-group list has no Reynolds operator
+            except ValueError as exc:  # a non-group, or needs more than N and involutions
                 return False, {"reynolds": str(exc)}
             if dims[d] != series[d]:
                 return False, {"degree": d, "reynolds": dims[d],
@@ -46,7 +46,7 @@ def check_invariants(report, args, corruption):
     def degree6():
         try:
             basis = reynolds_basis(corruption.matrices(), 6)
-        except ValueError as exc:  # a non-group list has no Reynolds operator
+        except ValueError as exc:  # a non-group, or needs more than N and involutions
             return False, {"reynolds": str(exc)}
         full = len(monomials_of_degree(6))
         spanned = (contains_up_to_scalar(basis, q_poly() ** 3)

@@ -115,9 +115,11 @@ def _rescale(m, gram):
     None when m does not preserve the form up to a scalar; the
     invariance-conic-sextic-form claim checks both on the 60 results."""
     # M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
-    # satisfies t^2 = 1/s and makes the form exactly preserved with det 1
+    # satisfies t^2 = 1/s and makes the form exactly preserved with det 1;
+    # s is read at the first nonzero entry of A
     s_mat = m.transpose() * gram * m
-    s = s_mat[0, 1] * 2
+    k = next(k for k, a in enumerate(gram.entries) if a)
+    s = s_mat.entries[k] / gram.entries[k]
     if s.is_zero() or s_mat != gram * s:
         return None
     return m * (s / m.det())

@@ -9,11 +9,11 @@ from sympy.polys.matrices import DomainMatrix
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from wingerverify.cli import Corruption
 from wingerverify.cyclo import make, rational, zeta
-from wingerverify.invariants import (_extra_generators, _molien_denominator,
-                                     _monomial_action, _orbit_sums, _series_reciprocal,
-                                     contains_up_to_scalar, molien_closed_form,
-                                     molien_series, reynolds_basis)
-from wingerverify.linalg import Matrix
+from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
+                                     _monomial_action, _orbit_sums, _rational_rows,
+                                     _series_reciprocal, contains_up_to_scalar,
+                                     molien_closed_form, molien_series, reynolds_basis)
+from wingerverify.linalg import Matrix, null_space
 from wingerverify.perms import finite_group
 from wingerverify.polys import Poly3, Substitution, monomials_of_degree
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
@@ -213,3 +213,67 @@ def test_klein_group_without_monomial_elements():
         assert basis == plain_basis(klein, d), d
         dims.append(len(basis))
     assert dims == [1, 0, 3, 1, 6]
+
+
+def test_eigenbasis_diagonalizes_every_involution():
+    # g P = P D with D = diag(+-1) and P invertible; -I and the sign
+    # changes reach the rank-0 and rank-1 kernels of g - I and g + I
+    group = reconstruct_group()
+    involutions = [group.elements[g] for g in range(len(group)) if group.orders[g] == 2]
+    signs = [Matrix.diagonal(s) for s in ([-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1])]
+    for g in involutions + signs:
+        basis, first = _eigenbasis(g)
+        assert not basis.det().is_zero(), g
+        assert g * basis == basis * Matrix.diagonal([1] * first + [-1] * (3 - first)), g
+        if g in involutions:
+            # a +1 line and a -1 plane whose two columns each have a zero
+            # entry, so two image lines have at most two terms
+            assert first == 1, g
+            assert sorted(sum(1 for x in basis.row(i) if x) for i in range(3))[1] <= 2, g
+    for g in (Matrix.identity(3) * zeta(), Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])):
+        with pytest.raises(ValueError):
+            _eigenbasis(g)
+
+
+def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
+    # each of the 10 involutions outside N, as the one extra generator:
+    # the odd coefficients of p o P cut out the same Q-kernel as p o g - p
+    group = reconstruct_group()
+    actions = [_monomial_action(m) for m in group.elements]
+    sub = [n for n, action in enumerate(actions) if action is not None]
+    outside = [g for g in range(len(group)) if group.orders[g] == 2 and g not in sub]
+    assert len(outside) == 10
+    degrees = {d: (monomials_of_degree(d), len(reynolds_basis(mats(), d)))
+               for d in (6, 10, 12, 15)}
+    sums = {d: _orbit_sums([actions[n] for n in sub], monos)
+            for d, (monos, _) in degrees.items()}
+    for g in outside:
+        basis, first = _eigenbasis(group.elements[g])
+        by_basis, by_g = Substitution(basis), Substitution(group.elements[g])
+        for d, (monos, dim) in degrees.items():
+            images = [by_basis.apply(p) for p in sums[d]]
+            odd = [[q.coefficient(e) for q in images] for e in monos if sum(e[first:]) % 2]
+            moved = [by_g.apply(p) - p for p in sums[d]]
+            rows = [[q.coefficient(e) for q in moved] for e in monos]
+            want = null_space(_rational_rows(rows), len(sums[d]))
+            assert null_space(_rational_rows(odd), len(sums[d])) == want, (d, g)
+            assert len(want) == dim, (d, g)
+
+
+def test_icosahedral_extra_generator_is_one_involution():
+    group = reconstruct_group()
+    sub = [n for n, m in enumerate(group.elements) if _monomial_action(m) is not None]
+    extra = _extra_generators(group, sub)
+    assert len(sub) == 10 and len(extra) == 1 and group.orders[extra[0]] == 2
+
+
+def test_group_without_involutions_outside_n_is_refused():
+    # a non-monomial C3: N = {I}, and its generator has order 3, so the
+    # group is not generated by N and involutions
+    p = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 2, 1]])
+    cyclic = p * Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) * p.inverse()
+    c3 = [Matrix.identity(3), cyclic, cyclic * cyclic]
+    assert sum(_monomial_action(m) is not None for m in c3) == 1
+    for d in (0, 2):
+        with pytest.raises(ValueError, match="not an involution"):
+            reynolds_basis(c3, d)

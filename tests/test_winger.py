@@ -218,6 +218,22 @@ def test_rescale_keeps_the_form_exactly_or_refuses():
             got = _rescale(m * rational(k), gram)
             assert got == m, (m, k)
             assert got.transpose() * gram * got == gram and got.det() == rational(1)
+    # the scale is read at any nonzero Gram entry.  Entry (0, 1) of I is
+    # 0; twice a cyclic permutation multiplies the form of I by 4, and half
+    # of it keeps it with det 1
+    cyclic = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert _rescale(cyclic * 2, Matrix.identity(3)) == cyclic
+    assert _rescale(Matrix.diagonal([1, 2, 1]), Matrix.identity(3)) is None
+    # the form in the coordinates z = T z' for T = diag(2, 1, 1/2): T^T G T
+    # has entry (0, 1) = 1, and T^-1 M T keeps it for every M that keeps G
+    t = Matrix.diagonal([2, 1, Fraction(1, 2)])
+    gram = t.transpose() * gram_matrix() * t
+    assert gram[0, 1] == rational(1)
+    for m in reconstruct_group().elements[:4]:
+        moved = t.inverse() * m * t
+        for k in (3, -1, Fraction(1, 2), zeta()):
+            assert _rescale(moved * rational(k), gram) == moved, (m, k)
+    assert _rescale(Matrix.diagonal([1, 2, 1]), gram) is None
 
 
 def test_pencil_members():
