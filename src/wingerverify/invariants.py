@@ -104,10 +104,14 @@ def reynolds_basis(mats, d: int):
     group that needs another generator raises ValueError, as does a
     non-group; outside the rest of the precondition the Q-kernel can only
     shrink, so a dimension claim fails and never passes wrongly (an
-    irrational invariant raises ValueError).  Bases are cached per
-    (matrix tuple, d); each call returns a new list.
+    irrational invariant raises ValueError).  Bases are cached per degree
+    with the set-up of the matrix tuple, which is looked up once per call;
+    each call returns a new list.
     """
-    return list(_reynolds_basis(tuple(mats), d))
+    actions, eigen, bases = _reynolds_setup(tuple(mats))
+    if d not in bases:
+        bases[d] = _reynolds_basis(actions, eigen, d)
+    return list(bases[d])
 
 
 def _extra_generators(group: FiniteGroup, sub) -> list:
@@ -187,18 +191,18 @@ def _orbit_sums(actions, monos) -> list:
 def _reynolds_setup(mats: tuple):
     """What every degree of the group of `mats` reads: the (columns,
     scalars) of the elements of N, and per extra generator a substitution
-    by its eigenbasis with the index of its first -1 column."""
+    by its eigenbasis with the index of its first -1 column; then the
+    dict of the bases found so far, by degree, that `reynolds_basis`
+    fills."""
     group = finite_group(mats)
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
     eigen = [_eigenbasis(group.elements[g]) for g in _extra_generators(group, sub)]
     return ([actions[n] for n in sub],
-            [(Substitution(basis), first) for basis, first in eigen])
+            [(Substitution(basis), first) for basis, first in eigen], {})
 
 
-@lru_cache(maxsize=128)
-def _reynolds_basis(mats: tuple, d: int) -> tuple:
-    actions, eigen = _reynolds_setup(mats)
+def _reynolds_basis(actions, eigen, d: int) -> tuple:
     monos = monomials_of_degree(d)
     sums = _orbit_sums(actions, monos)
     rows = []

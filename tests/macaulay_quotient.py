@@ -2,16 +2,18 @@
 
 The Macaulay quotient: the determinant of the 105x105 Macaulay pencil of
 the partials of (Q^3 + lam*f) o T over that of its 30x30 extraneous
-minor, both by the multi-modular `_pencil_det`, in the control
-coordinates T where the minor does not vanish.  `discriminant` replaced
-it by the hybrid Sylvester-Bezout matrix; it is kept here as that
-matrix's independent reference.
+minor, both by the multi-modular `_pencil_det` of `modular_pencil`, in
+the control coordinates T where the minor does not vanish.
+`discriminant` replaced it by the hybrid Sylvester-Bezout matrix; it is
+kept here as that matrix's independent reference.  The modular pencil
+takes a few passes per determinant, where evaluation and interpolation
+would take 106 integer determinants of the 105x105 matrix.
 """
 
 from fractions import Fraction
 
-from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
-                                       _pencil_det, _pencil_partials)
+from modular_pencil import _pencil_det
+from wingerverify.discriminant import CONTROL_T, _eval_determinants, _pencil_partials
 
 
 def exact_quotient(num, den):

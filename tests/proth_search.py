@@ -1,8 +1,8 @@
 """Reference prime search for the test oracles.
 
-`discriminant._proth_primes` yields only the primes of a table of Proth
-certificates; this is the search that found them, kept as the table's
-reference.
+`modular_pencil._proth_primes`, the prime source of the multi-modular
+oracle, yields only the primes of a table of Proth certificates; this is
+the search that found them, kept as the table's reference.
 """
 
 

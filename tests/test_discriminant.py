@@ -8,18 +8,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_roots
+import modular_pencil
 from full_morley import full_morley_rows
 from macaulay_quotient import exact_quotient, macaulay_quotient
+from modular_pencil import (_PROTH_CERTIFICATES, _hessenberg_charpoly_mod,
+                            _linearize, _pencil_bound, _pencil_det_mod,
+                            _proth_primes, unsplit_pencil_det)
 from proth_search import proth_search
-from unsplit_pencil import unsplit_pencil_det
-from wingerverify import cli, discriminant
-from wingerverify.discriminant import (_PROTH_CERTIFICATES, CONTROL_T, _blocks,
-                                       _divide_out_root,
-                                       _hessenberg_charpoly_mod, _linearize,
-                                       _pencil_bound, _pencil_det,
-                                       _pencil_det_mod, _pencil_partials,
-                                       _poly_eval, _proth_primes, hybrid_rows,
-                                       macaulay_resultant_value,
+from wingerverify import discriminant
+from wingerverify.discriminant import (CONTROL_T, _blocks, _divide_out_root,
+                                       _interpolate, _pencil_det,
+                                       _pencil_partials, _poly_eval,
+                                       hybrid_rows, macaulay_resultant_value,
                                        macaulay_system, pencil_discriminant)
 from wingerverify.linalg import integer_det
 from wingerverify.polys import Poly3, monomials_of_degree
@@ -156,7 +156,42 @@ def test_root_division_cases():
     assert fraction_roots.poly_eval(coeffs, Fraction(27, 4)) != 0
 
 
-# -- the multi-modular det(A + lam*B) against the integer determinant ------------
+# -- the interpolation on integers against sympy --------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=21))
+def test_interpolate_round_trip(coeffs):
+    # an integer polynomial of degree <= 20, with its top coefficients
+    # possibly 0, from its values at 0, ..., len(coeffs) - 1
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(coeffs[::-1], x)
+    values = [int(poly.eval(k)) for k in range(len(coeffs))]
+    assert _interpolate(values) == coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+def test_interpolate_matches_sympy(values):
+    # any values: their interpolating polynomial, or ArithmeticError when
+    # it has a coefficient outside Z
+    x = sympy.Symbol("x")
+    expect = sympy.Poly(sympy.interpolate(list(enumerate(values)), x), x)
+    expect = [expect.coeff_monomial(x ** k) for k in range(len(values))]
+    if all(c.is_integer for c in expect):
+        assert _interpolate(values) == expect
+    else:
+        with pytest.raises(ArithmeticError):
+            _interpolate(values)
+
+
+def test_interpolate_refuses_values_of_no_integer_polynomial():
+    # x(x + 1)/2 takes 0, 1, 3: Delta^2 / 2! = 1/2
+    with pytest.raises(ArithmeticError, match="integer polynomial"):
+        _interpolate([0, 1, 3])
+    assert _interpolate([0, 1, 6]) == [0, -1, 2]
+
+
+# -- det(A + lam*B), and the multi-modular oracle, against integer determinants --
 
 def pencil_at(a, b, lam):
     return [[x + lam * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -206,7 +241,9 @@ def test_pencil_det_matches_bareiss(pencil):
     # n + 4 distinct points pin down a polynomial of degree <= n
     for lam in range(-2, n + 2):
         assert _poly_eval(coeffs, lam) == integer_det(pencil_at(a, b, lam))
-    # the Chinese-remainder result lies inside the coefficient bound
+    # the multi-modular oracle agrees, and its Chinese-remainder result
+    # lies inside its coefficient bound
+    assert modular_pencil._pencil_det(rows) == coeffs
     bound = _pencil_bound(rows)
     assert all(abs(c) <= bound for c in coeffs)
 
@@ -276,19 +313,9 @@ def test_pencil_det_past_the_certified_primes_raises():
     # the bound 2^1800 + 2 needs a modulus past 2^1801; the five primes
     # below 2^340 reach only 2^1700
     with pytest.raises(ArithmeticError, match="certified primes"):
-        _pencil_det([[[2 ** 1800], [0]]])
-
-
-def test_pencil_deep_takes_its_primes_from_the_certificates(monkeypatch, tmp_path):
-    taken, primes = [], _proth_primes
-
-    def counted():
-        for p in primes():
-            taken.append(p)
-            yield p
-    monkeypatch.setattr(discriminant, "_proth_primes", counted)
-    assert cli.main(["pencil", "--deep", "--json", str(tmp_path / "r.json")]) == 0
-    assert 0 < len(taken) <= len(_PROTH_CERTIFICATES)
+        modular_pencil._pencil_det([[[2 ** 1800], [0]]])
+    # the product takes no prime, so no bound limits it
+    assert _pencil_det([[[2 ** 1800], [0]]]) == [2 ** 1800, 0]
 
 
 def test_exact_quotient():
@@ -343,7 +370,8 @@ def test_linearized_pencil_matches_cubic_rows(case):
     rows = hybrid_rows(forms, d)
     assert sorted({len(row) for row in rows}) == [2, 4]
     coeffs = _pencil_det(rows)
-    # len(coeffs) points pin down a polynomial of degree < len(coeffs)
+    # len(coeffs) points pin down a polynomial of degree < len(coeffs); it
+    # is the size of the oracle's linearized pencil plus one
     assert len(coeffs) == len(_linearize(rows)[0]) + 1
     for lam in range(-2, len(coeffs) - 2):
         assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
@@ -352,14 +380,31 @@ def test_linearized_pencil_matches_cubic_rows(case):
     assert all(abs(c) <= bound for c in coeffs)
 
 
+def rows_of_degree(degree):
+    """Rows of H(lam) = [[1, lam], [s, 1 + s]], s = lam + ... + lam^degree:
+    one linear row and one of the given degree."""
+    return [[[1, 0], [0, 1]], [[0, 1]] + [[1, 1]] * degree]
+
+
 @pytest.mark.parametrize("degree", [0, 2, 4])
 def test_linearize_refuses_other_degrees(degree):
-    # a quadratic row's lam^2 part, for one, would be dropped silently
-    rows = [[[1, 0], [0, 1]], [[0, 1]] + [[1, 1]] * degree]
+    # the oracle linearizes only rows of degree 1 or 3: a quadratic row's
+    # lam^2 part, for one, would be dropped silently
+    rows = rows_of_degree(degree)
     with pytest.raises(ValueError, match="degree 1 or 3"):
         _linearize(rows)
     with pytest.raises(ValueError, match="degree 1 or 3"):
-        _pencil_det(rows)
+        modular_pencil._pencil_det(rows)
+
+
+@pytest.mark.parametrize("degree", [0, 2, 4])
+def test_pencil_det_takes_rows_of_any_degree(degree):
+    rows = rows_of_degree(degree)
+    coeffs = _pencil_det(rows)
+    assert len(coeffs) == 1 + degree + 1
+    # len(coeffs) points pin down a polynomial of degree < len(coeffs)
+    for lam in range(-2, len(coeffs) - 2):
+        assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
 
 
 # -- the pencil's discriminant against the Macaulay quotient ---------------------
@@ -381,25 +426,30 @@ def test_corrupted_discriminant_matches_macaulay_values():
 
 
 def test_discriminant_is_five_passes_of_size_15(monkeypatch):
-    sizes, controls = [], []
-    det_mod, resultant = _pencil_det_mod, macaulay_resultant_value
+    blocks, sizes, controls = [], [], []
+    block_det, det, resultant = (discriminant._block_det, discriminant.integer_det,
+                                 macaulay_resultant_value)
 
-    def counted_det_mod(a, b, p):
-        sizes.append(len(a))
-        return det_mod(a, b, p)
+    def counted_block_det(rows):
+        blocks.append(len(rows))
+        return block_det(rows)
+
+    def counted_det(rows):
+        sizes.append(len(rows))
+        return det(rows)
 
     def counted_resultant(fs, degrees):
         controls.append(degrees)
         return resultant(fs, degrees)
-    monkeypatch.setattr(discriminant, "_pencil_det_mod", counted_det_mod)
+    monkeypatch.setattr(discriminant, "_block_det", counted_block_det)
+    monkeypatch.setattr(discriminant, "integer_det", counted_det)
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
     pencil_discriminant(f_poly(), ROOTS)
-    # one prime, five blocks of 9 rows, 3 of them cubic: 9 + 2 * 3 = 15
-    assert sizes == [15] * 5
+    # five blocks of 9 rows, 3 of them cubic: degree at most 6 + 3 * 3 = 15,
+    # so 16 values each; then the control's minor and full determinant
+    assert blocks == [9] * 5
+    assert sizes == [9] * (5 * 16) + [30, 105]
     assert controls == [(5, 5, 5)]
-    # the bound on the rows of H fits under the least certified prime
-    rows = hybrid_rows(_pencil_partials(f_poly()), 5)
-    assert 2 * _pencil_bound(rows) < min(_proth_primes())
 
 
 @pytest.mark.parametrize("f", [f_poly(), f_poly() + Poly3.monomial((0, 0, 6), 1)],
@@ -426,7 +476,7 @@ def test_weight_breaking_sextic_is_one_block():
         assert macaulay_resultant_value(control_forms(f, lam), (5, 5, 5)) == _poly_eval(coeffs, lam)
 
 
-# -- the pencil by blocks against the unsplit pencil -----------------------------
+# -- the pencil by blocks against the unsplit modular pencil ---------------------
 
 @st.composite
 def block_rows(draw):
@@ -461,8 +511,10 @@ def block_rows(draw):
 @given(block_rows())
 @example([[[0, 1], [0, 0]], [[2, 0], [0, 0]]])  # an odd column order: det = -2
 def test_pencil_det_by_blocks_matches_the_unsplit_pencil(rows):
+    # the product against the multi-modular oracle, whole and by blocks
     coeffs = _pencil_det(rows)
     assert coeffs == unsplit_pencil_det(rows)
+    assert coeffs == modular_pencil._pencil_det(rows)
     # len(coeffs) points pin down a polynomial of degree < len(coeffs)
     for lam in range(-2, len(coeffs) - 2):
         assert _poly_eval(coeffs, lam) == integer_det(h_at(rows, lam))
