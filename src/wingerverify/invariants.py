@@ -11,19 +11,24 @@ extra generator g is an involution, taken in its eigenbasis: with
 g P = P D for D = diag(+-1), p o g = p exactly when q = p o P is fixed
 by D, that is when q has no term whose exponents on the -1 columns add
 up to an odd number.  So each orbit sum is substituted once, by P, and
-its odd coefficients are the equations.  Gal(Q(zeta_5)/Q) permutes the
+only the odd half of its image is formed (`Substitution.numerators`):
+its coefficients are the equations.  Gal(Q(zeta_5)/Q) permutes the
 six lines, so the invariant spaces are defined over Q and are solved
-for over Q, on the rational coordinates of each Q(zeta_5) row.
+for over Q, on integers from the orbit sums to the reduced basis: an
+odd monomial gives four integer rows, the coordinates on 1, zeta,
+zeta^2, zeta^3 of its coefficients, and one fraction-free Gauss-Jordan
+pass (`linalg.gauss_jordan`) gives the kernel as integer vectors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import gcd, lcm
 from operator import add
 
-from .cyclo import _mul, _numerators, rational
-from .linalg import Matrix, echelon, null_space, rref
+from .cyclo import _ZERO, _mul, _numerators, rational
+from .linalg import Matrix, echelon, gauss_jordan, kernel_basis
 from .perms import FiniteGroup, finite_group
 from .polys import Poly3, Substitution, _from_numerators, _powers, monomials_of_degree
 
@@ -94,10 +99,18 @@ def reynolds_basis(mats, d: int):
     so they are a basis of the N-invariants.  Each extra generator g is
     an involution with eigenbasis P, g P = P D; a combination p of the
     orbit sums is fixed by g exactly when p o P has no odd term (see the
-    module docstring), so each orbit sum is substituted once by P, the
-    kernel of its odd coefficients is taken over Q (the same subspace as
-    the kernel of g - 1), and the invariants it gives are row-reduced
-    over the monomials, so the result depends only on the invariant space.
+    module docstring), so only the odd half of each orbit sum's image by
+    P is formed, and the kernel of its coefficients is taken over Q (the
+    same subspace as the kernel of g - 1).  It is taken on integers: the
+    images of one generator are brought to the lcm of their own
+    denominators, so each odd monomial gives four integer rows with no
+    field element built; each row is divided by its content, with its
+    first nonzero entry positive, and kept once, since equal rows cut out
+    the same hyperplane and the kernel stays exact.  The kernel's integer
+    vectors weight the orbit sums, whose disjoint supports give the
+    invariants' integer rows over the monomials; a second Gauss-Jordan
+    pass reduces them, so the result depends only on the invariant space,
+    and a `Cyclo` is built only for each output coefficient.
 
     Precondition: a Galois-stable group generated by N and involutions,
     with rational N-orbit sums; then the Q-kernel has full dimension.  A
@@ -156,8 +169,9 @@ def _eigenbasis(g: Matrix):
     return Matrix.from_rows(zip(*plus, *minus)), len(plus)
 
 
-def _orbit_sums(actions, monos) -> list:
-    """The nonzero sums of z^e o n over n in N, one per N-orbit of `monos`;
+def _orbit_sums(actions, monos):
+    """(den, sums): the nonzero sums of z^e o n over n in N, one per
+    N-orbit of `monos`, as numerator dicts {expo: nums} over den;
     `actions` are the (columns, scalars) of the elements of N.  The
     scalars are integer 4-tuples over one denominator, so every term of a
     degree-d sum is over its d-th power and the sums add integers."""
@@ -166,7 +180,6 @@ def _orbit_sums(actions, monos) -> list:
     # per element: its columns and the powers 0..d of each of its scalars
     tables = [(cols, [_powers(v, d) for v in nums[3 * k:3 * k + 3]])
               for k, (cols, _) in enumerate(actions)]
-    den **= d
     sums, seen = [], set()
     for expo in monos:
         if expo in seen:
@@ -181,10 +194,10 @@ def _orbit_sums(actions, monos) -> list:
             cur = terms.get(img)
             terms[img] = coef if cur is None else tuple(map(add, cur, coef))
         seen.update(terms)
-        orbit_sum = _from_numerators(den, terms)
-        if not orbit_sum.is_zero():
-            sums.append(orbit_sum)
-    return sums
+        terms = {e: n for e, n in terms.items() if any(n)}
+        if terms:
+            sums.append(terms)
+    return den ** d, sums
 
 
 @lru_cache(maxsize=8)
@@ -204,18 +217,33 @@ def _reynolds_setup(mats: tuple):
 
 def _reynolds_basis(actions, eigen, d: int) -> tuple:
     monos = monomials_of_degree(d)
-    sums = _orbit_sums(actions, monos)
-    rows = []
+    den, sums = _orbit_sums(actions, monos)
+    rows = {}  # the distinct primitive equations, in order
     for subst, first in eigen:
-        # the terms y^e of p o P that D negates: an odd degree on the -1 columns
-        images = [subst.apply(p) for p in sums]
-        rows.extend([q.coefficient(e) for q in images] for e in monos if sum(e[first:]) % 2)
-    kernel = null_space(_rational_rows(rows), len(sums))
-    fixed = [sum((p * rational(c) for c, p in zip(vec, sums)), Poly3.zero())
-             for vec in kernel]
-    reduced, _ = rref([[f.coefficient(e).to_fraction() for e in monos] for f in fixed])
-    return tuple(Poly3({e: rational(c) for e, c in zip(monos, row) if c})
-                 for row in reduced)
+        images = [subst.numerators(den, p, first) for p in sums]
+        common = lcm(*(d for d, _ in images))
+        images = [(common // d, nums) for d, nums in images]
+        for e in dict.fromkeys(e for _, nums in images for e in nums):
+            coords = [tuple(x * s for x in nums.get(e, _ZERO)) for s, nums in images]
+            for row in zip(*coords):
+                g = gcd(*row)
+                if g:
+                    g = g if next(x for x in row if x) > 0 else -g
+                    rows[tuple(x // g for x in row)] = None
+    index = {e: i for i, e in enumerate(monos)}
+    fixed = []
+    for vec in kernel_basis(list(rows), len(sums)):
+        row = [0] * len(monos)
+        for v, p in zip(vec, sums):
+            if v:
+                for e, (n, *irrational) in p.items():
+                    if any(irrational):
+                        raise ValueError("an invariant orbit sum is not rational")
+                    row[index[e]] = v * n
+        fixed.append(row)
+    reduced, pivots = gauss_jordan(fixed)
+    return tuple(_from_numerators(row[c], {e: (x, 0, 0, 0) for e, x in zip(monos, row)})
+                 for row, c in zip(reduced, pivots))
 
 
 def _rational_rows(rows) -> list:

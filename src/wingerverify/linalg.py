@@ -4,9 +4,10 @@ larger system, `echelon`, fraction-free over Z.  It is Bareiss's pass
 with lazy rescaling: a row whose pivot-column entry is 0 is left as it
 is, and its scale is caught up, exactly, when it is next touched, since
 the factors L_k / L_{k-1} that the dense pass applies to it telescope.
-Its callers pass rational rows, or split Q(zeta_5) rows into their
-rational coordinates; back-substitution over Q gives reduced row echelon
-forms and null spaces.
+Its callers pass integer rows, or split Q(zeta_5) rows into their
+rational coordinates; back-substitution on integers, each row divided by
+its content (`gauss_jordan`), gives reduced row echelon forms and
+integer null space bases.
 
 The 3x3 products, `apply` and the adjugate, determinant and inverse run
 on integers: each operand is written over the lcm of its denominators
@@ -16,8 +17,7 @@ on integers: each operand is written over the lcm of its denominators
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import sub
 
 from .cyclo import _ZERO, Cyclo, _dot, _inverse_parts, _make, _mul, _numerators, rational
@@ -207,36 +207,41 @@ def integer_det(rows) -> int:
     return sign * ech[-1][-1] if len(pivots) == len(rows) else 0
 
 
-def rref(rows):
-    """Reduced row echelon form over Q of rows of ints or Fractions, as
-    (rows of Fractions, pivot columns): `echelon` on the rows cleared of
-    their denominators, then back-substitution from the bottom row up."""
-    ints = []
-    for row in rows:
-        s = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (s // x.denominator) for x in row])
-    ech, pivots, _ = echelon(ints)
+def gauss_jordan(rows):
+    """Fraction-free Gauss-Jordan elimination of integer rows: (rows,
+    pivot columns) with each row zero at every other row's pivot column.
+    `echelon` first, then back-substitution on integers from the bottom
+    row up: a row's entry f at a lower row's pivot column p is cleared as
+    lead * row - f * lower, lead the lower row's entry at p, and each row
+    is then divided by its content, with its pivot entry positive.  Row
+    i divided by its pivot entry is row i of the reduced row echelon form
+    over Q (Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997)."""
+    ech, pivots, _ = echelon(rows)
     reduced = []  # bottom row first
     for row, c in zip(ech[::-1], pivots[::-1]):
-        lead = row[c]
-        row = [Fraction(x, lead) for x in row]
-        for below, p in zip(reduced, pivots[::-1]):
-            f = row[p]
+        row = row[c:]
+        for lower, p in zip(reduced, pivots[::-1]):
+            f = row[p - c]
             if f:
-                row = [x - f * y for x, y in zip(row, below)]
-        reduced.append(row)
+                lead = lower[p]
+                row = [lead * x - f * y for x, y in zip(row, lower[c:])]
+        g = gcd(*row) if row[0] > 0 else -gcd(*row)
+        reduced.append([0] * c + [x // g for x in row])
     return reduced[::-1], pivots
 
 
-def null_space(rows, ncols: int) -> list:
-    """Basis over Q of the v with row . v = 0 for every row: one vector
-    per non-pivot column f, with 1 at f and 0 at the other ones."""
-    reduced, pivots = rref(rows)
+def kernel_basis(rows, ncols: int) -> list:
+    """Integer basis of the v with row . v = 0 for every integer row: one
+    vector per non-pivot column f of `gauss_jordan`, zero at the other
+    non-pivot columns: the rational one with 1 at f times the lcm of the
+    pivot entries of the rows that are nonzero at f."""
+    reduced, pivots = gauss_jordan(rows)
     basis = []
     for f in [f for f in range(ncols) if f not in pivots]:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        scale = lcm(*(row[p] for row, p in zip(reduced, pivots) if row[f]))
+        vec = [0] * ncols
+        vec[f] = scale
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+            vec[p] = -row[f] * (scale // row[p])
         basis.append(vec)
     return basis

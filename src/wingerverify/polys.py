@@ -227,6 +227,14 @@ class Substitution:
     The terms of a form are grouped by their z2 exponent c:
     f o m = sum over c of line2^c * (sum of coef * line0^a * line1^b), so
     the terms that share c share the largest product, the one by line2^c.
+
+    `numerators` is the one path, on integer numerators; `apply` builds
+    its `Poly3`.  Given an index `first`, it forms only the odd half of
+    f o m, the terms whose exponents on columns first.. add up to an odd
+    number.  That degree adds under products, so in the last product of
+    each group only the pairs of opposite parity count: the odd terms of
+    the inner sum times the even terms of line2^c, and the even ones
+    times the odd ones.  That skips about half of the largest product.
     """
 
     __slots__ = ("pows",)
@@ -243,25 +251,45 @@ class Substitution:
             table.append((d0 * d1, _convolve(p, q)))
         return table[k]
 
-    def apply(self, f: Poly3) -> Poly3:
-        """f o m, each term scaled to the lcm of the term denominators and
+    def numerators(self, den, terms, first=None):
+        """f o m for the form f with coefficients terms[expo] / den, as
+        (den, {expo: nums}) in the form of `_term_numerators`; with
+        `first`, only its odd half (see the class docstring).  Each group's
+        terms are scaled to the lcm of the power-table denominators and
         the products added on integers."""
         groups = {}
-        for (a, b, c), coef in f.terms.items():
-            groups.setdefault(c, []).append((coef, self._power(0, a), self._power(1, b)))
+        for (a, b, c), nums in terms.items():
+            groups.setdefault(c, []).append((nums, self._power(0, a), self._power(1, b)))
         line2 = {c: self._power(2, c) for c in groups}
-        den = lcm(*(coef.den * d0 * d1 * line2[c][0]
-                    for c, terms in groups.items() for coef, (d0, _), (d1, _) in terms))
+        scale = lcm(*(d0 * d1 * line2[c][0]
+                      for c, group in groups.items() for _, (d0, _), (d1, _) in group))
         out = {}
-        for c, terms in groups.items():
+        for c, group in groups.items():
             d2, p2 = line2[c]
             inner = {}
-            for coef, (d0, p0), (d1, p1) in terms:
-                s = den // (coef.den * d0 * d1 * d2)
-                scaled = _convolve({(0, 0, 0): tuple(x * s for x in coef.nums)}, p0)
-                _convolve(scaled, p1, inner)
-            _convolve(inner, p2, out)
-        return _from_numerators(den, out)
+            for nums, (d0, p0), (d1, p1) in group:
+                s = scale // (d0 * d1 * d2)
+                _convolve(_convolve({(0, 0, 0): tuple(x * s for x in nums)}, p0), p1, inner)
+            if first is None:
+                _convolve(inner, p2, out)
+            else:
+                (odd, even), (odd2, even2) = _halves(inner, first), _halves(p2, first)
+                _convolve(odd, even2, out)
+                _convolve(even, odd2, out)
+        return den * scale, out
+
+    def apply(self, f: Poly3) -> Poly3:
+        """f o m."""
+        return _from_numerators(*self.numerators(*_term_numerators(f.terms)))
+
+
+def _halves(nums, first: int):
+    """(odd, even): the terms of the numerator dict `nums` whose exponents
+    on columns first.. add up to an odd, and to an even, number."""
+    odd, even = {}, {}
+    for e, n in nums.items():
+        (odd if sum(e[first:]) % 2 else even)[e] = n
+    return odd, even
 
 
 def monomials_of_degree(d: int):

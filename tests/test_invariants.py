@@ -2,20 +2,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from cyclo_rref import cyclo_kernel, cyclo_rref
+from fraction_rref import null_space
 from wingerverify.cli import Corruption
 from wingerverify.cyclo import make, rational, zeta
 from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
                                      _monomial_action, _orbit_sums, _rational_rows,
                                      _series_reciprocal, contains_up_to_scalar,
                                      molien_closed_form, molien_series, reynolds_basis)
-from wingerverify.linalg import Matrix, null_space
+from wingerverify.linalg import Matrix
 from wingerverify.perms import finite_group
-from wingerverify.polys import Poly3, Substitution, monomials_of_degree
+from wingerverify.polys import Poly3, Substitution, _from_numerators, monomials_of_degree
 from wingerverify.winger import f_poly, q_poly, reconstruct_group
 
 
@@ -155,6 +156,12 @@ def test_low_degree_bases_match_plain_average():
         assert reynolds_basis(mats(), d) == plain_basis(mats(), d), d
 
 
+def orbit_polys(actions, monos):
+    """The orbit sums of `_orbit_sums` as Poly3."""
+    den, sums = _orbit_sums(actions, monos)
+    return [_from_numerators(den, p) for p in sums]
+
+
 def cyclo_kernel_basis(mat_list, d):
     """Oracle: the invariants from the kernel of g - 1 taken over
     Q(zeta_5), not over Q, canonicalised by the Q(zeta_5) RREF."""
@@ -162,7 +169,7 @@ def cyclo_kernel_basis(mat_list, d):
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
     monos = monomials_of_degree(d)
-    sums = _orbit_sums([actions[n] for n in sub], monos)
+    sums = orbit_polys([actions[n] for n in sub], monos)
     rows = []
     for g in _extra_generators(group, sub):
         subst = Substitution(group.elements[g])
@@ -201,11 +208,17 @@ def test_shuffled_order_gives_same_basis(d, order):
     assert reynolds_basis(shuffled, d) == reynolds_basis(mats(), d)
 
 
+def klein_conjugate(entries):
+    """p K p^-1 for the diagonal sign changes K and the 3x3 matrix p of
+    the nine entries."""
+    p = Matrix(entries)
+    return [p * Matrix.diagonal(signs) * p.inverse()
+            for signs in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+
+
 def test_klein_group_without_monomial_elements():
     # conjugated diagonal sign changes: N = {I}, so two extra generators
-    p = Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    klein = [p * Matrix.diagonal(signs) * p.inverse()
-             for signs in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1])]
+    klein = klein_conjugate([1, 1, 0, 0, 1, 1, 1, 0, 1])
     assert sum(_monomial_action(m) is not None for m in klein) == 1
     dims = []
     for d in range(5):
@@ -213,6 +226,33 @@ def test_klein_group_without_monomial_elements():
         assert basis == plain_basis(klein, d), d
         dims.append(len(basis))
     assert dims == [1, 0, 3, 1, 6]
+
+
+# invertible integer matrices with entries in -3..3
+CONJUGATORS = st.lists(st.integers(-3, 3), min_size=9, max_size=9).filter(
+    lambda entries: not Matrix(entries).det().is_zero())
+
+
+@settings(max_examples=15, deadline=None)
+@given(CONJUGATORS)
+@example([3, 0, 0, 2, 0, 3, -2, -3, 0])  # wrong at d = 2 without the scaling
+def test_conjugated_klein_groups_match_plain_average(entries):
+    # mostly N = {I} and two extra generators, each with images over its
+    # own denominators, which must be scaled per generator
+    klein = klein_conjugate(entries)
+    for d in range(4):
+        assert reynolds_basis(klein, d) == plain_basis(klein, d), d
+
+
+def test_irrational_invariant_is_refused():
+    # {I, M} is monomial, so N is the whole group and there is no extra
+    # generator; the orbit sum z0 + zeta z1 of z0 is no rational form
+    m = Matrix.from_rows([[0, zeta(), 0], [zeta().inv(), 0, 0], [0, 0, 1]])
+    group = [Matrix.identity(3), m]
+    assert all(_monomial_action(g) is not None for g in group)
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="not rational"):
+            reynolds_basis(group, d)
 
 
 def test_eigenbasis_diagonalizes_every_involution():
@@ -245,7 +285,7 @@ def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
     assert len(outside) == 10
     degrees = {d: (monomials_of_degree(d), len(reynolds_basis(mats(), d)))
                for d in (6, 10, 12, 15)}
-    sums = {d: _orbit_sums([actions[n] for n in sub], monos)
+    sums = {d: orbit_polys([actions[n] for n in sub], monos)
             for d, (monos, _) in degrees.items()}
     for g in outside:
         basis, first = _eigenbasis(group.elements[g])

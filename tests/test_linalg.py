@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -9,10 +10,11 @@ from sympy.polys.matrices import DomainMatrix
 import cyclo_loops
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from dense_bareiss import dense_echelon
+from fraction_rref import null_space, rref
 from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
                                        _pencil_partials)
-from wingerverify.linalg import Matrix, echelon, integer_det, null_space, rref
+from wingerverify.linalg import Matrix, echelon, gauss_jordan, integer_det, kernel_basis
 from wingerverify.winger import f_poly, reconstruct_group, six_lines
 
 
@@ -258,10 +260,18 @@ def square_matrices(draw):
     return m
 
 
+# how a row is copied onto the end of a matrix: as it is, negated,
+# scaled, or as a zero row
+COPIES = st.sampled_from((1, -1, 3, -6, 0))
+
+
 @st.composite
 def rank_deficient_matrices(draw):
     """Integer r x c matrices of rank at most k: a product of r x k and
-    k x c factors, with some rows and columns then set to zero."""
+    k x c factors, with some rows and columns then set to zero, and up to
+    three rows copied onto the end, duplicated, negated, scaled or
+    zeroed: the repeated equations that the Reynolds rows hold before
+    they are deduplicated."""
     r, c, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
     entry = st.integers(-4, 4)
     left = [[draw(entry) for _ in range(k)] for _ in range(r)]
@@ -273,6 +283,8 @@ def rank_deficient_matrices(draw):
     for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
         for row in m:
             row[j] = 0
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, r - 1), COPIES), max_size=3)):
+        m.append([scale * x for x in m[i]])
     return m
 
 
@@ -302,6 +314,28 @@ def test_rank_rref_and_null_space_match_sympy(m):
     assert reduced == [[as_fraction(x) for x in ref.row(i)] for i in range(len(pivots))]
     kernel = null_space(m, len(m[0]))
     assert kernel == [[as_fraction(x) for x in v] for v in oracle.nullspace()]
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient_matrices())
+def test_gauss_jordan_and_kernel_basis_match_sympy(m):
+    oracle = sympy.Matrix(m)
+    ref, ref_pivots = oracle.rref()
+    reduced, pivots = gauss_jordan(m)
+    assert tuple(pivots) == ref_pivots
+    for i, (row, p) in enumerate(zip(reduced, pivots)):
+        # integer rows of content 1 with a positive pivot, the rational
+        # reduced rows times their pivot entries
+        assert row[p] > 0 and gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == [as_fraction(x) for x in ref.row(i)]
+    kernel = kernel_basis(m, len(m[0]))
+    free = [f for f in range(len(m[0])) if f not in pivots]
+    want = oracle.nullspace()  # 1 at its free column, 0 at the other ones
+    assert len(kernel) == len(want) == len(free)
+    for v, w, f in zip(kernel, want, free):
+        assert all(type(x) is int for x in v) and v[f] > 0
+        assert [Fraction(x, v[f]) for x in v] == [as_fraction(x) for x in w]
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)
 
 

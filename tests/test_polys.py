@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import cyclo_loops
 from wingerverify.cyclo import make, rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3, Substitution, monomials_of_degree
+from wingerverify.polys import (Poly3, Substitution, _from_numerators, _term_numerators,
+                                monomials_of_degree)
 from wingerverify.winger import _derivatives, f_poly, irregular_orbits
 
 
@@ -167,6 +168,40 @@ def test_substitution_matches_cyclo_loop(f, entries):
         assert sub.apply(Poly3.monomial(expo)) == cyclo_image(m, expo)
     # the power tables the images extended serve the next form unchanged
     assert sub.apply(f + HALF_THIRD) == cyclo_apply(m, f + HALF_THIRD)
+
+
+# forms of degree at most 8: three sorted cuts s0 <= s1 <= s2 in 0..8 give
+# the exponents (s0, s1 - s0, s2 - s1)
+DEGREE_8 = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(sorted).map(
+    lambda s: (s[0], s[1] - s[0], s[2] - s[1]))
+MIXED_FORMS = st.dictionaries(DEGREE_8, st.one_of(elements, wide), max_size=6).map(Poly3)
+# matrices with zero entries, and singular ones: a zero row, or a third
+# row the sum of the first two
+SUBSTITUTION_ENTRIES = st.lists(st.one_of(st.just(0), elements, wide), min_size=9, max_size=9)
+SHAPES = st.sampled_from(("plain", "zero row", "dependent"))
+
+
+def shaped(entries, shape):
+    """The matrix of the nine entries, reshaped as SHAPES names."""
+    if shape == "zero row":
+        entries[3:6] = [0, 0, 0]
+    elif shape == "dependent":
+        entries[6:] = [a + b for a, b in zip(entries[:3], entries[3:6])]
+    return Matrix(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED_FORMS, SUBSTITUTION_ENTRIES, SHAPES, st.integers(0, 3))
+@example(SHARED_C, MIXED, "plain", 1)
+@example((X - Y) * Z, list(EQUAL_ROWS.entries), "plain", 0)  # the sum at c = 1 cancels
+def test_odd_half_is_the_odd_part_of_the_substitution(f, entries, shape, first):
+    # the terms of f o m of odd degree on columns first.., and no other
+    m = shaped(entries, shape)
+    sub = Substitution(m)
+    den, nums = sub.numerators(*_term_numerators(f.terms), first)
+    assert all(sum(e[first:]) % 2 for e in nums)
+    want = {e: c for e, c in f.act(m).terms.items() if sum(e[first:]) % 2}
+    assert _from_numerators(den, nums) == Poly3(want)
 
 
 # points with zero coordinates, plain ints and Fractions, and mixed denominators
