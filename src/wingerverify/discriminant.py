@@ -37,7 +37,6 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .cyclo import _numerators
 from .linalg import Matrix, integer_det
 from .perms import Perm
 from .polys import Poly3, monomials_of_degree
@@ -45,11 +44,10 @@ from .winger import q_poly
 
 
 def _to_int_poly(f: Poly3):
-    """Exponent->int dict after clearing denominators (rational input only)."""
-    _, nums = _numerators(f.terms.values())
-    if any(any(n[1:]) for n in nums):
+    """Exponent->int dict of f's numerators (rational input only)."""
+    if any(any(n[1:]) for n in f.nums.values()):
         raise ValueError(f"{f} has an irrational coefficient")
-    return {e: n[0] for e, n in zip(f.terms, nums)}
+    return {e: n[0] for e, n in f.nums.items()}
 
 
 def macaulay_system(degrees):

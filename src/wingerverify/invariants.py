@@ -246,21 +246,12 @@ def _reynolds_basis(actions, eigen, d: int) -> tuple:
                  for row, c in zip(reduced, pivots))
 
 
-def _rational_rows(rows) -> list:
-    """The four integer coordinate rows, on 1, zeta, zeta^2, zeta^3, of
-    each Q(zeta_5) row cleared of its denominators, zero rows dropped."""
-    out = []
-    for row in rows:
-        _, nums = _numerators(row)
-        out.extend(r for r in zip(*nums) if any(r))
-    return out
-
-
 def contains_up_to_scalar(basis, f: Poly3) -> bool:
     """Is f in the Q(zeta_5)-span of the basis polynomials?  For a rational
-    basis, iff every rational coordinate of f is in its Q-span."""
-    monos = sorted({e for p in list(basis) + [f] for e in p.terms})
-    rows = [[p.coefficient(e) for e in monos] for p in basis]
-    rank0 = len(echelon(_rational_rows(rows))[1])
-    rows.append([f.coefficient(e) for e in monos])
-    return len(echelon(_rational_rows(rows))[1]) == rank0
+    basis, iff every rational coordinate of f is in its Q-span; a form's
+    rows are its numerators' coordinates on 1, zeta, zeta^2, zeta^3."""
+    polys = [*basis, f]
+    monos = sorted({e for p in polys for e in p.nums})
+    rows = [[r for r in zip(*(p.nums.get(e, _ZERO) for e in monos)) if any(r)] for p in polys]
+    span = sum(rows[:-1], [])
+    return len(echelon(span)[1]) == len(echelon(span + rows[-1])[1])

@@ -4,10 +4,10 @@ larger system, `echelon`, fraction-free over Z.  It is Bareiss's pass
 with lazy rescaling: a row whose pivot-column entry is 0 is left as it
 is, and its scale is caught up, exactly, when it is next touched, since
 the factors L_k / L_{k-1} that the dense pass applies to it telescope.
-Its callers pass integer rows, or split Q(zeta_5) rows into their
-rational coordinates; back-substitution on integers, each row divided by
-its content (`gauss_jordan`), gives reduced row echelon forms and
-integer null space bases.
+Its callers pass integer rows, for forms over Q(zeta_5) the coordinates
+of their numerators on 1, zeta, zeta^2, zeta^3; back-substitution on
+integers, each row divided by its content (`gauss_jordan`), gives
+reduced row echelon forms and integer null space bases.
 
 The 3x3 products, `apply` and the adjugate, determinant and inverse run
 on integers: each operand is written over the lcm of its denominators
@@ -148,7 +148,7 @@ class Matrix:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(tuple(c.nums for c in self.entries))
 
 
 def echelon(rows):

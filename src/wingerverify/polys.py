@@ -1,36 +1,28 @@
 """Sparse polynomials in three variables over Q(zeta_5).
 
-Exponent triples (a, b, c) map to nonzero coefficients.  Substitution by
-a 3x3 matrix acts on the variables (precomposition), which is what a
-linear change of coordinates does to a form; a `Substitution` keeps the
-power tables of the three image lines, so many monomials substituted by
-one matrix share them, and multiplies by a power of the z2 line once per
-z2 exponent of the form, not once per term.
+A `Poly3` is its integer numerators over one least denominator (content
+and primitive part, von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 6): sums, products, derivatives, substitutions and evaluation add
+and multiply 4-integer tuples in Z[zeta_5] (`_convolve`, `cyclo._mul`),
+and a `Cyclo` is built only when a coefficient or a value is read.
 
-Products, substitutions and evaluation run on integer numerators: each
-operand is written over the lcm of its coefficient denominators as a
-dict of 4-integer tuples on 1, zeta, zeta^2, zeta^3 (`_term_numerators`,
-on `cyclo._numerators`), the loops multiply and add those tuples in
-Z[zeta_5] (`_convolve`, `cyclo._mul`), and a `Cyclo`, with its one gcd
-normalisation, is built only for each output coefficient
-(`_from_numerators`) or value.
+Substitution by a 3x3 matrix acts on the variables (precomposition), as
+a linear change of coordinates does on a form; a `Substitution` keeps
+the power tables of the three image lines, so many monomials
+substituted by one matrix share them, and multiplies by a power of the
+z2 line once per z2 exponent of the form, not once per term.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from types import MappingProxyType
 
-from .cyclo import Cyclo, _dot, _make, _mul, _numerators, rational
+from .cyclo import _ZERO, Cyclo, _dot, _make, _mul, _numerators, rational
 from .linalg import Matrix
 
 VARS = ("z0", "z1", "z2")
-
-
-def _term_numerators(terms):
-    """(den, {expo: nums}): the coefficients of `terms` as integer
-    4-tuples over the lcm `den` of their denominators."""
-    den, nums = _numerators(terms.values())
-    return den, dict(zip(terms, nums))
 
 
 def _convolve(p, q, out=None):
@@ -66,27 +58,42 @@ def _powers(v, k):
 
 
 def _from_numerators(den, nums) -> "Poly3":
-    """The Poly3 with coefficients nums[expo] / den, zero ones dropped."""
+    """The canonical Poly3 with coefficients nums[expo] / den, den > 0:
+    zero terms dropped, den and every numerator divided by their gcd."""
+    nums = {e: n for e, n in nums.items() if any(n)}
+    g = gcd(den, *chain.from_iterable(nums.values()))
+    if g > 1:
+        den //= g
+        nums = {e: tuple(x // g for x in n) for e, n in nums.items()}
     p = object.__new__(Poly3)
-    object.__setattr__(p, "terms", {e: _make(*n, den) for e, n in nums.items() if any(n)})
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "nums", MappingProxyType(nums))
     return p
 
 
 class Poly3:
-    """Immutable sparse trivariate polynomial; keys are exponent triples."""
+    """Immutable sparse trivariate polynomial: the coefficient of the
+    exponent triple e is nums[e] / den, with nums[e] a nonzero int
+    4-tuple on the basis 1, zeta, zeta^2, zeta^3, den > 0 and gcd(den,
+    every entry) = 1.  That makes den the least common denominator of
+    the coordinates (over k * den every entry is divisible by k), so the
+    form is unique, and == and hash compare integers.  `nums` is a
+    read-only view; each read of `terms` builds a new dict."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
-    def __init__(self, terms=None):
-        clean = {}
-        for expo, coef in (terms or {}).items():
-            coef = rational(coef)
-            if not coef.is_zero():
-                clean[tuple(expo)] = coef
-        object.__setattr__(self, "terms", clean)
+    def __new__(cls, terms=None):
+        terms = {tuple(e): rational(c) for e, c in (terms or {}).items()}
+        den, nums = _numerators(terms.values())
+        return _from_numerators(den, dict(zip(terms, nums)))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly3 is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{expo: Cyclo coefficient}, a new dict."""
+        return {e: _make(*n, self.den) for e, n in self.nums.items()}
 
     # -- constructors ---------------------------------------------------------
 
@@ -108,21 +115,22 @@ class Poly3:
     def __add__(self, other):
         if not isinstance(other, Poly3):
             return NotImplemented
-        out = dict(self.terms)
-        for expo, coef in other.terms.items():
-            cur = out.get(expo)
-            out[expo] = coef if cur is None else cur + coef
-        return Poly3(out)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {e: tuple(x * s for x in n) for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            out[e] = tuple(x + y * t for x, y in zip(out.get(e, _ZERO), n))
+        return _from_numerators(den, out)
 
     def __sub__(self, other):
         return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, Poly3):
-            dp, p = _term_numerators(self.terms)
-            dq, q = _term_numerators(other.terms)
-            return _from_numerators(dp * dq, _convolve(p, q))
-        return Poly3({e: c * other for e, c in self.terms.items()})
+            return _from_numerators(self.den * other.den, _convolve(self.nums, other.nums))
+        c = rational(other)
+        nums = {e: _mul(n, c.nums) for e, n in self.nums.items()}
+        return _from_numerators(self.den * c.den, nums)
 
     __rmul__ = __mul__
 
@@ -138,20 +146,20 @@ class Poly3:
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, expo) -> Cyclo:
-        return self.terms.get(tuple(expo), rational(0))
+        return _make(*self.nums.get(tuple(expo), _ZERO), self.den)
 
     def partial(self, i: int) -> "Poly3":
         out = {}
-        for expo, coef in self.terms.items():
-            if expo[i] == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            out[tuple(new)] = coef * expo[i]
-        return Poly3(out)
+        for expo, n in self.nums.items():
+            k = expo[i]
+            if k:
+                new = list(expo)
+                new[i] -= 1
+                out[tuple(new)] = tuple(x * k for x in n)
+        return _from_numerators(self.den, out)
 
     def gradient(self):
         return (self.partial(0), self.partial(1), self.partial(2))
@@ -163,17 +171,16 @@ class Poly3:
         is over c * d^top for the top degree `top`."""
         x, y, z = point
         d, coords = _numerators((rational(x), rational(y), rational(z)))
-        c, coefs = _numerators(self.terms.values())
-        p0, p1, p2 = (_powers(v, max((e[i] for e in self.terms), default=0))
+        p0, p1, p2 = (_powers(v, max((e[i] for e in self.nums), default=0))
                       for i, v in enumerate(coords))
-        top = max(map(sum, self.terms), default=0)
+        top = max(map(sum, self.nums), default=0)
         scale = [d ** k for k in range(top + 1)]
         monos = []
-        for a, b, e in self.terms:
+        for a, b, e in self.nums:
             s = scale[top - a - b - e]
             mono = _mul(_mul(p0[a], p1[b]), p2[e])
             monos.append(mono if s == 1 else tuple(n * s for n in mono))
-        return _make(*_dot(coefs, monos), c * scale[top])
+        return _make(*_dot(self.nums.values(), monos), self.den * scale[top])
 
     def act(self, m: Matrix) -> "Poly3":
         """Substitute z_i -> sum_j m[i][j] z_j (precomposition with m)."""
@@ -182,17 +189,18 @@ class Poly3:
     def __eq__(self, other):
         if not isinstance(other, Poly3):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for expo in sorted(self.terms, key=lambda e: (-sum(e), [-x for x in e])):
-            coef = self.terms[expo]
+        for expo in sorted(terms, key=lambda e: (-sum(e), [-x for x in e])):
+            coef = terms[expo]
             mono = "*".join(
                 (VARS[i] if e == 1 else f"{VARS[i]}^{e}")
                 for i, e in enumerate(expo) if e
@@ -223,7 +231,7 @@ class Substitution:
 
     Holds the three image lines and extends their power tables on demand,
     so every form substituted through the same object shares them.  Each
-    table entry is (den, {expo: nums}), in the form of `_term_numerators`.
+    table entry is (den, {expo: nums}), integer numerators over den.
     The terms of a form are grouped by their z2 exponent c:
     f o m = sum over c of line2^c * (sum of coef * line0^a * line1^b), so
     the terms that share c share the largest product, the one by line2^c.
@@ -241,7 +249,8 @@ class Substitution:
 
     def __init__(self, m: Matrix):
         one = (1, {(0, 0, 0): (1, 0, 0, 0)})
-        self.pows = [[one, _term_numerators(Poly3.linear(m.row(i)).terms)] for i in range(3)]
+        lines = (Poly3.linear(m.row(i)) for i in range(3))
+        self.pows = [[one, (line.den, line.nums)] for line in lines]
 
     def _power(self, i: int, k: int):
         """(den, nums) of line_i^k."""
@@ -253,7 +262,7 @@ class Substitution:
 
     def numerators(self, den, terms, first=None):
         """f o m for the form f with coefficients terms[expo] / den, as
-        (den, {expo: nums}) in the form of `_term_numerators`; with
+        (den, {expo: nums}), integer numerators over den; with
         `first`, only its odd half (see the class docstring).  Each group's
         terms are scaled to the lcm of the power-table denominators and
         the products added on integers."""
@@ -280,7 +289,7 @@ class Substitution:
 
     def apply(self, f: Poly3) -> Poly3:
         """f o m."""
-        return _from_numerators(*self.numerators(*_term_numerators(f.terms)))
+        return _from_numerators(*self.numerators(f.den, f.nums))
 
 
 def _halves(nums, first: int):

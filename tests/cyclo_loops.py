@@ -1,14 +1,15 @@
 """Reference Q(zeta_5) loops for the test oracles.
 
 The 3x3 product, `apply`, adjugate, determinant, inverse and kernel of
-`linalg.Matrix`, and `polys.Poly3.evaluate`, one `Cyclo` multiply and
-add at a time.  The integer kernels that write each operand over one
-denominator replaced them; they are kept here as those kernels'
-reference.
+`linalg.Matrix`, and `polys.Poly3.evaluate`, `+`, the product by a
+scalar and `partial`, one `Cyclo` multiply and add at a time.  The
+integer kernels that write each operand over one denominator replaced
+them; they are kept here as those kernels' reference.
 """
 
 from wingerverify.cyclo import Cyclo, rational
 from wingerverify.linalg import Matrix
+from wingerverify.polys import Poly3
 
 
 def _dot(row, col) -> Cyclo:
@@ -85,3 +86,29 @@ def evaluate(f, point) -> Cyclo:
     for (a, b, c), coef in f.terms.items():
         acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
     return acc
+
+
+def add(f, g):
+    """The sum of the Poly3 f and g."""
+    out = dict(f.terms)
+    for expo, coef in g.terms.items():
+        cur = out.get(expo)
+        out[expo] = coef if cur is None else cur + coef
+    return Poly3(out)
+
+
+def scale(f, other):
+    """The Poly3 f times the scalar `other`."""
+    return Poly3({e: c * other for e, c in f.terms.items()})
+
+
+def partial(f, i: int):
+    """The partial derivative of the Poly3 f by its variable i."""
+    out = {}
+    for expo, coef in f.terms.items():
+        if expo[i] == 0:
+            continue
+        new = list(expo)
+        new[i] -= 1
+        out[tuple(new)] = coef * expo[i]
+    return Poly3(out)

@@ -9,9 +9,9 @@ from sympy.polys.matrices import DomainMatrix
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from fraction_rref import null_space
 from wingerverify.cli import Corruption
-from wingerverify.cyclo import make, rational, zeta
+from wingerverify.cyclo import _numerators, make, rational, zeta
 from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
-                                     _monomial_action, _orbit_sums, _rational_rows,
+                                     _monomial_action, _orbit_sums,
                                      _series_reciprocal, contains_up_to_scalar,
                                      molien_closed_form, molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
@@ -273,6 +273,16 @@ def test_eigenbasis_diagonalizes_every_involution():
     for g in (Matrix.identity(3) * zeta(), Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])):
         with pytest.raises(ValueError):
             _eigenbasis(g)
+
+
+def _rational_rows(rows) -> list:
+    """The four integer coordinate rows, on 1, zeta, zeta^2, zeta^3, of
+    each Q(zeta_5) row cleared of its denominators, zero rows dropped."""
+    out = []
+    for row in rows:
+        _, nums = _numerators(row)
+        out.extend(r for r in zip(*nums) if any(r))
+    return out
 
 
 def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():

@@ -1,14 +1,16 @@
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclo_loops
 from wingerverify.cyclo import make, rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.polys import (Poly3, Substitution, _from_numerators, _term_numerators,
-                                monomials_of_degree)
-from wingerverify.winger import _derivatives, f_poly, irregular_orbits
+from wingerverify.polys import Poly3, Substitution, _from_numerators, monomials_of_degree
+from wingerverify.winger import _derivatives, f_poly, irregular_orbits, six_lines
 
 
 def variables():
@@ -198,7 +200,7 @@ def test_odd_half_is_the_odd_part_of_the_substitution(f, entries, shape, first):
     # the terms of f o m of odd degree on columns first.., and no other
     m = shaped(entries, shape)
     sub = Substitution(m)
-    den, nums = sub.numerators(*_term_numerators(f.terms), first)
+    den, nums = sub.numerators(f.den, f.nums, first)
     assert all(sum(e[first:]) % 2 for e in nums)
     want = {e: c for e, c in f.act(m).terms.items() if sum(e[first:]) % 2}
     assert _from_numerators(den, nums) == Poly3(want)
@@ -242,3 +244,96 @@ def test_monomials_of_degree():
 def test_printer_deterministic():
     f = Poly3({(1, 1, 0): 1, (0, 0, 2): Fraction(-1, 2)})
     assert str(f) == "z0*z1-1/2*z2^2"
+
+
+# -- the integer form: one least denominator, and no field element inside ------
+
+# coefficients over mixed denominators up to 9, and the scalars 0, -1 and
+# zeta among others
+MIXED_DENOMINATOR = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                              st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                              st.integers(1, 9))
+MIXED_DENOMINATOR_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                          MIXED_DENOMINATOR, max_size=6).map(Poly3)
+ANY_POLYS = st.one_of(polys, MIXED_DENOMINATOR_POLYS)
+SCALARS = st.one_of(st.sampled_from([0, -1, zeta(), Fraction(-7, 6)]), MIXED_DENOMINATOR)
+VARIABLE = st.integers(0, 2)
+NONZERO_FRACTIONS = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1, 10)]),
+                              st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ANY_POLYS, ANY_POLYS, SCALARS, VARIABLE)
+@example(X + HALF_THIRD, (X + HALF_THIRD) * -1, 0, 0)  # the sum cancels to zero
+@example(Poly3.zero(), HALF_THIRD, -1, 1)
+@example(ZETA_FORM, ZETA_FORM * zeta(), zeta(), 1)
+@example(SHARED_C, HALF_THIRD * Fraction(1, 6), Fraction(1, 2), 2)
+def test_integer_ops_match_cyclo_loops(f, g, c, i):
+    # Cyclo dicts compared, so the oracle does not rest on Poly3.__eq__
+    assert (f + g).terms == cyclo_loops.add(f, g).terms
+    assert (f - g).terms == cyclo_loops.add(f, cyclo_loops.scale(g, -1)).terms
+    assert (f * c).terms == (c * f).terms == cyclo_loops.scale(f, c).terms
+    assert f.partial(i).terms == cyclo_loops.partial(f, i).terms
+
+
+def assert_canonical(f):
+    """den is the least denominator: positive, prime to every numerator
+    entry, with no zero term; and the Cyclo coefficients give f back."""
+    assert f.den > 0 and all(any(n) for n in f.nums.values())
+    assert gcd(f.den, *chain.from_iterable(f.nums.values())) == 1
+    assert Poly3(f.terms) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(ANY_POLYS, ANY_POLYS, NONZERO_FRACTIONS)
+@example(HALF_THIRD, HALF_THIRD, Fraction(7, 3))
+@example(Poly3.zero(), ZETA_FORM, Fraction(-1, 9))
+def test_equal_polynomials_have_one_form(f, g, q):
+    # terms in shuffled order, scaled by a Fraction and back, sums that cancel
+    terms = list(f.terms.items())
+    ways = [Poly3(dict(terms[::-1])), Poly3(dict(sorted(terms))), f * q * (1 / q),
+            (f + g) - g, f + (g - g), Poly3(f.terms), Poly3.zero() + f]
+    for h in ways:
+        assert (h.den, dict(h.nums)) == (f.den, dict(f.nums))
+        assert hash(h) == hash(f)
+        assert_canonical(h)
+    assert_canonical(f * g)
+    zero = g - g
+    assert (zero.den, dict(zero.nums)) == (1, {}) and zero == Poly3.zero()
+
+
+def test_polynomial_arithmetic_builds_no_field_element(monkeypatch):
+    # +, -, * (by a form and by a scalar), partial, act, == and hash run on
+    # the integer numerators; a Cyclo is built only when a coefficient is read
+    f, g, m = SHARED_C, ZETA_FORM + HALF_THIRD, Matrix(MIXED)
+    copy = Poly3(f.terms)
+
+    def refuse(*args):
+        raise AssertionError("a field element was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("wingerverify.cyclo._make", refuse)
+        patch.setattr("wingerverify.polys._make", refuse)
+        got = [f + g, f - g, f * g, f * Fraction(2, 3), f * -1, zeta() * f, 0 * f,
+               f.partial(0), f.partial(2), f.act(m)]
+        same = (f == copy, f != g, hash(f) == hash(copy))
+    assert same == (True, True, True)
+    assert [p.terms for p in got] == [p.terms for p in (
+        cyclo_loops.add(f, g), cyclo_loops.add(f, cyclo_loops.scale(g, -1)), cyclo_mul(f, g),
+        cyclo_loops.scale(f, Fraction(2, 3)), cyclo_loops.scale(f, -1),
+        cyclo_loops.scale(f, zeta()), Poly3.zero(), cyclo_loops.partial(f, 0),
+        cyclo_loops.partial(f, 2), cyclo_apply(m, f))]
+
+
+def test_a_cached_form_cannot_be_changed_through_what_it_hands_out():
+    f = f_poly()
+    try:
+        f.terms[(6, 0, 0)] = rational(5)
+        fresh = Poly3.monomial((0, 0, 0))
+        for row in six_lines():
+            fresh = fresh * Poly3.linear(row)
+        assert f_poly() == fresh and f_poly().coefficient((6, 0, 0)) == 0
+        with pytest.raises(TypeError):
+            f.nums[(6, 0, 0)] = (5, 0, 0, 0)
+    finally:
+        f_poly.cache_clear()
