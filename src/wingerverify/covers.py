@@ -1,6 +1,7 @@
 """Branched-cover arithmetic: orbifold signatures, the Riemann-Hurwitz genus,
 degeneration combinatorics for the 20 tuple classes, and the binary
-icosahedral group as unit quaternions.
+icosahedral group as unit quaternions, each its integer numerators over
+one least denominator, as a `linalg.Matrix` is (`cyclo._IntegerForm`).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
-from .cyclo import Cyclo, golden, rational
+from .cyclo import _ZERO, Cyclo, _dot, _IntegerForm, _make, _numerators, rational
 from .perms import Perm, alternating_group_5, finite_group
 from .hurwitz import enumerate_tuple_classes
 
@@ -89,42 +90,45 @@ def all_degeneration_reports():
 # -- binary icosahedral group as unit quaternions -------------------------------
 
 
-class Quaternion:
-    """Quaternion with coefficients in Q(zeta_5) on (1, i, j, k)."""
+def _negated(n):
+    return tuple(-x for x in n)
 
-    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d):
-        for name, v in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, rational(v))
+class Quaternion(_IntegerForm):
+    """Quaternion over Q(zeta_5) on (1, i, j, k): coordinate k is nums[k] /
+    den, in the canonical `cyclo._IntegerForm` of a `linalg.Matrix`, so
+    the Hamilton product multiplies integers; the coordinates a, b, c, d
+    and the norm are `Cyclo`s built when read."""
 
-    def __setattr__(self, *args):
-        raise AttributeError("Quaternion is immutable")
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        return Quaternion._of(*_numerators((rational(a), rational(b), rational(c), rational(d))))
+
+    a, b, c, d = (property(lambda q, k=k: q._entry(k)) for k in range(4))
 
     def __mul__(self, o):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return Quaternion(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        """The Hamilton product: each coordinate is a sum of four signed
+        products of numerators, in Z[zeta_5]."""
+        a1, b1, c1, d1 = self.nums
+        a2, b2, c2, d2 = o.nums
+        nb1, nc1, nd1 = _negated(b1), _negated(c1), _negated(d1)
+        return Quaternion._of(self.den * o.den, (
+            _dot((a1, nb1, nc1, nd1), (a2, b2, c2, d2)),
+            _dot((a1, b1, c1, nd1), (b2, a2, d2, c2)),
+            _dot((a1, nb1, c1, d1), (c2, d2, a2, b2)),
+            _dot((a1, b1, nc1, d1), (d2, c2, b2, a2))))
 
     def __neg__(self):
-        return Quaternion(-self.a, -self.b, -self.c, -self.d)
+        return Quaternion._of(self.den, tuple(map(_negated, self.nums)))
 
     def norm(self) -> Cyclo:
-        return (self.a * self.a + self.b * self.b
-                + self.c * self.c + self.d * self.d)
+        return _make(*_dot(self.nums, self.nums), self.den * self.den)
 
-    def __eq__(self, o):
-        if not isinstance(o, Quaternion):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+    def sort_key(self):
+        """The integer form, numerators first as in `Cyclo.sort_key`; it
+        orders the units of the binary checks."""
+        return self.nums, self.den
 
     def __repr__(self):
         return f"({self.a}) + ({self.b})i + ({self.c})j + ({self.d})k"
@@ -138,40 +142,36 @@ def binary_icosahedral_group():
     """The 120 icosian unit quaternions, all of norm 1.
 
     The 24 Hurwitz units (±1, ±i, ±j, ±k and (±1±i±j±k)/2) together with
-    the 96 even coordinate permutations of (0, ±1, ±phi, ±1/phi)/2.
+    the 96 even coordinate permutations of (0, ±1, ±phi, ±1/phi)/2, each
+    built from its numerators over 2: phi = -(zeta^2 + zeta^3) and
+    1/phi = phi - 1 = -1 - zeta^2 - zeta^3.
     """
-    half = Fraction(1, 2)
     units = set()
     for i in range(4):
-        for s in (1, -1):
-            coords = [0] * 4
-            coords[i] = s
-            units.add(Quaternion(*coords))
-    for signs in product((half, -half), repeat=4):
-        units.add(Quaternion(*signs))
-    phi = golden()
-    base = [rational(0), rational(1), phi, phi.inv()]
+        for s in (2, -2):
+            units.add(Quaternion._of(2, [(s, 0, 0, 0) if k == i else _ZERO for k in range(4)]))
+    for signs in product((1, -1), repeat=4):
+        units.add(Quaternion._of(2, [(s, 0, 0, 0) for s in signs]))
+    base = (_ZERO, (1, 0, 0, 0), (0, 0, -1, -1), (-1, 0, -1, -1))  # 0, 1, phi, 1/phi
     for perm in _even_permutations4():
-        vals = [base[perm[i]] for i in range(4)]
-        nz = [i for i in range(4) if not vals[i].is_zero()]
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    signs = dict(zip(nz, (s1, s2, s3)))
-                    q = Quaternion(*[vals[i] * signs.get(i, 1) / 2 for i in range(4)])
-                    units.add(q)
+        for signs in product((1, -1), repeat=3):
+            sign = (1, *signs)  # by base value: the zero keeps its sign
+            units.add(Quaternion._of(2, [tuple(sign[p] * x for x in base[p]) for p in perm]))
     return frozenset(units)
 
 
 def binary_icosahedral_checks():
-    """Closure, norms, center, perfectness and the quotient class sizes."""
+    """Closure, norms, center, perfectness and the quotient class sizes.
+    The group is built on the units sorted by their integer form, so its
+    element order, and the generators that `FiniteGroup` finds, do not
+    depend on the hash."""
     units = binary_icosahedral_group()
     one = Quaternion(1, 0, 0, 0)
     report = {}
     report["order"] = len(units)
     report["norm_one"] = all(q.norm() == rational(1) for q in units)
     try:
-        group = finite_group(tuple(units))
+        group = finite_group(tuple(sorted(units, key=Quaternion.sort_key)))
     except ValueError:
         report["closed"] = False
         return report

@@ -14,13 +14,16 @@ The arithmetic operators accept the same operand types (`_coerce`).
 The integer kernels of the other layers share these helpers: elements
 written over the lcm of their denominators (`_numerators`), products and
 sums of products in Z[zeta_5] (`_mul`, `_dot`) and the inverse as a
-cyclotomic integer over its norm (`_inverse_parts`); each kernel builds
-one canonical element per output (`_make`).
+cyclotomic integer over its norm (`_inverse_parts`).  A matrix, a
+quaternion (`_IntegerForm`) or a polynomial keeps its entries in that
+form, over their least common denominator, and builds a canonical
+element (`_make`) only for an entry that is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -38,12 +41,18 @@ def _mul(a, b):
 
 def _dot(us, vs):
     """The sum of _mul(u, v) over the pairs of integer 4-tuples of `us`
-    and `vs`."""
-    s0 = s1 = s2 = s3 = 0
-    for u, v in zip(us, vs):
-        p0, p1, p2, p3 = _mul(u, v)
-        s0, s1, s2, s3 = s0 + p0, s1 + p1, s2 + p2, s3 + p3
-    return s0, s1, s2, s3
+    and `vs`: the convolutions are summed on zeta^0..zeta^6 and folded
+    once, as in `_mul`."""
+    c0 = c1 = c2 = c3 = c4 = c5 = c6 = 0
+    for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(us, vs):
+        c0 += a0 * b0
+        c1 += a0 * b1 + a1 * b0
+        c2 += a0 * b2 + a1 * b1 + a2 * b0
+        c3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        c4 += a1 * b3 + a2 * b2 + a3 * b1
+        c5 += a2 * b3 + a3 * b2
+        c6 += a3 * b3
+    return c0 - c4 + c5, c1 - c4 + c6, c2 - c4, c3 - c4
 
 
 def _galois(a, k):
@@ -285,6 +294,42 @@ def _raw(nums, den) -> Cyclo:
 def _coerce(other):
     """An int or Fraction operand as an element; None for any other type."""
     return rational(other) if isinstance(other, (int, Fraction)) else None
+
+
+class _IntegerForm:
+    """A fixed number of Q(zeta_5) entries as integer 4-tuples `nums`
+    over one denominator `den` > 0 with gcd(den, every entry) = 1, the
+    least common denominator: the form of `linalg.Matrix` and
+    `covers.Quaternion`.  It is unique, so == and hash compare integers,
+    and a `Cyclo` is built only for an entry that is read (`_entry`)."""
+
+    __slots__ = ("den", "nums")
+
+    @classmethod
+    def _of(cls, den, nums):
+        """The canonical object with entries nums[k] / den, den > 0: both
+        divided by their gcd."""
+        g = gcd(den, *chain.from_iterable(nums))
+        if g > 1:
+            den, nums = den // g, [tuple(x // g for x in n) for n in nums]
+        obj = _new(cls)
+        object.__setattr__(obj, "den", den)
+        object.__setattr__(obj, "nums", tuple(nums))
+        return obj
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _entry(self, k) -> Cyclo:
+        return _make(*self.nums[k], self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, self.nums))
 
 
 def make(raw) -> Cyclo:

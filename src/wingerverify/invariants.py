@@ -27,10 +27,10 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .cyclo import _ZERO, _mul, _numerators, rational
+from .cyclo import _ZERO, _make, _mul, rational
 from .linalg import Matrix, echelon, gauss_jordan, kernel_basis
 from .perms import FiniteGroup, finite_group
-from .polys import Poly3, Substitution, _from_numerators, _powers, monomials_of_degree
+from .polys import Poly3, Substitution, _from_numerators, monomials_of_degree
 
 
 def _series_reciprocal(den, nterms: int):
@@ -47,8 +47,11 @@ def _series_reciprocal(den, nterms: int):
 
 def _molien_denominator(m: Matrix):
     """Coefficients of det(I - T*m) for a 3x3 m, lowest first:
-    1 - tr(m) T + tr(adj m) T^2 - det(m) T^3."""
-    return [rational(1), -m.trace(), m.adjugate().trace(), -m.det()]
+    1 - tr(m) T + tr(adj m) T^2 - det(m) T^3, with tr(adj m) and det(m)
+    read from one cofactor pass."""
+    den, adj, det = m._cofactors()
+    return [rational(1), -m.trace(), _make(*map(sum, zip(adj[0], adj[4], adj[8])), den * den),
+            _make(*(-x for x in det), den ** 3)]
 
 
 def molien_series(mats, nterms: int = 31):
@@ -82,12 +85,27 @@ def molien_closed_form(nterms: int = 31):
 
 def _monomial_action(m: Matrix):
     """(columns, scalars) if m has one nonzero entry per row and column,
-    so that z_i -> scalars[i] * z_columns[i]; None otherwise."""
-    nonzero = [(i, j) for i in range(3) for j in range(3) if m[i, j]]
+    so that z_i -> scalars[i] * z_columns[i], the scalars as their
+    numerators over m.den; None otherwise."""
+    nonzero = [divmod(k, 3) for k, n in enumerate(m.nums) if any(n)]
     cols = tuple(j for _, j in nonzero)
     if [i for i, _ in nonzero] != [0, 1, 2] or sorted(cols) != [0, 1, 2]:
         return None
-    return cols, tuple(m[i, j] for i, j in nonzero)
+    return cols, tuple(m.nums[3 * i + j] for i, j in nonzero)
+
+
+def _monomial_tables(mats):
+    """(den, tables) for the monomial matrices `mats`: den the lcm of
+    their denominators and, per matrix, its columns and for each of its
+    three scalars, as numerators v over den, the power table [1, v],
+    which `_orbit_sums` extends on demand."""
+    den = lcm(*(m.den for m in mats))
+    tables = []
+    for m in mats:
+        cols, scalars = _monomial_action(m)
+        s = den // m.den
+        tables.append((cols, [[(1, 0, 0, 0), tuple(x * s for x in v)] for v in scalars]))
+    return den, tables
 
 
 def reynolds_basis(mats, d: int):
@@ -121,9 +139,9 @@ def reynolds_basis(mats, d: int):
     with the set-up of the matrix tuple, which is looked up once per call;
     each call returns a new list.
     """
-    actions, eigen, bases = _reynolds_setup(tuple(mats))
+    monomial, eigen, bases = _reynolds_setup(tuple(mats))
     if d not in bases:
-        bases[d] = _reynolds_basis(actions, eigen, d)
+        bases[d] = _reynolds_basis(monomial, eigen, d)
     return list(bases[d])
 
 
@@ -169,17 +187,20 @@ def _eigenbasis(g: Matrix):
     return Matrix.from_rows(zip(*plus, *minus)), len(plus)
 
 
-def _orbit_sums(actions, monos):
+def _orbit_sums(monomial, monos):
     """(den, sums): the nonzero sums of z^e o n over n in N, one per
     N-orbit of `monos`, as numerator dicts {expo: nums} over den;
-    `actions` are the (columns, scalars) of the elements of N.  The
-    scalars are integer 4-tuples over one denominator, so every term of a
-    degree-d sum is over its d-th power and the sums add integers."""
+    `monomial` is the (den, tables) of `_monomial_tables` for the
+    elements of N, whose power tables are extended to the degree d of
+    `monos`.  The scalars are integer 4-tuples over one denominator, so
+    every term of a degree-d sum is over its d-th power and the sums add
+    integers."""
     d = sum(monos[0])
-    den, nums = _numerators([s for _, scalars in actions for s in scalars])
-    # per element: its columns and the powers 0..d of each of its scalars
-    tables = [(cols, [_powers(v, d) for v in nums[3 * k:3 * k + 3]])
-              for k, (cols, _) in enumerate(actions)]
+    den, tables = monomial
+    for _, powers in tables:
+        for table in powers:
+            while len(table) <= d:
+                table.append(_mul(table[-1], table[1]))
     sums, seen = [], set()
     for expo in monos:
         if expo in seen:
@@ -202,22 +223,21 @@ def _orbit_sums(actions, monos):
 
 @lru_cache(maxsize=8)
 def _reynolds_setup(mats: tuple):
-    """What every degree of the group of `mats` reads: the (columns,
-    scalars) of the elements of N, and per extra generator a substitution
-    by its eigenbasis with the index of its first -1 column; then the
-    dict of the bases found so far, by degree, that `reynolds_basis`
-    fills."""
+    """What every degree of the group of `mats` reads: the power tables
+    of the elements of N (`_monomial_tables`), and per extra generator a
+    substitution by its eigenbasis with the index of its first -1
+    column, both extended as the degrees need them; then the dict of the
+    bases found so far, by degree, that `reynolds_basis` fills."""
     group = finite_group(mats)
-    actions = [_monomial_action(m) for m in group.elements]
-    sub = [n for n, action in enumerate(actions) if action is not None]
+    sub = [n for n, m in enumerate(group.elements) if _monomial_action(m) is not None]
     eigen = [_eigenbasis(group.elements[g]) for g in _extra_generators(group, sub)]
-    return ([actions[n] for n in sub],
+    return (_monomial_tables([group.elements[n] for n in sub]),
             [(Substitution(basis), first) for basis, first in eigen], {})
 
 
-def _reynolds_basis(actions, eigen, d: int) -> tuple:
+def _reynolds_basis(monomial, eigen, d: int) -> tuple:
     monos = monomials_of_degree(d)
-    den, sums = _orbit_sums(actions, monos)
+    den, sums = _orbit_sums(monomial, monos)
     rows = {}  # the distinct primitive equations, in order
     for subst, first in eigen:
         images = [subst.numerators(den, p, first) for p in sums]

@@ -9,10 +9,11 @@ of their numerators on 1, zeta, zeta^2, zeta^3; back-substitution on
 integers, each row divided by its content (`gauss_jordan`), gives
 reduced row echelon forms and integer null space bases.
 
-The 3x3 products, `apply` and the adjugate, determinant and inverse run
-on integers: each operand is written over the lcm of its denominators
-(`cyclo._numerators`), the sums of products are taken in Z[zeta_5]
-(`cyclo._dot`), and one canonical `Cyclo` is built per output entry.
+A `Matrix` is its nine entries' integer numerators over one least
+denominator, as a `Poly3` is its coefficients': products, differences,
+`apply` and the adjugate, determinant and inverse take sums of products
+in Z[zeta_5] (`cyclo._dot`) with one gcd per result, and a `Cyclo` is
+built only for an entry that is read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import sub
 
-from .cyclo import _ZERO, Cyclo, _dot, _inverse_parts, _make, _mul, _numerators, rational
+from .cyclo import (_ZERO, Cyclo, _dot, _IntegerForm, _inverse_parts, _make, _mul, _numerators,
+                    rational)
 
 
 def _minor(p, q, r, s):
@@ -28,19 +30,18 @@ def _minor(p, q, r, s):
     return tuple(map(sub, _mul(p, q), _mul(r, s)))
 
 
-class Matrix:
-    """Immutable 3x3 matrix over Q(zeta_5): its nine entries, row by row."""
+class Matrix(_IntegerForm):
+    """Immutable 3x3 matrix over Q(zeta_5): entry (i, j) is nums[3i + j] /
+    den, in the canonical `cyclo._IntegerForm`; `entries`, `m[i, j]`,
+    `row`, `trace` and `det` build their `Cyclo`s when read."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
+    def __new__(cls, entries):
         entries = tuple(map(rational, entries))
         if len(entries) != 9:
             raise ValueError("a 3x3 matrix has nine entries")
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
+        return Matrix._of(*_numerators(entries))
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -58,61 +59,66 @@ class Matrix:
         a, b, c = diag
         return Matrix((a, 0, 0, 0, b, 0, 0, 0, c))
 
+    @property
+    def entries(self) -> tuple:
+        """The nine entries, row by row."""
+        return tuple(map(self._entry, range(9)))
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[3 * i + j]
+        return self._entry(3 * i + j)
 
     def row(self, i):
-        return self.entries[3 * i:3 * i + 3]
+        return tuple(map(self._entry, range(3 * i, 3 * i + 3)))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
-            da, a = _numerators(self.entries)
-            db, b = _numerators(other.entries)
-            den, cols = da * db, [b[j::3] for j in range(3)]
-            return Matrix([_make(*_dot(a[i:i + 3], col), den)
-                           for i in (0, 3, 6) for col in cols])
+            a, b = self.nums, other.nums
+            cols = (b[0::3], b[1::3], b[2::3])
+            return Matrix._of(self.den * other.den,
+                              [_dot(a[i:i + 3], col) for i in (0, 3, 6) for col in cols])
         other = rational(other)
-        return Matrix([e * other for e in self.entries])
+        return Matrix._of(self.den * other.den, [_mul(n, other.nums) for n in self.nums])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix([a - b for a, b in zip(self.entries, other.entries)])
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return Matrix._of(den, [tuple(x * s - y * t for x, y in zip(a, b))
+                                for a, b in zip(self.nums, other.nums)])
 
     def transpose(self) -> "Matrix":
-        e = self.entries
-        return Matrix(e[0::3] + e[1::3] + e[2::3])
+        n = self.nums
+        return Matrix._of(self.den, n[0::3] + n[1::3] + n[2::3])
 
     def trace(self) -> Cyclo:
-        return self.entries[0] + self.entries[4] + self.entries[8]
+        n = self.nums
+        return _make(*map(sum, zip(n[0], n[4], n[8])), self.den)
 
     def apply(self, vec) -> tuple:
         """Matrix times a column vector of three entries (ValueError for
         any other length)."""
         x, y, z = vec
-        dm, m = _numerators(self.entries)
         dv, v = _numerators((rational(x), rational(y), rational(z)))
-        den = dm * dv
+        m, den = self.nums, self.den * dv
         return tuple(_make(*_dot(m[i:i + 3], v), den) for i in (0, 3, 6))
 
     def _cofactors(self):
-        """(den, adj, det): the entries are numerators over den, adj the
-        nine numerators of the adjugate (transposed cofactors) over den^2
-        and det that of the determinant over den^3.  As m * adj(m) =
-        det(m) * I, det(m) is the first row of m times the first column
-        of adj(m)."""
-        den, (a, b, c, d, e, f, g, h, i) = _numerators(self.entries)
+        """(den, adj, det): adj the nine numerators of the adjugate
+        (transposed cofactors) over den^2 and det that of the determinant
+        over den^3.  As m * adj(m) = det(m) * I, det(m) is the first row
+        of m times the first column of adj(m)."""
+        a, b, c, d, e, f, g, h, i = self.nums
         adj = (_minor(e, i, f, h), _minor(c, h, b, i), _minor(b, f, c, e),
                _minor(f, g, d, i), _minor(a, i, c, g), _minor(c, d, a, f),
                _minor(d, h, e, g), _minor(b, g, a, h), _minor(a, e, b, d))
-        return den, adj, _dot((a, b, c), adj[0::3])
+        return self.den, adj, _dot((a, b, c), adj[0::3])
 
     def adjugate(self) -> "Matrix":
         """The adjugate: m * adj(m) = det(m) * I."""
         den, adj, _ = self._cofactors()
-        den *= den
-        return Matrix([_make(*n, den) for n in adj])
+        return Matrix._of(den * den, adj)
 
     def det(self) -> Cyclo:
         den, _, det = self._cofactors()
@@ -121,13 +127,14 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """adj(m) / det(m): with entries over den, the adjugate's
         numerators times den over the determinant's, whose inverse is
-        rest / norm (`cyclo._inverse_parts`).  Nothing in the package
-        calls it; `perfbench/probes.py` times it."""
+        rest / norm (`cyclo._inverse_parts`; the norm of a nonzero
+        element of Q(zeta_5) is positive).  Nothing in the package calls
+        it; `perfbench/probes.py` times it."""
         den, adj, det = self._cofactors()
         if det == _ZERO:
             raise ValueError("singular matrix")
         rest, norm = _inverse_parts(det)
-        return Matrix([_make(*(x * den for x in _mul(n, rest)), norm) for n in adj])
+        return Matrix._of(norm, [tuple(x * den for x in _mul(n, rest)) for n in adj])
 
     def kernel(self):
         """Right null space of a matrix of rank at least 2: [] if it is
@@ -141,14 +148,6 @@ class Matrix:
             raise ValueError("3x3 matrix of rank below 2")
         den *= den
         return [tuple(_make(*n, den) for n in col)]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(tuple(c.nums for c in self.entries))
 
 
 def echelon(rows):

@@ -240,11 +240,21 @@ class FiniteGroup:
         return frozenset(closure(self.identity, [self.table[g].__getitem__ for g in gens]))
 
     def derived(self) -> frozenset:
-        """The subgroup generated by all commutators a b a^-1 b^-1."""
-        table, inverse = self.table, self.inverse
-        n = len(table)
-        return self.generated({table[table[table[a][b]][inverse[a]]][inverse[b]]
-                               for a in range(n) for b in range(n)})
+        """The subgroup generated by all commutators a b a^-1 b^-1, as
+        the normal closure of the generators' commutators [s, t] (Holt,
+        Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+        a conjugate by a generator that falls outside the subgroup joins
+        its generators until none does."""
+        table, inverse, gens = self.table, self.inverse, self.generators
+        normal = [table[table[table[s][t]][inverse[s]]][inverse[t]] for s in gens for t in gens]
+        sub = self.generated(normal)
+        for x in normal:  # the list grows while it is read
+            for s in gens:
+                c = self.conjugate(x, s)
+                if c not in sub:
+                    normal.append(c)
+                    sub = self.generated(normal)
+        return sub
 
 
 @lru_cache(maxsize=8)

@@ -23,6 +23,7 @@ from .cyclo import _ZERO, Cyclo, _dot, _make, _mul, _numerators, rational
 from .linalg import Matrix
 
 VARS = ("z0", "z1", "z2")
+_LINEAR = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the exponents of z0, z1, z2
 
 
 def _convolve(p, q, out=None):
@@ -249,7 +250,8 @@ class Substitution:
 
     def __init__(self, m: Matrix):
         one = (1, {(0, 0, 0): (1, 0, 0, 0)})
-        lines = (Poly3.linear(m.row(i)) for i in range(3))
+        lines = (_from_numerators(m.den, dict(zip(_LINEAR, m.nums[i:i + 3])))
+                 for i in (0, 3, 6))
         self.pows = [[one, (line.den, line.nums)] for line in lines]
 
     def _power(self, i: int, k: int):

@@ -118,8 +118,8 @@ def _rescale(m, gram):
     # satisfies t^2 = 1/s and makes the form exactly preserved with det 1;
     # s is read at the first nonzero entry of A
     s_mat = m.transpose() * gram * m
-    k = next(k for k, a in enumerate(gram.entries) if a)
-    s = s_mat.entries[k] / gram.entries[k]
+    ij = next(divmod(k, 3) for k, a in enumerate(gram.nums) if any(a))
+    s = s_mat[ij] / gram[ij]
     if s.is_zero() or s_mat != gram * s:
         return None
     return m * (s / m.det())
@@ -147,14 +147,18 @@ def reconstruct_group() -> FiniteGroup:
     gram = gram_matrix()
     u_ratios = [normalize_point((brackets[i, 1, 2], brackets[0, i, 2],
                                  brackets[0, 1, i]))[:2] for i in range(3, 6)]
+    lines = Matrix.from_rows(rows[:3])
     found = set()
     # the 720 permutations share 120 ordered triples sigma(0..2), and adj(B)
-    # and the points u / w depend on the triple alone
+    # and the points u / w depend on the triple alone; adj(B) is needed
+    # only for a triple with a survivor, half of them
     for triple in permutations(range(6), 3):
+        scalings = _triple_scalings(brackets, triple, u_ratios)
+        if not scalings:
+            continue
         b_adj = Matrix.from_rows([rows[k] for k in triple]).adjugate()
-        for c in _triple_scalings(brackets, triple, u_ratios).values():
-            scaled = Matrix.from_rows([[x * ci for x in rows[i]] for i, ci in enumerate(c)])
-            m = _rescale(b_adj * scaled, gram)
+        for c in scalings.values():
+            m = _rescale(b_adj * (Matrix.diagonal(c) * lines), gram)
             if m is not None:
                 found.add(m)
     try:

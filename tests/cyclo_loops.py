@@ -1,14 +1,22 @@
 """Reference Q(zeta_5) loops for the test oracles.
 
-The 3x3 product, `apply`, adjugate, determinant, inverse and kernel of
-`linalg.Matrix`, and `polys.Poly3.evaluate`, `+`, the product by a
-scalar and `partial`, one `Cyclo` multiply and add at a time.  The
-integer kernels that write each operand over one denominator replaced
-them; they are kept here as those kernels' reference.
+The 3x3 product, difference, product by a scalar, transpose, trace,
+`apply`, adjugate, determinant, inverse and kernel of `linalg.Matrix`;
+the Hamilton product and norm of `covers.Quaternion` and the 120 units
+of `covers.binary_icosahedral_group`; and `polys.Poly3.evaluate`, `+`,
+the product by a scalar and `partial`: one `Cyclo` multiply and add at a
+time.  The integer kernels that keep each object's entries over one
+denominator replaced them; they are kept here as those kernels'
+reference.
 """
 
-from wingerverify.cyclo import Cyclo, rational
+from fractions import Fraction
+from itertools import permutations, product as cartesian
+
+from wingerverify.cyclo import Cyclo, golden, rational
+from wingerverify.covers import Quaternion
 from wingerverify.linalg import Matrix
+from wingerverify.perms import Perm
 from wingerverify.polys import Poly3
 
 
@@ -22,6 +30,24 @@ def _dot(row, col) -> Cyclo:
 def product(m, other):
     cols = [other.entries[j::3] for j in range(3)]
     return Matrix([_dot(m.row(i), c) for i in range(3) for c in cols])
+
+
+def difference(m, other):
+    return Matrix([a - b for a, b in zip(m.entries, other.entries)])
+
+
+def matrix_scale(m, other):
+    """The matrix m times the scalar `other`."""
+    return Matrix([e * other for e in m.entries])
+
+
+def transpose(m):
+    e = m.entries
+    return Matrix(e[0::3] + e[1::3] + e[2::3])
+
+
+def trace(m) -> Cyclo:
+    return m[0, 0] + m[1, 1] + m[2, 2]
 
 
 def apply(m, vec) -> tuple:
@@ -112,3 +138,39 @@ def partial(f, i: int):
         new[i] -= 1
         out[tuple(new)] = coef * expo[i]
     return Poly3(out)
+
+
+def hamilton(p, q):
+    """The Hamilton product of the quaternions p and q."""
+    a1, b1, c1, d1 = p.a, p.b, p.c, p.d
+    a2, b2, c2, d2 = q.a, q.b, q.c, q.d
+    return Quaternion(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def norm(q) -> Cyclo:
+    return q.a * q.a + q.b * q.b + q.c * q.c + q.d * q.d
+
+
+def binary_icosahedral_group() -> frozenset:
+    """The 24 Hurwitz units and the even coordinate permutations of
+    (0, +-1, +-phi, +-1/phi)/2, from the field elements phi and 1/phi."""
+    half = Fraction(1, 2)
+    units = set()
+    for i in range(4):
+        for s in (1, -1):
+            units.add(Quaternion(*(s if k == i else 0 for k in range(4))))
+    for signs in cartesian((half, -half), repeat=4):
+        units.add(Quaternion(*signs))
+    phi = golden()
+    base = [rational(0), rational(1), phi, phi.inv()]
+    for perm in permutations(range(4)):
+        if not Perm(i + 1 for i in perm).is_even():
+            continue
+        for signs in cartesian((1, -1), repeat=4):
+            units.add(Quaternion(*(base[p] * s / 2 for p, s in zip(perm, signs))))
+    return frozenset(units)

@@ -1,15 +1,20 @@
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cyclo_loops
 from wingerverify import covers
 from wingerverify.covers import (Quaternion, alpha_value, all_degeneration_reports,
                                  binary_icosahedral_checks, binary_icosahedral_group,
                                  riemann_hurwitz_genus, signature_solutions)
 from wingerverify.cli import main
-from wingerverify.cyclo import rational
+from wingerverify.cyclo import make, rational
 from wingerverify.hurwitz import r_value
 from wingerverify.perms import Perm, alternating_group_5
 
@@ -93,6 +98,72 @@ def test_binary_icosahedral_group():
     assert rep["center_order"] == 2 and rep["center_is_pm1"]
     assert rep["abelianization_order"] == 1
     assert rep["quotient_class_sizes"] == [1, 12, 12, 15, 20]
+
+
+# -- the integer quaternions against the Cyclo formulas ---------------------------
+
+COORDINATES = st.one_of(
+    st.just(0), st.integers(-3, 3), st.fractions(-5, 5, max_denominator=9),
+    st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+              st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)),
+                       min_size=1, max_size=4),
+              st.sampled_from([1, 2, 3, 6, 2**65 + 1])))
+QUATERNIONS = st.builds(Quaternion, COORDINATES, COORDINATES, COORDINATES, COORDINATES)
+
+
+@settings(max_examples=50, deadline=None)
+@given(QUATERNIONS, QUATERNIONS)
+def test_hamilton_product_matches_the_cyclo_formula(p, q):
+    assert p * q == cyclo_loops.hamilton(p, q)
+    assert q * p == cyclo_loops.hamilton(q, p)
+    assert p.norm() == cyclo_loops.norm(p)
+    assert -p == Quaternion(-p.a, -p.b, -p.c, -p.d)
+
+
+def assert_canonical(q):
+    assert q.den > 0 and len(q.nums) == 4
+    assert gcd(q.den, *chain.from_iterable(q.nums)) == 1
+    assert Quaternion(q.a, q.b, q.c, q.d) == q
+
+
+@settings(max_examples=40, deadline=None)
+@given(QUATERNIONS)
+def test_equal_quaternions_have_one_form(q):
+    one, i = Quaternion(1, 0, 0, 0), Quaternion(0, 1, 0, 0)
+    minus_i = Quaternion(0, -1, 0, 0)
+    for h in (Quaternion(q.a, q.b, q.c, q.d), q * one, one * q, -(-q), q * i * minus_i):
+        assert (h.den, h.nums) == (q.den, q.nums)
+        assert hash(h) == hash(q)
+        assert_canonical(h)
+    assert_canonical(q * q)
+
+
+def test_units_from_integers_match_the_field_construction():
+    units = binary_icosahedral_group()
+    assert isinstance(units, frozenset)
+    assert units == cyclo_loops.binary_icosahedral_group()
+    for q in units:
+        assert_canonical(q)
+        assert cyclo_loops.norm(q) == 1
+
+
+def test_quaternion_arithmetic_builds_no_field_element(monkeypatch):
+    # the units, the Hamilton product, negation, == and hash run on the
+    # integer numerators; a Cyclo is built only when a coordinate is read
+    def refuse(*args):
+        raise AssertionError("a field element was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("wingerverify.cyclo._make", refuse)
+        patch.setattr("wingerverify.covers._make", refuse)
+        units = sorted(binary_icosahedral_group(), key=Quaternion.sort_key)
+        p, q = units[7], units[90]
+        got = [p * q, q * p, -p]
+        one = Quaternion(1, 0, 0, 0)
+        same = (p * one == p, p != q, hash(one * p) == hash(p))
+    assert same == (True, True, True)
+    assert got == [cyclo_loops.hamilton(p, q), cyclo_loops.hamilton(q, p),
+                   Quaternion(-p.a, -p.b, -p.c, -p.d)]
 
 
 def test_binary_checks_report_non_closed_units(monkeypatch):

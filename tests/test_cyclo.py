@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wingerverify.cyclo import Cyclo, golden, make, rational, sqrt5, zeta
+from wingerverify.cyclo import Cyclo, _dot, _mul, golden, make, rational, sqrt5, zeta
 
 
 def test_basic_arithmetic():
@@ -234,6 +234,21 @@ def test_kernel_matches_fraction_oracle(pair, q):
     assert (a == b) == (ca == cb) and (b == a) == (ca == cb)
     assert (a == q) == (q == a) == (ca == (q, 0, 0, 0))
     assert (a - a).is_zero() and not (a - a)
+
+
+NUMERATORS = st.tuples(*[st.one_of(ints, st.integers(-2**70, 2**70))] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(NUMERATORS, NUMERATORS), max_size=5))
+def test_dot_is_the_sum_of_the_products(pairs):
+    # one fold of the summed convolutions against a fold per product
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    want = [Fraction(0)] * 4
+    for u, v in pairs:
+        assert _mul(u, v) == frac_mul(u, v)
+        want = [x + y for x, y in zip(want, frac_mul(u, v))]
+    assert _dot(us, vs) == tuple(want)
 
 
 def test_kernel_guards():

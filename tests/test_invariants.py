@@ -11,7 +11,7 @@ from fraction_rref import null_space
 from wingerverify.cli import Corruption
 from wingerverify.cyclo import _numerators, make, rational, zeta
 from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
-                                     _monomial_action, _orbit_sums,
+                                     _monomial_action, _monomial_tables, _orbit_sums,
                                      _series_reciprocal, contains_up_to_scalar,
                                      molien_closed_form, molien_series, reynolds_basis)
 from wingerverify.linalg import Matrix
@@ -156,9 +156,9 @@ def test_low_degree_bases_match_plain_average():
         assert reynolds_basis(mats(), d) == plain_basis(mats(), d), d
 
 
-def orbit_polys(actions, monos):
-    """The orbit sums of `_orbit_sums` as Poly3."""
-    den, sums = _orbit_sums(actions, monos)
+def orbit_polys(monomial_mats, monos):
+    """The orbit sums of `_orbit_sums` as Poly3, for the elements of N."""
+    den, sums = _orbit_sums(_monomial_tables(monomial_mats), monos)
     return [_from_numerators(den, p) for p in sums]
 
 
@@ -169,7 +169,7 @@ def cyclo_kernel_basis(mat_list, d):
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
     monos = monomials_of_degree(d)
-    sums = orbit_polys([actions[n] for n in sub], monos)
+    sums = orbit_polys([group.elements[n] for n in sub], monos)
     rows = []
     for g in _extra_generators(group, sub):
         subst = Substitution(group.elements[g])
@@ -295,7 +295,7 @@ def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
     assert len(outside) == 10
     degrees = {d: (monomials_of_degree(d), len(reynolds_basis(mats(), d)))
                for d in (6, 10, 12, 15)}
-    sums = {d: orbit_polys([actions[n] for n in sub], monos)
+    sums = {d: orbit_polys([group.elements[n] for n in sub], monos)
             for d, (monos, _) in degrees.items()}
     for g in outside:
         basis, first = _eigenbasis(group.elements[g])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -226,6 +227,71 @@ def test_integer_kernels_match_the_cyclo_loops_on_the_group():
         assert g.det() == cyclo_loops.det(g) == rational(1)
         for row in rows:
             assert g.apply(row) == cyclo_loops.apply(g, row)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_matrices(), kernel_matrices(), st.one_of(VECTOR_ENTRIES, WIDE))
+def test_matrix_ops_match_the_cyclo_loops(a, b, c):
+    assert a - b == cyclo_loops.difference(a, b)
+    assert a * c == cyclo_loops.matrix_scale(a, c)
+    assert a.transpose() == cyclo_loops.transpose(a)
+    assert a.trace() == cyclo_loops.trace(a)
+    assert a.entries == tuple(a[i, j] for i in range(3) for j in range(3))
+    assert a.row(1) == a.entries[3:6]
+
+
+def assert_canonical(m):
+    """den is the least denominator: positive and prime to every
+    numerator entry; and the Cyclo entries give m back."""
+    assert m.den > 0 and len(m.nums) == 9
+    assert gcd(m.den, *chain.from_iterable(m.nums)) == 1
+    assert Matrix(m.entries) == m
+
+
+NONZERO_SCALARS = st.one_of(st.fractions(-5, 5, max_denominator=9).filter(bool),
+                            ELEMENTS.filter(bool), WIDE.filter(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_matrices(), NONZERO_SCALARS)
+def test_equal_matrices_have_one_form(m, q):
+    # from entries, from rows, transposed twice, scaled and back, through
+    # the identity and a cancelling difference
+    ident = Matrix.identity(3)
+    ways = [Matrix(m.entries), Matrix.from_rows([m.row(i) for i in range(3)]),
+            m.transpose().transpose(), m * q * (1 / q), ident * m, m * ident,
+            (m - ident) - ident * -1]
+    for h in ways:
+        assert (h.den, h.nums) == (m.den, m.nums)
+        assert hash(h) == hash(m)
+        assert_canonical(h)
+    assert_canonical(m * m)
+    zero = m - m
+    assert (zero.den, zero.nums) == (1, ((0, 0, 0, 0),) * 9) and zero == Matrix([0] * 9)
+
+
+def test_matrix_arithmetic_builds_no_field_element(monkeypatch):
+    # *, -, the product by a scalar, transpose, adjugate, inverse, == and
+    # hash run on the integer numerators; a Cyclo is built only when an
+    # entry is read
+    g, h = reconstruct_group().elements[1:3]
+    a = Matrix([Fraction(1, 2), zeta(), 0, 3, Fraction(-2, 3), zeta() ** 2, 1, 0, 5])
+    copy = Matrix(a.entries)
+
+    def refuse(*args):
+        raise AssertionError("a field element was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("wingerverify.cyclo._make", refuse)
+        patch.setattr("wingerverify.linalg._make", refuse)
+        got = [a * g, g * h, a - g, a * Fraction(2, 3), a * zeta(), a.transpose(),
+               a.adjugate(), a.inverse()]
+        same = (a == copy, a != g, hash(a) == hash(copy))
+    assert same == (True, True, True)
+    assert got == [cyclo_loops.product(a, g), cyclo_loops.product(g, h),
+                   cyclo_loops.difference(a, g), cyclo_loops.matrix_scale(a, Fraction(2, 3)),
+                   cyclo_loops.matrix_scale(a, zeta()), cyclo_loops.transpose(a),
+                   cyclo_loops.adjugate(a), cyclo_loops.inverse(a)]
 
 
 def test_shape_is_checked_on_input():
