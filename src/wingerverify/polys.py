@@ -4,7 +4,8 @@ A `Poly3` is its integer numerators over one least denominator (content
 and primitive part, von zur Gathen and Gerhard, Modern Computer Algebra,
 ch. 6): sums, products, derivatives, substitutions and evaluation add
 and multiply 4-integer tuples in Z[zeta_5] (`_convolve`, `cyclo._mul`),
-and a `Cyclo` is built only when a coefficient or a value is read.
+and a `Cyclo` is built only when a coefficient or a value is read.  A
+`Point` keeps the monomials of one point for every form evaluated there.
 
 Substitution by a 3x3 matrix acts on the variables (precomposition), as
 a linear change of coordinates does on a form; a `Substitution` keeps
@@ -47,14 +48,6 @@ def _convolve(p, q, out=None):
             else:
                 c0, c1, c2, c3 = cur
                 out[key] = (c0 + p0, c1 + p1, c2 + p2, c3 + p3)
-    return out
-
-
-def _powers(v, k):
-    """v^0, ..., v^k for an integer 4-tuple v."""
-    out = [(1, 0, 0, 0)]
-    for _ in range(k):
-        out.append(_mul(out[-1], v))
     return out
 
 
@@ -166,22 +159,9 @@ class Poly3:
         return (self.partial(0), self.partial(1), self.partial(2))
 
     def evaluate(self, point) -> Cyclo:
-        """Exact value at a triple of field elements.  With the point over
-        one denominator d and the coefficients over c, a term of degree k
-        is scaled by d^(top - k), so that every term, homogeneous or not,
-        is over c * d^top for the top degree `top`."""
-        x, y, z = point
-        d, coords = _numerators((rational(x), rational(y), rational(z)))
-        p0, p1, p2 = (_powers(v, max((e[i] for e in self.nums), default=0))
-                      for i, v in enumerate(coords))
-        top = max(map(sum, self.nums), default=0)
-        scale = [d ** k for k in range(top + 1)]
-        monos = []
-        for a, b, e in self.nums:
-            s = scale[top - a - b - e]
-            mono = _mul(_mul(p0[a], p1[b]), p2[e])
-            monos.append(mono if s == 1 else tuple(n * s for n in mono))
-        return _make(*_dot(self.nums.values(), monos), self.den * scale[top])
+        """Exact value at a triple of field elements (`Point.value`)."""
+        den, nums = Point(point).value(self)
+        return _make(*nums, den)
 
     def act(self, m: Matrix) -> "Poly3":
         """Substitute z_i -> sum_j m[i][j] z_j (precomposition with m)."""
@@ -225,6 +205,44 @@ class Poly3:
         return "".join(parts)
 
     __repr__ = __str__
+
+
+class Point:
+    """A point of the plane for evaluation: its coordinates as integer
+    4-tuples `nums` over one denominator `den`, their power tables and
+    the numerators of the monomials reached so far, each at most two
+    products of powers, shared by every form evaluated at the point."""
+
+    __slots__ = ("den", "nums", "_pows", "_monos")
+
+    def __init__(self, point):
+        x, y, z = point
+        self.den, self.nums = _numerators((rational(x), rational(y), rational(z)))
+        self._pows = [[(1, 0, 0, 0), v] for v in self.nums]
+        self._monos = {(0, 0, 0): (1, 0, 0, 0)}
+
+    def _monomial(self, e):
+        m = self._monos.get(e)
+        if m is None:
+            for table, k in zip(self._pows, e):
+                while len(table) <= k:
+                    table.append(_mul(table[-1], table[1]))
+                if k:
+                    m = table[k] if m is None else _mul(m, table[k])
+            self._monos[e] = m
+        return m
+
+    def value(self, f: Poly3) -> tuple:
+        """(den, nums): f at the point is the integer 4-tuple nums over
+        den = f.den * self.den^top for the top degree of f, a term of
+        degree k scaled by self.den^(top - k), so that every term,
+        homogeneous or not, is over den."""
+        top = max(map(sum, f.nums), default=0)
+        d, monomial, monos = self.den, self._monomial, []
+        for e in f.nums:
+            mono, s = monomial(e), top - sum(e)
+            monos.append(mono if s == 0 or d == 1 else tuple(x * d ** s for x in mono))
+        return f.den * d ** top, _dot(f.nums.values(), monos)
 
 
 class Substitution:

@@ -54,12 +54,14 @@ def check_pencil(report, args, corruption):
               nodes, requires=RECONSTRUCTION)
 
     def base_locus():
+        from ..polys import Point
         orbs, f = irregular_orbits(), corruption.sextic()
         lams = [rational(Fraction(n, d)) for n, d in ((0, 1), (1, 1), (7, 3), (-5, 2), (11, 1))]
         # the members at 0 and infinity are Q^3 and the lines themselves
         members = [(lam, pencil_member(lam, f)) for lam in (*lams, INFINITY)]
-        miss = next(((lam, p) for lam, m in members for p in orbs[12]
-                     if m.evaluate(p) != rational(0)), None)
+        points = [(p, Point(p)) for p in orbs[12]]  # one table per point for the six
+        miss = next(((lam, p) for lam, m in members for p, at in points
+                     if any(at.value(m)[1])), None)
         witness = {"points": len(orbs[12]), "members_checked": len(members)}
         if miss is not None:  # the first member and point where it does not vanish
             witness.update({"lambda": str(miss[0]), "point": [str(c) for c in miss[1]]})

@@ -10,17 +10,23 @@ the lines agree, and the map is then rescaled so that the bilinear form
 of Q is preserved on the nose with determinant 1.  No map from A5 is
 built: the class sizes that `group-class-sizes` judges make the group
 simple of order 60, hence A5.
+
+The search, the orbit closures and the singular-point test run on
+integer numerators in Z[zeta_5]; a `Cyclo` is built only for what a
+caller reads: a survivor's scaling, an orbit point, a returned lam.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from math import gcd
+from operator import sub
 
-from .cyclo import rational, zeta
-from .linalg import Matrix
+from .cyclo import _dot, _inverse_parts, _make, _mul, _numerators, rational, zeta
+from .linalg import Matrix, _minor
 from .perms import FiniteGroup, closure, finite_group
-from .polys import Poly3
+from .polys import Point, Poly3
 
 
 class _Infinity:
@@ -72,10 +78,13 @@ class ReconstructionError(RuntimeError):
 
 
 def _matrix_key(m: Matrix):
-    return tuple(e.sort_key() for e in m.entries)
+    """The entries' `Cyclo.sort_key`s, read from the integer form: each
+    entry's numerators and den divided by their own gcd."""
+    return tuple((tuple(x // g for x in n), m.den // g)
+                 for n in m.nums for g in [gcd(m.den, *n)])
 
 
-def _triple_scalings(brackets, triple, u_ratios):
+def _triple_scalings(brackets, triple):
     """The realized permutations sigma with sigma(0..2) = `triple`, as a
     dict from (sigma(3), sigma(4), sigma(5)) to the scaling c.
 
@@ -86,28 +95,38 @@ def _triple_scalings(brackets, triple, u_ratios):
     lines meet, neither vector has a zero entry and c is the point u / w,
     taken entry by entry: sigma is realized iff its three points agree.
     By Cramer's rule w is proportional to ([j s1 s2], [s0 j s2], [s0 s1 j])
-    for j = sigma(i) and (s0, s1, s2) = `triple`, read from `brackets`
-    (`line_brackets`), and only its ratios matter.  Each of the nine
-    points is normalized as (u0/u2 * w2/w0, u1/u2 * w2/w1, 1), from the
-    ratios (u0/u2, u1/u2) of each u, which `u_ratios` holds since they do
-    not depend on the triple, and of each w (one inversion of w0*w1):
-    three inversions per triple instead of one per point.
+    for j = sigma(i) and (s0, s1, s2) = `triple`, and u to ([i 1 2],
+    [0 i 2], [0 1 i]), read from the integer `brackets` (`line_brackets`).
+    Two such points agree iff their ratios u0/w0 : uk/wk for k = 1, 2 do,
+    each the pair (u0 wk, uk w0): the scan compares cross products and
+    inverts nothing, and only a survivor's c is normalized.
     """
     s0, s1, s2 = triple
-    one = rational(1)
-    points = {}
-    for j in range(6):
-        if j not in triple:
-            w0, w1, w2 = brackets[j, s1, s2], brackets[s0, j, s2], brackets[s0, s1, j]
-            t = w2 / (w0 * w1)
-            r0, r1 = w1 * t, w0 * t
-            points[j] = [(a * r0, b * r1, one) for a, b in u_ratios]
+    us = [(brackets[i, 1, 2], brackets[0, i, 2], brackets[0, 1, i]) for i in range(3, 6)]
+    ws = {j: (brackets[j, s1, s2], brackets[s0, j, s2], brackets[s0, s1, j])
+          for j in range(6) if j not in triple}
+
+    def ratio(k, j, i):
+        u, w = us[k], ws[j]
+        return _mul(u[0], w[i]), _mul(u[i], w[0])
+    heads = {(j, k): ratio(k, j, 1) for j in ws for k in (0, 1)}
     out = {}
-    for rest in permutations(points):
-        c = points[rest[0]][0]
-        if points[rest[1]][1] == c and points[rest[2]][2] == c:
-            out[rest] = c
+    for rest in permutations(ws):
+        # one ratio of the first two points rules out most orders
+        x1 = heads[rest[0], 0]
+        if not _same(x1, heads[rest[1], 1]):
+            continue
+        x2, y2, z2 = (ratio(k, j, 2) for k, j in enumerate(rest))
+        if _same(x2, y2) and _same(x1, ratio(2, rest[2], 1)) and _same(x2, z2):
+            # u0 w0 w1 w2 times the point u / w, from its two ratios
+            point = _mul(x1[0], x2[0]), _mul(x1[1], x2[0]), _mul(x1[0], x2[1])
+            out[rest] = _coordinates(*_projective_form(point))
     return out
+
+
+def _same(p, q):
+    """Whether the pairs p and q of integer 4-tuples are proportional."""
+    return _mul(p[0], q[1]) == _mul(p[1], q[0])
 
 
 def _rescale(m, gram):
@@ -116,13 +135,19 @@ def _rescale(m, gram):
     invariance-conic-sextic-form claim checks both on the 60 results."""
     # M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
     # satisfies t^2 = 1/s and makes the form exactly preserved with det 1;
-    # s is read at the first nonzero entry of A
+    # s is read at the first nonzero entry of A, on the numerators there
+    # s = s_num Dg / (g_num Ds), and with det(M) = det / Dm^3,
+    # t = s_num Dg Dm^3 / (Ds g_num det)
     s_mat = m.transpose() * gram * m
-    ij = next(divmod(k, 3) for k, a in enumerate(gram.nums) if any(a))
-    s = s_mat[ij] / gram[ij]
-    if s.is_zero() or s_mat != gram * s:
+    k = next(k for k, a in enumerate(gram.nums) if any(a))
+    s_num, g_num = s_mat.nums[k], gram.nums[k]
+    if not any(s_num) or any(_mul(x, g_num) != _mul(s_num, y)
+                             for x, y in zip(s_mat.nums, gram.nums)):
         return None
-    return m * (s / m.det())
+    den, _, det = m._cofactors()
+    rest, norm = _inverse_parts(_mul(g_num, det))
+    t = _scaled(_mul(s_num, rest), gram.den * den ** 3)
+    return Matrix._of(den * s_mat.den * norm, [_mul(n, t) for n in m.nums])
 
 
 @lru_cache(maxsize=None)
@@ -135,30 +160,30 @@ def reconstruct_group() -> FiniteGroup:
     traces and invariance.
 
     The search inverts no matrix.  Every point is read from the 20
-    brackets of the lines, u = C^-T L_i as ([i 1 2], [0 i 2], [0 1 i]) by
-    Cramer's rule, and each survivor is built as adj(B) diag(c) C, which
-    is det(B) times B^-1 diag(c) C: `_rescale` removes the scalar, since k*M
-    scales s by k^2 and det by k^3."""
+    integer brackets of the lines (`_triple_scalings`), and each survivor
+    is built on integers as adj(B) diag(c) C, which is det(B) times
+    B^-1 diag(c) C: `_rescale` removes the scalar, since k*M scales s by
+    k^2 and det by k^3."""
     rows = six_lines()
     meet = concurrent_triple(rows)
     if meet is not None:
         raise ReconstructionError(f"three of the six lines are concurrent: {list(meet)}")
     brackets = line_brackets(rows)
     gram = gram_matrix()
-    u_ratios = [normalize_point((brackets[i, 1, 2], brackets[0, i, 2],
-                                 brackets[0, 1, i]))[:2] for i in range(3, 6)]
     lines = Matrix.from_rows(rows[:3])
     found = set()
     # the 720 permutations share 120 ordered triples sigma(0..2), and adj(B)
     # and the points u / w depend on the triple alone; adj(B) is needed
     # only for a triple with a survivor, half of them
     for triple in permutations(range(6), 3):
-        scalings = _triple_scalings(brackets, triple, u_ratios)
+        scalings = _triple_scalings(brackets, triple)
         if not scalings:
             continue
         b_adj = Matrix.from_rows([rows[k] for k in triple]).adjugate()
         for c in scalings.values():
-            m = _rescale(b_adj * (Matrix.diagonal(c) * lines), gram)
+            dc, cs = _numerators(c)  # diag(c) C: row i of C times c_i
+            scaled = [_mul(cs[k // 3], n) for k, n in enumerate(lines.nums)]
+            m = _rescale(b_adj * Matrix._of(dc * lines.den, scaled), gram)
             if m is not None:
                 found.add(m)
     try:
@@ -170,13 +195,18 @@ def reconstruct_group() -> FiniteGroup:
 @lru_cache(maxsize=None)
 def line_brackets(rows: tuple) -> dict:
     """[a b c] = det(L_a, L_b, L_c) for every ordered triple of distinct
-    lines (a tuple of coefficient rows): one determinant per set of three,
-    signed by the parity of each order, computed once per tuple of rows."""
+    lines (a tuple of coefficient rows), as the integer 4-tuple of D^3
+    [a b c] for the lcm D of the rows' denominators; the callers read
+    only zeros and ratios, which D keeps.  One determinant per set of
+    three, signed by the parity of each order, computed once per tuple of
+    rows."""
+    _, nums = _numerators([rational(x) for row in rows for x in row])
     out = {}
     for t in combinations(range(len(rows)), 3):
-        d = Matrix.from_rows([rows[i] for i in t]).det()
+        a, (b0, b1, b2), (c0, c1, c2) = (nums[3 * i:3 * i + 3] for i in t)
+        d = _dot(a, (_minor(b1, c2, b2, c1), _minor(b2, c0, b0, c2), _minor(b0, c1, b1, c0)))
         for order, sign in zip(permutations(t), (1, -1, -1, 1, 1, -1)):
-            out[order] = d if sign > 0 else -d
+            out[order] = d if sign > 0 else tuple(-x for x in d)
     return out
 
 
@@ -184,39 +214,50 @@ def concurrent_triple(rows):
     """The first index triple of three lines (coefficient rows) through a
     common point, or None when no three of them meet."""
     brackets = line_brackets(tuple(rows))
-    return next((t for t in combinations(range(len(rows)), 3) if brackets[t].is_zero()),
+    return next((t for t in combinations(range(len(rows)), 3) if not any(brackets[t])),
                 None)
 
 
 # -- projective points and irregular orbits ------------------------------------
 
 
-def normalize_point(coords):
-    """Scale so the last nonzero coordinate is 1; canonical representative."""
-    coords = tuple(map(rational, coords))
-    last = None
-    for i in range(2, -1, -1):
-        if not coords[i].is_zero():
-            last = i
-            break
+def _projective_form(nums) -> tuple:
+    """The point with the integer 4-tuple coordinates `nums`, scaled so
+    that its last nonzero coordinate is 1, as (den, nums) over its least
+    common denominator: unique, so it keys the point.  The scale is
+    rest / norm for that coordinate (`cyclo._inverse_parts`; the norm is
+    positive)."""
+    last = next((i for i in (2, 1, 0) if any(nums[i])), None)
     if last is None:
         raise ValueError("zero vector is not a projective point")
-    if coords[last] == 1:
-        return coords
-    inv = coords[last].inv()
-    return tuple(c * inv for c in coords)
+    rest, norm = _inverse_parts(nums[last])
+    nums = [_mul(n, rest) for n in nums]
+    g = gcd(norm, *chain.from_iterable(nums))
+    return norm // g, tuple(tuple(x // g for x in n) for n in nums)
+
+
+def _coordinates(den, nums) -> tuple:
+    return tuple(_make(*n, den) for n in nums)
+
+
+def normalize_point(coords):
+    """Scale so the last nonzero coordinate is 1; canonical representative."""
+    return _coordinates(*_projective_form(Point(coords).nums))
 
 
 def orbit_of(point, group: FiniteGroup) -> tuple:
     """The orbit of a projective point, as a tuple of normalized points:
     the `closure` of its normalized form under one move per generator of
     the group, p -> normalize_point(m p), since every element of a finite
-    group is a word in its generators.  The points come in the order
-    found: the normalized point first, then the others by their distance
-    from it in generator steps."""
-    moves = [lambda p, m=group.elements[s]: normalize_point(m.apply(p))
+    group is a word in its generators.  The moves run on the points'
+    integer forms (`_projective_form`), and the coordinates are built
+    once per orbit point.  The points come in the order found: the
+    normalized point first, then the others by their distance from it in
+    generator steps."""
+    moves = [lambda p, m=group.elements[s].nums: _projective_form(
+                 [_dot(m[i:i + 3], p[1]) for i in (0, 3, 6)])
              for s in group.generators]
-    return closure(normalize_point(point), moves)
+    return tuple(_coordinates(*x) for x in closure(_projective_form(Point(point).nums), moves))
 
 
 def _eigenvector(m: Matrix, lam) -> tuple:
@@ -292,6 +333,11 @@ def _derivatives(f: Poly3) -> tuple:
     return tuple(out)
 
 
+def _scaled(n, k):
+    """The integer 4-tuple n times the integer k."""
+    return tuple(x * k for x in n)
+
+
 @lru_cache(maxsize=None)
 def singular_point(p, f: Poly3) -> tuple:
     """The parameter lam whose member of Q^3 + lam*f is singular at p, and
@@ -307,25 +353,40 @@ def singular_point(p, f: Poly3) -> tuple:
     on the representative of p: both gradients have degree 5, so k*p
     scales them by k^5 and keeps lam, and the Hessian entries have degree
     4, so b^2 - ac scales by k^8.
+
+    Every value is integer numerators over an integer, from one `Point`.
+    With lam = -gq_i / gf_i the parameter holds iff gq_j gf_i = gq_i gf_j
+    for every j, and the node test reads gf_i HQ^3(p) - gq_i Hf(p), whose
+    discriminant is gf_i^2 (b^2 - ac); only lam is built as a `Cyclo`.
     """
     grad_q, hess_q, grad_f, hess_f = _derivatives(f)
-    gq = tuple(d.evaluate(p) for d in grad_q)
-    gf = tuple(d.evaluate(p) for d in grad_f)
-    if all(c.is_zero() for c in gf):
-        if all(c.is_zero() for c in gq):
+    at = Point(p)
+    gq = [at.value(d) for d in grad_q]
+    gf = [at.value(d) for d in grad_f]
+    i = next((i for i, (_, n) in enumerate(gf) if any(n)), None)
+    if i is None:
+        if not any(any(n) for _, n in gq):
             return None, False  # singular for every parameter; not a pencil datum
         lam = INFINITY
     else:
-        i = next(i for i, c in enumerate(gf) if not c.is_zero())
-        lam = -(gq[i] / gf[i])
-        if any(a + lam * b != rational(0) for a, b in zip(gq, gf)):
+        (dp, P), (dg, G) = gq[i], gf[i]
+        if any(_scaled(_mul(Pj, G), dp * dgj) != _scaled(_mul(P, Gj), dpj * dg)
+               for (dpj, Pj), (dgj, Gj) in zip(gq, gf)):
             return None, False
-    chart = max(i for i in range(3) if not p[i].is_zero())
+        rest, norm = _inverse_parts(G)
+        lam = _make(*_scaled(_mul(P, rest), -dg), dp * norm)
+    chart = max(i for i in range(3) if any(at.nums[i]))
     u, v = [i for i in range(3) if i != chart]
 
     def entry(i, j):
+        # (D, N): the entry at infinity, else gf_i times it is N / D up to
+        # the factor dg dp common to the three, G/dg hq/dq - P/dp hf/df
+        df, hf = at.value(hess_f[i][j])
         if lam is INFINITY:
-            return hess_f[i][j].evaluate(p)
-        return hess_q[i][j].evaluate(p) + lam * hess_f[i][j].evaluate(p)
-    a, b, c = (entry(i, j) for i, j in ((u, u), (u, v), (v, v)))
-    return lam, b * b - a * c != rational(0)
+            return df, hf
+        dq, hq = at.value(hess_q[i][j])
+        return dq * df, tuple(map(sub, _scaled(_mul(G, hq), dp * df),
+                                  _scaled(_mul(P, hf), dg * dq)))
+    (da, a), (db, b), (dc, c) = (entry(i, j) for i, j in ((u, u), (u, v), (v, v)))
+    # b^2 - ac over da db^2 dc
+    return lam, _scaled(_mul(b, b), da * dc) != _scaled(_mul(a, c), db * db)

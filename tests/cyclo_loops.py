@@ -3,11 +3,13 @@
 The 3x3 product, difference, product by a scalar, transpose, trace,
 `apply`, adjugate, determinant, inverse and kernel of `linalg.Matrix`;
 the Hamilton product and norm of `covers.Quaternion` and the 120 units
-of `covers.binary_icosahedral_group`; and `polys.Poly3.evaluate`, `+`,
-the product by a scalar and `partial`: one `Cyclo` multiply and add at a
-time.  The integer kernels that keep each object's entries over one
-denominator replaced them; they are kept here as those kernels'
-reference.
+of `covers.binary_icosahedral_group`; `polys.Poly3.evaluate`, `+`, the
+product by a scalar and `partial`; and the orbit side of `winger`: the
+sort key of the 60 matrices, the line-permutation scan, the normalized
+point, the orbit closure and the singular-point test: one `Cyclo`
+multiply and add at a time.  The integer kernels that keep each object's
+entries over one denominator replaced them; they are kept here as those
+kernels' reference.
 """
 
 from fractions import Fraction
@@ -16,8 +18,9 @@ from itertools import permutations, product as cartesian
 from wingerverify.cyclo import Cyclo, golden, rational
 from wingerverify.covers import Quaternion
 from wingerverify.linalg import Matrix
-from wingerverify.perms import Perm
+from wingerverify.perms import Perm, closure
 from wingerverify.polys import Poly3
+from wingerverify.winger import INFINITY, _derivatives
 
 
 def _dot(row, col) -> Cyclo:
@@ -174,3 +177,83 @@ def binary_icosahedral_group() -> frozenset:
         for signs in cartesian((1, -1), repeat=4):
             units.add(Quaternion(*(base[p] * s / 2 for p, s in zip(perm, signs))))
     return frozenset(units)
+
+
+def matrix_key(m):
+    """The sort key of the reconstructed matrices: each entry's key."""
+    return tuple(e.sort_key() for e in m.entries)
+
+
+def triple_scalings(brackets, triple):
+    """The realized permutations of `triple` with their normalized
+    scalings, from the integer `brackets` read as field elements: each
+    of the nine points normalized from the ratios of u and of w."""
+    brackets = {t: Cyclo(n) for t, n in brackets.items()}
+    u_ratios = [normalize_point((brackets[i, 1, 2], brackets[0, i, 2],
+                                 brackets[0, 1, i]))[:2] for i in range(3, 6)]
+    s0, s1, s2 = triple
+    one = rational(1)
+    points = {}
+    for j in range(6):
+        if j not in triple:
+            w0, w1, w2 = brackets[j, s1, s2], brackets[s0, j, s2], brackets[s0, s1, j]
+            t = w2 / (w0 * w1)
+            r0, r1 = w1 * t, w0 * t
+            points[j] = [(a * r0, b * r1, one) for a, b in u_ratios]
+    out = {}
+    for rest in permutations(points):
+        c = points[rest[0]][0]
+        if points[rest[1]][1] == c and points[rest[2]][2] == c:
+            out[rest] = c
+    return out
+
+
+def normalize_point(coords):
+    """Scale so the last nonzero coordinate is 1; canonical representative."""
+    coords = tuple(map(rational, coords))
+    last = None
+    for i in range(2, -1, -1):
+        if not coords[i].is_zero():
+            last = i
+            break
+    if last is None:
+        raise ValueError("zero vector is not a projective point")
+    if coords[last] == 1:
+        return coords
+    inv = coords[last].inv()
+    return tuple(c * inv for c in coords)
+
+
+def orbit_of(point, group) -> tuple:
+    """The orbit of a projective point: the closure of its normalized form
+    under p -> normalize_point(m p), one move per generator."""
+    moves = [lambda p, m=group.elements[s]: normalize_point(apply(m, p))
+             for s in group.generators]
+    return closure(normalize_point(point), moves)
+
+
+def singular_point(p, f) -> tuple:
+    """The parameter lam whose member of Q^3 + lam*f is singular at p, and
+    whether p is a node of it, uncached: the field-element test, with
+    every value from the `evaluate` loop above."""
+    grad_q, hess_q, grad_f, hess_f = _derivatives(f)
+    gq = tuple(evaluate(d, p) for d in grad_q)
+    gf = tuple(evaluate(d, p) for d in grad_f)
+    if all(c.is_zero() for c in gf):
+        if all(c.is_zero() for c in gq):
+            return None, False  # singular for every parameter; not a pencil datum
+        lam = INFINITY
+    else:
+        i = next(i for i, c in enumerate(gf) if not c.is_zero())
+        lam = -(gq[i] / gf[i])
+        if any(a + lam * b != rational(0) for a, b in zip(gq, gf)):
+            return None, False
+    chart = max(i for i in range(3) if not p[i].is_zero())
+    u, v = [i for i in range(3) if i != chart]
+
+    def entry(i, j):
+        if lam is INFINITY:
+            return evaluate(hess_f[i][j], p)
+        return evaluate(hess_q[i][j], p) + lam * evaluate(hess_f[i][j], p)
+    a, b, c = (entry(i, j) for i, j in ((u, u), (u, v), (v, v)))
+    return lam, b * b - a * c != rational(0)

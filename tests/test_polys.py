@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclo_loops
-from wingerverify.cyclo import make, rational, zeta
+from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3, Substitution, _from_numerators, monomials_of_degree
+from wingerverify.polys import Point, Poly3, Substitution, _from_numerators, monomials_of_degree
 from wingerverify.winger import _derivatives, f_poly, irregular_orbits, six_lines
 
 
@@ -221,6 +221,16 @@ coordinates = st.one_of(st.just(0), st.integers(-9, 9),
 def test_evaluate_matches_cyclo_loop(f, point):
     # non-homogeneous polynomials: every degree scaled to the top one
     assert f.evaluate(point) == cyclo_loops.evaluate(f, point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wide_polys, min_size=1, max_size=4), st.lists(coordinates, min_size=3, max_size=3))
+def test_one_point_table_serves_every_form(forms, point):
+    # the monomials that one form computes are read back by the next
+    at = Point(point)
+    for f in forms:
+        den, nums = at.value(f)
+        assert rational(Fraction(1, den)) * Cyclo(nums) == cyclo_loops.evaluate(f, point)
 
 
 def test_evaluate_matches_cyclo_loop_on_the_pencil():

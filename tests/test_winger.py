@@ -1,18 +1,23 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import cyclo_loops
 from cyclo_rref import cyclo_kernel
+from wingerverify import cyclo
 from wingerverify.characters import A5_CLASS_REPS, power_maps
-from wingerverify.cyclo import rational, zeta
+from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
-from wingerverify.polys import Poly3
-from wingerverify.winger import (INFINITY, _rescale, _triple_scalings, concurrent_triple,
-                                 f_poly, gram_matrix, irregular_orbits,
-                                 line_brackets, normalize_point, orbit_of,
-                                 pencil_member, q_poly, reconstruct_group,
-                                 singular_point, six_lines)
+from wingerverify.polys import Poly3, monomials_of_degree
+from wingerverify.winger import (INFINITY, _derivatives, _matrix_key, _rescale,
+                                 _triple_scalings, concurrent_triple, f_poly, gram_matrix,
+                                 irregular_orbits, line_brackets, normalize_point, orbit_of,
+                                 pencil_member, q_poly, reconstruct_group, singular_point,
+                                 six_lines)
 
 
 def test_six_lines_product_is_f():
@@ -83,7 +88,6 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
     assert not any(Matrix.from_rows(t).det().is_zero() for t in combinations(rows, 3))
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
-    u_ratios = [normalize_point(u)[:2] for u in u_rest]
     brackets = line_brackets(tuple(rows))
     realized = 0
     for triple in permutations(range(6), 3):
@@ -93,7 +97,7 @@ def test_closed_form_scalings_match_kernel_solve(replaced):
             c = kernel_scaling([b_inv.transpose().apply(rows[j]) for j in rest], u_rest)
             if c is not None:
                 oracle[rest] = normalize_point(c)
-        assert _triple_scalings(brackets, triple, u_ratios) == oracle, triple
+        assert _triple_scalings(brackets, triple) == oracle, triple
         realized += len(oracle)
     assert realized == (60 if replaced is None else 1)
 
@@ -121,13 +125,12 @@ def test_scalings_match_the_four_division_form():
     rows = six_lines()
     c_inv_t = Matrix.from_rows(rows[:3]).inverse().transpose()
     u_rest = [c_inv_t.apply(rows[i]) for i in range(3, 6)]
-    u_ratios = [normalize_point(u)[:2] for u in u_rest]
     brackets = line_brackets(rows)
     realized = 0
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
         oracle = four_division_scalings(b_inv, rows, triple, u_rest)
-        assert _triple_scalings(brackets, triple, u_ratios) == oracle, triple
+        assert _triple_scalings(brackets, triple) == oracle, triple
         realized += len(oracle)
     assert realized == 60
 
@@ -182,11 +185,17 @@ def test_orbit_from_generators_is_the_full_orbit():
 
 
 def test_line_brackets_are_the_signed_determinants():
-    rows = six_lines()
-    brackets = line_brackets(rows)
-    assert len(brackets) == 120
-    for t in permutations(range(6), 3):
-        assert brackets[t] == Matrix.from_rows([rows[i] for i in t]).det(), t
+    # the integer numerators of D^3 times each determinant, for the lcm D
+    # of the rows' denominators: 1 for the six lines, 6 once two are scaled
+    lines = six_lines()
+    scaled = (tuple(x * Fraction(1, 2) for x in lines[0]),
+              tuple(x * Fraction(5, 3) for x in lines[1]), *lines[2:])
+    for rows, d in ((lines, 1), (scaled, 6)):
+        brackets = line_brackets(rows)
+        assert len(brackets) == 120
+        for t in permutations(range(6), 3):
+            det = Matrix.from_rows([rows[i] for i in t]).det()
+            assert Cyclo(brackets[t]) == det * d ** 3, t
 
 
 def test_reconstruction_matches_the_inverse_search():
@@ -292,3 +301,185 @@ def test_normalize_point():
     assert p == (rational(Fraction(1, 2)), rational(1), rational(0))
     with pytest.raises(ValueError):
         normalize_point((rational(0), rational(0), rational(0)))
+
+
+# -- the orbit side against its field-element loops (tests/cyclo_loops.py)
+
+GOLDEN_FAULTS = (None, (0, 0, 6), (3, 2, 1), (6, 0, 0))
+
+
+def sextic(fault):
+    """F, or F plus the monomial of the `f:a,b,c` fault."""
+    return f_poly() if fault is None else f_poly() + Poly3.monomial(fault, 1)
+
+
+@lru_cache(maxsize=None)
+def orbit_points() -> tuple:
+    return tuple(p for orbit in irregular_orbits().values() for p in orbit)
+
+
+def cross(p, r):
+    return (p[1] * r[2] - p[2] * r[1], p[2] * r[0] - p[0] * r[2], p[0] * r[1] - p[1] * r[0])
+
+
+# field elements over mixed denominators, zero among them, and nonzero scales
+MIXED_ELEMENTS = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
+                           st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+                           st.sampled_from([1, 2, 3, 5, 6, 7]))
+COORDINATES = st.one_of(st.just(0), st.integers(-4, 4),
+                        st.fractions(-3, 3, max_denominator=6), MIXED_ELEMENTS)
+# points with zero coordinates (each chart), the orbit points and points
+# of the conic, where grad Q^3 vanishes
+POINTS = st.one_of(
+    st.lists(COORDINATES, min_size=3, max_size=3).filter(any).map(
+        lambda p: tuple(map(rational, p))),
+    st.integers(0, 42).map(lambda k: orbit_points()[k]),
+    MIXED_ELEMENTS.map(lambda s: (s * s, rational(-1), s)))
+SCALES = st.one_of(st.sampled_from([rational(-1), zeta(), rational(Fraction(2, 3))]),
+                   MIXED_ELEMENTS.filter(bool))
+# the golden faults, F over other denominators, F plus a fractional
+# monomial, and multiples of Q^3, singular wherever Q vanishes
+SEXTICS = st.one_of(
+    st.sampled_from(GOLDEN_FAULTS).map(sextic),
+    SCALES.map(lambda k: f_poly() * k),
+    st.builds(lambda e, c: f_poly() + Poly3.monomial(e, c),
+              st.sampled_from(monomials_of_degree(6)), MIXED_ELEMENTS),
+    SCALES.map(lambda k: q_poly() ** 3 * k))
+
+
+@st.composite
+def singular_pencils(draw):
+    """(p, f) with the member Q^3 + lam*f equal to L1 L2 K for lines L1,
+    L2 through p and a quartic K: a node at p when the lines differ and
+    K(p) is not 0, and not a node when L2 = L1.  p is off the conic,
+    where both gradients would vanish."""
+    p = draw(POINTS.filter(lambda p: q_poly().evaluate(p) != 0))
+    lines = [cross(p, tuple(map(rational, draw(st.lists(COORDINATES, min_size=3,
+                                                        max_size=3)))))
+             for _ in range(2)]
+    if draw(st.booleans()):
+        lines[1] = lines[0]
+    k = Poly3.linear(tuple(map(rational, draw(st.lists(COORDINATES, min_size=3, max_size=3)))))
+    member = Poly3.linear(lines[0]) * Poly3.linear(lines[1]) * k ** 4
+    return p, (member - q_poly() ** 3) * draw(SCALES).inv()
+
+
+def test_singular_point_matches_the_field_loop_on_the_orbits():
+    for fault in GOLDEN_FAULTS:
+        f = sextic(fault)
+        for p in orbit_points():
+            assert singular_point(p, f) == cyclo_loops.singular_point(p, f), (fault, p)
+
+
+# a member with a cusp at (0:0:1) and the Hessian entries of f over 3, 1
+# and 1: gf_2 = 6 and lam = -1, and b^2 - ac = 0 only with those
+# denominators carried
+CUSP_F = Poly3({(0, 0, 6): 1, (2, 0, 4): Fraction(1, 3), (1, 1, 4): 1, (0, 2, 4): 3})
+VERTEX = (rational(0), rational(0), rational(1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(POINTS, SEXTICS, SCALES)
+@example(VERTEX, CUSP_F, rational(Fraction(-1, 2)))
+@example(VERTEX, f_poly(), zeta())  # gf = gq = (0, 0, 6): lam = -1
+@example((rational(1), rational(-1), rational(1)), q_poly() ** 3, rational(2))  # gq = gf = 0
+@example(VERTEX, Poly3.monomial((3, 0, 3), Fraction(1, 7)), rational(3))  # infinity, no node
+def test_singular_point_matches_the_field_loop(p, f, k):
+    # lam, INFINITY or None and the node test, for every representative
+    want = cyclo_loops.singular_point(p, f)
+    assert singular_point(p, f) == want
+    assert singular_point(tuple(k * c for c in p), f) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(singular_pencils(), SCALES)
+def test_singular_point_matches_the_field_loop_on_singular_members(pencil, k):
+    p, f = pencil
+    want = cyclo_loops.singular_point(p, f)
+    assert singular_point(p, f) == want
+    assert singular_point(tuple(k * c for c in p), f) == want
+
+
+def test_cusp_with_mixed_denominators_is_no_node():
+    assert singular_point(VERTEX, CUSP_F) == (rational(-1), False)
+    # with the z0^2 z2^4 coefficient 1/3 replaced by 1/2, the chart form is
+    # nondegenerate
+    node = CUSP_F + Poly3.monomial((2, 0, 4), Fraction(1, 6))
+    assert singular_point(VERTEX, node) == (rational(-1), True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POINTS)
+def test_normalize_point_matches_the_field_loop(p):
+    assert normalize_point(p) == cyclo_loops.normalize_point(p)
+
+
+def test_orbits_match_the_field_loop():
+    # the same points in the same order
+    g = reconstruct_group()
+    eta = zeta()
+    starts = [orbit[0] for orbit in irregular_orbits().values()]
+    starts += [(rational(1), rational(2), rational(3)), (eta, rational(0), rational(1)),
+               (rational(0), rational(Fraction(1, 3)), rational(0)),
+               (eta ** 2 * Fraction(2, 7), eta, rational(-1))]
+    for p in starts:
+        assert orbit_of(p, g) == cyclo_loops.orbit_of(p, g), p
+
+
+def scaled_lines(replaced=None):
+    """The six lines over mixed denominators (the brackets carry D^3 for
+    D = 30), with line `replaced` moved into general position."""
+    rows = [tuple(x * Fraction(1, k) for x in row)
+            for row, k in zip(six_lines(), (1, 2, 3, 5, 1, 6))]
+    if replaced is not None:
+        rows[replaced] = tuple(rational(x) for x in (1, Fraction(2, 5), 3))
+    return rows
+
+
+# lines in general position for which some order of the three points
+# agrees on the ratios of entries 0 and 1 alone, though not on 0 and 2
+SHARED_RATIO = [tuple(map(rational, row)) for row in
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -2, 3), (-3, 3, 1), (3, 3, 3))]
+
+
+@pytest.mark.parametrize("rows", [scaled_lines(), scaled_lines(3), scaled_lines(5), SHARED_RATIO])
+def test_triple_scan_matches_the_field_loop(rows):
+    assert concurrent_triple(rows) is None
+    brackets = line_brackets(tuple(rows))
+    for triple in permutations(range(6), 3):
+        assert _triple_scalings(brackets, triple) == cyclo_loops.triple_scalings(brackets, triple)
+
+
+def test_matrix_key_is_the_cyclo_key():
+    # the 60 matrices, their multiples over other denominators and a matrix
+    # whose entries reduce by different gcds: the same keys, so the same order
+    g = reconstruct_group()
+    mats = [*g.elements, *(m * Fraction(k, 6) for m in g.elements[:20] for k in (1, 2, 3, 4)),
+            Matrix([Fraction(1, 2), zeta(), 3, make([0, Fraction(1, 3)]), 1, Fraction(1, 5),
+                    2, 0, make([Fraction(2, 7), 0, Fraction(1, 7)])])]
+    assert [_matrix_key(m) for m in mats] == [cyclo_loops.matrix_key(m) for m in mats]
+    assert sorted(mats, key=_matrix_key) == sorted(mats, key=cyclo_loops.matrix_key)
+    assert list(g.elements) == sorted(g.elements, key=cyclo_loops.matrix_key)
+
+
+def test_orbit_side_builds_only_the_field_elements_it_returns(monkeypatch):
+    # the triple scan builds only the survivors' scalings, three entries
+    # each, and the singular-point test only the lam that it returns
+    brackets, f, points = line_brackets(six_lines()), f_poly(), orbit_points()
+    _derivatives(f)
+    built = []
+    make_element = cyclo._make
+
+    def counted(*args):
+        built.append(args)
+        return make_element(*args)
+    for module in ("cyclo", "linalg", "polys", "winger"):
+        monkeypatch.setattr(f"wingerverify.{module}._make", counted)
+    scalings = [_triple_scalings(brackets, t) for t in permutations(range(6), 3)]
+    assert len(built) == 3 * sum(map(len, scalings)) == 180
+    built.clear()
+    singular_point.cache_clear()
+    got = [singular_point(p, f) for p in points]
+    assert len(built) == sum(lam not in (None, INFINITY) for lam, _ in got) == 28
+    monkeypatch.undo()
+    assert got == [cyclo_loops.singular_point(p, f) for p in points]
