@@ -59,16 +59,19 @@ class Corruption:
         if spec is None:
             return
         kind, _, payload = spec.partition(":")
-        if kind == "f":
+        try:
             parts = tuple(int(x) for x in payload.split(","))
+        except ValueError:  # an empty or non-integer part breaks the rule below
+            parts = ()
+        if kind == "f":
             if len(parts) != 3 or sum(parts) != 6 or min(parts) < 0:
                 raise ValueError("corruption exponent must be a degree-6 triple")
             self.f_expo = parts
         elif kind == "matrix":
-            k, order = int(payload), sum(CLASS_SIZES)
-            if not 0 <= k < order:
+            order = sum(CLASS_SIZES)
+            if len(parts) != 1 or not 0 <= parts[0] < order:
                 raise ValueError(f"corruption matrix index must be in 0..{order - 1}")
-            self.matrix_index = k
+            self.matrix_index = parts[0]
         else:
             raise ValueError(f"unknown corruption spec {spec!r}")
 

@@ -126,7 +126,7 @@ class Quaternion(_IntegerForm):
         return _make(*_dot(self.nums, self.nums), self.den * self.den)
 
     def sort_key(self):
-        """The integer form, numerators first as in `Cyclo.sort_key`; it
+        """The integer form, the four numerator tuples, then den; it
         orders the units of the binary checks."""
         return self.nums, self.den
 

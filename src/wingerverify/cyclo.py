@@ -168,11 +168,6 @@ class Cyclo:
             return NotImplemented
         return self * other.inv()
 
-    def __rtruediv__(self, other):
-        if (other := _coerce(other)) is None:
-            return NotImplemented
-        return other * self.inv()
-
     def __pow__(self, k: int):
         """Repeated products: the exponents are small (at most 20, in
         `winger.six_lines`)."""
@@ -207,9 +202,6 @@ class Cyclo:
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def sort_key(self):
-        return (self.nums, self.den)
 
     # -- dunder plumbing -----------------------------------------------------
 

@@ -141,36 +141,30 @@ def enumerate_tuple_classes(convention: str):
 # -- braid moves ------------------------------------------------------------------
 
 
-def hurwitz_move(k: int, t, inverse: bool = False, convention: str = "rtl"):
-    """Braid move on slots k, k+1 (1-indexed); preserves the tuple product.
-
-    Forward: (a, b) -> (a b a^-1, a), the conjugation written in the
-    same reading as the tuple product, so that the formal word is
-    unchanged.  Inverse: (a, b) -> (b, b^-1 a b).
-    """
+def hurwitz_move(k: int, t, convention: str = "rtl"):
+    """Braid move on slots k, k+1 (1-indexed); preserves the tuple product:
+    (a, b) -> (a b a^-1, a), the conjugation written in the same reading
+    as the tuple product, so that the formal word is unchanged."""
     if not 1 <= k <= len(t) - 1:
         raise ValueError("slot out of range")
     a, b = t[k - 1], t[k]
-    inv = alternating_group_5().inverse
-    if inverse:
-        new = (b, tuple_product((inv[b], a, b), convention))
-    else:
-        new = (tuple_product((a, b, inv[a]), convention), a)
+    new = (tuple_product((a, b, alternating_group_5().inverse[a]), convention), a)
     return t[:k - 1] + new + t[k + 1:]
 
 
 def _move_word(t, word, convention="rtl"):
-    for k, inv in word:
-        t = hurwitz_move(k, t, inverse=inv, convention=convention)
+    """The moves on the slots of `word`, first to last."""
+    for k in word:
+        t = hurwitz_move(k, t, convention)
     return t
 
 
+# each word a tuple of slots, moved in that order
 GENERATOR_SETS = {
     # squares of the three elementary braids: preserve every slot's class
-    "pure": (((1, False), (1, False)), ((2, False), (2, False)),
-             ((3, False), (3, False))),
+    "pure": ((1, 1), (2, 2), (3, 3)),
     # braids fixing the distinguished order-5 slot setwise
-    "weighted": (((2, False),), ((3, False),), ((1, False), (1, False))),
+    "weighted": ((2,), (3,), (1, 1)),
 }
 
 

@@ -32,8 +32,8 @@ def _minor(p, q, r, s):
 
 class Matrix(_IntegerForm):
     """Immutable 3x3 matrix over Q(zeta_5): entry (i, j) is nums[3i + j] /
-    den, in the canonical `cyclo._IntegerForm`; `entries`, `m[i, j]`,
-    `row`, `trace` and `det` build their `Cyclo`s when read."""
+    den, in the canonical `cyclo._IntegerForm`; `entries`, `row`,
+    `trace` and `det` build their `Cyclo`s when read."""
 
     __slots__ = ()
 
@@ -63,10 +63,6 @@ class Matrix(_IntegerForm):
     def entries(self) -> tuple:
         """The nine entries, row by row."""
         return tuple(map(self._entry, range(9)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._entry(3 * i + j)
 
     def row(self, i):
         return tuple(map(self._entry, range(3 * i, 3 * i + 3)))

@@ -52,20 +52,6 @@ class Perm:
         si = self.images
         return Perm(si[o - 1] for o in other.images)
 
-    def inverse(self) -> "Perm":
-        out = [0] * self.degree
-        for i, im in enumerate(self.images):
-            out[im - 1] = i + 1
-        return Perm(out)
-
-    def order(self) -> int:
-        k, p = 1, self
-        ident = Perm.identity(self.degree)
-        while p != ident:
-            p = p * self
-            k += 1
-        return k
-
     def is_even(self) -> bool:
         return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 

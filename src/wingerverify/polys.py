@@ -72,7 +72,7 @@ class Poly3:
     every entry) = 1.  That makes den the least common denominator of
     the coordinates (over k * den every entry is divisible by k), so the
     form is unique, and == and hash compare integers.  `nums` is a
-    read-only view; each read of `terms` builds a new dict."""
+    read-only view."""
 
     __slots__ = ("den", "nums")
 
@@ -83,11 +83,6 @@ class Poly3:
 
     def __setattr__(self, *a):
         raise AttributeError("Poly3 is immutable")
-
-    @property
-    def terms(self) -> dict:
-        """{expo: Cyclo coefficient}, a new dict."""
-        return {e: _make(*n, self.den) for e, n in self.nums.items()}
 
     # -- constructors ---------------------------------------------------------
 
@@ -116,9 +111,6 @@ class Poly3:
             out[e] = tuple(x + y * t for x, y in zip(out.get(e, _ZERO), n))
         return _from_numerators(den, out)
 
-    def __sub__(self, other):
-        return self + (other * -1)
-
     def __mul__(self, other):
         if isinstance(other, Poly3):
             return _from_numerators(self.den * other.den, _convolve(self.nums, other.nums))
@@ -138,12 +130,6 @@ class Poly3:
         return result
 
     # -- structure -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def coefficient(self, expo) -> Cyclo:
-        return _make(*self.nums.get(tuple(expo), _ZERO), self.den)
 
     def partial(self, i: int) -> "Poly3":
         out = {}
@@ -176,12 +162,11 @@ class Poly3:
         return hash((self.den, frozenset(self.nums.items())))
 
     def __str__(self):
-        terms = self.terms
-        if not terms:
+        if not self.nums:
             return "0"
         parts = []
-        for expo in sorted(terms, key=lambda e: (-sum(e), [-x for x in e])):
-            coef = terms[expo]
+        for expo in sorted(self.nums, key=lambda e: (-sum(e), [-x for x in e])):
+            coef = _make(*self.nums[expo], self.den)
             mono = "*".join(
                 (VARS[i] if e == 1 else f"{VARS[i]}^{e}")
                 for i, e in enumerate(expo) if e

@@ -13,7 +13,7 @@ simple of order 60, hence A5.
 
 The search, the orbit closures and the singular-point test run on
 integer numerators in Z[zeta_5]; a `Cyclo` is built only for what a
-caller reads: a survivor's scaling, an orbit point, a returned lam.
+caller reads: an orbit point, a returned lam.
 """
 
 from __future__ import annotations
@@ -78,15 +78,17 @@ class ReconstructionError(RuntimeError):
 
 
 def _matrix_key(m: Matrix):
-    """The entries' `Cyclo.sort_key`s, read from the integer form: each
-    entry's numerators and den divided by their own gcd."""
+    """The sort key of the matrices, read from the integer form: per
+    entry, its numerators and den divided by their gcd, the entry's
+    canonical (numerators, den)."""
     return tuple((tuple(x // g for x in n), m.den // g)
                  for n in m.nums for g in [gcd(m.den, *n)])
 
 
 def _triple_scalings(brackets, triple):
     """The realized permutations sigma with sigma(0..2) = `triple`, as a
-    dict from (sigma(3), sigma(4), sigma(5)) to the scaling c.
+    dict from (sigma(3), sigma(4), sigma(5)) to the scaling c, in its
+    `_projective_form` (den, nums): no field element is built.
 
     M = B^-1 diag(c) C sends L_{sigma(i)} to c_i L_i for i < 3, where B
     holds the rows L_{sigma(0..2)} and C the rows L_{0..2}.  For i >= 3
@@ -120,7 +122,7 @@ def _triple_scalings(brackets, triple):
         if _same(x2, y2) and _same(x1, ratio(2, rest[2], 1)) and _same(x2, z2):
             # u0 w0 w1 w2 times the point u / w, from its two ratios
             point = _mul(x1[0], x2[0]), _mul(x1[1], x2[0]), _mul(x1[0], x2[1])
-            out[rest] = _coordinates(*_projective_form(point))
+            out[rest] = _projective_form(point)
     return out
 
 
@@ -180,8 +182,7 @@ def reconstruct_group() -> FiniteGroup:
         if not scalings:
             continue
         b_adj = Matrix.from_rows([rows[k] for k in triple]).adjugate()
-        for c in scalings.values():
-            dc, cs = _numerators(c)  # diag(c) C: row i of C times c_i
+        for dc, cs in scalings.values():  # diag(c) C: row i of C times c_i
             scaled = [_mul(cs[k // 3], n) for k, n in enumerate(lines.nums)]
             m = _rescale(b_adj * Matrix._of(dc * lines.den, scaled), gram)
             if m is not None:

@@ -23,6 +23,16 @@ from wingerverify.polys import Poly3
 from wingerverify.winger import INFINITY, _derivatives
 
 
+def terms(f) -> dict:
+    """{expo: Cyclo coefficient} of the Poly3 f, a new dict."""
+    return {e: Cyclo(n, f.den) for e, n in f.nums.items()}
+
+
+def coefficient(f, expo) -> Cyclo:
+    """The coefficient of the exponent triple `expo` in the Poly3 f."""
+    return Cyclo(f.nums.get(tuple(expo), (0, 0, 0, 0)), f.den)
+
+
 def _dot(row, col) -> Cyclo:
     """The sum of row[k] * col[k] over the nonzero entries of `row`, for a
     row and a column of one length (ValueError otherwise)."""
@@ -50,7 +60,8 @@ def transpose(m):
 
 
 def trace(m) -> Cyclo:
-    return m[0, 0] + m[1, 1] + m[2, 2]
+    e = m.entries
+    return e[0] + e[4] + e[8]
 
 
 def apply(m, vec) -> tuple:
@@ -102,7 +113,7 @@ def evaluate(f, point) -> Cyclo:
     acc = rational(0)
     # cache powers of each coordinate
     maxes = [0, 0, 0]
-    for expo in f.terms:
+    for expo in f.nums:
         for i in range(3):
             maxes[i] = max(maxes[i], expo[i])
     pows = []
@@ -112,15 +123,15 @@ def evaluate(f, point) -> Cyclo:
         for _ in range(maxes[i]):
             p.append(p[-1] * v)
         pows.append(p)
-    for (a, b, c), coef in f.terms.items():
+    for (a, b, c), coef in terms(f).items():
         acc = acc + coef * pows[0][a] * pows[1][b] * pows[2][c]
     return acc
 
 
 def add(f, g):
     """The sum of the Poly3 f and g."""
-    out = dict(f.terms)
-    for expo, coef in g.terms.items():
+    out = terms(f)
+    for expo, coef in terms(g).items():
         cur = out.get(expo)
         out[expo] = coef if cur is None else cur + coef
     return Poly3(out)
@@ -128,13 +139,13 @@ def add(f, g):
 
 def scale(f, other):
     """The Poly3 f times the scalar `other`."""
-    return Poly3({e: c * other for e, c in f.terms.items()})
+    return Poly3({e: c * other for e, c in terms(f).items()})
 
 
 def partial(f, i: int):
     """The partial derivative of the Poly3 f by its variable i."""
     out = {}
-    for expo, coef in f.terms.items():
+    for expo, coef in terms(f).items():
         if expo[i] == 0:
             continue
         new = list(expo)
@@ -180,8 +191,9 @@ def binary_icosahedral_group() -> frozenset:
 
 
 def matrix_key(m):
-    """The sort key of the reconstructed matrices: each entry's key."""
-    return tuple(e.sort_key() for e in m.entries)
+    """The sort key of the reconstructed matrices: each entry's
+    canonical (numerators, den)."""
+    return tuple((e.nums, e.den) for e in m.entries)
 
 
 def triple_scalings(brackets, triple):

@@ -261,7 +261,7 @@ def test_wrong_molien_average_fails_both_dimension_claims(tmp_path, monkeypatch,
 def test_braid_word_leaving_the_classes_fails_its_claim(tmp_path, monkeypatch, capsys):
     # one elementary braid on slot 1 moves the order-5 element to slot 2,
     # out of the (5,2,2,2) classes; the orbit keeps what it reaches
-    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "weighted", (((1, False),),))
+    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "weighted", ((1,),))
     code, claims = report(["tuples"], tmp_path, capsys)
     assert failing(code, claims) == {"braid-weighted-orbits"}
     sizes = claims["braid-weighted-orbits"]["witness"]["orbit_sizes"]
@@ -289,8 +289,7 @@ def test_generation_read_from_two_slots_fails_the_class_count(fresh_tuples, tmp_
 def test_pure_braids_without_the_middle_square_fail_their_claim(tmp_path, monkeypatch,
                                                                 capsys):
     # the squares on slots 1 and 3 alone split each block of ten classes
-    pure = hurwitz.GENERATOR_SETS["pure"]
-    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "pure", (pure[0], pure[2]))
+    monkeypatch.setitem(hurwitz.GENERATOR_SETS, "pure", ((1, 1), (3, 3)))
     code, claims = report(["tuples"], tmp_path, capsys)
     assert failing(code, claims) == {"braid-pure-orbits"}
     assert claims["braid-pure-orbits"]["witness"]["orbit_sizes"] == [1, 1, 1, 1, 3, 3, 5, 5]

@@ -182,6 +182,9 @@ def test_corruption_specs():
     ("matrix:60", "corruption matrix index must be in 0..59"),
     ("matrix:-1", "corruption matrix index must be in 0..59"),
     ("f:1,2", "corruption exponent must be a degree-6 triple"),
+    ("f:", "corruption exponent must be a degree-6 triple"),
+    ("f:a,b,c", "corruption exponent must be a degree-6 triple"),
+    ("matrix:x", "corruption matrix index must be in 0..59"),
     ("bogus:1", "unknown corruption spec 'bogus:1'")])
 def test_bad_corruption_spec_is_a_usage_error(spec, message, capsys):
     # refused before any suite runs: no report, one message on stderr

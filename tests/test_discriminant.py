@@ -202,6 +202,9 @@ def pair_rows(a, b):
     return [[ra, rb] for ra, rb in zip(a, b)]
 
 
+PENCIL_SHAPES = st.sampled_from(("plain", "singular_a", "zero_row", "repeated_row"))
+
+
 @st.composite
 def pencils(draw, max_n=8, max_digits=40):
     """Small integer pencils (A, B), some with singular A and some
@@ -212,7 +215,7 @@ def pencils(draw, max_n=8, max_digits=40):
     entry = st.integers(-size, size)
     a = [[draw(entry) for _ in range(n)] for _ in range(n)]
     b = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    shape = draw(st.sampled_from(("plain", "singular_a", "zero_row", "repeated_row")))
+    shape = draw(PENCIL_SHAPES)
     if n >= 2 and shape == "singular_a":
         a[1] = list(a[0])
     elif shape == "zero_row":
@@ -330,14 +333,17 @@ def test_exact_quotient():
 
 # -- the hybrid Sylvester-Bezout matrix against the Macaulay resultant -----------
 
+FORM_DEGREES = st.sampled_from((2, 3))
+FORM_COEFFICIENTS = st.integers(-4, 4)
+
+
 @st.composite
 def ternary_forms(draw, parts):
     """(d, three integer ternary forms of degree d in {2, 3}), each a list
     of `parts` coefficient dicts (lam^0, lam^1, ...), some coefficients 0."""
-    d = draw(st.sampled_from((2, 3)))
-    coef = st.integers(-4, 4)
-    return d, [[{m: draw(coef) for m in monomials_of_degree(d)} for _ in range(parts)]
-               for _ in range(3)]
+    d = draw(FORM_DEGREES)
+    return d, [[{m: draw(FORM_COEFFICIENTS) for m in monomials_of_degree(d)}
+                for _ in range(parts)] for _ in range(3)]
 
 
 def h_at(rows, lam):
@@ -478,24 +484,30 @@ def test_weight_breaking_sextic_is_one_block():
 
 # -- the pencil by blocks against the unsplit modular pencil ---------------------
 
+BLOCK_SIZES = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+BLOCK_SHAPES = st.sampled_from(("square", "zero_row", "non_square"))
+BLOCK_DIGITS = st.integers(0, 20)
+ROW_DEGREES = st.sampled_from((2, 4))  # coefficient rows: degree 1 or 3 in lam
+
+
 @st.composite
 def block_rows(draw):
     """Rows of an H(lam) whose nonzero pattern splits into 1-4 blocks, of
     rows of degree 1 or 3, with rows and columns shuffled; some with a
     zero row, some with two blocks that are not square (det H = 0)."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    sizes = draw(BLOCK_SIZES)
     shapes = [[s, s] for s in sizes]
-    shape = draw(st.sampled_from(("square", "zero_row", "non_square")))
+    shape = draw(BLOCK_SHAPES)
     if shape == "non_square" and len(shapes) >= 2:
         shapes[0][1] -= 1  # one column moves from the first block to the second
         shapes[1][1] += 1
     n = sum(sizes)
-    size = 10 ** draw(st.integers(0, 20))
+    size = 10 ** draw(BLOCK_DIGITS)
     entry = st.integers(-size, size)
     rows, col0 = [], 0
     for nrows, ncols in shapes:
         for _ in range(nrows):
-            parts = [[0] * n for _ in range(draw(st.sampled_from((2, 4))))]
+            parts = [[0] * n for _ in range(draw(ROW_DEGREES))]
             for part in parts:
                 part[col0:col0 + ncols] = [draw(entry) for _ in range(ncols)]
             rows.append(parts)

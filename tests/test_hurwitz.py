@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from braid_closure import two_way_braid_orbits
+from braid_closure import inverse_move, perm_inverse, perm_order, two_way_braid_orbits
 from wingerverify.hurwitz import (CONVENTIONS, PAIR_REPRESENTATIVES,
                                   TUPLE_TABLE_ROWS, braid_orbits,
                                   canonical_class, enumerate_tuple_classes,
@@ -41,7 +41,7 @@ def test_order_sets():
     assert {r: len(sets[r]) for r in sets} == {2: 15, 3: 20, 5: 24}
     for r, members in sets.items():
         assert list(members) == sorted(members)
-        assert all(E[g].order() == r for g in members)
+        assert all(perm_order(E[g]) == r for g in members)
 
 
 def test_tuple_product_conventions():
@@ -59,12 +59,12 @@ def test_pair_orbits_free_and_typed():
     orbits = pair_orbits()
     assert len(orbits) == 6
     assert all(len(o) == 60 for o in orbits)
-    rvals = sorted((E[min(o)[0]] * E[min(o)[1]]).order() for o in orbits)
+    rvals = sorted(perm_order(E[min(o)[0]] * E[min(o)[1]]) for o in orbits)
     assert rvals == [2, 2, 3, 3, 5, 5]
     for o in orbits:
         g1, g2 = min(o)
         assert {(E[h1], E[h2]) for h1, h2 in o} == {
-            (x * E[g1] * x.inverse(), x * E[g2] * x.inverse()) for x in E}
+            (x * E[g1] * perm_inverse(x), x * E[g2] * perm_inverse(x)) for x in E}
 
 
 def test_published_pair_representatives():
@@ -72,7 +72,7 @@ def test_published_pair_representatives():
     hit = set()
     for r, a, b in PAIR_REPRESENTATIVES:
         g1, g2 = index(a), index(b)
-        assert (E[g1] * E[g2]).order() == r
+        assert perm_order(E[g1] * E[g2]) == r
         idx = [i for i, o in enumerate(orbits) if (g1, g2) in o]
         assert len(idx) == 1
         hit.update(idx)
@@ -86,7 +86,7 @@ def test_involution_factorizations():
         fac = involution_factorizations(h)
         assert len(fac) == r
         assert all(E[a] * E[b] == E[h] for a, b in fac)
-        assert all(E[a].order() == E[b].order() == 2 for a, b in fac)
+        assert all(perm_order(E[a]) == perm_order(E[b]) == 2 for a, b in fac)
     h2 = min(sets[2])
     assert all(E[a] * E[b] == E[b] * E[a] for a, b in involution_factorizations(h2))
     with pytest.raises(ValueError):
@@ -101,16 +101,16 @@ def test_twenty_classes_and_splits():
         {"(12345)": 10, "(12354)": 10})
     for c in classes:
         g1, g2, g3, g4 = (E[g] for g in c)
-        assert (g1.order(), g2.order(), g3.order(), g4.order()) == (5, 2, 2, 2)
+        assert tuple(map(perm_order, (g1, g2, g3, g4))) == (5, 2, 2, 2)
         assert g1 * g2 * g3 * g4 == IDENTITY
-        assert r_value(c) == (g1 * g2).order()
+        assert r_value(c) == perm_order(g1 * g2)
 
 
 def test_classes_stable_under_iteration_order():
     classes = enumerate_tuple_classes("rtl")
     x = parse_cycles("(253)", 5)
     for c in classes[::5]:
-        t = tuple(A5.index[x * E[g] * x.inverse()] for g in c)
+        t = tuple(A5.index[x * E[g] * perm_inverse(x)] for g in c)
         assert canonical_class(t) == c
 
 
@@ -121,7 +121,7 @@ def test_hurwitz_move_roundtrip_and_product():
         moved = hurwitz_move(k, t)
         assert perm_product(moved) == IDENTITY
         assert tuple_product(moved) == A5.identity
-        assert hurwitz_move(k, moved, inverse=True) == t
+        assert inverse_move(k, moved) == t
 
 
 def test_hurwitz_move_matches_perm_formula():
@@ -135,13 +135,13 @@ def test_hurwitz_move_matches_perm_formula():
             for k in (1, 2, 3):
                 a, b = E[t[k - 1]], E[t[k]]
                 if conv == "rtl":
-                    forward = (a * b * a.inverse(), a)
-                    backward = (b, b.inverse() * a * b)
+                    forward = (a * b * perm_inverse(a), a)
+                    backward = (b, perm_inverse(b) * a * b)
                 else:
-                    forward = (a.inverse() * b * a, a)
-                    backward = (b, b * a * b.inverse())
-                for inverse, pair in ((False, forward), (True, backward)):
-                    moved = hurwitz_move(k, t, inverse=inverse, convention=conv)
+                    forward = (perm_inverse(a) * b * a, a)
+                    backward = (b, b * a * perm_inverse(b))
+                for move, pair in ((hurwitz_move, forward), (inverse_move, backward)):
+                    moved = move(k, t, conv)
                     assert tuple(E[g] for g in moved[k - 1:k + 1]) == pair
                     assert moved[:k - 1] + moved[k + 1:] == t[:k - 1] + t[k + 1:]
                     assert perm_product(moved, conv) == IDENTITY
@@ -157,9 +157,9 @@ def test_first_displayed_map_is_braid_square_mod_conjugation():
         a1, a2, a3, a4 = (E[g] for g in t)
         c = a1 * a2
         displayed = tuple(A5.index[g] for g in
-                          (a1, a2, c * a3 * c.inverse(), c * a4 * c.inverse()))
-        square = hurwitz_move(1, hurwitz_move(1, t, inverse=True), inverse=True)
-        assert tuple(A5.index[c * E[g] * c.inverse()] for g in square) == displayed
+                          (a1, a2, c * a3 * perm_inverse(c), c * a4 * perm_inverse(c)))
+        square = inverse_move(1, inverse_move(1, t))
+        assert tuple(A5.index[c * E[g] * perm_inverse(c)] for g in square) == displayed
         assert canonical_class(displayed) == canonical_class(square)
 
 
@@ -191,8 +191,8 @@ def test_second_displayed_map_preserves_weighted_orbits():
     whereis = {c: i for i, p in enumerate(parts) for c in p}
     for c in classes:
         a1, a2, a3, a4 = (E[g] for g in c)
-        image = (a2.inverse() * a1 * a2, a3 * a2 * a3.inverse(), a3,
-                 a2.inverse() * a4 * a2)
+        image = (perm_inverse(a2) * a1 * a2, a3 * a2 * perm_inverse(a3), a3,
+                 perm_inverse(a2) * a4 * a2)
         assert image[0] * image[1] * image[2] * image[3] == IDENTITY
         assert whereis[canonical_class(A5.index[g] for g in image)] == whereis[c]
 

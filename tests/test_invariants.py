@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+import cyclo_loops
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from fraction_rref import null_space
 from wingerverify.cli import Corruption
@@ -145,7 +146,7 @@ def plain_basis(mat_list, d):
     """Oracle: the Q(zeta_5) RREF of the plain averages of every degree-d
     monomial."""
     monos = monomials_of_degree(d)
-    rows = [[p.coefficient(e) for e in monos]
+    rows = [[cyclo_loops.coefficient(p, e) for e in monos]
             for p in (plain_average(mat_list, expo) for expo in monos)]
     reduced, pivots = cyclo_rref(rows)
     return [Poly3(dict(zip(monos, reduced[r]))) for r in range(len(pivots))]
@@ -173,11 +174,11 @@ def cyclo_kernel_basis(mat_list, d):
     rows = []
     for g in _extra_generators(group, sub):
         subst = Substitution(group.elements[g])
-        moved = [subst.apply(p) - p for p in sums]
-        rows.extend([q.coefficient(e) for q in moved] for e in monos)
+        moved = [subst.apply(p) + p * -1 for p in sums]
+        rows.extend([cyclo_loops.coefficient(q, e) for q in moved] for e in monos)
     fixed = [sum((p * c for c, p in zip(vec, sums)), Poly3.zero())
              for vec in cyclo_kernel(rows, len(sums))]
-    reduced, pivots = cyclo_rref([[f.coefficient(e) for e in monos] for f in fixed])
+    reduced, pivots = cyclo_rref([[cyclo_loops.coefficient(f, e) for e in monos] for f in fixed])
     return [Poly3(dict(zip(monos, reduced[r]))) for r in range(len(pivots))]
 
 
@@ -302,9 +303,10 @@ def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
         by_basis, by_g = Substitution(basis), Substitution(group.elements[g])
         for d, (monos, dim) in degrees.items():
             images = [by_basis.apply(p) for p in sums[d]]
-            odd = [[q.coefficient(e) for q in images] for e in monos if sum(e[first:]) % 2]
-            moved = [by_g.apply(p) - p for p in sums[d]]
-            rows = [[q.coefficient(e) for q in moved] for e in monos]
+            odd = [[cyclo_loops.coefficient(q, e) for q in images]
+                   for e in monos if sum(e[first:]) % 2]
+            moved = [by_g.apply(p) + p * -1 for p in sums[d]]
+            rows = [[cyclo_loops.coefficient(q, e) for q in moved] for e in monos]
             want = null_space(_rational_rows(rows), len(sums[d]))
             assert null_space(_rational_rows(odd), len(sums[d])) == want, (d, g)
             assert len(want) == dim, (d, g)

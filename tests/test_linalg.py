@@ -137,12 +137,16 @@ def reduced(dm):
     return [[e.rem(PHI5) for e in row] for row in dm.to_list()]
 
 
+SPARSE_ENTRIES = st.lists(st.one_of(st.just(0), ELEMENTS), min_size=9, max_size=9)
+ZERO_ROWS = st.sampled_from((None, 0, 1, 2))
+
+
 @st.composite
 def sparse_matrices(draw):
     """Matrices with zero entries and sometimes a zero row, so that the
     product and `apply` skip zero entries and sum no term at all."""
-    entries = draw(st.lists(st.one_of(st.just(0), ELEMENTS), min_size=9, max_size=9))
-    zero_row = draw(st.sampled_from((None, 0, 1, 2)))
+    entries = draw(SPARSE_ENTRIES)
+    zero_row = draw(ZERO_ROWS)
     if zero_row is not None:
         entries[3 * zero_row:3 * zero_row + 3] = [0, 0, 0]
     return Matrix(entries)
@@ -175,24 +179,26 @@ WIDE = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
                           min_size=1, max_size=4),
                  st.sampled_from([1, 2, 3, 5, 6, 15, 2**65 + 1]))
 KERNEL_ENTRIES = st.one_of(st.just(0), ELEMENTS, WIDE)
+NINE_KERNEL_ENTRIES = st.lists(KERNEL_ENTRIES, min_size=9, max_size=9)
+TWO_KERNEL_ENTRIES = st.lists(KERNEL_ENTRIES, min_size=2, max_size=2)
+KERNEL_SHAPES = st.sampled_from(("plain", "zero row", "dependent", "rank 1"))
+ROW_STARTS = st.sampled_from((0, 3, 6))
 
 
 @st.composite
 def kernel_matrices(draw):
     """Matrices with mixed denominators, zero entries, sometimes a zero
     row, and sometimes a third row dependent on the first two (det 0)."""
-    entries = draw(st.lists(KERNEL_ENTRIES, min_size=9, max_size=9))
-    shape = draw(st.sampled_from(("plain", "zero row", "dependent", "rank 1")))
+    entries = draw(NINE_KERNEL_ENTRIES)
+    shape = draw(KERNEL_SHAPES)
     if shape == "zero row":
-        i = draw(st.sampled_from((0, 3, 6)))
+        i = draw(ROW_STARTS)
         entries[i:i + 3] = [0, 0, 0]
     elif shape == "dependent":
         c = draw(KERNEL_ENTRIES)
         entries[6:] = [a + c * b for a, b in zip(entries[:3], entries[3:6])]
     elif shape == "rank 1":
-        entries[3:] = [c * a for c in draw(st.lists(KERNEL_ENTRIES, min_size=2,
-                                                    max_size=2))
-                       for a in entries[:3]]
+        entries[3:] = [c * a for c in draw(TWO_KERNEL_ENTRIES) for a in entries[:3]]
     return Matrix(entries)
 
 
@@ -236,7 +242,7 @@ def test_matrix_ops_match_the_cyclo_loops(a, b, c):
     assert a * c == cyclo_loops.matrix_scale(a, c)
     assert a.transpose() == cyclo_loops.transpose(a)
     assert a.trace() == cyclo_loops.trace(a)
-    assert a.entries == tuple(a[i, j] for i in range(3) for j in range(3))
+    assert a.entries == a.row(0) + a.row(1) + a.row(2)
     assert a.row(1) == a.entries[3:6]
 
 
@@ -259,7 +265,7 @@ def test_equal_matrices_have_one_form(m, q):
     # the identity and a cancelling difference
     ident = Matrix.identity(3)
     ways = [Matrix(m.entries), Matrix.from_rows([m.row(i) for i in range(3)]),
-            m.transpose().transpose(), m * q * (1 / q), ident * m, m * ident,
+            m.transpose().transpose(), m * q * rational(q).inv(), ident * m, m * ident,
             (m - ident) - ident * -1]
     for h in ways:
         assert (h.den, h.nums) == (m.den, m.nums)
@@ -309,14 +315,19 @@ def test_shape_is_checked_on_input():
 # -- the integer elimination against sympy ----------------------------------------
 
 
+SQUARE_SIZES = st.integers(1, 6)
+SQUARE_ENTRIES = st.integers(-9, 9)
+SQUARE_SHAPES = st.sampled_from(("plain", "swap", "repeated", "combined"))
+
+
 @st.composite
 def square_matrices(draw):
     """Integer n x n matrices, some singular (a repeated or combined row)
     and some with a zero leading entry, so that the first pivot needs a
     row swap."""
-    n = draw(st.integers(1, 6))
-    m = [draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)) for _ in range(n)]
-    shape = draw(st.sampled_from(("plain", "swap", "repeated", "combined")))
+    n = draw(SQUARE_SIZES)
+    m = [draw(st.lists(SQUARE_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(SQUARE_SHAPES)
     if shape == "swap":
         m[0][0] = 0
     elif n >= 2 and shape == "repeated":
@@ -329,6 +340,9 @@ def square_matrices(draw):
 # how a row is copied onto the end of a matrix: as it is, negated,
 # scaled, or as a zero row
 COPIES = st.sampled_from((1, -1, 3, -6, 0))
+FACTOR_SIZES = st.integers(1, 7)
+RANKS = st.integers(0, 4)
+FACTOR_ENTRIES = st.integers(-4, 4)
 
 
 @st.composite
@@ -338,10 +352,9 @@ def rank_deficient_matrices(draw):
     three rows copied onto the end, duplicated, negated, scaled or
     zeroed: the repeated equations that the Reynolds rows hold before
     they are deduplicated."""
-    r, c, k = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(0, 4))
-    entry = st.integers(-4, 4)
-    left = [[draw(entry) for _ in range(k)] for _ in range(r)]
-    right = [[draw(entry) for _ in range(c)] for _ in range(k)]
+    r, c, k = draw(FACTOR_SIZES), draw(FACTOR_SIZES), draw(RANKS)
+    left = [[draw(FACTOR_ENTRIES) for _ in range(k)] for _ in range(r)]
+    right = [[draw(FACTOR_ENTRIES) for _ in range(c)] for _ in range(k)]
     m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * c
          for row in left]
     for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
@@ -414,16 +427,21 @@ def test_integer_det_rejects_non_square_input():
 # -- the lazy elimination against the dense Bareiss pass ---------------------------
 
 
+SPARSE_SIZES = st.integers(1, 9)
+SPARSE_INTEGERS = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
+BOOLEANS = st.booleans()
+LEADING_ENTRIES = st.sampled_from((-7, -1, 1, 5))
+
+
 @st.composite
 def sparse_integer_matrices(draw):
     """Integer r x c matrices, mostly zeros, some of low rank (a row a
     combination of two others), with zero rows and zero columns, and
     sometimes a zero leading entry above a nonzero one, so that the
     first pivot needs a row swap."""
-    r, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
-    m = [[draw(entry) for _ in range(c)] for _ in range(r)]
-    if r >= 3 and draw(st.booleans()):
+    r, c = draw(SPARSE_SIZES), draw(SPARSE_SIZES)
+    m = [[draw(SPARSE_INTEGERS) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(BOOLEANS):
         i, j, k = draw(st.permutations(range(r)))[:3]
         m[i] = [2 * a - 3 * b for a, b in zip(m[j], m[k])]
     for i in draw(st.sets(st.integers(0, r - 1), max_size=2)):
@@ -431,8 +449,8 @@ def sparse_integer_matrices(draw):
     for j in draw(st.sets(st.integers(0, c - 1), max_size=2)):
         for row in m:
             row[j] = 0
-    if r >= 2 and draw(st.booleans()):
-        m[0][0], m[-1][0] = 0, draw(st.sampled_from((-7, -1, 1, 5)))
+    if r >= 2 and draw(BOOLEANS):
+        m[0][0], m[-1][0] = 0, draw(LEADING_ENTRIES)
     return m
 
 

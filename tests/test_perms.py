@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from braid_closure import perm_inverse, perm_order
 from wingerverify.characters import S5_CLASS_REPS
 from wingerverify.covers import Quaternion, binary_icosahedral_group
 from wingerverify.linalg import Matrix
@@ -41,15 +42,16 @@ def test_composition_convention_right_first():
 
 
 def test_inverse_and_order():
+    # the table's inverses and orders against the permutation oracles
     g = parse_cycles("(12345)", 5)
-    assert g * g.inverse() == parse_cycles("()", 5)
-    assert g.order() == 5
-    assert parse_cycles("(12)(34)", 5).order() == 2
+    assert g * perm_inverse(g) == parse_cycles("()", 5)
+    assert perm_order(g) == 5
+    assert perm_order(parse_cycles("(12)(34)", 5)) == 2
     a5 = alternating_group_5()
     assert a5.elements[a5.identity] == parse_cycles("()", 5)
     for i, g in enumerate(a5.elements):
-        assert a5.elements[a5.inverse[i]] == g.inverse()
-        assert a5.orders[i] == g.order()
+        assert a5.elements[a5.inverse[i]] == perm_inverse(g)
+        assert a5.orders[i] == perm_order(g)
 
 
 def test_group_sizes():

@@ -19,9 +19,9 @@ def variables():
 
 def test_ring_ops():
     x, y, z = variables()
-    assert (x + y) * (x - y) == x * x - y * y
-    assert ((x + y) ** 2).coefficient((1, 1, 0)) == rational(2)
-    assert (x * 0).is_zero()
+    assert (x + y) * (x + y * -1) == x * x + y * y * -1
+    assert cyclo_loops.coefficient((x + y) ** 2, (1, 1, 0)) == rational(2)
+    assert not (x * 0).nums
 
 
 def test_partials_and_gradient():
@@ -76,8 +76,8 @@ def test_act_agrees_with_evaluation(f, entries, point):
 # field multiply and add per pair of terms.
 def cyclo_mul(f, g):
     out = {}
-    for (a1, b1, c1), x in f.terms.items():
-        for (a2, b2, c2), y in g.terms.items():
+    for (a1, b1, c1), x in cyclo_loops.terms(f).items():
+        for (a2, b2, c2), y in cyclo_loops.terms(g).items():
             key = (a1 + a2, b1 + b2, c1 + c2)
             cur = out.get(key)
             prod = x * y
@@ -101,8 +101,8 @@ def cyclo_image(m, expo):
 
 def cyclo_apply(m, f):
     out = {}
-    for expo, coef in f.terms.items():
-        for e, c in cyclo_image(m, expo).terms.items():
+    for expo, coef in cyclo_loops.terms(f).items():
+        for e, c in cyclo_loops.terms(cyclo_image(m, expo)).items():
             term = c * coef
             cur = out.get(e)
             out[e] = term if cur is None else cur + term
@@ -133,13 +133,14 @@ MIXED = [Fraction(1, 2), zeta(), 3, make([0, Fraction(1, 3)]), 1, Fraction(1, 5)
 
 @settings(max_examples=60, deadline=None)
 @given(wide_polys, wide_polys)
-@example(X + Y, X - Y)  # the cross terms cancel
+@example(X + Y, X + Y * -1)  # the cross terms cancel
 @example(ZETA_FORM, ZETA_FORM + X)
 @example(Poly3.zero(), HALF_THIRD)
 @example(Poly3.monomial((0, 0, 0), Fraction(2**70, 3)), HALF_THIRD)
 def test_products_match_cyclo_loop(f, g):
     assert f * g == cyclo_mul(f, g)
-    assert (f + g) * (f - g) == cyclo_mul(f + g, f - g) == f * f - g * g
+    diff = f + g * -1
+    assert (f + g) * diff == cyclo_mul(f + g, diff) == f * f + g * g * -1
     for k in (0, 1, 2, 3):
         assert f ** k == cyclo_pow(f, k)
 
@@ -152,21 +153,21 @@ def test_power_fifteen_matches_cyclo_loop():
 
 @settings(max_examples=60, deadline=None)
 @given(wide_polys, st.lists(wide, min_size=9, max_size=9))
-@example(X - Y, list(EQUAL_ROWS.entries))  # the image cancels to zero
+@example(X + Y * -1, list(EQUAL_ROWS.entries))  # the image cancels to zero
 @example(Poly3.zero(), list(EQUAL_ROWS.entries))
 @example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), list(EQUAL_ROWS.entries))
 @example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1),
          [Fraction(1, 2), 0, 0, 0, Fraction(1, 3), 0, 0, 0, Fraction(1, 5)])
 @example(SHARED_C, MIXED)
 @example(SHARED_C * Z, list(EQUAL_ROWS.entries))
-@example((X - Y) * Z, list(EQUAL_ROWS.entries))  # the sum at c = 1 cancels
+@example((X + Y * -1) * Z, list(EQUAL_ROWS.entries))  # the sum at c = 1 cancels
 def test_substitution_matches_cyclo_loop(f, entries):
     m = Matrix(entries)
     want = cyclo_apply(m, f)
     sub = Substitution(m)
     assert sub.apply(f) == want
     assert f.act(m) == want
-    for expo in list(f.terms) + [(0, 0, 0), (3, 0, 2)]:
+    for expo in list(f.nums) + [(0, 0, 0), (3, 0, 2)]:
         assert sub.apply(Poly3.monomial(expo)) == cyclo_image(m, expo)
     # the power tables the images extended serve the next form unchanged
     assert sub.apply(f + HALF_THIRD) == cyclo_apply(m, f + HALF_THIRD)
@@ -195,14 +196,14 @@ def shaped(entries, shape):
 @settings(max_examples=60, deadline=None)
 @given(MIXED_FORMS, SUBSTITUTION_ENTRIES, SHAPES, st.integers(0, 3))
 @example(SHARED_C, MIXED, "plain", 1)
-@example((X - Y) * Z, list(EQUAL_ROWS.entries), "plain", 0)  # the sum at c = 1 cancels
+@example((X + Y * -1) * Z, list(EQUAL_ROWS.entries), "plain", 0)  # the sum at c = 1 cancels
 def test_odd_half_is_the_odd_part_of_the_substitution(f, entries, shape, first):
     # the terms of f o m of odd degree on columns first.., and no other
     m = shaped(entries, shape)
     sub = Substitution(m)
     den, nums = sub.numerators(f.den, f.nums, first)
     assert all(sum(e[first:]) % 2 for e in nums)
-    want = {e: c for e, c in f.act(m).terms.items() if sum(e[first:]) % 2}
+    want = {e: c for e, c in cyclo_loops.terms(f.act(m)).items() if sum(e[first:]) % 2}
     assert _from_numerators(den, nums) == Poly3(want)
 
 
@@ -238,7 +239,7 @@ def test_evaluate_matches_cyclo_loop_on_the_pencil():
     grad_q, hess_q, grad_f, hess_f = _derivatives(f_poly())
     polys = [*grad_q, *grad_f, *(d for row in hess_q + hess_f for d in row)]
     for orbit in irregular_orbits().values():
-        for p in sorted(orbit, key=lambda p: [c.sort_key() for c in p])[:3]:
+        for p in sorted(orbit, key=lambda p: [(c.nums, c.den) for c in p])[:3]:
             for g in polys:
                 assert g.evaluate(p) == cyclo_loops.evaluate(g, p)
 
@@ -280,10 +281,10 @@ NONZERO_FRACTIONS = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1
 @example(SHARED_C, HALF_THIRD * Fraction(1, 6), Fraction(1, 2), 2)
 def test_integer_ops_match_cyclo_loops(f, g, c, i):
     # Cyclo dicts compared, so the oracle does not rest on Poly3.__eq__
-    assert (f + g).terms == cyclo_loops.add(f, g).terms
-    assert (f - g).terms == cyclo_loops.add(f, cyclo_loops.scale(g, -1)).terms
-    assert (f * c).terms == (c * f).terms == cyclo_loops.scale(f, c).terms
-    assert f.partial(i).terms == cyclo_loops.partial(f, i).terms
+    terms = cyclo_loops.terms
+    assert terms(f + g) == terms(cyclo_loops.add(f, g))
+    assert terms(f * c) == terms(c * f) == terms(cyclo_loops.scale(f, c))
+    assert terms(f.partial(i)) == terms(cyclo_loops.partial(f, i))
 
 
 def assert_canonical(f):
@@ -291,7 +292,7 @@ def assert_canonical(f):
     entry, with no zero term; and the Cyclo coefficients give f back."""
     assert f.den > 0 and all(any(n) for n in f.nums.values())
     assert gcd(f.den, *chain.from_iterable(f.nums.values())) == 1
-    assert Poly3(f.terms) == f
+    assert Poly3(cyclo_loops.terms(f)) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,23 +301,23 @@ def assert_canonical(f):
 @example(Poly3.zero(), ZETA_FORM, Fraction(-1, 9))
 def test_equal_polynomials_have_one_form(f, g, q):
     # terms in shuffled order, scaled by a Fraction and back, sums that cancel
-    terms = list(f.terms.items())
+    terms = list(cyclo_loops.terms(f).items())
     ways = [Poly3(dict(terms[::-1])), Poly3(dict(sorted(terms))), f * q * (1 / q),
-            (f + g) - g, f + (g - g), Poly3(f.terms), Poly3.zero() + f]
+            (f + g) + g * -1, f + (g + g * -1), Poly3(dict(terms)), Poly3.zero() + f]
     for h in ways:
         assert (h.den, dict(h.nums)) == (f.den, dict(f.nums))
         assert hash(h) == hash(f)
         assert_canonical(h)
     assert_canonical(f * g)
-    zero = g - g
+    zero = g + g * -1
     assert (zero.den, dict(zero.nums)) == (1, {}) and zero == Poly3.zero()
 
 
 def test_polynomial_arithmetic_builds_no_field_element(monkeypatch):
-    # +, -, * (by a form and by a scalar), partial, act, == and hash run on
+    # +, * (by a form and by a scalar), partial, act, == and hash run on
     # the integer numerators; a Cyclo is built only when a coefficient is read
     f, g, m = SHARED_C, ZETA_FORM + HALF_THIRD, Matrix(MIXED)
-    copy = Poly3(f.terms)
+    copy = Poly3(cyclo_loops.terms(f))
 
     def refuse(*args):
         raise AssertionError("a field element was built")
@@ -324,26 +325,25 @@ def test_polynomial_arithmetic_builds_no_field_element(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr("wingerverify.cyclo._make", refuse)
         patch.setattr("wingerverify.polys._make", refuse)
-        got = [f + g, f - g, f * g, f * Fraction(2, 3), f * -1, zeta() * f, 0 * f,
+        got = [f + g, f * g, f * Fraction(2, 3), f * -1, zeta() * f, 0 * f,
                f.partial(0), f.partial(2), f.act(m)]
         same = (f == copy, f != g, hash(f) == hash(copy))
     assert same == (True, True, True)
-    assert [p.terms for p in got] == [p.terms for p in (
-        cyclo_loops.add(f, g), cyclo_loops.add(f, cyclo_loops.scale(g, -1)), cyclo_mul(f, g),
+    assert list(map(cyclo_loops.terms, got)) == list(map(cyclo_loops.terms, (
+        cyclo_loops.add(f, g), cyclo_mul(f, g),
         cyclo_loops.scale(f, Fraction(2, 3)), cyclo_loops.scale(f, -1),
         cyclo_loops.scale(f, zeta()), Poly3.zero(), cyclo_loops.partial(f, 0),
-        cyclo_loops.partial(f, 2), cyclo_apply(m, f))]
+        cyclo_loops.partial(f, 2), cyclo_apply(m, f))))
 
 
 def test_a_cached_form_cannot_be_changed_through_what_it_hands_out():
     f = f_poly()
     try:
-        f.terms[(6, 0, 0)] = rational(5)
+        with pytest.raises(TypeError):
+            f.nums[(6, 0, 0)] = (5, 0, 0, 0)
         fresh = Poly3.monomial((0, 0, 0))
         for row in six_lines():
             fresh = fresh * Poly3.linear(row)
-        assert f_poly() == fresh and f_poly().coefficient((6, 0, 0)) == 0
-        with pytest.raises(TypeError):
-            f.nums[(6, 0, 0)] = (5, 0, 0, 0)
+        assert f_poly() == fresh and (6, 0, 0) not in f_poly().nums
     finally:
         f_poly.cache_clear()
