@@ -20,11 +20,14 @@ singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
-its 30x30 minor by the integer elimination `linalg.echelon`, in
-coordinates of determinant 1 where that minor does not vanish and the
-matrix is sparse, so that both values are the same resultant.  Its rows
-and columns are listed form by form (f_2, f_1, then f_0 rows, each in
-descending lexicographic order), a symmetric permutation that keeps both
+its 30x30 minor by the integer elimination `linalg.echelon`, equal to
+CONTROL_SCALE times the resultant in the coordinates CONTROL_T, where the
+minor does not vanish.  There the involution diag(1, -1, -1) of the A5
+keeps the pencil, so each row and column has one parity, and each
+determinant is the signed product of its two blocks' (56 and 49 rows,
+14 and 16 in the minor), split as `_pencil_det` splits H.  The rows and
+columns are listed form by form (f_0, f_1, then f_2 rows, each in the
+order of `monomials_of_degree`), a symmetric permutation that keeps both
 determinants and lets the elimination, which updates only the rows it
 touches, leave most rows alone until their own group's pivots.
 
@@ -35,6 +38,7 @@ winger reaches the same list without it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .linalg import Matrix, integer_det
@@ -43,11 +47,12 @@ from .polys import Poly3, monomials_of_degree
 from .winger import q_poly
 
 
-def _to_int_poly(f: Poly3):
-    """Exponent->int dict of f's numerators (rational input only)."""
+def _to_int_poly(f: Poly3, den: int):
+    """Exponent->int dict of den * f, for a multiple den of f's
+    denominator (rational input only)."""
     if any(any(n[1:]) for n in f.nums.values()):
         raise ValueError(f"{f} has an irrational coefficient")
-    return {e: n[0] for e, n in f.nums.items()}
+    return {e: n[0] * (den // f.den) for e, n in f.nums.items()}
 
 
 def macaulay_system(degrees):
@@ -61,25 +66,24 @@ def macaulay_system(degrees):
     Row i and column i both belong to monomials[i], so the order of that
     list permutes rows and columns together and changes neither
     determinant.  It is chosen for `linalg.echelon`: the rows are grouped
-    by the form they multiply, f_2 first, then f_1, then f_0, each group
-    in descending lexicographic order.  On the 105x105 control matrix at
-    lam = 1, in the coordinates `CONTROL_T`, the elimination then writes
-    about a third of the bits that lexicographic order makes it write,
-    and it timed among the three fastest of the twelve orders by group
-    and direction (28 ms against 28-45 ms), at about half the time of
-    lexicographic order (55 ms).
+    by the form they multiply, f_0 first, then f_1, then f_2, each group
+    in the order of `monomials_of_degree`.  On the control matrix at
+    lam = 1, in the coordinates `CONTROL_T` and by blocks, it timed the
+    fastest of the twelve orders by group and direction (3.9-4.5 ms
+    against 4.2-6.1 ms, best of 9-15 runs), and lexicographic order
+    5.3 ms.
     """
     d0, d1, d2 = degrees
     groups = ([], [], [])
     # a + b + c = d0 + d1 + d2 - 2, so a >= d0, b >= d1 or c >= d2
-    for a, b, c in monomials_of_degree(d0 + d1 + d2 - 2)[::-1]:
+    for a, b, c in monomials_of_degree(d0 + d1 + d2 - 2):
         if a >= d0:
             groups[0].append(((a, b, c), (a - d0, b, c), 0))
         elif b >= d1:
             groups[1].append(((a, b, c), (a, b - d1, c), 1))
         else:
             groups[2].append(((a, b, c), (a, b, c - d2), 2))
-    ordered = groups[2] + groups[1] + groups[0]
+    ordered = groups[0] + groups[1] + groups[2]
     monos = [m for m, _, _ in ordered]
     rows = [(shift, which) for _, shift, which in ordered]
     minor_index = [pos for pos, (a, b, c) in enumerate(monos)
@@ -103,33 +107,38 @@ def _eval_determinants(int_fs, degrees):
 
 def macaulay_resultant_value(fs, degrees) -> Fraction:
     """Exact Macaulay resultant of three integer ternary forms, each an
-    exponent->int dict: the full Macaulay determinant over its minor."""
+    exponent->int dict: the full Macaulay determinant over its minor, each
+    the constant of `_pencil_det` on its rows as rows of degree 0."""
     full, minor = _eval_determinants(fs, degrees)
-    det_minor = integer_det(minor)
+    [det_minor] = _pencil_det([[row] for row in minor])
     if det_minor == 0:
         raise ZeroDivisionError("degenerate minor; change coordinates first")
-    return Fraction(integer_det(full), det_minor)
+    return Fraction(_pencil_det([[row] for row in full])[0], det_minor)
 
 
-# The coordinates of the Macaulay control.  In the symmetric original
-# coordinates the Macaulay denominator minor vanishes identically (a 0/0
-# evaluation); after T it does not.  Mixing the three quintic partials by
-# T^t scales the resultant by det(T)^(5*5), and the substitution by
-# det(T)^(5*5*5); with det T = 1 the resultant is unchanged.  This T, a
-# signed permutation up to one shear, keeps the 105x105 Macaulay matrix
-# sparse: 1,225 nonzeros, against 2,205 for ((1, 0, 0), (0, 1, 0), (1, 1, 1)).
-CONTROL_T = ((0, -1, 0), (0, 1, 1), (-1, 0, 0))
+# The coordinates of the Macaulay control: the eigenbasis of the involution
+# g: z -> (-z1, -z0, -z2) of the A5, columns (1, -1, 0) for the eigenvalue
+# 1 and (0, 0, -1), (1, 1, 0) for -1, so T^-1 g T = diag(1, -1, -1).  In
+# the original coordinates the Macaulay denominator minor vanishes
+# identically (a 0/0 evaluation); after T it does not.  Mixing the three
+# quintic partials by T^t scales the resultant by det(T)^(5*5), and the
+# substitution by det(T)^(5*5*5); an integer eigenbasis of g has even
+# determinant, and det T = 2.
+CONTROL_T = ((1, 0, 1), (-1, 0, 1), (0, -1, 0))
+CONTROL_SCALE = 2 ** (25 + 125)
 
 
 def _pencil_partials(f, t=None):
     """For each variable, integer coefficient tables [A, B] with
     d(Q^3 + lam*f)/dz_i = A + lam*B, for the sextic f (F itself or a
-    perturbed copy), after the change of coordinates t if one is given."""
+    perturbed copy), after the change of coordinates t if one is given,
+    both over one denominator (a common scale of the pencil)."""
     q3 = q_poly() ** 3
     if t is not None:
         m = Matrix.from_rows(t)
         q3, f = q3.act(m), f.act(m)
-    return [[_to_int_poly(q3.partial(i)), _to_int_poly(f.partial(i))]
+    den = lcm(q3.den, f.den)  # a partial's denominator divides its form's
+    return [[_to_int_poly(q3.partial(i), den), _to_int_poly(f.partial(i), den)]
             for i in range(3)]
 
 
@@ -281,9 +290,9 @@ def _block_det(rows):
 def _pencil_det(rows):
     """Exact integer coefficients (lowest first) of det H(lam), for the
     rows of H, each the list of its coefficient rows in lam, lowest first,
-    of any degree: the rows of `hybrid_rows`, or pairs [a_i, b_i] for
-    det(A + lam*B).  There are n + 1 of them, where n is the sum of the
-    rows' degrees len(row) - 1.
+    of any degree: the rows of `hybrid_rows`, pairs [a_i, b_i] for
+    det(A + lam*B), or [a_i] for the constant det A.  There are n + 1 of
+    them, where n is the sum of the rows' degrees len(row) - 1.
 
     The rows are split into the `_blocks` of H.  If a block is not square,
     det H is identically 0.  Otherwise ordering the rows, and the columns,
@@ -342,11 +351,11 @@ def _divide_out_root(coeffs, root):
 
 
 def _macaulay_control(f, coeffs):
-    """Check det H(lam) against the Macaulay resultant of the partials in
-    the coordinates CONTROL_T, at the first lam in 1..31 where its
-    denominator minor is nonzero.  The minor's determinant has
+    """Check CONTROL_SCALE * det H(lam) against the Macaulay resultant of
+    the partials in the coordinates CONTROL_T, at the first lam in 1..31
+    where its denominator minor is nonzero.  The minor's determinant has
     degree at most 30 in lam, so if it vanishes at all 31 it vanishes
-    identically, and the control does not hold."""
+    identically, the control does not hold, and its witness says so."""
     tables = _pencil_partials(f, CONTROL_T)
     for lam in range(1, 32):
         fs = [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
@@ -355,8 +364,8 @@ def _macaulay_control(f, coeffs):
             value = macaulay_resultant_value(fs, (5, 5, 5))
         except ZeroDivisionError:
             continue
-        return {"lambda": lam, "holds": value == _poly_eval(coeffs, lam)}
-    return {"lambda": None, "holds": False}
+        return {"lambda": lam, "holds": value == CONTROL_SCALE * _poly_eval(coeffs, lam)}
+    return {"lambda": None, "holds": False, "minor_vanishes_up_to_lambda": lam}
 
 
 def pencil_discriminant(f, roots):

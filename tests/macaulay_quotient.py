@@ -3,7 +3,9 @@
 The Macaulay quotient: the determinant of the 105x105 Macaulay pencil of
 the partials of (Q^3 + lam*f) o T over that of its 30x30 extraneous
 minor, both by the multi-modular `_pencil_det` of `modular_pencil`, in
-the control coordinates T where the minor does not vanish.
+coordinates T of its own where the minor does not vanish: ORACLE_T, a
+signed permutation up to one shear, of determinant 1, so that the
+quotient is the resultant with no scale.
 `discriminant` replaced it by the hybrid Sylvester-Bezout matrix; it is
 kept here as that matrix's independent reference.  The modular pencil
 takes a few passes per determinant, where evaluation and interpolation
@@ -13,7 +15,9 @@ would take 106 integer determinants of the 105x105 matrix.
 from fractions import Fraction
 
 from modular_pencil import _pencil_det
-from wingerverify.discriminant import CONTROL_T, _eval_determinants, _pencil_partials
+from wingerverify.discriminant import _eval_determinants, _pencil_partials
+
+ORACLE_T = ((0, -1, 0), (0, 1, 1), (-1, 0, 0))
 
 
 def exact_quotient(num, den):
@@ -38,8 +42,8 @@ def exact_quotient(num, den):
 
 def macaulay_quotient(f):
     """Coefficients (lowest first, trailing zeros dropped) of the
-    resultant of the partials of (Q^3 + lam*f) o CONTROL_T."""
-    tables = _pencil_partials(f, CONTROL_T)
+    resultant of the partials of (Q^3 + lam*f) o ORACLE_T."""
+    tables = _pencil_partials(f, ORACLE_T)
     full_a, minor_a = _eval_determinants([a for a, _ in tables], (5, 5, 5))
     full_b, minor_b = _eval_determinants([b for _, b in tables], (5, 5, 5))
     num = _pencil_det([[ra, rb] for ra, rb in zip(full_a, full_b)])

@@ -485,14 +485,16 @@ def test_failed_macaulay_control_fails_discriminant(fault, tmp_path, monkeypatch
     claim = {c["id"]: c for c in json.loads(path.read_text())["claims"]}["discriminant-root-set"]
     assert claim["status"] == "fail"
     assert claim["witness"]["degree"] == 60
-    expect = {"lambda": 1, "holds": False} if fault == "mismatch" else {"lambda": None, "holds": False}
+    expect = ({"lambda": 1, "holds": False} if fault == "mismatch" else
+              {"lambda": None, "holds": False, "minor_vanishes_up_to_lambda": 31})
     assert claim["witness"]["control"] == expect
 
 
-def test_control_coordinates_of_determinant_2_fail_discriminant(tmp_path, monkeypatch, capsys):
-    # det T = 2 scales the Macaulay value by 2^(25 + 125), so only det T = 1
-    # lets the control hold
-    monkeypatch.setattr(discriminant, "CONTROL_T", ((0, -2, 0), (0, 1, 1), (-1, 0, 0)))
+def test_control_coordinates_of_another_determinant_fail_discriminant(tmp_path, monkeypatch, capsys):
+    # the control scales det H by CONTROL_SCALE = 2^(25 + 125), det(T)^150
+    # for its det T = 2, so coordinates of det 1 (in which the minor does
+    # not vanish at lambda = 1) do not let the control hold
+    monkeypatch.setattr(discriminant, "CONTROL_T", ((0, -1, 0), (0, 1, 1), (-1, 0, 0)))
     path = tmp_path / "report.json"
     assert run(["pencil", "--deep", "--json", str(path)]) == 1
     capsys.readouterr()

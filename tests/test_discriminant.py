@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 import fraction_roots
 import modular_pencil
 from full_morley import full_morley_rows
-from macaulay_quotient import exact_quotient, macaulay_quotient
+from macaulay_quotient import ORACLE_T, exact_quotient, macaulay_quotient
 from modular_pencil import (_PROTH_CERTIFICATES, _hessenberg_charpoly_mod,
                             _linearize, _pencil_bound, _pencil_det_mod,
                             _proth_primes, unsplit_pencil_det)
 from proth_search import proth_search
 from wingerverify import discriminant
-from wingerverify.discriminant import (CONTROL_T, _blocks, _divide_out_root,
+from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T, _blocks,
+                                       _divide_out_root, _eval_determinants,
                                        _interpolate, _pencil_det,
                                        _pencil_partials, _poly_eval,
                                        hybrid_rows, macaulay_resultant_value,
                                        macaulay_system, pencil_discriminant)
-from wingerverify.linalg import integer_det
+from wingerverify.linalg import Matrix, integer_det
 from wingerverify.polys import Poly3, monomials_of_degree
-from wingerverify.winger import f_poly
+from wingerverify.winger import f_poly, reconstruct_group
 
 # the roots that the discriminant-root-set claim divides out
 ROOTS = (Fraction(0), Fraction(-1), Fraction(27, 5))
@@ -74,21 +75,31 @@ def lex_macaulay_value(fs, degrees):
                     integer_det([[full[i][j] for j in minor] for i in minor]))
 
 
-def control_forms(f, lam):
-    """The partials of (Q^3 + lam*f) o CONTROL_T at one lam, as int dicts."""
+def control_forms(f, lam, t=ORACLE_T):
+    """The partials of (Q^3 + lam*f) o t at one lam, as int dicts: by
+    default in the oracle's coordinates of determinant 1, where the
+    Macaulay value is the resultant with no scale."""
     return [{e: a.get(e, 0) + lam * b.get(e, 0) for e in a.keys() | b.keys()}
-            for a, b in _pencil_partials(f, CONTROL_T)]
+            for a, b in _pencil_partials(f, t)]
 
 
-def test_control_coordinates_have_determinant_1():
-    # the change of coordinates then keeps the resultant
-    assert integer_det([list(row) for row in CONTROL_T]) == 1
+def test_control_coordinates_are_an_eigenbasis_of_an_involution():
+    # g: z -> (-z1, -z0, -z2) is in the group, and T^-1 g T = diag(1, -1, -1)
+    g = Matrix.from_rows(((0, -1, 0), (-1, 0, 0), (0, 0, -1)))
+    assert g in reconstruct_group().elements and g * g == Matrix.identity(3)
+    t = Matrix.from_rows(CONTROL_T)
+    assert g * t == t * Matrix.diagonal((1, -1, -1))
+    # mixing the quintic partials by T^t scales the resultant by det(T)^25,
+    # the substitution by det(T)^125
+    assert integer_det([list(row) for row in CONTROL_T]) == 2
+    assert CONTROL_SCALE == integer_det([list(row) for row in CONTROL_T]) ** 150
 
 
 @pytest.mark.parametrize("lam", [1, 2])
 def test_macaulay_value_matches_lexicographic_order(lam):
-    fs = control_forms(f_poly(), lam)
-    assert macaulay_resultant_value(fs, (5, 5, 5)) == lex_macaulay_value(fs, (5, 5, 5))
+    for t in (ORACLE_T, CONTROL_T):  # one block, then two
+        fs = control_forms(f_poly(), lam, t)
+        assert macaulay_resultant_value(fs, (5, 5, 5)) == lex_macaulay_value(fs, (5, 5, 5))
 
 
 def test_resultant_detects_common_zero():
@@ -416,7 +427,7 @@ def test_pencil_det_takes_rows_of_any_degree(degree):
 # -- the pencil's discriminant against the Macaulay quotient ---------------------
 
 def test_discriminant_is_the_macaulay_quotient():
-    # det CONTROL_T = 1, so the change of coordinates keeps the resultant
+    # det ORACLE_T = 1, so the oracle's change of coordinates keeps the resultant
     coeffs, mults, control = pencil_discriminant(f_poly(), ROOTS)
     assert control == {"lambda": 1, "holds": True}
     assert coeffs == macaulay_quotient(f_poly())
@@ -452,9 +463,10 @@ def test_discriminant_is_five_passes_of_size_15(monkeypatch):
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
     pencil_discriminant(f_poly(), ROOTS)
     # five blocks of 9 rows, 3 of them cubic: degree at most 6 + 3 * 3 = 15,
-    # so 16 values each; then the control's minor and full determinant
-    assert blocks == [9] * 5
-    assert sizes == [9] * (5 * 16) + [30, 105]
+    # so 16 values each; then the blocks of the control's minor and of its
+    # full determinant, of constant rows: one value each
+    assert blocks == [9] * 5 + [14, 16, 49, 56]
+    assert sizes == [9] * (5 * 16) + [14, 16, 49, 56]
     assert controls == [(5, 5, 5)]
 
 
@@ -472,14 +484,49 @@ def test_pencil_matrix_splits_by_torus_weight(f):
     assert sorted(weights) == [(w,) for w in range(5)]
 
 
+@pytest.mark.parametrize("f", [f_poly(), f_poly() + Poly3.monomial((0, 0, 6), 1)],
+                         ids=["F", "f:0,0,6"])
+def test_control_matrix_splits_by_parity(f):
+    # in the eigenbasis T of g, diag(1, -1, -1) keeps Q^3 o T, F o T and
+    # z2^6 o T, so each row and column of the Macaulay matrix has one parity
+    # b + c mod 2: two blocks, for it and for its minor
+    full, minor = _eval_determinants(control_forms(f, 1, CONTROL_T), (5, 5, 5))
+    monos, _, minor_index = macaulay_system((5, 5, 5))
+    for m, index, shapes in ((full, range(105), [(49, 49), (56, 56)]),
+                             (minor, minor_index, [(14, 14), (16, 16)])):
+        blocks = _blocks([[row] for row in m])
+        assert [(len(rws), len(cols)) for rws, cols in blocks] == shapes
+        parities = [{sum(monos[index[j]][1:]) % 2 for j in cols} for _, cols in blocks]
+        assert sorted(map(tuple, parities)) == [(0,), (1,)]
+        # the signed product of the blocks' determinants is the dense one
+        assert _pencil_det([[row] for row in m]) == [integer_det(m)] != [0]
+
+
 def test_weight_breaking_sextic_is_one_block():
     f = f_poly() + Poly3.monomial((1, 0, 5), 1)  # z0 z2^5 has weight 1
     rows = hybrid_rows(_pencil_partials(f), 5)
     assert [(len(rws), len(cols)) for rws, cols in _blocks(rows)] == [(45, 45)]
+    # g maps z0 z2^5 to z1 z2^5, so the control's matrix is one block too
+    full, _ = _eval_determinants(control_forms(f, 1, CONTROL_T), (5, 5, 5))
+    assert [len(rws) for rws, _ in _blocks([[row] for row in full])] == [105]
     coeffs, _, control = pencil_discriminant(f, ROOTS)
     assert control == {"lambda": 1, "holds": True}
     for lam in (2, -3, 7):
         assert macaulay_resultant_value(control_forms(f, lam), (5, 5, 5)) == _poly_eval(coeffs, lam)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rational_sextic_keeps_its_pencil(k):
+    # Q^3 + lam * F/k is singular where lam/k is: both parts of each
+    # partial are scaled to one denominator, so the tables are k * Q^3's and F's
+    f = f_poly() * Fraction(1, k)
+    assert _pencil_partials(f) == [[{e: k * c for e, c in a.items()}, b]
+                                   for a, b in _pencil_partials(f_poly())]
+    roots = (Fraction(0), Fraction(-k), Fraction(27 * k, 5))
+    coeffs, mults, control = pencil_discriminant(f, roots)
+    assert [mults[str(r)] for r in roots] == [44, 6, 10]
+    assert mults["residual_is_nonzero_constant"]
+    assert control == {"lambda": 1, "holds": True}
 
 
 # -- the pencil by blocks against the unsplit modular pencil ---------------------

@@ -13,6 +13,7 @@ from cyclo_rref import cyclo_kernel, cyclo_rref
 from dense_bareiss import dense_echelon
 from fraction_rref import null_space, rref
 from wingerverify.cyclo import Cyclo, make, rational, zeta
+from macaulay_quotient import ORACLE_T
 from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
                                        _pencil_partials)
 from wingerverify.linalg import Matrix, echelon, gauss_jordan, integer_det, kernel_basis
@@ -461,11 +462,12 @@ def test_echelon_matches_the_dense_pass(m):
 
 
 def test_echelon_matches_the_dense_pass_on_the_macaulay_control():
-    tables = _pencil_partials(f_poly(), CONTROL_T)
-    fs = [{e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()} for a, b in tables]
-    full, minor = _eval_determinants(fs, (5, 5, 5))  # at lambda = 1
-    assert (len(full), len(minor)) == (105, 30)
-    for m in (full, minor):
-        ech, pivots, sign = echelon(m)
-        assert (ech, pivots, sign) == dense_echelon(m)
-        assert pivots == list(range(len(m)))
+    for t in (CONTROL_T, ORACLE_T):  # the product's coordinates and the oracle's
+        tables = _pencil_partials(f_poly(), t)
+        fs = [{e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()} for a, b in tables]
+        full, minor = _eval_determinants(fs, (5, 5, 5))  # at lambda = 1
+        assert (len(full), len(minor)) == (105, 30)
+        for m in (full, minor):
+            ech, pivots, sign = echelon(m)
+            assert (ech, pivots, sign) == dense_echelon(m)
+            assert pivots == list(range(len(m)))
