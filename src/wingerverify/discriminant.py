@@ -24,7 +24,7 @@ its 30x30 minor by the integer elimination `linalg.echelon`, equal to
 CONTROL_SCALE times the resultant in the coordinates CONTROL_T, where the
 minor does not vanish.  There the involution diag(1, -1, -1) of the A5
 keeps the pencil, so each row and column has one parity, and each
-determinant is the signed product of its two blocks' (56 and 49 rows,
+determinant is the signed product of its two blocks' (49 and 56 rows,
 14 and 16 in the minor), split as `_pencil_det` splits H.  The rows and
 columns are listed form by form (f_0, f_1, then f_2 rows, each in the
 order of `monomials_of_degree`), a symmetric permutation that keeps both
@@ -70,8 +70,8 @@ def macaulay_system(degrees):
     in the order of `monomials_of_degree`.  On the control matrix at
     lam = 1, in the coordinates `CONTROL_T` and by blocks, it timed the
     fastest of the twelve orders by group and direction (3.9-4.5 ms
-    against 4.2-6.1 ms, best of 9-15 runs), and lexicographic order
-    5.3 ms.
+    against 4.2-6.1 ms, best of 9-15 runs), where lexicographic order
+    took 5.3 ms.
     """
     d0, d1, d2 = degrees
     groups = ([], [], [])
