@@ -11,12 +11,14 @@ row and column of H one weight mod 5, so H is block diagonal: five 9x9
 blocks, each with three Bezout rows.  det H, the product of the blocks'
 determinants up to the sign of the block order, is an exact integer
 polynomial in lam by construction: a block's rows have degrees summing
-to n = 6 + 3*3 = 15, so its determinant has degree at most 15, and its
-values at lam = 0, ..., 15, each an integer determinant, fix it by
-interpolation on integers.  A nonzero constant left after dividing out,
-on integers, the roots that the caller expects certifies that no other
-finite member is singular; the degree drop below 75 witnesses the
-singular member at infinity.
+to n = 6 + 3*3 = 15, so its determinant has degree at most 15.  The
+ranks of the block at lam = 0 (3) and of its top coefficient rows (6)
+sharpen that: lam^6 divides it and its degree is at most 12, so its
+values at lam = 1, ..., 7, each an integer determinant divided by lam^6,
+fix it by interpolation on integers.  A nonzero constant left after
+dividing out, on integers, the roots that the caller expects certifies
+that no other finite member is singular; the degree drop below 75
+witnesses the singular member at infinity.
 
 Every run also controls it at one parameter against an independent
 formula: the Macaulay resultant, the 105x105 Macaulay determinant over
@@ -41,7 +43,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .linalg import Matrix, integer_det
+from .linalg import Matrix, echelon, integer_det
 from .perms import Perm
 from .polys import Poly3, monomials_of_degree
 from .winger import q_poly
@@ -240,18 +242,19 @@ def _blocks(rows):
     return sorted((sorted(rws), sorted(cols)) for rws, cols in blocks)
 
 
-def _interpolate(values):
+def _interpolate(values, start=0):
     """Integer coefficients (lowest first) of the polynomial of degree
-    < len(values) whose value at x = k is values[k]; ArithmeticError if
-    they are not integers.
+    < len(values) whose value at x = start + k is values[k];
+    ArithmeticError if they are not integers.
 
-    Newton's forward form, p(x) = sum_k c_k x(x - 1)...(x - k + 1) with
-    c_k = Delta^k p(0) / k! (von zur Gathen-Gerhard, Modern Computer
-    Algebra, ch. 5): level k of the forward differences is divided by k
-    on the way, so it holds the Delta^k p(x) / k!, integers for an integer
-    polynomial, since x^j is an integer combination of the falling
-    factorials (Stirling numbers of the second kind).  The Newton form is
-    then expanded by Horner's rule on integers.
+    Newton's forward form, p(x) = sum_k c_k (x - s)(x - s - 1)...(x - s - k + 1)
+    with s = start and c_k = Delta^k p(s) / k! (von zur Gathen-Gerhard,
+    Modern Computer Algebra, ch. 5): level k of the forward differences
+    is divided by k on the way, so it holds the Delta^k p(x) / k!,
+    integers for an integer polynomial, since x^j is an integer
+    combination of the falling factorials (Stirling numbers of the
+    second kind).  The Newton form is then expanded by Horner's rule on
+    integers.
     """
     newton, level = [], list(values)
     for k in range(1, len(values) + 1):
@@ -261,30 +264,50 @@ def _interpolate(values):
             raise ArithmeticError("the values are not those of an integer polynomial")
         level = [q for q, _ in steps]
     coeffs = []
-    for k in range(len(newton) - 1, -1, -1):  # coeffs * (x - k) + c_k
-        coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    for k in range(len(newton) - 1, -1, -1):  # coeffs * (x - s - k) + c_k
+        coeffs = [a - (start + k) * b for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += newton[k]
     return coeffs
 
 
 def _block_det(rows):
     """Exact integer coefficients (lowest first, n + 1 of them) of the
-    determinant of a square block of H, for its rows as `_pencil_det`
-    takes them, where n is the sum of the rows' degrees len(row) - 1.
-    The determinant is multilinear in the rows, so its degree is at most
-    n, and its values at lam = 0, ..., n, one `integer_det` each, fix it
-    through `_interpolate`."""
-    n = sum(len(row) - 1 for row in rows)
-    values = []
-    for lam in range(n + 1):
+    determinant of a square block M(lam) of H, for its rows as
+    `_pencil_det` takes them, where n is the sum of the rows' degrees
+    len(row) - 1, so that the determinant, multilinear in the rows, has
+    degree at most n.
+
+    Two ranks sharpen the bound (Kailath, Linear Systems, 1980, sec. 6.3;
+    Gohberg, Lancaster and Rodman, Matrix Polynomials, 1982).  Constant
+    row operations that clear the null space of M(0), of rank r0, leave
+    size - r0 rows divisible by lam, so lam^low divides the determinant,
+    low = size - r0.  The rows times mu^degree at mu = 1/lam are the top
+    coefficient rows at mu = 0, of rank r_inf, so the degree is at most
+    high = n - (size - r_inf).  The determinant is 0 if high < low; else
+    its values at lam = 1, ..., high - low + 1, one `integer_det` each,
+    divided exactly by lam^low (ArithmeticError otherwise), fix the
+    quotient through `_interpolate`.  Constant rows take only the
+    elimination at 0."""
+    n, size = sum(len(row) - 1 for row in rows), len(rows)
+    ech, pivots, sign = echelon([row[0] for row in rows])
+    if n == 0:
+        return [sign * ech[-1][-1] if len(pivots) == size else 0]
+    low = size - len(pivots)
+    high = n - size + len(echelon([row[-1] for row in rows])[1])
+    coeffs, values = [0] * (n + 1), []
+    for lam in range(1, high - low + 2):  # none if high < low: det = 0
         at = []
         for row in rows:
             acc = row[-1]
             for part in row[-2::-1]:  # Horner on the coefficient rows
                 acc = [x + lam * y for x, y in zip(part, acc)]
             at.append(acc)
-        values.append(integer_det(at))
-    return _interpolate(values)
+        value, rem = divmod(integer_det(at), lam ** low)
+        if rem:
+            raise ArithmeticError(f"lam^{low} does not divide the determinant at {lam}")
+        values.append(value)
+    coeffs[low:high + 1] = _interpolate(values, start=1)
+    return coeffs
 
 
 def _pencil_det(rows):

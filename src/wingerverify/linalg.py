@@ -11,7 +11,7 @@ reduced row echelon forms and integer null space bases.
 
 A `Matrix` is its nine entries' integer numerators over one least
 denominator, as a `Poly3` is its coefficients': products, differences,
-`apply` and the adjugate, determinant and inverse take sums of products
+`apply` and the cofactors, determinant and inverse take sums of products
 in Z[zeta_5] (`cyclo._dot`) with one gcd per result, and a `Cyclo` is
 built only for an entry that is read.
 """
@@ -110,11 +110,6 @@ class Matrix(_IntegerForm):
                _minor(f, g, d, i), _minor(a, i, c, g), _minor(c, d, a, f),
                _minor(d, h, e, g), _minor(b, g, a, h), _minor(a, e, b, d))
         return self.den, adj, _dot((a, b, c), adj[0::3])
-
-    def adjugate(self) -> "Matrix":
-        """The adjugate: m * adj(m) = det(m) * I."""
-        den, adj, _ = self._cofactors()
-        return Matrix._of(den * den, adj)
 
     def det(self) -> Cyclo:
         den, _, det = self._cofactors()

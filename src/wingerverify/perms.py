@@ -129,8 +129,8 @@ class FiniteGroup:
     inverses, element orders and conjugacy classes are read from it, and
     every method below speaks element indices, translated by `index` and
     `elements`.  Elements are hashable and multiply with `*`; a list that
-    is empty, repeats an element or is not closed under `*` raises
-    ValueError.
+    is empty, repeats an element, is not closed under `*`, or has no
+    identity or an element without an inverse in it raises ValueError.
 
     Only generator rows cost element products.  Scanning the list in
     order, an element whose row is still unknown becomes a generator s,
@@ -138,7 +138,9 @@ class FiniteGroup:
     the rows of its `closure` under left multiplication by the generators
     follow: the row of k = s*h is row(s) composed with row(h), since
     k*x = s*(h*x).  Every element ends up a word in the generators, so the
-    list is a finite semigroup inside a group: closed, hence a group.  The
+    list is a finite semigroup.  Inside a group it is closed, hence a
+    group; otherwise, as for the integers 0 and 1, the identity or an
+    inverse may be missing, which is checked.  The
     generators' indices are kept, in that order, as `generators`; a
     property of the elements that products preserve holds for all of them
     once it holds for these.
@@ -176,6 +178,9 @@ class FiniteGroup:
         identity = next((i for i, row in enumerate(table) if row == fixing), None)
         if identity is None:
             raise ValueError("no identity element")
+        lost = next((g for g, row in zip(elements, table) if identity not in row), None)
+        if lost is not None:  # a monoid, such as the integers 0 and 1
+            raise ValueError(f"element {lost!r} has no inverse in the list")
         self.elements, self.index, self.table = elements, index, table
         self.identity, self.generators = identity, tuple(gens)
         self.inverse = [row.index(identity) for row in table]

@@ -132,24 +132,34 @@ def _same(p, q):
 
 
 def _rescale(m, gram):
-    """The multiple of m that preserves the form exactly with det 1, or
-    None when m does not preserve the form up to a scalar; the
-    invariance-conic-sextic-form claim checks both on the 60 results."""
-    # M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M)
-    # satisfies t^2 = 1/s and makes the form exactly preserved with det 1;
-    # s is read at the first nonzero entry of A, on the numerators there
-    # s = s_num Dg / (g_num Ds), and with det(M) = det / Dm^3,
-    # t = s_num Dg Dm^3 / (Ds g_num det)
-    s_mat = m.transpose() * gram * m
-    k = next(k for k, a in enumerate(gram.nums) if any(a))
-    s_num, g_num = s_mat.nums[k], gram.nums[k]
-    if not any(s_num) or any(_mul(x, g_num) != _mul(s_num, y)
-                             for x, y in zip(s_mat.nums, gram.nums)):
+    """The multiple of a matrix M that preserves the symmetric form of
+    `gram` exactly with det 1, or None when M does not preserve it up to
+    a scalar; the invariance-conic-sextic-form claim checks both on the
+    60 results.  M is given as m = (nums, det) for any nonzero multiple
+    N = k*M: its nine entries, row by row, as integer 4-tuples, and the
+    integer 4-tuple det N.
+
+    N^T G N, for the numerators G of `gram` over g, is checked against G
+    on its six entries i <= j, each a sum over the nonzero entries of G.
+    M^T A M = s A forces det(M)^2 = s^3, so t = s/det(M) satisfies
+    t^2 = 1/s and t*M keeps the form exactly with det 1.  As
+    N^T G N = k^2 g s A = k^2 s G and det N = k^3 det(M), s is read at the
+    first nonzero entry G_q of G as s_q / (k^2 G_q), s_q = (N^T G N)_q,
+    and t*M = s_q N / (G_q det N), in which k cancels."""
+    nums, det = m
+    terms = [(k // 3, k % 3, g) for k, g in enumerate(gram.nums) if any(g)]
+    # G_pq N_pi per term, then (N^T G N)_ij = sum of G_pq N_pi N_qj
+    left = [[_mul(g, x) for x in nums[3 * p:3 * p + 3]] for p, _, g in terms]
+    s = {(i, j): _dot([row[i] for row in left], [nums[3 * q + j] for _, q, _ in terms])
+         for i in range(3) for j in range(i, 3)}
+    p, q, g_q = terms[0]  # p <= q, as G is symmetric
+    s_q = s[p, q]
+    if not any(s_q) or any(_mul(x, g_q) != _mul(s_q, gram.nums[3 * i + j])
+                           for (i, j), x in s.items()):
         return None
-    den, _, det = m._cofactors()
-    rest, norm = _inverse_parts(_mul(g_num, det))
-    t = _scaled(_mul(s_num, rest), gram.den * den ** 3)
-    return Matrix._of(den * s_mat.den * norm, [_mul(n, t) for n in m.nums])
+    rest, norm = _inverse_parts(_mul(g_q, det))
+    t = _mul(s_q, rest)
+    return Matrix._of(norm, [_mul(t, x) for x in nums])
 
 
 @lru_cache(maxsize=None)
@@ -163,28 +173,35 @@ def reconstruct_group() -> FiniteGroup:
 
     The search inverts no matrix.  Every point is read from the 20
     integer brackets of the lines (`_triple_scalings`), and each survivor
-    is built on integers as adj(B) diag(c) C, which is det(B) times
-    B^-1 diag(c) C: `_rescale` removes the scalar, since k*M scales s by
-    k^2 and det by k^3."""
+    is built on integers, in one pass, as N = adj(B) diag(c) C, which is
+    det(B) times B^-1 diag(c) C: on the numerators over D of
+    `line_crosses`, column k of adj(B) is the cross product of the other
+    two rows of B, so N_ij = sum_k (adj B)_ik c_k C_kj, and
+    det N = det(B)^2 c_0 c_1 c_2 det(C) is read from the brackets.
+    `_rescale` removes the scalar, since k*M scales s by k^2 and det by
+    k^3; only its result is built as a `Matrix`."""
     rows = six_lines()
     meet = concurrent_triple(rows)
     if meet is not None:
         raise ReconstructionError(f"three of the six lines are concurrent: {list(meet)}")
     brackets = line_brackets(rows)
+    lines, crosses = line_crosses(rows)
     gram = gram_matrix()
-    lines = Matrix.from_rows(rows[:3])
     found = set()
     # the 720 permutations share 120 ordered triples sigma(0..2), and adj(B)
-    # and the points u / w depend on the triple alone; adj(B) is needed
-    # only for a triple with a survivor, half of them
-    for triple in permutations(range(6), 3):
-        scalings = _triple_scalings(brackets, triple)
+    # and the points u / w depend on the triple alone
+    for s0, s1, s2 in permutations(range(6), 3):
+        scalings = _triple_scalings(brackets, (s0, s1, s2))
         if not scalings:
             continue
-        b_adj = Matrix.from_rows([rows[k] for k in triple]).adjugate()
-        for dc, cs in scalings.values():  # diag(c) C: row i of C times c_i
-            scaled = [_mul(cs[k // 3], n) for k, n in enumerate(lines.nums)]
-            m = _rescale(b_adj * Matrix._of(dc * lines.den, scaled), gram)
+        adj = list(zip(crosses[s1, s2], crosses[s2, s0], crosses[s0, s1]))  # by rows
+        det_b = brackets[s0, s1, s2]
+        det_bbc = _mul(_mul(det_b, det_b), brackets[0, 1, 2])
+        for _, cs in scalings.values():  # the scale dc of c cancels in _rescale
+            scaled = [[_mul(c, x) for x in lines[k]] for k, c in enumerate(cs)]
+            nums = [_dot(adj[i], [row[j] for row in scaled]) for i in range(3) for j in range(3)]
+            det = _mul(det_bbc, _mul(_mul(cs[0], cs[1]), cs[2]))
+            m = _rescale((nums, det), gram)
             if m is not None:
                 found.add(m)
     try:
@@ -194,18 +211,36 @@ def reconstruct_group() -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
+def line_crosses(rows: tuple) -> tuple:
+    """(nums, crosses) for a tuple of coefficient rows: each row as three
+    integer 4-tuples, D times the row for the lcm D of the rows'
+    denominators, and for every ordered pair (a, b) of distinct lines the
+    cross product of their numerators, D^2 (L_a x L_b); computed once per
+    tuple of rows.  The brackets, and the adjugates of the survivor
+    search, are read from them."""
+    _, flat = _numerators([rational(x) for row in rows for x in row])
+    nums = tuple(tuple(flat[i:i + 3]) for i in range(0, len(flat), 3))
+    out = {}
+    for a, b in combinations(range(len(rows)), 2):
+        (a0, a1, a2), (b0, b1, b2) = nums[a], nums[b]
+        cross = (_minor(a1, b2, a2, b1), _minor(a2, b0, a0, b2), _minor(a0, b1, a1, b0))
+        out[a, b], out[b, a] = cross, tuple(tuple(-x for x in n) for n in cross)
+    return nums, out
+
+
+@lru_cache(maxsize=None)
 def line_brackets(rows: tuple) -> dict:
     """[a b c] = det(L_a, L_b, L_c) for every ordered triple of distinct
     lines (a tuple of coefficient rows), as the integer 4-tuple of D^3
     [a b c] for the lcm D of the rows' denominators; the callers read
-    only zeros and ratios, which D keeps.  One determinant per set of
-    three, signed by the parity of each order, computed once per tuple of
-    rows."""
-    _, nums = _numerators([rational(x) for row in rows for x in row])
+    zeros, ratios and the survivors' det N, whose powers of D match N's.
+    One determinant per set of three, L_a . (L_b x L_c) on the
+    numerators of `line_crosses`, signed by the parity of each order,
+    computed once per tuple of rows."""
+    nums, crosses = line_crosses(rows)
     out = {}
     for t in combinations(range(len(rows)), 3):
-        a, (b0, b1, b2), (c0, c1, c2) = (nums[3 * i:3 * i + 3] for i in t)
-        d = _dot(a, (_minor(b1, c2, b2, c1), _minor(b2, c0, b0, c2), _minor(b0, c1, b1, c0)))
+        d = _dot(nums[t[0]], crosses[t[1], t[2]])
         for order, sign in zip(permutations(t), (1, -1, -1, 1, 1, -1)):
             out[order] = d if sign > 0 else tuple(-x for x in d)
     return out

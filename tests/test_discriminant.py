@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dense_block_det
 import fraction_roots
 import modular_pencil
 from full_morley import full_morley_rows
@@ -16,7 +17,7 @@ from modular_pencil import (_PROTH_CERTIFICATES, _hessenberg_charpoly_mod,
                             _proth_primes, unsplit_pencil_det)
 from proth_search import proth_search
 from wingerverify import discriminant
-from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T, _blocks,
+from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T, _block_det, _blocks,
                                        _divide_out_root, _eval_determinants,
                                        _interpolate, _pencil_det,
                                        _pencil_partials, _poly_eval,
@@ -173,11 +174,14 @@ def test_root_division_cases():
 @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=21))
 def test_interpolate_round_trip(coeffs):
     # an integer polynomial of degree <= 20, with its top coefficients
-    # possibly 0, from its values at 0, ..., len(coeffs) - 1
+    # possibly 0, from its values at start, ..., start + len(coeffs) - 1
     x = sympy.Symbol("x")
     poly = sympy.Poly(coeffs[::-1], x)
     values = [int(poly.eval(k)) for k in range(len(coeffs))]
     assert _interpolate(values) == coeffs
+    for start in (1, -3):
+        values = [int(poly.eval(start + k)) for k in range(len(coeffs))]
+        assert _interpolate(values, start) == coeffs
 
 
 @settings(max_examples=100, deadline=None)
@@ -200,6 +204,59 @@ def test_interpolate_refuses_values_of_no_integer_polynomial():
     with pytest.raises(ArithmeticError, match="integer polynomial"):
         _interpolate([0, 1, 3])
     assert _interpolate([0, 1, 6]) == [0, -1, 2]
+
+
+# -- the block passes against the dense passes at lam = 0, ..., n --------------
+
+COEFFICIENT_ROWS = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@st.composite
+def pencil_blocks(draw):
+    """A square block of up to 4 rows of degrees 0-3 in lam, each row then
+    changed, or not, so that the ranks at 0 and at infinity drop: times
+    lam, its constant or top part zero or a multiple of another row's, or
+    the whole row a multiple of another (det = 0)."""
+    size = draw(st.integers(1, 4))
+    rows = [[row[:size] for row in draw(st.lists(COEFFICIENT_ROWS, min_size=1, max_size=4))]
+            for _ in range(size)]
+    for i in range(size):
+        j, k = draw(st.integers(0, size - 1)), draw(st.integers(-2, 2))
+        change = draw(st.sampled_from(["none", "times lam", "zero constant", "dependent constant",
+                                       "zero top", "dependent top", "multiple"]))
+        row = rows[i]
+        if change == "times lam":
+            row.insert(0, [0] * size)
+        elif change.startswith("zero"):
+            row[0 if change == "zero constant" else -1] = [0] * size
+        elif change == "dependent constant":
+            row[0] = [k * x for x in rows[j][0]]
+        elif change == "dependent top":
+            row[-1] = [k * x for x in rows[j][-1]]
+        elif change == "multiple" and j != i:
+            rows[i] = [[k * x for x in part] for part in rows[j]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(pencil_blocks())
+@example([[[0, 0], [1, 2]], [[0, 0], [3, 4]]])  # lam^2 * det [[1, 2], [3, 4]]
+@example([[[1, 2], [0, 0]], [[3, 4], [0, 0]]])  # top rows of rank 0: a constant
+@example([[[0, 0], [1, 2]], [[3, 4], [0, 0]]])  # low 1, high 1: -2 lam
+@example([[[0, 1]], [[0, 2]]])  # constant and singular
+@example([[[1, 2], [3, 4]], [[2, 4], [6, 8]]])  # a multiple: det = 0, high = low
+@example([[[0, 0], [1, 2]], [[0, 0], [2, 4]]])  # high 1 < low 2: det = 0
+def test_block_det_matches_the_dense_pass(rows):
+    assert _block_det(rows) == dense_block_det._block_det(rows)
+
+
+@pytest.mark.parametrize("f", [f_poly(), f_poly() + Poly3.monomial((0, 0, 6), 1)],
+                         ids=["F", "f:0,0,6"])
+def test_block_det_matches_the_dense_pass_on_the_pencil(f):
+    rows = hybrid_rows(_pencil_partials(f), 5)
+    for rws, cols in _blocks(rows):
+        block = [[[part[j] for j in cols] for part in rows[i]] for i in rws]
+        assert _block_det(block) == dense_block_det._block_det(block)
 
 
 # -- det(A + lam*B), and the multi-modular oracle, against integer determinants --
@@ -442,31 +499,39 @@ def test_corrupted_discriminant_matches_macaulay_values():
         assert macaulay_resultant_value(control_forms(f, lam), (5, 5, 5)) == _poly_eval(coeffs, lam)
 
 
-def test_discriminant_is_five_passes_of_size_15(monkeypatch):
-    blocks, sizes, controls = [], [], []
-    block_det, det, resultant = (discriminant._block_det, discriminant.integer_det,
-                                 macaulay_resultant_value)
+def test_discriminant_is_five_blocks_of_nine_eliminations(monkeypatch):
+    blocks, passes, controls = [], [], []
+    block_det, rank, det, resultant = (discriminant._block_det, discriminant.echelon,
+                                       discriminant.integer_det, macaulay_resultant_value)
 
     def counted_block_det(rows):
         blocks.append(len(rows))
         return block_det(rows)
 
+    def counted_rank(rows):
+        passes.append(("echelon", len(rows)))
+        return rank(rows)
+
     def counted_det(rows):
-        sizes.append(len(rows))
+        passes.append(("det", len(rows)))
         return det(rows)
 
     def counted_resultant(fs, degrees):
         controls.append(degrees)
         return resultant(fs, degrees)
     monkeypatch.setattr(discriminant, "_block_det", counted_block_det)
+    monkeypatch.setattr(discriminant, "echelon", counted_rank)
     monkeypatch.setattr(discriminant, "integer_det", counted_det)
     monkeypatch.setattr(discriminant, "macaulay_resultant_value", counted_resultant)
     pencil_discriminant(f_poly(), ROOTS)
     # five blocks of 9 rows, 3 of them cubic: degree at most 6 + 3 * 3 = 15,
-    # so 16 values each; then the blocks of the control's minor and of its
-    # full determinant, of constant rows: one value each
+    # but rank 3 at lam = 0 and 6 at infinity, so lam^6 divides each and
+    # its degree is at most 15 - 3 = 12: two rank passes and 7 values each;
+    # then the blocks of the control's minor and of its full determinant,
+    # of constant rows: one elimination each
     assert blocks == [9] * 5 + [14, 16, 49, 56]
-    assert sizes == [9] * (5 * 16) + [14, 16, 49, 56]
+    assert passes == ([("echelon", 9)] * 2 + [("det", 9)] * 7) * 5 + [
+        ("echelon", size) for size in (14, 16, 49, 56)]
     assert controls == [(5, 5, 5)]
 
 

@@ -136,6 +136,15 @@ def test_group_table_validation():
         FiniteGroup([e, Perm.identity(4)])  # mixed degrees
 
 
+def test_list_without_inverses_rejected():
+    # {0, 1} under integer multiplication is closed with identity 1, but 0
+    # has no inverse: the error names it
+    with pytest.raises(ValueError, match="element 0 has no inverse"):
+        FiniteGroup([0, 1])
+    with pytest.raises(ValueError, match="element 0 has no inverse"):
+        FiniteGroup([1, 0])
+
+
 def test_non_closed_list_rejected():
     with pytest.raises(ValueError, match="not closed"):
         FiniteGroup([Perm.identity(5), parse_cycles("(12)", 5),

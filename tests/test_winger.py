@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cyclo_loops
 from cyclo_rref import cyclo_kernel
-from wingerverify import cyclo
+from wingerverify import cyclo, winger
 from wingerverify.characters import A5_CLASS_REPS, power_maps
 from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
@@ -203,6 +203,11 @@ def test_line_brackets_are_the_signed_determinants():
             assert Cyclo(brackets[t]) == det * d ** 3, t
 
 
+def numerator_form(m):
+    """m as `_rescale` takes it: its numerators and their determinant."""
+    return m.nums, m._cofactors()[2]
+
+
 def test_reconstruction_matches_the_inverse_search():
     # the survivors built as B^-1 diag(c) C, with B inverted, rescaled
     rows = six_lines()
@@ -213,31 +218,59 @@ def test_reconstruction_matches_the_inverse_search():
     for triple in permutations(range(6), 3):
         b_inv = Matrix.from_rows([rows[k] for k in triple]).inverse()
         for c in four_division_scalings(b_inv, rows, triple, u_rest).values():
-            m = _rescale(b_inv * Matrix.diagonal(c) * c_mat, gram_matrix())
+            m = _rescale(numerator_form(b_inv * Matrix.diagonal(c) * c_mat), gram_matrix())
             if m is not None:
                 found.add(m)
     assert found == set(reconstruct_group().elements)
+
+
+ETA = zeta()
+# 1 + zeta and the golden ratio -(zeta^2 + zeta^3) are units of Z[zeta_5]
+LINE_SCALES = {
+    "halves": [Fraction(1, 2)] * 5 + [1],
+    "rationals": [Fraction(1, 2), 3, Fraction(-5, 7), 1, 3, Fraction(-5, 7)],
+    "units": [ETA, 1 + ETA, -(ETA ** 2 + ETA ** 3), -ETA ** 2, 1, ETA ** 4],
+    "mixed": [Fraction(-5, 7), 1 + ETA, 3, Fraction(1, 2) * ETA, -1, Fraction(1, 2)],
+}
+
+
+@pytest.mark.parametrize("scales", LINE_SCALES.values(), ids=LINE_SCALES.keys())
+def test_reconstruction_does_not_depend_on_the_line_rows_scale(monkeypatch, scales):
+    # a row times a nonzero scalar is the same line; the paper's rows are
+    # integral (D = 1), so only scaled rows reach the powers of the
+    # common denominator D in the brackets, the cross products and det N
+    group = reconstruct_group()
+    rows = tuple(tuple(x * k for x in row) for row, k in zip(six_lines(), scales))
+    monkeypatch.setattr(winger, "six_lines", lambda: rows)
+    reconstruct_group.cache_clear()
+    try:
+        scaled = reconstruct_group()
+    finally:
+        reconstruct_group.cache_clear()
+    assert winger.line_crosses(rows)[0] != winger.line_crosses(six_lines())[0]
+    assert scaled.elements == group.elements
+    assert scaled.generators == group.generators
 
 
 def test_rescale_keeps_the_form_exactly_or_refuses():
     gram = gram_matrix()
     # diag(1, 2, 1) doubles the z0*z1 part of the form and keeps the z2^2
     # part, so no multiple of it keeps the form
-    assert _rescale(Matrix.diagonal([1, 2, 1]), gram) is None
+    assert _rescale(numerator_form(Matrix.diagonal([1, 2, 1])), gram) is None
     # diag(4, 1, 2) multiplies the form by 4; half of it keeps it with det 1
     half = Matrix.diagonal([2, Fraction(1, 2), 1])
-    assert _rescale(Matrix.diagonal([4, 1, 2]), gram) == half
+    assert _rescale(numerator_form(Matrix.diagonal([4, 1, 2])), gram) == half
     for m in [half, *reconstruct_group().elements[:3]]:
         for k in (3, -1, Fraction(1, 2), zeta()):
-            got = _rescale(m * rational(k), gram)
+            got = _rescale(numerator_form(m * rational(k)), gram)
             assert got == m, (m, k)
             assert got.transpose() * gram * got == gram and got.det() == rational(1)
     # the scale is read at any nonzero Gram entry.  Entry (0, 1) of I is
     # 0; twice a cyclic permutation multiplies the form of I by 4, and half
     # of it keeps it with det 1
     cyclic = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    assert _rescale(cyclic * 2, Matrix.identity(3)) == cyclic
-    assert _rescale(Matrix.diagonal([1, 2, 1]), Matrix.identity(3)) is None
+    assert _rescale(numerator_form(cyclic * 2), Matrix.identity(3)) == cyclic
+    assert _rescale(numerator_form(Matrix.diagonal([1, 2, 1])), Matrix.identity(3)) is None
     # the form in the coordinates z = T z' for T = diag(2, 1, 1/2): T^T G T
     # has entry (0, 1) = 1, and T^-1 M T keeps it for every M that keeps G
     t = Matrix.diagonal([2, 1, Fraction(1, 2)])
@@ -246,8 +279,8 @@ def test_rescale_keeps_the_form_exactly_or_refuses():
     for m in reconstruct_group().elements[:4]:
         moved = t.inverse() * m * t
         for k in (3, -1, Fraction(1, 2), zeta()):
-            assert _rescale(moved * rational(k), gram) == moved, (m, k)
-    assert _rescale(Matrix.diagonal([1, 2, 1]), gram) is None
+            assert _rescale(numerator_form(moved * rational(k)), gram) == moved, (m, k)
+    assert _rescale(numerator_form(Matrix.diagonal([1, 2, 1])), gram) is None
 
 
 def test_pencil_members():
