@@ -5,19 +5,26 @@ average of 1/det(I - T*g) as an exact power series, and explicit bases
 by the linear algebra method.  An element of the monomial subgroup N
 (for the icosahedral group a D10) sends a monomial to a scalar times a
 monomial, so the N-invariants are spanned by N-orbit sums read off
-without substitution; the invariants of the group are the N-invariants
-fixed by a few extra generators, found by a generation check.  Each
-extra generator g is an involution, taken in its eigenbasis: with
-g P = P D for D = diag(+-1), p o g = p exactly when q = p o P is fixed
-by D, that is when q has no term whose exponents on the -1 columns add
-up to an odd number.  So each orbit sum is substituted once, by P, and
-only the odd half of its image is formed (`Substitution.numerators`):
-its coefficients are the equations.  Gal(Q(zeta_5)/Q) permutes the
-six lines, so the invariant spaces are defined over Q and are solved
-for over Q, on integers from the orbit sums to the reduced basis: an
-odd monomial gives four integer rows, the coordinates on 1, zeta,
-zeta^2, zeta^3 of its coefficients, and one fraction-free Gauss-Jordan
-pass (`linalg.gauss_jordan`) gives the kernel as integer vectors.
+without substitution: the diagonal subgroup T of N multiplies z^e by a
+character, so an orbit sum is the sum over one element per coset of T
+when T's generators fix z^e, and 0 otherwise.  The invariants of the
+group are the N-invariants fixed by a few extra generators, found by a
+generation check.  Each extra generator g is an involution, taken in an
+eigenbasis: with g P = P D for D = diag(+-1), p o g = p exactly when
+q = p o P is fixed by D, that is when q has no term whose exponents on
+the -1 columns add up to an odd number.  P is E B, for E the eigenbasis
+of the involution tau of N that commutes with g and B that of E^-1 g E
+(`_split_eigenbasis`): each orbit sum is substituted by E, then by B,
+sparser lines than those of g's own eigenbasis, and its image by E has
+no tau-odd term, since tau fixes it.  Only the odd half of the image by
+B is formed (`Substitution.numerators`): its coefficients are the
+equations.
+Gal(Q(zeta_5)/Q) permutes the six lines, so the invariant spaces are
+defined over Q and are solved for over Q, on integers from the orbit
+sums to the reduced basis: an odd monomial gives four integer rows, the
+coordinates on 1, zeta, zeta^2, zeta^3 of its coefficients, and one
+fraction-free Gauss-Jordan pass (`linalg.gauss_jordan`) gives the kernel
+as integer vectors.
 """
 
 from __future__ import annotations
@@ -94,18 +101,23 @@ def _monomial_action(m: Matrix):
     return cols, tuple(m.nums[3 * i + j] for i, j in nonzero)
 
 
-def _monomial_tables(mats):
-    """(den, tables) for the monomial matrices `mats`: den the lcm of
-    their denominators and, per matrix, its columns and for each of its
-    three scalars, as numerators v over den, the power table [1, v],
-    which `_orbit_sums` extends on demand."""
-    den = lcm(*(m.den for m in mats))
-    tables = []
-    for m in mats:
-        cols, scalars = _monomial_action(m)
-        s = den // m.den
-        tables.append((cols, [[(1, 0, 0, 0), tuple(x * s for x in v)] for v in scalars]))
-    return den, tables
+def _monomial_tables(group: FiniteGroup, sub):
+    """(den, torus, cosets) for the monomial subgroup N of `group`, the
+    element indices `sub`: den the lcm of their denominators and, for the
+    generators of N's diagonal subgroup T (`_extra_generators`) and for
+    one element of each coset of T (one per column permutation), its
+    columns and for each of its three scalars, as numerators v over den,
+    the power table [1, v], which `_orbit_sums` extends on demand."""
+    mats = group.elements
+    actions = {n: _monomial_action(mats[n]) for n in sub}
+    torus = _extra_generators(group, [], [n for n in sub if actions[n][0] == (0, 1, 2)])
+    cosets = {actions[n][0]: n for n in reversed(sub)}.values()
+    den = lcm(*(mats[n].den for n in sub))
+
+    def tables(indices):
+        return [(actions[n][0], [[(1, 0, 0, 0), tuple(x * (den // mats[n].den) for x in v)]
+                                 for v in actions[n][1]]) for n in indices]
+    return den, tables(torus), tables(cosets)
 
 
 def reynolds_basis(mats, d: int):
@@ -115,16 +127,17 @@ def reynolds_basis(mats, d: int):
     outside N (Derksen-Kemper, Computational Invariant Theory, 3.1).  The
     nonzero N-orbit sums of the degree-d monomials have disjoint supports,
     so they are a basis of the N-invariants.  Each extra generator g is
-    an involution with eigenbasis P, g P = P D; a combination p of the
-    orbit sums is fixed by g exactly when p o P has no odd term (see the
-    module docstring), so only the odd half of each orbit sum's image by
-    P is formed, and the kernel of its coefficients is taken over Q (the
-    same subspace as the kernel of g - 1).  It is taken on integers: the
-    images of one generator are brought to the lcm of their own
-    denominators, so each odd monomial gives four integer rows with no
-    field element built; each row is divided by its content, with its
-    first nonzero entry positive, and kept once, since equal rows cut out
-    the same hyperplane and the kernel stays exact.  The kernel's integer
+    an involution with eigenbasis P = E B, g P = P D (`_split_eigenbasis`);
+    a combination p of the orbit sums is fixed by g exactly when p o P
+    has no odd term (see the module docstring), so each orbit sum is
+    substituted by E, then by B, only the odd half of the second image
+    is formed, and the kernel of its coefficients is taken over Q (the
+    same subspace as the kernel of g - 1, whatever E is).  It is taken
+    on integers: the images of one generator are brought to the lcm of
+    their own denominators, so each odd monomial gives four integer rows
+    with no field element built; each row is divided by its content,
+    with its first nonzero entry positive, and kept once, since equal
+    rows cut out the same hyperplane and the kernel stays exact.  The kernel's integer
     vectors weight the orbit sums, whose disjoint supports give the
     invariants' integer rows over the monomials; a second Gauss-Jordan
     pass reduces them, so the result depends only on the invariant space,
@@ -135,9 +148,10 @@ def reynolds_basis(mats, d: int):
     group that needs another generator raises ValueError, as does a
     non-group; outside the rest of the precondition the Q-kernel can only
     shrink, so a dimension claim fails and never passes wrongly (an
-    irrational invariant raises ValueError).  Bases are cached per degree
-    with the set-up of the matrix tuple, which is looked up once per call;
-    each call returns a new list.
+    irrational invariant raises ValueError).  E asks for nothing more:
+    where no involution of N commutes with g, it is I.  Bases are cached
+    per degree with the set-up of the matrix tuple, which is looked up
+    once per call; each call returns a new list.
     """
     monomial, eigen, bases = _reynolds_setup(tuple(mats))
     if d not in bases:
@@ -145,14 +159,15 @@ def reynolds_basis(mats, d: int):
     return list(bases[d])
 
 
-def _extra_generators(group: FiniteGroup, sub) -> list:
-    """Elements that generate the group together with `sub`, involutions
-    tried first: each element not yet in the generated subgroup is added,
-    so the loop proves generation instead of assuming it.  For the
-    icosahedral group one involution outside N = D10 suffices, since D10
-    is maximal in A5."""
+def _extra_generators(group: FiniteGroup, sub, among=None) -> list:
+    """Elements of `among` (by default the group) that generate it
+    together with `sub`, involutions tried first: each element not yet in
+    the generated subgroup is added, so the loop proves generation
+    instead of assuming it.  For the icosahedral group one involution
+    outside N = D10 suffices, since D10 is maximal in A5."""
     extra, generated = [], group.generated(sub)
-    for g in sorted(range(len(group)), key=lambda g: group.orders[g] != 2):
+    among = range(len(group)) if among is None else among
+    for g in sorted(among, key=lambda g: group.orders[g] != 2):
         if g not in generated:
             extra.append(g)
             generated = group.generated(sub + extra)
@@ -189,25 +204,31 @@ def _eigenbasis(g: Matrix):
 
 def _orbit_sums(monomial, monos):
     """(den, sums): the nonzero sums of z^e o n over n in N, one per
-    N-orbit of `monos`, as numerator dicts {expo: nums} over den;
-    `monomial` is the (den, tables) of `_monomial_tables` for the
-    elements of N, whose power tables are extended to the degree d of
-    `monos`.  The scalars are integer 4-tuples over one denominator, so
-    every term of a degree-d sum is over its d-th power and the sums add
-    integers."""
+    N-orbit of `monos`, each divided by |T|, as numerator dicts
+    {expo: nums} over den; `monomial` is the (den, torus, cosets) of
+    `_monomial_tables`, whose power tables are extended to the degree d
+    of `monos`.  They are read from the character of T: z^e o t is
+    chi(t) z^e for t in T, so the sum over N is |T| times the sum over
+    one element per coset when chi is 1 on T's generators, and 0
+    otherwise.  The scalars are integer 4-tuples over one denominator,
+    so every term of a degree-d sum is over its d-th power and the sums
+    add integers."""
     d = sum(monos[0])
-    den, tables = monomial
-    for _, powers in tables:
+    den, torus, cosets = monomial
+    for _, powers in torus + cosets:
         for table in powers:
             while len(table) <= d:
                 table.append(_mul(table[-1], table[1]))
+    one = (den ** d, 0, 0, 0)
     sums, seen = [], set()
     for expo in monos:
         if expo in seen:
             continue
         e0, e1, e2 = expo
+        if any(_mul(_mul(p0[e0], p1[e1]), p2[e2]) != one for _, (p0, p1, p2) in torus):
+            continue
         terms = {}
-        for (c0, c1, c2), (p0, p1, p2) in tables:
+        for (c0, c1, c2), (p0, p1, p2) in cosets:
             img = [0, 0, 0]
             img[c0], img[c1], img[c2] = expo
             img = tuple(img)
@@ -224,23 +245,38 @@ def _orbit_sums(monomial, monos):
 @lru_cache(maxsize=8)
 def _reynolds_setup(mats: tuple):
     """What every degree of the group of `mats` reads: the power tables
-    of the elements of N (`_monomial_tables`), and per extra generator a
-    substitution by its eigenbasis with the index of its first -1
-    column, both extended as the degrees need them; then the dict of the
-    bases found so far, by degree, that `reynolds_basis` fills."""
+    of N (`_monomial_tables`), and per extra generator the substitutions
+    by E and by B of `_split_eigenbasis`, with the index of B's first -1
+    column, whose power tables are extended as the degrees need them;
+    then the dict of the bases found so far, by degree, that
+    `reynolds_basis` fills."""
     group = finite_group(mats)
     sub = [n for n, m in enumerate(group.elements) if _monomial_action(m) is not None]
-    eigen = [_eigenbasis(group.elements[g]) for g in _extra_generators(group, sub)]
-    return (_monomial_tables([group.elements[n] for n in sub]),
-            [(Substitution(basis), first) for basis, first in eigen], {})
+    eigen = []
+    for g in _extra_generators(group, sub):
+        outer, inner, first = _split_eigenbasis(group, sub, g)
+        eigen.append((Substitution(outer), Substitution(inner), first))
+    return _monomial_tables(group, sub), eigen, {}
+
+
+def _split_eigenbasis(group: FiniteGroup, sub, g: int):
+    """(E, B, first) for the element g of the group and the indices `sub`
+    of N: E the `_eigenbasis` of the first involution of N that commutes
+    with g, or I when none does, and (B, first) that of E^-1 g E, so that
+    g E B = E B D.  E's columns split the plane into eigenspaces of that
+    involution, which g keeps, so B is block-diagonal in them."""
+    tau = next((n for n in sub if group.orders[n] == 2
+                and group.table[n][g] == group.table[g][n]), None)
+    outer = Matrix.identity(3) if tau is None else _eigenbasis(group.elements[tau])[0]
+    return (outer, *_eigenbasis(outer.inverse() * group.elements[g] * outer))
 
 
 def _reynolds_basis(monomial, eigen, d: int) -> tuple:
     monos = monomials_of_degree(d)
     den, sums = _orbit_sums(monomial, monos)
     rows = {}  # the distinct primitive equations, in order
-    for subst, first in eigen:
-        images = [subst.numerators(den, p, first) for p in sums]
+    for outer, inner, first in eigen:
+        images = [inner.numerators(*outer.numerators(den, p), first) for p in sums]
         common = lcm(*(d for d, _ in images))
         images = [(common // d, nums) for d, nums in images]
         for e in dict.fromkeys(e for _, nums in images for e in nums):

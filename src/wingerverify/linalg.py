@@ -119,8 +119,9 @@ class Matrix(_IntegerForm):
         """adj(m) / det(m): with entries over den, the adjugate's
         numerators times den over the determinant's, whose inverse is
         rest / norm (`cyclo._inverse_parts`; the norm of a nonzero
-        element of Q(zeta_5) is positive).  Nothing in the package calls
-        it; `perfbench/probes.py` times it."""
+        element of Q(zeta_5) is positive).  The Reynolds set-up calls it
+        once per extra generator (`invariants._split_eigenbasis`), and
+        `perfbench/probes.py` times it."""
         den, adj, det = self._cofactors()
         if det == _ZERO:
             raise ValueError("singular matrix")

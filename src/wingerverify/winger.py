@@ -87,8 +87,9 @@ def _matrix_key(m: Matrix):
 
 def _triple_scalings(brackets, triple):
     """The realized permutations sigma with sigma(0..2) = `triple`, as a
-    dict from (sigma(3), sigma(4), sigma(5)) to the scaling c, in its
-    `_projective_form` (den, nums): no field element is built.
+    dict from (sigma(3), sigma(4), sigma(5)) to a multiple of the scaling
+    c, as three integer 4-tuples: no field element is built, and the
+    multiple is left as it comes, since `_rescale` cancels it.
 
     M = B^-1 diag(c) C sends L_{sigma(i)} to c_i L_i for i < 3, where B
     holds the rows L_{sigma(0..2)} and C the rows L_{0..2}.  For i >= 3
@@ -101,7 +102,7 @@ def _triple_scalings(brackets, triple):
     [0 i 2], [0 1 i]), read from the integer `brackets` (`line_brackets`).
     Two such points agree iff their ratios u0/w0 : uk/wk for k = 1, 2 do,
     each the pair (u0 wk, uk w0): the scan compares cross products and
-    inverts nothing, and only a survivor's c is normalized.
+    inverts nothing.
     """
     s0, s1, s2 = triple
     us = [(brackets[i, 1, 2], brackets[0, i, 2], brackets[0, 1, i]) for i in range(3, 6)]
@@ -121,8 +122,7 @@ def _triple_scalings(brackets, triple):
         x2, y2, z2 = (ratio(k, j, 2) for k, j in enumerate(rest))
         if _same(x2, y2) and _same(x1, ratio(2, rest[2], 1)) and _same(x2, z2):
             # u0 w0 w1 w2 times the point u / w, from its two ratios
-            point = _mul(x1[0], x2[0]), _mul(x1[1], x2[0]), _mul(x1[0], x2[1])
-            out[rest] = _projective_form(point)
+            out[rest] = _mul(x1[0], x2[0]), _mul(x1[1], x2[0]), _mul(x1[0], x2[1])
     return out
 
 
@@ -167,8 +167,9 @@ def reconstruct_group() -> FiniteGroup:
     """The matrices that permute the six lines and keep the form of Q
     with det 1, sorted, as a `FiniteGroup`.  Raises ReconstructionError
     naming the triple that `concurrent_triple` finds, since every bracket
-    of the search must be nonzero, or when the survivors are not closed
-    (no Cayley table); the claims judge the rest: their number, classes,
+    of the search must be nonzero, when no permutation that passes the
+    line test keeps the form, or when the survivors are not closed (no
+    Cayley table); the claims judge the rest: their number, classes,
     traces and invariance.
 
     The search inverts no matrix.  Every point is read from the 20
@@ -187,23 +188,27 @@ def reconstruct_group() -> FiniteGroup:
     brackets = line_brackets(rows)
     lines, crosses = line_crosses(rows)
     gram = gram_matrix()
-    found = set()
+    found, realized = set(), 0
     # the 720 permutations share 120 ordered triples sigma(0..2), and adj(B)
     # and the points u / w depend on the triple alone
     for s0, s1, s2 in permutations(range(6), 3):
         scalings = _triple_scalings(brackets, (s0, s1, s2))
         if not scalings:
             continue
+        realized += len(scalings)
         adj = list(zip(crosses[s1, s2], crosses[s2, s0], crosses[s0, s1]))  # by rows
         det_b = brackets[s0, s1, s2]
         det_bbc = _mul(_mul(det_b, det_b), brackets[0, 1, 2])
-        for _, cs in scalings.values():  # the scale dc of c cancels in _rescale
+        for cs in scalings.values():  # the scale of c cancels in _rescale
             scaled = [[_mul(c, x) for x in lines[k]] for k, c in enumerate(cs)]
             nums = [_dot(adj[i], [row[j] for row in scaled]) for i in range(3) for j in range(3)]
             det = _mul(det_bbc, _mul(_mul(cs[0], cs[1]), cs[2]))
             m = _rescale((nums, det), gram)
             if m is not None:
                 found.add(m)
+    if not found:
+        raise ReconstructionError(f"{realized} permutations pass the line test "
+                                  "and none of them keeps the form")
     try:
         return finite_group(tuple(sorted(found, key=_matrix_key)))
     except ValueError as exc:

@@ -17,6 +17,7 @@ from test_exactness import exact
 from wingerverify import characters, cli, covers, hurwitz, invariants, winger
 from wingerverify.cli import main
 from wingerverify.cyclo import rational
+from wingerverify.linalg import Matrix
 from wingerverify.perms import alternating_group_5
 from wingerverify.report import SINGULAR_MEMBERS
 
@@ -71,6 +72,26 @@ def test_wrong_rescaling_scalar_fails_reconstruction(fresh_group, tmp_path, monk
     assert failing(code, claims) == {"group-reconstruction-60"}
     assert claims["group-reconstruction-60"]["witness"].startswith(
         "survivors do not form a group")
+
+
+def test_no_survivor_keeping_the_form_is_named(fresh_group, tmp_path, monkeypatch, capsys):
+    # every permutation that passes the line test is refused by the form
+    # check: the witness counts them and says that none kept the form
+    monkeypatch.setattr(winger, "_rescale", lambda m, gram: None)
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-reconstruction-60"}
+    assert claims["group-reconstruction-60"]["witness"] == (
+        "60 permutations pass the line test and none of them keeps the form")
+
+
+def test_identity_gram_matrix_fails_reconstruction(fresh_group, tmp_path, monkeypatch,
+                                                   capsys):
+    # a scalar multiple of I keeps every form, so a wrong form never empties
+    # the survivors: diag(1, 1, 1) keeps I and one involution of the 60
+    monkeypatch.setattr(winger, "gram_matrix", lambda: Matrix.diagonal([1, 1, 1]))
+    code, claims = report(["orbits"], tmp_path, capsys)
+    assert failing(code, claims) == {"group-reconstruction-60"}
+    assert claims["group-reconstruction-60"]["witness"] == {"survivors": 2}
 
 
 def test_det_minus_one_fails_invariance(tmp_path, monkeypatch, capsys):

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import cyclo_loops
+import one_step_reynolds
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from fraction_rref import null_space
+from wingerverify import polys
 from wingerverify.cli import Corruption
 from wingerverify.cyclo import _numerators, make, rational, zeta
 from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
                                      _monomial_action, _monomial_tables, _orbit_sums,
-                                     _series_reciprocal, contains_up_to_scalar,
-                                     molien_closed_form, molien_series, reynolds_basis)
+                                     _reynolds_setup, _series_reciprocal, _split_eigenbasis,
+                                     contains_up_to_scalar, molien_closed_form, molien_series,
+                                     reynolds_basis)
 from wingerverify.linalg import Matrix
 from wingerverify.perms import finite_group
 from wingerverify.polys import Poly3, Substitution, _from_numerators, monomials_of_degree
@@ -157,10 +160,25 @@ def test_low_degree_bases_match_plain_average():
         assert reynolds_basis(mats(), d) == plain_basis(mats(), d), d
 
 
-def orbit_polys(monomial_mats, monos):
-    """The orbit sums of `_orbit_sums` as Poly3, for the elements of N."""
-    den, sums = _orbit_sums(_monomial_tables(monomial_mats), monos)
+def orbit_polys(group, sub, monos):
+    """The orbit sums of `_orbit_sums` as Poly3, for the monomial
+    subgroup N of `group` with the element indices `sub`."""
+    den, sums = _orbit_sums(_monomial_tables(group, sub), monos)
     return [_from_numerators(den, p) for p in sums]
+
+
+def test_orbit_sums_are_the_sums_over_n():
+    # read from T's character, the sums are those over all of N = D10,
+    # divided by |T| = 5, in the same order
+    group = reconstruct_group()
+    sub = [n for n, m in enumerate(group.elements) if _monomial_action(m) is not None]
+    monomial = _monomial_tables(group, sub)
+    over_n = one_step_reynolds._monomial_tables([group.elements[n] for n in sub])
+    for d in range(16):
+        monos = monomials_of_degree(d)
+        den, sums = _orbit_sums(monomial, monos)
+        want = one_step_reynolds._orbit_sums(over_n, monos)
+        assert (den, [{e: tuple(5 * x for x in n) for e, n in p.items()} for p in sums]) == want
 
 
 def cyclo_kernel_basis(mat_list, d):
@@ -170,7 +188,7 @@ def cyclo_kernel_basis(mat_list, d):
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
     monos = monomials_of_degree(d)
-    sums = orbit_polys([group.elements[n] for n in sub], monos)
+    sums = orbit_polys(group, sub, monos)
     rows = []
     for g in _extra_generators(group, sub):
         subst = Substitution(group.elements[g])
@@ -204,9 +222,12 @@ def test_bases_match_molien_and_a_generating_pair():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10), st.permutations(range(60)))
 def test_shuffled_order_gives_same_basis(d, order):
-    # the element order picks N's orbit representatives and the extra generators
+    # the element order picks N's coset representatives, T's generators,
+    # the extra generators and their commuting involutions
     shuffled = [mats()[i] for i in order]
-    assert reynolds_basis(shuffled, d) == reynolds_basis(mats(), d)
+    basis = reynolds_basis(shuffled, d)
+    assert basis == reynolds_basis(mats(), d)
+    assert basis == one_step_reynolds.reynolds_basis(shuffled, d)
 
 
 def klein_conjugate(entries):
@@ -237,12 +258,15 @@ CONJUGATORS = st.lists(st.integers(-3, 3), min_size=9, max_size=9).filter(
 @settings(max_examples=15, deadline=None)
 @given(CONJUGATORS)
 @example([3, 0, 0, 2, 0, 3, -2, -3, 0])  # wrong at d = 2 without the scaling
+@example([0, 1, 1, 1, 0, 1, 1, 0, -1])  # N = {I, tau}, tau swaps z1 and z2
 def test_conjugated_klein_groups_match_plain_average(entries):
     # mostly N = {I} and two extra generators, each with images over its
     # own denominators, which must be scaled per generator
     klein = klein_conjugate(entries)
     for d in range(4):
-        assert reynolds_basis(klein, d) == plain_basis(klein, d), d
+        basis = reynolds_basis(klein, d)
+        assert basis == plain_basis(klein, d), d
+        assert basis == one_step_reynolds.reynolds_basis(klein, d), d
 
 
 def test_irrational_invariant_is_refused():
@@ -286,9 +310,17 @@ def _rational_rows(rows) -> list:
     return out
 
 
+def odd_rows(images, monos, first):
+    """The coefficient rows, over the forms `images`, of the monomials
+    whose exponents on columns first.. add up to an odd number."""
+    return [[cyclo_loops.coefficient(q, e) for q in images]
+            for e in monos if sum(e[first:]) % 2]
+
+
 def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
     # each of the 10 involutions outside N, as the one extra generator:
-    # the odd coefficients of p o P cut out the same Q-kernel as p o g - p
+    # the odd coefficients of p o P cut out the same Q-kernel as p o g - p,
+    # for g's own eigenbasis P and for P = E B of `_split_eigenbasis`
     group = reconstruct_group()
     actions = [_monomial_action(m) for m in group.elements]
     sub = [n for n, action in enumerate(actions) if action is not None]
@@ -296,20 +328,72 @@ def test_eigenbasis_rows_give_the_kernel_of_g_minus_1():
     assert len(outside) == 10
     degrees = {d: (monomials_of_degree(d), len(reynolds_basis(mats(), d)))
                for d in (6, 10, 12, 15)}
-    sums = {d: orbit_polys([group.elements[n] for n in sub], monos)
-            for d, (monos, _) in degrees.items()}
+    sums = {d: orbit_polys(group, sub, monos) for d, (monos, _) in degrees.items()}
     for g in outside:
         basis, first = _eigenbasis(group.elements[g])
         by_basis, by_g = Substitution(basis), Substitution(group.elements[g])
+        outer, inner, split_first = _split_eigenbasis(group, sub, g)
+        by_outer, by_inner = Substitution(outer), Substitution(inner)
         for d, (monos, dim) in degrees.items():
-            images = [by_basis.apply(p) for p in sums[d]]
-            odd = [[cyclo_loops.coefficient(q, e) for q in images]
-                   for e in monos if sum(e[first:]) % 2]
+            odd = odd_rows([by_basis.apply(p) for p in sums[d]], monos, first)
+            split = odd_rows([by_inner.apply(by_outer.apply(p)) for p in sums[d]], monos,
+                             split_first)
             moved = [by_g.apply(p) + p * -1 for p in sums[d]]
             rows = [[cyclo_loops.coefficient(q, e) for q in moved] for e in monos]
             want = null_space(_rational_rows(rows), len(sums[d]))
             assert null_space(_rational_rows(odd), len(sums[d])) == want, (d, g)
+            assert null_space(_rational_rows(split), len(sums[d])) == want, (d, g)
             assert len(want) == dim, (d, g)
+
+
+def line_terms(m):
+    """The number of nonzero entries of each row of m, the terms of the
+    lines that a substitution by m puts in place of z0, z1, z2."""
+    return [sum(1 for x in m.row(i) if x) for i in range(3)]
+
+
+def test_split_eigenbasis_of_each_involution_outside_n():
+    # the Klein four-group of each involution g outside N = D10 meets N in
+    # one involution tau; E, its eigenbasis, has lines of 2, 2 and 1 terms,
+    # and B, that of E^-1 g E, of 1, 2 and 2, where g's own has 2, 2 and 3
+    group = reconstruct_group()
+    sub = [n for n, m in enumerate(group.elements) if _monomial_action(m) is not None]
+    outside = [g for g in range(len(group)) if group.orders[g] == 2 and g not in sub]
+    for g in outside:
+        m = group.elements[g]
+        taus = [group.elements[n] for n in sub
+                if group.orders[n] == 2 and group.elements[n] * m == m * group.elements[n]]
+        assert len(taus) == 1, g
+        outer, inner, first = _split_eigenbasis(group, sub, g)
+        assert outer == _eigenbasis(taus[0])[0], g
+        assert (line_terms(outer), line_terms(inner)) == ([2, 2, 1], [1, 2, 2]), g
+        assert line_terms(_eigenbasis(m)[0]) == [2, 2, 3], g
+        split = outer * inner
+        assert m * split == split * Matrix.diagonal([1] * first + [-1] * (3 - first)), g
+
+
+def test_bases_match_the_one_step_oracle():
+    for d in range(16):
+        assert reynolds_basis(mats(), d) == one_step_reynolds.reynolds_basis(mats(), d), d
+
+
+def test_degree_15_convolves_the_split_lines(monkeypatch):
+    # the products of terms that `polys._convolve` forms for the degree-15
+    # basis from a fresh set-up, power tables included: fewer than the
+    # one-step pass, by g's own eigenbasis, forms
+    pairs = []
+    convolve = polys._convolve
+
+    def counted(p, q, out=None):
+        pairs.append(len(p) * len(q))
+        return convolve(p, q, out)
+    monkeypatch.setattr(polys, "_convolve", counted)
+    _reynolds_setup.cache_clear()
+    reynolds_basis(mats(), 15)
+    split = sum(pairs)
+    pairs.clear()
+    one_step_reynolds.reynolds_basis(mats(), 15)
+    assert (split, sum(pairs)) == (4113, 4546)
 
 
 def test_icosahedral_extra_generator_is_one_involution():

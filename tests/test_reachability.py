@@ -61,7 +61,6 @@ UNREACHED = {
     ("covers.py", "Quaternion.__repr__"): REPR,
     # the getters of the coordinates a..d
     ("covers.py", "Quaternion.<genexpr>.<lambda>"): REPR,
-    ("linalg.py", "Matrix.inverse"): PERFBENCH,
     ("linalg.py", "Matrix.apply"): PERFBENCH,
     ("polys.py", "Poly3.zero"): PERFBENCH,
     ("cyclo.py", "Cyclo.coefficients"): PERFBENCH,

@@ -13,11 +13,11 @@ from wingerverify.characters import A5_CLASS_REPS, power_maps
 from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Poly3, monomials_of_degree
-from wingerverify.winger import (INFINITY, _coordinates, _derivatives, _matrix_key, _rescale,
-                                 _triple_scalings, concurrent_triple, f_poly, gram_matrix,
-                                 irregular_orbits, line_brackets, normalize_point, orbit_of,
-                                 pencil_member, q_poly, reconstruct_group, singular_point,
-                                 six_lines)
+from wingerverify.winger import (INFINITY, _coordinates, _derivatives, _matrix_key,
+                                 _projective_form, _rescale, _triple_scalings,
+                                 concurrent_triple, f_poly, gram_matrix, irregular_orbits,
+                                 line_brackets, normalize_point, orbit_of, pencil_member,
+                                 q_poly, reconstruct_group, singular_point, six_lines)
 
 
 def test_six_lines_product_is_f():
@@ -61,8 +61,10 @@ def test_group_reconstruction():
 
 
 def field_scalings(brackets, triple):
-    """`_triple_scalings` with each scaling read as field elements."""
-    return {rest: _coordinates(*c) for rest, c in _triple_scalings(brackets, triple).items()}
+    """`_triple_scalings` with each scaling normalized (`_projective_form`)
+    and read as field elements."""
+    return {rest: _coordinates(*_projective_form(c))
+            for rest, c in _triple_scalings(brackets, triple).items()}
 
 
 def kernel_scaling(w_rest, u_rest):
