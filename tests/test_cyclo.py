@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategies import BOOLEANS
 from wingerverify.cyclo import Cyclo, _dot, _mul, golden, make, rational, sqrt5, zeta
 
 
@@ -91,7 +92,7 @@ raws = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
                 min_size=0, max_size=8)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(raws, raws)
 def test_field_ops_match_sympy(ra, rb):
     a, b = make(ra), make(rb)
@@ -124,7 +125,7 @@ def test_field_ops_match_sympy(ra, rb):
         assert back == a and hash(back) == hash(a) and str(back) == str(a)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(raws)
 def test_rational_elements_match_sympy(ra):
     q = sum(ra, Fraction(0))
@@ -136,7 +137,7 @@ def test_rational_elements_match_sympy(ra):
         assert hash(rational(q)) == hash(int(q)) and int(q) in {rational(q)}
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(raws, st.one_of(st.integers(-30, 30), st.fractions(-9, 9, max_denominator=12)))
 def test_reflected_subtraction_and_division_match_sympy(ra, q):
     # an int or a Fraction on the left of -, as on the left of + and *; a
@@ -199,9 +200,6 @@ def elements(draw, den=None):
     return Cyclo((1 + den * n0, n1, n2, n3), den)
 
 
-BOOLEANS = st.booleans()
-
-
 @st.composite
 def operand_pairs(draw):
     """Two elements, over one denominator or over two independent ones."""
@@ -209,7 +207,7 @@ def operand_pairs(draw):
     return a, draw(elements(a.den) if draw(BOOLEANS) else elements())
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(operand_pairs(), scalars)
 def test_kernel_matches_fraction_oracle(pair, q):
     a, b = pair
@@ -243,7 +241,7 @@ def test_kernel_matches_fraction_oracle(pair, q):
 NUMERATORS = st.tuples(*[st.one_of(ints, st.integers(-2**70, 2**70))] * 4)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(NUMERATORS, NUMERATORS), max_size=5))
 def test_dot_is_the_sum_of_the_products(pairs):
     # one fold of the summed convolutions against a fold per product

@@ -16,6 +16,7 @@ from modular_pencil import (_PROTH_CERTIFICATES, _hessenberg_charpoly_mod,
                             _linearize, _pencil_bound, _pencil_det_mod,
                             _proth_primes, unsplit_pencil_det)
 from proth_search import proth_search
+from strategies import BOOLEANS
 from wingerverify import discriminant
 from wingerverify.discriminant import (CONTROL_SCALE, CONTROL_T, _block_det, _blocks,
                                        _divide_out_root, _eval_determinants,
@@ -132,7 +133,7 @@ def test_interpolation_and_root_division():
 SMALL_ROOTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(st.tuples(SMALL_ROOTS, st.integers(1, 3)), max_size=3),
        st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(0, 2),
        st.lists(SMALL_ROOTS, max_size=3))
@@ -170,7 +171,7 @@ def test_root_division_cases():
 
 # -- the interpolation on integers against sympy --------------------------------
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=21))
 def test_interpolate_round_trip(coeffs):
     # an integer polynomial of degree <= 20, with its top coefficients
@@ -184,7 +185,7 @@ def test_interpolate_round_trip(coeffs):
         assert _interpolate(values, start) == coeffs
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
 def test_interpolate_matches_sympy(values):
     # any values: their interpolating polynomial, or ArithmeticError when
@@ -238,7 +239,7 @@ def pencil_blocks(draw):
     return rows
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(pencil_blocks())
 @example([[[0, 0], [1, 2]], [[0, 0], [3, 4]]])  # lam^2 * det [[1, 2], [3, 4]]
 @example([[[1, 2], [0, 0]], [[3, 4], [0, 0]]])  # top rows of rank 0: a constant
@@ -300,7 +301,7 @@ LARGE_PENCIL = ([[10 ** 40 - (3 * i + j) ** 2 for j in range(8)] for i in range(
                 [[10 ** 40 + (i - 2 * j) ** 3 for j in range(8)] for i in range(8)])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(pencils())
 @example(LARGE_PENCIL)
 def test_pencil_det_matches_bareiss(pencil):
@@ -324,8 +325,8 @@ def test_large_pencil_takes_three_primes():
     assert 2 * _pencil_bound(pair_rows(*LARGE_PENCIL)) > primes[0] * primes[1]
 
 
-@settings(max_examples=150, deadline=None)
-@given(pencils(max_n=4, max_digits=2), st.sampled_from((5, 7, 10007)), st.booleans())
+@settings(max_examples=150)
+@given(pencils(max_n=4, max_digits=2), st.sampled_from((5, 7, 10007)), BOOLEANS)
 def test_pencil_det_mod_small_primes(pencil, p, b_vanishes_mod_p):
     a, b = pencil
     if b_vanishes_mod_p:
@@ -349,7 +350,7 @@ def test_all_shifts_singular_gives_zero():
         _pencil_det_mod(a, b, 3)  # a modulus <= n cannot certify a zero residue
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(1, 8).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                        min_size=n, max_size=n)),
@@ -420,7 +421,7 @@ def h_at(rows, lam):
             for row in rows]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(ternary_forms(parts=1))
 def test_hybrid_det_is_the_macaulay_resultant(case):
     d, forms = case
@@ -437,7 +438,7 @@ def test_hybrid_det_is_the_macaulay_resultant(case):
     assert integer_det(h_at(rows, 0)) == sign * expect
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(ternary_forms(parts=2))
 def test_linearized_pencil_matches_cubic_rows(case):
     d, forms = case
@@ -631,7 +632,7 @@ def block_rows(draw):
     return [[[part[j] for j in col_order] for part in rows[i]] for i in row_order]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(block_rows())
 @example([[[0, 1], [0, 0]], [[2, 0], [0, 0]]])  # an odd column order: det = -2
 def test_pencil_det_by_blocks_matches_the_unsplit_pencil(rows):
@@ -646,7 +647,7 @@ def test_pencil_det_by_blocks_matches_the_unsplit_pencil(rows):
 
 # -- the Bezout rows against the full Morley form --------------------------------
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from((1, 2)).flatmap(lambda parts: ternary_forms(parts=parts)))
 def test_hybrid_rows_match_the_full_morley_form(case):
     d, forms = case

@@ -10,9 +10,10 @@ import cyclo_loops
 import one_step_reynolds
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from fraction_rref import null_space
+from strategies import field_elements, nine_entries
 from wingerverify import polys
 from wingerverify.cli import Corruption
-from wingerverify.cyclo import _numerators, make, rational, zeta
+from wingerverify.cyclo import _numerators, rational, zeta
 from wingerverify.invariants import (_eigenbasis, _extra_generators, _molien_denominator,
                                      _monomial_action, _monomial_tables, _orbit_sums,
                                      _reynolds_setup, _series_reciprocal, _split_eigenbasis,
@@ -91,13 +92,8 @@ def in_ring(c):
                 for i, q in enumerate(c.coefficients())), RING.zero)
 
 
-field_elements = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                           st.lists(st.integers(-5, 5), min_size=4, max_size=4),
-                           st.integers(1, 4))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(field_elements, min_size=9, max_size=9))
+@settings(max_examples=40)
+@given(nine_entries(field_elements(st.integers(-5, 5), st.integers(1, 4), min_size=4)))
 def test_molien_denominator_matches_sympy(entries):
     # oracle: sympy's determinant of I - t*M over Q[x, t], reduced mod Phi5
     rows = [[int(i == j) - T * in_ring(entries[3 * i + j]) for j in range(3)]
@@ -219,7 +215,7 @@ def test_bases_match_molien_and_a_generating_pair():
             assert all(p.act(group.elements[g]) == p for g in pair), d
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 10), st.permutations(range(60)))
 def test_shuffled_order_gives_same_basis(d, order):
     # the element order picks N's coset representatives, T's generators,
@@ -251,11 +247,11 @@ def test_klein_group_without_monomial_elements():
 
 
 # invertible integer matrices with entries in -3..3
-CONJUGATORS = st.lists(st.integers(-3, 3), min_size=9, max_size=9).filter(
+CONJUGATORS = nine_entries(st.integers(-3, 3)).filter(
     lambda entries: not Matrix(entries).det().is_zero())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(CONJUGATORS)
 @example([3, 0, 0, 2, 0, 3, -2, -3, 0])  # wrong at d = 2 without the scaling
 @example([0, 1, 1, 1, 0, 1, 1, 0, -1])  # N = {I, tau}, tau swaps z1 and z2

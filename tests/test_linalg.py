@@ -12,7 +12,8 @@ import cyclo_loops
 from cyclo_rref import cyclo_kernel, cyclo_rref
 from dense_bareiss import dense_echelon
 from fraction_rref import null_space, rref
-from wingerverify.cyclo import Cyclo, make, rational, zeta
+from strategies import BOOLEANS, WIDE, field_elements, nine_entries, triples
+from wingerverify.cyclo import Cyclo, rational, zeta
 from macaulay_quotient import ORACLE_T
 from wingerverify.discriminant import (CONTROL_T, _eval_determinants,
                                        _pencil_partials)
@@ -92,15 +93,11 @@ def rref_inverse(m):
     return Matrix.from_rows([row[3:] for row in rows])
 
 
-ZETA_POWERS = [zeta() ** k for k in range(4)]
-ELEMENTS = st.builds(
-    lambda cs, den: sum((z * Fraction(c, den) for z, c in zip(ZETA_POWERS, cs)),
-                        rational(0)),
-    st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(1, 4))
+ELEMENTS = field_elements(st.integers(-3, 3), st.integers(1, 4), min_size=4)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(ELEMENTS, min_size=9, max_size=9), ELEMENTS, st.booleans())
+@settings(max_examples=80)
+@given(nine_entries(ELEMENTS), ELEMENTS, BOOLEANS)
 def test_adjugate_and_inverse_match_rref_oracle(entries, c, dependent):
     if dependent:  # third row = first + c * second, so that det = 0
         entries[6:] = [a + c * b for a, b in zip(entries[:3], entries[3:6])]
@@ -144,7 +141,7 @@ def reduced(dm):
     return [[e.rem(PHI5) for e in row] for row in dm.to_list()]
 
 
-SPARSE_ENTRIES = st.lists(st.one_of(st.just(0), ELEMENTS), min_size=9, max_size=9)
+SPARSE_ENTRIES = nine_entries(st.one_of(st.just(0), ELEMENTS))
 ZERO_ROWS = st.sampled_from((None, 0, 1, 2))
 
 
@@ -163,9 +160,8 @@ VECTOR_ENTRIES = st.one_of(st.integers(-9, 9),
                            st.fractions(-5, 5, max_denominator=9), ELEMENTS)
 
 
-@settings(max_examples=80, deadline=None)
-@given(sparse_matrices(), sparse_matrices(),
-       st.lists(VECTOR_ENTRIES, min_size=3, max_size=3))
+@settings(max_examples=80)
+@given(sparse_matrices(), sparse_matrices(), triples(VECTOR_ENTRIES))
 def test_closed_forms_match_sympy(a, b, vec):
     ref_a, ref_b = as_oracle(a), as_oracle(b)
     assert reduced(as_oracle(a * b)) == reduced(ref_a * ref_b)
@@ -180,13 +176,8 @@ def test_closed_forms_match_sympy(a, b, vec):
 
 # -- the integer kernels against the Cyclo loops they replaced -------------------
 
-# coprime denominators side by side, and numerators past 2^64
-WIDE = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                 st.lists(st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70)),
-                          min_size=1, max_size=4),
-                 st.sampled_from([1, 2, 3, 5, 6, 15, 2**65 + 1]))
 KERNEL_ENTRIES = st.one_of(st.just(0), ELEMENTS, WIDE)
-NINE_KERNEL_ENTRIES = st.lists(KERNEL_ENTRIES, min_size=9, max_size=9)
+NINE_KERNEL_ENTRIES = nine_entries(KERNEL_ENTRIES)
 TWO_KERNEL_ENTRIES = st.lists(KERNEL_ENTRIES, min_size=2, max_size=2)
 KERNEL_SHAPES = st.sampled_from(("plain", "zero row", "dependent", "rank 1"))
 ROW_STARTS = st.sampled_from((0, 3, 6))
@@ -217,9 +208,8 @@ def outcome(f, *args):
         return ValueError, str(exc)
 
 
-@settings(max_examples=80, deadline=None)
-@given(kernel_matrices(), kernel_matrices(),
-       st.lists(st.one_of(VECTOR_ENTRIES, WIDE), min_size=3, max_size=3))
+@settings(max_examples=80)
+@given(kernel_matrices(), kernel_matrices(), triples(st.one_of(VECTOR_ENTRIES, WIDE)))
 def test_integer_kernels_match_the_cyclo_loops(a, b, vec):
     assert a * b == cyclo_loops.product(a, b)
     assert b * a == cyclo_loops.product(b, a)
@@ -242,7 +232,7 @@ def test_integer_kernels_match_the_cyclo_loops_on_the_group():
             assert g.apply(row) == cyclo_loops.apply(g, row)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(kernel_matrices(), kernel_matrices(), st.one_of(VECTOR_ENTRIES, WIDE))
 def test_matrix_ops_match_the_cyclo_loops(a, b, c):
     assert a - b == cyclo_loops.difference(a, b)
@@ -265,7 +255,7 @@ NONZERO_SCALARS = st.one_of(st.fractions(-5, 5, max_denominator=9).filter(bool),
                             ELEMENTS.filter(bool), WIDE.filter(bool))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(kernel_matrices(), NONZERO_SCALARS)
 def test_equal_matrices_have_one_form(m, q):
     # from entries, from rows, transposed twice, scaled and back, through
@@ -374,7 +364,7 @@ def rank_deficient_matrices(draw):
     return m
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(square_matrices())
 def test_integer_det_matches_sympy(m):
     # the sign of a row swap included, and 0 at any rank below n
@@ -386,7 +376,7 @@ def as_fraction(x):
     return Fraction(int(x.p), int(x.q))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(rank_deficient_matrices())
 def test_rank_rref_and_null_space_match_sympy(m):
     oracle = sympy.Matrix(m)
@@ -403,7 +393,7 @@ def test_rank_rref_and_null_space_match_sympy(m):
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m for v in kernel)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(rank_deficient_matrices())
 def test_gauss_jordan_and_kernel_basis_match_sympy(m):
     oracle = sympy.Matrix(m)
@@ -436,7 +426,6 @@ def test_integer_det_rejects_non_square_input():
 
 SPARSE_SIZES = st.integers(1, 9)
 SPARSE_INTEGERS = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9))
-BOOLEANS = st.booleans()
 LEADING_ENTRIES = st.sampled_from((-7, -1, 1, 5))
 
 
@@ -461,7 +450,7 @@ def sparse_integer_matrices(draw):
     return m
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(st.one_of(sparse_integer_matrices(), rank_deficient_matrices(), square_matrices()))
 def test_echelon_matches_the_dense_pass(m):
     assert echelon(m) == dense_echelon(m)

@@ -116,7 +116,7 @@ def test_closure_is_breadth_first():
     assert closure("a", [lambda x: x]) == ("a",)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.integers(0, 119), min_size=1, max_size=3))
 def test_generated_matches_sympy(gens):
     s5 = symmetric_group_5()
@@ -203,7 +203,7 @@ def test_a5_s5_tables_match_all_pairs():
     assert_matches_all_pairs(symmetric_group_5())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.integers(0, 119), min_size=1, max_size=3), st.randoms())
 def test_shuffled_s5_subgroups_match_all_pairs(gens, rnd):
     s5 = symmetric_group_5()
@@ -252,7 +252,7 @@ def test_least_conjugate_matches_orbit_minimum_on_pairs():
         assert a5.least_conjugate(t) == min(a5.conjugates(t))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.integers(0, 59), min_size=3, max_size=4))
 def test_least_conjugate_matches_orbit_minimum(t):
     a5 = alternating_group_5()
@@ -300,7 +300,7 @@ def test_derived_matches_all_pairs(which):
     assert len(derived) == (60 if which == "s5" else len(group))  # A5 and 2.A5 are perfect
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.integers(0, 119), min_size=1, max_size=3), st.randoms())
 def test_derived_of_shuffled_s5_subgroups_matches_all_pairs(gens, rnd):
     s5 = symmetric_group_5()

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclo_loops
+from strategies import WIDE, field_elements, forms_of, nine_entries, triples
 from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Point, Poly3, Substitution, _from_numerators, monomials_of_degree
@@ -51,17 +52,13 @@ def test_act_is_precomposition():
     assert f.act(m).act(m2) == f.act(m * m2)
 
 
-# field elements with small coefficients on 1, zeta, zeta^2, zeta^3
-elements = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                     st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-                     st.integers(1, 3))
-polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), elements,
-                        max_size=6).map(Poly3)
+elements = field_elements(st.integers(-3, 3), st.integers(1, 3))
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
+polys = forms_of(EXPONENTS, elements, max_size=6)
 
 
-@settings(max_examples=50, deadline=None)
-@given(polys, st.lists(elements, min_size=9, max_size=9),
-       st.lists(elements, min_size=3, max_size=3))
+@settings(max_examples=50)
+@given(polys, nine_entries(elements), triples(elements))
 def test_act_agrees_with_evaluation(f, entries, point):
     # (f o m)(p) = f(m p), for any matrix (singular ones included)
     m = Matrix(entries)
@@ -109,13 +106,7 @@ def cyclo_apply(m, f):
     return Poly3(out)
 
 
-# coprime denominators side by side, and numerators past 2^64
-wide = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                 st.lists(st.one_of(st.integers(-2, 2), st.integers(-2**70, 2**70)),
-                          min_size=1, max_size=4),
-                 st.sampled_from([1, 2, 3, 5, 6, 15, 2**65 + 1]))
-wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), wide,
-                             max_size=5).map(Poly3)
+wide_polys = forms_of(EXPONENTS, WIDE, max_size=5)
 X, Y, Z = variables()
 HALF_THIRD = Poly3({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3),
                     (0, 0, 1): Fraction(1, 5)})
@@ -131,7 +122,7 @@ MIXED = [Fraction(1, 2), zeta(), 3, make([0, Fraction(1, 3)]), 1, Fraction(1, 5)
          2, 0, make([1, 0, Fraction(1, 7)])]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(wide_polys, wide_polys)
 @example(X + Y, X + Y * -1)  # the cross terms cancel
 @example(ZETA_FORM, ZETA_FORM + X)
@@ -151,8 +142,8 @@ def test_power_fifteen_matches_cyclo_loop():
     assert f ** 1 == f and f ** 0 == Poly3.monomial((0, 0, 0), 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(wide_polys, st.lists(wide, min_size=9, max_size=9))
+@settings(max_examples=60)
+@given(wide_polys, nine_entries(WIDE))
 @example(X + Y * -1, list(EQUAL_ROWS.entries))  # the image cancels to zero
 @example(Poly3.zero(), list(EQUAL_ROWS.entries))
 @example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), list(EQUAL_ROWS.entries))
@@ -175,12 +166,11 @@ def test_substitution_matches_cyclo_loop(f, entries):
 
 # forms of degree at most 8: three sorted cuts s0 <= s1 <= s2 in 0..8 give
 # the exponents (s0, s1 - s0, s2 - s1)
-DEGREE_8 = st.lists(st.integers(0, 8), min_size=3, max_size=3).map(sorted).map(
-    lambda s: (s[0], s[1] - s[0], s[2] - s[1]))
-MIXED_FORMS = st.dictionaries(DEGREE_8, st.one_of(elements, wide), max_size=6).map(Poly3)
+DEGREE_8 = triples(st.integers(0, 8)).map(sorted).map(lambda s: (s[0], s[1] - s[0], s[2] - s[1]))
+MIXED_FORMS = forms_of(DEGREE_8, st.one_of(elements, WIDE), max_size=6)
 # matrices with zero entries, and singular ones: a zero row, or a third
 # row the sum of the first two
-SUBSTITUTION_ENTRIES = st.lists(st.one_of(st.just(0), elements, wide), min_size=9, max_size=9)
+SUBSTITUTION_ENTRIES = nine_entries(st.one_of(st.just(0), elements, WIDE))
 SHAPES = st.sampled_from(("plain", "zero row", "dependent"))
 
 
@@ -193,7 +183,7 @@ def shaped(entries, shape):
     return Matrix(entries)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(MIXED_FORMS, SUBSTITUTION_ENTRIES, SHAPES, st.integers(0, 3))
 @example(SHARED_C, MIXED, "plain", 1)
 @example((X + Y * -1) * Z, list(EQUAL_ROWS.entries), "plain", 0)  # the sum at c = 1 cancels
@@ -209,11 +199,11 @@ def test_odd_half_is_the_odd_part_of_the_substitution(f, entries, shape, first):
 
 # points with zero coordinates, plain ints and Fractions, and mixed denominators
 coordinates = st.one_of(st.just(0), st.integers(-9, 9),
-                        st.fractions(-5, 5, max_denominator=9), elements, wide)
+                        st.fractions(-5, 5, max_denominator=9), elements, WIDE)
 
 
-@settings(max_examples=100, deadline=None)
-@given(wide_polys, st.lists(coordinates, min_size=3, max_size=3))
+@settings(max_examples=100)
+@given(wide_polys, triples(coordinates))
 @example(Poly3.zero(), [1, Fraction(1, 2), zeta()])
 @example(Poly3.monomial((0, 0, 0), Fraction(5, 3)), [0, 0, 0])
 @example(HALF_THIRD ** 2 + Z * Fraction(1, 2**65 + 1) + Poly3.monomial((0, 0, 0), 7),
@@ -224,8 +214,8 @@ def test_evaluate_matches_cyclo_loop(f, point):
     assert f.evaluate(point) == cyclo_loops.evaluate(f, point)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(wide_polys, min_size=1, max_size=4), st.lists(coordinates, min_size=3, max_size=3))
+@settings(max_examples=60)
+@given(st.lists(wide_polys, min_size=1, max_size=4), triples(coordinates))
 def test_one_point_table_serves_every_form(forms, point):
     # the monomials that one form computes are read back by the next
     at = Point(point)
@@ -261,19 +251,15 @@ def test_printer_deterministic():
 
 # coefficients over mixed denominators up to 9, and the scalars 0, -1 and
 # zeta among others
-MIXED_DENOMINATOR = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                              st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                              st.integers(1, 9))
-MIXED_DENOMINATOR_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
-                                          MIXED_DENOMINATOR, max_size=6).map(Poly3)
-ANY_POLYS = st.one_of(polys, MIXED_DENOMINATOR_POLYS)
+MIXED_DENOMINATOR = field_elements(st.integers(-9, 9), st.integers(1, 9))
+ANY_POLYS = st.one_of(polys, forms_of(EXPONENTS, MIXED_DENOMINATOR, max_size=6))
 SCALARS = st.one_of(st.sampled_from([0, -1, zeta(), Fraction(-7, 6)]), MIXED_DENOMINATOR)
 VARIABLE = st.integers(0, 2)
 NONZERO_FRACTIONS = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1, 10)]),
                               st.integers(1, 9))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(ANY_POLYS, ANY_POLYS, SCALARS, VARIABLE)
 @example(X + HALF_THIRD, (X + HALF_THIRD) * -1, 0, 0)  # the sum cancels to zero
 @example(Poly3.zero(), HALF_THIRD, -1, 1)
@@ -295,7 +281,7 @@ def assert_canonical(f):
     assert Poly3(cyclo_loops.terms(f)) == f
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ANY_POLYS, ANY_POLYS, NONZERO_FRACTIONS)
 @example(HALF_THIRD, HALF_THIRD, Fraction(7, 3))
 @example(Poly3.zero(), ZETA_FORM, Fraction(-1, 9))

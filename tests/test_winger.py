@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import cyclo_loops
 from cyclo_rref import cyclo_kernel
+from strategies import BOOLEANS, field_elements, triples
 from wingerverify import cyclo, winger
 from wingerverify.characters import A5_CLASS_REPS, power_maps
 from wingerverify.cyclo import Cyclo, make, rational, zeta
@@ -363,16 +364,13 @@ def cross(p, r):
 
 
 # field elements over mixed denominators, zero among them, and nonzero scales
-MIXED_ELEMENTS = st.builds(lambda nums, den: make([Fraction(n, den) for n in nums]),
-                           st.lists(st.integers(-4, 4), min_size=1, max_size=4),
-                           st.sampled_from([1, 2, 3, 5, 6, 7]))
+MIXED_ELEMENTS = field_elements(st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 6, 7]))
 COORDINATES = st.one_of(st.just(0), st.integers(-4, 4),
                         st.fractions(-3, 3, max_denominator=6), MIXED_ELEMENTS)
 # points with zero coordinates (each chart), the orbit points and points
 # of the conic, where grad Q^3 vanishes
 POINTS = st.one_of(
-    st.lists(COORDINATES, min_size=3, max_size=3).filter(any).map(
-        lambda p: tuple(map(rational, p))),
+    triples(COORDINATES).filter(any).map(lambda p: tuple(map(rational, p))),
     st.integers(0, 42).map(lambda k: orbit_points()[k]),
     MIXED_ELEMENTS.map(lambda s: (s * s, rational(-1), s)))
 SCALES = st.one_of(st.sampled_from([rational(-1), zeta(), rational(Fraction(2, 3))]),
@@ -387,8 +385,7 @@ SEXTICS = st.one_of(
     SCALES.map(lambda k: q_poly() ** 3 * k))
 
 
-COORDINATE_TRIPLES = st.lists(COORDINATES, min_size=3, max_size=3)
-BOOLEANS = st.booleans()
+COORDINATE_TRIPLES = triples(COORDINATES)
 
 
 @st.composite
@@ -420,7 +417,7 @@ CUSP_F = Poly3({(0, 0, 6): 1, (2, 0, 4): Fraction(1, 3), (1, 1, 4): 1, (0, 2, 4)
 VERTEX = (rational(0), rational(0), rational(1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(POINTS, SEXTICS, SCALES)
 @example(VERTEX, CUSP_F, rational(Fraction(-1, 2)))
 @example(VERTEX, f_poly(), zeta())  # gf = gq = (0, 0, 6): lam = -1
@@ -433,7 +430,7 @@ def test_singular_point_matches_the_field_loop(p, f, k):
     assert singular_point(tuple(k * c for c in p), f) == want
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(singular_pencils(), SCALES)
 def test_singular_point_matches_the_field_loop_on_singular_members(pencil, k):
     p, f = pencil
@@ -450,7 +447,7 @@ def test_cusp_with_mixed_denominators_is_no_node():
     assert singular_point(VERTEX, node) == (rational(-1), True)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(POINTS)
 def test_normalize_point_matches_the_field_loop(p):
     assert normalize_point(p) == cyclo_loops.normalize_point(p)
