@@ -6,19 +6,14 @@ from functools import partial
 from hypothesis import strategies as st
 
 from wingerverify.cyclo import make
-from wingerverify.polys import Poly3
 
 
-def field_elements(numerators, dens, min_size=1, max_size=4):
+def field_elements(numerators, dens, min_size=1):
     """Elements of Q(zeta_5): numerators on 1, zeta, zeta^2, zeta^3 over one denominator.
     Hypothesis labels each call's `partial` by identity, so each builder's elements keep a
     label apart, as each written-out lambda did: its mutator copies values within a label."""
     build = partial(lambda nums, den: make([Fraction(n, den) for n in nums]))
-    return st.builds(build, st.lists(numerators, min_size=min_size, max_size=max_size), dens)
-
-
-def forms_of(exponents, coefficients, max_size):
-    return st.dictionaries(exponents, coefficients, max_size=max_size).map(Poly3)
+    return st.builds(build, st.lists(numerators, min_size=min_size, max_size=4), dens)
 
 
 # coprime denominators side by side, and numerators past 2^64

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclo_loops
-from strategies import WIDE, field_elements, forms_of, nine_entries, triples
+from strategies import WIDE, field_elements, nine_entries, triples
 from wingerverify.cyclo import Cyclo, make, rational, zeta
 from wingerverify.linalg import Matrix
 from wingerverify.polys import Point, Poly3, Substitution, _from_numerators, monomials_of_degree
@@ -54,7 +54,7 @@ def test_act_is_precomposition():
 
 elements = field_elements(st.integers(-3, 3), st.integers(1, 3))
 EXPONENTS = st.tuples(*[st.integers(0, 3)] * 3)
-polys = forms_of(EXPONENTS, elements, max_size=6)
+polys = st.dictionaries(EXPONENTS, elements, max_size=6).map(Poly3)
 
 
 @settings(max_examples=50)
@@ -106,7 +106,7 @@ def cyclo_apply(m, f):
     return Poly3(out)
 
 
-wide_polys = forms_of(EXPONENTS, WIDE, max_size=5)
+wide_polys = st.dictionaries(EXPONENTS, WIDE, max_size=5).map(Poly3)
 X, Y, Z = variables()
 HALF_THIRD = Poly3({(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(1, 3),
                     (0, 0, 1): Fraction(1, 5)})
@@ -167,7 +167,7 @@ def test_substitution_matches_cyclo_loop(f, entries):
 # forms of degree at most 8: three sorted cuts s0 <= s1 <= s2 in 0..8 give
 # the exponents (s0, s1 - s0, s2 - s1)
 DEGREE_8 = triples(st.integers(0, 8)).map(sorted).map(lambda s: (s[0], s[1] - s[0], s[2] - s[1]))
-MIXED_FORMS = forms_of(DEGREE_8, st.one_of(elements, WIDE), max_size=6)
+MIXED_FORMS = st.dictionaries(DEGREE_8, st.one_of(elements, WIDE), max_size=6).map(Poly3)
 # matrices with zero entries, and singular ones: a zero row, or a third
 # row the sum of the first two
 SUBSTITUTION_ENTRIES = nine_entries(st.one_of(st.just(0), elements, WIDE))
@@ -252,7 +252,7 @@ def test_printer_deterministic():
 # coefficients over mixed denominators up to 9, and the scalars 0, -1 and
 # zeta among others
 MIXED_DENOMINATOR = field_elements(st.integers(-9, 9), st.integers(1, 9))
-ANY_POLYS = st.one_of(polys, forms_of(EXPONENTS, MIXED_DENOMINATOR, max_size=6))
+ANY_POLYS = st.one_of(polys, st.dictionaries(EXPONENTS, MIXED_DENOMINATOR, max_size=6).map(Poly3))
 SCALARS = st.one_of(st.sampled_from([0, -1, zeta(), Fraction(-7, 6)]), MIXED_DENOMINATOR)
 VARIABLE = st.integers(0, 2)
 NONZERO_FRACTIONS = st.builds(Fraction, st.sampled_from([*range(-9, 0), *range(1, 10)]),
